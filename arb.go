@@ -23,7 +23,7 @@
 // or an in-memory tree) and owns what its queries share — the label-name
 // table and, on disk, the subtree index; a PreparedQuery holds a compiled
 // program whose lazily built automata persist across executions, so a
-// warm query evaluates with two hash-table lookups per node.
+// warm query evaluates with two table lookups per node.
 //
 //	sess, err := arb.OpenSession("mydb")              // mydb.arb + mydb.lab (+ mydb.idx)
 //	defer sess.Close()

@@ -1,6 +1,5 @@
 // Benchmarks regenerating the paper's evaluation artifacts (see
-// EXPERIMENTS.md for the full tables and cmd/arbbench for arbitrary
-// scales):
+// cmd/arbbench for arbitrary scales):
 //
 //   - BenchmarkFig5Create — Figure 5, database creation, one sub-bench
 //     per dataset. b.N iterations create the database from scratch;
@@ -15,8 +14,7 @@
 //
 // Scale is controlled with ARB_BENCH_SCALE (fraction of the paper's
 // dataset sizes; default 1/128 keeps `go test -bench=.` under a few
-// minutes — pass 0.03125 for the EXPERIMENTS.md runs or 1.0 for the
-// paper's full sizes).
+// minutes — pass 1.0 for the paper's full sizes).
 package arb_test
 
 import (

@@ -17,6 +17,19 @@ fi
 go vet ./...
 go build ./...
 
+# Scan-loop escape gate: the per-node callbacks of the evaluation
+# drivers and the record loops under them must not heap-allocate their
+# encode/decode temporaries — one malloc per node, through an io.Writer
+# or io.Reader call (TestWarmRunAllocsDoNotGrowWithN is the runtime half
+# of this gate).
+escapes=$(go build -gcflags=-m ./internal/core ./internal/storage 2>&1 |
+    grep -E '^internal/(core/[a-z_]+|storage/(db|backio))\.go:.*moved to heap: (buf|ab)$' || true)
+if [ -n "$escapes" ]; then
+    echo "scan loops allocate per node again:" >&2
+    echo "$escapes" >&2
+    exit 1
+fi
+
 # Repo-specific invariants: context threading, lock discipline, temp
 # cleanup, deprecated shims, reader Close/Release, snapshot-pin
 # release, atomic/plain access mixing, goroutine termination, and lock

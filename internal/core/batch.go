@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"arb/internal/edb"
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
@@ -27,7 +26,9 @@ import (
 // (stateWidth bytes per member per node), and auxiliary predicate masks
 // travel in one widened sidecar with a slot per member. Results are
 // bit-identical to running each member alone: the decomposition only
-// shares the iteration, never the automata.
+// shares the iteration, never the automata. Each member steps its own
+// StepCache — the same dense tables a scalar run steps, so a batch of one
+// and a scalar run differ only in the width of the state file.
 
 // BatchMember is one query's engine inside a batch run, plus the wiring
 // of its auxiliary predicate masks (the multi-pass XPath mechanism).
@@ -71,233 +72,6 @@ type DiskBatchOpts struct {
 	Run *RunStats
 }
 
-// transSource is the narrow automata interface the batch inner loops run
-// against — a SharedEngine view of each member engine, so batch runs may
-// overlap each other and scalar runs of the same engines.
-type transSource interface {
-	ReachableStates(left, right StateID, sig edb.NodeSig) StateID
-	TruePreds(parent, resid StateID, k int) StateID
-	RootTrueSet(rootState StateID) StateID
-	QueryMask(td StateID) uint64
-}
-
-// BatchCache is a dense per-member (and, in parallel runs, per-worker)
-// transition memo for the batch inner loops. A batch pays N engine steps
-// per node instead of one, so the per-step constant matters more here
-// than anywhere else in the system: node signatures resolve straight from
-// the 2-byte record bits (an array lookup), and the two transition
-// functions from flat tables indexed by their small dense state ids.
-// Tables grow geometrically as lazy automata construction discovers
-// states; misses fall through to the underlying source, so the cache is
-// semantics-free — it can never change which state a step yields.
-type BatchCache struct {
-	src transSource
-
-	// Local signature interning. Non-root signatures without aux bits are
-	// indexed directly by their record bits; root or aux-extra signatures
-	// (rare: one root per document, aux only on multi-pass members) go
-	// through the map, keyed rec | extra<<16 | root<<32.
-	sigByRec []int32 // 1<<16 entries; 0 = unknown, else local sig id + 1
-	sigAux   map[uint64]int32
-	sigs     []edb.NodeSig // local sig id -> signature, for miss calls
-
-	// δA: bu[((l+1)*dimS + (r+1))*dimSig + sig] = state id + 1. Keys the
-	// dense table will not grow to hold (maxDenseEntries) live in buMap.
-	dimS, dimSig int32
-	bu           []StateID
-	buMap        map[buMapKey]StateID
-
-	// δB: td[(parent*dimB + child)*2 + (k-1)] = state id + 1.
-	dimP, dimB int32
-	td         []StateID
-	tdMap      map[tdMapKey]StateID
-
-	// Query-predicate masks per top-down state.
-	masks     []uint64
-	maskKnown []bool
-}
-
-type buMapKey struct {
-	l, r StateID
-	sig  int32
-}
-
-type tdMapKey struct {
-	p, b StateID
-	k    uint8
-}
-
-// maxDenseEntries bounds each dense transition table (4 MB of StateIDs):
-// automata in practice stay far below it, and pathological state or
-// signature counts degrade to hash lookups instead of huge allocations.
-const maxDenseEntries = 1 << 20
-
-func newBatchCache(src transSource) *BatchCache {
-	return &BatchCache{src: src, sigByRec: make([]int32, 1<<16), sigAux: map[uint64]int32{}}
-}
-
-// NewBatchCache returns a private dense cache in front of the shared
-// engine for one worker of a parallel batch run.
-func (s *SharedEngine) NewBatchCache() *BatchCache { return newBatchCache(s) }
-
-// SigID interns the signature given by a node's record bits (label and
-// child flags, storage.Record.Encode form), root-ness and aux mask,
-// returning a cache-local signature id for BUStep.
-func (c *BatchCache) SigID(rec uint16, root bool, extra uint16) int32 {
-	if !root && extra == 0 {
-		if s := c.sigByRec[rec]; s != 0 {
-			return s - 1
-		}
-		s := c.internSig(rec, root, extra)
-		c.sigByRec[rec] = s + 1
-		return s
-	}
-	key := uint64(rec) | uint64(extra)<<16
-	if root {
-		key |= 1 << 32
-	}
-	if s, ok := c.sigAux[key]; ok {
-		return s
-	}
-	s := c.internSig(rec, root, extra)
-	c.sigAux[key] = s
-	return s
-}
-
-func (c *BatchCache) internSig(rec uint16, root bool, extra uint16) int32 {
-	r := storage.DecodeRecord(rec)
-	c.sigs = append(c.sigs, edb.NodeSig{
-		Label:     tree.Label(r.Label),
-		HasFirst:  r.HasFirst,
-		HasSecond: r.HasSecond,
-		IsRoot:    root,
-		Extra:     extra,
-	})
-	return int32(len(c.sigs) - 1)
-}
-
-// BUStep is the cached δA on a local signature id.
-func (c *BatchCache) BUStep(left, right StateID, sig int32) StateID {
-	l1, r1 := left+1, right+1
-	if l1 < c.dimS && r1 < c.dimS && sig < c.dimSig {
-		if id := c.bu[(l1*c.dimS+r1)*c.dimSig+sig]; id != 0 {
-			return id - 1
-		}
-	} else if id, ok := c.buMap[buMapKey{left, right, sig}]; ok {
-		return id
-	}
-	id := c.src.ReachableStates(left, right, c.sigs[sig])
-	c.storeBU(left, right, sig, id)
-	return id
-}
-
-func (c *BatchCache) storeBU(left, right StateID, sig int32, id StateID) {
-	l1, r1 := left+1, right+1
-	if l1 >= c.dimS || r1 >= c.dimS || sig >= c.dimSig {
-		if !c.growBU(max32(l1, r1), sig) {
-			if c.buMap == nil {
-				c.buMap = map[buMapKey]StateID{}
-			}
-			c.buMap[buMapKey{left, right, sig}] = id
-			return
-		}
-	}
-	c.bu[(l1*c.dimS+r1)*c.dimSig+sig] = id + 1
-}
-
-// growBU widens the dense δA table to cover state needS and signature
-// needSig, reporting false when that would exceed the dense budget.
-func (c *BatchCache) growBU(needS StateID, needSig int32) bool {
-	newS, newSig := c.dimS, c.dimSig
-	if newS == 0 {
-		newS, newSig = 8, 8
-	}
-	for newS <= int32(needS) {
-		newS *= 2
-	}
-	for newSig <= needSig {
-		newSig *= 2
-	}
-	if int64(newS)*int64(newS)*int64(newSig) > maxDenseEntries {
-		return false
-	}
-	nb := make([]StateID, int(newS)*int(newS)*int(newSig))
-	for l := int32(0); l < c.dimS; l++ {
-		for r := int32(0); r < c.dimS; r++ {
-			copy(nb[(l*newS+r)*newSig:(l*newS+r)*newSig+c.dimSig],
-				c.bu[(l*c.dimS+r)*c.dimSig:(l*c.dimS+r+1)*c.dimSig])
-		}
-	}
-	c.bu, c.dimS, c.dimSig = nb, newS, newSig
-	return true
-}
-
-// TDStep is the cached δB_k.
-func (c *BatchCache) TDStep(parent, bu StateID, k int) StateID {
-	if parent < c.dimP && bu < c.dimB {
-		if id := c.td[(parent*c.dimB+bu)*2+StateID(k-1)]; id != 0 {
-			return id - 1
-		}
-	} else if id, ok := c.tdMap[tdMapKey{parent, bu, uint8(k)}]; ok {
-		return id
-	}
-	id := c.src.TruePreds(parent, bu, k)
-	c.storeTD(parent, bu, k, id)
-	return id
-}
-
-func (c *BatchCache) storeTD(parent, bu StateID, k int, id StateID) {
-	if parent >= c.dimP || bu >= c.dimB {
-		newP, newB := c.dimP, c.dimB
-		if newP == 0 {
-			newP, newB = 8, 8
-		}
-		for newP <= parent {
-			newP *= 2
-		}
-		for newB <= bu {
-			newB *= 2
-		}
-		if int64(newP)*int64(newB)*2 > maxDenseEntries {
-			if c.tdMap == nil {
-				c.tdMap = map[tdMapKey]StateID{}
-			}
-			c.tdMap[tdMapKey{parent, bu, uint8(k)}] = id
-			return
-		}
-		nt := make([]StateID, int(newP)*int(newB)*2)
-		for p := int32(0); p < c.dimP; p++ {
-			copy(nt[p*newB*2:p*newB*2+c.dimB*2], c.td[p*c.dimB*2:(p+1)*c.dimB*2])
-		}
-		c.td, c.dimP, c.dimB = nt, newP, newB
-	}
-	c.td[(parent*c.dimB+bu)*2+StateID(k-1)] = id + 1
-}
-
-// RootTrueSet is step 2 of Algorithm 4.6 (uncached: once per run).
-func (c *BatchCache) RootTrueSet(bu StateID) StateID { return c.src.RootTrueSet(bu) }
-
-// QueryMask returns the query-predicate bitmask of a top-down state.
-func (c *BatchCache) QueryMask(td StateID) uint64 {
-	if int(td) < len(c.maskKnown) && c.maskKnown[td] {
-		return c.masks[td]
-	}
-	m := c.src.QueryMask(td)
-	for int(td) >= len(c.maskKnown) {
-		c.maskKnown = append(c.maskKnown, false)
-		c.masks = append(c.masks, 0)
-	}
-	c.maskKnown[td], c.masks[td] = true, m
-	return m
-}
-
-func max32(a, b StateID) StateID {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TreeBatchOpts configures an in-memory batch pass.
 type TreeBatchOpts struct {
 	// Index optionally supplies a subtree index with label signatures
@@ -334,14 +108,14 @@ func RunBatchTree(ctx context.Context, t *tree.Tree, members []BatchMember, topt
 	}
 	cancel := storage.NewCanceller(ctx)
 	res := make([]*Result, nm)
-	caches := make([]*BatchCache, nm)
+	caches := make([]*StepCache, nm)
 	prunable := !topts.NoPrune
 	engines := make([]*Engine, nm)
 	for m, bm := range members {
 		res[m] = NewResult(bm.E.c.Prog, int64(n))
 		bm.E.AddNodes(int64(n))
 		topts.Run.AddNodes(int64(n))
-		caches[m] = newBatchCache(bm.E.ShareTo(topts.Run))
+		caches[m] = bm.E.ShareTo(topts.Run).NewStepCache()
 		engines[m] = bm.E
 		if bm.Aux != nil {
 			prunable = false
@@ -531,11 +305,11 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 	}
 	stride := nm * width
 	res := make([]*Result, nm)
-	caches := make([]*BatchCache, nm)
+	caches := make([]*StepCache, nm)
 	engines := make([]*Engine, nm)
 	for m, bm := range members {
 		res[m] = NewResult(bm.E.c.Prog, db.N)
-		caches[m] = newBatchCache(bm.E.ShareTo(opts.Run))
+		caches[m] = bm.E.ShareTo(opts.Run).NewStepCache()
 		engines[m] = bm.E
 	}
 	ds := &DiskStats{StateBytes: db.N * int64(stride)}
@@ -585,7 +359,6 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 		defer auxBack.Release()
 	}
 	sw := &runWriter{f: stateF}
-	stateBuf := make([]byte, stride)
 	var free [][]StateID
 	var werr error
 	rootVec, scan1, err := storage.FoldBottomUpSkipping(ctx, db, pruneExts,
@@ -606,6 +379,7 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 			}
 			recBits := rec.Encode()
 			root := v == 0
+			stateBuf := sw.at((db.N-1-v)*int64(stride), stride)
 			for m, bm := range members {
 				left, right := NoState, NoState
 				if first != nil {
@@ -625,7 +399,6 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 					werr = err
 				}
 			}
-			sw.writeAt(stateBuf, (db.N-1-v)*int64(stride))
 			return out
 		})
 	if err != nil {
@@ -659,7 +432,6 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 		auxFwd = storage.MaskForward(auxF, 0, db.N, opts.AuxInStride)
 	}
 	succeeded := false
-	var auxOut *bufio.Writer
 	var auxOutF *os.File
 	if opts.AuxOut != "" {
 		auxOutF, err = os.Create(opts.AuxOut)
@@ -672,10 +444,10 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 				os.Remove(opts.AuxOut)
 			}
 		}()
-		auxOut = bufio.NewWriterSize(auxOutF, 1<<16)
 	}
+	auxOut := &runWriter{f: auxOutF}
+	strideOut := storage.MaskStride(opts.AuxOutStride)
 	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-	outVec := make([]byte, storage.MaskStride(opts.AuxOutStride))
 
 	// Top-down states live in a depth-indexed arena: a node's vector is
 	// only ever needed by its descendants' visits, and no two live path
@@ -692,12 +464,8 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 			if err := br.Skip(x.Size); err != nil {
 				return err
 			}
-			if auxOut != nil {
-				// No node of a pruned extent is selected and prunable
-				// rounds have no aux input, so its slots are all zero.
-				if err := writeZeros(auxOut, x.Size*int64(len(outVec))); err != nil {
-					return err
-				}
+			if auxOutF != nil {
+				auxOut.zeros(x.Root*strideOut, x.Size*strideOut)
 			}
 			return nil
 		},
@@ -722,10 +490,10 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 					return 0, fmt.Errorf("core: reading aux file: %w", err)
 				}
 			}
-			if auxOut != nil {
-				for i := range outVec {
-					outVec[i] = 0
-				}
+			var outVec []byte
+			if auxOutF != nil {
+				outVec = auxOut.at(v*strideOut, int(strideOut))
+				clear(outVec)
 			}
 			for m, bm := range members {
 				bu := getState(b[m*width:], width)
@@ -744,7 +512,7 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 				if mask != 0 {
 					res[m].MarkMask(mask, v)
 				}
-				if auxOut != nil && bm.AuxOutSlot >= 0 {
+				if outVec != nil && bm.AuxOutSlot >= 0 {
 					var cur uint16
 					if auxFwd != nil && bm.AuxInSlot >= 0 {
 						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
@@ -755,20 +523,15 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
 				}
 			}
-			if auxOut != nil {
-				if _, err := auxOut.Write(outVec); err != nil {
-					return 0, err
-				}
-			}
 			return d, nil
 		})
 	if err != nil {
 		return nil, agg, nil, err
 	}
-	if auxOut != nil {
-		if err := auxOut.Flush(); err != nil {
-			return nil, agg, nil, err
-		}
+	if err := auxOut.flush(); err != nil {
+		return nil, agg, nil, err
+	}
+	if auxOutF != nil {
 		if err := auxOutF.Close(); err != nil {
 			return nil, agg, nil, err
 		}
@@ -905,19 +668,19 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 
 	// Per-worker, per-member dense caches backed by the shared automata,
 	// reused across both phases.
-	caches := make([][]*BatchCache, workers)
+	caches := make([][]*StepCache, workers)
 	for w := range caches {
-		caches[w] = make([]*BatchCache, nm)
+		caches[w] = make([]*StepCache, nm)
 		for m := range caches[w] {
-			caches[w][m] = newBatchCache(shared[m])
+			caches[w][m] = shared[m].NewStepCache()
 		}
 	}
-	leader := make([]*BatchCache, nm)
+	leader := make([]*StepCache, nm)
 	for m := range leader {
-		leader[m] = newBatchCache(shared[m])
+		leader[m] = shared[m].NewStepCache()
 	}
 
-	buVec := func(cs []*BatchCache, first, second *[]StateID, rec storage.Record, v int64, auxVec []byte, out []StateID, stateBuf []byte, werr *error) {
+	buVec := func(cs []*StepCache, first, second *[]StateID, rec storage.Record, v int64, auxVec []byte, out []StateID, stateBuf []byte, werr *error) {
 		recBits := rec.Encode()
 		root := v == 0
 		for m, bm := range members {
@@ -961,7 +724,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			}
 			defer auxBack.Release()
 		}
-		stateBuf := make([]byte, stride)
 		var free [][]StateID
 		var skipped int64
 		var werr error
@@ -981,8 +743,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 						auxVec = b
 					}
 				}
-				buVec(cs, first, second, rec, v, auxVec, out, stateBuf, &werr)
-				sw.writeAt(stateBuf, (db.N-1-v)*int64(stride))
+				buVec(cs, first, second, rec, v, auxVec, out, sw.at((db.N-1-v)*int64(stride), stride), &werr)
 				return out
 			})
 		if err != nil {
@@ -1019,7 +780,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	}()
 	mi := len(leaderSkip) - 1
 	var leaderSkipped int64
-	stateBuf := make([]byte, stride)
 	var free [][]StateID
 	var werr error
 	rootVec, scan1, err := storage.FoldBottomUpSkipping(ctx, db, leaderSkip,
@@ -1064,8 +824,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					auxVec = b
 				}
 			}
-			buVec(leader, first, second, rec, v, auxVec, out, stateBuf, &werr)
-			lw.writeAt(stateBuf, (db.N-1-v)*int64(stride))
+			buVec(leader, first, second, rec, v, auxVec, out, lw.at((db.N-1-v)*int64(stride), stride), &werr)
 			return out
 		})
 	if err != nil {
@@ -1145,7 +904,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		return arena[d]
 	}
 	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-	outVec := make([]byte, strideOut)
 	nextGapNode := int64(-1)
 	scan2, err := storage.ScanTopDownSkipping(ctx, db, leaderSkip,
 		func(x storage.Extent, parent *int32, k int) error {
@@ -1156,7 +914,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 				// the (all-zero) aux slots of its nodes.
 				leaderSkipped2 += x.Size * storage.NodeSize
 				if auxOutF != nil {
-					writeZeroMasksAt(auxOut, x.Root*strideOut, x.Size*strideOut)
+					auxOut.zeros(x.Root*strideOut, x.Size*strideOut)
 				}
 				return nil
 			}
@@ -1202,10 +960,10 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					return 0, fmt.Errorf("core: reading aux file: %w", err)
 				}
 			}
+			var outVec []byte
 			if auxOutF != nil {
-				for i := range outVec {
-					outVec[i] = 0
-				}
+				outVec = auxOut.at(v*strideOut, int(strideOut))
+				clear(outVec)
 			}
 			for m, bm := range members {
 				bu := getState(b[m*width:], width)
@@ -1225,7 +983,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					// Workers are not running yet: marking needs no lock.
 					res[m].MarkMask(mask, v)
 				}
-				if auxOutF != nil && bm.AuxOutSlot >= 0 {
+				if outVec != nil && bm.AuxOutSlot >= 0 {
 					var cur uint16
 					if auxFwd != nil && bm.AuxInSlot >= 0 {
 						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
@@ -1235,9 +993,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					}
 					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
 				}
-			}
-			if auxOutF != nil {
-				auxOut.writeAt(outVec, v*strideOut)
 			}
 			return d, nil
 		})
@@ -1259,10 +1014,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		if auxF != nil {
 			auxFwd = storage.MaskForward(auxF, x.Root, x.End(), opts.AuxInStride)
 		}
-		var auxOut *bufio.Writer
-		if auxOutF != nil {
-			auxOut = bufio.NewWriterSize(io.NewOffsetWriter(auxOutF, x.Root*strideOut), 1<<16)
-		}
+		auxOut := &runWriter{f: auxOutF}
 		w0 := x.Root / 64
 		words := (x.End()-1)/64 - w0 + 1
 		local := make([][][]uint64, nm)
@@ -1280,17 +1032,14 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			return arena[d]
 		}
 		inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-		outVec := make([]byte, strideOut)
 		var skipped int64
 		st, err := storage.ScanTopDownRangeSkipping(ctx, db, x, inner[i], func(sub storage.Extent, parent *int32, k int) error {
 			if err := stateBack.Skip(sub.Size); err != nil {
 				return err
 			}
 			skipped += sub.Size * storage.NodeSize
-			if auxOut != nil {
-				if err := writeZeros(auxOut, sub.Size*strideOut); err != nil {
-					return err
-				}
+			if auxOutF != nil {
+				auxOut.zeros(sub.Root*strideOut, sub.Size*strideOut)
 			}
 			return nil
 		}, func(v int64, rec storage.Record, parent *int32, k int) (int32, error) {
@@ -1310,10 +1059,10 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					return 0, fmt.Errorf("core: reading aux file: %w", err)
 				}
 			}
-			if auxOut != nil {
-				for i := range outVec {
-					outVec[i] = 0
-				}
+			var outVec []byte
+			if auxOutF != nil {
+				outVec = auxOut.at(v*strideOut, int(strideOut))
+				clear(outVec)
 			}
 			for m, bm := range members {
 				bu := getState(b[m*width:], width)
@@ -1337,7 +1086,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					}
 					mm >>= 1
 				}
-				if auxOut != nil && bm.AuxOutSlot >= 0 {
+				if outVec != nil && bm.AuxOutSlot >= 0 {
 					var cur uint16
 					if auxFwd != nil && bm.AuxInSlot >= 0 {
 						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
@@ -1348,20 +1097,13 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
 				}
 			}
-			if auxOut != nil {
-				if _, err := auxOut.Write(outVec); err != nil {
-					return 0, err
-				}
-			}
 			return d, nil
 		})
 		if err != nil {
 			return err
 		}
-		if auxOut != nil {
-			if err := auxOut.Flush(); err != nil {
-				return err
-			}
+		if err := auxOut.flush(); err != nil {
+			return err
 		}
 		for m := range local {
 			for qi := range local[m] {

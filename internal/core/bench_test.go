@@ -1,17 +1,22 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
 	"arb/internal/storage"
 	"arb/internal/tmnf"
+	"arb/internal/tree"
 	"arb/internal/workload"
 )
 
-// Ablation benchmarks for the engine's design choices: warm per-node
-// cost (two hash lookups), cold warm-up (LTUR + Contract per new
-// transition), and the in-memory vs two-scan-disk drivers.
+// Ablation benchmarks for the engine's design choices: one warm step
+// (two flat-table lookups), warm per-node cost of the in-memory and
+// two-scan-disk drivers around it, and cold warm-up (LTUR + Contract per
+// new transition). Every pass benchmark sets its bytes to the records it
+// scans, so ns/op reads as ns/node × nodes and MB/s as record bandwidth —
+// the quantities the repository's benchmark reports per layer.
 
 func benchProgram(b *testing.B) *tmnf.Program {
 	b.Helper()
@@ -33,13 +38,15 @@ func BenchmarkRunWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := NewEngine(c, t.Names())
-	if _, err := e.Run(t, RunOpts{}); err != nil {
+	ctx := context.Background()
+	if _, err := e.RunContext(ctx, t, RunOpts{}); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(t.Len()))
+	b.ReportAllocs()
+	b.SetBytes(int64(t.Len()) * storage.NodeSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(t, RunOpts{}); err != nil {
+		if _, err := e.RunContext(ctx, t, RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,11 +61,12 @@ func BenchmarkRunCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(t.Len()))
+	b.ReportAllocs()
+	b.SetBytes(int64(t.Len()) * storage.NodeSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(c, t.Names())
-		if _, err := e.Run(t, RunOpts{}); err != nil {
+		if _, err := e.RunContext(context.Background(), t, RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,14 +87,53 @@ func BenchmarkRunDisk(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := NewEngine(c, db.Names)
+	ctx := context.Background()
+	if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.SetBytes(db.N * storage.NodeSize * 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunDisk(db, DiskOpts{}); err != nil {
+		if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkStep isolates what the drivers pay per node once the tables
+// are warm: one δA step (record bits → signature class → state) plus one
+// δB step and its query mask, on the dense StepCache tables.
+func BenchmarkStep(b *testing.B) {
+	t := workload.FlatTree(workload.Sequence(4, 1<<12-1))
+	prog := benchProgram(b)
+	c, err := Compile(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(c, t.Names())
+	res, err := e.RunContext(context.Background(), t, RunOpts{KeepStates: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One inner node of the chain, replayed from the recorded run: its own
+	// bottom-up step, and the top-down step into its next sibling.
+	v := tree.NodeID(t.Len() / 2)
+	next := t.Second(v)
+	rec := storage.Record{Label: uint16(t.Label(v)), HasSecond: true}.Encode()
+	right, tdv := res.BUStateOf[next], res.TDStateOf[v]
+	cache := e.Share().NewStepCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bu := cache.BUStep(NoState, right, cache.SigID(rec, false, 0))
+		td := cache.TDStep(tdv, right, 2)
+		stepSink += uint64(bu) + cache.QueryMask(td)
+	}
+}
+
+// stepSink keeps BenchmarkStep's result live.
+var stepSink uint64
 
 // BenchmarkTransitionCold isolates one lazy transition computation
 // (LTUR + Contract + interning) by resetting the engine each round.
@@ -97,10 +144,11 @@ func BenchmarkTransitionCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(c, t.Names())
-		if _, err := e.Run(t, RunOpts{}); err != nil {
+		if _, err := e.RunContext(context.Background(), t, RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

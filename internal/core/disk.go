@@ -11,9 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"arb/internal/edb"
 	"arb/internal/storage"
-	"arb/internal/tree"
 )
 
 // DiskOpts configures a secondary-storage evaluation run.
@@ -128,7 +126,7 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 		e.AddPrunedNodes(prune.Nodes)
 		opts.Run.AddPrunedNodes(prune.Nodes)
 	}
-	cache := e.ShareTo(opts.Run).NewCache()
+	cache := e.ShareTo(opts.Run).NewStepCache()
 
 	// Optional auxiliary mask file, read backwards in phase 1 and
 	// forwards in phase 2.
@@ -181,31 +179,8 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 			return prune.Sub(0), nil
 		},
 		func(first, second *StateID, rec storage.Record, v int64) StateID {
-			left, right := NoState, NoState
-			if first != nil {
-				left = *first
-			}
-			if second != nil {
-				right = *second
-			}
-			sig := edb.NodeSig{
-				Label:     tree.Label(rec.Label),
-				HasFirst:  rec.HasFirst,
-				HasSecond: rec.HasSecond,
-				IsRoot:    v == 0,
-			}
-			if auxBack != nil {
-				b, err := auxBack.Next()
-				if err != nil && werr == nil {
-					werr = fmt.Errorf("core: reading aux file: %w", err)
-				} else if err == nil {
-					sig.Extra = binary.BigEndian.Uint16(b)
-				}
-			}
-			s := cache.ReachableStates(left, right, sig)
-			var buf [stateIDSize]byte
-			binary.BigEndian.PutUint32(buf[:], uint32(s))
-			sw.writeAt(buf[:], (db.N-1-v)*stateIDSize)
+			s := buStep(cache, first, second, rec, v, auxBack, &werr)
+			binary.BigEndian.PutUint32(sw.at((db.N-1-v)*stateIDSize, stateIDSize), uint32(s))
 			return s
 		})
 	if err != nil {
@@ -237,7 +212,6 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 		}
 		auxFwd = bufio.NewReaderSize(auxF, 1<<16)
 	}
-	var auxOut *bufio.Writer
 	var auxOutF *os.File
 	if opts.AuxOut != "" {
 		auxOutF, err = os.Create(opts.AuxOut)
@@ -252,8 +226,8 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 				os.Remove(opts.AuxOut)
 			}
 		}()
-		auxOut = bufio.NewWriterSize(auxOutF, 1<<16)
 	}
+	auxOut := &runWriter{f: auxOutF}
 	outBit := uint16(1) << opts.AuxOutBit
 	queryBit := uint64(1) << uint(opts.AuxOutQuery)
 	var emitter *storage.XMLEmitter
@@ -269,10 +243,8 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 			if err := br.Skip(x.Size); err != nil {
 				return err
 			}
-			if auxOut != nil {
-				if err := writeZeros(auxOut, x.Size*auxMaskSize); err != nil {
-					return err
-				}
+			if auxOutF != nil {
+				auxOut.zeros(x.Root*auxMaskSize, x.Size*auxMaskSize)
 			}
 			return nil
 		},
@@ -292,7 +264,7 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 				}
 				td = cache.RootTrueSet(bu)
 			} else {
-				td = cache.TruePreds(*parent, bu, k)
+				td = cache.TDStep(*parent, bu, k)
 			}
 			mask := cache.QueryMask(td)
 			if mask != 0 {
@@ -303,33 +275,27 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 					return NoState, err
 				}
 			}
-			if auxOut != nil {
+			if auxOutF != nil {
 				var cur uint16
 				if auxFwd != nil {
-					var ab [auxMaskSize]byte
-					if _, err := io.ReadFull(auxFwd, ab[:]); err != nil {
-						return NoState, fmt.Errorf("core: reading aux file: %w", err)
+					if cur, err = nextMask(auxFwd); err != nil {
+						return NoState, err
 					}
-					cur = binary.BigEndian.Uint16(ab[:])
 				}
 				if mask&queryBit != 0 {
 					cur |= outBit
 				}
-				var ab [auxMaskSize]byte
-				binary.BigEndian.PutUint16(ab[:], cur)
-				if _, err := auxOut.Write(ab[:]); err != nil {
-					return NoState, err
-				}
+				binary.BigEndian.PutUint16(auxOut.at(v*auxMaskSize, auxMaskSize), cur)
 			}
 			return td, nil
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	if auxOut != nil {
-		if err := auxOut.Flush(); err != nil {
-			return nil, nil, err
-		}
+	if err := auxOut.flush(); err != nil {
+		return nil, nil, err
+	}
+	if auxOutF != nil {
 		if err := auxOutF.Close(); err != nil {
 			return nil, nil, err
 		}
@@ -373,3 +339,14 @@ func createStateFile(db *storage.DB, opts DiskOpts) (*os.File, string, error) {
 
 // auxMaskSize is the on-disk size of one auxiliary predicate mask.
 const auxMaskSize = 2
+
+// nextMask consumes one mask from a forward aux reader, decoding it in
+// the reader's buffer.
+func nextMask(r *bufio.Reader) (uint16, error) {
+	b, err := r.Peek(auxMaskSize)
+	if err != nil {
+		return 0, fmt.Errorf("core: reading aux file: %w", err)
+	}
+	r.Discard(auxMaskSize)
+	return binary.BigEndian.Uint16(b), nil
+}

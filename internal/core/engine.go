@@ -80,10 +80,12 @@ func (s Stats) Sub(o Stats) Stats {
 // computed lazily by ComputeReachableStates and ComputeTruePreds and are
 // reused across nodes and across trees (footnote 15 of the paper).
 //
-// Concurrency: the engine's caches are guarded by one RWMutex, and every
-// evaluation driver reaches them through a SharedEngine view (Share) or a
-// per-run TxCache/BatchCache in front of one — so any number of runs of
-// one engine may overlap, and transitions computed by one run serve all.
+// Concurrency: the engine's tables are guarded by one RWMutex, and every
+// evaluation driver — scalar or batch, sequential or parallel — steps a
+// private StepCache (dense per-run tables, no locks when warm) in front of
+// a SharedEngine view (Share), which takes the lock on the cache's misses
+// — so any number of runs of one engine may overlap, and transitions
+// computed by one run serve all.
 // The raw transition methods (ReachableStates, TruePreds, ...) do not
 // lock; they are for callers that hold mu or own the engine exclusively.
 type Engine struct {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"arb/internal/edb"
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
@@ -43,10 +42,10 @@ type RunOpts struct {
 // (reverse preorder — children of a node always follow it in preorder, so
 // a single descending index loop is a bottom-up traversal), then one
 // top-down pass computing the run ρB of automaton B (ascending index
-// loop). The per-node work is two hash-table lookups once the lazy
+// loop). The per-node work is two flat-table lookups once the lazy
 // transition tables are warm. Cancelling ctx aborts either pass promptly
 // with ctx.Err(). Runs of one engine may overlap: the shared automata
-// tables are reached through a per-run cache over the engine's lock.
+// tables are reached through a per-run StepCache over the engine's lock.
 func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*Result, error) {
 	n := t.Len()
 	if n == 0 {
@@ -71,7 +70,7 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*R
 		e.AddPrunedNodes(prune.Nodes)
 		opts.Run.AddPrunedNodes(prune.Nodes)
 	}
-	cache := e.ShareTo(opts.Run).NewCache()
+	cache := e.ShareTo(opts.Run).NewStepCache()
 
 	// Phase 1: bottom-up run of A.
 	start := time.Now()
@@ -88,18 +87,24 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*R
 			v = int(x.Root) // the loop decrement steps past the extent
 			continue
 		}
+		first, second := t.First(tree.NodeID(v)), t.Second(tree.NodeID(v))
 		left, right := NoState, NoState
-		if c := t.First(tree.NodeID(v)); c != tree.None {
-			left = bu[c]
+		if first != tree.None {
+			left = bu[first]
 		}
-		if c := t.Second(tree.NodeID(v)); c != tree.None {
-			right = bu[c]
+		if second != tree.None {
+			right = bu[second]
 		}
-		sig := edb.SigOf(t, tree.NodeID(v))
+		rec := storage.Record{
+			Label:     uint16(t.Label(tree.NodeID(v))),
+			HasFirst:  first != tree.None,
+			HasSecond: second != tree.None,
+		}.Encode()
+		var extra uint16
 		if opts.Aux != nil {
-			sig.Extra = opts.Aux(tree.NodeID(v))
+			extra = opts.Aux(tree.NodeID(v))
 		}
-		bu[v] = cache.ReachableStates(left, right, sig)
+		bu[v] = cache.BUStep(left, right, cache.SigID(rec, v == 0, extra))
 	}
 	phase1 := time.Since(start)
 
@@ -123,10 +128,10 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*R
 			res.MarkMask(mask, int64(v))
 		}
 		if c := t.First(tree.NodeID(v)); c != tree.None {
-			td[c] = cache.TruePreds(td[v], bu[c], 1)
+			td[c] = cache.TDStep(td[v], bu[c], 1)
 		}
 		if c := t.Second(tree.NodeID(v)); c != tree.None {
-			td[c] = cache.TruePreds(td[v], bu[c], 2)
+			td[c] = cache.TDStep(td[v], bu[c], 2)
 		}
 	}
 	phase2 := time.Since(start)

@@ -12,9 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"arb/internal/edb"
 	"arb/internal/storage"
-	"arb/internal/tree"
 )
 
 // Tuning knobs for the parallel frontier cut. Variables (not constants)
@@ -161,12 +159,12 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		}
 	}()
 
-	// Per-worker transition caches, reused across both phases.
-	caches := make([]*TxCache, workers)
+	// Per-worker step caches, reused across both phases.
+	caches := make([]*StepCache, workers)
 	for i := range caches {
-		caches[i] = s.NewCache()
+		caches[i] = s.NewStepCache()
 	}
-	leaderCache := s.NewCache()
+	leaderCache := s.NewStepCache()
 
 	// Phase 1: workers fold their chunks bottom-up — each streaming its
 	// own byte range backwards and pwriting its slice of the state file —
@@ -199,9 +197,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 			},
 			func(first, second *StateID, rec storage.Record, v int64) StateID {
 				id := buStep(cache, first, second, rec, v, auxBack, &werr)
-				var buf [stateIDSize]byte
-				binary.BigEndian.PutUint32(buf[:], uint32(id))
-				sw.writeAt(buf[:], (db.N-1-v)*stateIDSize)
+				binary.BigEndian.PutUint32(sw.at((db.N-1-v)*stateIDSize, stateIDSize), uint32(id))
 				return id
 			})
 		if err != nil {
@@ -265,9 +261,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				}
 			}
 			id := buStep(leaderCache, first, second, rec, v, auxBack, &werr)
-			var buf [stateIDSize]byte
-			binary.BigEndian.PutUint32(buf[:], uint32(id))
-			lw.writeAt(buf[:], (db.N-1-v)*stateIDSize)
+			binary.BigEndian.PutUint32(lw.at((db.N-1-v)*stateIDSize, stateIDSize), uint32(id))
 			return id
 		})
 	if err != nil {
@@ -350,7 +344,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				// only the aux slots (zero: nothing selected, no input).
 				leaderSkipped2 += x.Size * storage.NodeSize
 				if auxOutF != nil {
-					writeZeroMasksAt(auxOut, x.Root*auxMaskSize, x.Size*auxMaskSize)
+					auxOut.zeros(x.Root*auxMaskSize, x.Size*auxMaskSize)
 				}
 				return nil
 			}
@@ -362,7 +356,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				}
 				td = leaderCache.RootTrueSet(bu)
 			} else {
-				td = leaderCache.TruePreds(*parent, bu, k)
+				td = leaderCache.TDStep(*parent, bu, k)
 			}
 			tdRoots[ti] = td
 			return nil
@@ -389,7 +383,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				}
 				td = leaderCache.RootTrueSet(bu)
 			} else {
-				td = leaderCache.TruePreds(*parent, bu, k)
+				td = leaderCache.TDStep(*parent, bu, k)
 			}
 			mask := leaderCache.QueryMask(td)
 			if mask != 0 {
@@ -399,18 +393,14 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 			if auxOutF != nil {
 				var cur uint16
 				if auxFwd != nil {
-					var ab [auxMaskSize]byte
-					if _, err := io.ReadFull(auxFwd, ab[:]); err != nil {
-						return NoState, fmt.Errorf("core: reading aux file: %w", err)
+					if cur, err = nextMask(auxFwd); err != nil {
+						return NoState, err
 					}
-					cur = binary.BigEndian.Uint16(ab[:])
 				}
 				if mask&queryBit != 0 {
 					cur |= outBit
 				}
-				var ab [auxMaskSize]byte
-				binary.BigEndian.PutUint16(ab[:], cur)
-				auxOut.writeAt(ab[:], v*auxMaskSize)
+				binary.BigEndian.PutUint16(auxOut.at(v*auxMaskSize, auxMaskSize), cur)
 			}
 			return td, nil
 		})
@@ -434,10 +424,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		if auxF != nil {
 			auxFwd = bufio.NewReaderSize(io.NewSectionReader(auxF, x.Root*auxMaskSize, x.Size*auxMaskSize), 1<<16)
 		}
-		var auxOut *bufio.Writer
-		if auxOutF != nil {
-			auxOut = bufio.NewWriterSize(io.NewOffsetWriter(auxOutF, x.Root*auxMaskSize), 1<<16)
-		}
+		auxOut := &runWriter{f: auxOutF}
 		w0 := x.Root / 64
 		local := make([][]uint64, nq)
 		words := (x.End()-1)/64 - w0 + 1
@@ -450,10 +437,8 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				return err
 			}
 			skipped += sub.Size * storage.NodeSize
-			if auxOut != nil {
-				if err := writeZeros(auxOut, sub.Size*auxMaskSize); err != nil {
-					return err
-				}
+			if auxOutF != nil {
+				auxOut.zeros(sub.Root*auxMaskSize, sub.Size*auxMaskSize)
 			}
 			return nil
 		}, func(v int64, rec storage.Record, parent *StateID, k int) (StateID, error) {
@@ -471,7 +456,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				}
 				td = tdRoots[i]
 			} else {
-				td = cache.TruePreds(*parent, bu, k)
+				td = cache.TDStep(*parent, bu, k)
 			}
 			mask := cache.QueryMask(td)
 			for m, qi := mask, 0; m != 0; qi++ {
@@ -480,33 +465,25 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				}
 				m >>= 1
 			}
-			if auxOut != nil {
+			if auxOutF != nil {
 				var cur uint16
 				if auxFwd != nil {
-					var ab [auxMaskSize]byte
-					if _, err := io.ReadFull(auxFwd, ab[:]); err != nil {
-						return NoState, fmt.Errorf("core: reading aux file: %w", err)
+					if cur, err = nextMask(auxFwd); err != nil {
+						return NoState, err
 					}
-					cur = binary.BigEndian.Uint16(ab[:])
 				}
 				if mask&queryBit != 0 {
 					cur |= outBit
 				}
-				var ab [auxMaskSize]byte
-				binary.BigEndian.PutUint16(ab[:], cur)
-				if _, err := auxOut.Write(ab[:]); err != nil {
-					return NoState, err
-				}
+				binary.BigEndian.PutUint16(auxOut.at(v*auxMaskSize, auxMaskSize), cur)
 			}
 			return td, nil
 		})
 		if err != nil {
 			return err
 		}
-		if auxOut != nil {
-			if err := auxOut.Flush(); err != nil {
-				return err
-			}
+		if err := auxOut.flush(); err != nil {
+			return err
 		}
 		for qi := range local {
 			res.MergeWords(qi, w0, local[qi])
@@ -547,7 +524,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 
 // buStep performs one bottom-up transition from a scan record, optionally
 // consuming one auxiliary mask from auxBack.
-func buStep(cache *TxCache, first, second *StateID, rec storage.Record, v int64, auxBack *storage.BackwardReader, werr *error) StateID {
+func buStep(cache *StepCache, first, second *StateID, rec storage.Record, v int64, auxBack *storage.BackwardReader, werr *error) StateID {
 	left, right := NoState, NoState
 	if first != nil {
 		left = *first
@@ -555,21 +532,16 @@ func buStep(cache *TxCache, first, second *StateID, rec storage.Record, v int64,
 	if second != nil {
 		right = *second
 	}
-	sig := edb.NodeSig{
-		Label:     tree.Label(rec.Label),
-		HasFirst:  rec.HasFirst,
-		HasSecond: rec.HasSecond,
-		IsRoot:    v == 0,
-	}
+	var extra uint16
 	if auxBack != nil {
 		b, err := auxBack.Next()
 		if err != nil && *werr == nil {
 			*werr = fmt.Errorf("core: reading aux file: %w", err)
 		} else if err == nil {
-			sig.Extra = binary.BigEndian.Uint16(b)
+			extra = binary.BigEndian.Uint16(b)
 		}
 	}
-	return cache.ReachableStates(left, right, sig)
+	return cache.BUStep(left, right, cache.SigID(rec.Encode(), v == 0, extra))
 }
 
 // gapsOf returns the complement of the (sorted, disjoint) task extents
@@ -635,40 +607,49 @@ func RunPool(ctx context.Context, workers, n int, run func(worker, i int) error)
 }
 
 // runWriter buffers WriteAt output that arrives in ascending runs with
-// occasional jumps (the leader's scattered glue writes): contiguous bytes
-// are batched through one buffered writer, and a jump flushes and
-// restarts at the new offset. A nil file makes it a no-op sink.
+// occasional jumps (pruned holes, the leader's scattered glue writes):
+// contiguous bytes collect in one buffer, and a jump — or a full buffer —
+// writes it out at the run's offset. Errors surface at flush.
 type runWriter struct {
-	f    *os.File
-	w    *bufio.Writer
-	next int64
-	err  error
+	f     *os.File
+	buf   []byte // the current run's bytes not yet written
+	start int64  // file offset of buf[0]
+	err   error
 }
 
-func (rw *runWriter) writeAt(p []byte, off int64) {
-	if rw.f == nil || rw.err != nil {
-		return
-	}
-	if rw.w == nil || off != rw.next {
-		if rw.w != nil {
-			if err := rw.w.Flush(); err != nil {
-				rw.err = err
-				return
-			}
+const runWriterBuf = 1 << 16
+
+// at returns the n bytes at file offset off for the caller to fill in
+// place: per-node state ids and masks are encoded straight into the
+// buffer, with no temporary that would escape through an io.Writer.
+func (rw *runWriter) at(off int64, n int) []byte {
+	if off != rw.start+int64(len(rw.buf)) || len(rw.buf)+n > cap(rw.buf) {
+		rw.flush()
+		if cap(rw.buf) < n {
+			rw.buf = make([]byte, 0, max(n, runWriterBuf))
 		}
-		rw.w = bufio.NewWriterSize(io.NewOffsetWriter(rw.f, off), 1<<16)
-		rw.next = off
+		rw.start = off
 	}
-	if _, err := rw.w.Write(p); err != nil {
-		rw.err = err
-		return
+	rw.buf = rw.buf[:len(rw.buf)+n]
+	return rw.buf[len(rw.buf)-n:]
+}
+
+// zeros writes n zero bytes at offset off: the aux-mask slots of a pruned
+// extent (none of its nodes is ever selected, and prunable passes have no
+// aux input to propagate).
+func (rw *runWriter) zeros(off, n int64) {
+	for n > 0 {
+		c := min(n, runWriterBuf)
+		clear(rw.at(off, int(c)))
+		off += c
+		n -= c
 	}
-	rw.next = off + int64(len(p))
 }
 
 func (rw *runWriter) flush() error {
-	if rw.err == nil && rw.w != nil {
-		rw.err = rw.w.Flush()
+	if len(rw.buf) > 0 && rw.err == nil {
+		_, rw.err = rw.f.WriteAt(rw.buf, rw.start)
 	}
+	rw.buf = rw.buf[:0]
 	return rw.err
 }

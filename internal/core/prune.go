@@ -31,8 +31,6 @@
 package core
 
 import (
-	"io"
-
 	"arb/internal/edb"
 	"arb/internal/horn"
 	"arb/internal/storage"
@@ -337,38 +335,4 @@ func mergeSkipLists(tasks, pruned []storage.Extent) (exts []storage.Extent, task
 		}
 	}
 	return exts, taskOf
-}
-
-// zeroMasks is a reusable block of zero bytes for streaming the aux-mask
-// slots of pruned extents (no node of a pruned extent is ever selected,
-// and prunable passes have no aux input to propagate).
-var zeroMasks [1 << 15]byte
-
-// writeZeros writes n zero bytes to w in blocks.
-func writeZeros(w io.Writer, n int64) error {
-	for n > 0 {
-		c := n
-		if c > int64(len(zeroMasks)) {
-			c = int64(len(zeroMasks))
-		}
-		if _, err := w.Write(zeroMasks[:c]); err != nil {
-			return err
-		}
-		n -= c
-	}
-	return nil
-}
-
-// writeZeroMasksAt writes n zero bytes at offset off through a
-// run-batched writer (errors surface at the writer's flush).
-func writeZeroMasksAt(w *runWriter, off, n int64) {
-	for n > 0 {
-		c := n
-		if c > int64(len(zeroMasks)) {
-			c = int64(len(zeroMasks))
-		}
-		w.writeAt(zeroMasks[:c], off)
-		off += c
-		n -= c
-	}
 }

@@ -14,7 +14,9 @@ import (
 // The locks are the engine's own, so any number of SharedEngine views of
 // one engine — workers of one run, or entirely separate overlapping runs
 // (a reentrant PreparedQuery, a coalesced server batch sharing a scalar
-// handle's automata) — synchronise with each other.
+// handle's automata) — synchronise with each other. The per-node loops
+// never call a view directly: they step a StepCache (NewStepCache), whose
+// misses are the only calls that reach the lock.
 type SharedEngine struct {
 	e  *Engine
 	rs *RunStats // per-run attribution sink; nil discards
@@ -37,22 +39,34 @@ func (e *Engine) ShareTo(rs *RunStats) *SharedEngine { return &SharedEngine{e: e
 // state inspection) once concurrent work has finished.
 func (s *SharedEngine) Engine() *Engine { return s.e }
 
-// ReachableStates is the concurrent δA: it interns the node signature and
-// returns the bottom-up state for the given child states.
-func (s *SharedEngine) ReachableStates(left, right StateID, sig edb.NodeSig) StateID {
+// SigID is the concurrent signature interning: the engine's alphabet
+// symbol for a node signature (Engine.SigID).
+func (s *SharedEngine) SigID(sig edb.NodeSig) int32 {
 	s.e.mu.RLock()
-	sigID, okSig := s.e.sigIndex[sig]
-	if okSig {
-		if id, ok := s.e.buTrans[buKey{left, right, sigID}]; ok {
-			s.e.mu.RUnlock()
-			return id
-		}
-	}
+	id, ok := s.e.sigIndex[sig]
 	s.e.mu.RUnlock()
+	if ok {
+		return id
+	}
+	s.e.mu.Lock()
+	id = s.e.SigID(sig)
+	s.e.mu.Unlock()
+	return id
+}
+
+// ReachableStates is the concurrent δA: the bottom-up state for the given
+// child states and signature class.
+func (s *SharedEngine) ReachableStates(left, right StateID, sigID int32) StateID {
+	s.e.mu.RLock()
+	id, ok := s.e.buTrans[buKey{left, right, sigID}]
+	s.e.mu.RUnlock()
+	if ok {
+		return id
+	}
 
 	s.e.mu.Lock()
 	before := s.e.statsSnapshot()
-	id := s.e.ReachableStates(left, right, s.e.SigID(sig))
+	id = s.e.ReachableStates(left, right, sigID)
 	delta := s.e.statsSnapshot().Sub(before)
 	s.e.mu.Unlock()
 	s.rs.Add(delta)
@@ -94,68 +108,4 @@ func (s *SharedEngine) QueryMask(td StateID) uint64 {
 	s.e.mu.RLock()
 	defer s.e.mu.RUnlock()
 	return s.e.queryMask(td)
-}
-
-// TxCache is a per-worker, lock-free cache of automaton transitions in
-// front of a SharedEngine, shared by the in-memory parallel evaluator
-// (internal/parallel) and the parallel disk evaluator (RunDiskParallel).
-// States are engine-global ids, so caching them locally is sound; the
-// shared tables are only consulted on local misses, which makes the warm
-// steady state take no locks at all.
-type TxCache struct {
-	s     *SharedEngine
-	bu    map[txBuKey]StateID
-	td    map[tdKey]StateID
-	masks map[StateID]uint64
-}
-
-type txBuKey struct {
-	left, right StateID
-	sig         edb.NodeSig
-}
-
-// NewCache returns a fresh private transition cache for one worker.
-func (s *SharedEngine) NewCache() *TxCache {
-	return &TxCache{
-		s:     s,
-		bu:    map[txBuKey]StateID{},
-		td:    map[tdKey]StateID{},
-		masks: map[StateID]uint64{},
-	}
-}
-
-// ReachableStates is the cached concurrent δA.
-func (c *TxCache) ReachableStates(left, right StateID, sig edb.NodeSig) StateID {
-	key := txBuKey{left, right, sig}
-	if id, ok := c.bu[key]; ok {
-		return id
-	}
-	id := c.s.ReachableStates(left, right, sig)
-	c.bu[key] = id
-	return id
-}
-
-// RootTrueSet is the concurrent step 2 of Algorithm 4.6 (uncached: it
-// runs once per evaluation).
-func (c *TxCache) RootTrueSet(rootState StateID) StateID { return c.s.RootTrueSet(rootState) }
-
-// TruePreds is the cached concurrent δB.
-func (c *TxCache) TruePreds(parent, resid StateID, k int) StateID {
-	key := tdKey{parent, resid, uint8(k)}
-	if id, ok := c.td[key]; ok {
-		return id
-	}
-	id := c.s.TruePreds(parent, resid, k)
-	c.td[key] = id
-	return id
-}
-
-// QueryMask caches the query bitmask per top-down state.
-func (c *TxCache) QueryMask(td StateID) uint64 {
-	if m, ok := c.masks[td]; ok {
-		return m
-	}
-	m := c.s.QueryMask(td)
-	c.masks[td] = m
-	return m
 }

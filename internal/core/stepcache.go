@@ -1,0 +1,225 @@
+package core
+
+import (
+	"math/bits"
+
+	"arb/internal/edb"
+	"arb/internal/storage"
+	"arb/internal/tree"
+)
+
+// StepCache is the private, lock-free transition memo every evaluation
+// driver steps — one per run for the sequential drivers, one per worker
+// (and per member, for batches) in the parallel ones — in front of the
+// engine's shared, lock-guarded tables. The per-node constant of the scan
+// loops lives here: a node's signature resolves straight from its 2-byte
+// record bits (an array lookup), and the two transition functions from
+// flat tables indexed by their small dense ids. States and signature
+// classes are engine-global ids, so caching them locally is sound; tables
+// grow geometrically as lazy automata construction discovers states, and
+// misses fall through to the SharedEngine, so the cache is semantics-free
+// — it can never change which state a step yields — and the warm steady
+// state takes no locks at all.
+type StepCache struct {
+	s *SharedEngine
+
+	// Signature classes (Engine.SigID) by record. Non-root signatures
+	// without aux bits are indexed directly by label<<2 | child flags, in a
+	// table sized from the name table; root or aux-extra signatures (rare:
+	// one root per document, aux only on multi-pass members) go through
+	// the map, keyed rec | extra<<16 | root<<32.
+	sigByRec []int32 // 0 = unknown, else sig id + 1
+	sigAux   map[uint64]int32
+
+	// δA: bu[((l+1)*dimS + (r+1))*dimSig + sig] = state id + 1. Keys the
+	// dense table will not grow to hold (maxDenseEntries) live in buMap.
+	dimS, dimSig int32
+	bu           []StateID
+	buMap        map[buKey]StateID
+
+	// δB: td[(parent*dimB + child)*2 + (k-1)] = state id + 1.
+	dimP, dimB int32
+	td         []StateID
+	tdMap      map[tdKey]StateID
+
+	// Query-predicate masks per top-down state.
+	masks     []uint64
+	maskKnown []bool
+}
+
+// maxDenseEntries bounds each dense transition table (4 MB of StateIDs):
+// automata in practice stay far below it, and pathological state or
+// signature counts degrade to hash lookups instead of huge allocations.
+// A variable only so the package tests can force the map fallback.
+var maxDenseEntries int64 = 1 << 20
+
+// NewStepCache returns a fresh private cache in front of the shared
+// engine, for one run or one worker of a run.
+func (s *SharedEngine) NewStepCache() *StepCache {
+	labels := int(tree.FirstNamedLabel)
+	if s.e.names != nil {
+		labels += s.e.names.Len()
+	}
+	return &StepCache{s: s, sigByRec: make([]int32, labels<<2)}
+}
+
+// SigID resolves the signature given by a node's record bits (label and
+// child flags, storage.Record.Encode form), root-ness and aux mask to the
+// engine's signature class, for BUStep.
+func (c *StepCache) SigID(rec uint16, root bool, extra uint16) int32 {
+	if !root && extra == 0 {
+		// The child flags are the record's two top bits, so rotating them
+		// to the bottom gives label<<2 | flags: dense in the label.
+		i := int(bits.RotateLeft16(rec, 2))
+		if i < len(c.sigByRec) {
+			if s := c.sigByRec[i]; s != 0 {
+				return s - 1
+			}
+		} else {
+			// A label past the name table the cache was sized from.
+			c.sigByRec = append(c.sigByRec, make([]int32, i+1-len(c.sigByRec))...)
+		}
+		s := c.internSig(rec, root, extra)
+		c.sigByRec[i] = s + 1
+		return s
+	}
+	key := uint64(rec) | uint64(extra)<<16
+	if root {
+		key |= 1 << 32
+	}
+	if s, ok := c.sigAux[key]; ok {
+		return s
+	}
+	s := c.internSig(rec, root, extra)
+	if c.sigAux == nil {
+		c.sigAux = map[uint64]int32{}
+	}
+	c.sigAux[key] = s
+	return s
+}
+
+func (c *StepCache) internSig(rec uint16, root bool, extra uint16) int32 {
+	r := storage.DecodeRecord(rec)
+	return c.s.SigID(edb.NodeSig{
+		Label:     tree.Label(r.Label),
+		HasFirst:  r.HasFirst,
+		HasSecond: r.HasSecond,
+		IsRoot:    root,
+		Extra:     extra,
+	})
+}
+
+// BUStep is the cached δA on a signature class.
+func (c *StepCache) BUStep(left, right StateID, sig int32) StateID {
+	l1, r1 := left+1, right+1
+	if l1 < c.dimS && r1 < c.dimS && sig < c.dimSig {
+		if id := c.bu[(l1*c.dimS+r1)*c.dimSig+sig]; id != 0 {
+			return id - 1
+		}
+	} else if id, ok := c.buMap[buKey{left, right, sig}]; ok {
+		return id
+	}
+	id := c.s.ReachableStates(left, right, sig)
+	c.storeBU(left, right, sig, id)
+	return id
+}
+
+func (c *StepCache) storeBU(left, right StateID, sig int32, id StateID) {
+	l1, r1 := left+1, right+1
+	if l1 >= c.dimS || r1 >= c.dimS || sig >= c.dimSig {
+		if !c.growBU(max(l1, r1), sig) {
+			if c.buMap == nil {
+				c.buMap = map[buKey]StateID{}
+			}
+			c.buMap[buKey{left, right, sig}] = id
+			return
+		}
+	}
+	c.bu[(l1*c.dimS+r1)*c.dimSig+sig] = id + 1
+}
+
+// growBU widens the dense δA table to cover state needS and signature
+// needSig, reporting false when that would exceed the dense budget.
+func (c *StepCache) growBU(needS StateID, needSig int32) bool {
+	newS, newSig := c.dimS, c.dimSig
+	if newS == 0 {
+		newS, newSig = 8, 8
+	}
+	for newS <= int32(needS) {
+		newS *= 2
+	}
+	for newSig <= needSig {
+		newSig *= 2
+	}
+	if int64(newS)*int64(newS)*int64(newSig) > maxDenseEntries {
+		return false
+	}
+	nb := make([]StateID, int(newS)*int(newS)*int(newSig))
+	for l := int32(0); l < c.dimS; l++ {
+		for r := int32(0); r < c.dimS; r++ {
+			copy(nb[(l*newS+r)*newSig:(l*newS+r)*newSig+c.dimSig],
+				c.bu[(l*c.dimS+r)*c.dimSig:(l*c.dimS+r+1)*c.dimSig])
+		}
+	}
+	c.bu, c.dimS, c.dimSig = nb, newS, newSig
+	return true
+}
+
+// TDStep is the cached δB_k.
+func (c *StepCache) TDStep(parent, bu StateID, k int) StateID {
+	if parent < c.dimP && bu < c.dimB {
+		if id := c.td[(parent*c.dimB+bu)*2+StateID(k-1)]; id != 0 {
+			return id - 1
+		}
+	} else if id, ok := c.tdMap[tdKey{parent, bu, uint8(k)}]; ok {
+		return id
+	}
+	id := c.s.TruePreds(parent, bu, k)
+	c.storeTD(parent, bu, k, id)
+	return id
+}
+
+func (c *StepCache) storeTD(parent, bu StateID, k int, id StateID) {
+	if parent >= c.dimP || bu >= c.dimB {
+		newP, newB := c.dimP, c.dimB
+		if newP == 0 {
+			newP, newB = 8, 8
+		}
+		for newP <= parent {
+			newP *= 2
+		}
+		for newB <= bu {
+			newB *= 2
+		}
+		if int64(newP)*int64(newB)*2 > maxDenseEntries {
+			if c.tdMap == nil {
+				c.tdMap = map[tdKey]StateID{}
+			}
+			c.tdMap[tdKey{parent, bu, uint8(k)}] = id
+			return
+		}
+		nt := make([]StateID, int(newP)*int(newB)*2)
+		for p := int32(0); p < c.dimP; p++ {
+			copy(nt[p*newB*2:p*newB*2+c.dimB*2], c.td[p*c.dimB*2:(p+1)*c.dimB*2])
+		}
+		c.td, c.dimP, c.dimB = nt, newP, newB
+	}
+	c.td[(parent*c.dimB+bu)*2+StateID(k-1)] = id + 1
+}
+
+// RootTrueSet is step 2 of Algorithm 4.6 (uncached: once per run).
+func (c *StepCache) RootTrueSet(bu StateID) StateID { return c.s.RootTrueSet(bu) }
+
+// QueryMask returns the query-predicate bitmask of a top-down state.
+func (c *StepCache) QueryMask(td StateID) uint64 {
+	if int(td) < len(c.maskKnown) && c.maskKnown[td] {
+		return c.masks[td]
+	}
+	m := c.s.QueryMask(td)
+	for int(td) >= len(c.maskKnown) {
+		c.maskKnown = append(c.maskKnown, false)
+		c.masks = append(c.masks, 0)
+	}
+	c.maskKnown[td], c.masks[td] = true, m
+	return m
+}

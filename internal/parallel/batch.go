@@ -16,7 +16,7 @@ import (
 // whole batch over each chunk it claims — one traversal per chunk, N
 // engine steps per node — so the shared iteration the batch buys on disk
 // (one pair of scans) is preserved as one pair of passes over the tree.
-// Each worker keeps a private dense core.BatchCache per member in front
+// Each worker keeps a private dense core.StepCache per member in front
 // of the members' shared automata. Results are identical to
 // core.RunBatchTree's. Cancelling ctx aborts all workers promptly.
 func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []core.BatchMember, topts core.TreeBatchOpts) ([]*core.Result, core.Stats, error) {
@@ -113,19 +113,19 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 	if poolWorkers > len(tasks) {
 		poolWorkers = len(tasks)
 	}
-	caches := make([][]*core.BatchCache, poolWorkers)
+	caches := make([][]*core.StepCache, poolWorkers)
 	for w := range caches {
-		caches[w] = make([]*core.BatchCache, nm)
+		caches[w] = make([]*core.StepCache, nm)
 		for m := range caches[w] {
-			caches[w][m] = shared[m].NewBatchCache()
+			caches[w][m] = shared[m].NewStepCache()
 		}
 	}
-	leader := make([]*core.BatchCache, nm)
+	leader := make([]*core.StepCache, nm)
 	for m := range leader {
-		leader[m] = shared[m].NewBatchCache()
+		leader[m] = shared[m].NewStepCache()
 	}
 
-	buStep := func(cs []*core.BatchCache, v tree.NodeID) {
+	buStep := func(cs []*core.StepCache, v tree.NodeID) {
 		first, second := t.First(v), t.Second(v)
 		rec := storage.Record{
 			Label:     uint16(t.Label(v)),

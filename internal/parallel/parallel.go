@@ -10,7 +10,7 @@
 // ranges (core.Engine.RunDiskParallelContext is the secondary-storage
 // counterpart, cutting its frontier from the database's subtree index).
 // The two automata are shared through core.SharedEngine with a private
-// core.TxCache per worker, so states computed by one worker are reused by
+// core.StepCache per worker, so states computed by one worker are reused by
 // all. On balanced trees (the ACGT-infix model; see the paper's
 // discussion of parallel regular expression matching) phase work divides
 // evenly; on degenerate right-deep trees (ACGT-flat) the frontier
@@ -25,7 +25,6 @@ import (
 	"runtime"
 
 	"arb/internal/core"
-	"arb/internal/edb"
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
@@ -165,15 +164,15 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 		bu[x.Root] = prune.Sub(0)
 	}
 
-	// Per-worker transition caches in front of the shared engine, so the
+	// Per-worker step caches in front of the shared engine, so the
 	// warm steady state takes no locks at all; reused across both phases.
 	poolWorkers := workers
 	if poolWorkers > len(tasks) {
 		poolWorkers = len(tasks)
 	}
-	caches := make([]*core.TxCache, poolWorkers)
+	caches := make([]*core.StepCache, poolWorkers)
 	for i := range caches {
-		caches[i] = s.NewCache()
+		caches[i] = s.NewStepCache()
 	}
 
 	// Phase 1: workers fold their subtrees bottom-up; ranges are
@@ -203,7 +202,7 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 	}
 	// Then the top part sequentially (its children are either top nodes
 	// or frontier roots, all computed).
-	topCache := s.NewCache()
+	topCache := s.NewStepCache()
 	cancel := storage.NewCanceller(ctx)
 	for i := len(top) - 1; i >= 0; i-- {
 		if err := cancel.Step(); err != nil {
@@ -227,10 +226,10 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 			res.MarkMask(mask, int64(v))
 		}
 		if c := t.First(v); c != tree.None {
-			td[c] = topCache.TruePreds(td[v], bu[c], 1)
+			td[c] = topCache.TDStep(td[v], bu[c], 1)
 		}
 		if c := t.Second(v); c != tree.None {
-			td[c] = topCache.TruePreds(td[v], bu[c], 2)
+			td[c] = topCache.TDStep(td[v], bu[c], 2)
 		}
 	}
 	err = runTasks(ctx, poolWorkers, tasks, func(worker, i int, x storage.Extent) error {
@@ -262,10 +261,10 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 				}
 			}
 			if c := t.First(v); c != tree.None {
-				td[c] = cache.TruePreds(td[v], bu[c], 1)
+				td[c] = cache.TDStep(td[v], bu[c], 1)
 			}
 			if c := t.Second(v); c != tree.None {
-				td[c] = cache.TruePreds(td[v], bu[c], 2)
+				td[c] = cache.TDStep(td[v], bu[c], 2)
 			}
 		}
 		for qi := range local {
@@ -284,19 +283,25 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 }
 
 // buStep computes one bottom-up transition through the worker's cache.
-func buStep(cache *core.TxCache, t *tree.Tree, bu []core.StateID, v tree.NodeID, aux func(tree.NodeID) uint16) core.StateID {
+func buStep(cache *core.StepCache, t *tree.Tree, bu []core.StateID, v tree.NodeID, aux func(tree.NodeID) uint16) core.StateID {
+	first, second := t.First(v), t.Second(v)
 	left, right := core.NoState, core.NoState
-	if c := t.First(v); c != tree.None {
-		left = bu[c]
+	if first != tree.None {
+		left = bu[first]
 	}
-	if c := t.Second(v); c != tree.None {
-		right = bu[c]
+	if second != tree.None {
+		right = bu[second]
 	}
-	sig := edb.SigOf(t, v)
+	rec := storage.Record{
+		Label:     uint16(t.Label(v)),
+		HasFirst:  first != tree.None,
+		HasSecond: second != tree.None,
+	}.Encode()
+	var extra uint16
 	if aux != nil {
-		sig.Extra = aux(v)
+		extra = aux(v)
 	}
-	return cache.ReachableStates(left, right, sig)
+	return cache.BUStep(left, right, cache.SigID(rec, v == 0, extra))
 }
 
 // runTasks fans the extents out over core.RunPool's worker pool; run

@@ -12,11 +12,12 @@ import (
 // disk still sees (reverse-)sequential access patterns.
 const defaultBufSize = 1 << 18
 
-// backBufPool recycles BackwardReader buffers: the skipping scan paths
-// open one reader per region between extents, and pooling the 256 KB
-// buffers keeps allocation churn flat however many extents a frontier or
-// pruning plan has. Readers return their buffer through Release.
-var backBufPool = sync.Pool{
+// scanBufPool recycles the 256 KB I/O buffers of the scan loops — the
+// BackwardReaders' and the forward scans' alike: the skipping scan paths
+// open one region per gap between extents, and pooling the buffers keeps
+// allocation churn flat however many extents a frontier or pruning plan
+// has. BackwardReaders return their buffer through Release.
+var scanBufPool = sync.Pool{
 	New: func() interface{} { return make([]byte, defaultBufSize) },
 }
 
@@ -54,7 +55,7 @@ func NewBackwardSectionReader(f io.ReaderAt, start, end int64, unitSize int) (*B
 	if (end-start)%int64(unitSize) != 0 {
 		return nil, fmt.Errorf("storage: section size %d not a multiple of unit size %d", end-start, unitSize)
 	}
-	raw := backBufPool.Get().([]byte)
+	raw := scanBufPool.Get().([]byte)
 	return &BackwardReader{f: f, start: start, pos: end, unitSize: unitSize, raw: raw,
 		buf: raw[:defaultBufSize/unitSize*unitSize]}, nil
 }
@@ -64,7 +65,7 @@ func NewBackwardSectionReader(f io.ReaderAt, start, end int64, unitSize int) (*B
 // optional — an unreleased buffer is simply garbage-collected.
 func (r *BackwardReader) Release() {
 	if r.raw != nil {
-		backBufPool.Put(r.raw)
+		scanBufPool.Put(r.raw)
 		r.raw, r.buf, r.have = nil, nil, 0
 	}
 }
@@ -96,21 +97,44 @@ func (r *BackwardReader) Skip(units int64) error {
 // following call.
 func (r *BackwardReader) Next() ([]byte, error) {
 	if r.have == 0 {
-		if r.pos == r.start {
-			return nil, io.EOF
-		}
-		n := int64(len(r.buf))
-		if n > r.pos-r.start {
-			n = r.pos - r.start
-		}
-		r.pos -= n
-		if _, err := r.f.ReadAt(r.buf[:n], r.pos); err != nil {
+		if err := r.fill(); err != nil {
 			return nil, err
 		}
-		r.have = int(n)
 	}
 	r.have -= r.unitSize
 	return r.buf[r.have : r.have+r.unitSize], nil
+}
+
+// NextBlock returns every unit still buffered — refilling first when none
+// is — and moves the reader past them all. The block lies in file order,
+// so a backward consumer walks it from its end; block-at-a-time loops
+// decode units straight from it instead of calling Next per unit.
+func (r *BackwardReader) NextBlock() ([]byte, error) {
+	if r.have == 0 {
+		if err := r.fill(); err != nil {
+			return nil, err
+		}
+	}
+	b := r.buf[:r.have]
+	r.have = 0
+	return b, nil
+}
+
+// fill reads the buffer-sized piece of the section that precedes pos.
+func (r *BackwardReader) fill() error {
+	if r.pos == r.start {
+		return io.EOF
+	}
+	n := int64(len(r.buf))
+	if n > r.pos-r.start {
+		n = r.pos - r.start
+	}
+	if got, err := r.f.ReadAt(r.buf[:n], r.pos-n); got < int(n) {
+		return err
+	}
+	r.pos -= n
+	r.have = int(n)
+	return nil
 }
 
 // BackwardWriter writes a file back-to-front: the first Prepend call

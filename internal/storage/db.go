@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -161,11 +160,11 @@ func (db *DB) RecordAt(v int64) (Record, error) {
 	if v < 0 || v >= db.N {
 		return Record{}, fmt.Errorf("storage: record %d out of range [0, %d)", v, db.N)
 	}
-	var buf [NodeSize]byte
-	if _, err := db.arb.ReadAt(buf[:], v*NodeSize); err != nil {
+	var one [NodeSize]byte
+	if _, err := db.arb.ReadAt(one[:], v*NodeSize); err != nil {
 		return Record{}, err
 	}
-	return DecodeRecord(binary.BigEndian.Uint16(buf[:])), nil
+	return DecodeRecord(binary.BigEndian.Uint16(one[:])), nil
 }
 
 // NewVirtualDB wraps an arbitrary record source as a database handle: r
@@ -312,7 +311,8 @@ func (f *backFold[S]) node(rec Record, v int64) error {
 }
 
 // foldRegion scans the node range [lo, hi) backwards, feeding every
-// record to the fold.
+// record to the fold. Records are decoded block-at-a-time from the
+// reader's buffer; only the fold itself is per-node work.
 func (f *backFold[S]) foldRegion(db *DB, lo, hi int64) error {
 	br, err := NewBackwardSectionReader(db.arb, lo*NodeSize, hi*NodeSize, NodeSize)
 	if err != nil {
@@ -320,17 +320,20 @@ func (f *backFold[S]) foldRegion(db *DB, lo, hi int64) error {
 	}
 	defer br.Release()
 	f.stats.PhysicalBytes += db.PhysSpan(lo, hi)
-	for v := hi - 1; v >= lo; v-- {
-		if err := f.cancel.Step(); err != nil {
-			return err
-		}
-		b, err := br.Next()
+	for v := hi - 1; v >= lo; {
+		block, err := br.NextBlock()
 		if err != nil {
 			return fmt.Errorf("storage: backward scan: %w", err)
 		}
-		f.stats.Bytes += NodeSize
-		if err := f.node(DecodeRecord(binary.BigEndian.Uint16(b)), v); err != nil {
-			return err
+		for i := len(block) - NodeSize; i >= 0; i -= NodeSize {
+			if err := f.cancel.Step(); err != nil {
+				return err
+			}
+			f.stats.Bytes += NodeSize
+			if err := f.node(DecodeRecord(binary.BigEndian.Uint16(block[i:])), v); err != nil {
+				return err
+			}
+			v--
 		}
 	}
 	return nil
@@ -486,37 +489,6 @@ func (t *topDown[S]) node(v int64, rec Record) error {
 	return t.afterSubtree(v + 1)
 }
 
-// sectionReaderPool recycles the buffered forward readers of the scan
-// loops: the skipping scans open one reader per gap between extents, so
-// on many-extent frontiers (parallel cuts, pruning plans) pooling the
-// 256 KB buffers cuts the allocation churn to zero in steady state.
-var sectionReaderPool = sync.Pool{
-	New: func() interface{} { return bufio.NewReaderSize(nil, defaultBufSize) },
-}
-
-// sectionReader returns a buffered forward reader over the node range
-// [lo, hi) backed by ReadAt, safe to use concurrently with other readers
-// on the same handle. The reader comes from a pool; return it with
-// putSectionReader when the scan is done with it.
-func (db *DB) sectionReader(lo, hi int64) *bufio.Reader {
-	r := sectionReaderPool.Get().(*bufio.Reader)
-	r.Reset(io.NewSectionReader(db.arb, lo*NodeSize, (hi-lo)*NodeSize))
-	return r
-}
-
-// resetSectionReader repoints a pooled reader at a new node range,
-// reusing its buffer.
-func (db *DB) resetSectionReader(r *bufio.Reader, lo, hi int64) {
-	r.Reset(io.NewSectionReader(db.arb, lo*NodeSize, (hi-lo)*NodeSize))
-}
-
-// putSectionReader returns a reader obtained from sectionReader to the
-// pool, dropping its reference to the underlying file.
-func putSectionReader(r *bufio.Reader) {
-	r.Reset(nil)
-	sectionReaderPool.Put(r)
-}
-
 // ScanTopDown traverses the database top-down in one forward linear scan
 // of the .arb file (Proposition 5.1). visit is called exactly once per
 // node in preorder; for the root, parent is nil and k is 0; otherwise
@@ -546,15 +518,17 @@ func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subt
 }
 
 // scanRegion runs the forward scan over the node range [lo, hi) with
-// holes at the skip extents, reusing one pooled section reader across all
-// gaps — the shared engine behind ScanTopDownSkipping (whole database)
-// and ScanTopDownRangeSkipping (one chunk).
+// holes at the skip extents — the shared engine behind ScanTopDownSkipping
+// (whole database) and ScanTopDownRangeSkipping (one chunk). Each gap is
+// read block-at-a-time into one pooled buffer and its records decoded in
+// place, so however many gaps a frontier or pruning plan leaves, the scan
+// allocates nothing per gap or per node.
 func (t *topDown[S]) scanRegion(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(x Extent, parent *S, k int) error) error {
 	cancel := NewCanceller(ctx)
 	si := 0
 	v := lo
-	r := db.sectionReader(v, v)
-	defer putSectionReader(r)
+	buf := scanBufPool.Get().([]byte)
+	defer scanBufPool.Put(buf)
 	for v < hi {
 		gapEnd := hi
 		if si < len(skip) {
@@ -563,19 +537,24 @@ func (t *topDown[S]) scanRegion(ctx context.Context, db *DB, lo, hi int64, skip 
 			}
 			gapEnd = skip[si].Root
 		}
-		db.resetSectionReader(r, v, gapEnd)
 		t.stats.PhysicalBytes += db.PhysSpan(v, gapEnd)
-		var buf [NodeSize]byte
-		for ; v < gapEnd; v++ {
-			if err := cancel.Step(); err != nil {
-				return err
+		for v < gapEnd {
+			block := buf
+			if rest := (gapEnd - v) * NodeSize; rest < int64(len(block)) {
+				block = block[:rest]
 			}
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
+			if n, err := db.arb.ReadAt(block, v*NodeSize); n < len(block) {
 				return fmt.Errorf("storage: forward scan: %w", err)
 			}
-			t.stats.Bytes += NodeSize
-			if err := t.node(v, DecodeRecord(binary.BigEndian.Uint16(buf[:]))); err != nil {
-				return err
+			for i := 0; i < len(block); i += NodeSize {
+				if err := cancel.Step(); err != nil {
+					return err
+				}
+				t.stats.Bytes += NodeSize
+				if err := t.node(v, DecodeRecord(binary.BigEndian.Uint16(block[i:]))); err != nil {
+					return err
+				}
+				v++
 			}
 		}
 		if si < len(skip) {

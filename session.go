@@ -389,7 +389,7 @@ func (p *Profile) SkippedBytes() int64 {
 // PreparedQuery is a query compiled against one Session, ready for
 // repeated execution. The pair of deterministic tree automata per pass is
 // computed lazily and persists across Exec calls (the paper's footnote
-// 15), so a warm query evaluates with two hash-table lookups per node.
+// 15), so a warm query evaluates with two table lookups per node.
 //
 // Exec is reentrant: any number of goroutines may execute one handle at
 // once and the executions overlap, sharing the warm automata through the
