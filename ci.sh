@@ -30,6 +30,17 @@ if [ -n "$escapes" ]; then
     exit 1
 fi
 
+# Scan-loop ratchet: the disk drivers are one loop pair per family
+# (scalar, batch), each a leader and a worker half — eight call sites of
+# the storage scans in all. A sequential or special-case copy of a loop
+# would add to the count; fold it into the drivers instead.
+loops=$(ls internal/core/*.go | grep -v '_test\.go$' |
+    xargs grep -hE 'storage\.(FoldBottomUp|ScanTopDown)' | grep -vc '^[[:space:]]*//' || true)
+if [ "$loops" -gt 8 ]; then
+    echo "internal/core calls storage.FoldBottomUp*/ScanTopDown* from $loops places, want <= 8" >&2
+    exit 1
+fi
+
 # Repo-specific invariants: context threading, lock discipline, temp
 # cleanup, deprecated shims, reader Close/Release, snapshot-pin
 # release, atomic/plain access mixing, goroutine termination, and lock
@@ -61,6 +72,11 @@ fi
 go run ./examples/quickstart > /dev/null
 go run ./examples/batchserve > /dev/null
 go run ./examples/serve > /dev/null
+
+# Benchmark smoke: the repository's one benchmark builds, runs every
+# workload on a tiny corpus and passes its own correctness gate — it
+# checks the harness, not the system's speed.
+bash benchmark/run.sh -smoke > /dev/null
 
 # arb serve smoke: the built binary starts, answers TMNF and XPath
 # queries over HTTP, serves /stats, and drains cleanly on SIGTERM.

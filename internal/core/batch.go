@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -27,8 +26,9 @@ import (
 // travel in one widened sidecar with a slot per member. Results are
 // bit-identical to running each member alone: the decomposition only
 // shares the iteration, never the automata. Each member steps its own
-// StepCache — the same dense tables a scalar run steps, so a batch of one
-// and a scalar run differ only in the width of the state file.
+// StepCache — the same dense tables a scalar run steps; what a batch of
+// one pays over a scalar run is the per-member state vectors and the
+// width-switching state codec (BenchmarkRunDiskBatchOfOne measures it).
 
 // BatchMember is one query's engine inside a batch run, plus the wiring
 // of its auxiliary predicate masks (the multi-pass XPath mechanism).
@@ -278,281 +278,12 @@ func batchStateWidth(members []BatchMember) int {
 // member's true predicates. Auxiliary masks ride in widened sidecars with
 // one slot per member (DiskBatchOpts), so multi-pass members chain their
 // passes through shared scans too. Results are identical to running each
-// member through RunDiskContext alone. Cancelling ctx aborts the scan in
-// progress; a failed or cancelled run removes the state file and any
-// partially written AuxOut sidecar.
+// member through RunDiskContext alone. It is RunDiskBatchParallel with one
+// worker: the chunked batch driver run with an empty frontier. Cancelling
+// ctx aborts the scan in progress; a failed or cancelled run removes the
+// state file and any partially written AuxOut sidecar.
 func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
-	res, agg, ds, err := runDiskBatch(ctx, db, members, opts, batchStateWidth(members))
-	if errors.Is(err, errStateWidth) {
-		res, agg, ds, err = runDiskBatch(ctx, db, members, opts, stateWide)
-	}
-	return res, agg, ds, err
-}
-
-func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts, width int) ([]*Result, Stats, *DiskStats, error) {
-	var agg Stats
-	nm := len(members)
-	if nm == 0 {
-		return nil, agg, nil, errors.New("core: empty batch")
-	}
-	if db.N == 0 {
-		return nil, agg, nil, errors.New("core: empty database")
-	}
-	for _, bm := range members {
-		if bm.E.names != db.Names {
-			return nil, agg, nil, errors.New("core: engine name table does not match database")
-		}
-	}
-	stride := nm * width
-	res := make([]*Result, nm)
-	caches := make([]*StepCache, nm)
-	engines := make([]*Engine, nm)
-	for m, bm := range members {
-		res[m] = NewResult(bm.E.c.Prog, db.N)
-		caches[m] = bm.E.ShareTo(opts.Run).NewStepCache()
-		engines[m] = bm.E
-	}
-	ds := &DiskStats{StateBytes: db.N * int64(stride)}
-
-	// Selectivity-aware pruning: only extents every member proves
-	// irrelevant can be skipped, since the batch shares one scan pair.
-	var prune *PrunePlan
-	if !opts.NoPrune && opts.AuxIn == "" && db.N >= PruneMinNodes {
-		if ix, ierr := db.Index(ctx, 0); ierr == nil {
-			prune = PlanPrune(engines, ix, db.N)
-		}
-	}
-	var pruneExts []storage.Extent
-	if prune != nil {
-		pruneExts = prune.Extents
-	}
-
-	var auxF *os.File
-	if opts.AuxIn != "" {
-		var err error
-		auxF, err = storage.OpenMaskFile(opts.AuxIn, db.N, opts.AuxInStride)
-		if err != nil {
-			return nil, agg, nil, err
-		}
-		defer auxF.Close()
-	}
-
-	stateF, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.stb")
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	statePath := stateF.Name()
-	defer func() {
-		stateF.Close()
-		os.Remove(statePath)
-	}()
-
-	// Phase 1: one backward scan; every node steps all member automata
-	// and streams the widened state vector.
-	start := time.Now()
-	var auxBack *storage.BackwardReader
-	if auxF != nil {
-		auxBack, err = storage.MaskBackward(auxF, 0, db.N, opts.AuxInStride)
-		if err != nil {
-			return nil, agg, nil, err
-		}
-		defer auxBack.Release()
-	}
-	sw := &runWriter{f: stateF}
-	var free [][]StateID
-	var werr error
-	rootVec, scan1, err := storage.FoldBottomUpSkipping(ctx, db, pruneExts,
-		func(x storage.Extent) ([]StateID, error) {
-			// Hand the fold a fresh copy: it recycles child vectors freely.
-			return prune.SubVec(), nil
-		},
-		func(first, second *[]StateID, rec storage.Record, v int64) []StateID {
-			out := takeVec(&free, first, second, nm)
-			var auxVec []byte
-			if auxBack != nil {
-				b, err := auxBack.Next()
-				if err != nil && werr == nil {
-					werr = fmt.Errorf("core: reading aux file: %w", err)
-				} else if err == nil {
-					auxVec = b
-				}
-			}
-			recBits := rec.Encode()
-			root := v == 0
-			stateBuf := sw.at((db.N-1-v)*int64(stride), stride)
-			for m, bm := range members {
-				left, right := NoState, NoState
-				if first != nil {
-					left = (*first)[m]
-				}
-				if second != nil {
-					right = (*second)[m]
-				}
-				var extra uint16
-				if auxVec != nil && bm.AuxInSlot >= 0 {
-					extra = binary.BigEndian.Uint16(auxVec[bm.AuxInSlot*storage.MaskSize:])
-				}
-				c := caches[m]
-				id := c.BUStep(left, right, c.SigID(recBits, root, extra))
-				out[m] = id
-				if err := putState(stateBuf[m*width:], width, id); err != nil && werr == nil {
-					werr = err
-				}
-			}
-			return out
-		})
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	if werr == nil {
-		werr = sw.flush()
-	}
-	if werr != nil {
-		if errors.Is(werr, errStateWidth) {
-			return nil, agg, nil, werr
-		}
-		return nil, agg, nil, fmt.Errorf("core: writing state file: %w", werr)
-	}
-	if prune != nil {
-		scan1.SkippedBytes += prune.Nodes * storage.NodeSize
-	}
-	ds.Phase1 = scan1
-	agg.Phase1Time = time.Since(start)
-
-	// Phase 2: one forward scan; the state file, read backwards, yields
-	// the phase-1 vectors in preorder.
-	start = time.Now()
-	br, err := storage.NewBackwardReader(stateF, db.N*int64(stride), stride)
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	defer br.Release()
-	var auxFwd *bufio.Reader
-	if auxF != nil {
-		auxFwd = storage.MaskForward(auxF, 0, db.N, opts.AuxInStride)
-	}
-	succeeded := false
-	var auxOutF *os.File
-	if opts.AuxOut != "" {
-		auxOutF, err = os.Create(opts.AuxOut)
-		if err != nil {
-			return nil, agg, nil, err
-		}
-		defer func() {
-			auxOutF.Close()
-			if !succeeded {
-				os.Remove(opts.AuxOut)
-			}
-		}()
-	}
-	auxOut := &runWriter{f: auxOutF}
-	strideOut := storage.MaskStride(opts.AuxOutStride)
-	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-
-	// Top-down states live in a depth-indexed arena: a node's vector is
-	// only ever needed by its descendants' visits, and no two live path
-	// entries share a depth, so the scan's S value can be the depth alone.
-	var arena [][]StateID
-	atDepth := func(d int32) []StateID {
-		for int(d) >= len(arena) {
-			arena = append(arena, make([]StateID, nm))
-		}
-		return arena[d]
-	}
-	scan2, err := storage.ScanTopDownSkipping(ctx, db, pruneExts,
-		func(x storage.Extent, parent *int32, k int) error {
-			if err := br.Skip(x.Size); err != nil {
-				return err
-			}
-			if auxOutF != nil {
-				auxOut.zeros(x.Root*strideOut, x.Size*strideOut)
-			}
-			return nil
-		},
-		func(v int64, rec storage.Record, parent *int32, k int) (int32, error) {
-			b, err := br.Next()
-			if err != nil {
-				return 0, fmt.Errorf("core: reading state file: %w", err)
-			}
-			var d int32
-			var pvec []StateID
-			if parent == nil {
-				if v != 0 {
-					return 0, fmt.Errorf("core: parentless node %d", v)
-				}
-			} else {
-				d = *parent + 1
-				pvec = arena[*parent]
-			}
-			tvec := atDepth(d)
-			if auxFwd != nil {
-				if _, err := io.ReadFull(auxFwd, inVec); err != nil {
-					return 0, fmt.Errorf("core: reading aux file: %w", err)
-				}
-			}
-			var outVec []byte
-			if auxOutF != nil {
-				outVec = auxOut.at(v*strideOut, int(strideOut))
-				clear(outVec)
-			}
-			for m, bm := range members {
-				bu := getState(b[m*width:], width)
-				c := caches[m]
-				var td StateID
-				if parent == nil {
-					if bu != rootVec[m] {
-						return 0, fmt.Errorf("core: state file corrupt: root state %d, phase 1 computed %d", bu, rootVec[m])
-					}
-					td = c.RootTrueSet(bu)
-				} else {
-					td = c.TDStep(pvec[m], bu, k)
-				}
-				tvec[m] = td
-				mask := c.QueryMask(td)
-				if mask != 0 {
-					res[m].MarkMask(mask, v)
-				}
-				if outVec != nil && bm.AuxOutSlot >= 0 {
-					var cur uint16
-					if auxFwd != nil && bm.AuxInSlot >= 0 {
-						cur = binary.BigEndian.Uint16(inVec[bm.AuxInSlot*storage.MaskSize:])
-					}
-					if mask&(1<<uint(bm.AuxOutQuery)) != 0 {
-						cur |= 1 << bm.AuxOutBit
-					}
-					binary.BigEndian.PutUint16(outVec[bm.AuxOutSlot*storage.MaskSize:], cur)
-				}
-			}
-			return d, nil
-		})
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	if err := auxOut.flush(); err != nil {
-		return nil, agg, nil, err
-	}
-	if auxOutF != nil {
-		if err := auxOutF.Close(); err != nil {
-			return nil, agg, nil, err
-		}
-	}
-	if prune != nil {
-		scan2.SkippedBytes += prune.Nodes * storage.NodeSize
-	}
-	ds.Phase2 = scan2
-	agg.Phase2Time = time.Since(start)
-	// Count node visits only on success: a narrow-width restart re-enters
-	// this function and must not double-count the aborted attempt.
-	for _, bm := range members {
-		bm.E.AddNodes(db.N)
-		opts.Run.AddNodes(db.N)
-		if prune != nil {
-			bm.E.AddPrunedNodes(prune.Nodes)
-			opts.Run.AddPrunedNodes(prune.Nodes)
-		}
-	}
-	succeeded = true
-	return res, agg, ds, nil
+	return RunDiskBatchParallel(ctx, db, 1, members, opts)
 }
 
 // RunDiskBatchParallel is RunDiskBatch with a pool of workers streaming
@@ -562,64 +293,39 @@ func runDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 // every member engine over its chunk through private dense caches backed
 // by the members' shared automata, and the leader scans the glue.
 // workers <= 0 uses GOMAXPROCS; small databases and single-worker
-// requests delegate to the sequential batch.
-func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || db.N < parMinNodes {
-		return RunDiskBatch(ctx, db, members, opts)
+// requests run with an empty frontier, the leader scanning everything.
+func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts) (res []*Result, agg Stats, ds *DiskStats, err error) {
+	if len(members) == 0 {
+		return nil, agg, nil, errors.New("core: empty batch")
 	}
 	if db.N == 0 {
-		return nil, Stats{}, nil, errors.New("core: empty database")
+		return nil, agg, nil, errors.New("core: empty database")
 	}
-	for _, bm := range members {
+	engines := make([]*Engine, len(members))
+	for m, bm := range members {
 		if bm.E.names != db.Names {
-			return nil, Stats{}, nil, errors.New("core: engine name table does not match database")
+			return nil, agg, nil, errors.New("core: engine name table does not match database")
 		}
+		engines[m] = bm.E
 	}
-	idx, err := db.Index(ctx, 0)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	target := db.N / (int64(workers) * parTasksPerWorker)
-	run := func(idx *storage.SubtreeIndex) ([]*Result, Stats, *DiskStats, error, bool) {
-		tasks := idx.Cut(target, parMinTask)
-		if len(tasks) == 0 {
-			res, agg, ds, err := RunDiskBatch(ctx, db, members, opts)
-			return res, agg, ds, err, false
-		}
-		var plan *PrunePlan
-		if !opts.NoPrune && opts.AuxIn == "" {
-			engines := make([]*Engine, len(members))
-			for m, bm := range members {
-				engines[m] = bm.E
-			}
-			plan = PlanPrune(engines, idx, db.N)
-		}
-		res, agg, ds, err := runDiskBatchChunked(ctx, db, workers, members, opts, tasks, batchStateWidth(members), plan)
+	err = runOverFrontier(ctx, db, workers, false, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
+		// Only extents every member proves irrelevant can be skipped, since
+		// the batch shares one scan pair.
+		plan := planDiskPrune(ctx, db, idx, engines, DiskOpts{NoPrune: opts.NoPrune, AuxIn: opts.AuxIn})
+		res, agg, ds, err = runDiskBatchChunked(ctx, db, workers, members, opts, tasks, batchStateWidth(members), plan)
 		if errors.Is(err, errStateWidth) {
 			res, agg, ds, err = runDiskBatchChunked(ctx, db, workers, members, opts, tasks, stateWide, plan)
 		}
-		return res, agg, ds, err, true
-	}
-	res, agg, ds, err, chunked := run(idx)
-	if chunked && err != nil && errors.Is(err, storage.ErrBadExtent) {
-		// Stale or foreign .idx sidecar: rebuild and retry once, exactly
-		// like the single-query parallel evaluator.
-		idx, rerr := db.RebuildIndex(ctx, 0)
-		if rerr != nil {
-			return nil, Stats{}, nil, rerr
-		}
-		res, agg, ds, err, _ = run(idx)
-	}
+		return err
+	})
 	return res, agg, ds, err
 }
 
-// runDiskBatchChunked is one attempt at chunk-parallel batch evaluation
-// over a frontier cut, pruning exactly as the single-query chunked
-// evaluator does: swallowed tasks never run, workers seek inside their
-// chunks, the leader skips the remaining pruned holes.
+// runDiskBatchChunked is one attempt at batch evaluation over a frontier
+// cut — the one batch disk driver, sequential when the frontier is empty —
+// pruning exactly as the single-query driver does: swallowed tasks never
+// run, workers seek inside their chunks, the leader skips the remaining
+// pruned holes.
 func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts, tasks []storage.Extent, width int, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
 	var agg Stats
 	nm := len(members)
@@ -629,14 +335,8 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		planExts = plan.Extents
 	}
 	tasks, inner, outer := SplitPrune(tasks, planExts)
-	if len(tasks) == 0 {
-		return RunDiskBatch(ctx, db, members, opts)
-	}
 	leaderSkip, taskOf := mergeSkipLists(tasks, outer)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	gaps := gapsOf(db.N, leaderSkip)
+	workers = min(workers, len(tasks))
 
 	res := make([]*Result, nm)
 	shared := make([]*SharedEngine, nm)
@@ -771,19 +471,37 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	// Leader glue scan, reverse preorder over everything outside the
 	// chunks, with each chunk standing in as one already-folded subtree.
 	lw := &runWriter{f: stateF}
-	gi := len(gaps) - 1
 	var auxBack *storage.BackwardReader
 	defer func() {
 		if auxBack != nil {
 			auxBack.Release()
 		}
 	}()
+	// openAuxGap points auxBack at the aux masks of the glue that ends
+	// where leaderSkip[i] starts (at N for i == len(leaderSkip)).
+	openAuxGap := func(i int) (err error) {
+		if auxF == nil {
+			return nil
+		}
+		if auxBack != nil {
+			auxBack.Release()
+		}
+		lo, hi := glue(leaderSkip, i, db.N)
+		auxBack, err = storage.MaskBackward(auxF, lo, hi, opts.AuxInStride)
+		return err
+	}
 	mi := len(leaderSkip) - 1
 	var leaderSkipped int64
 	var free [][]StateID
 	var werr error
+	if err := openAuxGap(len(leaderSkip)); err != nil {
+		return nil, agg, nil, err
+	}
 	rootVec, scan1, err := storage.FoldBottomUpSkipping(ctx, db, leaderSkip,
 		func(x storage.Extent) ([]StateID, error) {
+			if err := openAuxGap(mi); err != nil {
+				return nil, err
+			}
 			ti := taskOf[mi]
 			mi--
 			if ti < 0 {
@@ -795,25 +513,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			return append([]StateID(nil), rootVecs[ti]...), nil
 		},
 		func(first, second *[]StateID, rec storage.Record, v int64) []StateID {
-			if auxF != nil {
-				for gi >= 0 && v < gaps[gi].Root {
-					gi--
-				}
-				if gi < 0 {
-					if werr == nil {
-						werr = fmt.Errorf("core: glue scan lost its gap at node %d", v)
-					}
-				} else if g := gaps[gi]; v == g.End()-1 {
-					if auxBack != nil {
-						auxBack.Release()
-					}
-					var err error
-					auxBack, err = storage.MaskBackward(auxF, g.Root, g.End(), opts.AuxInStride)
-					if err != nil && werr == nil {
-						werr = err
-					}
-				}
-			}
 			out := takeVec(&free, first, second, nm)
 			var auxVec []byte
 			if auxBack != nil {
@@ -865,7 +564,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 
 	tdRoots := make([][]StateID, len(tasks))
 	mi = 0
-	gi = 0
 	var leaderSkipped2 int64
 	var stateBack *storage.BackwardReader
 	defer func() {
@@ -875,26 +573,19 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	}()
 	var auxFwd *bufio.Reader
 	auxOut := &runWriter{f: auxOutF}
-	newGapReaders := func(v int64) error {
-		for gi < len(gaps) && v >= gaps[gi].End() {
-			gi++
-		}
-		if gi >= len(gaps) || v != gaps[gi].Root {
-			return fmt.Errorf("core: glue scan lost its gap at node %d", v)
-		}
-		g := gaps[gi]
+	// openGap points the leader's readers at the glue that follows
+	// leaderSkip[i-1] (that starts at node 0 for i == 0), switching gaps
+	// once per skipped extent exactly as runDiskChunked's does.
+	openGap := func(i int) (err error) {
 		if stateBack != nil {
 			stateBack.Release()
 		}
-		var err error
-		stateBack, err = storage.NewBackwardSectionReader(stateF, (db.N-g.End())*int64(stride), (db.N-g.Root)*int64(stride), stride)
-		if err != nil {
-			return err
+		lo, hi := glue(leaderSkip, i, db.N)
+		stateBack, err = storage.NewBackwardSectionReader(stateF, (db.N-hi)*int64(stride), (db.N-lo)*int64(stride), stride)
+		if auxF != nil && hi > lo {
+			auxFwd = storage.MaskForward(auxF, lo, hi, opts.AuxInStride)
 		}
-		if auxF != nil {
-			auxFwd = storage.MaskForward(auxF, g.Root, g.End(), opts.AuxInStride)
-		}
-		return nil
+		return err
 	}
 	var arena [][]StateID
 	atDepth := func(d int32) []StateID {
@@ -904,11 +595,16 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		return arena[d]
 	}
 	inVec := make([]byte, storage.MaskStride(opts.AuxInStride))
-	nextGapNode := int64(-1)
+	if err := openGap(0); err != nil {
+		return nil, agg, nil, err
+	}
 	scan2, err := storage.ScanTopDownSkipping(ctx, db, leaderSkip,
 		func(x storage.Extent, parent *int32, k int) error {
 			ti := taskOf[mi]
 			mi++
+			if err := openGap(mi); err != nil {
+				return err
+			}
 			if ti < 0 {
 				// Pruned hole: no entry vector, no state-file slice; only
 				// the (all-zero) aux slots of its nodes.
@@ -934,12 +630,6 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 			return nil
 		},
 		func(v int64, rec storage.Record, parent *int32, k int) (int32, error) {
-			if v != nextGapNode {
-				if err := newGapReaders(v); err != nil {
-					return 0, err
-				}
-			}
-			nextGapNode = v + 1
 			b, err := stateBack.Next()
 			if err != nil {
 				return 0, fmt.Errorf("core: reading state file: %w", err)
@@ -1129,8 +819,9 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	scan2.SkippedBytes += leaderSkipped2
 	ds.Phase2 = scan2
 	agg.Phase2Time = time.Since(start)
-	// Count node visits only on success: a narrow-width restart re-enters
-	// this function and must not double-count the aborted attempt.
+	// Count node visits and prune savings only on success: a narrow-width
+	// restart re-enters this function and must not double-count the aborted
+	// attempt.
 	for _, bm := range members {
 		bm.E.AddNodes(db.N)
 		opts.Run.AddNodes(db.N)

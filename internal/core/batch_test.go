@@ -70,10 +70,22 @@ func TestBatchMatchesScalarAndNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diskRes, _, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{})
+		diskRS := &RunStats{}
+		diskRes, _, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{Run: diskRS})
 		if err != nil {
 			t.Fatal(err)
 		}
+		emptyFrontier(func() {
+			rs := &RunStats{}
+			res, _, eds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{Run: rs})
+			if err != nil {
+				t.Fatalf("iter %d empty frontier: %v", iter, err)
+			}
+			for i, prog := range progs {
+				sameResults(t, prog, tr.Len(), res[i], diskRes[i], "batch, empty frontier vs sequential")
+			}
+			sameProfile(t, "batch, empty frontier vs sequential", eds, ds, rs, diskRS)
+		})
 		parRes, _, pds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{})
 		if err != nil {
 			t.Fatal(err)

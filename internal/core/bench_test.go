@@ -72,30 +72,52 @@ func BenchmarkRunCold(b *testing.B) {
 	}
 }
 
-// BenchmarkRunDisk measures the two-linear-scan secondary-storage driver
-// (including writing and re-reading the temporary state file).
-func BenchmarkRunDisk(b *testing.B) {
-	base := filepath.Join(b.TempDir(), "db")
-	db, err := workload.CreateFlatDB(base, workload.Sequence(4, 1<<16-1))
+// benchDisk builds the database and the warm engine the disk benchmarks
+// share, and sets their bytes to the records of both scans.
+func benchDisk(b *testing.B) (*storage.DB, *Engine) {
+	b.Helper()
+	db, err := workload.CreateFlatDB(filepath.Join(b.TempDir(), "db"), workload.Sequence(4, 1<<16-1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
-	prog := benchProgram(b)
-	c, err := Compile(prog)
+	b.Cleanup(func() { db.Close() })
+	c, err := Compile(benchProgram(b))
 	if err != nil {
 		b.Fatal(err)
 	}
 	e := NewEngine(c, db.Names)
-	ctx := context.Background()
-	if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{}); err != nil {
+	if _, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.SetBytes(db.N * storage.NodeSize * 2)
+	return db, e
+}
+
+// BenchmarkRunDisk measures the two-linear-scan secondary-storage driver
+// (including writing and re-reading the temporary state file).
+func BenchmarkRunDisk(b *testing.B) {
+	db, e := benchDisk(b)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunDiskBatchOfOne runs the same program over the same database
+// as the only member of a batch: its ratio to BenchmarkRunDisk is what the
+// batch driver's per-member vector machinery costs a single query (the
+// number ROADMAP's "scalar = batch of one" slice has to bring to 1).
+func BenchmarkRunDiskBatchOfOne(b *testing.B) {
+	db, e := benchDisk(b)
+	ctx := context.Background()
+	members := []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := RunDiskBatch(ctx, db, members, DiskBatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,9 +19,8 @@ import (
 // so the package tests can exercise the full parallel machinery on small
 // trees.
 var (
-	// parMinNodes is the database size below which RunDiskParallelContext
-	// delegates to the sequential scans — coordination would cost more
-	// than it buys.
+	// parMinNodes is the database size below which the parallel entry
+	// points cut no frontier — coordination would cost more than it buys.
 	parMinNodes int64 = 1 << 15
 	// parMinTask is the smallest subtree worth dispatching as its own
 	// chunk; smaller subtrees stay in the leader's glue scan.
@@ -51,78 +50,80 @@ var (
 // divide evenly, while on degenerate right-deep trees (ACGT-flat) the
 // frontier collapses and evaluation degrades toward sequential.
 //
-// workers <= 0 uses GOMAXPROCS. Runs that stream marked XML (MarkTo) are
-// inherently order-dependent and fall back to the sequential path, as do
-// databases too small to be worth coordinating. Cancelling ctx aborts
-// all workers' scans with ctx.Err() and removes the temporary state file
-// and any partially written AuxOut sidecar.
-func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, workers int, opts DiskOpts) (*Result, *DiskStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || db.N < parMinNodes || opts.MarkTo != nil {
-		return e.RunDiskContext(ctx, db, opts)
-	}
+// workers <= 0 uses GOMAXPROCS. One worker, a database too small to be
+// worth coordinating, and a run that streams marked XML (MarkTo, which
+// must emit every node in document order) run with an empty frontier: the
+// leader's glue scan over [0, N) is then the sequential two-scan
+// algorithm itself. Cancelling ctx aborts all workers' scans with
+// ctx.Err() and removes the temporary state file and any partially
+// written AuxOut sidecar.
+func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, workers int, opts DiskOpts) (res *Result, ds *DiskStats, err error) {
 	if db.N == 0 {
 		return nil, nil, errors.New("core: empty database")
 	}
 	if e.names != db.Names {
+		// Label[..] tests are resolved against e.names; running against a
+		// database with a different name table would silently misresolve.
 		return nil, nil, errors.New("core: engine name table does not match database")
 	}
-	idx, err := db.Index(ctx, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	target := db.N / (int64(workers) * parTasksPerWorker)
-	attempt := func(idx *storage.SubtreeIndex) (*Result, *DiskStats, error, bool) {
-		tasks := idx.Cut(target, parMinTask)
-		if len(tasks) == 0 {
-			r, d, err := e.RunDiskContext(ctx, db, opts)
-			return r, d, err, false
-		}
-		var plan *PrunePlan
-		if !opts.NoPrune && opts.AuxIn == "" && !opts.KeepStateFile && opts.StatePath == "" {
-			plan = PlanPrune([]*Engine{e}, idx, db.N)
-		}
-		r, d, err := e.runDiskChunked(ctx, db, workers, opts, tasks, plan)
-		return r, d, err, true
-	}
-	res, ds, err, chunked := attempt(idx)
-	if chunked && err != nil && errors.Is(err, storage.ErrBadExtent) {
-		// A stale or foreign .idx sidecar (e.g. the .arb was replaced
-		// out-of-band by one of equal size) cut extents that don't match
-		// the data. Rebuild the index from the file and retry once; a
-		// genuinely malformed database fails the rebuild scan instead.
-		idx, rerr := db.RebuildIndex(ctx, 0)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		res, ds, err, _ = attempt(idx)
-	}
+	err = runOverFrontier(ctx, db, workers, opts.MarkTo != nil, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
+		plan := planDiskPrune(ctx, db, idx, []*Engine{e}, opts)
+		res, ds, err = e.runDiskChunked(ctx, db, workers, opts, tasks, plan)
+		return err
+	})
 	return res, ds, err
 }
 
-// runDiskChunked is one attempt at chunk-parallel evaluation over a
-// frontier cut; RunDiskParallel wraps it with the stale-index retry.
-// When a prune plan is given, tasks swallowed by a pruned extent never
-// run, workers seek past pruned extents inside their own chunks, and the
-// leader's glue scan skips the remaining pruned holes.
+// runOverFrontier is the routing every disk entry point shares: it
+// resolves the worker count, cuts the frontier of chunks a run fans out
+// (none for one worker, for a database below parMinNodes, and for ordered
+// runs, which must visit every node in document order), and hands both to
+// attempt. A run that reports storage.ErrBadExtent cut its chunks from a
+// stale or foreign .idx sidecar (e.g. the .arb was replaced out-of-band
+// by one of equal size): the index is rebuilt from the file and the run
+// attempted once more; a genuinely malformed database fails the rebuild
+// scan instead. idx is nil when the run needs no frontier — loading the
+// index is then the prune planner's business, and optional.
+func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered bool, attempt func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 || db.N < parMinNodes || ordered {
+		return attempt(workers, nil, nil)
+	}
+	idx, err := db.Index(ctx, 0)
+	if err != nil {
+		return err
+	}
+	target := db.N / (int64(workers) * parTasksPerWorker)
+	err = attempt(workers, idx, idx.Cut(target, parMinTask))
+	if errors.Is(err, storage.ErrBadExtent) {
+		if idx, err = db.RebuildIndex(ctx, 0); err != nil {
+			return err
+		}
+		err = attempt(workers, idx, idx.Cut(target, parMinTask))
+	}
+	return err
+}
+
+// runDiskChunked is one attempt at evaluation over a frontier cut — the
+// one scalar disk driver; runOverFrontier wraps it with the stale-index
+// retry. With an empty frontier the leader's glue scan covers [0, N) and
+// the run is the paper's sequential two-scan algorithm. When a prune plan
+// is given, tasks swallowed by a pruned extent never run, workers seek
+// past pruned extents inside their own chunks, and the leader's glue scan
+// skips the remaining pruned holes.
 func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int, opts DiskOpts, tasks []storage.Extent, plan *PrunePlan) (*Result, *DiskStats, error) {
 	var planExts []storage.Extent
 	if plan != nil {
 		planExts = plan.Extents
 	}
 	tasks, inner, outer := SplitPrune(tasks, planExts)
-	if len(tasks) == 0 {
-		// Everything splittable was pruned away; the sequential path
-		// handles the remainder (and prunes the same extents itself).
-		return e.RunDiskContext(ctx, db, opts)
-	}
 	leaderSkip, taskOf := mergeSkipLists(tasks, outer)
-	if workers > len(tasks) {
-		workers = len(tasks)
+	if opts.MarkTo != nil && len(leaderSkip) > 0 {
+		return nil, nil, errors.New("core: marked output needs the leader to visit every node")
 	}
-	gaps := gapsOf(db.N, leaderSkip)
+	workers = min(workers, len(tasks))
 
 	res := NewResult(e.c.Prog, db.N)
 	ds := &DiskStats{StateBytes: db.N * stateIDSize}
@@ -226,13 +227,36 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	// chunks, with each chunk standing in as one already-folded subtree
 	// and each leader-level pruned extent as the substitute state.
 	lw := &runWriter{f: stateF}
-	gi := len(gaps) - 1
 	var auxBack *storage.BackwardReader
+	defer func() {
+		if auxBack != nil {
+			auxBack.Release()
+		}
+	}()
+	// openAuxGap points auxBack at the aux masks of the glue that ends
+	// where leaderSkip[i] starts (at N for i == len(leaderSkip)).
+	openAuxGap := func(i int) (err error) {
+		if auxF == nil {
+			return nil
+		}
+		if auxBack != nil {
+			auxBack.Release()
+		}
+		lo, hi := glue(leaderSkip, i, db.N)
+		auxBack, err = storage.NewBackwardSectionReader(auxF, lo*auxMaskSize, hi*auxMaskSize, auxMaskSize)
+		return err
+	}
 	mi := len(leaderSkip) - 1
 	var leaderSkipped int64
 	var werr error
+	if err := openAuxGap(len(leaderSkip)); err != nil {
+		return nil, nil, err
+	}
 	rootState, scan1, err := storage.FoldBottomUpSkipping(ctx, db, leaderSkip,
 		func(x storage.Extent) (StateID, error) {
+			if err := openAuxGap(mi); err != nil {
+				return NoState, err
+			}
 			ti := taskOf[mi]
 			mi--
 			if ti < 0 {
@@ -242,24 +266,6 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 			return rootStates[ti], nil
 		},
 		func(first, second *StateID, rec storage.Record, v int64) StateID {
-			if auxF != nil {
-				for gi >= 0 && v < gaps[gi].Root {
-					gi--
-				}
-				if gi < 0 {
-					if werr == nil {
-						werr = fmt.Errorf("core: glue scan lost its gap at node %d", v)
-					}
-				} else if g := gaps[gi]; v == g.End()-1 {
-					// First (highest) node of a new gap: open its slice
-					// of the aux file.
-					var err error
-					auxBack, err = storage.NewBackwardSectionReader(auxF, g.Root*auxMaskSize, g.End()*auxMaskSize, auxMaskSize)
-					if err != nil && werr == nil {
-						werr = err
-					}
-				}
-			}
 			id := buStep(leaderCache, first, second, rec, v, auxBack, &werr)
 			binary.BigEndian.PutUint32(lw.at((db.N-1-v)*stateIDSize, stateIDSize), uint32(id))
 			return id
@@ -300,9 +306,14 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	outBit := uint16(1) << opts.AuxOutBit
 	queryBit := uint64(1) << uint(opts.AuxOutQuery)
 
+	var emitter *storage.XMLEmitter
+	markBit := uint64(1) << uint(opts.MarkQuery)
+	if opts.MarkTo != nil {
+		emitter = storage.NewXMLEmitter(opts.MarkTo, db.Names)
+	}
+
 	tdRoots := make([]StateID, len(tasks))
 	mi = 0
-	gi = 0
 	var leaderSkipped2 int64
 	var stateBack *storage.BackwardReader
 	defer func() {
@@ -312,32 +323,35 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	}()
 	var auxFwd *bufio.Reader
 	auxOut := &runWriter{f: auxOutF}
-	newGapReaders := func(v int64) error {
-		for gi < len(gaps) && v >= gaps[gi].End() {
-			gi++
-		}
-		if gi >= len(gaps) || v != gaps[gi].Root {
-			return fmt.Errorf("core: glue scan lost its gap at node %d", v)
-		}
-		g := gaps[gi]
+	// openGap points the leader's readers at the glue that follows
+	// leaderSkip[i-1] (that starts at node 0 for i == 0): its slice of the
+	// state file — exactly the bytes phase 1 wrote for it — and of the aux
+	// file. The scan switches gaps here, once per skipped extent, not by a
+	// test on every node; where no glue follows, the state reader is an
+	// empty one (and the aux reader the previous gap's, spent), so a scan
+	// that lost its gap fails on io.EOF instead of reading another gap's
+	// states.
+	openGap := func(i int) (err error) {
 		if stateBack != nil {
 			stateBack.Release()
 		}
-		var err error
-		stateBack, err = storage.NewBackwardSectionReader(stateF, (db.N-g.End())*stateIDSize, (db.N-g.Root)*stateIDSize, stateIDSize)
-		if err != nil {
-			return err
+		lo, hi := glue(leaderSkip, i, db.N)
+		stateBack, err = storage.NewBackwardSectionReader(stateF, (db.N-hi)*stateIDSize, (db.N-lo)*stateIDSize, stateIDSize)
+		if auxF != nil && hi > lo {
+			auxFwd = bufio.NewReaderSize(io.NewSectionReader(auxF, lo*auxMaskSize, (hi-lo)*auxMaskSize), 1<<16)
 		}
-		if auxF != nil {
-			auxFwd = bufio.NewReaderSize(io.NewSectionReader(auxF, g.Root*auxMaskSize, g.Size*auxMaskSize), 1<<16)
-		}
-		return nil
+		return err
 	}
-	nextGapNode := int64(-1) // first unvisited node of the current gap
+	if err := openGap(0); err != nil {
+		return nil, nil, err
+	}
 	scan2, err := storage.ScanTopDownSkipping(ctx, db, leaderSkip,
 		func(x storage.Extent, parent *StateID, k int) error {
 			ti := taskOf[mi]
 			mi++
+			if err := openGap(mi); err != nil {
+				return err
+			}
 			if ti < 0 {
 				// Pruned hole: provably selection-free, so there is no
 				// entry state to compute and no state-file slice to read —
@@ -362,12 +376,6 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 			return nil
 		},
 		func(v int64, rec storage.Record, parent *StateID, k int) (StateID, error) {
-			if v != nextGapNode {
-				if err := newGapReaders(v); err != nil {
-					return NoState, err
-				}
-			}
-			nextGapNode = v + 1
 			b, err := stateBack.Next()
 			if err != nil {
 				return NoState, fmt.Errorf("core: reading state file: %w", err)
@@ -389,6 +397,11 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 			if mask != 0 {
 				// Workers are not running yet: marking needs no lock.
 				res.MarkMask(mask, v)
+			}
+			if emitter != nil {
+				if err := emitter.Node(v, rec, mask&markBit != 0); err != nil {
+					return NoState, err
+				}
 			}
 			if auxOutF != nil {
 				var cur uint16
@@ -504,13 +517,19 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 			return nil, nil, err
 		}
 	}
+	if emitter != nil {
+		if err := emitter.Finish(); err != nil {
+			return nil, nil, err
+		}
+	}
 	scan2.SkippedBytes += leaderSkipped2
 	ds.Phase2 = scan2
 	phase2 := time.Since(start)
 	e.addPhaseTimes(phase1Time, phase2)
 	opts.Run.AddPhaseTimes(phase1Time, phase2)
-	// Count pruned nodes only on success: the stale-index retry re-enters
-	// this function and must not double-count the aborted attempt's plan.
+	// Count pruned nodes only on success: a failed or cancelled run saved
+	// nothing, and the stale-index retry re-enters this function and must
+	// not double-count the aborted attempt's plan.
 	if plan != nil {
 		e.AddPrunedNodes(plan.Nodes)
 		opts.Run.AddPrunedNodes(plan.Nodes)
@@ -544,21 +563,18 @@ func buStep(cache *StepCache, first, second *StateID, rec storage.Record, v int6
 	return cache.BUStep(left, right, cache.SigID(rec.Encode(), v == 0, extra))
 }
 
-// gapsOf returns the complement of the (sorted, disjoint) task extents
-// within [0, n) — the glue the leader scans itself.
-func gapsOf(n int64, tasks []storage.Extent) []storage.Extent {
-	var gaps []storage.Extent
-	cur := int64(0)
-	for _, t := range tasks {
-		if t.Root > cur {
-			gaps = append(gaps, storage.Extent{Root: cur, Size: t.Root - cur})
-		}
-		cur = t.End()
+// glue returns the node range the leader scans itself between skip[i-1]
+// and skip[i] — from node 0 for i == 0, up to n for i == len(skip). It is
+// empty where two skipped extents are adjacent.
+func glue(skip []storage.Extent, i int, n int64) (lo, hi int64) {
+	hi = n
+	if i > 0 {
+		lo = skip[i-1].End()
 	}
-	if cur < n {
-		gaps = append(gaps, storage.Extent{Root: cur, Size: n - cur})
+	if i < len(skip) {
+		hi = skip[i].Root
 	}
-	return gaps
+	return lo, hi
 }
 
 // RunPool fans n task indices out over a worker pool, stopping at the
@@ -567,6 +583,9 @@ func gapsOf(n int64, tasks []storage.Extent) []storage.Extent {
 // callers can give each goroutine private caches; it is shared with
 // internal/parallel.
 func RunPool(ctx context.Context, workers, n int, run func(worker, i int) error) error {
+	if n == 0 {
+		return ctx.Err() // nothing to fan out: an empty frontier
+	}
 	if workers > n {
 		workers = n
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,6 +29,32 @@ func lowerParallelKnobs(t *testing.T) {
 	t.Cleanup(func() { parMinNodes, parMinTask = minNodes, minTask })
 }
 
+// emptyFrontier runs f with parMinTask raised past any subtree, so the
+// parallel entry points load the index and call Cut, and Cut returns
+// nothing: a Workers = 4 run then reaches the driver with no chunk to fan
+// out, and must be indistinguishable from a Workers = 1 run.
+func emptyFrontier(f func()) {
+	minTask := parMinTask
+	parMinTask = math.MaxInt64
+	defer func() { parMinTask = minTask }()
+	f()
+}
+
+// sameProfile asserts two runs cost the same: every column of the
+// per-phase scan profile (Nodes, Bytes, SkippedBytes, PhysicalBytes,
+// MaxStack), the state bytes, and the run statistics apart from wall time.
+func sameProfile(t *testing.T, label string, gotDS, wantDS *DiskStats, gotRS, wantRS *RunStats) {
+	t.Helper()
+	if *gotDS != *wantDS {
+		t.Fatalf("%s: disk profile %+v, want %+v", label, *gotDS, *wantDS)
+	}
+	got, want := gotRS.Snapshot(), wantRS.Snapshot()
+	got.Phase1Time, got.Phase2Time, want.Phase1Time, want.Phase2Time = 0, 0, 0, 0
+	if got != want {
+		t.Fatalf("%s: run stats %+v, want %+v", label, got, want)
+	}
+}
+
 // sameResults asserts two results select bit-identical node sets for
 // every query of prog.
 func sameResults(t *testing.T, prog *tmnf.Program, n int, got, want *Result, label string) {
@@ -47,6 +75,7 @@ func sameResults(t *testing.T, prog *tmnf.Program, n int, got, want *Result, lab
 
 func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 	lowerParallelKnobs(t)
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 30; iter++ {
 		tr := testutil.RandomTree(rng, 300)
@@ -61,12 +90,22 @@ func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
+		seqRS := &RunStats{}
+		seq, seqDS, err := NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{Run: seqRS})
 		if err != nil {
 			t.Fatal(err)
 		}
+		emptyFrontier(func() {
+			rs := &RunStats{}
+			par, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, 4, DiskOpts{Run: rs})
+			if err != nil {
+				t.Fatalf("iter %d empty frontier: %v", iter, err)
+			}
+			sameResults(t, prog, tr.Len(), par, seq, "empty frontier vs sequential")
+			sameProfile(t, "empty frontier vs sequential", ds, seqDS, rs, seqRS)
+		})
 		for _, workers := range []int{2, 4, 7} {
-			par, ds, err := NewEngine(c, db.Names).RunDiskParallel(db, workers, DiskOpts{})
+			par, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, workers, DiskOpts{})
 			if err != nil {
 				t.Fatalf("iter %d workers %d: %v", iter, workers, err)
 			}
@@ -78,7 +117,7 @@ func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 		}
 
 		want := naive.Evaluate(tr, prog)
-		par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
+		par, _, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, 4, DiskOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,29 +241,34 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := func(out string) DiskOpts {
-			return DiskOpts{AuxIn: auxIn, AuxOut: out, AuxOutBit: 3, AuxOutQuery: 1}
+		run := func(name string, workers int) (*Result, *DiskStats, *RunStats, []byte) {
+			rs := &RunStats{}
+			out := filepath.Join(dir, name+".aux")
+			res, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, workers,
+				DiskOpts{AuxIn: auxIn, AuxOut: out, AuxOutBit: 3, AuxOutQuery: 1, Run: rs})
+			if err != nil {
+				t.Fatalf("iter %d %s: %v", iter, name, err)
+			}
+			masks, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, ds, rs, masks
 		}
-		seq, _, err := NewEngine(c, db.Names).RunDisk(db, opts(filepath.Join(dir, "seq.aux")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 3, opts(filepath.Join(dir, "par.aux")))
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq, seqDS, seqRS, seqOut := run("seq", 1)
+		par, _, _, parOut := run("par", 3)
 		sameResults(t, prog, tr.Len(), par, seq, "aux")
-		seqOut, err := os.ReadFile(filepath.Join(dir, "seq.aux"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parOut, err := os.ReadFile(filepath.Join(dir, "par.aux"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(seqOut, parOut) {
 			t.Fatalf("iter %d: parallel aux output differs from sequential", iter)
 		}
+		emptyFrontier(func() {
+			res, ds, rs, out := run("empty", 4)
+			sameResults(t, prog, tr.Len(), res, seq, "aux, empty frontier")
+			sameProfile(t, "aux, empty frontier vs sequential", ds, seqDS, rs, seqRS)
+			if !bytes.Equal(out, seqOut) {
+				t.Fatalf("iter %d: empty-frontier aux output differs from sequential", iter)
+			}
+		})
 		db.Close()
 	}
 }
@@ -360,7 +404,8 @@ func TestRunDiskParallelRecoversFromForeignIndex(t *testing.T) {
 
 func TestRunDiskParallelFallsBackForMarkedOutput(t *testing.T) {
 	// MarkTo is order-dependent streaming output: the parallel entry
-	// point must still produce it (via the sequential path).
+	// point must still produce it, by running with an empty frontier —
+	// at the same cost as a one-worker run.
 	lowerParallelKnobs(t)
 	rng := rand.New(rand.NewSource(83))
 	tr := testutil.RandomTree(rng, 80)
@@ -376,13 +421,18 @@ func TestRunDiskParallelFallsBackForMarkedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqXML, parXML bytes.Buffer
-	if _, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{MarkTo: &seqXML}); err != nil {
+	seqRS, parRS := &RunStats{}, &RunStats{}
+	seq, seqDS, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{MarkTo: &seqXML, Run: seqRS})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{MarkTo: &parXML}); err != nil {
+	par, parDS, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, 4, DiskOpts{MarkTo: &parXML, Run: parRS})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if seqXML.String() != parXML.String() {
 		t.Fatalf("marked output differs:\nseq: %s\npar: %s", seqXML.String(), parXML.String())
 	}
+	sameResults(t, prog, tr.Len(), par, seq, "marked output")
+	sameProfile(t, "marked output, 4 workers vs 1", parDS, seqDS, parRS, seqRS)
 }

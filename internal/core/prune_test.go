@@ -1,6 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"arb/internal/storage"
@@ -183,5 +189,197 @@ func TestPrunePlanSelectsMaximalDisjointExtents(t *testing.T) {
 	// A foreign index (wrong node count) must never produce a plan.
 	if p := PlanPrune([]*Engine{eHit}, ix, 999); p != nil {
 		t.Fatal("planner accepted a foreign index")
+	}
+}
+
+// doc is a binary-tree shape for the prune edge cases: a labelled node
+// with optional first and second subtrees, or (junk > 0) a random subtree
+// of that many nodes carrying only labels no test query mentions — an
+// extent every plan may skip.
+type doc struct {
+	label         string
+	junk          int
+	first, second *doc
+}
+
+// build appends the shape to tr in preorder and returns its root.
+func (d *doc) build(tr *tree.Tree, rng *rand.Rand) tree.NodeID {
+	label, firstJunk, secondJunk := d.label, 0, 0
+	if d.junk > 0 {
+		label = []string{"j0", "j1", "j2"}[rng.Intn(3)]
+		firstJunk = rng.Intn(d.junk)
+		secondJunk = d.junk - 1 - firstJunk
+	}
+	v := tr.AddNode(tr.Names().MustIntern(label))
+	switch {
+	case firstJunk > 0:
+		tr.SetFirst(v, (&doc{junk: firstJunk}).build(tr, rng))
+	case d.first != nil:
+		tr.SetFirst(v, d.first.build(tr, rng))
+	}
+	switch {
+	case secondJunk > 0:
+		tr.SetSecond(v, (&doc{junk: secondJunk}).build(tr, rng))
+	case d.second != nil:
+		tr.SetSecond(v, d.second.build(tr, rng))
+	}
+	return v
+}
+
+// TestPruneGapSwitchEdges puts pruned extents where the leader's glue
+// scan switches its per-gap state and aux readers at an edge — no glue
+// between two extents, none after the last, none but the root — and holds
+// every disk entry point (scalar and batch; one worker, four workers with
+// an empty frontier, four workers with chunks) to the unpruned answer,
+// the unpruned aux output and the plan's exact byte accounting.
+func TestPruneGapSwitchEdges(t *testing.T) {
+	lowerParallelKnobs(t)
+	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
+	PruneMinNodes, PruneMinExtent = 1, 8
+
+	hit := func(first, second *doc) *doc { return &doc{label: "hit", first: first, second: second} }
+	junk := func(n int) *doc { return &doc{junk: n} }
+	ext := func(root, size int64) storage.Extent { return storage.Extent{Root: root, Size: size} }
+	cases := []struct {
+		name string
+		doc  *doc
+		plan []storage.Extent
+	}{
+		{"everything but the root", hit(junk(40), nil), []storage.Extent{ext(1, 40)}},
+		{"two adjacent extents, the second ending at N",
+			&doc{label: "r", first: hit(junk(20), junk(30))}, []storage.Extent{ext(2, 20), ext(22, 30)}},
+		{"an extent starting at node 1", hit(junk(20), hit(hit(nil, nil), nil)), []storage.Extent{ext(1, 20)}},
+		{"glue before, between and after",
+			&doc{label: "r", first: hit(junk(20), hit(junk(25), hit(nil, nil)))}, []storage.Extent{ext(2, 20), ext(23, 25)}},
+		{"an extent ending at N after glue", hit(hit(nil, hit(nil, junk(30))), nil), []storage.Extent{ext(3, 30)}},
+	}
+	progs := []*tmnf.Program{tmnf.MustParse(`QUERY :- Label[hit];`), tmnf.MustParse(`QUERY :- Label[r];`)}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(22))
+
+	for _, tc := range cases {
+		names := tree.NewNames()
+		for _, n := range []string{"hit", "r", "j0", "j1", "j2"} {
+			names.MustIntern(n)
+		}
+		tr := tree.New(names)
+		tc.doc.build(tr, rng)
+		if err := tr.CheckPreorder(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		dir := t.TempDir()
+		db, err := storage.CreateFromTree(filepath.Join(dir, "db"), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		ix, err := db.Index(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var planNodes int64
+		for _, x := range tc.plan {
+			planNodes += x.Size
+		}
+
+		// checkRows holds an entry point — run executes it and checks the
+		// answer — to its own unpruned run in every row: the same aux output,
+		// a profile in which each phase read or skipped every byte once and
+		// skipped exactly the plan's nodes, credited once per member, and at
+		// four workers with an empty frontier the very profile of one worker.
+		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, string)) {
+			t.Helper()
+			var refAux []byte
+			check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, auxOut string) {
+				t.Helper()
+				masks, err := os.ReadFile(auxOut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if refAux == nil {
+					refAux = masks
+				} else if !bytes.Equal(masks, refAux) {
+					t.Fatalf("%s: aux output differs from the unpruned run's", label)
+				}
+				for _, ph := range []storage.ScanStats{ds.Phase1, ds.Phase2} {
+					if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
+						t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
+					}
+				}
+				if got := rs.Snapshot().PrunedNodes; got != members*pruned {
+					t.Fatalf("%s: run credits %d pruned nodes, want %d per member", label, got, pruned)
+				}
+			}
+			ds, rs, out := run(1, true)
+			check(label+", unpruned", 0, ds, rs, out)
+			seqDS, seqRS, out := run(1, false)
+			check(label+", 1 worker", pruned, seqDS, seqRS, out)
+			emptyFrontier(func() {
+				ds, rs, out := run(4, false)
+				check(label+", 4 workers, empty frontier", pruned, ds, rs, out)
+				sameProfile(t, label+", 4 workers, empty frontier vs 1 worker", ds, seqDS, rs, seqRS)
+			})
+			ds, rs, out = run(4, false)
+			check(label+", 4 workers", pruned, ds, rs, out)
+		}
+
+		// Scalar entry point, per program.
+		for pi, prog := range progs {
+			c, err := Compile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The case is the first program's plan; for the second, hit
+			// nodes are junk too, and its plan is whatever that leaves.
+			plan := PlanPrune([]*Engine{NewEngine(c, db.Names)}, ix, db.N)
+			if plan == nil || (pi == 0 && !slices.Equal(plan.Extents, tc.plan)) {
+				t.Fatalf("%s: plan %+v, want extents %v", tc.name, plan, tc.plan)
+			}
+			want, err := NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
+				rs := &RunStats{}
+				out := filepath.Join(dir, "scalar.aux")
+				res, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, workers,
+					DiskOpts{AuxOut: out, AuxOutBit: 1, NoPrune: noPrune, Run: rs})
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				sameResults(t, prog, tr.Len(), res, want, tc.name)
+				return ds, rs, out
+			})
+		}
+
+		// Batch entry point, both programs sharing the scans: junk carries
+		// neither label, so the joint plan is the same extents.
+		wants := make([]*Result, len(progs))
+		for i, prog := range progs {
+			c, err := Compile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wants[i], err = NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
+			members := batchMembers(t, progs, db.Names)
+			for m := range members {
+				members[m].AuxOutSlot, members[m].AuxOutBit = m, uint8(m)
+			}
+			rs := &RunStats{}
+			out := filepath.Join(dir, "batch.aux")
+			res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members,
+				DiskBatchOpts{AuxOut: out, AuxOutStride: len(members), NoPrune: noPrune, Run: rs})
+			if err != nil {
+				t.Fatalf("%s: batch: %v", tc.name, err)
+			}
+			for i, prog := range progs {
+				sameResults(t, prog, tr.Len(), res[i], wants[i], tc.name+", batch")
+			}
+			return ds, rs, out
+		})
 	}
 }

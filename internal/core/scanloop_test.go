@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"arb/internal/storage"
 	"arb/internal/testutil"
+	"arb/internal/tmnf"
 	"arb/internal/workload"
 )
 
@@ -154,10 +156,27 @@ func (w cancelOnWrite) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// cancelAtPoll is a context that reports cancellation from its n-th Err
+// poll on: a deterministic mid-run cancel for runs with no output to hook.
+type cancelAtPoll struct {
+	context.Context
+	polls *atomic.Int32
+	n     int32
+}
+
+func (c cancelAtPoll) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestRunDiskCancelMidScanLeavesNoFiles cancels a disk run from inside
 // phase 2, at whatever node the marked-XML output first spills its buffer
 // — mid-window for the block-at-a-time readers — and checks the run
-// reports ctx.Err() and removes its state file and partial aux sidecar.
+// reports ctx.Err() and removes its state file and partial aux sidecar;
+// then cancels a pruned run between its phases, which must in addition
+// credit no pruned nodes: a cancelled run saved nothing.
 func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<16))
@@ -186,6 +205,27 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
+	}
+
+	// No node carries label Z, so the plan prunes everything but the root
+	// and each phase polls the context once: the second poll is phase 2's.
+	c, err = Compile(tmnf.MustParse(`QUERY :- Label[Z];`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, rs := NewEngine(c, db.Names), &RunStats{}
+	if ix, err := db.Index(context.Background(), 0); err != nil || PlanPrune([]*Engine{e}, ix, db.N) == nil {
+		t.Fatalf("no prune plan for a label the document lacks (index error %v)", err)
+	}
+	_, _, err = e.RunDiskContext(cancelAtPoll{context.Background(), new(atomic.Int32), 2}, db, DiskOpts{
+		AuxOut: filepath.Join(dir, "out.aux"),
+		Run:    rs,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pruned run: error %v, want context.Canceled", err)
+	}
+	if got, eng := rs.Snapshot().PrunedNodes, e.Stats().PrunedNodes; got != 0 || eng != 0 {
+		t.Fatalf("cancelled pruned run credits %d pruned nodes to the run and %d to the engine, want 0", got, eng)
 	}
 	after, err := os.ReadDir(dir)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // StepCache is the private, lock-free transition memo every evaluation
-// driver steps — one per run for the sequential drivers, one per worker
-// (and per member, for batches) in the parallel ones — in front of the
+// driver steps — one for a run's sequential or leader scan, one per
+// worker beside it (each per member, for batches) — in front of the
 // engine's shared, lock-guarded tables. The per-node constant of the scan
 // loops lives here: a node's signature resolves straight from its 2-byte
 // record bits (an array lookup), and the two transition functions from

@@ -210,15 +210,7 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 				dopts.AuxOut = filepath.Join(tmp, fmt.Sprintf("round%d.aux", r))
 				dopts.AuxOutStride = stride
 			}
-			var rres []*core.Result
-			var agg core.Stats
-			var ds *core.DiskStats
-			var err error
-			if opts.Workers > 1 {
-				rres, agg, ds, err = core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
-			} else {
-				rres, agg, ds, err = core.RunDiskBatch(ctx, db, bms, dopts)
-			}
+			rres, agg, ds, err := core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
 			if err != nil {
 				return fmt.Errorf("xpath: batch round %d: %w", r, err)
 			}

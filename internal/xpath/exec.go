@@ -98,7 +98,8 @@ func ResolveWorkers(n int) int {
 // resolved to a concrete count (>= 1) by the caller.
 type ExecOpts struct {
 	// Workers is the number of parallel evaluation workers; 1 runs the
-	// sequential paths.
+	// sequential in-memory paths and, on disk, the one driver with an
+	// empty frontier.
 	Workers int
 	// KeepStates retains per-node evaluation state from the main pass:
 	// in-memory runs record the automaton states in the Result
@@ -108,7 +109,8 @@ type ExecOpts struct {
 	// MarkTo, when non-nil, streams the document back out as XML with
 	// the nodes selected by query predicate MarkQuery marked up. On disk
 	// the marked document is produced during the main pass's second scan
-	// itself (Section 6.3); marking forces that pass sequential.
+	// itself (Section 6.3); marking makes that pass run with an empty
+	// frontier, whatever Workers says.
 	MarkTo    io.Writer
 	MarkQuery int
 	// AuxDir is where disk executions place the temporary aux-mask
@@ -222,15 +224,8 @@ func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) 
 	var res *core.Result
 	err := statsDelta(&es, func(rs *core.RunStats) error {
 		runPass := func(e *core.Engine, do core.DiskOpts) (*core.Result, error) {
-			var r *core.Result
-			var ds *core.DiskStats
-			var err error
 			do.Run = rs
-			if opts.Workers > 1 {
-				r, ds, err = e.RunDiskParallelContext(ctx, db, opts.Workers, do)
-			} else {
-				r, ds, err = e.RunDiskContext(ctx, db, do)
-			}
+			r, ds, err := e.RunDiskParallelContext(ctx, db, opts.Workers, do)
 			if ds != nil {
 				es.Disk.Merge(*ds)
 			}
