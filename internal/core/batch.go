@@ -228,7 +228,7 @@ var errStateWidth = errors.New("core: bottom-up state id exceeds the narrow on-d
 func putState(b []byte, width int, id StateID) error {
 	switch width {
 	case stateByte:
-		if uint32(id) >= 1<<8 {
+		if id >= stateByteIDs {
 			return errStateWidth
 		}
 		b[0] = byte(id)
@@ -254,18 +254,30 @@ func getState(b []byte, width int) StateID {
 	}
 }
 
-// batchStateWidth picks the initial on-disk state width for the members'
-// engines, leaving headroom under each width's limit for states a run
-// interns as it goes; a mid-run overflow restarts the run at stateWide.
+// stateByteIDs is how many state ids the one-byte width holds. A variable
+// only so the package tests can force a run to outgrow its width midway.
+var stateByteIDs StateID = 1 << 8
+
+// stateWidthFor picks a run's initial on-disk state width for an engine
+// that has interned n bottom-up states so far, leaving headroom under each
+// width's limit (a quarter of the one-byte range, 256 ids of the two-byte
+// one) for states the run interns as it goes; a mid-run overflow restarts
+// the run at stateWide.
+func stateWidthFor(n int) int {
+	switch {
+	case n >= 1<<16-256:
+		return stateWide
+	case n >= int(stateByteIDs-stateByteIDs/4):
+		return stateNarrow
+	}
+	return stateByte
+}
+
+// batchStateWidth is the widest width any member's engine asks for.
 func batchStateWidth(members []BatchMember) int {
 	width := stateByte
 	for _, bm := range members {
-		switch n := bm.E.BUStateCount(); {
-		case n >= 1<<16-256:
-			return stateWide
-		case n >= 1<<8-64:
-			width = stateNarrow
-		}
+		width = max(width, stateWidthFor(bm.E.BUStateCount()))
 	}
 	return width
 }
@@ -344,7 +356,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 		res[m] = NewResult(bm.E.c.Prog, db.N)
 		shared[m] = bm.E.ShareTo(opts.Run)
 	}
-	ds := &DiskStats{StateBytes: db.N * int64(stride)}
+	ds := &DiskStats{}
 
 	var auxF *os.File
 	if opts.AuxIn != "" {
@@ -541,6 +553,7 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	scan1.SkippedBytes += leaderSkipped
 	scan1.Merge(phase1)
 	ds.Phase1 = scan1
+	ds.StateBytes = scan1.Bytes / storage.NodeSize * int64(stride)
 	agg.Phase1Time = time.Since(start)
 
 	// Phase 2, leader first: forward over the glue, assigning each chunk
@@ -832,6 +845,20 @@ func runDiskBatchChunked(ctx context.Context, db *storage.DB, workers int, membe
 	}
 	succeeded = true
 	return res, agg, ds, nil
+}
+
+// glue returns the node range the leader scans itself between skip[i-1]
+// and skip[i] — from node 0 for i == 0, up to n for i == len(skip). It is
+// empty where two skipped extents are adjacent.
+func glue(skip []storage.Extent, i int, n int64) (lo, hi int64) {
+	hi = n
+	if i > 0 {
+		lo = skip[i-1].End()
+	}
+	if i < len(skip) {
+		hi = skip[i].Root
+	}
+	return lo, hi
 }
 
 // takeVec hands the bottom-up fold an output vector, recycling popped

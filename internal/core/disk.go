@@ -1,10 +1,7 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,12 +11,17 @@ import (
 
 // DiskOpts configures a secondary-storage evaluation run.
 type DiskOpts struct {
-	// StatePath overrides the path of the temporary state file. The file
-	// holds one 4-byte state id per node, written in reverse preorder by
-	// phase 1 and read backwards (i.e. in preorder) by phase 2 — the
-	// paper's footnote 12. When empty, the run uses a unique temporary
-	// file next to the database, so concurrent runs over one database —
-	// kept or not — never collide.
+	// StatePath overrides the path of the temporary state file — the
+	// paper's footnote 12: one state id per node, written in reverse
+	// preorder by phase 1 (node v's at offset (N-1-v)·w) and read back in
+	// preorder by phase 2. A file the caller names or keeps
+	// (KeepStateFile) holds 4-byte big-endian ids; a temporary one holds
+	// ids of the narrowest of 1, 2 and 4 bytes the engine's automaton fits
+	// (a run whose lazily built automaton outgrows its width midway starts
+	// over with 4), and is sparse wherever a prune plan skipped an extent.
+	// When empty, the run uses a unique temporary file next to the
+	// database, so concurrent runs over one database — kept or not — never
+	// collide.
 	StatePath string
 	// KeepStateFile retains the state file after a successful run and
 	// reports its (unique) path as Result.StateFile; a failed run always
@@ -62,8 +64,10 @@ type DiskOpts struct {
 }
 
 // DiskStats reports the per-scan cost profile of a disk run, alongside the
-// engine's cumulative Stats. StateBytes is the temporary disk space the
-// run needed (4 bytes per node, as in the paper's implementation).
+// engine's cumulative Stats. StateBytes is the state-file bytes phase 1
+// wrote (and phase 2 read back): the run's state width — 1, 2 or 4 bytes a
+// node — times the nodes it scanned, so extents a prune plan skipped
+// count for nothing.
 type DiskStats struct {
 	Phase1     storage.ScanStats
 	Phase2     storage.ScanStats
@@ -78,9 +82,6 @@ func (d *DiskStats) Merge(o DiskStats) {
 	d.Phase2.Merge(o.Phase2)
 	d.StateBytes += o.StateBytes
 }
-
-// stateIDSize is the on-disk size of one streamed state id.
-const stateIDSize = 4
 
 // RunDiskContext evaluates the engine's program over a .arb database in
 // secondary storage using Algorithm 4.6 with exactly two linear scans of
@@ -119,14 +120,3 @@ func createStateFile(db *storage.DB, opts DiskOpts) (*os.File, string, error) {
 
 // auxMaskSize is the on-disk size of one auxiliary predicate mask.
 const auxMaskSize = 2
-
-// nextMask consumes one mask from a forward aux reader, decoding it in
-// the reader's buffer.
-func nextMask(r *bufio.Reader) (uint16, error) {
-	b, err := r.Peek(auxMaskSize)
-	if err != nil {
-		return 0, fmt.Errorf("core: reading aux file: %w", err)
-	}
-	r.Discard(auxMaskSize)
-	return binary.BigEndian.Uint16(b), nil
-}

@@ -128,8 +128,8 @@ func TestRunDiskStateFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("state file not kept: %v", err)
 	}
-	if st.Size() != db.N*stateIDSize || ds.StateBytes != st.Size() {
-		t.Fatalf("state file size %d, want %d (stats say %d)", st.Size(), db.N*stateIDSize, ds.StateBytes)
+	if st.Size() != db.N*stateWide || ds.StateBytes != st.Size() {
+		t.Fatalf("state file size %d, want %d (stats say %d)", st.Size(), db.N*stateWide, ds.StateBytes)
 	}
 
 	// Default: the state file is removed after the run and no path is

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -68,7 +65,15 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 	}
 	err = runOverFrontier(ctx, db, workers, opts.MarkTo != nil, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
 		plan := planDiskPrune(ctx, db, idx, []*Engine{e}, opts)
-		res, ds, err = e.runDiskChunked(ctx, db, workers, opts, tasks, plan)
+		// A state file somebody else reads keeps the documented 4-byte ids.
+		width := stateWide
+		if opts.StatePath == "" && !opts.KeepStateFile {
+			width = stateWidthFor(e.BUStateCount())
+		}
+		res, ds, err = e.runDiskChunked(ctx, db, workers, opts, tasks, width, plan)
+		if errors.Is(err, errStateWidth) {
+			res, ds, err = e.runDiskChunked(ctx, db, workers, opts, tasks, stateWide, plan)
+		}
 		return err
 	})
 	return res, ds, err
@@ -112,8 +117,11 @@ func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered b
 // the run is the paper's sequential two-scan algorithm. When a prune plan
 // is given, tasks swallowed by a pruned extent never run, workers seek
 // past pruned extents inside their own chunks, and the leader's glue scan
-// skips the remaining pruned holes.
-func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int, opts DiskOpts, tasks []storage.Extent, plan *PrunePlan) (*Result, *DiskStats, error) {
+// skips the remaining pruned holes. Leader and workers run the same two
+// window kernels (diskkernel.go) over storage's window passes; width is
+// the attempt's state-file width, and a state id that outgrows it ends the
+// attempt with errStateWidth.
+func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int, opts DiskOpts, tasks []storage.Extent, width int, plan *PrunePlan) (*Result, *DiskStats, error) {
 	var planExts []storage.Extent
 	if plan != nil {
 		planExts = plan.Extents
@@ -126,15 +134,16 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	workers = min(workers, len(tasks))
 
 	res := NewResult(e.c.Prog, db.N)
-	ds := &DiskStats{StateBytes: db.N * stateIDSize}
-	e.AddNodes(db.N)
-	opts.Run.AddNodes(db.N)
 	s := e.ShareTo(opts.Run)
+	files := &diskFiles{
+		n:        db.N,
+		w:        width,
+		outBit:   uint16(1) << opts.AuxOutBit,
+		queryBit: uint64(1) << uint(opts.AuxOutQuery),
+	}
 
-	var err error
-	var auxF *os.File
 	if opts.AuxIn != "" {
-		auxF, err = os.Open(opts.AuxIn)
+		auxF, err := os.Open(opts.AuxIn)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -146,12 +155,14 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		if st.Size() != db.N*auxMaskSize {
 			return nil, nil, fmt.Errorf("core: aux file %s has %d bytes for %d nodes", opts.AuxIn, st.Size(), db.N)
 		}
+		files.auxF = auxF
 	}
 
 	stateF, statePath, err := createStateFile(db, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	files.stateF = stateF
 	succeeded := false
 	defer func() {
 		stateF.Close()
@@ -168,7 +179,7 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	leaderCache := s.NewStepCache()
 
 	// Phase 1: workers fold their chunks bottom-up — each streaming its
-	// own byte range backwards and pwriting its slice of the state file —
+	// own byte range backwards and pwriting its stretch of the state file —
 	// then the leader folds the glue, consuming chunk root states.
 	start := time.Now()
 	rootStates := make([]StateID, len(tasks))
@@ -176,46 +187,19 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	var phase1 storage.ScanStats // guarded by: statsMu
 	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
 		x := tasks[i]
-		cache := caches[worker]
-		// Absolute reverse-preorder offsets; in-chunk pruned extents are
-		// holes the run-batched writer jumps over.
-		sw := &runWriter{f: stateF}
-		var auxBack *storage.BackwardReader
-		if auxF != nil {
-			var err error
-			auxBack, err = storage.NewBackwardSectionReader(auxF, x.Root*auxMaskSize, x.End()*auxMaskSize, auxMaskSize)
-			if err != nil {
-				return err
-			}
-			defer auxBack.Release()
+		k := files.newFold(caches[worker])
+		err := db.BackwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
+			k.hole(sub, plan.Sub(0), true)
+			return nil
+		}, k.foldWindow)
+		if err == nil {
+			rootStates[i], err = k.finish()
 		}
-		var skipped int64
-		var werr error
-		rootState, st, err := storage.FoldBottomUpRangeSkipping(ctx, db, x, inner[i],
-			func(sub storage.Extent) (StateID, error) {
-				skipped += sub.Size * storage.NodeSize
-				return plan.Sub(0), nil
-			},
-			func(first, second *StateID, rec storage.Record, v int64) StateID {
-				id := buStep(cache, first, second, rec, v, auxBack, &werr)
-				binary.BigEndian.PutUint32(sw.at((db.N-1-v)*stateIDSize, stateIDSize), uint32(id))
-				return id
-			})
 		if err != nil {
-			return err
+			return chunkErr(x, err)
 		}
-		if werr == nil {
-			werr = sw.flush()
-		}
-		if werr != nil {
-			return fmt.Errorf("core: chunk [%d,%d): %w", x.Root, x.End(), werr)
-		}
-		rootStates[i] = rootState
 		statsMu.Lock()
-		// Nodes are counted once by the leader's skipping fold (a chunk
-		// stands in as one already-folded subtree there), so workers merge
-		// only their byte and stack columns.
-		phase1.Merge(storage.ScanStats{Bytes: st.Bytes, SkippedBytes: st.SkippedBytes + skipped, MaxStack: st.MaxStack, PhysicalBytes: st.PhysicalBytes})
+		phase1.Merge(k.st)
 		statsMu.Unlock()
 		return nil
 	})
@@ -226,71 +210,34 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	// Leader glue scan: reverse preorder over everything outside the
 	// chunks, with each chunk standing in as one already-folded subtree
 	// and each leader-level pruned extent as the substitute state.
-	lw := &runWriter{f: stateF}
-	var auxBack *storage.BackwardReader
-	defer func() {
-		if auxBack != nil {
-			auxBack.Release()
-		}
-	}()
-	// openAuxGap points auxBack at the aux masks of the glue that ends
-	// where leaderSkip[i] starts (at N for i == len(leaderSkip)).
-	openAuxGap := func(i int) (err error) {
-		if auxF == nil {
-			return nil
-		}
-		if auxBack != nil {
-			auxBack.Release()
-		}
-		lo, hi := glue(leaderSkip, i, db.N)
-		auxBack, err = storage.NewBackwardSectionReader(auxF, lo*auxMaskSize, hi*auxMaskSize, auxMaskSize)
-		return err
-	}
+	fold := files.newFold(leaderCache)
 	mi := len(leaderSkip) - 1
-	var leaderSkipped int64
-	var werr error
-	if err := openAuxGap(len(leaderSkip)); err != nil {
-		return nil, nil, err
-	}
-	rootState, scan1, err := storage.FoldBottomUpSkipping(ctx, db, leaderSkip,
-		func(x storage.Extent) (StateID, error) {
-			if err := openAuxGap(mi); err != nil {
-				return NoState, err
-			}
-			ti := taskOf[mi]
-			mi--
-			if ti < 0 {
-				leaderSkipped += x.Size * storage.NodeSize
-				return plan.Sub(0), nil
-			}
-			return rootStates[ti], nil
-		},
-		func(first, second *StateID, rec storage.Record, v int64) StateID {
-			id := buStep(leaderCache, first, second, rec, v, auxBack, &werr)
-			binary.BigEndian.PutUint32(lw.at((db.N-1-v)*stateIDSize, stateIDSize), uint32(id))
-			return id
-		})
+	err = db.BackwardWindows(ctx, 0, db.N, leaderSkip, &fold.st, func(x storage.Extent) error {
+		if ti := taskOf[mi]; ti < 0 {
+			fold.hole(x, plan.Sub(0), true)
+		} else {
+			fold.hole(x, rootStates[ti], false)
+		}
+		mi--
+		return nil
+	}, fold.foldWindow)
 	if err != nil {
 		return nil, nil, err
 	}
-	if werr == nil {
-		werr = lw.flush()
+	rootState, err := fold.finish()
+	if err != nil {
+		return nil, nil, err
 	}
-	if werr != nil {
-		return nil, nil, fmt.Errorf("core: writing state file: %w", werr)
-	}
-	scan1.SkippedBytes += leaderSkipped
-	scan1.Merge(phase1)
-	ds.Phase1 = scan1
+	ds := &DiskStats{Phase1: fold.st}
+	ds.Phase1.Merge(phase1)
+	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width)
 	phase1Time := time.Since(start)
 
-	// Phase 2, leader first: forward over the glue, reading the state
-	// file backwards per gap (which yields the glue's phase-1 states in
-	// preorder), assigning each chunk root its top-down entry state.
+	// Phase 2, leader first: forward over the glue, assigning each chunk
+	// root its top-down entry state.
 	start = time.Now()
-	var auxOutF *os.File
 	if opts.AuxOut != "" {
-		auxOutF, err = os.Create(opts.AuxOut)
+		auxOutF, err := os.Create(opts.AuxOut)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -302,234 +249,85 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 				os.Remove(opts.AuxOut)
 			}
 		}()
+		files.auxOutF = auxOutF
 	}
-	outBit := uint16(1) << opts.AuxOutBit
-	queryBit := uint64(1) << uint(opts.AuxOutQuery)
-
-	var emitter *storage.XMLEmitter
-	markBit := uint64(1) << uint(opts.MarkQuery)
+	scan := files.newScan(leaderCache, storage.Extent{Size: db.N}, rootState, leaderCache.RootTrueSet(rootState))
+	scan.res = res
 	if opts.MarkTo != nil {
-		emitter = storage.NewXMLEmitter(opts.MarkTo, db.Names)
+		scan.emitter = storage.NewXMLEmitter(opts.MarkTo, db.Names)
+		scan.markBit = uint64(1) << uint(opts.MarkQuery)
 	}
-
 	tdRoots := make([]StateID, len(tasks))
 	mi = 0
-	var leaderSkipped2 int64
-	var stateBack *storage.BackwardReader
-	defer func() {
-		if stateBack != nil {
-			stateBack.Release()
-		}
-	}()
-	var auxFwd *bufio.Reader
-	auxOut := &runWriter{f: auxOutF}
-	// openGap points the leader's readers at the glue that follows
-	// leaderSkip[i-1] (that starts at node 0 for i == 0): its slice of the
-	// state file — exactly the bytes phase 1 wrote for it — and of the aux
-	// file. The scan switches gaps here, once per skipped extent, not by a
-	// test on every node; where no glue follows, the state reader is an
-	// empty one (and the aux reader the previous gap's, spent), so a scan
-	// that lost its gap fails on io.EOF instead of reading another gap's
-	// states.
-	openGap := func(i int) (err error) {
-		if stateBack != nil {
-			stateBack.Release()
-		}
-		lo, hi := glue(leaderSkip, i, db.N)
-		stateBack, err = storage.NewBackwardSectionReader(stateF, (db.N-hi)*stateIDSize, (db.N-lo)*stateIDSize, stateIDSize)
-		if auxF != nil && hi > lo {
-			auxFwd = bufio.NewReaderSize(io.NewSectionReader(auxF, lo*auxMaskSize, (hi-lo)*auxMaskSize), 1<<16)
-		}
-		return err
-	}
-	if err := openGap(0); err != nil {
-		return nil, nil, err
-	}
-	scan2, err := storage.ScanTopDownSkipping(ctx, db, leaderSkip,
-		func(x storage.Extent, parent *StateID, k int) error {
-			ti := taskOf[mi]
-			mi++
-			if err := openGap(mi); err != nil {
+	err = db.ForwardWindows(ctx, 0, db.N, leaderSkip, &scan.st, func(x storage.Extent) (err error) {
+		ti := taskOf[mi]
+		mi++
+		if ti >= 0 {
+			if tdRoots[ti], err = scan.entryState(x, rootStates[ti]); err != nil {
 				return err
 			}
-			if ti < 0 {
-				// Pruned hole: provably selection-free, so there is no
-				// entry state to compute and no state-file slice to read —
-				// only the aux slots (zero: nothing selected, no input).
-				leaderSkipped2 += x.Size * storage.NodeSize
-				if auxOutF != nil {
-					auxOut.zeros(x.Root*auxMaskSize, x.Size*auxMaskSize)
-				}
-				return nil
-			}
-			bu := rootStates[ti]
-			var td StateID
-			if parent == nil {
-				if x.Root != 0 {
-					return fmt.Errorf("core: parentless chunk at node %d", x.Root)
-				}
-				td = leaderCache.RootTrueSet(bu)
-			} else {
-				td = leaderCache.TDStep(*parent, bu, k)
-			}
-			tdRoots[ti] = td
-			return nil
-		},
-		func(v int64, rec storage.Record, parent *StateID, k int) (StateID, error) {
-			b, err := stateBack.Next()
-			if err != nil {
-				return NoState, fmt.Errorf("core: reading state file: %w", err)
-			}
-			bu := StateID(binary.BigEndian.Uint32(b))
-			var td StateID
-			if parent == nil {
-				if v != 0 {
-					return NoState, fmt.Errorf("core: parentless node %d", v)
-				}
-				if bu != rootState {
-					return NoState, fmt.Errorf("core: state file corrupt: root state %d, phase 1 computed %d", bu, rootState)
-				}
-				td = leaderCache.RootTrueSet(bu)
-			} else {
-				td = leaderCache.TDStep(*parent, bu, k)
-			}
-			mask := leaderCache.QueryMask(td)
-			if mask != 0 {
-				// Workers are not running yet: marking needs no lock.
-				res.MarkMask(mask, v)
-			}
-			if emitter != nil {
-				if err := emitter.Node(v, rec, mask&markBit != 0); err != nil {
-					return NoState, err
-				}
-			}
-			if auxOutF != nil {
-				var cur uint16
-				if auxFwd != nil {
-					if cur, err = nextMask(auxFwd); err != nil {
-						return NoState, err
-					}
-				}
-				if mask&queryBit != 0 {
-					cur |= outBit
-				}
-				binary.BigEndian.PutUint16(auxOut.at(v*auxMaskSize, auxMaskSize), cur)
-			}
-			return td, nil
-		})
+		}
+		return scan.hole(x, ti < 0)
+	}, scan.scanWindow)
+	if err == nil {
+		err = scan.finish()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 
 	// Phase 2, workers: descend into the chunks from their entry states,
-	// reading each chunk's state-file slice backwards and accumulating
-	// marks in private per-chunk bitsets merged under the result's lock.
-	nq := len(res.queries)
+	// accumulating marks in private per-chunk bitsets merged under the
+	// result's lock.
+	phase2 := scan.st
 	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
 		x := tasks[i]
-		cache := caches[worker]
-		stateBack, err := storage.NewBackwardSectionReader(stateF, (db.N-x.End())*stateIDSize, (db.N-x.Root)*stateIDSize, stateIDSize)
+		k := files.newScan(caches[worker], x, rootStates[i], tdRoots[i])
+		k.w0 = x.Root / 64
+		k.local = make([][]uint64, len(res.queries))
+		for qi := range k.local {
+			k.local[qi] = make([]uint64, (x.End()-1)/64-k.w0+1)
+		}
+		err := db.ForwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
+			return k.hole(sub, true)
+		}, k.scanWindow)
+		if err == nil {
+			err = k.finish()
+		}
 		if err != nil {
-			return err
+			return chunkErr(x, err)
 		}
-		defer stateBack.Release()
-		var auxFwd *bufio.Reader
-		if auxF != nil {
-			auxFwd = bufio.NewReaderSize(io.NewSectionReader(auxF, x.Root*auxMaskSize, x.Size*auxMaskSize), 1<<16)
-		}
-		auxOut := &runWriter{f: auxOutF}
-		w0 := x.Root / 64
-		local := make([][]uint64, nq)
-		words := (x.End()-1)/64 - w0 + 1
-		for qi := range local {
-			local[qi] = make([]uint64, words)
-		}
-		var skipped int64
-		st, err := storage.ScanTopDownRangeSkipping(ctx, db, x, inner[i], func(sub storage.Extent, parent *StateID, k int) error {
-			if err := stateBack.Skip(sub.Size); err != nil {
-				return err
-			}
-			skipped += sub.Size * storage.NodeSize
-			if auxOutF != nil {
-				auxOut.zeros(sub.Root*auxMaskSize, sub.Size*auxMaskSize)
-			}
-			return nil
-		}, func(v int64, rec storage.Record, parent *StateID, k int) (StateID, error) {
-			b, err := stateBack.Next()
-			if err != nil {
-				return NoState, fmt.Errorf("core: reading state file: %w", err)
-			}
-			bu := StateID(binary.BigEndian.Uint32(b))
-			var td StateID
-			if parent == nil {
-				// Chunk root: phase 1 of this very chunk computed its
-				// state, so a mismatch means the file changed under us.
-				if bu != rootStates[i] {
-					return NoState, fmt.Errorf("core: state file corrupt: chunk root state %d, phase 1 computed %d", bu, rootStates[i])
-				}
-				td = tdRoots[i]
-			} else {
-				td = cache.TDStep(*parent, bu, k)
-			}
-			mask := cache.QueryMask(td)
-			for m, qi := mask, 0; m != 0; qi++ {
-				if m&1 != 0 {
-					local[qi][v/64-w0] |= 1 << uint(v%64)
-				}
-				m >>= 1
-			}
-			if auxOutF != nil {
-				var cur uint16
-				if auxFwd != nil {
-					if cur, err = nextMask(auxFwd); err != nil {
-						return NoState, err
-					}
-				}
-				if mask&queryBit != 0 {
-					cur |= outBit
-				}
-				binary.BigEndian.PutUint16(auxOut.at(v*auxMaskSize, auxMaskSize), cur)
-			}
-			return td, nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := auxOut.flush(); err != nil {
-			return err
-		}
-		for qi := range local {
-			res.MergeWords(qi, w0, local[qi])
+		for qi := range k.local {
+			res.MergeWords(qi, k.w0, k.local[qi])
 		}
 		statsMu.Lock()
-		scan2.Merge(storage.ScanStats{Bytes: st.Bytes, SkippedBytes: st.SkippedBytes + skipped, MaxStack: st.MaxStack, PhysicalBytes: st.PhysicalBytes})
+		phase2.Merge(k.st)
 		statsMu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if werr := auxOut.flush(); werr != nil {
-		return nil, nil, werr
-	}
-	if auxOutF != nil {
-		if err := auxOutF.Close(); err != nil {
+	if files.auxOutF != nil {
+		if err := files.auxOutF.Close(); err != nil {
 			return nil, nil, err
 		}
 	}
-	if emitter != nil {
-		if err := emitter.Finish(); err != nil {
+	if scan.emitter != nil {
+		if err := scan.emitter.Finish(); err != nil {
 			return nil, nil, err
 		}
 	}
-	scan2.SkippedBytes += leaderSkipped2
-	ds.Phase2 = scan2
-	phase2 := time.Since(start)
-	e.addPhaseTimes(phase1Time, phase2)
-	opts.Run.AddPhaseTimes(phase1Time, phase2)
-	// Count pruned nodes only on success: a failed or cancelled run saved
-	// nothing, and the stale-index retry re-enters this function and must
-	// not double-count the aborted attempt's plan.
+	ds.Phase2 = phase2
+	phase2Time := time.Since(start)
+	e.addPhaseTimes(phase1Time, phase2Time)
+	opts.Run.AddPhaseTimes(phase1Time, phase2Time)
+	// Count node visits and prune savings only on success: a failed or
+	// cancelled run saved nothing, and the stale-index and state-width
+	// retries re-enter this function and must not double-count the aborted
+	// attempt.
+	e.AddNodes(db.N)
+	opts.Run.AddNodes(db.N)
 	if plan != nil {
 		e.AddPrunedNodes(plan.Nodes)
 		opts.Run.AddPrunedNodes(plan.Nodes)
@@ -541,40 +339,15 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 	return res, ds, nil
 }
 
-// buStep performs one bottom-up transition from a scan record, optionally
-// consuming one auxiliary mask from auxBack.
-func buStep(cache *StepCache, first, second *StateID, rec storage.Record, v int64, auxBack *storage.BackwardReader, werr *error) StateID {
-	left, right := NoState, NoState
-	if first != nil {
-		left = *first
+// chunkErr dresses a structure fault inside a chunk as storage.ErrBadExtent:
+// the chunk was cut from the subtree index, so records that do not form one
+// subtree there mean a stale or foreign index, and runOverFrontier rebuilds
+// it. Everything else — cancellation, I/O, errStateWidth — passes through.
+func chunkErr(x storage.Extent, err error) error {
+	if errors.Is(err, storage.ErrMalformed) {
+		return fmt.Errorf("%w: chunk [%d,%d): %v", storage.ErrBadExtent, x.Root, x.End(), err)
 	}
-	if second != nil {
-		right = *second
-	}
-	var extra uint16
-	if auxBack != nil {
-		b, err := auxBack.Next()
-		if err != nil && *werr == nil {
-			*werr = fmt.Errorf("core: reading aux file: %w", err)
-		} else if err == nil {
-			extra = binary.BigEndian.Uint16(b)
-		}
-	}
-	return cache.BUStep(left, right, cache.SigID(rec.Encode(), v == 0, extra))
-}
-
-// glue returns the node range the leader scans itself between skip[i-1]
-// and skip[i] — from node 0 for i == 0, up to n for i == len(skip). It is
-// empty where two skipped extents are adjacent.
-func glue(skip []storage.Extent, i int, n int64) (lo, hi int64) {
-	hi = n
-	if i > 0 {
-		lo = skip[i-1].End()
-	}
-	if i < len(skip) {
-		hi = skip[i].Root
-	}
-	return lo, hi
+	return err
 }
 
 // RunPool fans n task indices out over a worker pool, stopping at the

@@ -1,17 +1,25 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"arb/internal/storage"
 	"arb/internal/testutil"
 	"arb/internal/tmnf"
+	"arb/internal/tree"
+	"arb/internal/vstore"
 	"arb/internal/workload"
 )
 
@@ -237,5 +245,439 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 			names = append(names, f.Name())
 		}
 		t.Fatalf("cancelled run left files behind: %v", names)
+	}
+}
+
+// spineTree builds a document whose preorder layout is chosen node for
+// node: under the root, one run of sibling "hit" elements per entry of
+// glue — glue[i] nodes long, the root counting into the first — whose last
+// element carries a random subtree of blobs[i] junk nodes (labels no test
+// query mentions). It returns the tree, the blob extents and the node each
+// run starts at; every node from a run's start to the end of the document
+// is one subtree, so [starts[i], N) is a valid chunk.
+func spineTree(t *testing.T, rng *rand.Rand, glue, blobs []int64) (*tree.Tree, []storage.Extent, []int64) {
+	t.Helper()
+	names := tree.NewNames()
+	hit := names.MustIntern("hit")
+	for _, n := range []string{"r", "j0", "j1", "j2"} {
+		names.MustIntern(n)
+	}
+	tr := tree.New(names)
+	var exts []storage.Extent
+	var starts []int64
+	prev, link := tr.AddNode(names.MustIntern("r")), tr.SetFirst
+	for i := range glue {
+		starts = append(starts, int64(tr.Len()))
+		if i == 0 {
+			starts[0] = 0
+		}
+		for n := int64(tr.Len()) - starts[i]; n < glue[i]; n++ {
+			v := tr.AddNode(hit)
+			link(prev, v)
+			prev, link = v, tr.SetSecond
+		}
+		if blobs[i] > 0 {
+			if prev == 0 {
+				t.Fatal("spineTree: the first run needs a node besides the root")
+			}
+			exts = append(exts, storage.Extent{Root: int64(tr.Len()), Size: blobs[i]})
+			tr.SetFirst(prev, (&doc{junk: int(blobs[i])}).build(tr, rng))
+		}
+	}
+	if err := tr.CheckPreorder(); err != nil {
+		t.Fatal(err)
+	}
+	return tr, exts, starts
+}
+
+// sameSelection is sameResults for big documents: it compares the results'
+// bitsets and counts a word at a time.
+func sameSelection(t *testing.T, got, want *Result, label string) {
+	t.Helper()
+	for qi := range want.sel {
+		if !slices.Equal(got.sel[qi], want.sel[qi]) || got.counts[qi] != want.counts[qi] {
+			t.Fatalf("%s: query %d selects %d nodes, want %d (or other ones)", label, qi, got.counts[qi], want.counts[qi])
+		}
+	}
+}
+
+// TestWindowKernelEdges drives the scalar disk driver over a document laid
+// out so that holes and chunks start, end and sit a single node apart on
+// the edges of the windows the kernels step — the delivered ones
+// (storage.WindowNodes) and the 16-times-larger reads under them — from a
+// raw file, an LZ container and a stitched vstore snapshot, with and
+// without a prune plan, with an empty frontier and with chunks, at every
+// state width, through a two-pass aux chain and with marked output, and
+// holds every answer, aux sidecar and marked document to the node-at-a-time
+// in-memory engine over the tree the per-record scan reads back.
+func TestWindowKernelEdges(t *testing.T) {
+	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
+	PruneMinNodes, PruneMinExtent = 1, 8
+	const W = storage.WindowNodes
+	glue := []int64{W, 1, W + 1, 2 * W, W - 1, 16*W + 1, 1, 3}
+	blobs := []int64{W, 40, 2*W + 5, 8, W - 1, 16, W + 1, 0}
+	rng := rand.New(rand.NewSource(24))
+	ctx := context.Background()
+	dir := t.TempDir()
+	tr, exts, starts := spineTree(t, rng, glue, blobs)
+
+	raw, err := storage.CreateFromTree(filepath.Join(dir, "raw"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	lz, err := storage.CreateFromTree(filepath.Join(dir, "lz"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lz.Close()
+	if _, err := storage.CompressInPlace(lz.Base, storage.CodecLZ, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if lz, err = storage.Open(lz.Base); err != nil {
+		t.Fatal(err)
+	}
+	defer lz.Close()
+	// The snapshot reads three runs of two segment files: the original up
+	// to the element the tail chunk starts at, its replacement (the same
+	// childless element again, so the layout stands), and the rest.
+	vdb, err := storage.CreateFromTree(filepath.Join(dir, "v"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdb.Close()
+	st, err := vstore.Open(ctx, vdb.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	patch := tree.New(st.Names())
+	patch.AddNode(st.Names().MustIntern("hit"))
+	if _, err := st.ReplaceSubtree(ctx, starts[3]+W, patch); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	defer snap.Release()
+
+	progs := []*tmnf.Program{
+		tmnf.MustParse(`QUERY :- Label[hit];`),
+		tmnf.MustParse(`P :- Aux[0]; QUERY :- P.FirstChild;`), // reads pass 0's answer
+	}
+	// Chunks on the edges: the first two blobs (a prune plan swallows
+	// them), and everything from the middle of the 2W run on — its own
+	// first gap is exactly one window, the leader's last one too.
+	chunks := []storage.Extent{exts[0], exts[1], {Root: starts[3] + W, Size: int64(tr.Len()) - starts[3] - W}}
+
+	for _, src := range []struct {
+		name string
+		db   *storage.DB
+	}{{"raw", raw}, {"lz", lz}, {"vstore snapshot", snap.DB()}} {
+		db := src.db
+		if db.N != int64(tr.Len()) {
+			t.Fatalf("%s: %d nodes, want %d", src.name, db.N, tr.Len())
+		}
+		ref, err := db.ReadTree(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := storage.BuildIndex(ctx, db, tr.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := make([]*Compiled, len(progs))
+		for i, prog := range progs {
+			if cs[i], err = Compile(prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want0, err := NewEngine(cs[0], db.Names).RunContext(ctx, ref, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q0 := progs[0].Queries()[0]
+		want1, err := NewEngine(cs[1], db.Names).RunContext(ctx, ref, RunOpts{Aux: func(v tree.NodeID) uint16 {
+			if want0.Holds(q0, v) {
+				return 1
+			}
+			return 0
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1 := progs[1].Queries()[0]
+		wantAux := [2][]byte{make([]byte, 2*db.N), make([]byte, 2*db.N)}
+		for v := int64(0); v < db.N; v++ {
+			var m uint16
+			if want0.Holds(q0, tree.NodeID(v)) {
+				m |= 1
+			}
+			binary.BigEndian.PutUint16(wantAux[0][2*v:], m)
+			if want1.Holds(q1, tree.NodeID(v)) {
+				m |= 2
+			}
+			binary.BigEndian.PutUint16(wantAux[1][2*v:], m)
+		}
+		plan := PlanPrune([]*Engine{NewEngine(cs[0], db.Names)}, ix, db.N)
+		if plan == nil || !slices.Equal(plan.Extents, exts) {
+			t.Fatalf("%s: plan %+v, want the blobs %v", src.name, plan, exts)
+		}
+
+		for _, width := range []int{stateByte, stateNarrow, stateWide} {
+			for _, plan := range []*PrunePlan{nil, plan} {
+				for _, tasks := range [][]storage.Extent{nil, chunks} {
+					if width != stateByte && (db != raw || plan == nil || tasks == nil) {
+						continue // the wider codecs: one row, the one with every kind of hole
+					}
+					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
+					aux0, aux1 := filepath.Join(dir, "pass0.aux"), filepath.Join(dir, "pass1.aux")
+					res, ds, err := NewEngine(cs[0], db.Names).runDiskChunked(ctx, db, 4,
+						DiskOpts{AuxOut: aux0}, tasks, width, plan)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameSelection(t, res, want0, label)
+					var pruned int64
+					if plan != nil {
+						pruned = plan.Nodes
+					}
+					for _, ph := range []storage.ScanStats{ds.Phase1, ds.Phase2} {
+						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
+							t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
+						}
+					}
+					if want := (db.N - pruned) * int64(width); ds.StateBytes != want {
+						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
+					}
+					// The aux-reading pass never prunes.
+					res, _, err = NewEngine(cs[1], db.Names).runDiskChunked(ctx, db, 4,
+						DiskOpts{AuxIn: aux0, AuxOut: aux1, AuxOutBit: 1}, tasks, width, nil)
+					if err != nil {
+						t.Fatalf("%s, pass 1: %v", label, err)
+					}
+					sameSelection(t, res, want1, label+", pass 1")
+					for i, path := range []string{aux0, aux1} {
+						got, err := os.ReadFile(path)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, wantAux[i]) {
+							t.Fatalf("%s: pass %d wrote aux masks that differ from the reference", label, i)
+						}
+					}
+				}
+			}
+		}
+
+		var marked, wantMarked bytes.Buffer
+		res, _, err := NewEngine(cs[0], db.Names).RunDiskContext(ctx, db, DiskOpts{MarkTo: &marked})
+		if err != nil {
+			t.Fatalf("%s, marked: %v", src.name, err)
+		}
+		sameSelection(t, res, want0, src.name+", marked")
+		if err := storage.EmitXMLContext(ctx, db, &wantMarked, func(v int64) bool { return want0.Holds(q0, tree.NodeID(v)) }); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marked.Bytes(), wantMarked.Bytes()) {
+			t.Fatalf("%s: marked output differs from the separate-scan emitter's", src.name)
+		}
+	}
+}
+
+// TestStateWidthOverflowRerunsWide shrinks the one-byte width to two ids,
+// so a run that starts narrow on a fresh engine outgrows it partway through
+// phase 1: the entry point must rerun wide, return the wide run's answer
+// and statistics, and leave no temporary file of either attempt behind.
+func TestStateWidthOverflowRerunsWide(t *testing.T) {
+	lowerParallelKnobs(t)
+	ids := stateByteIDs
+	t.Cleanup(func() { stateByteIDs = ids })
+	rng := rand.New(rand.NewSource(25))
+	ctx := context.Background()
+	for iter := 0; iter < 6; iter++ {
+		tr := testutil.RandomTree(rng, 400)
+		prog := testutil.RandomProgramParsed(rng, 4, 8)
+		dir := t.TempDir()
+		db, err := storage.CreateFromTree(filepath.Join(dir, "db"), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		before, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			stateByteIDs = ids
+			wantRS := &RunStats{}
+			want, wantDS, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, workers, DiskOpts{NoPrune: true, Run: wantRS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, rs := NewEngine(c, db.Names), &RunStats{}
+			if e.BUStateCount() >= 2 {
+				t.Fatal("a fresh engine already has states: the run would not start narrow")
+			}
+			stateByteIDs = 2
+			got, ds, err := e.RunDiskParallelContext(ctx, db, workers, DiskOpts{NoPrune: true, Run: rs})
+			if err != nil {
+				t.Fatalf("iter %d, %d workers: %v", iter, workers, err)
+			}
+			if e.BUStateCount() <= 2 {
+				continue // too few states to outgrow even two ids
+			}
+			sameResults(t, prog, tr.Len(), got, want, "rerun wide")
+			if wantDS.StateBytes != db.N*stateByte || ds.StateBytes != db.N*stateWide {
+				t.Fatalf("iter %d: %d state bytes, %d after the overflow; want %d and %d",
+					iter, wantDS.StateBytes, ds.StateBytes, db.N*stateByte, db.N*stateWide)
+			}
+			ds.StateBytes = wantDS.StateBytes
+			sameProfile(t, "rerun wide vs one-byte run", ds, wantDS, rs, wantRS)
+		}
+		after, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Fatalf("iter %d: %d files next to the database, %d before the runs", iter, len(after), len(before))
+		}
+	}
+}
+
+// atPoll is a context that calls f at every Err poll — the scans poll
+// once per window — and never cancels: a hook into the gaps between
+// windows and between the phases of a run.
+type atPoll struct {
+	context.Context
+	f func()
+}
+
+func (c atPoll) Err() error {
+	c.f()
+	return nil
+}
+
+// TestRunDiskFaultsBetweenPhases damages the state file once phase 1 has
+// written it out, and feeds the driver records that are no tree: every
+// fault must be the error it always was, never an answer, and leave no
+// file behind.
+func TestRunDiskFaultsBetweenPhases(t *testing.T) {
+	dir := t.TempDir()
+	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := Compile(tmnf.MustParse(`QUERY :- Label[A];`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		damage     func(f *os.File, size int64) error
+	}{
+		{"truncated", "core: reading state file", func(f *os.File, size int64) error { return f.Truncate(size / 2) }},
+		{"root state flipped", "core: state file corrupt", func(f *os.File, size int64) error {
+			_, err := f.WriteAt([]byte{0xff}, size-1) // the root's is the last state phase 1 writes
+			return err
+		}},
+	} {
+		done := false
+		ctx := atPoll{context.Background(), func() {
+			files, _ := filepath.Glob(filepath.Join(dir, "*.sta"))
+			if done || len(files) != 1 {
+				return
+			}
+			f, err := os.OpenFile(files[0], os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if st, err := f.Stat(); err != nil {
+				t.Fatal(err)
+			} else if st.Size() == db.N*stateByte { // complete: phase 1 is over
+				done = true
+				if err := tc.damage(f, st.Size()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}}
+		res, _, err := NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{NoPrune: true})
+		if !done {
+			t.Fatalf("%s: the state file was never seen complete", tc.name)
+		}
+		if err == nil || res != nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: result %v, error %v; want no result and %q", tc.name, res, err, tc.want)
+		}
+	}
+
+	// Records that are no binary tree: a node announcing a second subtree
+	// the file does not hold, and two roots.
+	for _, tc := range []struct {
+		name string
+		recs []storage.Record
+	}{
+		{"missing subtree", []storage.Record{{Label: 1, HasFirst: true, HasSecond: true}, {Label: 2}}},
+		{"two roots", []storage.Record{{Label: 1}, {Label: 2}}},
+	} {
+		b := make([]byte, len(tc.recs)*storage.NodeSize)
+		for i, r := range tc.recs {
+			binary.BigEndian.PutUint16(b[i*storage.NodeSize:], r.Encode())
+		}
+		base := filepath.Join(dir, "bad")
+		if err := os.WriteFile(base+".arb", b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bad, err := storage.Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := NewEngine(c, bad.Names).RunDiskContext(context.Background(), bad, DiskOpts{})
+		bad.Close()
+		if res != nil || !errors.Is(err, storage.ErrMalformed) {
+			t.Fatalf("%s: result %v, error %v; want no result and storage.ErrMalformed", tc.name, res, err)
+		}
+		os.Remove(base + ".arb")
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.sta")); len(files) != 0 {
+		t.Fatalf("failed runs left state files behind: %v", files)
+	}
+}
+
+// TestRunDiskCancelLandsAtNextWindow cancels a run from its p-th context
+// poll on, for a p inside each phase: the kernels have no cancellation
+// check of their own — storage polls before every window it hands them,
+// and no window is longer than storage.WindowNodes — so the run must stop
+// at that very poll, having stepped no node after it.
+func TestRunDiskCancelLandsAtNextWindow(t *testing.T) {
+	db, err := workload.CreateInfixDB(filepath.Join(t.TempDir(), "db"), workload.Sequence(4, 1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := Compile(tmnf.MustParse(`QUERY :- Label[A];`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total atomic.Int32
+	if _, _, err := NewEngine(c, db.Names).RunDiskContext(cancelAtPoll{context.Background(), &total, math.MaxInt32}, db, DiskOpts{NoPrune: true}); err != nil {
+		t.Fatal(err)
+	}
+	windows := int32((db.N + storage.WindowNodes - 1) / storage.WindowNodes)
+	if total.Load() < 2*windows {
+		t.Fatalf("an uncancelled run polled %d times over two scans of %d windows", total.Load(), windows)
+	}
+	for _, p := range []int32{total.Load() / 4, total.Load() * 3 / 4} {
+		var polls atomic.Int32
+		_, _, err := NewEngine(c, db.Names).RunDiskContext(cancelAtPoll{context.Background(), &polls, p}, db, DiskOpts{NoPrune: true})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: error %v, want context.Canceled", p, total.Load(), err)
+		}
+		if polls.Load() != p {
+			t.Fatalf("cancelled at poll %d of %d, but the run polled %d times: it went on past the cancellation", p, total.Load(), polls.Load())
+		}
 	}
 }

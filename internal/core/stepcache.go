@@ -68,14 +68,11 @@ func (s *SharedEngine) NewStepCache() *StepCache {
 // engine's signature class, for BUStep.
 func (c *StepCache) SigID(rec uint16, root bool, extra uint16) int32 {
 	if !root && extra == 0 {
-		// The child flags are the record's two top bits, so rotating them
-		// to the bottom gives label<<2 | flags: dense in the label.
+		if s := c.sigHit(rec); s != 0 {
+			return s - 1
+		}
 		i := int(bits.RotateLeft16(rec, 2))
-		if i < len(c.sigByRec) {
-			if s := c.sigByRec[i]; s != 0 {
-				return s - 1
-			}
-		} else {
+		if i >= len(c.sigByRec) {
 			// A label past the name table the cache was sized from.
 			c.sigByRec = append(c.sigByRec, make([]int32, i+1-len(c.sigByRec))...)
 		}
@@ -98,6 +95,36 @@ func (c *StepCache) SigID(rec uint16, root bool, extra uint16) int32 {
 	return s
 }
 
+// sigHit, buHit and tdHit are the table lookups of SigID, BUStep and
+// TDStep on their own: each returns its dense table's entry — the id + 1
+// — or 0 where the table has none. SigID, BUStep and TDStep are beyond
+// the compiler's inlining budget, a lookup without a call in it is not, so
+// a loop that steps millions of nodes tries the hit first and calls the
+// full method for the rest (the window kernels do; QueryMask inlines as it
+// is). sigHit is for non-root records without aux bits only.
+func (c *StepCache) sigHit(rec uint16) int32 {
+	// The child flags are the record's two top bits, so rotating them to
+	// the bottom gives label<<2 | flags: dense in the label.
+	if i := int(bits.RotateLeft16(rec, 2)); i < len(c.sigByRec) {
+		return c.sigByRec[i]
+	}
+	return 0
+}
+
+func (c *StepCache) buHit(left, right StateID, sig int32) StateID {
+	if l1, r1 := left+1, right+1; l1 < c.dimS && r1 < c.dimS && sig < c.dimSig {
+		return c.bu[(l1*c.dimS+r1)*c.dimSig+sig]
+	}
+	return 0
+}
+
+func (c *StepCache) tdHit(parent, bu StateID, k int) StateID {
+	if parent < c.dimP && bu < c.dimB {
+		return c.td[(parent*c.dimB+bu)*2+StateID(k-1)]
+	}
+	return 0
+}
+
 func (c *StepCache) internSig(rec uint16, root bool, extra uint16) int32 {
 	r := storage.DecodeRecord(rec)
 	return c.s.SigID(edb.NodeSig{
@@ -111,12 +138,10 @@ func (c *StepCache) internSig(rec uint16, root bool, extra uint16) int32 {
 
 // BUStep is the cached δA on a signature class.
 func (c *StepCache) BUStep(left, right StateID, sig int32) StateID {
-	l1, r1 := left+1, right+1
-	if l1 < c.dimS && r1 < c.dimS && sig < c.dimSig {
-		if id := c.bu[(l1*c.dimS+r1)*c.dimSig+sig]; id != 0 {
-			return id - 1
-		}
-	} else if id, ok := c.buMap[buKey{left, right, sig}]; ok {
+	if id := c.buHit(left, right, sig); id != 0 {
+		return id - 1
+	}
+	if id, ok := c.buMap[buKey{left, right, sig}]; ok {
 		return id
 	}
 	id := c.s.ReachableStates(left, right, sig)
@@ -167,11 +192,10 @@ func (c *StepCache) growBU(needS StateID, needSig int32) bool {
 
 // TDStep is the cached δB_k.
 func (c *StepCache) TDStep(parent, bu StateID, k int) StateID {
-	if parent < c.dimP && bu < c.dimB {
-		if id := c.td[(parent*c.dimB+bu)*2+StateID(k-1)]; id != 0 {
-			return id - 1
-		}
-	} else if id, ok := c.tdMap[tdKey{parent, bu, uint8(k)}]; ok {
+	if id := c.tdHit(parent, bu, k); id != 0 {
+		return id - 1
+	}
+	if id, ok := c.tdMap[tdKey{parent, bu, uint8(k)}]; ok {
 		return id
 	}
 	id := c.s.TruePreds(parent, bu, k)
@@ -210,11 +234,16 @@ func (c *StepCache) storeTD(parent, bu StateID, k int, id StateID) {
 // RootTrueSet is step 2 of Algorithm 4.6 (uncached: once per run).
 func (c *StepCache) RootTrueSet(bu StateID) StateID { return c.s.RootTrueSet(bu) }
 
-// QueryMask returns the query-predicate bitmask of a top-down state.
+// QueryMask returns the query-predicate bitmask of a top-down state. With
+// the miss in its own method it inlines into the drivers' loops.
 func (c *StepCache) QueryMask(td StateID) uint64 {
 	if int(td) < len(c.maskKnown) && c.maskKnown[td] {
 		return c.masks[td]
 	}
+	return c.maskMiss(td)
+}
+
+func (c *StepCache) maskMiss(td StateID) uint64 {
 	m := c.s.QueryMask(td)
 	for int(td) >= len(c.maskKnown) {
 		c.maskKnown = append(c.maskKnown, false)

@@ -12,11 +12,10 @@ import (
 // disk still sees (reverse-)sequential access patterns.
 const defaultBufSize = 1 << 18
 
-// scanBufPool recycles the 256 KB I/O buffers of the scan loops — the
-// BackwardReaders' and the forward scans' alike: the skipping scan paths
-// open one region per gap between extents, and pooling the buffers keeps
-// allocation churn flat however many extents a frontier or pruning plan
-// has. BackwardReaders return their buffer through Release.
+// scanBufPool recycles the 256 KB I/O buffers of the window passes and the
+// BackwardReaders, so allocation churn stays flat however many passes and
+// readers a frontier or pruning plan opens. BackwardReaders return their
+// buffer through Release.
 var scanBufPool = sync.Pool{
 	New: func() interface{} { return make([]byte, defaultBufSize) },
 }
@@ -103,21 +102,6 @@ func (r *BackwardReader) Next() ([]byte, error) {
 	}
 	r.have -= r.unitSize
 	return r.buf[r.have : r.have+r.unitSize], nil
-}
-
-// NextBlock returns every unit still buffered — refilling first when none
-// is — and moves the reader past them all. The block lies in file order,
-// so a backward consumer walks it from its end; block-at-a-time loops
-// decode units straight from it instead of calling Next per unit.
-func (r *BackwardReader) NextBlock() ([]byte, error) {
-	if r.have == 0 {
-		if err := r.fill(); err != nil {
-			return nil, err
-		}
-	}
-	b := r.buf[:r.have]
-	r.have = 0
-	return b, nil
 }
 
 // fill reads the buffer-sized piece of the section that precedes pos.

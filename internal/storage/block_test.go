@@ -11,14 +11,15 @@ import (
 	"testing"
 )
 
-// The scan loops read records a window (one pooled buffer) at a time.
-// These tests hold them, on databases and skip lists built to put every
-// edge on a window boundary, bit-identical to the per-record reference
-// loops below — visit order, callback arguments and every ScanStats
-// column.
+// The window passes read records one pooled buffer at a time and hand
+// them out in windows of at most WindowNodes. These tests hold them and
+// the per-node scans adapted onto them, on databases and skip lists built
+// to put every edge on a read or window boundary, bit-identical to the
+// per-record reference loops below — visit order, callback arguments and
+// every ScanStats column.
 
-// windowNodes is how many records one I/O window holds.
-const windowNodes = defaultBufSize / NodeSize
+// readNodes is how many records one read of a window pass holds.
+const readNodes = defaultBufSize / NodeSize
 
 // spineDB writes a database that is a right-deep spine of siblings, the
 // i-th carrying a random first-child subtree ("blob") of blobs[i] nodes
@@ -189,6 +190,7 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 	x := Extent{Root: lo, Size: hi - lo}
 
 	wantEvents, wantSt := refScan(db, recs, lo, hi, skip)
+	checkWindowPasses(t, db, recs, lo, hi, skip, wantSt)
 	next := 0
 	event := func(e scanEvent, parent *int64) error {
 		e.parent = -1
@@ -254,8 +256,85 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 	}
 }
 
+// checkWindowPasses holds the two raw passes over [lo, hi) to the records:
+// windows and holes arrive in order and cover the range exactly, a window
+// never spans a hole, is never empty and never longer than WindowNodes,
+// its bytes are the records of the nodes it names, and the byte columns
+// match the reference's.
+func checkWindowPasses(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent, want ScanStats) {
+	t.Helper()
+	ctx := context.Background()
+	for _, forward := range []bool{true, false} {
+		at, si := lo, 0 // the node the pass stands at, the next hole
+		if !forward {
+			at, si = hi, len(skip)-1
+		}
+		hole := func(x Extent) error {
+			if si < 0 || si >= len(skip) || x != skip[si] {
+				return fmt.Errorf("hole %+v is not the skip list's next", x)
+			}
+			if forward {
+				if x.Root != at {
+					return fmt.Errorf("hole %+v reported at node %d", x, at)
+				}
+				at, si = x.End(), si+1
+			} else {
+				if x.End() != at {
+					return fmt.Errorf("hole %+v reported at node %d", x, at)
+				}
+				at, si = x.Root, si-1
+			}
+			return nil
+		}
+		window := func(first int64, b []byte) error {
+			n := int64(len(b) / NodeSize)
+			if n == 0 || n > WindowNodes || len(b)%NodeSize != 0 {
+				return fmt.Errorf("window of %d bytes at node %d", len(b), first)
+			}
+			if forward && first != at || !forward && first+n != at {
+				return fmt.Errorf("window [%d,%d) handed out at node %d", first, first+n, at)
+			}
+			if si >= 0 && si < len(skip) && first < skip[si].End() && skip[si].Root < first+n {
+				return fmt.Errorf("window [%d,%d) spans the hole %+v", first, first+n, skip[si])
+			}
+			for i := int64(0); i < n; i++ {
+				if binary.BigEndian.Uint16(b[i*NodeSize:]) != recs[first+i].Encode() {
+					return fmt.Errorf("window [%d,%d) does not hold node %d's record", first, first+n, first+i)
+				}
+			}
+			at = first
+			if forward {
+				at = first + n
+			}
+			return nil
+		}
+		var st ScanStats
+		var err error
+		if forward {
+			err = db.ForwardWindows(ctx, lo, hi, skip, &st, hole, window)
+		} else {
+			err = db.BackwardWindows(ctx, lo, hi, skip, &st, hole, window)
+		}
+		if err != nil {
+			t.Fatalf("window pass, forward=%v: %v", forward, err)
+		}
+		if forward && (at != hi || si != len(skip)) || !forward && (at != lo || si != -1) {
+			t.Errorf("window pass, forward=%v: ended at node %d with hole %d next", forward, at, si)
+		}
+		if st != (ScanStats{Bytes: want.Bytes, PhysicalBytes: want.PhysicalBytes}) {
+			t.Errorf("window pass, forward=%v: stats %+v, reference %+v", forward, st, want)
+		}
+	}
+}
+
 func TestBlockScansMatchPerRecordReference(t *testing.T) {
-	const W = windowNodes
+	for _, W := range []int64{WindowNodes, readNodes} {
+		testBlockScans(t, W)
+	}
+}
+
+// testBlockScans lays extents and gaps out around multiples of W nodes.
+func testBlockScans(t *testing.T, W int64) {
 	layouts := []struct {
 		name  string
 		blobs []int64
@@ -288,7 +367,7 @@ func TestBlockScansMatchPerRecordReference(t *testing.T) {
 						skip = append(skip, x)
 					}
 				}
-				t.Run(fmt.Sprintf("%s/%v/skip=%d", lay.name, blobs[0], len(skip)), func(t *testing.T) {
+				t.Run(fmt.Sprintf("W=%d/%s/%v/skip=%d", W, lay.name, blobs[0], len(skip)), func(t *testing.T) {
 					checkScans(t, db, recs, 0, db.N, skip, true)
 					// The second spine node's subtree is the rest of the
 					// spine: a chunk with the later blobs strictly inside.
@@ -311,7 +390,7 @@ func TestBlockScansMatchPerRecordReference(t *testing.T) {
 // block-compressed copy whose 4 KB blocks are much smaller than a window:
 // PhysicalBytes must still count exactly the blocks each gap touches.
 func TestBlockScansCompressed(t *testing.T) {
-	const W = windowNodes
+	const W = readNodes
 	db, recs, exts := spineDB(t, rand.New(rand.NewSource(15)), []int64{W + 7, W - 9, 11})
 	db.Close()
 	if _, err := CompressInPlace(db.Base, CodecLZ, 4096); err != nil {

@@ -272,12 +272,11 @@ func isCancel(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// backFold is the shared inner loop of the backward (bottom-up) scans: a
-// stack of subtree results driven by one record at a time, in reverse
-// preorder.
+// backFold is the generic consumer of a backward pass: a stack of subtree
+// results driven by one record at a time, in reverse preorder, calling
+// combine per node.
 type backFold[S any] struct {
 	combine func(first, second *S, rec Record, v int64) S
-	cancel  Canceller
 	stack   []S
 	stats   ScanStats
 }
@@ -293,14 +292,14 @@ func (f *backFold[S]) node(rec Record, v int64) error {
 	var first, second *S
 	if rec.HasFirst {
 		if len(f.stack) == 0 {
-			return fmt.Errorf("storage: malformed .arb: missing first subtree at node %d", v)
+			return fmt.Errorf("%w: missing first subtree at node %d", ErrMalformed, v)
 		}
 		first = &f.stack[len(f.stack)-1]
 		f.stack = f.stack[:len(f.stack)-1]
 	}
 	if rec.HasSecond {
 		if len(f.stack) == 0 {
-			return fmt.Errorf("storage: malformed .arb: missing second subtree at node %d", v)
+			return fmt.Errorf("%w: missing second subtree at node %d", ErrMalformed, v)
 		}
 		second = &f.stack[len(f.stack)-1]
 		f.stack = f.stack[:len(f.stack)-1]
@@ -310,66 +309,30 @@ func (f *backFold[S]) node(rec Record, v int64) error {
 	return nil
 }
 
-// foldRegion scans the node range [lo, hi) backwards, feeding every
-// record to the fold. Records are decoded block-at-a-time from the
-// reader's buffer; only the fold itself is per-node work.
-func (f *backFold[S]) foldRegion(db *DB, lo, hi int64) error {
-	br, err := NewBackwardSectionReader(db.arb, lo*NodeSize, hi*NodeSize, NodeSize)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	f.stats.PhysicalBytes += db.PhysSpan(lo, hi)
-	for v := hi - 1; v >= lo; {
-		block, err := br.NextBlock()
-		if err != nil {
-			return fmt.Errorf("storage: backward scan: %w", err)
-		}
-		for i := len(block) - NodeSize; i >= 0; i -= NodeSize {
-			if err := f.cancel.Step(); err != nil {
-				return err
-			}
-			f.stats.Bytes += NodeSize
-			if err := f.node(DecodeRecord(binary.BigEndian.Uint16(block[i:])), v); err != nil {
-				return err
-			}
-			v--
-		}
-	}
-	return nil
-}
-
-// foldRegionSkipping runs the backward fold over [lo, hi) with holes: the
-// extents in skip (sorted by Root, disjoint, within [lo, hi)) are not
-// read; subtree supplies each one's stand-in result in reverse preorder
-// position. It is the shared engine behind FoldBottomUpSkipping (whole
-// database) and FoldBottomUpRangeSkipping (one chunk).
-func (f *backFold[S]) foldRegionSkipping(db *DB, lo, hi int64, skip []Extent, subtree func(Extent) (S, error)) error {
-	cur := hi
-	for i := len(skip) - 1; i >= -1; i-- {
-		regionLo := lo
-		var ext *Extent
-		if i >= 0 {
-			ext = &skip[i]
-			regionLo = ext.End()
-		}
-		if regionLo > cur || (ext != nil && ext.Root < lo) {
-			return fmt.Errorf("storage: skip extents unsorted, overlapping or out of range")
-		}
-		if err := f.foldRegion(db, regionLo, cur); err != nil {
-			return err
-		}
-		if ext != nil {
-			s, err := subtree(*ext)
+// run folds the node range [lo, hi) with holes at the skip extents, each
+// standing in with subtree's result — the adapter from BackwardWindows to
+// the per-node FoldBottomUp* entry points.
+func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(Extent) (S, error)) error {
+	return db.BackwardWindows(ctx, lo, hi, skip, &f.stats,
+		func(x Extent) error {
+			s, err := subtree(x)
 			if err != nil {
 				return err
 			}
 			f.push(s)
-			f.stats.Nodes += ext.Size
-			cur = ext.Root
-		}
-	}
-	return nil
+			f.stats.Nodes += x.Size
+			return nil
+		},
+		func(first int64, recs []byte) error {
+			v := first + int64(len(recs)/NodeSize) - 1
+			for i := len(recs) - NodeSize; i >= 0; i -= NodeSize {
+				if err := f.node(DecodeRecord(binary.BigEndian.Uint16(recs[i:])), v); err != nil {
+					return err
+				}
+				v--
+			}
+			return nil
+		})
 }
 
 // FoldBottomUp traverses the database bottom-up in one backward linear
@@ -391,12 +354,12 @@ func FoldBottomUp[S any](ctx context.Context, db *DB, combine func(first, second
 // leader folds the glue, and in aggregate every byte is read once.
 func FoldBottomUpSkipping[S any](ctx context.Context, db *DB, skip []Extent, subtree func(Extent) (S, error), combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var zero S
-	f := backFold[S]{combine: combine, cancel: NewCanceller(ctx)}
-	if err := f.foldRegionSkipping(db, 0, db.N, skip, subtree); err != nil {
+	f := backFold[S]{combine: combine}
+	if err := f.run(ctx, db, 0, db.N, skip, subtree); err != nil {
 		return zero, f.stats, err
 	}
 	if len(f.stack) != 1 {
-		return zero, f.stats, fmt.Errorf("storage: malformed .arb: %d roots", len(f.stack))
+		return zero, f.stats, fmt.Errorf("%w: %d roots", ErrMalformed, len(f.stack))
 	}
 	return f.stack[0], f.stats, nil
 }
@@ -408,12 +371,12 @@ func FoldBottomUpSkipping[S any](ctx context.Context, db *DB, skip []Extent, sub
 // own chunks.
 func FoldBottomUpRangeSkipping[S any](ctx context.Context, db *DB, x Extent, skip []Extent, subtree func(Extent) (S, error), combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var zero S
-	f := backFold[S]{combine: combine, cancel: NewCanceller(ctx)}
-	if x.Root < 0 || x.Size <= 0 || x.End() > db.N {
-		return zero, f.stats, fmt.Errorf("%w: [%d,%d) out of range", ErrBadExtent, x.Root, x.End())
+	f := backFold[S]{combine: combine}
+	if x.Size <= 0 {
+		return zero, f.stats, fmt.Errorf("%w: [%d,%d) is empty", ErrBadExtent, x.Root, x.End())
 	}
-	if err := f.foldRegionSkipping(db, x.Root, x.End(), skip, subtree); err != nil {
-		if isCancel(err) {
+	if err := f.run(ctx, db, x.Root, x.End(), skip, subtree); err != nil {
+		if isCancel(err) || errors.Is(err, ErrBadExtent) {
 			return zero, f.stats, err
 		}
 		return zero, f.stats, fmt.Errorf("%w: %v", ErrBadExtent, err)
@@ -436,9 +399,9 @@ func FoldBottomUpRange[S any](ctx context.Context, db *DB, x Extent, combine fun
 	return FoldBottomUpRangeSkipping(ctx, db, x, nil, nil, combine)
 }
 
-// topDown is the shared inner loop of the forward (top-down) scans: it
-// tracks, per node in preorder, which previously visited node is its
-// parent and whether it is a first or second child. end is the exclusive
+// topDown is the generic consumer of a forward pass: it tracks, per node
+// in preorder, which previously visited node is its parent and whether it
+// is a first or second child, calling visit per node. end is the exclusive
 // node bound of the scanned region (the structure check).
 type topDown[S any] struct {
 	visit     func(v int64, rec Record, parent *S, k int) (S, error)
@@ -463,7 +426,7 @@ func (t *topDown[S]) afterSubtree(next int64) error {
 	t.parent = nil
 	t.k = 0
 	if next != t.end {
-		return fmt.Errorf("storage: malformed .arb: scan ended at node %d of %d", next-1, t.end)
+		return fmt.Errorf("%w: scan ended at node %d of %d", ErrMalformed, next-1, t.end)
 	}
 	return nil
 }
@@ -489,6 +452,27 @@ func (t *topDown[S]) node(v int64, rec Record) error {
 	return t.afterSubtree(v + 1)
 }
 
+// run scans the node range [lo, hi) with holes at the skip extents — the
+// adapter from ForwardWindows to the per-node ScanTopDown* entry points.
+func (t *topDown[S]) run(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(x Extent, parent *S, k int) error) error {
+	return db.ForwardWindows(ctx, lo, hi, skip, &t.stats,
+		func(x Extent) error {
+			if err := subtree(x, t.parent, t.k); err != nil {
+				return err
+			}
+			t.stats.Nodes += x.Size
+			return t.afterSubtree(x.End())
+		},
+		func(first int64, recs []byte) error {
+			for i := 0; i < len(recs); i += NodeSize {
+				if err := t.node(first+int64(i/NodeSize), DecodeRecord(binary.BigEndian.Uint16(recs[i:]))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+}
+
 // ScanTopDown traverses the database top-down in one forward linear scan
 // of the .arb file (Proposition 5.1). visit is called exactly once per
 // node in preorder; for the root, parent is nil and k is 0; otherwise
@@ -508,72 +492,13 @@ func ScanTopDown[S any](ctx context.Context, db *DB, visit func(v int64, rec Rec
 // entry states to the frontier chunks without reading their bytes.
 func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subtree func(x Extent, parent *S, k int) error, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
 	t := topDown[S]{visit: visit, end: db.N}
-	if err := t.scanRegion(ctx, db, 0, db.N, skip, subtree); err != nil {
+	if err := t.run(ctx, db, 0, db.N, skip, subtree); err != nil {
 		return t.stats, err
 	}
 	if t.parent != nil || len(t.pending) > 0 {
-		return t.stats, fmt.Errorf("storage: malformed .arb: %d announced subtrees missing at end of file", len(t.pending)+1)
+		return t.stats, fmt.Errorf("%w: %d announced subtrees missing at end of file", ErrMalformed, len(t.pending)+1)
 	}
 	return t.stats, nil
-}
-
-// scanRegion runs the forward scan over the node range [lo, hi) with
-// holes at the skip extents — the shared engine behind ScanTopDownSkipping
-// (whole database) and ScanTopDownRangeSkipping (one chunk). Each gap is
-// read block-at-a-time into one pooled buffer and its records decoded in
-// place, so however many gaps a frontier or pruning plan leaves, the scan
-// allocates nothing per gap or per node.
-func (t *topDown[S]) scanRegion(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(x Extent, parent *S, k int) error) error {
-	cancel := NewCanceller(ctx)
-	si := 0
-	v := lo
-	buf := scanBufPool.Get().([]byte)
-	defer scanBufPool.Put(buf)
-	for v < hi {
-		gapEnd := hi
-		if si < len(skip) {
-			if skip[si].Root < v {
-				return fmt.Errorf("storage: skip extents unsorted, overlapping or out of range")
-			}
-			gapEnd = skip[si].Root
-		}
-		t.stats.PhysicalBytes += db.PhysSpan(v, gapEnd)
-		for v < gapEnd {
-			block := buf
-			if rest := (gapEnd - v) * NodeSize; rest < int64(len(block)) {
-				block = block[:rest]
-			}
-			if n, err := db.arb.ReadAt(block, v*NodeSize); n < len(block) {
-				return fmt.Errorf("storage: forward scan: %w", err)
-			}
-			for i := 0; i < len(block); i += NodeSize {
-				if err := cancel.Step(); err != nil {
-					return err
-				}
-				t.stats.Bytes += NodeSize
-				if err := t.node(v, DecodeRecord(binary.BigEndian.Uint16(block[i:]))); err != nil {
-					return err
-				}
-				v++
-			}
-		}
-		if si < len(skip) {
-			x := skip[si]
-			si++
-			if x.Size <= 0 || x.End() > hi {
-				return fmt.Errorf("storage: skip extent [%d,%d) out of range", x.Root, x.End())
-			}
-			if err := subtree(x, t.parent, t.k); err != nil {
-				return err
-			}
-			t.stats.Nodes += x.Size
-			v = x.End()
-			if err := t.afterSubtree(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // ScanTopDownRange scans one complete subtree extent forward. visit is
@@ -592,14 +517,14 @@ func ScanTopDownRange[S any](ctx context.Context, db *DB, x Extent, visit func(v
 // evaluators use it to seek past irrelevant subtrees inside their chunks.
 func ScanTopDownRangeSkipping[S any](ctx context.Context, db *DB, x Extent, skip []Extent, subtree func(x Extent, parent *S, k int) error, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
 	t := topDown[S]{visit: visit, end: x.End()}
-	if x.Root < 0 || x.Size <= 0 || x.End() > db.N {
-		return t.stats, fmt.Errorf("%w: [%d,%d) out of range", ErrBadExtent, x.Root, x.End())
+	if x.Size <= 0 {
+		return t.stats, fmt.Errorf("%w: [%d,%d) is empty", ErrBadExtent, x.Root, x.End())
 	}
 	// Callback and read errors pass through unwrapped: only the final
 	// structure check below is evidence of a stale extent (a mid-scan
 	// error may be the caller's own — an aux write failure, say — and
 	// dressing it as ErrBadExtent would trigger a pointless rebuild).
-	if err := t.scanRegion(ctx, db, x.Root, x.End(), skip, subtree); err != nil {
+	if err := t.run(ctx, db, x.Root, x.End(), skip, subtree); err != nil {
 		return t.stats, err
 	}
 	if t.parent != nil || len(t.pending) > 0 {

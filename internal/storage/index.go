@@ -95,7 +95,7 @@ func newIndexBuilder(budget int) *indexBuilder {
 	if budget <= 0 {
 		budget = DefaultIndexBudget
 	}
-	return &indexBuilder{h: make(entryHeap, 0, budget+1), budget: budget}
+	return &indexBuilder{h: make(entryHeap, 0, budget), budget: budget}
 }
 
 // node folds one node: first/second are the child states (nil if absent),
@@ -113,9 +113,15 @@ func (b *indexBuilder) node(first, second *idxNode, label uint16, v int64) idxNo
 		n.size += second.size
 		n.sig.Or(second.sig)
 	}
-	heap.Push(&b.h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
-	if len(b.h) > b.budget {
-		heap.Pop(&b.h)
+	// Almost no node can enter a full heap, so test against its minimum
+	// before touching it, and replace the minimum in place otherwise. (Among
+	// subtrees of the minimum size, which ones are kept is arbitrary.)
+	switch {
+	case len(b.h) < b.budget:
+		heap.Push(&b.h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
+	case n.size > b.h[0].Size:
+		b.h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig}
+		heap.Fix(&b.h, 0)
 	}
 	return n
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"arb/internal/testutil"
@@ -64,8 +66,14 @@ func TestBuildIndexMatchesTreeSizes(t *testing.T) {
 	}
 }
 
+// TestBuildIndexBudgetKeepsHeaviestClosedUnderParents holds both index
+// builders, under budgets small enough that most nodes are turned away at
+// the full heap's door, to a sort-everything oracle: the kept sizes are the
+// budget largest (which of several minimum-size subtrees stay is free), and
+// every kept node's parent is kept.
 func TestBuildIndexBudgetKeepsHeaviestClosedUnderParents(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
+	ctx := context.Background()
 	for iter := 0; iter < 20; iter++ {
 		tr := testutil.RandomTree(rng, 800)
 		base := filepath.Join(t.TempDir(), "db")
@@ -73,20 +81,14 @@ func TestBuildIndexBudgetKeepsHeaviestClosedUnderParents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		const budget = 16
-		ix, err := BuildIndex(context.Background(), db, budget)
-		if err != nil {
+		// The database's own tree is laid out in preorder, which
+		// BuildTreeIndex needs and whose node ids the disk index shares.
+		if tr, err = db.ReadTree(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if ix.Len() > budget {
-			t.Fatalf("iter %d: %d entries exceed budget %d", iter, ix.Len(), budget)
-		}
-		if _, ok := ix.Lookup(0); !ok {
-			t.Fatalf("iter %d: root not indexed", iter)
-		}
-		// Every indexed node's parent must be indexed too (a parent's
-		// subtree is strictly larger), so the fragment is connected and
-		// Cut can always derive child extents.
+		size := subtreeSizes(tr)
+		sorted := append([]int64(nil), size...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
 		parent := make([]int64, tr.Len())
 		parent[0] = -1
 		for v := 0; v < tr.Len(); v++ {
@@ -97,12 +99,33 @@ func TestBuildIndexBudgetKeepsHeaviestClosedUnderParents(t *testing.T) {
 				parent[c] = int64(v)
 			}
 		}
-		for v := 0; v < tr.Len(); v++ {
-			if _, ok := ix.Lookup(int64(v)); !ok || parent[v] < 0 {
-				continue
+		for _, budget := range []int{1, 2, 16, 100} {
+			disk, err := BuildIndex(ctx, db, budget)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, ok := ix.Lookup(parent[v]); !ok {
-				t.Fatalf("iter %d: node %d indexed but parent %d is not", iter, v, parent[v])
+			for name, ix := range map[string]*SubtreeIndex{"disk": disk, "tree": BuildTreeIndex(tr, budget)} {
+				if ix == nil {
+					t.Fatalf("iter %d, %s index: not built", iter, name)
+				}
+				var kept []int64
+				for _, e := range ix.Entries() {
+					if e.Size != size[e.V] {
+						t.Fatalf("iter %d, %s index, budget %d: node %d has size %d, want %d", iter, name, budget, e.V, e.Size, size[e.V])
+					}
+					kept = append(kept, e.Size)
+					// A parent's subtree is strictly larger, so the fragment
+					// is connected and Cut can always derive child extents.
+					if p := parent[e.V]; p >= 0 {
+						if _, ok := ix.Lookup(p); !ok {
+							t.Fatalf("iter %d, %s index, budget %d: node %d indexed but parent %d is not", iter, name, budget, e.V, p)
+						}
+					}
+				}
+				sort.Slice(kept, func(i, j int) bool { return kept[i] > kept[j] })
+				if want := sorted[:min(budget, len(sorted))]; !slices.Equal(kept, want) {
+					t.Fatalf("iter %d, %s index, budget %d: kept sizes %v, the largest are %v", iter, name, budget, kept, want)
+				}
 			}
 		}
 		db.Close()

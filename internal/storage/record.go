@@ -26,9 +26,11 @@ import "fmt"
 // paper's implementation, giving 2^14 = 16,384 distinct labels).
 const NodeSize = 2
 
+// Bits of the on-disk record. The window kernels test FlagFirst and
+// FlagSecond on raw records without decoding them.
 const (
-	flagFirst  = 0x8000 // highest bit: node has a first child
-	flagSecond = 0x4000 // second-highest bit: node has a second child
+	FlagFirst  = 0x8000 // highest bit: node has a first child
+	FlagSecond = 0x4000 // second-highest bit: node has a second child
 	labelMask  = 0x3FFF
 )
 
@@ -43,10 +45,10 @@ type Record struct {
 func (r Record) Encode() uint16 {
 	v := r.Label & labelMask
 	if r.HasFirst {
-		v |= flagFirst
+		v |= FlagFirst
 	}
 	if r.HasSecond {
-		v |= flagSecond
+		v |= FlagSecond
 	}
 	return v
 }
@@ -55,8 +57,8 @@ func (r Record) Encode() uint16 {
 func DecodeRecord(v uint16) Record {
 	return Record{
 		Label:     v & labelMask,
-		HasFirst:  v&flagFirst != 0,
-		HasSecond: v&flagSecond != 0,
+		HasFirst:  v&FlagFirst != 0,
+		HasSecond: v&FlagSecond != 0,
 	}
 }
 
