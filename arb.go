@@ -80,10 +80,11 @@
 // per workload, not once per query. Session.PrepareBatch groups any mix
 // of TMNF programs and Core XPath queries into a PreparedBatch whose
 // Exec evaluates every member during a single pair of scans per round:
-// the scan iteration, the buffered readers and one widened temporary
-// state file are shared, each member keeps its own lazily built automata
-// and its own Result, and the selected nodes are bit-identical to
-// stand-alone execution on every strategy (memory, disk, parallel disk).
+// the scan iteration and the temporary state file are shared — on disk
+// the members step one product of their lazily built automata, one state
+// id per node — each member keeps its own automata and its own Result,
+// and the selected nodes are bit-identical to stand-alone execution on
+// every strategy (memory, disk, parallel disk).
 // Multi-pass not(..) members piggyback too — round r runs pass r of
 // every member that still has one, so the batch's scan-pair count is the
 // deepest member's pass count rather than the sum over members.

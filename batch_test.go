@@ -237,7 +237,7 @@ func TestBatchOrderIndependence(t *testing.T) {
 
 // TestBatchCancel checks batch cancellation: an already-cancelled context
 // aborts sequential, parallel and multi-pass batch executions with
-// ctx.Err(), and neither the widened state file nor any aux sidecar
+// ctx.Err(), and neither the state file nor any aux sidecar
 // survives — on cancellation mid-scan either.
 func TestBatchCancel(t *testing.T) {
 	tr := buildCatalog(t, 1200)

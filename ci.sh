@@ -31,15 +31,20 @@ if [ -n "$escapes" ]; then
     exit 1
 fi
 
-# Scan-loop ratchet: the scalar disk driver steps storage's window passes
-# with its own two kernels; the batch driver is the one still on the
-# per-node storage scans, a leader and a worker half per phase — four call
-# sites in all. A sequential or special-case copy of a loop would add to
-# the count; fold it into the drivers instead.
+# Scan-loop ratchet: the one disk driver — scalar runs and batches alike —
+# steps storage's window passes with its own two kernels, so internal/core
+# calls none of the per-node storage scans. A sequential or special-case
+# copy of a loop would add to the count; fold it into the driver instead.
 loops=$(ls internal/core/*.go | grep -v '_test\.go$' |
     xargs grep -hE 'storage\.(FoldBottomUp|ScanTopDown)' | grep -vc '^[[:space:]]*//' || true)
-if [ "$loops" -gt 4 ]; then
-    echo "internal/core calls storage.FoldBottomUp*/ScanTopDown* from $loops places, want <= 4" >&2
+if [ "$loops" -gt 0 ]; then
+    echo "internal/core calls storage.FoldBottomUp*/ScanTopDown* from $loops places, want 0" >&2
+    exit 1
+fi
+# The batch disk driver and its per-node state vectors are gone: a batch
+# is lanes of the scalar driver (core/product.go). Keep them gone.
+if grep -rnE '\b(runDiskBatchChunked|takeVec)\b' --include='*.go' . >&2; then
+    echo "runDiskBatchChunked/takeVec are back: batches run on the scalar driver's lanes" >&2
     exit 1
 fi
 

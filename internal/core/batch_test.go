@@ -142,12 +142,12 @@ func TestBatchWideStateFallback(t *testing.T) {
 	}
 	e := NewEngine(c, db.Names)
 	// An engine that already interned states near the 16-bit limit makes
-	// batchStateWidth pick the wide layout up front.
+	// the run pick the wide layout up front.
 	for len(e.buStates) < 1<<16-256 {
 		e.buStates = append(e.buStates, nil)
 	}
 	members := []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}
-	if batchStateWidth(members) != stateWide {
+	if newDiskBatch(members, DiskBatchOpts{}).width() != stateWide {
 		t.Fatal("padded engine did not select the wide state layout")
 	}
 	res, _, _, err := RunDiskBatch(context.Background(), db, members, DiskBatchOpts{})

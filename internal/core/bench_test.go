@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -72,52 +73,102 @@ func BenchmarkRunCold(b *testing.B) {
 	}
 }
 
-// benchDisk builds the database and the warm engine the disk benchmarks
-// share, and sets their bytes to the records of both scans.
-func benchDisk(b *testing.B) (*storage.DB, *Engine) {
-	b.Helper()
-	db, err := workload.CreateFlatDB(filepath.Join(b.TempDir(), "db"), workload.Sequence(4, 1<<16-1))
-	if err != nil {
-		b.Fatal(err)
+// benchShapes are the databases the disk benchmarks run on: the right-deep
+// 65 k-node chain of BenchmarkRunWarm, as deep as it is long, and a 0.62
+// M-node Treebank-like document, shallow and wide like the benchmark
+// corpus. Each comes with eight of the paper's regular path programs over
+// its alphabet, walking its R step; the first is the one a scalar run
+// evaluates.
+var benchShapes = []struct {
+	name   string
+	create func(base string) (*storage.DB, error)
+	regex  func(rng *rand.Rand) (*tmnf.Program, error)
+}{
+	{"rightdeep", func(base string) (*storage.DB, error) {
+		return workload.CreateFlatDB(base, workload.Sequence(4, 1<<16-1))
+	}, func(rng *rand.Rand) (*tmnf.Program, error) {
+		return workload.RandomPathRegex(rng, 3+rng.Intn(4), []string{"A", "C", "G", "T"}).Program(workload.RFlat)
+	}},
+	{"treebank", func(base string) (*storage.DB, error) {
+		db, _, err := workload.CreateTreebankDB(base, workload.TreebankConfig{Seed: 1, Sentences: 2000})
+		return db, err
+	}, func(rng *rand.Rand) (*tmnf.Program, error) {
+		return workload.RandomPathRegex(rng, 5+rng.Intn(11), workload.GrammarAlphabet).Program(workload.RTreebank)
+	}},
+}
+
+// benchDisk runs bench on every shape with its database and eight warm
+// engines, and sets the bytes to the records of both scans — so MB/s is
+// record bandwidth and the ratios between the disk benchmarks are per node.
+func benchDisk(b *testing.B, bench func(b *testing.B, db *storage.DB, engines []*Engine)) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			db, err := shape.create(filepath.Join(b.TempDir(), "db"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			rng := rand.New(rand.NewSource(25))
+			engines := make([]*Engine, 8)
+			for i := range engines {
+				prog, err := shape.regex(rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c, err := Compile(prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				engines[i] = NewEngine(c, db.Names)
+				if _, _, err := engines[i].RunDiskContext(context.Background(), db, DiskOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.SetBytes(db.N * storage.NodeSize * 2)
+			b.ResetTimer()
+			bench(b, db, engines)
+		})
 	}
-	b.Cleanup(func() { db.Close() })
-	c, err := Compile(benchProgram(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := NewEngine(c, db.Names)
-	if _, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(db.N * storage.NodeSize * 2)
-	return db, e
 }
 
 // BenchmarkRunDisk measures the two-linear-scan secondary-storage driver
 // (including writing and re-reading the temporary state file).
 func BenchmarkRunDisk(b *testing.B) {
-	db, e := benchDisk(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{}); err != nil {
-			b.Fatal(err)
+	benchDisk(b, func(b *testing.B, db *storage.DB, engines []*Engine) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := engines[0].RunDiskContext(context.Background(), db, DiskOpts{}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkRunDiskBatchOfOne runs the same program over the same database
-// as the only member of a batch: its ratio to BenchmarkRunDisk is what the
-// batch driver's per-member vector machinery costs a single query (the
-// number ROADMAP's "scalar = batch of one" slice has to bring to 1).
+// as the only member of a batch: a lane of one, which steps the member's
+// engine as a scalar run does, so its ratio to BenchmarkRunDisk is about 1.
 func BenchmarkRunDiskBatchOfOne(b *testing.B) {
-	db, e := benchDisk(b)
-	ctx := context.Background()
-	members := []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}
-	b.ResetTimer()
+	benchDisk(b, func(b *testing.B, db *storage.DB, engines []*Engine) {
+		runBatch(b, db, engines[:1])
+	})
+}
+
+// BenchmarkRunDiskBatch8 runs all eight programs as one batch: one lane,
+// whose product automaton is built afresh by every run — its ratio to
+// BenchmarkRunDisk is what the batch costs beyond one scalar run.
+func BenchmarkRunDiskBatch8(b *testing.B) {
+	benchDisk(b, func(b *testing.B, db *storage.DB, engines []*Engine) {
+		runBatch(b, db, engines)
+	})
+}
+
+func runBatch(b *testing.B, db *storage.DB, engines []*Engine) {
+	members := make([]BatchMember, len(engines))
+	for i, e := range engines {
+		members[i] = BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1}
+	}
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := RunDiskBatch(ctx, db, members, DiskBatchOpts{}); err != nil {
+		if _, _, _, err := RunDiskBatch(context.Background(), db, members, DiskBatchOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

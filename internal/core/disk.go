@@ -66,8 +66,9 @@ type DiskOpts struct {
 // DiskStats reports the per-scan cost profile of a disk run, alongside the
 // engine's cumulative Stats. StateBytes is the state-file bytes phase 1
 // wrote (and phase 2 read back): the run's state width — 1, 2 or 4 bytes a
-// node — times the nodes it scanned, so extents a prune plan skipped
-// count for nothing.
+// node — times the nodes it scanned times its lanes (one for a scalar run,
+// usually one for a batch), so extents a prune plan skipped count for
+// nothing.
 type DiskStats struct {
 	Phase1     storage.ScanStats
 	Phase2     storage.ScanStats
@@ -117,6 +118,3 @@ func createStateFile(db *storage.DB, opts DiskOpts) (*os.File, string, error) {
 	}
 	return f, f.Name(), nil
 }
-
-// auxMaskSize is the on-disk size of one auxiliary predicate mask.
-const auxMaskSize = 2

@@ -2,39 +2,103 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 
 	"arb/internal/storage"
 )
 
-// The window kernels are the two loops of the scalar disk driver: phase 1
-// folds and phase 2 scans the raw record windows storage hands out, with
-// the automaton step, the stack and the state-file codec in one loop body
-// instead of behind a per-node callback. Every per-node byte outside the
-// records is addressed by node index — the state of node v sits at
-// (N-1-v)·w of the state file (reverse preorder, the order phase 1 makes
-// them in), its aux masks at 2v of the sidecars — so a window reads or
-// writes its slice of each file at an offset computed from its first node,
-// whatever holes the pass skips around it.
+// The window kernels are the two loops of the disk driver: phase 1 folds
+// and phase 2 scans the raw record windows storage hands out, with the
+// automaton step, the stack and the state-file codec in one loop body
+// instead of behind a per-node callback. Each window is stepped once per
+// lane (a scalar run is one lane of one member), every lane over the same
+// decoded records with its own cache and stack. Every per-node byte outside
+// the records is addressed by node index — lane L's state of node v sits at
+// L·N·w + (N-1-v)·w of the state file (reverse preorder, the order phase 1
+// makes them in), its aux masks at v times the sidecars' vector width — so a
+// window reads or writes its slice of each file at an offset computed from
+// its first node, whatever holes the pass skips around it.
 
-// diskFiles is what the kernels of one attempt share: the files and the
-// attempt's state width.
+// On-disk state widths. The state file is the dominant temporary I/O of a
+// run, so runs start with the narrowest width their automata currently fit
+// (typical programs intern a few dozen bottom-up states — one byte) and
+// restart wide in the rare event that lazy construction (or a lane's
+// product) outgrows it mid-run.
+const (
+	stateByte   = 1
+	stateNarrow = 2
+	stateWide   = 4
+)
+
+var errStateWidth = errors.New("core: bottom-up state id exceeds the narrow on-disk width")
+
+func putState(b []byte, width int, id StateID) error {
+	switch width {
+	case stateByte:
+		if id >= stateByteIDs {
+			return errStateWidth
+		}
+		b[0] = byte(id)
+	case stateNarrow:
+		if uint32(id) >= 1<<16 {
+			return errStateWidth
+		}
+		binary.BigEndian.PutUint16(b, uint16(id))
+	default:
+		binary.BigEndian.PutUint32(b, uint32(id))
+	}
+	return nil
+}
+
+func getState(b []byte, width int) StateID {
+	switch width {
+	case stateByte:
+		return StateID(b[0])
+	case stateNarrow:
+		return StateID(binary.BigEndian.Uint16(b))
+	default:
+		return StateID(binary.BigEndian.Uint32(b))
+	}
+}
+
+// stateByteIDs is how many state ids the one-byte width holds. A variable
+// only so the package tests can force a run to outgrow its width midway.
+var stateByteIDs StateID = 1 << 8
+
+// stateWidthFor picks a run's initial on-disk state width for an engine
+// that has interned n bottom-up states so far, leaving headroom under each
+// width's limit (a quarter of the one-byte range, 256 ids of the two-byte
+// one) for states the run interns as it goes; a mid-run overflow restarts
+// the run at stateWide.
+func stateWidthFor(n int) int {
+	switch {
+	case n >= 1<<16-256:
+		return stateWide
+	case n >= int(stateByteIDs-stateByteIDs/4):
+		return stateNarrow
+	}
+	return stateByte
+}
+
+// diskFiles is what the kernels of one attempt share: the lanes, the files
+// and the attempt's state width.
 type diskFiles struct {
 	n       int64    // nodes in the database
 	w       int      // bytes per state id (stateByte, stateNarrow or stateWide)
+	lanes   []lane   // the run's lanes, one state-file region each
 	stateF  *os.File // phase 1 writes it, phase 2 reads it
 	auxF    *os.File // input masks; nil without AuxIn
 	auxOutF *os.File // output masks; nil without AuxOut, created for phase 2
-
-	outBit   uint16 // ORed into the output mask of every node ...
-	queryBit uint64 // ... whose query mask has this bit
+	inW     int      // bytes per node of the aux-in sidecar
+	outW    int      // bytes per node of the aux-out sidecar
 }
 
-// stateOff is the state-file offset of the states of the n nodes from
+// stateOff is the state-file offset of lane's states of the n nodes from
 // first on; within that slice node first+i sits at (n-1-i)·w.
-func (r *diskFiles) stateOff(first int64, n int) int64 {
-	return (r.n - first - int64(n)) * int64(r.w)
+func (r *diskFiles) stateOff(lane int, first int64, n int) int64 {
+	return (int64(lane)*r.n + r.n - first - int64(n)) * int64(r.w)
 }
 
 // auxWindow reads the input masks of the n nodes from first on into buf.
@@ -42,8 +106,8 @@ func (r *diskFiles) auxWindow(buf []byte, first int64, n int) ([]byte, error) {
 	if r.auxF == nil {
 		return nil, nil
 	}
-	buf = buf[:n*auxMaskSize]
-	if _, err := r.auxF.ReadAt(buf, first*auxMaskSize); err != nil {
+	buf = buf[:n*r.inW]
+	if _, err := r.auxF.ReadAt(buf, first*int64(r.inW)); err != nil {
 		return nil, fmt.Errorf("core: reading aux file: %w", err)
 	}
 	return buf, nil
@@ -53,35 +117,65 @@ func (r *diskFiles) auxBuf() []byte {
 	if r.auxF == nil {
 		return nil
 	}
-	return make([]byte, storage.WindowNodes*auxMaskSize)
+	return make([]byte, storage.WindowNodes*r.inW)
 }
 
 // foldKernel is phase 1 over one region — a worker's chunk or the leader's
-// glue: the stack of subtree states, and a window's worth of buffer for the
-// states it writes and the aux masks it reads.
+// glue: per lane the stack of subtree states and a window's worth of buffer
+// for the states it writes, and one for the aux masks every lane reads.
 type foldKernel struct {
 	*diskFiles
+	lanes []foldLane
+	aux   []byte
+	st    storage.ScanStats
+}
+
+type foldLane struct {
+	*lane
 	cache  *StepCache
 	states []byte
-	aux    []byte
 	stack  []StateID
-	st     storage.ScanStats
 }
 
-func (r *diskFiles) newFold(cache *StepCache) *foldKernel {
-	return &foldKernel{diskFiles: r, cache: cache, states: make([]byte, storage.WindowNodes*r.w), aux: r.auxBuf()}
+// newFold starts phase 1 over a region with one cache per lane.
+func (r *diskFiles) newFold(caches []*StepCache) *foldKernel {
+	k := &foldKernel{diskFiles: r, aux: r.auxBuf()}
+	for i, c := range caches {
+		k.lanes = append(k.lanes, foldLane{lane: &r.lanes[i], cache: c, states: make([]byte, storage.WindowNodes*r.w)})
+	}
+	return k
 }
 
-// foldWindow steps δA over one window of records, last node first.
+// foldWindow steps every lane's δA over one window of records.
 func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 	n := len(recs) / storage.NodeSize
 	aux, err := k.auxWindow(k.aux, first, n)
 	if err != nil {
 		return err
 	}
-	w := k.w
-	out := k.states[:n*w]
-	cache, stack, maxStack := k.cache, k.stack, k.st.MaxStack
+	for li := range k.lanes {
+		l := &k.lanes[li]
+		if err := k.fold(l, first, recs, aux); err != nil {
+			return err
+		}
+		if _, err := k.stateF.WriteAt(l.states[:n*k.w], k.stateOff(li, first, n)); err != nil {
+			return fmt.Errorf("core: writing state file: %w", err)
+		}
+	}
+	k.st.Nodes += int64(n)
+	return nil
+}
+
+// fold steps one lane over the window, last node first.
+func (k *foldKernel) fold(l *foldLane, first int64, recs, aux []byte) error {
+	n := len(recs) / storage.NodeSize
+	w, inW := k.w, k.inW
+	out := l.states[:n*w]
+	var in []byte
+	if l.auxIn >= 0 {
+		in = aux[l.auxIn:]
+	}
+	cache, stack, maxStack := l.cache, l.stack, k.st.MaxStack
 	for i := n - 1; i >= 0; i-- {
 		rec := binary.BigEndian.Uint16(recs[i*storage.NodeSize:])
 		left, right := NoState, NoState
@@ -98,8 +192,8 @@ func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 			right, stack = stack[len(stack)-1], stack[:len(stack)-1]
 		}
 		var extra uint16
-		if aux != nil {
-			extra = binary.BigEndian.Uint16(aux[i*auxMaskSize:])
+		if in != nil {
+			extra = binary.BigEndian.Uint16(in[i*inW:])
 		}
 		// The table hits inline (see StepCache.sigHit); the calls are for
 		// the root, aux bits and transitions not cached yet.
@@ -117,95 +211,124 @@ func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 		stack = append(stack, id)
 		maxStack = max(maxStack, len(stack))
 	}
-	k.stack, k.st.MaxStack = stack, maxStack
-	k.st.Nodes += int64(n)
-	if _, err := k.stateF.WriteAt(out, k.stateOff(first, n)); err != nil {
-		return fmt.Errorf("core: writing state file: %w", err)
-	}
+	l.stack, k.st.MaxStack = stack, maxStack
 	return nil
 }
 
-// hole stands state s in for the skipped subtree x: a pruned extent's
-// substitute state, or a chunk's root state (the chunk's own kernel counts
-// its nodes and bytes).
-func (k *foldKernel) hole(x storage.Extent, s StateID, pruned bool) {
+// hole stands states s (one per lane) in for the skipped subtree x: a
+// pruned extent's substitute states, or a chunk's root states (the chunk's
+// own kernel counts its nodes and bytes).
+func (k *foldKernel) hole(x storage.Extent, s []StateID, pruned bool) {
 	if pruned {
 		k.st.SkippedBytes += x.Size * storage.NodeSize
 		k.st.Nodes += x.Size
 	}
-	k.stack = append(k.stack, s)
-	k.st.MaxStack = max(k.st.MaxStack, len(k.stack))
-}
-
-// finish returns the state of the region's root.
-func (k *foldKernel) finish() (StateID, error) {
-	if len(k.stack) != 1 {
-		return NoState, fmt.Errorf("%w: %d roots", storage.ErrMalformed, len(k.stack))
+	for li := range k.lanes {
+		l := &k.lanes[li]
+		l.stack = append(l.stack, s[li])
+		k.st.MaxStack = max(k.st.MaxStack, len(l.stack))
 	}
-	return k.stack[0], nil
 }
 
-// scanKernel is phase 2 over one region [root, end): the stack of
-// top-down states whose second subtree is pending, and where the next node
-// hangs (under parent as child k; k == 0 only before the region's root and
-// after its last node).
+// finish returns the states of the region's root, one per lane.
+func (k *foldKernel) finish() ([]StateID, error) {
+	roots := make([]StateID, len(k.lanes))
+	for li, l := range k.lanes {
+		if len(l.stack) != 1 {
+			return nil, fmt.Errorf("%w: %d roots", storage.ErrMalformed, len(l.stack))
+		}
+		roots[li] = l.stack[0]
+	}
+	return roots, nil
+}
+
+// scanKernel is phase 2 over one region [root, end): per lane the stack of
+// top-down states whose second subtree is pending and where the next node
+// hangs, and one aux-out buffer every lane fills.
 type scanKernel struct {
 	*diskFiles
-	cache *StepCache
+	root, end int64
+	lanes     []scanLane
 
-	// The region's root enters in rootTD once its stored state has been
-	// checked against rootBU, the state phase 1 computed for it.
-	root, end      int64
-	rootBU, rootTD StateID
+	// Marks go to the lanes' selections directly (the leader: no worker is
+	// running yet) or to private bitsets starting at word w0 (a worker's
+	// chunk).
+	w0 int64
 
-	// Marks go to the result directly (the leader: no worker is running
-	// yet) or to private bitsets starting at word w0 (a worker's chunk).
-	res   *Result
-	local [][]uint64
-	w0    int64
-
-	// Only the leader of an empty frontier emits marked XML.
+	// Only the leader of an empty frontier of a scalar run emits marked XML.
 	emitter *storage.XMLEmitter
 	markBit uint64
 
-	states  []byte
-	aux     []byte
-	auxOut  runWriter
-	pending []StateID
-	parent  StateID
-	k       int
-	st      storage.ScanStats
+	aux    []byte
+	auxOut runWriter
+	st     storage.ScanStats
 }
 
-func (r *diskFiles) newScan(cache *StepCache, x storage.Extent, rootBU, rootTD StateID) *scanKernel {
-	return &scanKernel{diskFiles: r, cache: cache, root: x.Root, end: x.End(), rootBU: rootBU, rootTD: rootTD,
-		states: make([]byte, storage.WindowNodes*r.w), aux: r.auxBuf(), auxOut: runWriter{f: r.auxOutF}}
+// scanLane is one lane's phase 2 over the region. The region's root enters
+// in rootTD once its stored state has been checked against rootBU, the
+// state phase 1 computed for it; the next node hangs under parent as child
+// k (k == 0 only before the region's root and after its last node).
+type scanLane struct {
+	*lane
+	cache          *StepCache
+	rootBU, rootTD StateID
+	sel            *Result    // the leader's marks
+	local          [][]uint64 // a worker's marks
+	states         []byte
+	pending        []StateID
+	parent         StateID
+	k              int
 }
 
-// scanWindow steps δB over one window of records, first node first.
+// newScan starts phase 2 over the region x, whose root states phase 1
+// computed as rootBU and which enters in rootTD, one each per lane.
+func (r *diskFiles) newScan(caches []*StepCache, x storage.Extent, rootBU, rootTD []StateID) *scanKernel {
+	k := &scanKernel{diskFiles: r, root: x.Root, end: x.End(), aux: r.auxBuf(), auxOut: runWriter{f: r.auxOutF}}
+	for i, c := range caches {
+		k.lanes = append(k.lanes, scanLane{lane: &r.lanes[i], cache: c, rootBU: rootBU[i], rootTD: rootTD[i],
+			states: make([]byte, storage.WindowNodes*r.w)})
+	}
+	return k
+}
+
+// scanWindow steps every lane's δB over one window of records.
 func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 	n := len(recs) / storage.NodeSize
-	w := k.w
-	states := k.states[:n*w]
-	if _, err := k.stateF.ReadAt(states, k.stateOff(first, n)); err != nil {
-		return fmt.Errorf("core: reading state file: %w", err)
-	}
 	aux, err := k.auxWindow(k.aux, first, n)
 	if err != nil {
 		return err
 	}
 	var auxOut []byte
 	if k.auxOutF != nil {
-		auxOut = k.auxOut.at(first*auxMaskSize, n*auxMaskSize)
+		auxOut = k.auxOut.at(first*int64(k.outW), n*k.outW)
+		clear(auxOut) // slots no lane fills stay zero
 	}
-	cache, pending, parent, kk, maxStack := k.cache, k.pending, k.parent, k.k, k.st.MaxStack
+	for li := range k.lanes {
+		l := &k.lanes[li]
+		states := l.states[:n*k.w]
+		if _, err := k.stateF.ReadAt(states, k.stateOff(li, first, n)); err != nil {
+			return fmt.Errorf("core: reading state file: %w", err)
+		}
+		if err := k.scan(l, first, recs, states, aux, auxOut); err != nil {
+			return err
+		}
+	}
+	k.st.Nodes += int64(n)
+	return nil
+}
+
+// scan steps one lane over the window, first node first.
+func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []byte) (err error) {
+	n := len(recs) / storage.NodeSize
+	w := k.w
+	cache, pending, parent, kk, maxStack := l.cache, l.pending, l.parent, l.k, k.st.MaxStack
 	for i := 0; i < n; i++ {
 		v := first + int64(i)
 		rec := binary.BigEndian.Uint16(recs[i*storage.NodeSize:])
 		bu := getState(states[(n-1-i)*w:], w)
 		var td StateID
 		if kk == 0 {
-			if td, err = k.enter(v, bu); err != nil {
+			if td, err = k.enter(l, v, bu); err != nil {
 				return err
 			}
 		} else if td = cache.tdHit(parent, bu, kk) - 1; td < 0 {
@@ -213,7 +336,7 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 		}
 		mask := cache.QueryMask(td)
 		if mask != 0 {
-			k.mark(mask, v)
+			k.mark(l, mask, v)
 		}
 		if k.emitter != nil {
 			if err := k.emitter.Node(v, storage.DecodeRecord(rec), mask&k.markBit != 0); err != nil {
@@ -221,14 +344,16 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 			}
 		}
 		if auxOut != nil {
-			var cur uint16
-			if aux != nil {
-				cur = binary.BigEndian.Uint16(aux[i*auxMaskSize:])
+			for _, o := range l.outs {
+				var cur uint16
+				if o.in >= 0 {
+					cur = binary.BigEndian.Uint16(aux[i*k.inW+o.in:])
+				}
+				if mask&o.query != 0 {
+					cur |= o.bit
+				}
+				binary.BigEndian.PutUint16(auxOut[i*k.outW+o.slot:], cur)
 			}
-			if mask&k.queryBit != 0 {
-				cur |= k.outBit
-			}
-			binary.BigEndian.PutUint16(auxOut[i*auxMaskSize:], cur)
 		}
 		if rec&storage.FlagSecond != 0 {
 			pending = append(pending, td)
@@ -245,47 +370,56 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 			}
 		}
 	}
-	k.pending, k.parent, k.k, k.st.MaxStack = pending, parent, kk, maxStack
-	k.st.Nodes += int64(n)
+	l.pending, l.parent, l.k, k.st.MaxStack = pending, parent, kk, maxStack
 	return nil
 }
 
 // enter returns the top-down state of a node that hangs under no node of
 // the region, which only the region's root may.
-func (k *scanKernel) enter(v int64, bu StateID) (StateID, error) {
+func (k *scanKernel) enter(l *scanLane, v int64, bu StateID) (StateID, error) {
 	if v != k.root {
 		return NoState, fmt.Errorf("%w: parentless node %d", storage.ErrMalformed, v)
 	}
-	if bu != k.rootBU {
-		return NoState, fmt.Errorf("core: state file corrupt: root state %d at node %d, phase 1 computed %d", bu, v, k.rootBU)
+	if bu != l.rootBU {
+		return NoState, fmt.Errorf("core: state file corrupt: root state %d at node %d, phase 1 computed %d", bu, v, l.rootBU)
 	}
-	return k.rootTD, nil
+	return l.rootTD, nil
 }
 
 func (k *scanKernel) endedEarly(next int64) error {
 	return fmt.Errorf("%w: scan ended at node %d of %d", storage.ErrMalformed, next-1, k.end)
 }
 
-func (k *scanKernel) mark(mask uint64, v int64) {
-	if k.local == nil {
-		k.res.MarkMask(mask, v)
+func (k *scanKernel) mark(l *scanLane, mask uint64, v int64) {
+	if l.local == nil {
+		l.sel.MarkMask(mask, v)
 		return
 	}
 	for qi := 0; mask != 0; qi++ {
 		if mask&1 != 0 {
-			k.local[qi][v/64-k.w0] |= 1 << uint(v%64)
+			l.local[qi][v/64-k.w0] |= 1 << uint(v%64)
 		}
 		mask >>= 1
 	}
 }
 
-// entryState is the top-down state the root of the skipped subtree x, whose
-// phase-1 state is bu, is entered in — the leader computes a chunk's here.
-func (k *scanKernel) entryState(x storage.Extent, bu StateID) (StateID, error) {
-	if k.k == 0 {
-		return k.enter(x.Root, bu)
+// entryStates are the top-down states, one per lane, the root of the
+// skipped subtree x, whose phase-1 states are bu, is entered in — the
+// leader computes a chunk's here.
+func (k *scanKernel) entryStates(x storage.Extent, bu []StateID) ([]StateID, error) {
+	td := make([]StateID, len(k.lanes))
+	for li := range k.lanes {
+		l := &k.lanes[li]
+		if l.k == 0 {
+			var err error
+			if td[li], err = k.enter(l, x.Root, bu[li]); err != nil {
+				return nil, err
+			}
+		} else {
+			td[li] = l.cache.TDStep(l.parent, bu[li], l.k)
+		}
 	}
-	return k.cache.TDStep(k.parent, bu, k.k), nil
+	return td, nil
 }
 
 // hole moves the scan past the skipped subtree x. A pruned one is selection
@@ -297,15 +431,18 @@ func (k *scanKernel) hole(x storage.Extent, pruned bool) error {
 		k.st.SkippedBytes += x.Size * storage.NodeSize
 		k.st.Nodes += x.Size
 		if k.auxOutF != nil {
-			k.auxOut.zeros(x.Root*auxMaskSize, x.Size*auxMaskSize)
+			k.auxOut.zeros(x.Root*int64(k.outW), x.Size*int64(k.outW))
 		}
 	}
-	if np := len(k.pending); np > 0 {
-		k.parent, k.k, k.pending = k.pending[np-1], 2, k.pending[:np-1]
-	} else {
-		k.k = 0
-		if x.End() != k.end {
-			return k.endedEarly(x.End())
+	for li := range k.lanes {
+		l := &k.lanes[li]
+		if np := len(l.pending); np > 0 {
+			l.parent, l.k, l.pending = l.pending[np-1], 2, l.pending[:np-1]
+		} else {
+			l.k = 0
+			if x.End() != k.end {
+				return k.endedEarly(x.End())
+			}
 		}
 	}
 	return nil
@@ -314,8 +451,10 @@ func (k *scanKernel) hole(x storage.Extent, pruned bool) error {
 // finish checks that the region ended where its records said it would and
 // flushes its output masks.
 func (k *scanKernel) finish() error {
-	if k.k != 0 || len(k.pending) > 0 {
-		return fmt.Errorf("%w: %d announced subtrees missing at node %d", storage.ErrMalformed, len(k.pending)+1, k.end)
+	for _, l := range k.lanes {
+		if l.k != 0 || len(l.pending) > 0 {
+			return fmt.Errorf("%w: %d announced subtrees missing at node %d", storage.ErrMalformed, len(l.pending)+1, k.end)
+		}
 	}
 	return k.auxOut.flush()
 }

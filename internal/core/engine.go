@@ -176,8 +176,8 @@ func (e *Engine) ResetStats() {
 }
 
 // AddNodes records n node visits in the engine's statistics; evaluators
-// outside this package (the parallel batch runner) call it once up front
-// because they only touch the engine through its SharedEngine afterwards.
+// outside this package (internal/parallel) call it once a run has
+// succeeded, as the drivers here do.
 func (e *Engine) AddNodes(n int64) {
 	e.mu.Lock()
 	e.stats.Nodes += n
@@ -185,7 +185,8 @@ func (e *Engine) AddNodes(n int64) {
 }
 
 // AddPrunedNodes records n pruned node visits (see Stats.PrunedNodes);
-// the external parallel evaluators call it when they apply a prune plan.
+// the external parallel evaluators call it once a pruned run has
+// succeeded.
 func (e *Engine) AddPrunedNodes(n int64) {
 	e.mu.Lock()
 	e.stats.PrunedNodes += n
@@ -209,7 +210,7 @@ func (e *Engine) addPhaseTimes(p1, p2 time.Duration) {
 func (e *Engine) statsSnapshot() Stats { return e.stats }
 
 // BUStateCount returns the number of bottom-up states interned so far
-// (the batch drivers size their on-disk state width from it).
+// (the disk driver sizes its on-disk state width from it).
 func (e *Engine) BUStateCount() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

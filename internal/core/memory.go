@@ -53,8 +53,6 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*R
 	}
 	cancel := storage.NewCanceller(ctx)
 	res := NewResult(e.c.Prog, int64(n))
-	e.AddNodes(int64(n))
-	opts.Run.AddNodes(int64(n))
 
 	// Selectivity-aware pruning: with a tree index available, both passes
 	// jump over subtrees the static analysis proves irrelevant (the same
@@ -67,8 +65,6 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*R
 	var exts []storage.Extent
 	if prune != nil {
 		exts = prune.Extents
-		e.AddPrunedNodes(prune.Nodes)
-		opts.Run.AddPrunedNodes(prune.Nodes)
 	}
 	cache := e.ShareTo(opts.Run).NewStepCache()
 
@@ -137,6 +133,7 @@ func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*R
 	phase2 := time.Since(start)
 	e.addPhaseTimes(phase1, phase2)
 	opts.Run.AddPhaseTimes(phase1, phase2)
+	creditNodes([]*Engine{e}, opts.Run, int64(n), prune)
 
 	if opts.KeepStates {
 		res.BUStateOf = bu

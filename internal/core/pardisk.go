@@ -54,29 +54,144 @@ var (
 // algorithm itself. Cancelling ctx aborts all workers' scans with
 // ctx.Err() and removes the temporary state file and any partially
 // written AuxOut sidecar.
-func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, workers int, opts DiskOpts) (res *Result, ds *DiskStats, err error) {
+func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, workers int, opts DiskOpts) (*Result, *DiskStats, error) {
+	res, agg, ds, err := e.asBatch(opts).exec(ctx, db, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.addPhaseTimes(agg.Phase1Time, agg.Phase2Time)
+	opts.Run.AddPhaseTimes(agg.Phase1Time, agg.Phase2Time)
+	return res[0], ds, nil
+}
+
+// RunDiskBatch evaluates every member's program over a .arb database in
+// secondary storage with exactly two linear scans of the data for the
+// whole batch: phase 1 is one backward scan writing every lane's bottom-up
+// state per node to one temporary state file; phase 2 is one forward scan
+// reading it back and computing the true predicates. Members step in lanes
+// (product.go): up to 64 query predicates' worth of members share one
+// product automaton, so a batch of single-pass queries usually costs one
+// automaton step per node and one state id per node, whatever its size.
+// Auxiliary masks ride in widened sidecars with one slot per member
+// (DiskBatchOpts), so multi-pass members chain their passes through shared
+// scans too. Results are identical to running each member through
+// RunDiskContext alone. It is RunDiskBatchParallel with one worker: the
+// disk driver run with an empty frontier. Cancelling ctx aborts the scan
+// in progress; a failed or cancelled run removes the state file and any
+// partially written AuxOut sidecar.
+func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
+	return RunDiskBatchParallel(ctx, db, 1, members, opts)
+}
+
+// RunDiskBatchParallel is RunDiskBatch with a pool of workers streaming
+// disjoint chunk byte ranges, preserving the aggregate two-linear-scans
+// I/O bound exactly as RunDiskParallelContext does for one query: the
+// database's subtree index cuts a frontier of chunks, each worker steps
+// every lane over its chunk through private dense caches backed by the
+// lanes' shared automata, and the leader scans the glue. workers <= 0 uses
+// GOMAXPROCS; small databases and single-worker requests run with an empty
+// frontier, the leader scanning everything. The returned Stats carries the
+// shared phase wall times.
+func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
+	if len(members) == 0 {
+		return nil, Stats{}, nil, errors.New("core: empty batch")
+	}
+	return newDiskBatch(members, opts).exec(ctx, db, workers)
+}
+
+// diskBatch is what one disk run evaluates: its members, in lanes, and the
+// sidecars around them. A scalar run is a batch of one whose sidecars have
+// one slot, plus the options only it may set (a named or kept state file
+// of 4-byte ids, marked output).
+type diskBatch struct {
+	members []BatchMember
+	engines []*Engine // the members'
+	lanes   []lane
+	opts    DiskBatchOpts
+	scalar  DiskOpts // StatePath, KeepStateFile, MarkTo and MarkQuery
+}
+
+func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
+	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.AuxIn != "", opts.Run)}
+	for _, bm := range members {
+		r.engines = append(r.engines, bm.E)
+	}
+	return r
+}
+
+// asBatch is the scalar run as a batch of one.
+func (e *Engine) asBatch(opts DiskOpts) *diskBatch {
+	bm := BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1, AuxOutBit: opts.AuxOutBit, AuxOutQuery: opts.AuxOutQuery}
+	bo := DiskBatchOpts{AuxIn: opts.AuxIn, AuxOut: opts.AuxOut, NoPrune: opts.NoPrune, Run: opts.Run}
+	if opts.AuxIn != "" {
+		bm.AuxInSlot, bo.AuxInStride = 0, 1
+	}
+	if opts.AuxOut != "" {
+		bm.AuxOutSlot, bo.AuxOutStride = 0, 1
+	}
+	r := newDiskBatch([]BatchMember{bm}, bo)
+	r.scalar = opts
+	return r
+}
+
+// exec runs r over db: the state width and the prune plan are chosen per
+// attempt, and an attempt whose state ids outgrow the width is rerun wide.
+func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res []*Result, agg Stats, ds *DiskStats, err error) {
 	if db.N == 0 {
-		return nil, nil, errors.New("core: empty database")
+		return nil, agg, nil, errors.New("core: empty database")
 	}
-	if e.names != db.Names {
-		// Label[..] tests are resolved against e.names; running against a
-		// database with a different name table would silently misresolve.
-		return nil, nil, errors.New("core: engine name table does not match database")
-	}
-	err = runOverFrontier(ctx, db, workers, opts.MarkTo != nil, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
-		plan := planDiskPrune(ctx, db, idx, []*Engine{e}, opts)
-		// A state file somebody else reads keeps the documented 4-byte ids.
-		width := stateWide
-		if opts.StatePath == "" && !opts.KeepStateFile {
-			width = stateWidthFor(e.BUStateCount())
+	for _, e := range r.engines {
+		if e.names != db.Names {
+			// Label[..] tests are resolved against the engine's names; running
+			// against a database with a different name table would silently
+			// misresolve.
+			return nil, agg, nil, errors.New("core: engine name table does not match database")
 		}
-		res, ds, err = e.runDiskChunked(ctx, db, workers, opts, tasks, width, plan)
+	}
+	err = runOverFrontier(ctx, db, workers, r.scalar.MarkTo != nil, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
+		plan := r.plan(ctx, db, idx)
+		res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, r.width(), plan)
 		if errors.Is(err, errStateWidth) {
-			res, ds, err = e.runDiskChunked(ctx, db, workers, opts, tasks, stateWide, plan)
+			res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, stateWide, plan)
 		}
 		return err
 	})
-	return res, ds, err
+	return res, agg, ds, err
+}
+
+// width is the run's initial state width: the widest any member's engine
+// asks for. A state file somebody else reads keeps the documented 4-byte
+// ids.
+func (r *diskBatch) width() int {
+	if r.scalar.StatePath != "" || r.scalar.KeepStateFile {
+		return stateWide
+	}
+	w := stateByte
+	for _, e := range r.engines {
+		w = max(w, stateWidthFor(e.BUStateCount()))
+	}
+	return w
+}
+
+// plan is the one prune gate of the disk runs, scalar and batch. Seeking
+// past extents the static analysis proves irrelevant to every member is
+// sound only without aux input (aux bits vary per node), without marked
+// output (every node must be emitted), and without an external state-file
+// contract (the pruned state file has holes where extents were skipped);
+// below PruneMinNodes it buys nothing. ix is the index the run's frontier
+// was cut from, or nil when it has none: the planner then loads the index
+// itself, and failing to costs the run its plan, not its answer.
+func (r *diskBatch) plan(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex) *PrunePlan {
+	if r.opts.NoPrune || r.opts.AuxIn != "" || r.scalar.MarkTo != nil || r.scalar.KeepStateFile || r.scalar.StatePath != "" || db.N < PruneMinNodes {
+		return nil
+	}
+	if ix == nil {
+		var err error
+		if ix, err = db.Index(ctx, 0); err != nil {
+			return nil
+		}
+	}
+	return PlanPrune(r.engines, ix, db.N)
 }
 
 // runOverFrontier is the routing every disk entry point shares: it
@@ -112,84 +227,85 @@ func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered b
 }
 
 // runDiskChunked is one attempt at evaluation over a frontier cut — the
-// one scalar disk driver; runOverFrontier wraps it with the stale-index
-// retry. With an empty frontier the leader's glue scan covers [0, N) and
-// the run is the paper's sequential two-scan algorithm. When a prune plan
-// is given, tasks swallowed by a pruned extent never run, workers seek
-// past pruned extents inside their own chunks, and the leader's glue scan
-// skips the remaining pruned holes. Leader and workers run the same two
-// window kernels (diskkernel.go) over storage's window passes; width is
-// the attempt's state-file width, and a state id that outgrows it ends the
-// attempt with errStateWidth.
-func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int, opts DiskOpts, tasks []storage.Extent, width int, plan *PrunePlan) (*Result, *DiskStats, error) {
+// one disk driver, for scalar runs and batches alike; runOverFrontier
+// wraps it with the stale-index retry. With an empty frontier the leader's
+// glue scan covers [0, N) and the run is the paper's sequential two-scan
+// algorithm. When a prune plan is given, tasks swallowed by a pruned extent
+// never run, workers seek past pruned extents inside their own chunks, and
+// the leader's glue scan skips the remaining pruned holes. Leader and
+// workers run the same two window kernels (diskkernel.go) over storage's
+// window passes, each stepping every lane; width is the attempt's
+// state-file width, and a state id that outgrows it ends the attempt with
+// errStateWidth.
+func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers int, tasks []storage.Extent, width int, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
+	var agg Stats
 	var planExts []storage.Extent
 	if plan != nil {
 		planExts = plan.Extents
 	}
 	tasks, inner, outer := SplitPrune(tasks, planExts)
 	leaderSkip, taskOf := mergeSkipLists(tasks, outer)
-	if opts.MarkTo != nil && len(leaderSkip) > 0 {
-		return nil, nil, errors.New("core: marked output needs the leader to visit every node")
+	if r.scalar.MarkTo != nil && len(leaderSkip) > 0 {
+		return nil, agg, nil, errors.New("core: marked output needs the leader to visit every node")
 	}
 	workers = min(workers, len(tasks))
 
-	res := NewResult(e.c.Prog, db.N)
-	s := e.ShareTo(opts.Run)
 	files := &diskFiles{
-		n:        db.N,
-		w:        width,
-		outBit:   uint16(1) << opts.AuxOutBit,
-		queryBit: uint64(1) << uint(opts.AuxOutQuery),
+		n:     db.N,
+		w:     width,
+		lanes: r.lanes,
+		inW:   int(storage.MaskStride(r.opts.AuxInStride)),
+		outW:  int(storage.MaskStride(r.opts.AuxOutStride)),
+	}
+	subs := make([]StateID, len(r.lanes))
+	sels := make([]*Result, len(r.lanes))
+	for li := range r.lanes {
+		subs[li] = r.lanes[li].sub(plan)
+		sels[li] = newSelections(r.lanes[li].nq, db.N)
 	}
 
-	if opts.AuxIn != "" {
-		auxF, err := os.Open(opts.AuxIn)
+	if r.opts.AuxIn != "" {
+		auxF, err := storage.OpenMaskFile(r.opts.AuxIn, db.N, r.opts.AuxInStride)
 		if err != nil {
-			return nil, nil, err
+			return nil, agg, nil, err
 		}
 		defer auxF.Close()
-		st, err := auxF.Stat()
-		if err != nil {
-			return nil, nil, err
-		}
-		if st.Size() != db.N*auxMaskSize {
-			return nil, nil, fmt.Errorf("core: aux file %s has %d bytes for %d nodes", opts.AuxIn, st.Size(), db.N)
-		}
 		files.auxF = auxF
 	}
 
-	stateF, statePath, err := createStateFile(db, opts)
+	stateF, statePath, err := createStateFile(db, r.scalar)
 	if err != nil {
-		return nil, nil, err
+		return nil, agg, nil, err
 	}
 	files.stateF = stateF
 	succeeded := false
 	defer func() {
 		stateF.Close()
-		if !opts.KeepStateFile || !succeeded {
+		if !r.scalar.KeepStateFile || !succeeded {
 			os.Remove(statePath)
 		}
 	}()
 
-	// Per-worker step caches, reused across both phases.
-	caches := make([]*StepCache, workers)
+	// Per-worker step caches, one per lane, reused across both phases.
+	caches := make([][]*StepCache, workers)
 	for i := range caches {
-		caches[i] = s.NewStepCache()
+		caches[i] = r.newCaches()
 	}
-	leaderCache := s.NewStepCache()
+	leaderCaches := r.newCaches()
 
 	// Phase 1: workers fold their chunks bottom-up — each streaming its
-	// own byte range backwards and pwriting its stretch of the state file —
-	// then the leader folds the glue, consuming chunk root states.
+	// own byte range backwards and pwriting its stretch of every lane's
+	// region of the state file — then the leader folds the glue, consuming
+	// chunk root states.
 	start := time.Now()
-	rootStates := make([]StateID, len(tasks))
+	rootStates := make([][]StateID, len(tasks))
 	var statsMu sync.Mutex
 	var phase1 storage.ScanStats // guarded by: statsMu
 	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
 		x := tasks[i]
 		k := files.newFold(caches[worker])
 		err := db.BackwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
-			k.hole(sub, plan.Sub(0), true)
+			k.hole(sub, subs, true)
 			return nil
 		}, k.foldWindow)
 		if err == nil {
@@ -204,17 +320,17 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, agg, nil, err
 	}
 
 	// Leader glue scan: reverse preorder over everything outside the
 	// chunks, with each chunk standing in as one already-folded subtree
-	// and each leader-level pruned extent as the substitute state.
-	fold := files.newFold(leaderCache)
+	// and each leader-level pruned extent as the substitute states.
+	fold := files.newFold(leaderCaches)
 	mi := len(leaderSkip) - 1
 	err = db.BackwardWindows(ctx, 0, db.N, leaderSkip, &fold.st, func(x storage.Extent) error {
 		if ti := taskOf[mi]; ti < 0 {
-			fold.hole(x, plan.Sub(0), true)
+			fold.hole(x, subs, true)
 		} else {
 			fold.hole(x, rootStates[ti], false)
 		}
@@ -222,48 +338,54 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		return nil
 	}, fold.foldWindow)
 	if err != nil {
-		return nil, nil, err
+		return nil, agg, nil, err
 	}
 	rootState, err := fold.finish()
 	if err != nil {
-		return nil, nil, err
+		return nil, agg, nil, err
 	}
 	ds := &DiskStats{Phase1: fold.st}
 	ds.Phase1.Merge(phase1)
-	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width)
-	phase1Time := time.Since(start)
+	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width*len(r.lanes))
+	agg.Phase1Time = time.Since(start)
 
 	// Phase 2, leader first: forward over the glue, assigning each chunk
-	// root its top-down entry state.
+	// root its top-down entry states.
 	start = time.Now()
-	if opts.AuxOut != "" {
-		auxOutF, err := os.Create(opts.AuxOut)
+	if r.opts.AuxOut != "" {
+		auxOutF, err := os.Create(r.opts.AuxOut)
 		if err != nil {
-			return nil, nil, err
+			return nil, agg, nil, err
 		}
 		defer func() {
 			auxOutF.Close()
 			if !succeeded {
 				// A failed or cancelled run must not leave a partial
 				// sidecar behind for a later pass to trust.
-				os.Remove(opts.AuxOut)
+				os.Remove(r.opts.AuxOut)
 			}
 		}()
 		files.auxOutF = auxOutF
 	}
-	scan := files.newScan(leaderCache, storage.Extent{Size: db.N}, rootState, leaderCache.RootTrueSet(rootState))
-	scan.res = res
-	if opts.MarkTo != nil {
-		scan.emitter = storage.NewXMLEmitter(opts.MarkTo, db.Names)
-		scan.markBit = uint64(1) << uint(opts.MarkQuery)
+	rootTD := make([]StateID, len(r.lanes))
+	for li, c := range leaderCaches {
+		rootTD[li] = c.RootTrueSet(rootState[li])
 	}
-	tdRoots := make([]StateID, len(tasks))
+	scan := files.newScan(leaderCaches, storage.Extent{Size: db.N}, rootState, rootTD)
+	for li := range scan.lanes {
+		scan.lanes[li].sel = sels[li]
+	}
+	if r.scalar.MarkTo != nil {
+		scan.emitter = storage.NewXMLEmitter(r.scalar.MarkTo, db.Names)
+		scan.markBit = uint64(1) << uint(r.scalar.MarkQuery)
+	}
+	tdRoots := make([][]StateID, len(tasks))
 	mi = 0
 	err = db.ForwardWindows(ctx, 0, db.N, leaderSkip, &scan.st, func(x storage.Extent) (err error) {
 		ti := taskOf[mi]
 		mi++
 		if ti >= 0 {
-			if tdRoots[ti], err = scan.entryState(x, rootStates[ti]); err != nil {
+			if tdRoots[ti], err = scan.entryStates(x, rootStates[ti]); err != nil {
 				return err
 			}
 		}
@@ -273,20 +395,23 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		err = scan.finish()
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, agg, nil, err
 	}
 
 	// Phase 2, workers: descend into the chunks from their entry states,
 	// accumulating marks in private per-chunk bitsets merged under the
-	// result's lock.
+	// selections' locks.
 	phase2 := scan.st
 	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
 		x := tasks[i]
 		k := files.newScan(caches[worker], x, rootStates[i], tdRoots[i])
 		k.w0 = x.Root / 64
-		k.local = make([][]uint64, len(res.queries))
-		for qi := range k.local {
-			k.local[qi] = make([]uint64, (x.End()-1)/64-k.w0+1)
+		for li := range k.lanes {
+			local := make([][]uint64, r.lanes[li].nq)
+			for qi := range local {
+				local[qi] = make([]uint64, (x.End()-1)/64-k.w0+1)
+			}
+			k.lanes[li].local = local
 		}
 		err := db.ForwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
 			return k.hole(sub, true)
@@ -297,8 +422,10 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		if err != nil {
 			return chunkErr(x, err)
 		}
-		for qi := range k.local {
-			res.MergeWords(qi, k.w0, k.local[qi])
+		for li, l := range k.lanes {
+			for qi := range l.local {
+				sels[li].MergeWords(qi, k.w0, l.local[qi])
+			}
 		}
 		statsMu.Lock()
 		phase2.Merge(k.st)
@@ -306,37 +433,44 @@ func (e *Engine) runDiskChunked(ctx context.Context, db *storage.DB, workers int
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, agg, nil, err
 	}
 	if files.auxOutF != nil {
 		if err := files.auxOutF.Close(); err != nil {
-			return nil, nil, err
+			return nil, agg, nil, err
 		}
 	}
 	if scan.emitter != nil {
 		if err := scan.emitter.Finish(); err != nil {
-			return nil, nil, err
+			return nil, agg, nil, err
 		}
 	}
 	ds.Phase2 = phase2
-	phase2Time := time.Since(start)
-	e.addPhaseTimes(phase1Time, phase2Time)
-	opts.Run.AddPhaseTimes(phase1Time, phase2Time)
-	// Count node visits and prune savings only on success: a failed or
-	// cancelled run saved nothing, and the stale-index and state-width
-	// retries re-enter this function and must not double-count the aborted
-	// attempt.
-	e.AddNodes(db.N)
-	opts.Run.AddNodes(db.N)
-	if plan != nil {
-		e.AddPrunedNodes(plan.Nodes)
-		opts.Run.AddPrunedNodes(plan.Nodes)
+	agg.Phase2Time = time.Since(start)
+
+	res := make([]*Result, len(r.members))
+	for li, l := range r.lanes {
+		for j, m := range l.members {
+			res[m] = sels[li].member(r.members[m].E.c.Prog, l.offs[j])
+		}
 	}
-	if opts.KeepStateFile {
-		res.StateFile = statePath
+	if r.scalar.KeepStateFile {
+		res[0].StateFile = statePath
 	}
+	// The stale-index and state-width retries re-enter this function: only
+	// the attempt that succeeds counts.
+	creditNodes(r.engines, r.opts.Run, db.N, plan)
 	succeeded = true
-	return res, ds, nil
+	return res, agg, ds, nil
+}
+
+// newCaches returns a fresh step cache per lane.
+func (r *diskBatch) newCaches() []*StepCache {
+	cs := make([]*StepCache, len(r.lanes))
+	for li, l := range r.lanes {
+		cs[li] = newStepCache(l.st, l.names)
+	}
+	return cs
 }
 
 // chunkErr dresses a structure fault inside a chunk as storage.ErrBadExtent:
@@ -412,8 +546,8 @@ type runWriter struct {
 const runWriterBuf = 1 << 16
 
 // at returns the n bytes at file offset off for the caller to fill in
-// place: per-node state ids and masks are encoded straight into the
-// buffer, with no temporary that would escape through an io.Writer.
+// place: per-node masks are encoded straight into the buffer, with no
+// temporary that would escape through an io.Writer.
 func (rw *runWriter) at(off int64, n int) []byte {
 	if off != rw.start+int64(len(rw.buf)) || len(rw.buf)+n > cap(rw.buf) {
 		rw.flush()

@@ -31,8 +31,6 @@
 package core
 
 import (
-	"context"
-
 	"arb/internal/edb"
 	"arb/internal/horn"
 	"arb/internal/storage"
@@ -248,10 +246,6 @@ func (p *PrunePlan) PhysicalSavings(db *storage.DB) int64 {
 	return sum
 }
 
-// SubVec returns a fresh copy of the per-engine substitute state vector
-// (batch drivers hand it to folds that recycle vectors freely).
-func (p *PrunePlan) SubVec() []StateID { return append([]StateID(nil), p.subs...) }
-
 // PlanPrune runs the pruning analysis for every engine and selects the
 // maximal index extents whose label signatures are disjoint from the
 // union of the engines' live sets — an extent is only prunable if it is
@@ -289,28 +283,6 @@ func PlanPrune(engines []*Engine, ix *storage.SubtreeIndex, n int64) *PrunePlan 
 		return nil
 	}
 	return plan
-}
-
-// planDiskPrune is the one prune gate of the disk entry points, scalar
-// and batch (a batch round passes its NoPrune and AuxIn). Seeking past
-// extents the static analysis proves irrelevant is sound only without aux
-// input (aux bits vary per node), without marked output (every node must
-// be emitted), and without an external state-file contract (the pruned
-// state file has holes where extents were skipped); below PruneMinNodes
-// it buys nothing. ix is the index the run's frontier was cut from, or nil
-// when it has none: the planner then loads the index itself, and failing
-// to costs the run its plan, not its answer.
-func planDiskPrune(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex, engines []*Engine, opts DiskOpts) *PrunePlan {
-	if opts.NoPrune || opts.AuxIn != "" || opts.MarkTo != nil || opts.KeepStateFile || opts.StatePath != "" || db.N < PruneMinNodes {
-		return nil
-	}
-	if ix == nil {
-		var err error
-		if ix, err = db.Index(ctx, 0); err != nil {
-			return nil
-		}
-	}
-	return PlanPrune(engines, ix, db.N)
 }
 
 // SplitPrune distributes a plan's extents over a frontier of worker

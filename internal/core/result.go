@@ -41,22 +41,33 @@ type Result struct {
 // NewResult returns an empty result for evaluating prog over n nodes,
 // ready for marking. Exposed so sibling evaluators (internal/parallel)
 // can produce the same unified result type as the engine itself.
+func NewResult(prog *tmnf.Program, n int64) *Result {
+	r := newSelections(len(prog.Queries()), n)
+	r.prog, r.queries = prog, prog.Queries()
+	return r
+}
+
+// newSelections returns empty selections of nq query predicates over n
+// nodes: a disk lane marks its members' predicates side by side in one,
+// and member splits it up once the run is done.
 //
 // arblint:holds mu — the fresh result is exclusively owned.
-func NewResult(prog *tmnf.Program, n int64) *Result {
-	qs := prog.Queries()
-	r := &Result{
-		prog:    prog,
-		queries: qs,
-		n:       n,
-		sel:     make([][]uint64, len(qs)),
-		counts:  make([]int64, len(qs)),
-	}
+func newSelections(nq int, n int64) *Result {
+	r := &Result{n: n, sel: make([][]uint64, nq), counts: make([]int64, nq)}
 	words := (n + 63) / 64
 	for i := range r.sel {
 		r.sel[i] = make([]uint64, words)
 	}
 	return r
+}
+
+// member returns the result of prog, whose query predicates are r's from
+// index first on: a view of r's bitsets, not a copy.
+//
+// arblint:holds mu — the run that filled r has finished.
+func (r *Result) member(prog *tmnf.Program, first int) *Result {
+	qs := prog.Queries()
+	return &Result{prog: prog, queries: qs, n: r.n, sel: r.sel[first : first+len(qs)], counts: r.counts[first : first+len(qs)]}
 }
 
 // mark records that query qi selects node v.

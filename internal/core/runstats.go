@@ -73,3 +73,18 @@ func (rs *RunStats) Snapshot() Stats {
 	defer rs.mu.Unlock()
 	return rs.s
 }
+
+// creditNodes records a finished run's node visits and prune savings with
+// every engine it ran (once per member: a batch of two engines visits each
+// node twice) and with its sink. Drivers call it on success only, so a
+// failed or cancelled run credits nothing — it saved nothing either.
+func creditNodes(engines []*Engine, rs *RunStats, n int64, plan *PrunePlan) {
+	for _, e := range engines {
+		e.AddNodes(n)
+		rs.AddNodes(n)
+		if plan != nil {
+			e.AddPrunedNodes(plan.Nodes)
+			rs.AddPrunedNodes(plan.Nodes)
+		}
+	}
+}

@@ -19,13 +19,13 @@ import (
 	"arb/internal/testutil"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
-	"arb/internal/vstore"
 	"arb/internal/workload"
 )
 
 // TestWarmRunAllocsDoNotGrowWithN pins the scan loops allocation-free: a
-// warm run allocates its per-run structures (result bitsets, step cache,
-// scan buffers from their pools) and nothing per node, so the count for
+// warm run allocates its per-run structures (result bitsets, step caches, a
+// batch's product automaton, scan buffers from their pools) and nothing per
+// node, so the count for
 // a hundred thousand nodes more is the same give or take the logarithmic
 // growth of a stack or two — where a single per-node allocation would
 // add a hundred thousand.
@@ -38,6 +38,22 @@ func TestWarmRunAllocsDoNotGrowWithN(t *testing.T) {
 	c, err := Compile(prog)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A batch of eight: one product lane. A run builds its product afresh,
+	// so its tables grow with the product states the document reaches —
+	// per state, not per node: the row's programs walk to children, as the
+	// benchmark's do, and their product saturates at 5 bottom-up and under
+	// 200 top-down states on both documents.
+	rng := rand.New(rand.NewSource(32))
+	batch := make([]*Compiled, 8)
+	for i := range batch {
+		prog, err := workload.RandomPathRegex(rng, 3+rng.Intn(4), []string{"A", "C", "G", "T"}).Program(workload.RTreebank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batch[i], err = Compile(prog); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx := context.Background()
 	allocs := map[string][2]float64{}
@@ -54,9 +70,14 @@ func TestWarmRunAllocsDoNotGrowWithN(t *testing.T) {
 		}
 		nodes[i] = db.N
 		e := NewEngine(c, db.Names)
+		members := make([]BatchMember, len(batch))
+		for m, c := range batch {
+			members[m] = BatchMember{E: NewEngine(c, db.Names), AuxInSlot: -1, AuxOutSlot: -1}
+		}
 		for name, run := range map[string]func() error{
 			"disk":   func() error { _, _, err := e.RunDiskContext(ctx, db, DiskOpts{}); return err },
 			"memory": func() error { _, err := e.RunContext(ctx, tr, RunOpts{}); return err },
+			"batch8": func() error { _, _, _, err := RunDiskBatch(ctx, db, members, DiskBatchOpts{}); return err },
 		} {
 			if err := run(); err != nil { // warm the automata and the buffer pools
 				t.Fatal(err)
@@ -321,43 +342,11 @@ func TestWindowKernelEdges(t *testing.T) {
 	dir := t.TempDir()
 	tr, exts, starts := spineTree(t, rng, glue, blobs)
 
-	raw, err := storage.CreateFromTree(filepath.Join(dir, "raw"), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	lz, err := storage.CreateFromTree(filepath.Join(dir, "lz"), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lz.Close()
-	if _, err := storage.CompressInPlace(lz.Base, storage.CodecLZ, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if lz, err = storage.Open(lz.Base); err != nil {
-		t.Fatal(err)
-	}
-	defer lz.Close()
 	// The snapshot reads three runs of two segment files: the original up
 	// to the element the tail chunk starts at, its replacement (the same
 	// childless element again, so the layout stands), and the rest.
-	vdb, err := storage.CreateFromTree(filepath.Join(dir, "v"), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vdb.Close()
-	st, err := vstore.Open(ctx, vdb.Base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	patch := tree.New(st.Names())
-	patch.AddNode(st.Names().MustIntern("hit"))
-	if _, err := st.ReplaceSubtree(ctx, starts[3]+W, patch); err != nil {
-		t.Fatal(err)
-	}
-	snap := st.Snapshot()
-	defer snap.Release()
+	sources := batchSources(t, tr, starts[3]+W)
+	raw := sources[0].db
 
 	progs := []*tmnf.Program{
 		tmnf.MustParse(`QUERY :- Label[hit];`),
@@ -368,10 +357,7 @@ func TestWindowKernelEdges(t *testing.T) {
 	// first gap is exactly one window, the leader's last one too.
 	chunks := []storage.Extent{exts[0], exts[1], {Root: starts[3] + W, Size: int64(tr.Len()) - starts[3] - W}}
 
-	for _, src := range []struct {
-		name string
-		db   *storage.DB
-	}{{"raw", raw}, {"lz", lz}, {"vstore snapshot", snap.DB()}} {
+	for _, src := range sources {
 		db := src.db
 		if db.N != int64(tr.Len()) {
 			t.Fatalf("%s: %d nodes, want %d", src.name, db.N, tr.Len())
@@ -430,12 +416,11 @@ func TestWindowKernelEdges(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
 					aux0, aux1 := filepath.Join(dir, "pass0.aux"), filepath.Join(dir, "pass1.aux")
-					res, ds, err := NewEngine(cs[0], db.Names).runDiskChunked(ctx, db, 4,
-						DiskOpts{AuxOut: aux0}, tasks, width, plan)
+					res, _, ds, err := NewEngine(cs[0], db.Names).asBatch(DiskOpts{AuxOut: aux0}).runDiskChunked(ctx, db, 4, tasks, width, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					sameSelection(t, res, want0, label)
+					sameSelection(t, res[0], want0, label)
 					var pruned int64
 					if plan != nil {
 						pruned = plan.Nodes
@@ -449,12 +434,11 @@ func TestWindowKernelEdges(t *testing.T) {
 						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
 					}
 					// The aux-reading pass never prunes.
-					res, _, err = NewEngine(cs[1], db.Names).runDiskChunked(ctx, db, 4,
-						DiskOpts{AuxIn: aux0, AuxOut: aux1, AuxOutBit: 1}, tasks, width, nil)
+					res, _, _, err = NewEngine(cs[1], db.Names).asBatch(DiskOpts{AuxIn: aux0, AuxOut: aux1, AuxOutBit: 1}).runDiskChunked(ctx, db, 4, tasks, width, nil)
 					if err != nil {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}
-					sameSelection(t, res, want1, label+", pass 1")
+					sameSelection(t, res[0], want1, label+", pass 1")
 					for i, path := range []string{aux0, aux1} {
 						got, err := os.ReadFile(path)
 						if err != nil {

@@ -10,7 +10,8 @@ import (
 
 // StepCache is the private, lock-free transition memo every evaluation
 // driver steps — one for a run's sequential or leader scan, one per
-// worker beside it (each per member, for batches) — in front of the
+// worker beside it (each per member of an in-memory batch, per lane of a
+// disk batch) — in front of the
 // engine's shared, lock-guarded tables. The per-node constant of the scan
 // loops lives here: a node's signature resolves straight from its 2-byte
 // record bits (an array lookup), and the two transition functions from
@@ -19,9 +20,10 @@ import (
 // grow geometrically as lazy automata construction discovers states, and
 // misses fall through to the SharedEngine, so the cache is semantics-free
 // — it can never change which state a step yields — and the warm steady
-// state takes no locks at all.
+// state takes no locks at all. The same cache fronts a batch lane's
+// product automaton (product.go), whose ids are per-run tuple ids.
 type StepCache struct {
-	s *SharedEngine
+	s stepper
 
 	// Signature classes (Engine.SigID) by record. Non-root signatures
 	// without aux bits are indexed directly by label<<2 | child flags, in a
@@ -53,12 +55,27 @@ type StepCache struct {
 // A variable only so the package tests can force the map fallback.
 var maxDenseEntries int64 = 1 << 20
 
+// stepper is what a StepCache's misses call: a SharedEngine, or the
+// product automaton of a batch lane. Only the out-of-line miss paths go
+// through it, so the inlined table hits cost the same either way.
+type stepper interface {
+	SigID(sig edb.NodeSig) int32
+	ReachableStates(left, right StateID, sig int32) StateID
+	RootTrueSet(bu StateID) StateID
+	TruePreds(parent, bu StateID, k int) StateID
+	QueryMask(td StateID) uint64
+}
+
 // NewStepCache returns a fresh private cache in front of the shared
 // engine, for one run or one worker of a run.
-func (s *SharedEngine) NewStepCache() *StepCache {
+func (s *SharedEngine) NewStepCache() *StepCache { return newStepCache(s, s.e.names) }
+
+// newStepCache sizes the signature table from the name table the
+// stepper's engines resolve labels against.
+func newStepCache(s stepper, names *tree.Names) *StepCache {
 	labels := int(tree.FirstNamedLabel)
-	if s.e.names != nil {
-		labels += s.e.names.Len()
+	if names != nil {
+		labels += names.Len()
 	}
 	return &StepCache{s: s, sigByRec: make([]int32, labels<<2)}
 }

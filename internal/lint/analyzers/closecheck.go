@@ -27,12 +27,10 @@ var CloseCheck = &lint.Analyzer{
 
 // closeProducers return values that own a releasable resource.
 var closeProducers = map[string]bool{
-	"arb/internal/storage.Open":                     true,
-	"arb/internal/storage.NewBackwardReader":        true,
-	"arb/internal/storage.NewBackwardSectionReader": true,
-	"arb/internal/storage.MaskBackward":             true,
-	"arb/internal/storage.OpenMaskFile":             true,
-	"os.Open":                                       true,
+	"arb/internal/storage.Open":              true,
+	"arb/internal/storage.NewBackwardReader": true,
+	"arb/internal/storage.OpenMaskFile":      true,
+	"os.Open":                                true,
 }
 
 func runCloseCheck(pass *lint.Pass) error {

@@ -86,3 +86,25 @@ func storesReader(f *os.File, end int64) (*scanState, error) {
 	}
 	return &scanState{br: br}, nil
 }
+
+// leaksMaskFile opens an aux sidecar through the size-checking opener and
+// never closes it.
+func leaksMaskFile(path string, n int64) error {
+	f, err := storage.OpenMaskFile(path, n, 1) // want "storage.OpenMaskFile result is never closed"
+	if err != nil {
+		return err
+	}
+	_, err = f.ReadAt(make([]byte, 2), 0)
+	return err
+}
+
+// closesMaskFile is the clean counterpart.
+func closesMaskFile(path string, n int64) error {
+	f, err := storage.OpenMaskFile(path, n, 1)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = f.ReadAt(make([]byte, 2), 0)
+	return err
+}

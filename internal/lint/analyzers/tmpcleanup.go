@@ -10,7 +10,7 @@ import (
 // TmpCleanup enforces the temp-file discipline of the disk execution
 // paths: every temporary state file, aux sidecar or scratch directory a
 // library function creates must be removed on failure and cancellation —
-// a cancelled multi-pass query must not leak .sta/.stb/aux files next to
+// a cancelled multi-pass query must not leak .sta or aux files next to
 // the database. Tracked creations are os.CreateTemp and os.MkdirTemp
 // anywhere in library code, plus os.Create in internal/core and
 // internal/xpath (where os.Create writes state files and sidecars;

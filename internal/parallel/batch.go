@@ -60,12 +60,6 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 	shared := make([]*core.SharedEngine, nm)
 	for m, bm := range members {
 		res[m] = core.NewResult(bm.E.Compiled().Prog, int64(n))
-		bm.E.AddNodes(int64(n))
-		topts.Run.AddNodes(int64(n))
-		if prune != nil {
-			bm.E.AddPrunedNodes(prune.Nodes)
-			topts.Run.AddPrunedNodes(prune.Nodes)
-		}
 		shared[m] = bm.E.ShareTo(topts.Run)
 	}
 
@@ -260,6 +254,9 @@ func RunBatchContext(ctx context.Context, t *tree.Tree, workers int, members []c
 	})
 	if err != nil {
 		return nil, agg, err
+	}
+	for _, e := range engines {
+		creditNodes(e, topts.Run, int64(n), prune)
 	}
 	return res, agg, nil
 }

@@ -110,10 +110,7 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 	var planExts []storage.Extent
 	if prune != nil {
 		planExts = prune.Extents
-		e.AddPrunedNodes(prune.Nodes)
-		opts.Run.AddPrunedNodes(prune.Nodes)
 	}
-	opts.Run.AddNodes(int64(n))
 	s := e.ShareTo(opts.Run)
 	prog := e.Compiled().Prog
 	res := core.NewResult(prog, int64(n))
@@ -279,7 +276,20 @@ func RunContext(ctx context.Context, e *core.Engine, t *tree.Tree, workers int, 
 		res.BUStateOf = bu
 		res.TDStateOf = td
 	}
+	creditNodes(e, opts.Run, int64(n), prune)
 	return res, nil
+}
+
+// creditNodes records a finished run's node visits and prune savings with
+// the engine and the run's sink: on success only, as the core drivers do —
+// a cancelled run saved nothing.
+func creditNodes(e *core.Engine, rs *core.RunStats, n int64, prune *core.PrunePlan) {
+	e.AddNodes(n)
+	rs.AddNodes(n)
+	if prune != nil {
+		e.AddPrunedNodes(prune.Nodes)
+		rs.AddPrunedNodes(prune.Nodes)
+	}
 }
 
 // buStep computes one bottom-up transition through the worker's cache.

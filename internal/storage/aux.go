@@ -1,15 +1,14 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 )
 
 // Auxiliary-mask sidecar files carry per-node predicate bitmasks alongside
-// a database, preserving the two-linear-scans property: phase 1 reads them
-// backwards in step with the .arb scan, phase 2 forwards. A sidecar of
+// a database, preserving the two-linear-scans property: the disk driver
+// reads a window's masks at the offset of the window's first node, in step
+// with the .arb scan, backwards in phase 1 and forwards in phase 2. A sidecar of
 // stride s holds, for every node in preorder, a vector of s big-endian
 // uint16 masks — stride 1 is the single-query chain of multi-pass XPath
 // evaluation, stride > 1 is the widened form batch execution uses to give
@@ -40,18 +39,4 @@ func OpenMaskFile(path string, n int64, stride int) (*os.File, error) {
 			path, st.Size(), want, n, stride)
 	}
 	return f, nil
-}
-
-// MaskBackward returns a backward reader over the mask vectors of nodes
-// [lo, hi), one stride-wide vector per Next call.
-func MaskBackward(f io.ReaderAt, lo, hi int64, stride int) (*BackwardReader, error) {
-	w := MaskStride(stride)
-	return NewBackwardSectionReader(f, lo*w, hi*w, int(w))
-}
-
-// MaskForward returns a buffered forward reader over the mask vectors of
-// nodes [lo, hi); callers consume one stride-wide vector per node.
-func MaskForward(f io.ReaderAt, lo, hi int64, stride int) *bufio.Reader {
-	w := MaskStride(stride)
-	return bufio.NewReaderSize(io.NewSectionReader(f, lo*w, (hi-lo)*w), defaultBufSize)
 }

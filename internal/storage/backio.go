@@ -13,23 +13,19 @@ import (
 const defaultBufSize = 1 << 18
 
 // scanBufPool recycles the 256 KB I/O buffers of the window passes and the
-// BackwardReaders, so allocation churn stays flat however many passes and
-// readers a frontier or pruning plan opens. BackwardReaders return their
-// buffer through Release.
+// BackwardReaders, so allocation churn stays flat however many passes a
+// frontier or pruning plan opens. BackwardReaders return their buffer
+// through Release.
 var scanBufPool = sync.Pool{
 	New: func() interface{} { return make([]byte, defaultBufSize) },
 }
 
-// BackwardReader reads a section of a file from its end towards its start
-// in fixed-size units, buffering chunk-wise. It is used for the bottom-up
-// .arb scan, for reading the event file backwards during database
-// creation, and for reading the phase-1 state file in preorder. Because it
-// uses ReadAt exclusively, any number of BackwardReaders may share one
-// file handle concurrently — the parallel disk evaluator gives each
-// worker its own reader over its own chunk.
+// BackwardReader reads a file from a given offset towards its start in
+// fixed-size units, buffering chunk-wise: database creation reads its
+// event file backwards with one. It uses ReadAt exclusively, so any number
+// of BackwardReaders may share one file handle concurrently.
 type BackwardReader struct {
 	f        io.ReaderAt
-	start    int64 // lower bound of the section (inclusive)
 	pos      int64 // file offset of the start of buf's valid region
 	raw      []byte
 	buf      []byte
@@ -38,24 +34,14 @@ type BackwardReader struct {
 }
 
 // NewBackwardReader returns a reader over f positioned at offset end,
-// yielding units of unitSize bytes from the end backwards to offset 0.
-// end must be a multiple of unitSize.
+// yielding units of unitSize bytes from the end backwards to offset 0
+// (Next returns io.EOF there). end must be a multiple of unitSize.
 func NewBackwardReader(f io.ReaderAt, end int64, unitSize int) (*BackwardReader, error) {
-	return NewBackwardSectionReader(f, 0, end, unitSize)
-}
-
-// NewBackwardSectionReader returns a reader yielding the units of
-// f[start:end] from the end backwards; Next returns io.EOF once start is
-// reached. end-start must be a multiple of unitSize.
-func NewBackwardSectionReader(f io.ReaderAt, start, end int64, unitSize int) (*BackwardReader, error) {
-	if start < 0 || end < start {
-		return nil, fmt.Errorf("storage: bad backward section [%d, %d)", start, end)
-	}
-	if (end-start)%int64(unitSize) != 0 {
-		return nil, fmt.Errorf("storage: section size %d not a multiple of unit size %d", end-start, unitSize)
+	if end < 0 || end%int64(unitSize) != 0 {
+		return nil, fmt.Errorf("storage: section size %d not a multiple of unit size %d", end, unitSize)
 	}
 	raw := scanBufPool.Get().([]byte)
-	return &BackwardReader{f: f, start: start, pos: end, unitSize: unitSize, raw: raw,
+	return &BackwardReader{f: f, pos: end, unitSize: unitSize, raw: raw,
 		buf: raw[:defaultBufSize/unitSize*unitSize]}, nil
 }
 
@@ -67,28 +53,6 @@ func (r *BackwardReader) Release() {
 		scanBufPool.Put(r.raw)
 		r.raw, r.buf, r.have = nil, nil, 0
 	}
-}
-
-// Skip moves the reader backwards past units whole units without reading
-// them — the seek primitive behind selectivity-aware pruning (the skipped
-// section of a state file was never written, so it must never be read).
-func (r *BackwardReader) Skip(units int64) error {
-	n := units * int64(r.unitSize)
-	if n < 0 {
-		return fmt.Errorf("storage: negative backward skip")
-	}
-	if buffered := int64(r.have); n <= buffered {
-		r.have -= int(n)
-		return nil
-	} else {
-		n -= buffered
-		r.have = 0
-	}
-	if r.pos-n < r.start {
-		return fmt.Errorf("storage: backward skip of %d units crosses the section start", units)
-	}
-	r.pos -= n
-	return nil
 }
 
 // Next returns the next unit (moving backwards), or io.EOF when the start
@@ -104,15 +68,12 @@ func (r *BackwardReader) Next() ([]byte, error) {
 	return r.buf[r.have : r.have+r.unitSize], nil
 }
 
-// fill reads the buffer-sized piece of the section that precedes pos.
+// fill reads the buffer-sized piece of the file that precedes pos.
 func (r *BackwardReader) fill() error {
-	if r.pos == r.start {
+	if r.pos == 0 {
 		return io.EOF
 	}
-	n := int64(len(r.buf))
-	if n > r.pos-r.start {
-		n = r.pos - r.start
-	}
+	n := min(int64(len(r.buf)), r.pos)
 	if got, err := r.f.ReadAt(r.buf[:n], r.pos-n); got < int(n) {
 		return err
 	}

@@ -281,13 +281,6 @@ type backFold[S any] struct {
 	stats   ScanStats
 }
 
-func (f *backFold[S]) push(s S) {
-	f.stack = append(f.stack, s)
-	if len(f.stack) > f.stats.MaxStack {
-		f.stats.MaxStack = len(f.stack)
-	}
-}
-
 func (f *backFold[S]) node(rec Record, v int64) error {
 	var first, second *S
 	if rec.HasFirst {
@@ -304,25 +297,16 @@ func (f *backFold[S]) node(rec Record, v int64) error {
 		second = &f.stack[len(f.stack)-1]
 		f.stack = f.stack[:len(f.stack)-1]
 	}
-	f.push(f.combine(first, second, rec, v))
+	f.stack = append(f.stack, f.combine(first, second, rec, v))
+	f.stats.MaxStack = max(f.stats.MaxStack, len(f.stack))
 	f.stats.Nodes++
 	return nil
 }
 
-// run folds the node range [lo, hi) with holes at the skip extents, each
-// standing in with subtree's result — the adapter from BackwardWindows to
-// the per-node FoldBottomUp* entry points.
-func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(Extent) (S, error)) error {
-	return db.BackwardWindows(ctx, lo, hi, skip, &f.stats,
-		func(x Extent) error {
-			s, err := subtree(x)
-			if err != nil {
-				return err
-			}
-			f.push(s)
-			f.stats.Nodes += x.Size
-			return nil
-		},
+// run folds the node range [lo, hi) — the adapter from BackwardWindows to
+// the per-node FoldBottomUp entry points.
+func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64) error {
+	return db.BackwardWindows(ctx, lo, hi, nil, &f.stats, nil,
 		func(first int64, recs []byte) error {
 			v := first + int64(len(recs)/NodeSize) - 1
 			for i := len(recs) - NodeSize; i >= 0; i -= NodeSize {
@@ -343,19 +327,9 @@ func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64, skip []Exte
 // returns the root's result. Cancelling ctx makes the scan return
 // ctx.Err() promptly (checked every few thousand nodes).
 func FoldBottomUp[S any](ctx context.Context, db *DB, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	return FoldBottomUpSkipping(ctx, db, nil, nil, combine)
-}
-
-// FoldBottomUpSkipping is FoldBottomUp with holes: the subtree extents in
-// skip (sorted by Root, disjoint) are not read; instead subtree is called
-// once per extent — in reverse preorder position — and its result stands
-// in for the whole subtree, exactly as if combine had folded it. This is
-// the leader scan of parallel evaluation: workers fold the extents, the
-// leader folds the glue, and in aggregate every byte is read once.
-func FoldBottomUpSkipping[S any](ctx context.Context, db *DB, skip []Extent, subtree func(Extent) (S, error), combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var zero S
 	f := backFold[S]{combine: combine}
-	if err := f.run(ctx, db, 0, db.N, skip, subtree); err != nil {
+	if err := f.run(ctx, db, 0, db.N); err != nil {
 		return zero, f.stats, err
 	}
 	if len(f.stack) != 1 {
@@ -364,18 +338,21 @@ func FoldBottomUpSkipping[S any](ctx context.Context, db *DB, skip []Extent, sub
 	return f.stack[0], f.stats, nil
 }
 
-// FoldBottomUpRangeSkipping is FoldBottomUpRange with holes: the subtree
-// extents in skip (sorted by Root, disjoint, strictly inside x) are not
-// read; subtree supplies each one's stand-in result. Workers of the
-// parallel evaluators use it to prune irrelevant subtrees inside their
-// own chunks.
-func FoldBottomUpRangeSkipping[S any](ctx context.Context, db *DB, x Extent, skip []Extent, subtree func(Extent) (S, error), combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
+// FoldBottomUpRange folds one complete subtree extent bottom-up in a
+// backward scan of just its byte range. combine is called exactly once
+// per node of the extent, in reverse preorder; the subtree root's result
+// is returned. The extent must be a subtree extent (e.g. from
+// SubtreeIndex.Cut) — anything else fails the structure check with
+// ErrBadExtent. Cancellation is deliberately not dressed up as
+// ErrBadExtent: it would send callers into an index rebuild for a
+// non-structural condition.
+func FoldBottomUpRange[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var zero S
 	f := backFold[S]{combine: combine}
 	if x.Size <= 0 {
 		return zero, f.stats, fmt.Errorf("%w: [%d,%d) is empty", ErrBadExtent, x.Root, x.End())
 	}
-	if err := f.run(ctx, db, x.Root, x.End(), skip, subtree); err != nil {
+	if err := f.run(ctx, db, x.Root, x.End()); err != nil {
 		if isCancel(err) || errors.Is(err, ErrBadExtent) {
 			return zero, f.stats, err
 		}
@@ -385,18 +362,6 @@ func FoldBottomUpRangeSkipping[S any](ctx context.Context, db *DB, x Extent, ski
 		return zero, f.stats, fmt.Errorf("%w: [%d,%d) folds to %d roots", ErrBadExtent, x.Root, x.End(), len(f.stack))
 	}
 	return f.stack[0], f.stats, nil
-}
-
-// FoldBottomUpRange folds one complete subtree extent bottom-up in a
-// backward scan of just its byte range. combine is called exactly once
-// per node of the extent, in reverse preorder; the subtree root's result
-// is returned. The extent must be a subtree extent (e.g. from
-// SubtreeIndex.Cut) — anything else fails the structure check.
-func FoldBottomUpRange[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	// Cancellation is deliberately not dressed up as ErrBadExtent (see
-	// FoldBottomUpRangeSkipping): it would send callers into an index
-	// rebuild for a non-structural condition.
-	return FoldBottomUpRangeSkipping(ctx, db, x, nil, nil, combine)
 }
 
 // topDown is the generic consumer of a forward pass: it tracks, per node
@@ -504,27 +469,15 @@ func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subt
 // ScanTopDownRange scans one complete subtree extent forward. visit is
 // called exactly once per node of the extent in preorder; the extent's
 // root is visited with parent nil and k 0 — the caller supplies its real
-// top-down context through the closure (the parallel evaluator primes it
-// with the entry state the leader computed).
+// top-down context through the closure.
 func ScanTopDownRange[S any](ctx context.Context, db *DB, x Extent, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
-	return ScanTopDownRangeSkipping(ctx, db, x, nil, nil, visit)
-}
-
-// ScanTopDownRangeSkipping is ScanTopDownRange with holes: the subtree
-// extents in skip (sorted by Root, disjoint, strictly inside x) are not
-// read; subtree is called once per extent with the parent value and child
-// position its root would have received. Workers of the parallel
-// evaluators use it to seek past irrelevant subtrees inside their chunks.
-func ScanTopDownRangeSkipping[S any](ctx context.Context, db *DB, x Extent, skip []Extent, subtree func(x Extent, parent *S, k int) error, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
 	t := topDown[S]{visit: visit, end: x.End()}
 	if x.Size <= 0 {
 		return t.stats, fmt.Errorf("%w: [%d,%d) is empty", ErrBadExtent, x.Root, x.End())
 	}
 	// Callback and read errors pass through unwrapped: only the final
-	// structure check below is evidence of a stale extent (a mid-scan
-	// error may be the caller's own — an aux write failure, say — and
-	// dressing it as ErrBadExtent would trigger a pointless rebuild).
-	if err := t.run(ctx, db, x.Root, x.End(), skip, subtree); err != nil {
+	// structure check below is evidence of a stale extent.
+	if err := t.run(ctx, db, x.Root, x.End(), nil, nil); err != nil {
 		return t.stats, err
 	}
 	if t.parent != nil || len(t.pending) > 0 {

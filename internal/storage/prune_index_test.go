@@ -126,55 +126,6 @@ func TestPruneStaleV1IndexRebuilt(t *testing.T) {
 	}
 }
 
-// TestPruneBackwardSkip checks the BackwardReader seek primitive against
-// plain reads.
-func TestPruneBackwardSkip(t *testing.T) {
-	const units = 100
-	buf := make([]byte, units*4)
-	for i := 0; i < units; i++ {
-		binary.BigEndian.PutUint32(buf[i*4:], uint32(i))
-	}
-	r, err := NewBackwardReader(bytes.NewReader(buf), int64(len(buf)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	// Read 10 (yields 99..90), skip 30 (89..60), read the rest.
-	for want := units - 1; want >= 90; want-- {
-		b, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := binary.BigEndian.Uint32(b); got != uint32(want) {
-			t.Fatalf("unit %d, want %d", got, want)
-		}
-	}
-	if err := r.Skip(30); err != nil {
-		t.Fatal(err)
-	}
-	for want := 59; want >= 0; want-- {
-		b, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := binary.BigEndian.Uint32(b); got != uint32(want) {
-			t.Fatalf("unit %d, want %d", got, want)
-		}
-	}
-	if _, err := r.Next(); err == nil {
-		t.Fatal("reader did not report EOF")
-	}
-	// Skipping past the section start must fail.
-	r2, err := NewBackwardReader(bytes.NewReader(buf), int64(len(buf)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Release()
-	if err := r2.Skip(units + 1); err == nil {
-		t.Fatal("Skip crossed the section start without error")
-	}
-}
-
 // TestPruneTreeIndexMatchesDiskIndex checks that the in-memory tree
 // index agrees entry-for-entry with the disk-built index of the same
 // document, and that non-preorder trees are refused.

@@ -171,9 +171,10 @@ func (b *Batch) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) ([]*c
 
 // ExecDisk evaluates the whole batch over a .arb database in secondary
 // storage. Every round is one shared pair of linear scans for all active
-// members: their phase-1 states interleave in one widened temporary state
-// file, and multi-pass members chain their aux masks through one widened
-// sidecar with a slot per member — so a batch of single-pass queries
+// members: they step in lanes sharing product automata (core.RunDiskBatch),
+// whose phase-1 states share one temporary state file, and multi-pass
+// members chain their aux masks through one widened sidecar with a slot
+// per member — so a batch of single-pass queries
 // costs exactly two linear scans of the data in aggregate, however many
 // queries it holds. Cancelling ctx aborts the scan in progress and
 // removes every temporary file. opts.KeepStates and opts.MarkTo do not

@@ -676,9 +676,10 @@ func (q *PreparedQuery) Count(ctx context.Context) (int64, error) {
 
 // PreparedBatch is a set of queries compiled against one Session that
 // execute together: one Exec evaluates every member during a single pair
-// of linear scans per round, sharing the tree or byte-range iteration,
-// the buffered readers, and (on disk) one widened state file, while each
-// member keeps its own automata and its own result. Multi-pass members
+// of linear scans per round, sharing the tree or byte-range iteration
+// and (on disk) one state file and the automaton steps — the members step
+// the product of their automata — while each member keeps its own
+// automata and its own result. Multi-pass members
 // are scheduled so that round r runs pass r of every member that still
 // has one — the number of scan pairs is the longest member's pass count,
 // not the sum over members.
@@ -728,8 +729,8 @@ func (b *PreparedBatch) Rounds() int {
 // once per phase.
 //
 // Cancelling ctx aborts the scan in progress: Exec returns ctx.Err()
-// (wrapped) and removes every temporary file — the widened state file
-// and the aux-mask sidecars chaining multi-pass members. A nil ctx means
+// (wrapped) and removes every temporary file — the state file and the
+// aux-mask sidecars chaining multi-pass members. A nil ctx means
 // context.Background().
 func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Profile, error) {
 	if ctx == nil {
