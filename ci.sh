@@ -166,9 +166,12 @@ go test -run Batch -race ./...
 go test -run Prune -race ./...
 go test -run Serve -race ./...
 # Compressed extents: container round-trips, all-strategy differentials
-# on compressed databases, vstore write-policy inheritance, and the
-# rename-commit directory-sync hooks.
-go test -run 'Compress|SyncDir' -race ./...
+# on compressed databases, vstore write-policy inheritance, the
+# rename-commit directory-sync hooks, the LZ decoder against its
+# byte-at-a-time oracle, and the block cache's prefix decoding; then a
+# bounded fuzz of the decoder.
+go test -run 'Compress|SyncDir|LZ|BlockSource' -race ./...
+go test -run '^$' -fuzz FuzzLZDecompress -fuzztime 10s ./internal/storage
 # The versioned extent store: manifest fuzz seeds, the vstore and
 # root-level patch differentials, snapshot isolation/GC, and the
 # concurrent read-while-patching server race.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Block-compressed .arb containers (database format v3).
@@ -39,8 +40,9 @@ import (
 //
 // Decompression happens behind io.ReaderAt: the block source keeps a
 // small direct-mapped cache of decompressed blocks (per-slot mutexes, so
-// concurrent scans at different file positions never serialise) and
-// recycles compressed-input scratch through a sync.Pool.
+// concurrent scans at different file positions never serialise),
+// decodes an LZ block only as far as its reads reach, and recycles
+// compressed-input scratch through a sync.Pool.
 
 // Codec identifiers, as stored in container headers and vstore
 // manifests. CodecRaw marks a plain uncompressed .arb file or segment.
@@ -95,7 +97,10 @@ const (
 	// blockCacheSlots is the size of the per-container direct-mapped
 	// decompressed-block cache. Sequential scans hit the same block for
 	// every record in it; concurrent scans at different positions map to
-	// different slots and never contend.
+	// different slots and never contend. A slot holds a decoded prefix of
+	// its block, so a pruned scan that touches one record of a block
+	// decodes up to that record, not the block; two blocks 32 apart
+	// still evict each other.
 	blockCacheSlots = 32
 )
 
@@ -105,21 +110,23 @@ type blockEnt struct {
 	enc uint8  // 0 = raw, else the container codec
 }
 
-// lzScratchPool recycles compressed-input scratch buffers across block
-// decompressions (and compression staging on the write side).
+// lzScratchPool recycles the compressed-input buffers block decodes read
+// stored bytes into. It holds pointers, so Put does not allocate, and a
+// buffer grows to the largest stored length it has been asked for.
 var lzScratchPool = sync.Pool{
-	New: func() interface{} { return make([]byte, 0, DefaultBlockSize+DefaultBlockSize/16) },
+	New: func() any { return new([]byte) },
 }
 
-func getScratch(n int) []byte {
-	b := lzScratchPool.Get().([]byte)
-	if cap(b) < n {
-		b = make([]byte, 0, n)
+func getScratch(n int) *[]byte {
+	b := lzScratchPool.Get().(*[]byte)
+	if cap(*b) < n {
+		*b = make([]byte, n)
 	}
-	return b[:n]
+	*b = (*b)[:n]
+	return b
 }
 
-func putScratch(b []byte) { lzScratchPool.Put(b[:0]) } //nolint:staticcheck
+func putScratch(b *[]byte) { lzScratchPool.Put(b) }
 
 // blockSource serves a container's logical record space [0, logical)
 // through io.ReaderAt, decompressing blocks on demand.
@@ -132,12 +139,15 @@ type blockSource struct {
 	enc       []uint8
 	physSum   []int64 // prefix sums of stored lengths; len = blocks+1
 	slots     []blockSlot
+	decoded   atomic.Int64 // block bytes decoded so far; read by tests
 }
 
 type blockSlot struct {
 	mu   sync.Mutex
 	idx  int64  // block index held, -1 when empty; guarded by: mu
-	data []byte // decompressed block; guarded by: mu
+	data []byte // the block's logical bytes; valid below dec; guarded by: mu
+	dec  int    // bytes of data decoded; guarded by: mu
+	si   int    // stored-stream offset the decode resumes at; guarded by: mu
 }
 
 // ContainerInfo summarises a compressed container for stats surfaces.
@@ -311,8 +321,9 @@ func (bs *blockSource) info() ContainerInfo {
 
 // physSpan returns the stored bytes of every block overlapping the
 // logical byte range [lo, hi) — the physical I/O cost of scanning that
-// range (block-granular: a scan touching any byte of a block reads and
-// decompresses the whole block).
+// range. It is block-granular: a scan touching any byte of a block
+// reads the block's stored bytes, although an LZ block is decoded only
+// up to the last byte read (readBlock).
 func (bs *blockSource) physSpan(lo, hi int64) int64 {
 	if hi > bs.logical {
 		hi = bs.logical
@@ -348,60 +359,82 @@ func (bs *blockSource) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // readBlock copies block i's bytes from logical offset rel into p,
-// decompressing through the slot cache.
+// decompressing through the slot cache only as far as the copy reaches.
 func (bs *blockSource) readBlock(i int64, p []byte, rel int64) (int, error) {
+	want := bs.blockLen(i)
+	if rel >= want {
+		return 0, fmt.Errorf("storage: block %d read at %d past its %d bytes", i, rel, want)
+	}
+	need := min(rel+int64(len(p)), want)
 	s := &bs.slots[i%blockCacheSlots]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.idx != i {
-		if err := bs.fillSlot(s, i); err != nil {
+	if s.idx != i || int64(s.dec) < need {
+		if err := bs.fillSlot(s, i, int(need)); err != nil {
 			return 0, err
 		}
 	}
-	if rel >= int64(len(s.data)) {
-		return 0, fmt.Errorf("storage: block %d read at %d past its %d bytes", i, rel, len(s.data))
-	}
-	return copy(p, s.data[rel:]), nil
+	return copy(p, s.data[rel:s.dec]), nil
 }
 
-// fillSlot loads and decodes block i into the slot, which the caller
-// (readBlock) holds locked.
+// fillSlot decodes block i into the slot, which the caller (readBlock)
+// holds locked, until at least need bytes are valid. An LZ block the
+// slot already holds a prefix of resumes where that prefix ended, from
+// a re-read of the stored bytes not yet consumed; any other slot starts
+// over. Raw and flate blocks are decoded whole. On error the slot is
+// left empty, so no later read is served bytes from a failed decode.
 //
 // arblint:holds mu
-func (bs *blockSource) fillSlot(s *blockSlot, i int64) error {
-	s.idx = -1
-	want := int(bs.blockLen(i))
-	if cap(s.data) < want {
-		s.data = make([]byte, want, bs.blockSize)
-	}
-	s.data = s.data[:want]
-	stored := int(bs.offs[i+1] - bs.offs[i])
-	if bs.enc[i] == 0 {
-		if _, err := bs.phys.ReadAt(s.data, bs.offs[i]); err != nil {
-			return fmt.Errorf("storage: raw block %d: %w", i, err)
+func (bs *blockSource) fillSlot(s *blockSlot, i int64, need int) error {
+	if s.idx != i {
+		want := int(bs.blockLen(i))
+		if cap(s.data) < want {
+			s.data = make([]byte, want, bs.blockSize)
 		}
-		s.idx = i
-		return nil
+		s.data = s.data[:want]
+		s.dec, s.si = 0, 0
 	}
-	comp := getScratch(stored)
+	s.idx = -1
+	dec, si, err := bs.decode(s.data, i, s.dec, s.si, need)
+	if err != nil {
+		return err
+	}
+	bs.decoded.Add(int64(dec - s.dec))
+	s.idx, s.dec, s.si = i, dec, si
+	return nil
+}
+
+// decode extends the decoded prefix [0, dec) of block i in data to at
+// least need bytes, where si is the stored-stream offset that prefix
+// ended at, and returns the new prefix length and stream offset.
+func (bs *blockSource) decode(data []byte, i int64, dec, si, need int) (int, int, error) {
+	if bs.enc[i] == 0 {
+		if _, err := bs.phys.ReadAt(data, bs.offs[i]); err != nil {
+			return 0, 0, fmt.Errorf("storage: raw block %d: %w", i, err)
+		}
+		return len(data), 0, nil
+	}
+	comp := getScratch(int(bs.offs[i+1]-bs.offs[i]) - si)
 	defer putScratch(comp)
-	if _, err := bs.phys.ReadAt(comp, bs.offs[i]); err != nil {
-		return fmt.Errorf("storage: compressed block %d: %w", i, err)
+	if _, err := bs.phys.ReadAt(*comp, bs.offs[i]+int64(si)); err != nil {
+		return 0, 0, fmt.Errorf("storage: compressed block %d: %w", i, err)
 	}
 	var err error
 	switch bs.enc[i] {
 	case CodecLZ:
-		err = lzDecompress(s.data, comp)
+		var n int
+		dec, n, err = lzDecodePrefix(data, *comp, dec, need)
+		si += n
 	case CodecFlate:
-		err = flateDecompress(s.data, comp)
+		err = flateDecompress(data, *comp)
+		dec = len(data)
 	default:
 		err = fmt.Errorf("unknown encoding %d", bs.enc[i])
 	}
 	if err != nil {
-		return fmt.Errorf("storage: block %d: %w", i, err)
+		return 0, 0, fmt.Errorf("storage: block %d: %w", i, err)
 	}
-	s.idx = i
-	return nil
+	return dec, si, nil
 }
 
 // BlockWriter streams a logical record stream into a container file:

@@ -13,9 +13,6 @@ import (
 	"arb/internal/tree"
 )
 
-// lzRoundTrip compresses src and decompresses the result, failing the
-// test on any mismatch. Returns false when the encoder declined
-// (incompressible input), which is a legal outcome, not a failure.
 // sizedTree draws random trees until one has at least minNodes nodes,
 // so the container tests always see multiple blocks.
 func sizedTree(t *testing.T, rng *rand.Rand, minNodes, maxNodes int) *tree.Tree {
@@ -30,6 +27,9 @@ func sizedTree(t *testing.T, rng *rand.Rand, minNodes, maxNodes int) *tree.Tree 
 	return nil
 }
 
+// lzRoundTrip compresses src and decompresses the result, failing the
+// test on any mismatch. Returns false when the encoder declined
+// (incompressible input), which is a legal outcome, not a failure.
 func lzRoundTrip(t *testing.T, src []byte) bool {
 	t.Helper()
 	comp, ok := lzCompress(nil, src)

@@ -137,7 +137,7 @@ func (db *DB) containerDesc() *ContainerInfo {
 // what a scan of that range costs in disk reads. For a raw database
 // that is exactly the logical record bytes; for a compressed one it is
 // the stored size of every block the range touches (block-granular:
-// reading any record of a block decompresses the whole block).
+// reading any record of a block reads the whole stored block).
 func (db *DB) PhysSpan(lo, hi int64) int64 {
 	if hi > db.N {
 		hi = db.N

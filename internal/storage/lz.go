@@ -147,14 +147,27 @@ func lzPutLen(dst []byte, n int) []byte {
 	return append(dst, byte(n))
 }
 
-// lzDecompress fills dst exactly from the compressed stream src. Every
-// access is bounds-checked so corrupt blocks fail cleanly rather than
-// panicking or reading out of range.
-func lzDecompress(dst, src []byte) error {
-	di, si := 0, 0
+// lzDecodePrefix resumes decoding a block into dst at output position
+// di, where src holds the rest of the compressed stream from a sequence
+// boundary on. It decodes whole sequences until the output reaches need
+// bytes, and returns the output position and the src bytes consumed.
+// Once the output is full it decodes on to the end of the stream, so a
+// decode that ends at len(dst) has passed every end-of-stream check.
+// Every access is bounds-checked so corrupt blocks fail cleanly rather
+// than panicking or reading out of range. Bytes of dst at or past the
+// returned position are scratch: the word copies below may have written
+// there.
+//
+// Short literal runs and matches whose source lies at least 8 bytes
+// back are copied as 8-byte words while dst (and, for literals, src)
+// has room for the overshoot. Sequences average 5–10 output bytes on
+// Treebank-shaped record streams, too few for two copy() calls per
+// sequence to pay for themselves.
+func lzDecodePrefix(dst, src []byte, di, need int) (int, int, error) {
+	si := 0
 	for {
 		if si >= len(src) {
-			return fmt.Errorf("lz block: truncated at sequence start")
+			return di, si, fmt.Errorf("lz block: truncated at sequence start")
 		}
 		token := src[si]
 		si++
@@ -163,59 +176,74 @@ func lzDecompress(dst, src []byte) error {
 			var err error
 			litLen, si, err = lzGetLen(src, si, litLen)
 			if err != nil {
-				return err
+				return di, si, err
 			}
 		}
 		if si+litLen > len(src) || di+litLen > len(dst) {
-			return fmt.Errorf("lz block: literal run of %d overflows", litLen)
+			return di, si, fmt.Errorf("lz block: literal run of %d overflows", litLen)
 		}
-		copy(dst[di:], src[si:si+litLen])
+		if litLen <= 16 && len(src)-si >= 16 && len(dst)-di >= 16 {
+			binary.LittleEndian.PutUint64(dst[di:], binary.LittleEndian.Uint64(src[si:]))
+			binary.LittleEndian.PutUint64(dst[di+8:], binary.LittleEndian.Uint64(src[si+8:]))
+		} else {
+			copy(dst[di:], src[si:si+litLen])
+		}
 		di += litLen
 		si += litLen
 		if si == len(src) {
 			if token&0x0F != 0 {
-				return fmt.Errorf("lz block: stream ends inside a match sequence")
+				return di, si, fmt.Errorf("lz block: stream ends inside a match sequence")
 			}
 			if di != len(dst) {
-				return fmt.Errorf("lz block: produced %d of %d bytes", di, len(dst))
+				return di, si, fmt.Errorf("lz block: produced %d of %d bytes", di, len(dst))
 			}
-			return nil
+			return di, si, nil
 		}
 		mlen := int(token & 0x0F)
 		if mlen == 15 {
 			var err error
 			mlen, si, err = lzGetLen(src, si, mlen)
 			if err != nil {
-				return err
+				return di, si, err
 			}
 		}
 		mlen += lzMinMatch
 		if si+2 > len(src) {
-			return fmt.Errorf("lz block: truncated match offset")
+			return di, si, fmt.Errorf("lz block: truncated match offset")
 		}
 		off := int(src[si])<<8 | int(src[si+1])
 		si += 2
 		if off == 0 || off > di {
-			return fmt.Errorf("lz block: match offset %d at output position %d", off, di)
+			return di, si, fmt.Errorf("lz block: match offset %d at output position %d", off, di)
 		}
 		if di+mlen > len(dst) {
-			return fmt.Errorf("lz block: match of %d overflows output", mlen)
+			return di, si, fmt.Errorf("lz block: match of %d overflows output", mlen)
 		}
-		if off >= mlen {
+		switch {
+		case off >= 8 && len(dst)-di >= mlen+16:
+			// Each word's source ends at or before the word it writes,
+			// so a match overlapping its output by ≥ 8 bytes is safe.
+			s := di - off
+			binary.LittleEndian.PutUint64(dst[di:], binary.LittleEndian.Uint64(dst[s:]))
+			binary.LittleEndian.PutUint64(dst[di+8:], binary.LittleEndian.Uint64(dst[s+8:]))
+			for k := 16; k < mlen; k += 8 {
+				binary.LittleEndian.PutUint64(dst[di+k:], binary.LittleEndian.Uint64(dst[s+k:]))
+			}
+		case off >= mlen:
 			copy(dst[di:di+mlen], dst[di-off:])
-			di += mlen
-		} else {
+		default:
 			// Overlapping match: widen the copy stride by doubling so
 			// run-heavy data is still copied in large chunks. The valid
 			// prefix [start, start+have) grows until it covers the match
-			// end at di.
-			start := di - off
-			di += mlen
-			have := off
-			for start+have < di {
-				n := copy(dst[start+have:di], dst[start:start+have])
-				have += n
+			// end at di+mlen.
+			start, have := di-off, off
+			for start+have < di+mlen {
+				have += copy(dst[start+have:di+mlen], dst[start:start+have])
 			}
+		}
+		di += mlen
+		if di >= need && di < len(dst) {
+			return di, si, nil
 		}
 	}
 }
