@@ -33,15 +33,15 @@
 //	res, _, err := pq.Exec(ctx, arb.ExecOpts{})       // two linear scans
 //	n := res.Count(pq.Queries()[0])
 //
-// One Exec call drives every execution strategy: the session's backend
-// picks in-memory or secondary-storage evaluation, ExecOpts.Workers picks
-// sequential or parallel, and Core XPath queries with not(..) conditions
-// (sess.PrepareXPath) transparently run their auxiliary passes first —
-// in memory or chained through aux-mask sidecar files on disk. Every
-// path returns the same unified Result with identical selected nodes,
-// and the ctx cancels long scans promptly, cleaning up temporary files.
-// In-memory sources enter through NewSession(tree); ParseXML and
-// TreeBuilder construct trees. The subpackages under internal implement
+// One Exec call drives every execution strategy through one driver: an
+// in-memory session runs it over its tree's record image (the records a
+// database holds, kept in RAM with the run's temporaries), ExecOpts.Workers
+// picks sequential or parallel, and Core XPath queries with not(..)
+// conditions (sess.PrepareXPath) transparently run their auxiliary passes
+// first, chained through aux-mask sidecars. Every path returns the same
+// unified Result with identical selected nodes, and the ctx cancels long
+// scans promptly, cleaning up temporary files. In-memory sources enter
+// through NewSession(tree); ParseXML and TreeBuilder construct trees. The subpackages under internal implement
 // the pieces (storage model, Horn solver, automata, frontends,
 // workloads); this package is the supported public surface.
 //
@@ -69,9 +69,9 @@
 // collapses into one huge chain and evaluation degrades toward
 // sequential; that asymmetry is exactly why the paper restructures
 // sequences into balanced infix trees. In-memory sessions parallelise
-// the same way — workers split the tree at a frontier of subtree index
-// ranges; `arbbench -experiment speedup` measures the disk-path speedup
-// per worker count.
+// the same way, over their tree's record image; the benchmark's
+// `parallel.mem_speedup_w2` and `disk_speedup_w2` rows measure both at
+// two workers.
 //
 // # Batch execution
 //
@@ -80,11 +80,11 @@
 // per workload, not once per query. Session.PrepareBatch groups any mix
 // of TMNF programs and Core XPath queries into a PreparedBatch whose
 // Exec evaluates every member during a single pair of scans per round:
-// the scan iteration and the temporary state file are shared — on disk
-// the members step one product of their lazily built automata, one state
-// id per node — each member keeps its own automata and its own Result,
+// the scan iteration and the temporary state file are shared — the
+// members step one product of their lazily built automata, one state id
+// per node — each member keeps its own automata and its own Result,
 // and the selected nodes are bit-identical to stand-alone execution on
-// every strategy (memory, disk, parallel disk).
+// every strategy (sequential and parallel, in memory and on disk).
 // Multi-pass not(..) members piggyback too — round r runs pass r of
 // every member that still has one, so the batch's scan-pair count is the
 // deepest member's pass count rather than the sum over members.
@@ -104,8 +104,8 @@
 // Prepared handles are reentrant: any number of goroutines may Exec one
 // PreparedQuery or PreparedBatch at once, overlapping freely while the
 // compiled automata stay shared and warm (engines synchronise
-// internally; only KeepStates disk runs serialise per handle, on the
-// fixed base.sta name). Session.BatchOf folds already-prepared handles
+// internally; even KeepStates disk runs overlap, each keeping its own
+// uniquely named state file). Session.BatchOf folds already-prepared handles
 // into a shared-scan batch without recompiling — together these are the
 // building blocks of `arb serve` (internal/server), the long-running
 // HTTP query server with an LRU plan cache over normalized query text
@@ -135,8 +135,8 @@
 // of live labels (and whether whole label-disjoint subtrees can ever
 // contribute a state or a selection), and every strategy then seeks past
 // subtree extents whose label summary — carried per extent by the v2
-// .idx sidecar, or by the session's in-memory tree index — is disjoint
-// from it. Pruned execution is bit-identical to unpruned on every
+// .idx sidecar, or by an index built from an in-memory session's record
+// image — is disjoint from it. Pruned execution is bit-identical to unpruned on every
 // strategy and batch member; ExecOpts.NoPrune (CLI: `arb query
 // -noprune`) disables it, and Profile reports the savings
 // (Disk.PhaseN.SkippedBytes, Engine.PrunedNodes). `arbbench -experiment

@@ -81,6 +81,41 @@ func scalarSelected(t testing.TB, sess *arb.Session, corpus []any) [][][]arb.Nod
 	return out
 }
 
+// oracleSelected returns what the oracles select for a corpus item, per
+// query predicate: the naive fixpoint evaluator for TMNF programs, the
+// direct XPath interpreter for XPath queries — implementations that share
+// nothing with the one driver every session, in memory or on disk, runs.
+func oracleSelected(tr *arb.Tree, item any) [][]arb.NodeID {
+	switch q := item.(type) {
+	case *arb.Program:
+		oracle := naive.Evaluate(tr, q)
+		out := make([][]arb.NodeID, len(q.Queries()))
+		for qi, pred := range q.Queries() {
+			out[qi] = oracle.Selected(pred)
+		}
+		return out
+	case *arb.XPathQuery:
+		var sel []arb.NodeID
+		for v, ok := range xpath.NewInterp(tr).Eval(q.Path) {
+			if ok {
+				sel = append(sel, arb.NodeID(v))
+			}
+		}
+		return [][]arb.NodeID{sel}
+	}
+	return nil
+}
+
+// checkOracles compares per-item reference selections with the oracles.
+func checkOracles(t testing.TB, tr *arb.Tree, items []any, want [][][]arb.NodeID) {
+	t.Helper()
+	for i, item := range items {
+		for qi, sel := range oracleSelected(tr, item) {
+			sameSelected(t, "oracle", i, want[i][qi], sel)
+		}
+	}
+}
+
 func sameSelected(t testing.TB, label string, member int, got, want []arb.NodeID) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -133,26 +168,7 @@ func TestBatchDifferential(t *testing.T) {
 	diskSess := arb.NewDBSession(db)
 	want := scalarSelected(t, memSess, corpus)
 
-	// Oracles: the naive fixpoint evaluator for TMNF members, the direct
-	// XPath interpreter for XPath members.
-	for i, item := range corpus {
-		switch q := item.(type) {
-		case *arb.Program:
-			oracle := naive.Evaluate(tr, q)
-			for qi, pred := range q.Queries() {
-				sameSelected(t, "naive oracle", i, want[i][qi], oracle.Selected(pred))
-			}
-		case *arb.XPathQuery:
-			truth := xpath.NewInterp(tr).Eval(q.Path)
-			var sel []arb.NodeID
-			for v, ok := range truth {
-				if ok {
-					sel = append(sel, arb.NodeID(v))
-				}
-			}
-			sameSelected(t, "interp oracle", i, want[i][0], sel)
-		}
-	}
+	checkOracles(t, tr, corpus, want)
 
 	memBatch, err := memSess.PrepareBatch(corpus...)
 	if err != nil {
@@ -205,6 +221,7 @@ func TestBatchOrderIndependence(t *testing.T) {
 	memSess := arb.NewSession(tr)
 	diskSess := arb.NewDBSession(db)
 	want := scalarSelected(t, memSess, corpus)
+	checkOracles(t, tr, corpus, want)
 
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI entry point: formatting, vet, build, a fast cancellation gate, a
 # library smoke test, and the full test suite under the race detector
-# (the tier-1 gate plus race coverage of the parallel in-memory and
-# parallel secondary-storage paths).
+# (the tier-1 gate plus race coverage of the one driver's parallel
+# chunks, over databases and over in-memory trees' record images alike).
 set -eu
 
 cd "$(dirname "$0")"
@@ -45,6 +45,12 @@ fi
 # is lanes of the scalar driver (core/product.go). Keep them gone.
 if grep -rnE '\b(runDiskBatchChunked|takeVec)\b' --include='*.go' . >&2; then
     echo "runDiskBatchChunked/takeVec are back: batches run on the scalar driver's lanes" >&2
+    exit 1
+fi
+# The in-memory drivers are gone too: a tree runs the one driver over its
+# record image (storage.OpenTree), scratch files in RAM. Keep them gone.
+if grep -rnE '\b(RunBatchTree|TreeBatchOpts|RunBatchContext|emitTreeMarked|ExecTree|SubtreeSizes)\b' --include='*.go' . >&2; then
+    echo "an in-memory driver is back: trees run the one driver over their record image" >&2
     exit 1
 fi
 

@@ -38,7 +38,8 @@ func batchMembers(t *testing.T, progs []*tmnf.Program, names *tree.Names) []Batc
 }
 
 // TestBatchMatchesScalarAndNaive is the core-level differential test: the
-// three batch strategies select bit-identical nodes to per-program scalar
+// batch strategies — sequential and chunked on disk, chunked over the
+// tree's record image in RAM — select bit-identical nodes to per-program scalar
 // runs and to the naive fixpoint oracle, on random trees and programs.
 func TestBatchMatchesScalarAndNaive(t *testing.T) {
 	lowerParallelKnobs(t)
@@ -66,7 +67,11 @@ func TestBatchMatchesScalarAndNaive(t *testing.T) {
 			}
 		}
 
-		memRes, _, err := RunBatchTree(ctx, tr, batchMembers(t, progs, db.Names), TreeBatchOpts{})
+		img, err := storage.OpenTree(tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memRes, _, _, err := RunDiskBatchParallel(ctx, img, 4, batchMembers(t, progs, tr.Names()), DiskBatchOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +145,7 @@ func TestBatchWideStateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameAsNaive(t, prog, tr, nil, want, "in-memory reference")
 	e := NewEngine(c, db.Names)
 	// An engine that already interned states near the 16-bit limit makes
 	// the run pick the wide layout up front.

@@ -17,8 +17,9 @@
 //     Theorem 4.1 is exactly the TMNF semantics P(T)
 //     (ComputeTruePreds, Figure 3).
 //
-// The engine works both over in-memory trees (memory.go) and over .arb
-// databases in secondary storage with two linear scans (disk.go).
+// The engine evaluates .arb databases in secondary storage with two linear
+// scans (disk.go, pardisk.go), and in-memory trees the same way, over their
+// record image (memory.go).
 package core
 
 import (

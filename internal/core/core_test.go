@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"arb/internal/automata"
 	"arb/internal/horn"
 	"arb/internal/naive"
 	"arb/internal/testutil"
@@ -178,8 +179,16 @@ func predNames(p *tmnf.Program, preds []tmnf.Pred) []string {
 	return out
 }
 
+// staOraclePreds bounds the programs evalBoth also checks against the
+// selecting-tree-automaton oracle (automata.SelectTMNF), which is
+// exponential in the predicates: it takes up to 20
+// (TestOraclePredicateLimits), and 8 keep the differentials fast.
+const staOraclePreds = 8
+
 // evalBoth runs the two-phase engine and the naive oracle on the same
-// inputs and compares the query predicate's selected sets.
+// inputs and compares the query predicate's selected sets; programs of at
+// most staOraclePreds predicates are also checked against the Section 3
+// STA semantics, an implementation that shares nothing with either.
 func evalBoth(t *testing.T, tr *tree.Tree, p *tmnf.Program) bool {
 	t.Helper()
 	c, err := Compile(p)
@@ -192,11 +201,18 @@ func evalBoth(t *testing.T, tr *tree.Tree, p *tmnf.Program) bool {
 		t.Fatalf("run: %v", err)
 	}
 	oracle := naive.Evaluate(tr, p)
+	var sta map[tmnf.Pred][]bool
+	if p.NumPreds() <= staOraclePreds {
+		if sta, err = automata.SelectTMNF(tr, p); err != nil {
+			t.Fatalf("SelectTMNF: %v", err)
+		}
+	}
 	for _, q := range p.Queries() {
 		for v := 0; v < tr.Len(); v++ {
-			if res.Holds(q, tree.NodeID(v)) != oracle.Holds(q, tree.NodeID(v)) {
-				t.Logf("mismatch on pred %s node %d: engine=%v oracle=%v\nprogram:\n%s\ntree:\n%s",
-					p.PredName(q), v, res.Holds(q, tree.NodeID(v)), oracle.Holds(q, tree.NodeID(v)), p, tr)
+			got := res.Holds(q, tree.NodeID(v))
+			if got != oracle.Holds(q, tree.NodeID(v)) || sta != nil && got != sta[q][v] {
+				t.Logf("mismatch on pred %s node %d: engine=%v oracle=%v sta=%v\nprogram:\n%s\ntree:\n%s",
+					p.PredName(q), v, got, oracle.Holds(q, tree.NodeID(v)), sta != nil && sta[q][v], p, tr)
 				return false
 			}
 		}

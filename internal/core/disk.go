@@ -25,7 +25,9 @@ type DiskOpts struct {
 	StatePath string
 	// KeepStateFile retains the state file after a successful run and
 	// reports its (unique) path as Result.StateFile; a failed run always
-	// removes the file it created.
+	// removes the file it created. Over a tree's record image
+	// (storage.DB.InMemory) the run instead records every node's states in
+	// Result.BUStateOf/TDStateOf, visiting the nodes in order.
 	KeepStateFile bool
 
 	// AuxIn optionally names a sidecar file holding one 2-byte
@@ -101,15 +103,16 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 	return e.RunDiskParallelContext(ctx, db, 1, opts)
 }
 
-// createStateFile opens the phase-1 state file for a run: opts.StatePath
-// if set; otherwise a unique temporary file next to the database, so two
+// createStateFile opens the phase-1 state file for a run, size bytes:
+// opts.StatePath if set; a buffer in RAM for a tree's record image;
+// otherwise a unique temporary file next to the database, so two
 // concurrent runs sharing a database directory never clobber each other's
 // state. KeepStateFile runs use the same unique naming — the kept path is
 // reported as Result.StateFile rather than through a fixed, discoverable
 // name, so concurrent kept runs neither block nor overwrite one another.
-func createStateFile(db *storage.DB, opts DiskOpts) (*os.File, string, error) {
-	if opts.StatePath != "" {
-		f, err := os.Create(opts.StatePath)
+func createStateFile(db *storage.DB, opts DiskOpts, size int64) (storage.ScratchFile, string, error) {
+	if opts.StatePath != "" || db.InMemory() {
+		f, err := db.CreateScratch(opts.StatePath, size)
 		return f, opts.StatePath, err
 	}
 	f, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.sta")

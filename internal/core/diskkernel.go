@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 
 	"arb/internal/storage"
 )
@@ -82,17 +81,18 @@ func stateWidthFor(n int) int {
 	return stateByte
 }
 
-// diskFiles is what the kernels of one attempt share: the lanes, the files
-// and the attempt's state width.
+// diskFiles is what the kernels of one attempt share: the lanes, the
+// scratch files (storage.ScratchFile: files on disk, buffers in RAM for a
+// tree's record image) and the attempt's state width.
 type diskFiles struct {
-	n       int64    // nodes in the database
-	w       int      // bytes per state id (stateByte, stateNarrow or stateWide)
-	lanes   []lane   // the run's lanes, one state-file region each
-	stateF  *os.File // phase 1 writes it, phase 2 reads it
-	auxF    *os.File // input masks; nil without AuxIn
-	auxOutF *os.File // output masks; nil without AuxOut, created for phase 2
-	inW     int      // bytes per node of the aux-in sidecar
-	outW    int      // bytes per node of the aux-out sidecar
+	n       int64               // nodes in the database
+	w       int                 // bytes per state id (stateByte, stateNarrow or stateWide)
+	lanes   []lane              // the run's lanes, one state-file region each
+	stateF  storage.ScratchFile // phase 1 writes it, phase 2 reads it
+	auxF    storage.ScratchFile // input masks; nil without AuxIn
+	auxOutF storage.ScratchFile // output masks; nil without AuxOut, created for phase 2
+	inW     int                 // bytes per node of the aux-in sidecar
+	outW    int                 // bytes per node of the aux-out sidecar
 }
 
 // stateOff is the state-file offset of lane's states of the n nodes from
@@ -255,14 +255,19 @@ type scanKernel struct {
 	// chunk).
 	w0 int64
 
-	// Only the leader of an empty frontier of a scalar run emits marked XML.
-	emitter *storage.XMLEmitter
-	markBit uint64
+	// visit sees every node of an ordered run — only the leader of an empty
+	// frontier of a scalar run has one — with its query mask and states.
+	visit visitFunc
 
 	aux    []byte
 	auxOut runWriter
 	st     storage.ScanStats
 }
+
+// visitFunc is the one per-node hook of phase 2 (scanKernel.visit): node v,
+// its record, its query mask and its two states. It streams marked XML,
+// records the states of a KeepStates run over a tree, or both.
+type visitFunc func(v int64, rec uint16, mask uint64, bu, td StateID) error
 
 // scanLane is one lane's phase 2 over the region. The region's root enters
 // in rootTD once its stored state has been checked against rootBU, the
@@ -338,8 +343,8 @@ func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []
 		if mask != 0 {
 			k.mark(l, mask, v)
 		}
-		if k.emitter != nil {
-			if err := k.emitter.Node(v, storage.DecodeRecord(rec), mask&k.markBit != 0); err != nil {
+		if k.visit != nil {
+			if err := k.visit(v, rec, mask, bu, td); err != nil {
 				return err
 			}
 		}

@@ -175,21 +175,12 @@ func (e *Engine) ResetStats() {
 	e.mu.Unlock()
 }
 
-// AddNodes records n node visits in the engine's statistics; evaluators
-// outside this package (internal/parallel) call it once a run has
-// succeeded, as the drivers here do.
-func (e *Engine) AddNodes(n int64) {
+// addNodes records a finished run's n node visits, pruned of them pruned
+// (see Stats.PrunedNodes), in the engine's statistics.
+func (e *Engine) addNodes(n, pruned int64) {
 	e.mu.Lock()
 	e.stats.Nodes += n
-	e.mu.Unlock()
-}
-
-// AddPrunedNodes records n pruned node visits (see Stats.PrunedNodes);
-// the external parallel evaluators call it once a pruned run has
-// succeeded.
-func (e *Engine) AddPrunedNodes(n int64) {
-	e.mu.Lock()
-	e.stats.PrunedNodes += n
+	e.stats.PrunedNodes += pruned
 	e.mu.Unlock()
 }
 

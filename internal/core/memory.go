@@ -2,30 +2,29 @@ package core
 
 import (
 	"context"
-	"errors"
-	"time"
+	"encoding/binary"
 
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
 
-// RunOpts configures an evaluation run.
+// RunOpts configures an evaluation run over an in-memory tree.
 type RunOpts struct {
 	// KeepStates records the bottom-up and top-down state of every node
-	// in the Result (in-memory runs only); used by tests, debugging and
-	// the marked-XML output path.
+	// in the Result; used by tests, debugging and the marked-XML output
+	// path.
 	KeepStates bool
 	// Aux supplies the auxiliary per-node predicate bitmask (Aux[k] holds
 	// at v iff bit k of Aux(v) is set) — the paper's Section 7 mechanism
 	// for exposing precomputed information to the automata as part of
-	// the node labeling. The XPath frontend uses it for multi-pass
-	// negation. Nil means no auxiliary predicates.
+	// the node labeling. The run reads it from a mask buffer, as a disk
+	// run reads DiskOpts.AuxIn. Nil means no auxiliary predicates.
 	Aux func(v tree.NodeID) uint16
 
 	// Index optionally supplies a subtree index with label signatures
-	// over the tree (storage.BuildTreeIndex; sessions cache one per
-	// tree), enabling selectivity-aware pruning for in-memory runs: both
-	// passes jump over subtrees the engine's analysis proves irrelevant.
+	// over the tree (storage.BuildTreeIndex), enabling selectivity-aware
+	// pruning: both passes jump over subtrees the engine's analysis proves
+	// irrelevant. Without one the run does not prune.
 	Index *storage.SubtreeIndex
 	// NoPrune disables pruning even when Index is available. Runs with
 	// Aux or KeepStates never prune.
@@ -38,106 +37,38 @@ type RunOpts struct {
 }
 
 // RunContext evaluates the engine's program over an in-memory tree using
-// Algorithm 4.6: one bottom-up pass computing the run ρA of automaton A
-// (reverse preorder — children of a node always follow it in preorder, so
-// a single descending index loop is a bottom-up traversal), then one
-// top-down pass computing the run ρB of automaton B (ascending index
-// loop). The per-node work is two flat-table lookups once the lazy
-// transition tables are warm. Cancelling ctx aborts either pass promptly
-// with ctx.Err(). Runs of one engine may overlap: the shared automata
-// tables are reached through a per-run StepCache over the engine's lock.
+// Algorithm 4.6: RunTreeContext with one worker.
 func (e *Engine) RunContext(ctx context.Context, t *tree.Tree, opts RunOpts) (*Result, error) {
-	n := t.Len()
-	if n == 0 {
-		return nil, errors.New("core: empty tree")
-	}
-	cancel := storage.NewCanceller(ctx)
-	res := NewResult(e.c.Prog, int64(n))
+	return RunTreeContext(ctx, e, t, 1, opts)
+}
 
-	// Selectivity-aware pruning: with a tree index available, both passes
-	// jump over subtrees the static analysis proves irrelevant (the same
-	// soundness conditions as on disk; see prune.go). KeepStates runs
-	// never prune — the recorded per-node states must be complete.
-	var prune *PrunePlan
-	if !opts.NoPrune && opts.Aux == nil && !opts.KeepStates {
-		prune = PlanPrune([]*Engine{e}, opts.Index, int64(n))
+// RunTreeContext evaluates e's program over an in-memory tree with the
+// given number of workers (<= 0: GOMAXPROCS). It is a thin adapter onto the
+// one driver: it encodes the tree's record image (storage.OpenTree) afresh
+// on every call — sessions cache theirs — and runs RunDiskParallelContext
+// over it, with the state file and the aux masks in RAM. Labels resolve
+// against the engine's name table, whichever table the tree carries.
+func RunTreeContext(ctx context.Context, e *Engine, t *tree.Tree, workers int, opts RunOpts) (*Result, error) {
+	db, err := storage.OpenTree(t, opts.Index)
+	if err != nil {
+		return nil, err
 	}
-	var exts []storage.Extent
-	if prune != nil {
-		exts = prune.Extents
-	}
-	cache := e.ShareTo(opts.Run).NewStepCache()
-
-	// Phase 1: bottom-up run of A.
-	start := time.Now()
-	bu := make([]StateID, n)
-	pe := len(exts) - 1
-	for v := n - 1; v >= 0; v-- {
-		if err := cancel.Step(); err != nil {
+	db.Names = e.names
+	do := DiskOpts{KeepStateFile: opts.KeepStates, NoPrune: opts.NoPrune || opts.Index == nil, Run: opts.Run}
+	if opts.Aux != nil {
+		masks := make([]byte, db.N*storage.MaskSize)
+		for v := range db.N {
+			binary.BigEndian.PutUint16(masks[v*storage.MaskSize:], opts.Aux(tree.NodeID(v)))
+		}
+		do.AuxIn = "aux"
+		f, err := db.CreateScratch(do.AuxIn, int64(len(masks)))
+		if err != nil {
 			return nil, err
 		}
-		if pe >= 0 && int64(v) == exts[pe].End()-1 {
-			x := exts[pe]
-			pe--
-			bu[x.Root] = prune.Sub(0)
-			v = int(x.Root) // the loop decrement steps past the extent
-			continue
-		}
-		first, second := t.First(tree.NodeID(v)), t.Second(tree.NodeID(v))
-		left, right := NoState, NoState
-		if first != tree.None {
-			left = bu[first]
-		}
-		if second != tree.None {
-			right = bu[second]
-		}
-		rec := storage.Record{
-			Label:     uint16(t.Label(tree.NodeID(v))),
-			HasFirst:  first != tree.None,
-			HasSecond: second != tree.None,
-		}.Encode()
-		var extra uint16
-		if opts.Aux != nil {
-			extra = opts.Aux(tree.NodeID(v))
-		}
-		bu[v] = cache.BUStep(left, right, cache.SigID(rec, v == 0, extra))
-	}
-	phase1 := time.Since(start)
-
-	// Phase 2: top-down run of B over the ρA-labeled tree.
-	start = time.Now()
-	td := make([]StateID, n)
-	td[0] = cache.RootTrueSet(bu[0])
-	pi := 0
-	for v := 0; v < n; v++ {
-		if err := cancel.Step(); err != nil {
+		if _, err := f.WriteAt(masks, 0); err != nil {
 			return nil, err
 		}
-		if pi < len(exts) && int64(v) == exts[pi].Root {
-			// Provably selection-free: nothing to mark, nothing below
-			// needs a top-down state.
-			v = int(exts[pi].End()) - 1 // the loop increment steps past
-			pi++
-			continue
-		}
-		if mask := cache.QueryMask(td[v]); mask != 0 {
-			res.MarkMask(mask, int64(v))
-		}
-		if c := t.First(tree.NodeID(v)); c != tree.None {
-			td[c] = cache.TDStep(td[v], bu[c], 1)
-		}
-		if c := t.Second(tree.NodeID(v)); c != tree.None {
-			td[c] = cache.TDStep(td[v], bu[c], 2)
-		}
 	}
-	phase2 := time.Since(start)
-	e.addPhaseTimes(phase1, phase2)
-	opts.Run.AddPhaseTimes(phase1, phase2)
-	creditNodes([]*Engine{e}, opts.Run, int64(n), prune)
-
-	if opts.KeepStates {
-		res.BUStateOf = bu
-		res.TDStateOf = td
-	}
-	return res, nil
+	res, _, err := e.RunDiskParallelContext(ctx, db, workers, do)
+	return res, err
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"sync"
 	"time"
@@ -148,7 +148,7 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 			return nil, agg, nil, errors.New("core: engine name table does not match database")
 		}
 	}
-	err = runOverFrontier(ctx, db, workers, r.scalar.MarkTo != nil, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
+	err = runOverFrontier(ctx, db, workers, r.ordered(db), func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
 		plan := r.plan(ctx, db, idx)
 		res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, r.width(), plan)
 		if errors.Is(err, errStateWidth) {
@@ -157,6 +157,18 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 		return err
 	})
 	return res, agg, ds, err
+}
+
+// ordered reports whether the run must visit every node in document order,
+// on the leader of an empty frontier: to stream marked XML, or to record a
+// KeepStates run's states over a tree (storage.DB.InMemory), where the
+// states are kept in the Result instead of a state file.
+func (r *diskBatch) ordered(db *storage.DB) bool {
+	return r.scalar.MarkTo != nil || r.keepsStates(db)
+}
+
+func (r *diskBatch) keepsStates(db *storage.DB) bool {
+	return r.scalar.KeepStateFile && db.InMemory()
 }
 
 // width is the run's initial state width: the widest any member's engine
@@ -243,10 +255,10 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	if plan != nil {
 		planExts = plan.Extents
 	}
-	tasks, inner, outer := SplitPrune(tasks, planExts)
+	tasks, inner, outer := splitPrune(tasks, planExts)
 	leaderSkip, taskOf := mergeSkipLists(tasks, outer)
-	if r.scalar.MarkTo != nil && len(leaderSkip) > 0 {
-		return nil, agg, nil, errors.New("core: marked output needs the leader to visit every node")
+	if r.ordered(db) && len(leaderSkip) > 0 {
+		return nil, agg, nil, errors.New("core: an ordered run needs the leader to visit every node")
 	}
 	workers = min(workers, len(tasks))
 
@@ -265,7 +277,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	}
 
 	if r.opts.AuxIn != "" {
-		auxF, err := storage.OpenMaskFile(r.opts.AuxIn, db.N, r.opts.AuxInStride)
+		auxF, err := db.OpenMasks(r.opts.AuxIn, r.opts.AuxInStride)
 		if err != nil {
 			return nil, agg, nil, err
 		}
@@ -273,16 +285,17 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		files.auxF = auxF
 	}
 
-	stateF, statePath, err := createStateFile(db, r.scalar)
+	stateF, statePath, err := createStateFile(db, r.scalar, int64(len(r.lanes))*db.N*int64(width))
 	if err != nil {
 		return nil, agg, nil, err
 	}
 	files.stateF = stateF
+	keepFile := r.scalar.KeepStateFile && !db.InMemory()
 	succeeded := false
 	defer func() {
 		stateF.Close()
-		if !r.scalar.KeepStateFile || !succeeded {
-			os.Remove(statePath)
+		if !keepFile || !succeeded {
+			db.RemoveScratch(statePath)
 		}
 	}()
 
@@ -301,7 +314,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	rootStates := make([][]StateID, len(tasks))
 	var statsMu sync.Mutex
 	var phase1 storage.ScanStats // guarded by: statsMu
-	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
+	err = runPool(ctx, workers, len(tasks), func(worker, i int) error {
 		x := tasks[i]
 		k := files.newFold(caches[worker])
 		err := db.BackwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
@@ -353,7 +366,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	// root its top-down entry states.
 	start = time.Now()
 	if r.opts.AuxOut != "" {
-		auxOutF, err := os.Create(r.opts.AuxOut)
+		auxOutF, err := db.CreateScratch(r.opts.AuxOut, db.N*int64(files.outW))
 		if err != nil {
 			return nil, agg, nil, err
 		}
@@ -362,7 +375,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			if !succeeded {
 				// A failed or cancelled run must not leave a partial
 				// sidecar behind for a later pass to trust.
-				os.Remove(r.opts.AuxOut)
+				db.RemoveScratch(r.opts.AuxOut)
 			}
 		}()
 		files.auxOutF = auxOutF
@@ -375,9 +388,25 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	for li := range scan.lanes {
 		scan.lanes[li].sel = sels[li]
 	}
+	var emitter *storage.XMLEmitter
 	if r.scalar.MarkTo != nil {
-		scan.emitter = storage.NewXMLEmitter(r.scalar.MarkTo, db.Names)
-		scan.markBit = uint64(1) << uint(r.scalar.MarkQuery)
+		emitter = storage.NewXMLEmitter(r.scalar.MarkTo, db.Names)
+	}
+	var buStates, tdStates []StateID
+	if r.keepsStates(db) {
+		buStates, tdStates = make([]StateID, db.N), make([]StateID, db.N)
+	}
+	if emitter != nil || buStates != nil {
+		markBit := uint64(1) << uint(r.scalar.MarkQuery)
+		scan.visit = func(v int64, rec uint16, mask uint64, bu, td StateID) error {
+			if buStates != nil {
+				buStates[v], tdStates[v] = bu, td
+			}
+			if emitter == nil {
+				return nil
+			}
+			return emitter.Node(v, storage.DecodeRecord(rec), mask&markBit != 0)
+		}
 	}
 	tdRoots := make([][]StateID, len(tasks))
 	mi = 0
@@ -402,7 +431,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	// accumulating marks in private per-chunk bitsets merged under the
 	// selections' locks.
 	phase2 := scan.st
-	err = RunPool(ctx, workers, len(tasks), func(worker, i int) error {
+	err = runPool(ctx, workers, len(tasks), func(worker, i int) error {
 		x := tasks[i]
 		k := files.newScan(caches[worker], x, rootStates[i], tdRoots[i])
 		k.w0 = x.Root / 64
@@ -440,8 +469,8 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			return nil, agg, nil, err
 		}
 	}
-	if scan.emitter != nil {
-		if err := scan.emitter.Finish(); err != nil {
+	if emitter != nil {
+		if err := emitter.Finish(); err != nil {
 			return nil, agg, nil, err
 		}
 	}
@@ -454,9 +483,10 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			res[m] = sels[li].member(r.members[m].E.c.Prog, l.offs[j])
 		}
 	}
-	if r.scalar.KeepStateFile {
+	if keepFile {
 		res[0].StateFile = statePath
 	}
+	res[0].BUStateOf, res[0].TDStateOf = buStates, tdStates
 	// The stale-index and state-width retries re-enter this function: only
 	// the attempt that succeeds counts.
 	creditNodes(r.engines, r.opts.Run, db.N, plan)
@@ -484,12 +514,11 @@ func chunkErr(x storage.Extent, err error) error {
 	return err
 }
 
-// RunPool fans n task indices out over a worker pool, stopping at the
+// runPool fans n task indices out over a worker pool, stopping at the
 // first error or when ctx is cancelled (in which case it reports
 // ctx.Err() unless a task failed first). run receives the worker id so
-// callers can give each goroutine private caches; it is shared with
-// internal/parallel.
-func RunPool(ctx context.Context, workers, n int, run func(worker, i int) error) error {
+// callers can give each goroutine private caches.
+func runPool(ctx context.Context, workers, n int, run func(worker, i int) error) error {
 	if n == 0 {
 		return ctx.Err() // nothing to fan out: an empty frontier
 	}
@@ -537,7 +566,7 @@ func RunPool(ctx context.Context, workers, n int, run func(worker, i int) error)
 // contiguous bytes collect in one buffer, and a jump — or a full buffer —
 // writes it out at the run's offset. Errors surface at flush.
 type runWriter struct {
-	f     *os.File
+	f     io.WriterAt
 	buf   []byte // the current run's bytes not yet written
 	start int64  // file offset of buf[0]
 	err   error

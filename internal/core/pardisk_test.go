@@ -73,6 +73,22 @@ func sameResults(t *testing.T, prog *tmnf.Program, n int, got, want *Result, lab
 	}
 }
 
+// sameAsNaive asserts res selects, for every query of prog, exactly what
+// the naive fixpoint oracle derives over tr with the aux masks (nil: none):
+// the independent check beside comparisons of the one driver's variants —
+// in memory, on disk, parallel, batched — with each other.
+func sameAsNaive(t *testing.T, prog *tmnf.Program, tr *tree.Tree, aux func(tree.NodeID) uint16, res *Result, label string) {
+	t.Helper()
+	want := naive.EvaluateAux(tr, prog, aux)
+	for _, q := range prog.Queries() {
+		for v := 0; v < tr.Len(); v++ {
+			if g, w := res.Holds(q, tree.NodeID(v)), want.Holds(q, tree.NodeID(v)); g != w {
+				t.Fatalf("%s: %s(%d)=%v, naive %v\nprogram:\n%s", label, prog.PredName(q), v, g, w, prog)
+			}
+		}
+	}
+}
+
 func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 	lowerParallelKnobs(t)
 	ctx := context.Background()
@@ -173,6 +189,7 @@ func TestRunDiskParallelRightDeepChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, prog, tr.Len(), par, seq, "chain")
+	sameAsNaive(t, prog, tr, nil, seq, "chain")
 }
 
 func TestRunDiskParallelLargeBalancedDefaults(t *testing.T) {
@@ -209,6 +226,7 @@ func TestRunDiskParallelLargeBalancedDefaults(t *testing.T) {
 		t.Fatalf("scans visited %d/%d nodes, want %d each", ds.Phase1.Nodes, ds.Phase2.Nodes, db.N)
 	}
 	sameResults(t, prog, tr.Len(), par, seq, "infix")
+	sameAsNaive(t, prog, tr, nil, seq, "infix")
 }
 
 func TestRunDiskParallelAuxFiles(t *testing.T) {
@@ -258,6 +276,7 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 		seq, seqDS, seqRS, seqOut := run("seq", 1)
 		par, _, _, parOut := run("par", 3)
 		sameResults(t, prog, tr.Len(), par, seq, "aux")
+		sameAsNaive(t, prog, tr, func(v tree.NodeID) uint16 { return binary.BigEndian.Uint16(masks[2*v:]) }, seq, "aux")
 		if !bytes.Equal(seqOut, parOut) {
 			t.Fatalf("iter %d: parallel aux output differs from sequential", iter)
 		}

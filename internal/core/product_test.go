@@ -240,6 +240,7 @@ func TestBatchLanesMatchScalarAndNaive(t *testing.T) {
 				if scalar[i].Count(pool[i].Queries()[0]) != mem.Count(pool[i].Queries()[0]) {
 					t.Fatalf("%s: program %d: scalar disk run disagrees with the in-memory one", src.name, i)
 				}
+				sameAsNaive(t, pool[i], tr, nil, scalar[i], fmt.Sprintf("%s: program %d", src.name, i))
 			}
 			for round := 0; round < 4; round++ {
 				size := 1 + rng.Intn(20)
@@ -392,8 +393,12 @@ func TestBatchAuxRoundsMatchScalar(t *testing.T) {
 		return 0
 	}
 	w0, w1, w2 := mem(0, nil), mem(1, nil), mem(2, nil)
-	w3 := mem(3, func(v tree.NodeID) uint16 { return bitOf(w0, v, 1) })
-	w4 := mem(4, func(v tree.NodeID) uint16 { return bitOf(w1, v, 1) })
+	aux3 := func(v tree.NodeID) uint16 { return bitOf(w0, v, 1) }
+	aux4 := func(v tree.NodeID) uint16 { return bitOf(w1, v, 1) }
+	w3, w4 := mem(3, aux3), mem(4, aux4)
+	for i, w := range []*Result{w0, w1, w2, w3, w4} {
+		sameAsNaive(t, progs[i], tr, []func(tree.NodeID) uint16{nil, nil, nil, aux3, aux4}[i], w, fmt.Sprintf("program %d", i))
+	}
 	n := tr.Len()
 	wantAux := [2][]byte{make([]byte, 4*n), make([]byte, 4*n)}
 	for v := 0; v < n; v++ {

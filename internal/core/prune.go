@@ -3,7 +3,8 @@
 // analysis over the compiled automata decides which label sets are
 // provably irrelevant to the program, and the drivers then seek past
 // whole subtree extents whose label signature (carried by the v2 .idx
-// sidecar, or by an in-memory tree index) is disjoint from the live set.
+// sidecar, or by the index of a tree's record image) is disjoint from the
+// live set.
 //
 // Soundness rests on two facts established once per engine:
 //
@@ -285,14 +286,13 @@ func PlanPrune(engines []*Engine, ix *storage.SubtreeIndex, n int64) *PrunePlan 
 	return plan
 }
 
-// SplitPrune distributes a plan's extents over a frontier of worker
+// splitPrune distributes a plan's extents over a frontier of worker
 // tasks. Both lists are sorted families of subtree extents of one tree,
 // so any two extents are nested or disjoint: tasks swallowed by a pruned
 // extent are dropped (the leader skips the whole pruned extent), pruned
 // extents strictly inside a task become that worker's in-chunk skip list,
-// and the rest are holes in the leader's own scan. Shared with the
-// in-memory parallel evaluator (internal/parallel).
-func SplitPrune(tasks, plan []storage.Extent) (kept []storage.Extent, inner [][]storage.Extent, outer []storage.Extent) {
+// and the rest are holes in the leader's own scan.
+func splitPrune(tasks, plan []storage.Extent) (kept []storage.Extent, inner [][]storage.Extent, outer []storage.Extent) {
 	pi := 0
 	for _, t := range tasks {
 		for pi < len(plan) && plan[pi].End() <= t.Root {

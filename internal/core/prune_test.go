@@ -87,7 +87,7 @@ func TestPruneSplit(t *testing.T) {
 		ext(80, 10), // inside task [60,90)
 		ext(95, 5),  // equals task [95,100): swallowed
 	}
-	kept, inner, outer := SplitPrune(tasks, plan)
+	kept, inner, outer := splitPrune(tasks, plan)
 	if len(kept) != 2 || kept[0] != ext(10, 20) || kept[1] != ext(60, 30) {
 		t.Fatalf("kept = %v", kept)
 	}
@@ -112,7 +112,7 @@ func TestPruneSplit(t *testing.T) {
 	}
 
 	// No plan: everything stays a task.
-	kept2, inner2, outer2 := SplitPrune(tasks, nil)
+	kept2, inner2, outer2 := splitPrune(tasks, nil)
 	if len(kept2) != len(tasks) || len(outer2) != 0 {
 		t.Fatalf("nil plan changed the frontier: %v / %v", kept2, outer2)
 	}
@@ -339,6 +339,7 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sameAsNaive(t, prog, tr, nil, want, tc.name+": in-memory reference")
 			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
 				rs := &RunStats{}
 				out := filepath.Join(dir, "scalar.aux")
@@ -363,6 +364,7 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			if wants[i], err = NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{}); err != nil {
 				t.Fatal(err)
 			}
+			sameAsNaive(t, prog, tr, nil, wants[i], tc.name+": in-memory reference")
 		}
 		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
 			members := batchMembers(t, progs, db.Names)

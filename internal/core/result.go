@@ -27,7 +27,8 @@ type Result struct {
 	// phase or after the parallel workers have been joined.
 	mu sync.Mutex
 
-	// Optional per-node states (in-memory runs with KeepStates).
+	// Optional per-node states (KeepStates runs over a tree's record
+	// image).
 	BUStateOf []StateID
 	TDStateOf []StateID
 
@@ -39,8 +40,8 @@ type Result struct {
 }
 
 // NewResult returns an empty result for evaluating prog over n nodes,
-// ready for marking. Exposed so sibling evaluators (internal/parallel)
-// can produce the same unified result type as the engine itself.
+// ready for marking. Exposed so the result cache (internal/rescache) can
+// produce the same unified result type as the engine itself.
 func NewResult(prog *tmnf.Program, n int64) *Result {
 	r := newSelections(len(prog.Queries()), n)
 	r.prog, r.queries = prog, prog.Queries()

@@ -33,23 +33,14 @@ func (rs *RunStats) Add(o Stats) {
 	rs.mu.Unlock()
 }
 
-// AddNodes records n node visits.
-func (rs *RunStats) AddNodes(n int64) {
+// addNodes records n node visits, pruned of them pruned.
+func (rs *RunStats) addNodes(n, pruned int64) {
 	if rs == nil {
 		return
 	}
 	rs.mu.Lock()
 	rs.s.Nodes += n
-	rs.mu.Unlock()
-}
-
-// AddPrunedNodes records n pruned node visits (see Stats.PrunedNodes).
-func (rs *RunStats) AddPrunedNodes(n int64) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.s.PrunedNodes += n
+	rs.s.PrunedNodes += pruned
 	rs.mu.Unlock()
 }
 
@@ -79,12 +70,12 @@ func (rs *RunStats) Snapshot() Stats {
 // node twice) and with its sink. Drivers call it on success only, so a
 // failed or cancelled run credits nothing — it saved nothing either.
 func creditNodes(engines []*Engine, rs *RunStats, n int64, plan *PrunePlan) {
+	var pruned int64
+	if plan != nil {
+		pruned = plan.Nodes
+	}
 	for _, e := range engines {
-		e.AddNodes(n)
-		rs.AddNodes(n)
-		if plan != nil {
-			e.AddPrunedNodes(plan.Nodes)
-			rs.AddPrunedNodes(plan.Nodes)
-		}
+		e.addNodes(n, pruned)
+		rs.addNodes(n, pruned)
 	}
 }

@@ -147,7 +147,11 @@ func TestMapFallbackMatchesDenseTables(t *testing.T) {
 				out["disk-chunked"] = append(out["disk-chunked"], chunked)
 			}
 			var err error
-			if out["batch-memory"], _, err = RunBatchTree(ctx, tr, batchMembers(t, progs, db.Names), TreeBatchOpts{}); err != nil {
+			img, err := storage.OpenTree(tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out["batch-memory"], _, _, err = RunDiskBatch(ctx, img, batchMembers(t, progs, tr.Names()), DiskBatchOpts{}); err != nil {
 				t.Fatal(err)
 			}
 			if out["batch-disk"], _, _, err = RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{}); err != nil {
@@ -160,6 +164,9 @@ func TestMapFallbackMatchesDenseTables(t *testing.T) {
 		}
 
 		dense := runAll()
+		for i, prog := range progs {
+			sameAsNaive(t, prog, tr, nil, dense["disk"][i], "dense tables")
+		}
 		maxDenseEntries = 0
 		fallback := runAll()
 		cache := batchMembers(t, progs[:1], db.Names)[0].E.Share().NewStepCache()
@@ -381,15 +388,18 @@ func TestWindowKernelEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 		q0 := progs[0].Queries()[0]
-		want1, err := NewEngine(cs[1], db.Names).RunContext(ctx, ref, RunOpts{Aux: func(v tree.NodeID) uint16 {
+		aux1 := func(v tree.NodeID) uint16 {
 			if want0.Holds(q0, v) {
 				return 1
 			}
 			return 0
-		}})
+		}
+		want1, err := NewEngine(cs[1], db.Names).RunContext(ctx, ref, RunOpts{Aux: aux1})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameAsNaive(t, progs[0], ref, nil, want0, src.name+": pass 0 reference")
+		sameAsNaive(t, progs[1], ref, aux1, want1, src.name+": pass 1 reference")
 		q1 := progs[1].Queries()[0]
 		wantAux := [2][]byte{make([]byte, 2*db.N), make([]byte, 2*db.N)}
 		for v := int64(0); v < db.N; v++ {

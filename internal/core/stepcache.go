@@ -10,8 +10,7 @@ import (
 
 // StepCache is the private, lock-free transition memo every evaluation
 // driver steps — one for a run's sequential or leader scan, one per
-// worker beside it (each per member of an in-memory batch, per lane of a
-// disk batch) — in front of the
+// worker beside it (each per lane of a batch) — in front of the
 // engine's shared, lock-guarded tables. The per-node constant of the scan
 // loops lives here: a node's signature resolves straight from its 2-byte
 // record bits (an array lookup), and the two transition functions from

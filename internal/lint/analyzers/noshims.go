@@ -28,7 +28,7 @@ var shimReplacements = map[string]string{
 	"arb/internal/core.Engine.Run":             "Engine.RunContext",
 	"arb/internal/core.Engine.RunDisk":         "Engine.RunDiskContext",
 	"arb/internal/core.Engine.RunDiskParallel": "Engine.RunDiskParallelContext",
-	"arb/internal/xpath.Query.Eval":            "Query.Prepare + Prepared.ExecTree",
+	"arb/internal/xpath.Query.Eval":            "Query.Prepare + Prepared.ExecDisk",
 	"arb/internal/xpath.Query.EvalDisk":        "Query.Prepare + Prepared.ExecDisk",
 	"arb/internal/parallel.Run":                "parallel.RunContext",
 	"arb.RunParallel":                          "Session.Prepare + PreparedQuery.Exec",

@@ -51,7 +51,11 @@ func (r *Result) Count(q tmnf.Pred) int {
 
 // Evaluate computes the minimum model of program p over tree t by
 // semi-naive fixpoint iteration.
-func Evaluate(t *tree.Tree, p *tmnf.Program) *Result {
+func Evaluate(t *tree.Tree, p *tmnf.Program) *Result { return EvaluateAux(t, p, nil) }
+
+// EvaluateAux is Evaluate with auxiliary predicate masks: Aux[k] holds at
+// v iff bit k of aux(v) is set (nil: none holds).
+func EvaluateAux(t *tree.Tree, p *tmnf.Program, aux func(v tree.NodeID) uint16) *Result {
 	n := t.Len()
 	np := p.NumPreds()
 	res := &Result{prog: p, n: n, truth: make([][]bool, np)}
@@ -84,7 +88,11 @@ func Evaluate(t *tree.Tree, p *tmnf.Program) *Result {
 
 	// Per-node unary truth is evaluated on demand from signatures.
 	holdsUnary := func(ui int, v tree.NodeID) bool {
-		return edb.Holds(unaries[ui], names, edb.SigOf(t, v))
+		sig := edb.SigOf(t, v)
+		if aux != nil {
+			sig.Extra = aux(v)
+		}
+		return edb.Holds(unaries[ui], names, sig)
 	}
 
 	type fact struct {

@@ -11,8 +11,9 @@ import (
 	"arb/internal/tmnf"
 )
 
-// TestCancelledAndPrunedRunsCreditNodes holds the four in-memory drivers to
-// the node accounting the disk drivers keep: a run credits its nodes and
+// TestCancelledAndPrunedRunsCreditNodes holds the in-memory entry points —
+// the driver over a tree's record image — to the node accounting of disk
+// runs: a run credits its nodes and
 // pruned nodes — which Nodes includes — to its engines and its RunStats
 // once, on success. A pre-cancelled run credits nothing, and a pruned
 // two-worker run credits what the sequential run does.
@@ -32,13 +33,18 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 			return run(ctx, engines[0], core.RunOpts{Index: ix, Run: rs})
 		}
 	}
-	batch := func(run func(ctx context.Context, members []core.BatchMember, topts core.TreeBatchOpts) error) driver {
+	batch := func(workers int) driver {
 		return func(ctx context.Context, engines []*core.Engine, rs *core.RunStats) error {
 			members := make([]core.BatchMember, len(engines))
 			for m, e := range engines {
 				members[m] = core.BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1}
 			}
-			return run(ctx, members, core.TreeBatchOpts{Index: ix, Run: rs})
+			db, err := storage.OpenTree(tr, ix)
+			if err != nil {
+				return err
+			}
+			_, _, _, err = core.RunDiskBatchParallel(ctx, db, workers, members, core.DiskBatchOpts{Run: rs})
+			return err
 		}
 	}
 	drivers := []struct {
@@ -58,17 +64,8 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 			_, err := RunContext(ctx, e, tr, 2, opts)
 			return err
 		})},
-		{"core.RunBatchTree", 3, nil, batch(func(ctx context.Context, members []core.BatchMember, topts core.TreeBatchOpts) error {
-			_, _, err := core.RunBatchTree(ctx, tr, members, topts)
-			return err
-		})},
-		{"parallel.RunBatchContext", 3, batch(func(ctx context.Context, members []core.BatchMember, topts core.TreeBatchOpts) error {
-			_, _, err := core.RunBatchTree(ctx, tr, members, topts)
-			return err
-		}), batch(func(ctx context.Context, members []core.BatchMember, topts core.TreeBatchOpts) error {
-			_, _, err := RunBatchContext(ctx, tr, 2, members, topts)
-			return err
-		})},
+		{"core.RunDiskBatch over the tree", 3, nil, batch(1)},
+		{"core.RunDiskBatchParallel over the tree", 3, batch(1), batch(2)},
 	}
 	// credits runs d on fresh engines and returns their node credits summed,
 	// and the run's.

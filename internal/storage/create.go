@@ -324,33 +324,48 @@ func CreateFullBinary(base string, depth int, tags []string) (*DB, error) {
 	return db, nil
 }
 
-// CreateFromTree writes an in-memory tree as a database (forward pass; no
-// event file needed since child flags are already known). Used by tests
-// and by workload generators that build trees in memory.
+// treeImage encodes a tree's records in preorder, checking on the way that
+// the tree is laid out in preorder: node 0 is the root, and the node after
+// v is v's first child if it has one, else the pending second child of v's
+// nearest ancestor-or-self that has one.
+func treeImage(t *tree.Tree) ([]byte, error) {
+	n := t.Len()
+	if n == 0 {
+		return nil, fmt.Errorf("storage: empty tree")
+	}
+	img := make([]byte, n*NodeSize)
+	var pending []tree.NodeID // second children not reached yet
+	for v := tree.NodeID(0); int(v) < n; v++ {
+		first, second := t.First(v), t.Second(v)
+		if second != tree.None {
+			pending = append(pending, second)
+		}
+		next, want := v+1, tree.None
+		if first != tree.None {
+			want = first
+		} else if len(pending) > 0 {
+			want, pending = pending[len(pending)-1], pending[:len(pending)-1]
+		}
+		if want != next && (want != tree.None || int(next) != n) {
+			if err := t.CheckPreorder(); err != nil {
+				return nil, fmt.Errorf("storage: tree is not laid out in preorder: %w", err)
+			}
+			return nil, fmt.Errorf("storage: tree is not laid out in preorder after node %d", v)
+		}
+		binary.BigEndian.PutUint16(img[int(v)*NodeSize:], Record{Label: uint16(t.Label(v)), HasFirst: first != tree.None, HasSecond: second != tree.None}.Encode())
+	}
+	return img, nil
+}
+
+// CreateFromTree writes an in-memory tree laid out in preorder as a
+// database. Used by tests and by workload generators that build trees in
+// memory.
 func CreateFromTree(base string, t *tree.Tree) (*DB, error) {
-	arbF, err := os.Create(base + ".arb")
+	img, err := treeImage(t)
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriterSize(arbF, defaultBufSize)
-	var buf [2]byte
-	for v := 0; v < t.Len(); v++ {
-		r := Record{
-			Label:     uint16(t.Label(tree.NodeID(v))),
-			HasFirst:  t.HasFirst(tree.NodeID(v)),
-			HasSecond: t.HasSecond(tree.NodeID(v)),
-		}
-		binary.BigEndian.PutUint16(buf[:], r.Encode())
-		if _, err := w.Write(buf[:]); err != nil {
-			arbF.Close()
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		arbF.Close()
-		return nil, err
-	}
-	if err := arbF.Close(); err != nil {
+	if err := os.WriteFile(base+".arb", img, 0o666); err != nil {
 		return nil, err
 	}
 	labF, err := os.Create(base + ".lab")

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -41,6 +42,10 @@ type DB struct {
 	// Base+".arb" file; sidecar index I/O (read and write) is suppressed
 	// because no on-disk .idx can describe the stitched view.
 	virtual bool
+
+	// mem is the scratch table of a record image in RAM (OpenTree); nil
+	// for a database on disk (scratch.go).
+	mem *memScratch
 
 	idxMu sync.Mutex
 	idx   *SubtreeIndex // guarded by: idxMu
@@ -171,12 +176,29 @@ func (db *DB) RecordAt(v int64) (Record, error) {
 // must serve n nodes (n*NodeSize bytes) of well-formed preorder records
 // via ReadAt. base anchors relative temp files (disk runs place state
 // and aux sidecars next to it) but names no actual .arb file; ix is the
-// subtree index describing r (required — virtual databases never read or
-// write .idx sidecars). Closing a virtual DB is a no-op: the segment
-// files behind r belong to whoever stitched it (the versioned store's
-// snapshot refcounts).
+// subtree index describing r (virtual databases never read or write .idx
+// sidecars; nil builds one from r on first use). Closing a virtual DB is a
+// no-op: the segment files behind r belong to whoever stitched it (the
+// versioned store's snapshot refcounts).
 func NewVirtualDB(base string, r io.ReaderAt, n int64, names *tree.Names, ix *SubtreeIndex) *DB {
 	return &DB{Base: base, N: n, Names: names, arb: r, virtual: true, idx: ix}
+}
+
+// OpenTree opens the record image of an in-memory tree as a database: the
+// records CreateFromTree writes, 2 bytes a node, held in RAM, whose runs
+// keep their scratch files in RAM too. ix is the tree's subtree index, or
+// nil to build one from the image on first use. The records say only
+// whether a node has children, so they stand for t only when t is laid out
+// in preorder (tree.CheckPreorder); any other tree fails here rather than
+// be answered for as the tree its records spell.
+func OpenTree(t *tree.Tree, ix *SubtreeIndex) (*DB, error) {
+	img, err := treeImage(t)
+	if err != nil {
+		return nil, err
+	}
+	db := NewVirtualDB("", bytes.NewReader(img), int64(t.Len()), t.Names(), ix)
+	db.mem = &memScratch{files: map[string]memFile{}}
+	return db, nil
 }
 
 // Close releases the database's file handle (a no-op for virtual
@@ -234,10 +256,9 @@ func (s *ScanStats) Merge(o ScanStats) {
 const cancelEvery = 8192
 
 // Canceller polls ctx.Err() once per cancelEvery steps (plus once up
-// front, so an already-cancelled context never starts a loop). It is the
-// one cancellation-granularity policy every per-node evaluation loop in
-// the system shares — the scans here, the in-memory engine and parallel
-// evaluator, and the XPath mark emitter.
+// front, so an already-cancelled context never starts a loop): the window
+// passes' granularity, for the per-node loops outside them — the
+// versioned store's patch and compaction copies.
 type Canceller struct {
 	ctx  context.Context
 	left int

@@ -3,13 +3,10 @@ package xpath
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"arb/internal/core"
-	"arb/internal/parallel"
 	"arb/internal/storage"
-	"arb/internal/tree"
 )
 
 // Batch is a set of Prepared queries that execute together, sharing each
@@ -68,7 +65,7 @@ func (b *Batch) auxSlots() (slots []int, stride int) {
 // still holding a pass: pass r's engine, the member's aux input (bits of
 // its earlier passes) and — on every pass but its main — the instruction
 // to emit bit r of its own slot.
-func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool, auxFn func(i int) func(tree.NodeID) uint16) (bms []core.BatchMember, idx []int, anyOut bool) {
+func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.BatchMember, idx []int, anyOut bool) {
 	for i, m := range b.members {
 		if r >= m.Passes() {
 			continue
@@ -83,9 +80,6 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool, auxFn func(i in
 			if haveAuxIn {
 				bm.AuxInSlot = slots[i]
 			}
-			if auxFn != nil {
-				bm.Aux = auxFn(i)
-			}
 			if !isMain {
 				bm.AuxOutSlot = slots[i]
 				bm.AuxOutBit = uint8(r)
@@ -98,79 +92,8 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool, auxFn func(i in
 	return bms, idx, anyOut
 }
 
-// ExecTree evaluates the whole batch over an in-memory tree: each round
-// is one shared pair of passes stepping every active member's automata
-// per node (parallel over a subtree frontier when opts.Workers > 1).
-// The results are returned in member order and are identical to running
-// each member's ExecTree alone. opts.KeepStates and opts.MarkTo do not
-// apply to batches and are ignored.
-func (b *Batch) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) ([]*core.Result, ExecStats, error) {
-	rounds := b.Rounds()
-	es := ExecStats{Passes: rounds}
-	if t.Len() == 0 {
-		return nil, es, fmt.Errorf("xpath: empty tree")
-	}
-	results := make([]*core.Result, len(b.members))
-	aux := make([][]uint16, len(b.members))
-	slots, _ := b.auxSlots()
-	ensureAux := func(i int) []uint16 {
-		if aux[i] == nil {
-			aux[i] = make([]uint16, t.Len())
-		}
-		return aux[i]
-	}
-	auxFn := func(i int) func(tree.NodeID) uint16 {
-		a := ensureAux(i)
-		return func(v tree.NodeID) uint16 { return a[v] }
-	}
-	err := statsDelta(&es, func(rs *core.RunStats) error {
-		for r := 0; r < rounds; r++ {
-			// Round 0 reads no aux bits (none have been produced yet), so
-			// its members run with Aux nil — which lets the round prune.
-			roundAux := auxFn
-			if r == 0 {
-				roundAux = nil
-			}
-			bms, idx, _ := b.roundMembers(r, slots, false, roundAux)
-			topts := core.TreeBatchOpts{Index: opts.Index, NoPrune: opts.NoPrune, Run: rs}
-			var rres []*core.Result
-			var agg core.Stats
-			var err error
-			if opts.Workers > 1 {
-				rres, agg, err = parallel.RunBatchContext(ctx, t, opts.Workers, bms, topts)
-			} else {
-				rres, agg, err = core.RunBatchTree(ctx, t, bms, topts)
-			}
-			if err != nil {
-				return fmt.Errorf("xpath: batch round %d: %w", r, err)
-			}
-			es.Engine.Phase1Time += agg.Phase1Time
-			es.Engine.Phase2Time += agg.Phase2Time
-			for j, res := range rres {
-				i := idx[j]
-				m := b.members[i]
-				if r == m.Passes()-1 {
-					results[i] = res
-					continue
-				}
-				bit := uint16(1) << uint(r)
-				a := ensureAux(i)
-				res.Walk(res.Queries()[0], func(v tree.NodeID) bool {
-					a[v] |= bit
-					return true
-				})
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, es, err
-	}
-	return results, es, nil
-}
-
-// ExecDisk evaluates the whole batch over a .arb database in secondary
-// storage. Every round is one shared pair of linear scans for all active
+// ExecDisk evaluates the whole batch over a .arb database, in secondary
+// storage or over a tree's record image in RAM. Every round is one shared pair of linear scans for all active
 // members: they step in lanes sharing product automata (core.RunDiskBatch),
 // whose phase-1 states share one temporary state file, and multi-pass
 // members chain their aux masks through one widened sidecar with a slot
@@ -187,22 +110,19 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 	err := statsDelta(&es, func(rs *core.RunStats) error {
 		var tmp string
 		if stride > 0 {
-			// A private temp directory per execution, removed on success,
-			// failure and cancellation alike (cf. Prepared.ExecDisk).
-			dir := opts.AuxDir
-			if dir == "" {
-				dir = filepath.Dir(db.Base)
-			}
+			// A private scratch directory per execution, removed on
+			// success, failure and cancellation alike (cf.
+			// Prepared.ExecDisk).
+			var remove func()
 			var err error
-			tmp, err = os.MkdirTemp(dir, "arb-aux-*")
-			if err != nil {
+			if tmp, remove, err = db.ScratchDir(opts.AuxDir); err != nil {
 				return err
 			}
-			defer os.RemoveAll(tmp)
+			defer remove()
 		}
 		auxIn := ""
 		for r := 0; r < rounds; r++ {
-			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != "", nil)
+			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != "")
 			dopts := core.DiskBatchOpts{AuxIn: auxIn, NoPrune: opts.NoPrune, Run: rs}
 			if auxIn != "" {
 				dopts.AuxInStride = stride

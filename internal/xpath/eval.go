@@ -15,15 +15,20 @@ import (
 // Eval evaluates the compiled query over an in-memory tree, returning the
 // main pass's selected nodes as a truth vector over preorder ids.
 //
-// Deprecated: use Prepare and Prepared.ExecTree (or the arb package's
-// Session/PreparedQuery API), which persist the compiled automata across
-// executions, return the unified core.Result and support cancellation.
+// Deprecated: use Prepare and Prepared.ExecDisk over storage.OpenTree (or
+// the arb package's Session/PreparedQuery API), which persist the compiled
+// automata across executions, return the unified core.Result and support
+// cancellation.
 func (q *Query) Eval(t *tree.Tree) ([]bool, error) {
+	db, err := storage.OpenTree(t, nil)
+	if err != nil {
+		return nil, err
+	}
 	p, err := q.Prepare(t.Names())
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := p.ExecTree(context.Background(), t, ExecOpts{Workers: 1})
+	res, _, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

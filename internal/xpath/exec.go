@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 
 	"arb/internal/core"
-	"arb/internal/parallel"
 	"arb/internal/storage"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
@@ -98,31 +96,26 @@ func ResolveWorkers(n int) int {
 // resolved to a concrete count (>= 1) by the caller.
 type ExecOpts struct {
 	// Workers is the number of parallel evaluation workers; 1 runs the
-	// sequential in-memory paths and, on disk, the one driver with an
-	// empty frontier.
+	// one driver with an empty frontier.
 	Workers int
 	// KeepStates retains per-node evaluation state from the main pass:
-	// in-memory runs record the automaton states in the Result
-	// (Result.BUStateOf/TDStateOf); disk runs keep the phase-1 state
-	// file under a unique per-run name reported as Result.StateFile.
+	// runs over a tree's record image (storage.OpenTree) record the
+	// automaton states in the Result (Result.BUStateOf/TDStateOf); disk
+	// runs keep the phase-1 state file under a unique per-run name
+	// reported as Result.StateFile.
 	KeepStates bool
 	// MarkTo, when non-nil, streams the document back out as XML with
-	// the nodes selected by query predicate MarkQuery marked up. On disk
-	// the marked document is produced during the main pass's second scan
-	// itself (Section 6.3); marking makes that pass run with an empty
-	// frontier, whatever Workers says.
+	// the nodes selected by query predicate MarkQuery marked up, during
+	// the main pass's second scan itself (Section 6.3); marking makes
+	// that pass run with an empty frontier, whatever Workers says.
 	MarkTo    io.Writer
 	MarkQuery int
 	// AuxDir is where disk executions place the temporary aux-mask
 	// sidecar files chaining the passes; empty means next to the
 	// database. Each execution uses a private subdirectory, removed when
-	// the execution finishes, fails, or is cancelled.
+	// the execution finishes, fails, or is cancelled. Executions over a
+	// tree's record image keep their sidecars in RAM and ignore it.
 	AuxDir string
-	// Index optionally supplies a subtree index with label signatures
-	// over the in-memory tree (storage.BuildTreeIndex), enabling
-	// selectivity-aware pruning for tree executions; sessions cache one
-	// per tree. Disk executions use the database's own .idx sidecar.
-	Index *storage.SubtreeIndex
 	// NoPrune disables selectivity-aware scan pruning on every pass.
 	NoPrune bool
 }
@@ -131,7 +124,7 @@ type ExecOpts struct {
 // passes.
 type ExecStats struct {
 	Engine core.Stats     // automata work (lazy transitions, phase times)
-	Disk   core.DiskStats // scan profile; zero for in-memory executions
+	Disk   core.DiskStats // scan profile (of the record image, for a tree)
 	Passes int            // passes executed (aux + main)
 }
 
@@ -150,75 +143,13 @@ func statsDelta(es *ExecStats, f func(rs *core.RunStats) error) error {
 	return err
 }
 
-// ExecTree evaluates the prepared query over an in-memory tree: the
-// auxiliary passes run in order, each feeding its selected nodes into the
-// Aux labeling of later passes, and the main pass's unified result is
-// returned. Cancelling ctx aborts the pass in progress with ctx.Err().
-func (p *Prepared) ExecTree(ctx context.Context, t *tree.Tree, opts ExecOpts) (*core.Result, ExecStats, error) {
-	es := ExecStats{Passes: p.Passes()}
-	if t.Len() == 0 {
-		return nil, es, fmt.Errorf("xpath: empty tree")
-	}
-	var res *core.Result
-	err := statsDelta(&es, func(rs *core.RunStats) error {
-		var aux []uint16
-		var auxFn func(v tree.NodeID) uint16
-		if len(p.aux) > 0 {
-			aux = make([]uint16, t.Len())
-			auxFn = func(v tree.NodeID) uint16 { return aux[v] }
-		}
-		// The first pass reads no aux bits (none have been produced yet),
-		// so it runs with Aux nil — which is also what lets it prune.
-		auxForPass := func(k int) func(v tree.NodeID) uint16 {
-			if k == 0 {
-				return nil
-			}
-			return auxFn
-		}
-		runPass := func(e *core.Engine, ro core.RunOpts) (*core.Result, error) {
-			ro.Index = opts.Index
-			ro.NoPrune = opts.NoPrune
-			ro.Run = rs
-			if opts.Workers > 1 {
-				return parallel.RunContext(ctx, e, t, opts.Workers, ro)
-			}
-			return e.RunContext(ctx, t, ro)
-		}
-		for k, e := range p.aux {
-			pres, err := runPass(e, core.RunOpts{Aux: auxForPass(k)})
-			if err != nil {
-				return fmt.Errorf("xpath: pass %d: %w", k, err)
-			}
-			bit := uint16(1) << uint(k)
-			pres.Walk(pres.Queries()[0], func(v tree.NodeID) bool {
-				aux[v] |= bit
-				return true
-			})
-		}
-		var err error
-		res, err = runPass(p.main, core.RunOpts{Aux: auxForPass(len(p.aux)), KeepStates: opts.KeepStates})
-		if err != nil {
-			return err
-		}
-		if opts.MarkTo != nil {
-			return emitTreeMarked(ctx, t, opts.MarkTo, func(v int64) bool {
-				return res.Holds(p.Queries()[opts.MarkQuery], tree.NodeID(v))
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, es, err
-	}
-	return res, es, nil
-}
-
-// ExecDisk evaluates the prepared query over a .arb database entirely in
-// secondary storage: each auxiliary pass runs as two linear scans whose
-// phase 2 streams an updated 2-byte-per-node aux-mask sidecar file, which
-// the next pass reads alongside the database; the main pass returns the
-// unified result. Cancelling ctx aborts the scan in progress with
-// ctx.Err() and removes every temporary sidecar the execution created.
+// ExecDisk evaluates the prepared query over a .arb database — in
+// secondary storage, or over a tree's record image in RAM: each auxiliary
+// pass runs as two linear scans whose phase 2 streams an updated
+// 2-byte-per-node aux-mask sidecar, which the next pass reads alongside the
+// database; the main pass returns the unified result. Cancelling ctx
+// aborts the scan in progress with ctx.Err() and removes every temporary
+// sidecar the execution created.
 func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) (*core.Result, ExecStats, error) {
 	es := ExecStats{Passes: p.Passes()}
 	var res *core.Result
@@ -233,20 +164,16 @@ func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) 
 		}
 		var auxIn string
 		if len(p.aux) > 0 {
-			// A private temp directory per execution: concurrent queries
+			// A private scratch directory per execution: concurrent queries
 			// sharing a database directory must not clobber each other's
 			// sidecar files. Removing it afterwards — on success, failure
 			// and cancellation alike — is what keeps cancelled multi-pass
 			// executions from leaking sidecars.
-			dir := opts.AuxDir
-			if dir == "" {
-				dir = filepath.Dir(db.Base)
-			}
-			tmp, err := os.MkdirTemp(dir, "arb-aux-*")
+			tmp, remove, err := db.ScratchDir(opts.AuxDir)
 			if err != nil {
 				return err
 			}
-			defer os.RemoveAll(tmp)
+			defer remove()
 			for k, e := range p.aux {
 				auxOut := filepath.Join(tmp, fmt.Sprintf("pass%d.aux", k))
 				_, err := runPass(e, core.DiskOpts{
@@ -276,25 +203,4 @@ func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) 
 		return nil, es, err
 	}
 	return res, es, nil
-}
-
-// emitTreeMarked streams an in-memory tree out as XML with selected nodes
-// marked up, through the same emitter the disk path uses.
-func emitTreeMarked(ctx context.Context, t *tree.Tree, w io.Writer, selected func(v int64) bool) error {
-	em := storage.NewXMLEmitter(w, t.Names())
-	cancel := storage.NewCanceller(ctx)
-	for v := 0; v < t.Len(); v++ {
-		if err := cancel.Step(); err != nil {
-			return err
-		}
-		rec := storage.Record{
-			Label:     uint16(t.Label(tree.NodeID(v))),
-			HasFirst:  t.HasFirst(tree.NodeID(v)),
-			HasSecond: t.HasSecond(tree.NodeID(v)),
-		}
-		if err := em.Node(int64(v), rec, selected(int64(v))); err != nil {
-			return err
-		}
-	}
-	return em.Finish()
 }

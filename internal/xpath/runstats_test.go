@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"arb/internal/core"
+	"arb/internal/storage"
 	"arb/internal/xmlparse"
 )
 
@@ -36,6 +37,10 @@ func TestExecStatsDeterministicUnderOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db, err := storage.OpenTree(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const runs = 8
 	profiles := make([]ExecStats, runs)
@@ -45,7 +50,7 @@ func TestExecStatsDeterministicUnderOverlap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, es, err := p.ExecTree(context.Background(), tr, ExecOpts{Workers: 1})
+			_, es, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: 1})
 			if err != nil {
 				t.Error(err)
 				return

@@ -31,8 +31,8 @@ func TestSessionPinsGauge(t *testing.T) {
 		t.Fatalf("fresh session holds %d pins, want 0", n)
 	}
 
-	_, _, _, release1 := sess.acquire()
-	_, _, _, release2 := sess.acquire()
+	_, _, _, release1, _ := sess.acquire()
+	_, _, _, release2, _ := sess.acquire()
 	if n := sess.Pins(); n != 2 {
 		t.Fatalf("after two acquires Pins() = %d, want 2", n)
 	}

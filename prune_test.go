@@ -136,8 +136,10 @@ func TestPruneDifferentialStrategies(t *testing.T) {
 	for qi, item := range pruneQueries(t) {
 		memPQ := prepare(t, memSess, item)
 		diskPQ := prepare(t, diskSess, item)
-		// The unpruned memory run is the reference.
+		// The unpruned memory run is the reference, checked against the
+		// oracles.
 		want := selectedOf(t, memPQ, arb.ExecOpts{NoPrune: true})
+		sameSelected(t, "oracle", qi, want, oracleSelected(tr, item)[0])
 
 		type strat struct {
 			name string
@@ -239,6 +241,11 @@ func TestPruneBatchDifferential(t *testing.T) {
 			wantRes, _, err := pb.Exec(context.Background(), arb.ExecOpts{NoPrune: true})
 			if err != nil {
 				t.Fatal(err)
+			}
+			for m, item := range tc.items {
+				for qi, sel := range oracleSelected(tr, item) {
+					sameSelected(t, tc.name+"/"+backend.name+" oracle", m, wantRes[m].Selected(pb.Queries(m)[qi]), sel)
+				}
 			}
 			for _, workers := range []int{1, 4} {
 				res, prof, err := pb.Exec(context.Background(), arb.ExecOpts{Workers: workers, Stats: true})
@@ -342,6 +349,7 @@ func TestPruneRandomDifferential(t *testing.T) {
 		memPQ := prepare(t, memSess, item)
 		diskPQ := prepare(t, diskSess, item)
 		want := selectedOf(t, memPQ, arb.ExecOpts{NoPrune: true})
+		sameSelected(t, fmt.Sprintf("trial %d oracle", trial), 0, want, oracleSelected(tr, item)[0])
 		for name, sel := range map[string][]arb.NodeID{
 			"memory":        selectedOf(t, memPQ, arb.ExecOpts{}),
 			"memory-par":    selectedOf(t, memPQ, arb.ExecOpts{Workers: 3}),

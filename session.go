@@ -20,8 +20,8 @@ import (
 // Session wraps one open query source — an in-memory Tree or an on-disk
 // DB — and is the root of everything shared between the queries prepared
 // on it: the label-name table every engine resolves Label[..] tests
-// against, and (for disk sessions) the database handle and its lazily
-// built subtree index, which the parallel evaluator cuts its chunk
+// against, and the database handle (for a tree, its record image) with its
+// lazily built subtree index, which the parallel evaluator cuts its chunk
 // frontier from. Queries enter through Prepare/PrepareXPath, whose
 // PreparedQuery handles persist the compiled automata across executions —
 // the compile-once, query-many shape the paper's engine is built for.
@@ -45,12 +45,13 @@ type Session struct {
 	// disturbing them. Exactly one of t, db, vs is the session's source.
 	vs *vstore.Store
 
-	// Lazily built subtree index (with label signatures) over the
-	// in-memory tree, shared by every query prepared on the session — the
-	// evidence base for selectivity-aware pruning. Disk sessions use the
-	// database's own .idx sidecar instead.
-	treeIdxOnce sync.Once
-	treeIdx     *storage.SubtreeIndex
+	// The tree's record image opened as a database (storage.OpenTree),
+	// built on first use and shared by every execution on the session:
+	// trees run through the same driver as databases, with their scratch
+	// files in RAM.
+	treeOnce sync.Once
+	treeDB   *storage.DB
+	treeErr  error
 
 	// rc is the session's result cache (SetResultCache), shared by every
 	// query prepared on the session; nil means no result caching. Set it
@@ -69,18 +70,24 @@ type Session struct {
 // no execution is in flight; anything else is a leak.
 func (s *Session) Pins() int64 { return s.pins.Load() }
 
-// treeIndex returns the session's cached in-memory subtree index,
-// building it on first use (nil for disk sessions and for trees not laid
-// out in preorder, which simply evaluate without pruning).
-func (s *Session) treeIndex() *storage.SubtreeIndex {
-	if s.t == nil {
-		return nil
-	}
-	s.treeIdxOnce.Do(func() { s.treeIdx = storage.BuildTreeIndex(s.t, 0) })
-	return s.treeIdx
+// image returns the tree's record image, opening it on first use; a tree
+// not laid out in preorder fails every execution with the reason.
+func (s *Session) image() (*storage.DB, error) {
+	s.treeOnce.Do(func() {
+		s.treeDB, s.treeErr = storage.OpenTree(s.t, nil)
+		if s.treeErr != nil {
+			s.treeErr = fmt.Errorf("arb: %w", s.treeErr)
+		}
+	})
+	return s.treeDB, s.treeErr
 }
 
-// NewSession opens a session over an in-memory tree.
+// NewSession opens a session over an in-memory tree, which must be laid
+// out in preorder (Tree.CheckPreorder; ParseXML and TreeBuilder always
+// are). Executions run over the tree's record image — 2 bytes a node,
+// encoded on first use and kept — through the same driver as databases,
+// with their temporaries in RAM: an in-memory session touches no file
+// system. A tree that is not in preorder fails every execution.
 func NewSession(t *Tree) *Session { return &Session{t: t} }
 
 // NewDBSession opens a session over an already-open database. Closing the
@@ -171,7 +178,7 @@ func (s *Session) Len() int64 {
 //
 // In-memory sessions have no version ids, so the cache assumes the tree
 // is not mutated while the session lives — the same contract the
-// session's cached tree index already relies on. Versioned sessions need
+// session's cached record image already relies on. Versioned sessions need
 // no such caveat: every execution pins a version, and entries can only
 // answer requests pinning the same one.
 func (s *Session) SetResultCache(maxBytes int64) { s.rc = rescache.New(maxBytes) }
@@ -186,13 +193,13 @@ func (s *Session) ResultCacheStats() (ResultCacheStats, bool) {
 }
 
 // acquire resolves the source one execution reads: the database handle
-// (nil for in-memory sessions), the label-name table to compile
-// against, the version read (0 unless versioned), and a release the
-// caller must invoke when the execution is done. Versioned sessions pin
+// (the tree's record image for in-memory sessions), the label-name table
+// to compile against, the version read (0 unless versioned), and a release
+// the caller must invoke when the execution is done. Versioned sessions pin
 // a snapshot here — the execution keeps reading that version however
 // many patches commit meanwhile, and the release is what lets the
 // store collect superseded versions and their patch segments.
-func (s *Session) acquire() (db *storage.DB, names *tree.Names, version uint64, release func()) {
+func (s *Session) acquire() (db *storage.DB, names *tree.Names, version uint64, release func(), err error) {
 	switch {
 	case s.vs != nil:
 		snap := s.vs.Snapshot()
@@ -204,11 +211,12 @@ func (s *Session) acquire() (db *storage.DB, names *tree.Names, version uint64, 
 				s.pins.Add(-1)
 			})
 		}
-		return snap.DB(), snap.Names(), snap.Version(), release
+		return snap.DB(), snap.Names(), snap.Version(), release, nil
 	case s.db != nil:
-		return s.db, s.db.Names, 0, func() {}
+		return s.db, s.db.Names, 0, func() {}, nil
 	default:
-		return nil, s.t.Names(), 0, func() {}
+		db, err := s.image()
+		return db, s.t.Names(), 0, func() {}, err
 	}
 }
 
@@ -227,9 +235,9 @@ func (s *Session) Prepare(prog *Program) (*PreparedQuery, error) {
 
 // PrepareXPath compiles a Core XPath query against the session. Queries
 // in the positive fragment become one pass; every not(..) condition adds
-// an auxiliary pass, chained through aux labelings in memory or aux-mask
-// sidecar files on disk — either way Exec runs all passes and returns the
-// main pass's result.
+// an auxiliary pass, chained through aux-mask sidecars (in RAM for
+// in-memory sessions) — Exec runs all passes and returns the main pass's
+// result.
 func (s *Session) PrepareXPath(q *XPathQuery) (*PreparedQuery, error) {
 	names := s.Names()
 	p, err := q.Prepare(names)
@@ -309,12 +317,12 @@ type ExecOpts struct {
 	Workers int
 	// KeepStates retains per-node evaluation state from the main pass:
 	// in-memory sessions record the automaton states in the Result
-	// (Result.BUStateOf/TDStateOf); disk sessions keep the phase-1
-	// state file and report its path as Result.StateFile. Every
-	// execution writes a uniquely named file next to the database, so
-	// KeepStates executions — through one handle or many — run
-	// concurrently without blocking or clobbering each other; the
-	// caller owns removal of each kept file.
+	// (Result.BUStateOf/TDStateOf), running the main pass sequentially and
+	// unpruned; disk sessions keep the phase-1 state file and report its
+	// path as Result.StateFile. Every execution writes a uniquely named
+	// file next to the database, so KeepStates executions — through one
+	// handle or many — run concurrently without blocking or clobbering
+	// each other; the caller owns removal of each kept file.
 	KeepStates bool
 	// Stats asks Exec to return a Profile of this execution's cost;
 	// when false Exec returns a nil Profile.
@@ -322,17 +330,16 @@ type ExecOpts struct {
 	// MarkTo, when non-nil, streams the document back out as XML with
 	// the nodes selected by query predicate MarkQuery (an index into
 	// Queries()) marked up — the system's default output mode
-	// (Section 6.3). On disk the marked document is produced during the
-	// final pass's forward scan itself; marking forces that pass
-	// sequential.
+	// (Section 6.3). The marked document is produced during the final
+	// pass's forward scan itself; marking forces that pass sequential.
 	MarkTo    io.Writer
 	MarkQuery int
 	// NoPrune disables selectivity-aware scan pruning for this
 	// execution. By default every strategy seeks past whole subtrees the
 	// compiled automata provably cannot select from (using the label
-	// summaries of the database's .idx sidecar, or the session's tree
-	// index in memory), turning the two-scan cost into one proportional
-	// to query selectivity; results are bit-identical either way, and
+	// summaries of the database's .idx sidecar, or of an index built from
+	// an in-memory session's record image), turning the two-scan cost into
+	// one proportional to query selectivity; results are bit-identical either way, and
 	// Profile reports what was skipped (Disk.PhaseN.SkippedBytes,
 	// Engine.PrunedNodes). Executions that keep per-node state, stream
 	// marked XML, or read aux masks never prune regardless of this flag.
@@ -354,7 +361,7 @@ type ExecOpts struct {
 // and, for disk sessions, the scan profile of Figure 5's storage model.
 type Profile struct {
 	Engine Stats     // automata work: phase times, lazy transitions, states
-	Disk   DiskStats // linear-scan profile; zero for in-memory sessions
+	Disk   DiskStats // linear-scan profile (of the record image, in memory)
 	Passes int       // automata passes executed (auxiliary + main)
 	// Workers is the resolved worker request the execution dispatched
 	// with; databases below the parallel evaluator's coordination
@@ -380,8 +387,7 @@ type Profile struct {
 // pair, Bytes + SkippedBytes covers the database exactly once per
 // phase; the merged Profile accumulates that over the execution's
 // passes, so a P-pass execution's per-phase total is P × database
-// size. Zero for in-memory sessions, whose pruning shows up as
-// Engine.PrunedNodes instead.
+// size. In-memory sessions count the bytes of their record image.
 func (p *Profile) SkippedBytes() int64 {
 	return p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
 }
@@ -478,10 +484,10 @@ func (q *PreparedQuery) Queries() []Pred { return q.handle().Queries() }
 func (q *PreparedQuery) Program() *Program { return q.handle().Program() }
 
 // Exec runs the query over the session's source and returns the unified
-// result, dispatching internally to the right strategy: in-memory or
-// secondary-storage, sequential or parallel (opts.Workers), single- or
-// multi-pass — always through the same two-phase tree-automata engine, so
-// the selected nodes are identical on every path.
+// result: the one driver over the session's database (an in-memory
+// session's record image), sequential or parallel (opts.Workers), single-
+// or multi-pass — always the same two-phase tree-automata engine, so the
+// selected nodes are identical on every path.
 //
 // Cancelling ctx aborts the scan in progress: Exec returns ctx.Err()
 // (wrapped, so errors.Is reports context.Canceled or DeadlineExceeded)
@@ -511,14 +517,14 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 		NoPrune:    opts.NoPrune,
 	}
 
-	db, names, version, release := q.s.acquire()
+	db, names, version, release, err := q.s.acquire()
 	defer release()
-	p, err := q.prepared(names)
 	if err != nil {
 		return nil, nil, err
 	}
-	if db == nil && !opts.NoPrune {
-		xopts.Index = q.s.treeIndex()
+	p, err := q.prepared(names)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	start := time.Now()
@@ -528,22 +534,14 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 	// point, and a cached Result carries neither.
 	rc := q.s.rc
 	useCache := opts.ResultCache && rc != nil && opts.MarkTo == nil && !opts.KeepStates
+	useCache = useCache && db.N < rescache.MaxNodes
 	var key string
 	var sum *core.SelSummary
-	var n int64
-	if useCache {
-		if db != nil {
-			n = db.N
-		} else {
-			n = int64(q.s.t.Len())
-		}
-		useCache = n < rescache.MaxNodes
-	}
 	cacheKind := ""
 	if useCache {
 		key = q.cacheKey()
 		sum = p.Summary()
-		if res, kind := rc.Lookup(key, version, sum, p.Program(), n); kind != rescache.Miss {
+		if res, kind := rc.Lookup(key, version, sum, p.Program(), db.N); kind != rescache.Miss {
 			if !opts.Stats {
 				return res, nil, nil
 			}
@@ -557,20 +555,14 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 		cacheKind = rescache.Miss.String()
 	}
 
-	var res *Result
-	var es xpath.ExecStats
-	if db != nil {
-		res, es, err = p.ExecDisk(ctx, db, xopts)
-	} else {
-		res, es, err = p.ExecTree(ctx, q.s.t, xopts)
-	}
+	res, es, err := p.ExecDisk(ctx, db, xopts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if useCache {
 		var ids []uint64
 		if sum != nil {
-			ids = packIDs(res, p.Queries(), db, q.s.t, rc.IDBudget())
+			ids = packIDs(res, p.Queries(), db, rc.IDBudget())
 		}
 		rc.Put(key, version, res, sum, ids)
 	}
@@ -601,22 +593,16 @@ func (q *PreparedQuery) TryCached() (*Result, *Profile, bool) {
 		return nil, nil, false
 	}
 	start := time.Now()
-	db, names, version, release := q.s.acquire()
+	db, names, version, release, err := q.s.acquire()
 	defer release()
-	p, err := q.prepared(names)
 	if err != nil {
 		return nil, nil, false
 	}
-	var n int64
-	if db != nil {
-		n = db.N
-	} else {
-		n = int64(q.s.t.Len())
-	}
-	if n >= rescache.MaxNodes {
+	p, err := q.prepared(names)
+	if err != nil || db.N >= rescache.MaxNodes {
 		return nil, nil, false
 	}
-	res, kind := rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), n)
+	res, kind := rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), db.N)
 	if kind == rescache.Miss {
 		return nil, nil, false
 	}
@@ -628,11 +614,11 @@ func (q *PreparedQuery) TryCached() (*Result, *Profile, bool) {
 }
 
 // packIDs renders the packed (id, label, root) subsumption list of a
-// completed single-query result, reading labels from the in-memory tree
-// or by random record access against the pinned database. Returns nil —
+// completed single-query result, reading labels by random record access
+// against the pinned database (or the tree's record image). Returns nil —
 // the entry then serves exact hits only — when the result selects more
 // ids than the cache admits or a label cannot be read.
-func packIDs(res *Result, qs []Pred, db *storage.DB, t *tree.Tree, budget int64) []uint64 {
+func packIDs(res *Result, qs []Pred, db *storage.DB, budget int64) []uint64 {
 	if len(qs) != 1 {
 		return nil
 	}
@@ -643,18 +629,12 @@ func packIDs(res *Result, qs []Pred, db *storage.DB, t *tree.Tree, budget int64)
 	ids := make([]uint64, 0, count)
 	ok := true
 	res.Walk(qs[0], func(v tree.NodeID) bool {
-		var l tree.Label
-		if db != nil {
-			rec, err := db.RecordAt(int64(v))
-			if err != nil {
-				ok = false
-				return false
-			}
-			l = tree.Label(rec.Label)
-		} else {
-			l = t.Label(v)
+		rec, err := db.RecordAt(int64(v))
+		if err != nil {
+			ok = false
+			return false
 		}
-		ids = append(ids, rescache.PackID(int64(v), l, v == 0))
+		ids = append(ids, rescache.PackID(int64(v), tree.Label(rec.Label), v == 0))
 		return true
 	})
 	if !ok {
@@ -753,8 +733,11 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 
 	// One snapshot serves the whole batch: every member scans the same
 	// version, and coalesced server batches inherit that consistency.
-	db, names, version, release := b.s.acquire()
+	db, names, version, release, err := b.s.acquire()
 	defer release()
+	if err != nil {
+		return nil, nil, err
+	}
 	members := make([]*xpath.Prepared, len(b.members))
 	for i, m := range b.members {
 		p, err := m.prepared(names)
@@ -763,20 +746,8 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 		}
 		members[i] = p
 	}
-	xb := xpath.NewBatch(members)
-	if db == nil && !opts.NoPrune {
-		xopts.Index = b.s.treeIndex()
-	}
-
 	start := time.Now()
-	var res []*Result
-	var es xpath.ExecStats
-	var err error
-	if db != nil {
-		res, es, err = xb.ExecDisk(ctx, db, xopts)
-	} else {
-		res, es, err = xb.ExecTree(ctx, b.s.t, xopts)
-	}
+	res, es, err := xpath.NewBatch(members).ExecDisk(ctx, db, xopts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -784,22 +755,14 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 	// version — a coalesced server batch warms the cache for all the
 	// queries it carried. Lookups stay with the scalar path (servers
 	// check TryCached before coalescing).
-	if rc := b.s.rc; opts.ResultCache && rc != nil {
-		var n int64
-		if db != nil {
-			n = db.N
-		} else {
-			n = int64(b.s.t.Len())
-		}
-		if n < rescache.MaxNodes {
-			for i, m := range b.members {
-				sum := members[i].Summary()
-				var ids []uint64
-				if sum != nil {
-					ids = packIDs(res[i], members[i].Queries(), db, b.s.t, rc.IDBudget())
-				}
-				rc.Put(m.cacheKey(), version, res[i], sum, ids)
+	if rc := b.s.rc; opts.ResultCache && rc != nil && db.N < rescache.MaxNodes {
+		for i, m := range b.members {
+			sum := members[i].Summary()
+			var ids []uint64
+			if sum != nil {
+				ids = packIDs(res[i], members[i].Queries(), db, rc.IDBudget())
 			}
+			rc.Put(m.cacheKey(), version, res[i], sum, ids)
 		}
 	}
 	if !opts.Stats {

@@ -223,6 +223,15 @@ func TestExecCancelMemory(t *testing.T) {
 	if _, _, err := pq.Exec(ctx, arb.ExecOpts{Workers: 3}); !errors.Is(err, context.Canceled) {
 		t.Errorf("parallel: error %v, want context.Canceled", err)
 	}
+	pb, err := sess.BatchOf(pq, pq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		if _, _, err := pb.Exec(ctx, arb.ExecOpts{Workers: workers}); !errors.Is(err, context.Canceled) {
+			t.Errorf("batch, %d workers: error %v, want context.Canceled", workers, err)
+		}
+	}
 	if n, err := pq.Count(context.Background()); err != nil || n == 0 {
 		t.Fatalf("after cancellation: %d nodes, err %v", n, err)
 	}

@@ -26,8 +26,8 @@ func NewEngine(p *Program, names *Names) (*Engine, error) {
 }
 
 // RunParallel evaluates the engine's program over an in-memory tree with
-// multiple workers (0 = GOMAXPROCS); see internal/parallel for the
-// frontier decomposition. Results are identical to Engine.Run.
+// multiple workers (0 = GOMAXPROCS): the one driver over the tree's record
+// image (core.RunTreeContext). Results are identical to Engine.Run.
 //
 // Deprecated: use Session.Prepare and PreparedQuery.Exec with
 // ExecOpts{Workers: n}.

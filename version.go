@@ -159,16 +159,15 @@ func (s *Session) Patch(ctx context.Context, op PatchOp) (*PatchInfo, error) {
 // nodes for which selected returns true in <arb:selected> markup
 // (selected may be nil for plain output). Versioned sessions emit a
 // consistent snapshot of the current version — a patch committing
-// mid-emit changes nothing. In-memory sessions are not supported here;
-// emit their tree directly.
+// mid-emit changes nothing; in-memory sessions emit their tree.
 func (s *Session) EmitXML(ctx context.Context, w io.Writer, selected func(v int64) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	db, _, _, release := s.acquire()
+	db, _, _, release, err := s.acquire()
 	defer release()
-	if db == nil {
-		return fmt.Errorf("arb: EmitXML needs a disk session")
+	if err != nil {
+		return err
 	}
 	return storage.EmitXMLContext(ctx, db, w, selected)
 }

@@ -45,8 +45,9 @@ func randElemXML(r *rand.Rand, serial *int, maxNodes int) string {
 // versioned store to the freshly-created oracle: the current version is
 // emitted, rebuilt as a plain flat .arb database, and every execution
 // strategy — sequential, parallel, pruning disabled, shared-scan batch —
-// must select exactly the nodes the flat database selects, while the
-// emitted documents match byte for byte. Compaction and reopening from
+// must select exactly the nodes the flat database selects — and the XPath
+// interpreter over the emitted document — while the emitted documents
+// match byte for byte. Compaction and reopening from
 // disk must be invisible to all of it.
 func TestVersionedSessionDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -146,6 +147,7 @@ func TestVersionedSessionDifferential(t *testing.T) {
 						t.Fatalf("unversioned execution reports version %d", oprof.Version)
 					}
 					want := owant.Selected(opq.Queries()[0])
+					sameSelected(t, fmt.Sprintf("%s at version %d, interpreter oracle", sources[i], sess.Version()), i, want, oracleSelected(otree, queries[i])[0])
 					for _, opts := range []arb.ExecOpts{
 						{Workers: 1, Stats: true},
 						{Workers: 4, Stats: true},
