@@ -395,16 +395,17 @@ func checkTwoScans(t *testing.T, base string, workerCounts []int, spotCheck bool
 		if prof.Passes != 1 {
 			t.Fatalf("workers=%d: %d rounds for single-pass batch, want 1", workers, prof.Passes)
 		}
-		// The two-scan property, selectivity-pruning aware: every byte of
-		// the database is either read or provably-irrelevant-and-skipped,
-		// exactly once per aggregate phase — Bytes + SkippedBytes == 2 ×
-		// database size over the two phases.
+		// The scan property, selectivity-pruning aware: every byte of the
+		// database is either read or provably-irrelevant-and-skipped,
+		// exactly once per aggregate phase that ran — phase 1 always,
+		// phase 2 unless every lane's selections were decided bottom-up
+		// (then it reads nothing).
 		p1 := prof.Disk.Phase1.Bytes + prof.Disk.Phase1.SkippedBytes
 		p2 := prof.Disk.Phase2.Bytes + prof.Disk.Phase2.SkippedBytes
-		if p1 != dataBytes || p2 != dataBytes {
-			t.Fatalf("workers=%d: aggregate scans covered %d/%d data bytes (read %d/%d, skipped %d/%d), want exactly %d per phase (two linear scans for the whole batch)",
+		if p1 != dataBytes || p2 != int64(1-prof.Disk.OneScan)*dataBytes {
+			t.Fatalf("workers=%d: aggregate scans covered %d/%d data bytes (read %d/%d, skipped %d/%d, one-scan %d), want exactly %d per phase that ran (one or two linear scans for the whole batch)",
 				workers, p1, p2, prof.Disk.Phase1.Bytes, prof.Disk.Phase2.Bytes,
-				prof.Disk.Phase1.SkippedBytes, prof.Disk.Phase2.SkippedBytes, dataBytes)
+				prof.Disk.Phase1.SkippedBytes, prof.Disk.Phase2.SkippedBytes, prof.Disk.OneScan, dataBytes)
 		}
 		if !spotCheck {
 			continue

@@ -178,6 +178,7 @@ go test -run Serve -race ./...
 # bounded fuzz of the decoder.
 go test -run 'Compress|SyncDir|LZ|BlockSource' -race ./...
 go test -run '^$' -fuzz FuzzLZDecompress -fuzztime 10s ./internal/storage
+go test -run '^$' -fuzz FuzzOpenContainer -fuzztime 10s -fuzzminimizetime 100x ./internal/storage
 # The versioned extent store: manifest fuzz seeds, the vstore and
 # root-level patch differentials, snapshot isolation/GC, and the
 # concurrent read-while-patching server race.

@@ -431,9 +431,12 @@ func query(ctx context.Context, args []string) error {
 		}
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "phase 1 (bottom-up): %v, %d transitions; phase 2 (top-down): %v, %d transitions; %d passes, %d workers, temp %d bytes\n",
-			prof.Engine.Phase1Time, prof.Engine.BUTransitions, prof.Engine.Phase2Time, prof.Engine.TDTransitions,
-			prof.Passes, prof.Workers, prof.Disk.StateBytes)
+		phase2 := fmt.Sprintf("phase 2 (top-down): %v, %d transitions", prof.Engine.Phase2Time, prof.Engine.TDTransitions)
+		if oneScan(prof) {
+			phase2 = "phase 2: omitted (one scan)"
+		}
+		fmt.Fprintf(os.Stderr, "phase 1 (bottom-up): %v, %d transitions; %s; %d passes, %d workers, temp %d bytes\n",
+			prof.Engine.Phase1Time, prof.Engine.BUTransitions, phase2, prof.Passes, prof.Workers, prof.Disk.StateBytes)
 		if skipped := prof.SkippedBytes(); skipped > 0 || prof.Engine.PrunedNodes > 0 {
 			fmt.Fprintf(os.Stderr, "pruning: skipped %d data bytes (%d nodes proven irrelevant); -noprune disables\n",
 				skipped, prof.Engine.PrunedNodes)
@@ -506,12 +509,22 @@ func runBatch(ctx context.Context, sess *arb.Session, path string, workers int, 
 		}
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr, "%d queries, %d shared scan pair(s); phase 1: %v, phase 2: %v; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
-			len(items), prof.Passes, prof.Engine.Phase1Time, prof.Engine.Phase2Time,
+		phase2 := fmt.Sprintf("phase 2: %v", prof.Engine.Phase2Time)
+		if oneScan(prof) {
+			phase2 = "phase 2: omitted (one scan)"
+		}
+		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s); phase 1: %v, %s; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
+			len(items), prof.Passes, prof.Engine.Phase1Time, phase2,
 			prof.Workers, prof.Disk.StateBytes,
 			float64(prof.Disk.Phase1.Bytes+prof.Disk.Phase2.Bytes)/float64(len(items)))
 	}
 	return nil
+}
+
+// oneScan reports whether every pass of an execution omitted phase 2: its
+// selections were decided by the bottom-up pass alone.
+func oneScan(prof *arb.Profile) bool {
+	return prof.Passes > 0 && prof.Disk.OneScan == prof.Passes
 }
 
 // printIDs streams the selected preorder ids to stdout, surfacing write

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,12 +36,19 @@ func TestHTTPServerTimeouts(t *testing.T) {
 // captureStdout runs fn with os.Stdout redirected into a buffer.
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected into a
+// buffer.
+func capture(t *testing.T, f **os.File, fn func() error) string {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string, 1)
 	go func() {
 		var buf bytes.Buffer
@@ -49,12 +57,52 @@ func captureStdout(t *testing.T, fn func() error) string {
 	}()
 	ferr := fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	out := <-done
 	if ferr != nil {
 		t.Fatalf("command failed: %v\noutput:\n%s", ferr, out)
 	}
 	return out
+}
+
+// TestQueryVerboseOneScan checks what query -v and -batch -v say about
+// the scans: a label selection is decided by the bottom-up pass, so phase 2
+// is omitted and no state file written; a child-of-the-root query keeps
+// both scans and its temp bytes.
+func TestQueryVerboseOneScan(t *testing.T) {
+	dir := t.TempDir()
+	xml := filepath.Join(dir, "doc.xml")
+	if err := os.WriteFile(xml, []byte("<doc><a><b>x</b></a><c><a/></c></doc>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "db")
+	captureStdout(t, func() error { return create([]string{base, xml}) })
+	work := filepath.Join(dir, "work.txt")
+	if err := os.WriteFile(work, []byte("QUERY :- Label[a];\nxpath://b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		args          []string
+		want, notWant string
+	}{
+		{[]string{"-q", "QUERY :- Label[a];"}, "; phase 2: omitted (one scan); 1 passes, 1 workers, temp 0 bytes", "phase 2 (top-down)"},
+		{[]string{"-batch", "-f", work}, "phase 2: omitted (one scan); 1 workers, temp 0 bytes", "phase 2: 0"},
+		{[]string{"-xpath", "/doc/a"}, "phase 2 (top-down)", "omitted"},
+	} {
+		args := append([]string{base, "-v", "-j", "1"}, tc.args...)
+		var stderr string
+		captureStdout(t, func() error {
+			stderr = capture(t, &os.Stderr, func() error { return query(ctx, args) })
+			return nil
+		})
+		if !strings.Contains(stderr, tc.want) || strings.Contains(stderr, tc.notWant) {
+			t.Fatalf("query %q printed\n%s\nwant %q and no %q", args, stderr, tc.want, tc.notWant)
+		}
+		if tc.notWant == "omitted" && strings.Contains(stderr, "temp 0 bytes") {
+			t.Fatalf("query %q printed\n%s\nwant a state file's temp bytes", args, stderr)
+		}
+	}
 }
 
 // TestCreateCompressStatsSmoke drives the CLI path end to end: create

@@ -76,7 +76,7 @@ func main() {
 	for i := range res {
 		fmt.Printf("%-20s %d nodes\n", labels[i]+":", res[i].Count(pb.Queries(i)[0]))
 	}
-	fmt.Printf("\n%d queries in %d shared scan pair(s); %d data bytes scanned per query\n",
-		pb.Len(), prof.Passes,
+	fmt.Printf("\n%d queries in %d shared round(s), %d of them one scan; %d data bytes scanned per query\n",
+		pb.Len(), prof.Passes, prof.Disk.OneScan,
 		(prof.Disk.Phase1.Bytes+prof.Disk.Phase2.Bytes)/int64(pb.Len()))
 }

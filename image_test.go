@@ -42,10 +42,12 @@ func imageDoc(t *testing.T) *arb.Tree {
 
 // TestInMemoryBatchOver64PredicatesRunsInTwoLanes: 65 single-predicate
 // members exceed one lane's 64-bit query mask, so an in-memory batch steps
-// two lanes — a 64-member product and a member alone — and writes one
-// state id per node for each: 2 bytes a node, as the members' product
-// stays under the one-byte width. Results are bit-identical to each
-// member's scalar Exec and to the naive oracle.
+// two lanes — a 64-member product and a member alone. Label selections are
+// decided by bottom-up states, so with 65 of them the batch runs one scan
+// and writes no state; with a root-path member last, that member's lane
+// writes one state id per node and the other still none: 1 byte a node, as
+// the member's automaton stays under the one-byte width. Results are
+// bit-identical to each member's scalar Exec and to the naive oracle.
 func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 	tr := imageDoc(t)
 	sess := arb.NewSession(tr)
@@ -57,22 +59,38 @@ func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 		}
 		items[i] = p
 	}
-	want := scalarSelected(t, sess, items)
-	checkOracles(t, tr, items, want)
-	pb, err := sess.PrepareBatch(items...)
+	rootPath, err := arb.ParseProgram(`R :- Root; D :- R.FirstChild; D :- D.NextSibling; QUERY :- D, Label[t1];`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		opts := arb.ExecOpts{Workers: workers, Stats: true}
-		checkBatchAgainst(t, fmt.Sprintf("%d workers", workers), pb, opts, want)
-		_, prof, err := pb.Exec(context.Background(), opts)
+	n := int64(tr.Len())
+	for _, tc := range []struct {
+		name       string
+		last       any
+		stateBytes int64
+		oneScan    int
+	}{
+		{"label selections", items[64], 0, 1},
+		{"a root-path member last", rootPath, n, 0},
+	} {
+		items[64] = tc.last
+		want := scalarSelected(t, sess, items)
+		checkOracles(t, tr, items, want)
+		pb, err := sess.PrepareBatch(items...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := int64(tr.Len()); prof.Disk.StateBytes != 2*n {
-			t.Fatalf("%d workers: state bytes %d over %d nodes, want %d: two lanes of one-byte ids",
-				workers, prof.Disk.StateBytes, n, 2*n)
+		for _, workers := range []int{1, 4} {
+			opts := arb.ExecOpts{Workers: workers, Stats: true}
+			checkBatchAgainst(t, fmt.Sprintf("%s, %d workers", tc.name, workers), pb, opts, want)
+			_, prof, err := pb.Exec(context.Background(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof.Disk.StateBytes != tc.stateBytes || prof.Disk.OneScan != tc.oneScan {
+				t.Fatalf("%s, %d workers: state bytes %d over %d nodes, one-scan %d; want %d and %d",
+					tc.name, workers, prof.Disk.StateBytes, n, prof.Disk.OneScan, tc.stateBytes, tc.oneScan)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -110,15 +111,15 @@ func TestBatchMatchesScalarAndNaive(t *testing.T) {
 			}
 		}
 
-		// One aggregate pair of linear scans for the whole batch, however
-		// many members and workers: every .arb byte is read or
-		// provably-irrelevant-and-skipped exactly once per phase.
+		// One aggregate pass for the whole batch, however many members and
+		// workers: every .arb byte is read or provably-irrelevant-and-
+		// skipped exactly once per phase, and phase 2 runs only if some
+		// lane's selections its bottom-up states do not decide.
+		members := batchMembers(t, progs, db.Names)
 		for name, d := range map[string]*DiskStats{"sequential": ds, "parallel": pds} {
-			p1 := d.Phase1.Bytes + d.Phase1.SkippedBytes
-			p2 := d.Phase2.Bytes + d.Phase2.SkippedBytes
-			if p1 != db.N*storage.NodeSize || p2 != db.N*storage.NodeSize {
-				t.Fatalf("iter %d %s: scans covered %d/%d bytes, want %d each",
-					iter, name, p1, p2, db.N*storage.NodeSize)
+			checkScans(t, fmt.Sprintf("iter %d %s", iter, name), db, d, 0)
+			if (d.OneScan == 1) != (twoScanLanes(members) == 0) {
+				t.Fatalf("iter %d %s: one-scan %d, %d lanes need phase 2", iter, name, d.OneScan, twoScanLanes(members))
 			}
 		}
 		db.Close()

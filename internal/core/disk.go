@@ -68,13 +68,18 @@ type DiskOpts struct {
 // DiskStats reports the per-scan cost profile of a disk run, alongside the
 // engine's cumulative Stats. StateBytes is the state-file bytes phase 1
 // wrote (and phase 2 read back): the run's state width — 1, 2 or 4 bytes a
-// node — times the nodes it scanned times its lanes (one for a scalar run,
-// usually one for a batch), so extents a prune plan skipped count for
-// nothing.
+// node — times the nodes it scanned times its lanes that needed phase 2
+// (one for a scalar run, usually one for a batch), so extents a prune plan
+// skipped count for nothing. A one-scan pass (OneScan) writes no state:
+// its StateBytes and Phase2 are zero.
 type DiskStats struct {
 	Phase1     storage.ScanStats
 	Phase2     storage.ScanStats
 	StateBytes int64
+	// OneScan counts the passes that omitted phase 2: every lane's
+	// selections were decided by its bottom-up states (onescan.go), so
+	// the pass created no state file and its Phase2 is zero.
+	OneScan int
 }
 
 // Merge folds another run's disk profile into this one (e.g. the passes
@@ -84,6 +89,7 @@ func (d *DiskStats) Merge(o DiskStats) {
 	d.Phase1.Merge(o.Phase1)
 	d.Phase2.Merge(o.Phase2)
 	d.StateBytes += o.StateBytes
+	d.OneScan += o.OneScan
 }
 
 // RunDiskContext evaluates the engine's program over a .arb database in
@@ -94,6 +100,10 @@ func (d *DiskStats) Merge(o DiskStats) {
 // file backwards — yielding the phase-1 states in preorder — and computes
 // the true predicates per node. Main memory holds only the two automata
 // (computed lazily) and a stack bounded by the depth of the XML document.
+// When a node's bottom-up state alone decides its selection (onescan.go)
+// and the run reads no aux input, writes no aux output or marked XML and
+// keeps no states, phase 1 marks the selected nodes itself: the run is one
+// backward scan, with no state file and no phase 2 (DiskStats.OneScan).
 // It is RunDiskParallelContext with one worker: the chunked driver run
 // with an empty frontier, whose leader scans all of [0, N) itself.
 // Cancelling ctx aborts the scan in progress with ctx.Err(); a failed or

@@ -14,11 +14,13 @@ import (
 // instead of behind a per-node callback. Each window is stepped once per
 // lane (a scalar run is one lane of one member), every lane over the same
 // decoded records with its own cache and stack. Every per-node byte outside
-// the records is addressed by node index — lane L's state of node v sits at
-// L·N·w + (N-1-v)·w of the state file (reverse preorder, the order phase 1
-// makes them in), its aux masks at v times the sidecars' vector width — so a
-// window reads or writes its slice of each file at an offset computed from
-// its first node, whatever holes the pass skips around it.
+// the records is addressed by node index — the state of node v of the lane
+// in state-file slot L sits at L·N·w + (N-1-v)·w (reverse preorder, the
+// order phase 1 makes them in), its aux masks at v times the sidecars'
+// vector width — so a window reads or writes its slice of each file at an
+// offset computed from its first node, whatever holes the pass skips around
+// it. A lane whose selections its bottom-up states decide (onescan.go) has
+// no slot: phase 1 marks its nodes as it folds them, and phase 2 skips it.
 
 // On-disk state widths. The state file is the dominant temporary I/O of a
 // run, so runs start with the narrowest width their automata currently fit
@@ -83,22 +85,67 @@ func stateWidthFor(n int) int {
 
 // diskFiles is what the kernels of one attempt share: the lanes, the
 // scratch files (storage.ScratchFile: files on disk, buffers in RAM for a
-// tree's record image) and the attempt's state width.
+// tree's record image), the attempt's state width and the lanes' selections.
 type diskFiles struct {
 	n       int64               // nodes in the database
 	w       int                 // bytes per state id (stateByte, stateNarrow or stateWide)
-	lanes   []lane              // the run's lanes, one state-file region each
-	stateF  storage.ScratchFile // phase 1 writes it, phase 2 reads it
+	lanes   []lane              // the run's lanes, each with its state-file slot
+	sels    []*Result           // per lane, what its members select
+	stateF  storage.ScratchFile // phase 1 writes it, phase 2 reads it; nil when no lane has a slot
 	auxF    storage.ScratchFile // input masks; nil without AuxIn
-	auxOutF storage.ScratchFile // output masks; nil without AuxOut, created for phase 2
+	auxOutF storage.ScratchFile // output masks; nil without AuxOut, written by phase 2
 	inW     int                 // bytes per node of the aux-in sidecar
 	outW    int                 // bytes per node of the aux-out sidecar
 }
 
-// stateOff is the state-file offset of lane's states of the n nodes from
-// first on; within that slice node first+i sits at (n-1-i)·w.
-func (r *diskFiles) stateOff(lane int, first int64, n int) int64 {
-	return (int64(lane)*r.n + r.n - first - int64(n)) * int64(r.w)
+// stateOff is the state-file offset of the states in slot's region of the
+// n nodes from first on; within that slice node first+i sits at (n-1-i)·w.
+func (r *diskFiles) stateOff(slot int, first int64, n int) int64 {
+	return (int64(slot)*r.n + r.n - first - int64(n)) * int64(r.w)
+}
+
+// laneMarks is where a kernel records one lane's selections: the lane's
+// Result directly (the leader, whose scans never overlap a worker's) or
+// private bitsets from word w0 on (a worker's chunk), which merge merges
+// under the Result's lock.
+type laneMarks struct {
+	sel   *Result
+	local [][]uint64
+	w0    int64
+}
+
+// marks returns lane li's marks for a kernel over x: private ones for a
+// worker's chunk, the Result itself for the leader.
+func (r *diskFiles) marks(li int, x storage.Extent, worker bool) laneMarks {
+	m := laneMarks{sel: r.sels[li]}
+	if worker {
+		m.w0 = x.Root / 64
+		m.local = make([][]uint64, r.lanes[li].nq)
+		for qi := range m.local {
+			m.local[qi] = make([]uint64, (x.End()-1)/64-m.w0+1)
+		}
+	}
+	return m
+}
+
+func (m *laneMarks) mark(mask uint64, v int64) {
+	if m.local == nil {
+		m.sel.MarkMask(mask, v)
+		return
+	}
+	for qi := 0; mask != 0; qi++ {
+		if mask&1 != 0 {
+			m.local[qi][v/64-m.w0] |= 1 << uint(v%64)
+		}
+		mask >>= 1
+	}
+}
+
+// merge hands a worker's private marks to the Result.
+func (m *laneMarks) merge() {
+	for qi := range m.local {
+		m.sel.MergeWords(qi, m.w0, m.local[qi])
+	}
 }
 
 // auxWindow reads the input masks of the n nodes from first on into buf.
@@ -121,8 +168,10 @@ func (r *diskFiles) auxBuf() []byte {
 }
 
 // foldKernel is phase 1 over one region — a worker's chunk or the leader's
-// glue: per lane the stack of subtree states and a window's worth of buffer
-// for the states it writes, and one for the aux masks every lane reads.
+// glue: per lane the stack of subtree states and either a window's worth of
+// buffer for the states it writes or, for a lane without a state-file slot,
+// the marks its states decide; and one buffer for the aux masks every lane
+// reads.
 type foldKernel struct {
 	*diskFiles
 	lanes []foldLane
@@ -134,14 +183,22 @@ type foldLane struct {
 	*lane
 	cache  *StepCache
 	states []byte
+	marks  laneMarks // lanes without a slot only
 	stack  []StateID
 }
 
-// newFold starts phase 1 over a region with one cache per lane.
-func (r *diskFiles) newFold(caches []*StepCache) *foldKernel {
+// newFold starts phase 1 over the region x, a worker's chunk or not, with
+// one cache per lane.
+func (r *diskFiles) newFold(caches []*StepCache, x storage.Extent, worker bool) *foldKernel {
 	k := &foldKernel{diskFiles: r, aux: r.auxBuf()}
-	for i, c := range caches {
-		k.lanes = append(k.lanes, foldLane{lane: &r.lanes[i], cache: c, states: make([]byte, storage.WindowNodes*r.w)})
+	for li, c := range caches {
+		l := foldLane{lane: &r.lanes[li], cache: c}
+		if l.slot >= 0 {
+			l.states = make([]byte, storage.WindowNodes*r.w)
+		} else {
+			l.marks = r.marks(li, x, worker)
+		}
+		k.lanes = append(k.lanes, l)
 	}
 	return k
 }
@@ -158,7 +215,10 @@ func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 		if err := k.fold(l, first, recs, aux); err != nil {
 			return err
 		}
-		if _, err := k.stateF.WriteAt(l.states[:n*k.w], k.stateOff(li, first, n)); err != nil {
+		if l.slot < 0 {
+			continue
+		}
+		if _, err := k.stateF.WriteAt(l.states[:n*k.w], k.stateOff(l.slot, first, n)); err != nil {
 			return fmt.Errorf("core: writing state file: %w", err)
 		}
 	}
@@ -166,11 +226,16 @@ func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 	return nil
 }
 
-// fold steps one lane over the window, last node first.
+// fold steps one lane over the window, last node first, and writes each
+// node's state to the lane's buffer — or, for a lane without a slot, marks
+// the node with its state's one-scan verdict.
 func (k *foldKernel) fold(l *foldLane, first int64, recs, aux []byte) error {
 	n := len(recs) / storage.NodeSize
 	w, inW := k.w, k.inW
-	out := l.states[:n*w]
+	var out []byte
+	if l.slot >= 0 {
+		out = l.states[:n*w]
+	}
 	var in []byte
 	if l.auxIn >= 0 {
 		in = aux[l.auxIn:]
@@ -198,14 +263,25 @@ func (k *foldKernel) fold(l *foldLane, first int64, recs, aux []byte) error {
 		// The table hits inline (see StepCache.sigHit); the calls are for
 		// the root, aux bits and transitions not cached yet.
 		sig := cache.sigHit(rec) - 1
-		if root := first == 0 && i == 0; sig < 0 || extra != 0 || root {
+		root := first == 0 && i == 0
+		if sig < 0 || extra != 0 || root {
 			sig = cache.SigID(rec, root, extra)
 		}
 		id := cache.buHit(left, right, sig) - 1
 		if id < 0 {
 			id = cache.BUStep(left, right, sig)
 		}
-		if err := putState(out[(n-1-i)*w:], w, id); err != nil {
+		if out == nil {
+			mask, ok := cache.verdictHit(id)
+			if !ok || root {
+				if mask, ok = cache.Verdict(id, root); !ok {
+					return errTwoScans
+				}
+			}
+			if mask != 0 {
+				l.marks.mark(mask, first+int64(i))
+			}
+		} else if err := putState(out[(n-1-i)*w:], w, id); err != nil {
 			return err
 		}
 		stack = append(stack, id)
@@ -242,18 +318,14 @@ func (k *foldKernel) finish() ([]StateID, error) {
 	return roots, nil
 }
 
-// scanKernel is phase 2 over one region [root, end): per lane the stack of
-// top-down states whose second subtree is pending and where the next node
-// hangs, and one aux-out buffer every lane fills.
+// scanKernel is phase 2 over one region [root, end): per lane with a
+// state-file slot the stack of top-down states whose second subtree is
+// pending and where the next node hangs, and one aux-out buffer every lane
+// fills.
 type scanKernel struct {
 	*diskFiles
 	root, end int64
 	lanes     []scanLane
-
-	// Marks go to the lanes' selections directly (the leader: no worker is
-	// running yet) or to private bitsets starting at word w0 (a worker's
-	// chunk).
-	w0 int64
 
 	// visit sees every node of an ordered run — only the leader of an empty
 	// frontier of a scalar run has one — with its query mask and states.
@@ -269,29 +341,33 @@ type scanKernel struct {
 // records the states of a KeepStates run over a tree, or both.
 type visitFunc func(v int64, rec uint16, mask uint64, bu, td StateID) error
 
-// scanLane is one lane's phase 2 over the region. The region's root enters
+// scanLane is lane li's phase 2 over the region. The region's root enters
 // in rootTD once its stored state has been checked against rootBU, the
 // state phase 1 computed for it; the next node hangs under parent as child
 // k (k == 0 only before the region's root and after its last node).
 type scanLane struct {
 	*lane
+	li             int
 	cache          *StepCache
 	rootBU, rootTD StateID
-	sel            *Result    // the leader's marks
-	local          [][]uint64 // a worker's marks
+	marks          laneMarks
 	states         []byte
 	pending        []StateID
 	parent         StateID
 	k              int
 }
 
-// newScan starts phase 2 over the region x, whose root states phase 1
-// computed as rootBU and which enters in rootTD, one each per lane.
-func (r *diskFiles) newScan(caches []*StepCache, x storage.Extent, rootBU, rootTD []StateID) *scanKernel {
+// newScan starts phase 2 over the region x, a worker's chunk or not, whose
+// root states phase 1 computed as rootBU and which enters in rootTD, one
+// each per lane; lanes without a state-file slot take no part.
+func (r *diskFiles) newScan(caches []*StepCache, x storage.Extent, rootBU, rootTD []StateID, worker bool) *scanKernel {
 	k := &scanKernel{diskFiles: r, root: x.Root, end: x.End(), aux: r.auxBuf(), auxOut: runWriter{f: r.auxOutF}}
-	for i, c := range caches {
-		k.lanes = append(k.lanes, scanLane{lane: &r.lanes[i], cache: c, rootBU: rootBU[i], rootTD: rootTD[i],
-			states: make([]byte, storage.WindowNodes*r.w)})
+	for li, c := range caches {
+		if r.lanes[li].slot < 0 {
+			continue
+		}
+		k.lanes = append(k.lanes, scanLane{lane: &r.lanes[li], li: li, cache: c, rootBU: rootBU[li], rootTD: rootTD[li],
+			marks: r.marks(li, x, worker), states: make([]byte, storage.WindowNodes*r.w)})
 	}
 	return k
 }
@@ -311,7 +387,7 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 	for li := range k.lanes {
 		l := &k.lanes[li]
 		states := l.states[:n*k.w]
-		if _, err := k.stateF.ReadAt(states, k.stateOff(li, first, n)); err != nil {
+		if _, err := k.stateF.ReadAt(states, k.stateOff(l.slot, first, n)); err != nil {
 			return fmt.Errorf("core: reading state file: %w", err)
 		}
 		if err := k.scan(l, first, recs, states, aux, auxOut); err != nil {
@@ -341,7 +417,7 @@ func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []
 		}
 		mask := cache.QueryMask(td)
 		if mask != 0 {
-			k.mark(l, mask, v)
+			l.marks.mark(mask, v)
 		}
 		if k.visit != nil {
 			if err := k.visit(v, rec, mask, bu, td); err != nil {
@@ -395,33 +471,23 @@ func (k *scanKernel) endedEarly(next int64) error {
 	return fmt.Errorf("%w: scan ended at node %d of %d", storage.ErrMalformed, next-1, k.end)
 }
 
-func (k *scanKernel) mark(l *scanLane, mask uint64, v int64) {
-	if l.local == nil {
-		l.sel.MarkMask(mask, v)
-		return
-	}
-	for qi := 0; mask != 0; qi++ {
-		if mask&1 != 0 {
-			l.local[qi][v/64-k.w0] |= 1 << uint(v%64)
-		}
-		mask >>= 1
-	}
-}
-
-// entryStates are the top-down states, one per lane, the root of the
-// skipped subtree x, whose phase-1 states are bu, is entered in — the
-// leader computes a chunk's here.
+// entryStates are the top-down states, one per lane (NoState for a lane
+// without a slot), the root of the skipped subtree x, whose phase-1 states
+// are bu, is entered in — the leader computes a chunk's here.
 func (k *scanKernel) entryStates(x storage.Extent, bu []StateID) ([]StateID, error) {
-	td := make([]StateID, len(k.lanes))
-	for li := range k.lanes {
-		l := &k.lanes[li]
+	td := make([]StateID, len(k.diskFiles.lanes))
+	for i := range td {
+		td[i] = NoState
+	}
+	for i := range k.lanes {
+		l := &k.lanes[i]
 		if l.k == 0 {
 			var err error
-			if td[li], err = k.enter(l, x.Root, bu[li]); err != nil {
+			if td[l.li], err = k.enter(l, x.Root, bu[l.li]); err != nil {
 				return nil, err
 			}
 		} else {
-			td[li] = l.cache.TDStep(l.parent, bu[li], l.k)
+			td[l.li] = l.cache.TDStep(l.parent, bu[l.li], l.k)
 		}
 	}
 	return td, nil

@@ -133,6 +133,10 @@ type Engine struct {
 	// (selsum.go), computed once; ok=false records inadmissibility.
 	sel *SelSummary // guarded by: mu
 
+	// onescan caches the engine's bottom-up-determined selection verdicts
+	// (onescan.go), computed once; ok=false records inadmissibility.
+	onescan *oneScanAnalysis // guarded by: mu
+
 	// scratch rule buffer reused across transition computations
 	ruleBuf []horn.Rule // guarded by: mu
 }

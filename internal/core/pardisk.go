@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,10 +66,13 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 }
 
 // RunDiskBatch evaluates every member's program over a .arb database in
-// secondary storage with exactly two linear scans of the data for the
+// secondary storage with at most two linear scans of the data for the
 // whole batch: phase 1 is one backward scan writing every lane's bottom-up
 // state per node to one temporary state file; phase 2 is one forward scan
-// reading it back and computing the true predicates. Members step in lanes
+// reading it back and computing the true predicates. A lane whose members'
+// selections their bottom-up states decide (onescan.go) is marked in
+// phase 1 and takes no part in the state file or phase 2; when every lane
+// is, the batch is one scan (DiskStats.OneScan). Members step in lanes
 // (product.go): up to 64 query predicates' worth of members share one
 // product automaton, so a batch of single-pass queries usually costs one
 // automaton step per node and one state id per node, whatever its size.
@@ -135,7 +139,9 @@ func (e *Engine) asBatch(opts DiskOpts) *diskBatch {
 }
 
 // exec runs r over db: the state width and the prune plan are chosen per
-// attempt, and an attempt whose state ids outgrow the width is rerun wide.
+// attempt, an attempt whose state ids outgrow the width is rerun wide, and
+// one that meets a bottom-up state its one-scan verdicts do not cover is
+// rerun with phase 2 for every lane.
 func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res []*Result, agg Stats, ds *DiskStats, err error) {
 	if db.N == 0 {
 		return nil, agg, nil, errors.New("core: empty database")
@@ -150,11 +156,18 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 	}
 	err = runOverFrontier(ctx, db, workers, r.ordered(db), func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
 		plan := r.plan(ctx, db, idx)
-		res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, r.width(), plan)
-		if errors.Is(err, errStateWidth) {
-			res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, stateWide, plan)
+		width, oneScan := r.width(), !oneScanOff
+		for {
+			res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, width, oneScan, plan)
+			switch {
+			case errors.Is(err, errStateWidth) && width != stateWide:
+				width = stateWide
+			case errors.Is(err, errTwoScans) && oneScan:
+				oneScan = false
+			default:
+				return err
+			}
 		}
-		return err
 	})
 	return res, agg, ds, err
 }
@@ -183,6 +196,24 @@ func (r *diskBatch) width() int {
 		w = max(w, stateWidthFor(e.BUStateCount()))
 	}
 	return w
+}
+
+// decided reports whether lane l's selections are decided in phase 1 of
+// this run, so that the lane needs neither state-file slot nor phase 2:
+// every member's program admits one-scan verdicts (onescan.go), and the
+// run reads no aux input, writes no aux output or marked XML, and keeps no
+// states (the first two are per-node facts outside the verdicts, the last
+// two need phase 2's states).
+func (r *diskBatch) decided(l *lane) bool {
+	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.scalar.MarkTo != nil || r.scalar.KeepStateFile || r.scalar.StatePath != "" {
+		return false
+	}
+	for _, m := range l.members {
+		if !r.engines[m].lockedOneScan().ok {
+			return false
+		}
+	}
+	return true
 }
 
 // plan is the one prune gate of the disk runs, scalar and batch. Seeking
@@ -248,32 +279,43 @@ func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered b
 // workers run the same two window kernels (diskkernel.go) over storage's
 // window passes, each stepping every lane; width is the attempt's
 // state-file width, and a state id that outgrows it ends the attempt with
-// errStateWidth.
-func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers int, tasks []storage.Extent, width int, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
+// errStateWidth. With oneScan, lanes whose selections their bottom-up
+// states decide (decided) are marked in phase 1 and get no state-file
+// slot; when no lane has one, the attempt creates no state file and runs
+// no phase 2. A state such a lane meets outside its verdicts ends the
+// attempt with errTwoScans.
+func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers int, tasks []storage.Extent, width int, oneScan bool, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
 	var agg Stats
 	var planExts []storage.Extent
 	if plan != nil {
 		planExts = plan.Extents
 	}
-	tasks, inner, outer := splitPrune(tasks, planExts)
-	leaderSkip, taskOf := mergeSkipLists(tasks, outer)
-	if r.ordered(db) && len(leaderSkip) > 0 {
+	a := &attempt{diskBatch: r, db: db}
+	tasks, a.inner, a.outer = splitPrune(tasks, planExts)
+	a.tasks = tasks
+	a.leaderSkip, a.taskOf = mergeSkipLists(tasks, a.outer)
+	if r.ordered(db) && len(a.leaderSkip) > 0 {
 		return nil, agg, nil, errors.New("core: an ordered run needs the leader to visit every node")
 	}
 	workers = min(workers, len(tasks))
 
-	files := &diskFiles{
+	a.files = &diskFiles{
 		n:     db.N,
 		w:     width,
-		lanes: r.lanes,
+		lanes: slices.Clone(r.lanes),
+		sels:  make([]*Result, len(r.lanes)),
 		inW:   int(storage.MaskStride(r.opts.AuxInStride)),
 		outW:  int(storage.MaskStride(r.opts.AuxOutStride)),
 	}
-	subs := make([]StateID, len(r.lanes))
-	sels := make([]*Result, len(r.lanes))
-	for li := range r.lanes {
-		subs[li] = r.lanes[li].sub(plan)
-		sels[li] = newSelections(r.lanes[li].nq, db.N)
+	a.subs = make([]StateID, len(r.lanes))
+	slots := 0
+	for li := range a.files.lanes {
+		l := &a.files.lanes[li]
+		a.subs[li] = l.sub(plan)
+		a.files.sels[li] = newSelections(l.nq, db.N)
+		if l.slot = -1; !oneScan || !r.decided(l) {
+			l.slot, slots = slots, slots+1
+		}
 	}
 
 	if r.opts.AuxIn != "" {
@@ -282,122 +324,187 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			return nil, agg, nil, err
 		}
 		defer auxF.Close()
-		files.auxF = auxF
+		a.files.auxF = auxF
 	}
 
-	stateF, statePath, err := createStateFile(db, r.scalar, int64(len(r.lanes))*db.N*int64(width))
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	files.stateF = stateF
 	keepFile := r.scalar.KeepStateFile && !db.InMemory()
-	succeeded := false
-	defer func() {
-		stateF.Close()
-		if !keepFile || !succeeded {
-			db.RemoveScratch(statePath)
-		}
-	}()
-
-	// Per-worker step caches, one per lane, reused across both phases.
-	caches := make([][]*StepCache, workers)
-	for i := range caches {
-		caches[i] = r.newCaches()
-	}
-	leaderCaches := r.newCaches()
-
-	// Phase 1: workers fold their chunks bottom-up — each streaming its
-	// own byte range backwards and pwriting its stretch of every lane's
-	// region of the state file — then the leader folds the glue, consuming
-	// chunk root states.
-	start := time.Now()
-	rootStates := make([][]StateID, len(tasks))
-	var statsMu sync.Mutex
-	var phase1 storage.ScanStats // guarded by: statsMu
-	err = runPool(ctx, workers, len(tasks), func(worker, i int) error {
-		x := tasks[i]
-		k := files.newFold(caches[worker])
-		err := db.BackwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
-			k.hole(sub, subs, true)
-			return nil
-		}, k.foldWindow)
-		if err == nil {
-			rootStates[i], err = k.finish()
-		}
+	var statePath string
+	if slots > 0 {
+		stateF, path, err := createStateFile(db, r.scalar, int64(slots)*db.N*int64(width))
 		if err != nil {
-			return chunkErr(x, err)
+			return nil, agg, nil, err
 		}
-		statsMu.Lock()
-		phase1.Merge(k.st)
-		statsMu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, agg, nil, err
+		a.files.stateF, statePath = stateF, path
+		defer func() {
+			stateF.Close()
+			if !keepFile || !a.succeeded {
+				db.RemoveScratch(statePath)
+			}
+		}()
 	}
 
-	// Leader glue scan: reverse preorder over everything outside the
-	// chunks, with each chunk standing in as one already-folded subtree
-	// and each leader-level pruned extent as the substitute states.
-	fold := files.newFold(leaderCaches)
-	mi := len(leaderSkip) - 1
-	err = db.BackwardWindows(ctx, 0, db.N, leaderSkip, &fold.st, func(x storage.Extent) error {
-		if ti := taskOf[mi]; ti < 0 {
-			fold.hole(x, subs, true)
-		} else {
-			fold.hole(x, rootStates[ti], false)
-		}
-		mi--
-		return nil
-	}, fold.foldWindow)
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	rootState, err := fold.finish()
-	if err != nil {
-		return nil, agg, nil, err
-	}
-	ds := &DiskStats{Phase1: fold.st}
-	ds.Phase1.Merge(phase1)
-	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width*len(r.lanes))
-	agg.Phase1Time = time.Since(start)
-
-	// Phase 2, leader first: forward over the glue, assigning each chunk
-	// root its top-down entry states.
-	start = time.Now()
 	if r.opts.AuxOut != "" {
-		auxOutF, err := db.CreateScratch(r.opts.AuxOut, db.N*int64(files.outW))
+		auxOutF, err := db.CreateScratch(r.opts.AuxOut, db.N*int64(a.files.outW))
 		if err != nil {
 			return nil, agg, nil, err
 		}
 		defer func() {
 			auxOutF.Close()
-			if !succeeded {
+			if !a.succeeded {
 				// A failed or cancelled run must not leave a partial
 				// sidecar behind for a later pass to trust.
 				db.RemoveScratch(r.opts.AuxOut)
 			}
 		}()
-		files.auxOutF = auxOutF
+		a.files.auxOutF = auxOutF
 	}
-	rootTD := make([]StateID, len(r.lanes))
-	for li, c := range leaderCaches {
-		rootTD[li] = c.RootTrueSet(rootState[li])
+
+	// Per-worker step caches, one per lane, reused across both phases.
+	a.caches = make([][]*StepCache, workers)
+	for i := range a.caches {
+		a.caches[i] = r.newCaches()
 	}
-	scan := files.newScan(leaderCaches, storage.Extent{Size: db.N}, rootState, rootTD)
-	for li := range scan.lanes {
-		scan.lanes[li].sel = sels[li]
+	a.leaderCaches = r.newCaches()
+
+	start := time.Now()
+	ds, rootState, err := a.phase1(ctx)
+	if err != nil {
+		return nil, agg, nil, err
 	}
-	var emitter *storage.XMLEmitter
-	if r.scalar.MarkTo != nil {
-		emitter = storage.NewXMLEmitter(r.scalar.MarkTo, db.Names)
-	}
+	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width*slots)
+	agg.Phase1Time = time.Since(start)
+
 	var buStates, tdStates []StateID
-	if r.keepsStates(db) {
+	if slots == 0 {
+		ds.OneScan = 1
+	} else {
+		start = time.Now()
+		if ds.Phase2, buStates, tdStates, err = a.phase2(ctx, rootState); err != nil {
+			return nil, agg, nil, err
+		}
+		agg.Phase2Time = time.Since(start)
+	}
+
+	res := make([]*Result, len(r.members))
+	for li, l := range a.files.lanes {
+		for j, m := range l.members {
+			res[m] = a.files.sels[li].member(r.members[m].E.c.Prog, l.offs[j])
+		}
+	}
+	if keepFile {
+		res[0].StateFile = statePath
+	}
+	res[0].BUStateOf, res[0].TDStateOf = buStates, tdStates
+	// The stale-index, state-width and one-scan retries re-enter this
+	// function: only the attempt that succeeds counts.
+	creditNodes(r.engines, r.opts.Run, db.N, plan)
+	a.succeeded = true
+	return res, agg, ds, nil
+}
+
+// attempt is what the two phases of one runDiskChunked attempt share: the
+// frontier cut around the prune plan, the kernels' files and caches, and
+// phase 1's chunk root states.
+type attempt struct {
+	*diskBatch
+	db           *storage.DB
+	files        *diskFiles
+	tasks        []storage.Extent   // the chunks workers fold and scan
+	inner        [][]storage.Extent // per task, the pruned extents inside it
+	outer        []storage.Extent   // pruned extents outside every task
+	leaderSkip   []storage.Extent   // tasks and outer extents, the holes of the leader's scans
+	taskOf       []int              // per leaderSkip extent, its task, or -1 for a pruned one
+	subs         []StateID          // per lane, the substitute state of a pruned extent
+	caches       [][]*StepCache     // per worker, one per lane
+	leaderCaches []*StepCache
+	rootStates   [][]StateID // per task, phase 1's root states
+	succeeded    bool        // the attempt finished; its files may stay
+}
+
+// phase1 folds the database bottom-up: workers fold their chunks — each
+// streaming its own byte range backwards and pwriting its stretch of every
+// slotted lane's region of the state file, or marking the chunk's nodes —
+// then the leader folds the glue, consuming chunk root states. It returns
+// the scans' profile and the root's states, one per lane.
+func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
+	a.rootStates = make([][]StateID, len(a.tasks))
+	var statsMu sync.Mutex
+	var chunks storage.ScanStats // guarded by: statsMu
+	err := runPool(ctx, len(a.caches), len(a.tasks), func(worker, i int) error {
+		x := a.tasks[i]
+		k := a.files.newFold(a.caches[worker], x, true)
+		err := a.db.BackwardWindows(ctx, x.Root, x.End(), a.inner[i], &k.st, func(sub storage.Extent) error {
+			k.hole(sub, a.subs, true)
+			return nil
+		}, k.foldWindow)
+		if err == nil {
+			a.rootStates[i], err = k.finish()
+		}
+		if err != nil {
+			return chunkErr(x, err)
+		}
+		for li := range k.lanes {
+			k.lanes[li].marks.merge()
+		}
+		statsMu.Lock()
+		chunks.Merge(k.st)
+		statsMu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Leader glue scan: reverse preorder over everything outside the
+	// chunks, with each chunk standing in as one already-folded subtree
+	// and each leader-level pruned extent as the substitute states.
+	fold := a.files.newFold(a.leaderCaches, storage.Extent{Size: a.db.N}, false)
+	mi := len(a.leaderSkip) - 1
+	err = a.db.BackwardWindows(ctx, 0, a.db.N, a.leaderSkip, &fold.st, func(x storage.Extent) error {
+		if ti := a.taskOf[mi]; ti < 0 {
+			fold.hole(x, a.subs, true)
+		} else {
+			fold.hole(x, a.rootStates[ti], false)
+		}
+		mi--
+		return nil
+	}, fold.foldWindow)
+	if err != nil {
+		return nil, nil, err
+	}
+	rootState, err := fold.finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	ds := &DiskStats{Phase1: fold.st}
+	ds.Phase1.Merge(chunks)
+	return ds, rootState, nil
+}
+
+// phase2 computes the top-down states of the lanes with a state-file slot:
+// the leader forward over the glue first, assigning each chunk root its
+// top-down entry states, then the workers descend into the chunks. It
+// returns the scans' profile and the states a KeepStates run over a tree
+// records.
+func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.ScanStats, buStates, tdStates []StateID, err error) {
+	db, files := a.db, a.files
+	rootTD := make([]StateID, len(files.lanes))
+	for li, c := range a.leaderCaches {
+		rootTD[li] = NoState
+		if files.lanes[li].slot >= 0 {
+			rootTD[li] = c.RootTrueSet(rootState[li])
+		}
+	}
+	scan := files.newScan(a.leaderCaches, storage.Extent{Size: db.N}, rootState, rootTD, false)
+	var emitter *storage.XMLEmitter
+	if a.scalar.MarkTo != nil {
+		emitter = storage.NewXMLEmitter(a.scalar.MarkTo, db.Names)
+	}
+	if a.keepsStates(db) {
 		buStates, tdStates = make([]StateID, db.N), make([]StateID, db.N)
 	}
 	if emitter != nil || buStates != nil {
-		markBit := uint64(1) << uint(r.scalar.MarkQuery)
+		markBit := uint64(1) << uint(a.scalar.MarkQuery)
 		scan.visit = func(v int64, rec uint16, mask uint64, bu, td StateID) error {
 			if buStates != nil {
 				buStates[v], tdStates[v] = bu, td
@@ -408,13 +515,13 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			return emitter.Node(v, storage.DecodeRecord(rec), mask&markBit != 0)
 		}
 	}
-	tdRoots := make([][]StateID, len(tasks))
-	mi = 0
-	err = db.ForwardWindows(ctx, 0, db.N, leaderSkip, &scan.st, func(x storage.Extent) (err error) {
-		ti := taskOf[mi]
+	tdRoots := make([][]StateID, len(a.tasks))
+	mi := 0
+	err = db.ForwardWindows(ctx, 0, db.N, a.leaderSkip, &scan.st, func(x storage.Extent) (err error) {
+		ti := a.taskOf[mi]
 		mi++
 		if ti >= 0 {
-			if tdRoots[ti], err = scan.entryStates(x, rootStates[ti]); err != nil {
+			if tdRoots[ti], err = scan.entryStates(x, a.rootStates[ti]); err != nil {
 				return err
 			}
 		}
@@ -424,25 +531,18 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		err = scan.finish()
 	}
 	if err != nil {
-		return nil, agg, nil, err
+		return st, nil, nil, err
 	}
 
-	// Phase 2, workers: descend into the chunks from their entry states,
+	// Workers: descend into the chunks from their entry states,
 	// accumulating marks in private per-chunk bitsets merged under the
 	// selections' locks.
-	phase2 := scan.st
-	err = runPool(ctx, workers, len(tasks), func(worker, i int) error {
-		x := tasks[i]
-		k := files.newScan(caches[worker], x, rootStates[i], tdRoots[i])
-		k.w0 = x.Root / 64
-		for li := range k.lanes {
-			local := make([][]uint64, r.lanes[li].nq)
-			for qi := range local {
-				local[qi] = make([]uint64, (x.End()-1)/64-k.w0+1)
-			}
-			k.lanes[li].local = local
-		}
-		err := db.ForwardWindows(ctx, x.Root, x.End(), inner[i], &k.st, func(sub storage.Extent) error {
+	st = scan.st
+	var statsMu sync.Mutex
+	err = runPool(ctx, len(a.caches), len(a.tasks), func(worker, i int) error {
+		x := a.tasks[i]
+		k := files.newScan(a.caches[worker], x, a.rootStates[i], tdRoots[i], true)
+		err := db.ForwardWindows(ctx, x.Root, x.End(), a.inner[i], &k.st, func(sub storage.Extent) error {
 			return k.hole(sub, true)
 		}, k.scanWindow)
 		if err == nil {
@@ -451,47 +551,28 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		if err != nil {
 			return chunkErr(x, err)
 		}
-		for li, l := range k.lanes {
-			for qi := range l.local {
-				sels[li].MergeWords(qi, k.w0, l.local[qi])
-			}
+		for li := range k.lanes {
+			k.lanes[li].marks.merge()
 		}
 		statsMu.Lock()
-		phase2.Merge(k.st)
+		st.Merge(k.st)
 		statsMu.Unlock()
 		return nil
 	})
 	if err != nil {
-		return nil, agg, nil, err
+		return st, nil, nil, err
 	}
 	if files.auxOutF != nil {
 		if err := files.auxOutF.Close(); err != nil {
-			return nil, agg, nil, err
+			return st, nil, nil, err
 		}
 	}
 	if emitter != nil {
 		if err := emitter.Finish(); err != nil {
-			return nil, agg, nil, err
+			return st, nil, nil, err
 		}
 	}
-	ds.Phase2 = phase2
-	agg.Phase2Time = time.Since(start)
-
-	res := make([]*Result, len(r.members))
-	for li, l := range r.lanes {
-		for j, m := range l.members {
-			res[m] = sels[li].member(r.members[m].E.c.Prog, l.offs[j])
-		}
-	}
-	if keepFile {
-		res[0].StateFile = statePath
-	}
-	res[0].BUStateOf, res[0].TDStateOf = buStates, tdStates
-	// The stale-index and state-width retries re-enter this function: only
-	// the attempt that succeeds counts.
-	creditNodes(r.engines, r.opts.Run, db.N, plan)
-	succeeded = true
-	return res, agg, ds, nil
+	return st, buStates, tdStates, nil
 }
 
 // newCaches returns a fresh step cache per lane.

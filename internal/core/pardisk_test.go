@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -125,10 +126,7 @@ func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d workers %d: %v", iter, workers, err)
 			}
-			if ds.Phase1.Nodes != db.N || ds.Phase2.Nodes != db.N {
-				t.Fatalf("iter %d workers %d: scans visited %d/%d nodes, want %d each",
-					iter, workers, ds.Phase1.Nodes, ds.Phase2.Nodes, db.N)
-			}
+			checkScans(t, fmt.Sprintf("iter %d workers %d", iter, workers), db, ds, 0)
 			sameResults(t, prog, tr.Len(), par, seq, "parallel vs sequential")
 		}
 

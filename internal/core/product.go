@@ -166,6 +166,22 @@ func (p *product) QueryMask(td StateID) uint64 {
 	return mask
 }
 
+// Verdict is the members' one-scan verdicts side by side: known only
+// where every member's is.
+func (p *product) Verdict(bu StateID, root bool) (uint64, bool) {
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	var mask uint64
+	for m, c := range p.caches {
+		v, ok := c.Verdict(p.bu.at(bu, m), root)
+		if !ok {
+			return 0, false
+		}
+		mask |= v << uint(p.offs[m])
+	}
+	return mask, true
+}
+
 // state interns a tuple of member bottom-up states: the substitute state
 // of a pruned extent is the tuple of the members' own.
 func (p *product) state(members []StateID) StateID {
@@ -184,6 +200,9 @@ type lane struct {
 	nq      int   // query predicates in all
 	auxIn   int   // byte offset of the lane's mask in a node's aux-in vector; -1 for none
 	outs    []laneOut
+	// slot is the lane's region of one attempt's state file, or -1 when
+	// its bottom-up states decide its selections and phase 2 skips it.
+	slot int
 }
 
 // laneOut is one member's slot of the aux-out sidecar: its aux-in mask (at

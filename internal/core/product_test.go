@@ -169,19 +169,57 @@ func batchPool(t *testing.T, rng *rand.Rand) []*tmnf.Program {
 	return pool
 }
 
-// checkBatchProfile holds a batch run to two linear scans in aggregate,
-// the state bytes of its lanes and its members' node credits.
-func checkBatchProfile(t *testing.T, label string, db *storage.DB, ds *DiskStats, rs *RunStats, members, lanes int, pruned int64) {
+// checkScans holds a pass to its scans: phase 1 reads or skips every byte
+// once, pruned nodes' worth skipped, and so does phase 2 — unless the pass
+// omitted it (DiskStats.OneScan), which leaves phase 2 and the state bytes
+// zero.
+func checkScans(t *testing.T, label string, db *storage.DB, ds *DiskStats, pruned int64) {
 	t.Helper()
-	for _, ph := range []storage.ScanStats{ds.Phase1, ds.Phase2} {
+	phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
+	if ds.OneScan != 0 {
+		if ds.OneScan != 1 || ds.Phase2 != (storage.ScanStats{}) || ds.StateBytes != 0 {
+			t.Fatalf("%s: one-scan pass with profile %+v", label, ds)
+		}
+		phases = phases[:1]
+	}
+	for _, ph := range phases {
 		if ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.SkippedBytes != pruned*storage.NodeSize || ph.Nodes != db.N {
 			t.Fatalf("%s: phase profile %+v, want every byte read or skipped once, %d nodes skipped", label, ph, pruned)
 		}
 	}
-	if w := ds.StateBytes / ((db.N - pruned) * int64(lanes)); ds.StateBytes%((db.N-pruned)*int64(lanes)) != 0 || (w != stateByte && w != stateNarrow && w != stateWide) {
-		t.Fatalf("%s: %d state bytes, not scanned nodes × width × %d lanes", label, ds.StateBytes, lanes)
+}
+
+// twoScanLanes is how many of the members' lanes need phase 2 in a run
+// without aux input: those with a member the one-scan analysis rejects.
+func twoScanLanes(members []BatchMember) int {
+	n := 0
+	for _, l := range lanesFor(members, false, nil) {
+		for _, m := range l.members {
+			if !members[m].E.OneScan() {
+				n++
+				break
+			}
+		}
 	}
-	if got := rs.Snapshot(); got.Nodes != int64(members)*db.N || got.PrunedNodes != int64(members)*pruned {
+	return n
+}
+
+// checkBatchProfile holds a batch run without aux input to its scans (one
+// pass: phase 2 only if some lane needs it), the state bytes of the lanes
+// that need phase 2 and its members' node credits.
+func checkBatchProfile(t *testing.T, label string, db *storage.DB, ds *DiskStats, rs *RunStats, members []BatchMember, pruned int64) {
+	t.Helper()
+	checkScans(t, label, db, ds, pruned)
+	slots := twoScanLanes(members)
+	if (ds.OneScan == 1) != (slots == 0) {
+		t.Fatalf("%s: one-scan %d with %d lanes needing phase 2", label, ds.OneScan, slots)
+	}
+	if slots > 0 {
+		if w := ds.StateBytes / ((db.N - pruned) * int64(slots)); ds.StateBytes%((db.N-pruned)*int64(slots)) != 0 || (w != stateByte && w != stateNarrow && w != stateWide) {
+			t.Fatalf("%s: %d state bytes, not scanned nodes × width × %d lanes", label, ds.StateBytes, slots)
+		}
+	}
+	if got := rs.Snapshot(); got.Nodes != int64(len(members))*db.N || got.PrunedNodes != int64(len(members))*pruned {
 		t.Fatalf("%s: run credits %d nodes, %d pruned; want %d and %d per member", label, got.Nodes, got.PrunedNodes, db.N, pruned)
 	}
 }
@@ -265,7 +303,6 @@ func TestBatchLanesMatchScalarAndNaive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lanes := len(lanesFor(members, false, nil))
 				for _, workers := range []int{1, 4} {
 					for _, noPrune := range []bool{false, true} {
 						label := fmt.Sprintf("iter %d, %s, %d members, %d workers, noprune %v", iter, src.name, size, workers, noPrune)
@@ -282,7 +319,7 @@ func TestBatchLanesMatchScalarAndNaive(t *testing.T) {
 						for m := range members {
 							sameSelection(t, res[m], scalar[progOf[m]], fmt.Sprintf("%s, member %d", label, m))
 						}
-						checkBatchProfile(t, label, db, ds, rs, size, lanes, pruned)
+						checkBatchProfile(t, label, db, ds, rs, members, pruned)
 					}
 				}
 			}
@@ -345,7 +382,7 @@ func TestBatchOver64PredicatesSplitsLanes(t *testing.T) {
 		for m := range members {
 			sameSelection(t, res[m], want, fmt.Sprintf("%d workers, member %d", workers, m))
 		}
-		checkBatchProfile(t, fmt.Sprintf("%d workers", workers), db, ds, rs, len(members), 2, 0)
+		checkBatchProfile(t, fmt.Sprintf("%d workers", workers), db, ds, rs, members, 0)
 	}
 }
 

@@ -426,7 +426,7 @@ func TestWindowKernelEdges(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
 					aux0, aux1 := filepath.Join(dir, "pass0.aux"), filepath.Join(dir, "pass1.aux")
-					res, _, ds, err := NewEngine(cs[0], db.Names).asBatch(DiskOpts{AuxOut: aux0}).runDiskChunked(ctx, db, 4, tasks, width, plan)
+					res, _, ds, err := NewEngine(cs[0], db.Names).asBatch(DiskOpts{AuxOut: aux0}).runDiskChunked(ctx, db, 4, tasks, width, true, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -444,7 +444,7 @@ func TestWindowKernelEdges(t *testing.T) {
 						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
 					}
 					// The aux-reading pass never prunes.
-					res, _, _, err = NewEngine(cs[1], db.Names).asBatch(DiskOpts{AuxIn: aux0, AuxOut: aux1, AuxOutBit: 1}).runDiskChunked(ctx, db, 4, tasks, width, nil)
+					res, _, _, err = NewEngine(cs[1], db.Names).asBatch(DiskOpts{AuxIn: aux0, AuxOut: aux1, AuxOutBit: 1}).runDiskChunked(ctx, db, 4, tasks, width, true, nil)
 					if err != nil {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}
@@ -481,8 +481,10 @@ func TestWindowKernelEdges(t *testing.T) {
 // so a run that starts narrow on a fresh engine outgrows it partway through
 // phase 1: the entry point must rerun wide, return the wide run's answer
 // and statistics, and leave no temporary file of either attempt behind.
+// Every run writes states: the one-scan path is off.
 func TestStateWidthOverflowRerunsWide(t *testing.T) {
 	lowerParallelKnobs(t)
+	forceTwoScans(t)
 	ids := stateByteIDs
 	t.Cleanup(func() { stateByteIDs = ids })
 	rng := rand.New(rand.NewSource(25))
@@ -542,8 +544,8 @@ func TestStateWidthOverflowRerunsWide(t *testing.T) {
 }
 
 // atPoll is a context that calls f at every Err poll — the scans poll
-// once per window — and never cancels: a hook into the gaps between
-// windows and between the phases of a run.
+// once per window — and then answers as its parent does: a hook into the
+// gaps between windows and between the phases of a run.
 type atPoll struct {
 	context.Context
 	f func()
@@ -551,13 +553,31 @@ type atPoll struct {
 
 func (c atPoll) Err() error {
 	c.f()
-	return nil
+	return c.Context.Err()
+}
+
+// firstChildA selects the A nodes that are first children of C nodes: a
+// top-down fact, so the one-scan analysis rejects it and its runs keep the
+// state file and phase 2.
+const firstChildA = `P :- Label[C]; Q :- P.FirstChild; QUERY :- Q, Label[A];`
+
+// twoScanProgram compiles firstChildA and checks that it needs phase 2.
+func twoScanProgram(t *testing.T, names *tree.Names) *Compiled {
+	t.Helper()
+	c, err := Compile(tmnf.MustParse(firstChildA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if NewEngine(c, names).OneScan() {
+		t.Fatal("the one-scan analysis admits a first-child condition")
+	}
+	return c
 }
 
 // TestRunDiskFaultsBetweenPhases damages the state file once phase 1 has
-// written it out, and feeds the driver records that are no tree: every
-// fault must be the error it always was, never an answer, and leave no
-// file behind.
+// written it out, and feeds the driver records that are no tree — to a
+// two-scan and to a one-scan program: every fault must be the error it
+// always was, never an answer, and leave no file behind.
 func TestRunDiskFaultsBetweenPhases(t *testing.T) {
 	dir := t.TempDir()
 	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<12))
@@ -565,10 +585,7 @@ func TestRunDiskFaultsBetweenPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	c, err := Compile(tmnf.MustParse(`QUERY :- Label[A];`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := twoScanProgram(t, db.Names)
 	for _, tc := range []struct {
 		name, want string
 		damage     func(f *os.File, size int64) error
@@ -629,11 +646,17 @@ func TestRunDiskFaultsBetweenPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := NewEngine(c, bad.Names).RunDiskContext(context.Background(), bad, DiskOpts{})
-		bad.Close()
-		if res != nil || !errors.Is(err, storage.ErrMalformed) {
-			t.Fatalf("%s: result %v, error %v; want no result and storage.ErrMalformed", tc.name, res, err)
+		for _, src := range []string{firstChildA, `QUERY :- Label[A];`} {
+			c, err := Compile(tmnf.MustParse(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := NewEngine(c, bad.Names).RunDiskContext(context.Background(), bad, DiskOpts{})
+			if res != nil || !errors.Is(err, storage.ErrMalformed) {
+				t.Fatalf("%s, %s: result %v, error %v; want no result and storage.ErrMalformed", tc.name, src, res, err)
+			}
 		}
+		bad.Close()
 		os.Remove(base + ".arb")
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "*.sta")); len(files) != 0 {
@@ -652,10 +675,7 @@ func TestRunDiskCancelLandsAtNextWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	c, err := Compile(tmnf.MustParse(`QUERY :- Label[A];`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := twoScanProgram(t, db.Names)
 	var total atomic.Int32
 	if _, _, err := NewEngine(c, db.Names).RunDiskContext(cancelAtPoll{context.Background(), &total, math.MaxInt32}, db, DiskOpts{NoPrune: true}); err != nil {
 		t.Fatal(err)
@@ -673,5 +693,48 @@ func TestRunDiskCancelLandsAtNextWindow(t *testing.T) {
 		if polls.Load() != p {
 			t.Fatalf("cancelled at poll %d of %d, but the run polled %d times: it went on past the cancellation", p, total.Load(), polls.Load())
 		}
+	}
+}
+
+// TestOneScanCancel cancels a one-scan run halfway through its only scan:
+// it must return the context's error and no result, having created no file
+// at any point.
+func TestOneScanCancel(t *testing.T) {
+	dir := t.TempDir()
+	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c, err := Compile(tmnf.MustParse(`QUERY :- Label[A];`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total atomic.Int32
+	_, ds, err := NewEngine(c, db.Names).RunDiskContext(cancelAtPoll{context.Background(), &total, math.MaxInt32}, db, DiskOpts{NoPrune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := int32((db.N + storage.WindowNodes - 1) / storage.WindowNodes)
+	if ds.OneScan != 1 || total.Load() > windows+1 {
+		t.Fatalf("one-scan %d, %d polls over %d windows: want one scan", ds.OneScan, total.Load(), windows)
+	}
+	var polls atomic.Int32
+	seen := 0
+	ctx := atPoll{cancelAtPoll{context.Background(), &polls, total.Load() / 2}, func() {
+		if after, _ := os.ReadDir(dir); len(after) != len(before) {
+			seen = len(after)
+		}
+	}}
+	res, _, err := NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{NoPrune: true})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("result %v, error %v; want no result and context.Canceled", res, err)
+	}
+	if after, _ := os.ReadDir(dir); seen != 0 || len(after) != len(before) {
+		t.Fatalf("a cancelled one-scan run created files: %d entries mid-run, %d after, %d before", seen, len(after), len(before))
 	}
 }

@@ -22,6 +22,8 @@
 package core
 
 import (
+	"slices"
+
 	"arb/internal/edb"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
@@ -152,20 +154,94 @@ func (e *Engine) selSummary() *SelSummary {
 		return a
 	}
 
+	// A node's verdict is the query mask of its top-down state; for a
+	// fixed label (and position) it must agree across every configuration
+	// the closure reaches.
+	rootV := map[tree.Label]bool{}
+	childV := map[tree.Label]bool{}
+	agree := func(m map[tree.Label]bool, l tree.Label, sel bool) bool {
+		if v, ok := m[l]; ok && v != sel {
+			return false
+		}
+		m[l] = sel
+		return true
+	}
+	c, ok := e.closeLabels(true, func(l tree.Label, _, td StateID) bool {
+		return agree(rootV, l, e.queryMask(td) != 0)
+	}, func(_ StateID, labels map[tree.Label]bool, td StateID) bool {
+		sel := e.queryMask(td) != 0
+		for l := range labels {
+			if !agree(childV, l, sel) {
+				return false
+			}
+		}
+		return true
+	})
+	if !ok {
+		return a
+	}
+
+	a.ok = true
+	a.mentioned = c.mentioned
+	a.child = selVerdicts{
+		labels:       make(map[tree.Label]bool, len(c.mentioned)),
+		charDefault:  childV[c.charRep],
+		namedDefault: childV[c.namedRep],
+	}
+	a.root = selVerdicts{
+		labels:       make(map[tree.Label]bool, len(c.mentioned)),
+		charDefault:  rootV[c.charRep],
+		namedDefault: rootV[c.namedRep],
+	}
+	for l := range c.mentioned {
+		a.child.labels[l] = childV[l]
+		a.root.labels[l] = rootV[l]
+	}
+	return a
+}
+
+// labelClosure is what closeLabels reports of the alphabet it closed over.
+type labelClosure struct {
+	mentioned         map[tree.Label]bool // labels the program's tests pin
+	charRep, namedRep tree.Label          // one unmentioned label per class
+}
+
+// closeLabels walks the configurations the label analyses (the selection
+// summary above, the one-scan verdicts of onescan.go) judge. It closes the
+// bottom-up states over every non-root subtree built from the mentioned
+// labels plus one representative per unmentioned class, calls root for
+// every root configuration — the root's label, its bottom-up state and its
+// top-down start state (RootTrueSet) — and closes the top-down states
+// non-root nodes can be assigned, seeded from the root start states, over
+// every (parent state, child bottom-up state, side), calling child for each
+// step with the child's bottom-up state, the labels that can sit at the
+// root of a subtree in that state, and the child's top-down state. The
+// walk over-approximates the configurations real documents reach: a real
+// node's signature class is its mentioned label's or its class
+// representative's, and any parent state may meet any child state.
+//
+// ok is false when the program is inadmissible (aux bits vary per node
+// outside the label; a class with every label mentioned leaves no
+// representative), when the closure outgrows its caps, or when a callback
+// returns false. The walk interns states and transitions into the
+// engine's tables.
+//
+// arblint:holds mu
+func (e *Engine) closeLabels(rootSecond bool, root func(l tree.Label, bu, td StateID) bool, child func(bu StateID, labels map[tree.Label]bool, td StateID) bool) (c labelClosure, ok bool) {
 	// Mentioned labels: only resolved Label[..]/char tests pin individual
 	// labels. Structural tests are label-independent; Text distinguishes
 	// the classes, which the class representatives model. Aux bits vary
 	// per node outside the label, so they defeat the analysis outright.
-	mentioned := map[tree.Label]bool{}
+	c.mentioned = map[tree.Label]bool{}
 	for _, un := range e.c.Unaries {
 		switch un.Kind {
 		case tmnf.UAll, tmnf.URoot, tmnf.UHasFirstChild, tmnf.UHasSecondChild, tmnf.UText:
 		case tmnf.ULabel, tmnf.UChar:
 			if l, ok := edb.ResolveLabel(un, e.names); ok {
-				mentioned[l] = true
+				c.mentioned[l] = true
 			}
 		default:
-			return a
+			return c, false
 		}
 	}
 
@@ -173,28 +249,28 @@ func (e *Engine) selSummary() *SelSummary {
 	// unmentioned class. A class with every label mentioned would leave
 	// its default verdict meaningless; give up (cannot happen for named
 	// labels, and a program naming all 256 characters is pathological).
-	alphabet := make([]tree.Label, 0, len(mentioned)+2)
-	for l := range mentioned {
+	alphabet := make([]tree.Label, 0, len(c.mentioned)+2)
+	for l := range c.mentioned {
 		alphabet = append(alphabet, l)
 	}
-	var charRep, namedRep tree.Label
 	foundChar, foundNamed := false, false
-	for c := 0; c < 256; c++ {
-		if !mentioned[tree.Label(c)] {
-			charRep, foundChar = tree.Label(c), true
+	for l := 0; l < 256; l++ {
+		if !c.mentioned[tree.Label(l)] {
+			c.charRep, foundChar = tree.Label(l), true
 			break
 		}
 	}
 	for l := 1<<14 - 1; l >= 256; l-- {
-		if !mentioned[tree.Label(l)] {
-			namedRep, foundNamed = tree.Label(l), true
+		if !c.mentioned[tree.Label(l)] {
+			c.namedRep, foundNamed = tree.Label(l), true
 			break
 		}
 	}
 	if !foundChar || !foundNamed {
-		return a
+		return c, false
 	}
-	alphabet = append(alphabet, charRep, namedRep)
+	slices.Sort(alphabet) // map order would make the walk's early exits, and so the states it interns, vary
+	alphabet = append(alphabet, c.charRep, c.namedRep)
 
 	sig := func(l tree.Label, hf, hs, root bool) int32 {
 		return e.SigID(edb.NodeSig{Label: l, HasFirst: hf, HasSecond: hs, IsRoot: root})
@@ -203,7 +279,12 @@ func (e *Engine) selSummary() *SelSummary {
 	// Bottom-up closure: every state reachable by a non-root subtree over
 	// the alphabet, over the four child shapes, attributing to each state
 	// the labels that can sit at its subtree root (several labels may
-	// fold to one state; the verdict check below needs them all).
+	// fold to one state; the label verdicts need them all). After each
+	// round the top-down walk below runs over the states found so far:
+	// those configurations are real ones too, so a callback refusing one
+	// rejects the program without closing the rest (root-path queries
+	// fail on the first round's leaves), and the round that adds nothing
+	// walks the whole closure.
 	bu := map[StateID]map[tree.Label]bool{}
 	note := func(s StateID, l tree.Label) bool {
 		m := bu[s]
@@ -223,6 +304,7 @@ func (e *Engine) selSummary() *SelSummary {
 		for s := range bu {
 			cur = append(cur, s)
 		}
+		slices.Sort(cur)
 		for _, l := range alphabet {
 			if note(e.ReachableStates(NoState, NoState, sig(l, false, false, false)), l) {
 				changed = true
@@ -241,55 +323,28 @@ func (e *Engine) selSummary() *SelSummary {
 				}
 			}
 		}
-		if len(bu) > selBUCap {
-			return a
+		if len(bu) > selBUCap || !e.walkLabels(alphabet, bu, sig, rootSecond, root, child) {
+			return c, false
 		}
 	}
+	return c, true
+}
+
+// walkLabels is closeLabels' top-down walk over the bottom-up states bu.
+//
+// arblint:holds mu
+func (e *Engine) walkLabels(alphabet []tree.Label, bu map[StateID]map[tree.Label]bool, sig func(l tree.Label, hf, hs, root bool) int32, rootSecond bool,
+	root func(l tree.Label, bu, td StateID) bool, child func(bu StateID, labels map[tree.Label]bool, td StateID) bool) bool {
 	buList := make([]StateID, 0, len(bu))
 	for s := range bu {
 		buList = append(buList, s)
 	}
+	slices.Sort(buList)
 
-	// Root configurations: the root's own verdict is the query mask of
-	// its top-down start state (RootTrueSet). For a fixed label it must
-	// agree across every shape and child-state combination.
-	rootV := map[tree.Label]bool{}
-	rootTDs := map[StateID]bool{}
-	rootCfg := func(l tree.Label, left, right StateID, hf, hs bool) bool {
-		td := e.RootTrueSet(e.ReachableStates(left, right, sig(l, hf, hs, true)))
-		rootTDs[td] = true
-		sel := e.queryMask(td) != 0
-		if v, ok := rootV[l]; ok && v != sel {
-			return false
-		}
-		rootV[l] = sel
-		return true
-	}
-	for _, l := range alphabet {
-		if !rootCfg(l, NoState, NoState, false, false) {
-			return a
-		}
-		for _, s1 := range buList {
-			if !rootCfg(l, s1, NoState, true, false) {
-				return a
-			}
-			if !rootCfg(l, NoState, s1, false, true) {
-				return a
-			}
-			for _, s2 := range buList {
-				if !rootCfg(l, s1, s2, true, true) {
-					return a
-				}
-			}
-		}
-	}
-
-	// Top-down closure: every state a non-root node can be assigned,
-	// seeded from the root start states and closed under both transition
-	// sides against every bottom-up state. A node's verdict is the query
-	// mask of its top-down state; for a fixed label it must agree across
-	// every reachable configuration.
-	childV := map[tree.Label]bool{}
+	// Root configurations: every label over every shape and child-state
+	// combination — without a second child unless rootSecond: a document's
+	// root has no siblings, and a caller that omits them must meet a root
+	// with a second child some other way.
 	tdSeen := map[StateID]bool{}
 	work := []StateID{}
 	push := func(t StateID) {
@@ -298,45 +353,51 @@ func (e *Engine) selSummary() *SelSummary {
 			work = append(work, t)
 		}
 	}
-	for t := range rootTDs {
-		push(t)
+	rootCfg := func(l tree.Label, left, right StateID, hf, hs bool) bool {
+		s := e.ReachableStates(left, right, sig(l, hf, hs, true))
+		td := e.RootTrueSet(s)
+		push(td)
+		return root(l, s, td)
 	}
+	for _, l := range alphabet {
+		if !rootCfg(l, NoState, NoState, false, false) {
+			return false
+		}
+		for _, s1 := range buList {
+			if !rootCfg(l, s1, NoState, true, false) {
+				return false
+			}
+			if !rootSecond {
+				continue
+			}
+			if !rootCfg(l, NoState, s1, false, true) {
+				return false
+			}
+			for _, s2 := range buList {
+				if !rootCfg(l, s1, s2, true, true) {
+					return false
+				}
+			}
+		}
+	}
+
+	// Top-down closure: every state a non-root node can be assigned,
+	// closed under both transition sides against every bottom-up state.
 	for len(work) > 0 {
 		t := work[len(work)-1]
 		work = work[:len(work)-1]
 		if len(tdSeen) > selTDCap {
-			return a
+			return false
 		}
 		for _, s := range buList {
 			for k := 1; k <= 2; k++ {
 				td := e.TruePreds(t, s, k)
-				sel := e.queryMask(td) != 0
-				for l := range bu[s] {
-					if v, ok := childV[l]; ok && v != sel {
-						return a
-					}
-					childV[l] = sel
+				if !child(s, bu[s], td) {
+					return false
 				}
 				push(td)
 			}
 		}
 	}
-
-	a.ok = true
-	a.mentioned = mentioned
-	a.child = selVerdicts{
-		labels:       make(map[tree.Label]bool, len(mentioned)),
-		charDefault:  childV[charRep],
-		namedDefault: childV[namedRep],
-	}
-	a.root = selVerdicts{
-		labels:       make(map[tree.Label]bool, len(mentioned)),
-		charDefault:  rootV[charRep],
-		namedDefault: rootV[namedRep],
-	}
-	for l := range mentioned {
-		a.child.labels[l] = childV[l]
-		a.root.labels[l] = rootV[l]
-	}
-	return a
+	return true
 }

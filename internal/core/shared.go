@@ -109,3 +109,15 @@ func (s *SharedEngine) QueryMask(td StateID) uint64 {
 	defer s.e.mu.RUnlock()
 	return s.e.queryMask(td)
 }
+
+// Verdict is the engine's one-scan verdict for bottom-up state bu
+// (onescan.go): false until the analysis admitted the program, and for
+// states it did not reach.
+func (s *SharedEngine) Verdict(bu StateID, root bool) (uint64, bool) {
+	s.e.mu.RLock()
+	defer s.e.mu.RUnlock()
+	if s.e.onescan == nil {
+		return 0, false
+	}
+	return s.e.onescan.verdict(bu, root)
+}

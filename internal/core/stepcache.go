@@ -46,6 +46,10 @@ type StepCache struct {
 	// Query-predicate masks per top-down state.
 	masks     []uint64
 	maskKnown []bool
+
+	// One-scan verdicts (onescan.go) per non-root bottom-up state.
+	verdicts     []uint64
+	verdictKnown []bool
 }
 
 // maxDenseEntries bounds each dense transition table (4 MB of StateIDs):
@@ -63,6 +67,10 @@ type stepper interface {
 	RootTrueSet(bu StateID) StateID
 	TruePreds(parent, bu StateID, k int) StateID
 	QueryMask(td StateID) uint64
+	// Verdict is the query mask of a node in bottom-up state bu, at the
+	// root or not, and false where the one-scan analysis did not admit
+	// the program or did not reach the state.
+	Verdict(bu StateID, root bool) (uint64, bool)
 }
 
 // NewStepCache returns a fresh private cache in front of the shared
@@ -267,4 +275,33 @@ func (c *StepCache) maskMiss(td StateID) uint64 {
 	}
 	c.maskKnown[td], c.masks[td] = true, m
 	return m
+}
+
+// Verdict is the cached one-scan verdict of bottom-up state bu (stepper's
+// Verdict); the root's goes to the stepper, once per run. verdictHit is its
+// inlined table hit for non-root states.
+func (c *StepCache) Verdict(bu StateID, root bool) (uint64, bool) {
+	if root {
+		return c.s.Verdict(bu, true)
+	}
+	if m, ok := c.verdictHit(bu); ok {
+		return m, true
+	}
+	m, ok := c.s.Verdict(bu, false)
+	if !ok {
+		return 0, false
+	}
+	for int(bu) >= len(c.verdictKnown) {
+		c.verdictKnown = append(c.verdictKnown, false)
+		c.verdicts = append(c.verdicts, 0)
+	}
+	c.verdictKnown[bu], c.verdicts[bu] = true, m
+	return m, true
+}
+
+func (c *StepCache) verdictHit(bu StateID) (uint64, bool) {
+	if int(bu) < len(c.verdictKnown) && c.verdictKnown[bu] {
+		return c.verdicts[bu], true
+	}
+	return 0, false
 }

@@ -70,7 +70,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.gauge("arb_coalescer_window_seconds", "Current gather window.", st.Coalescer.WindowMS/1e3)
 	m.gauge("arb_coalescer_scan_ewma_seconds", "Smoothed execution duration feeding the window tuner.", st.Coalescer.ScanEWMAMS/1e3)
 
-	m.counter("arb_scan_rounds_total", "Shared scan pairs executed.", st.Profile.ScanRounds)
+	m.counter("arb_scan_rounds_total", "Shared scan rounds executed (one or two linear scans each).", st.Profile.ScanRounds)
 	m.counter("arb_phase1_bytes_total", "Database bytes read by backward scans.", st.Profile.Phase1)
 	m.counter("arb_phase2_bytes_total", "Database bytes read by forward scans.", st.Profile.Phase2)
 	m.counter("arb_skipped_bytes_total", "Database bytes pruning seeked past.", st.Profile.Skipped)

@@ -114,7 +114,7 @@ type Server struct {
 // server dispatched — the serving-level view of the engine's ScanStats
 // and pruning counters.
 type ProfileCounters struct {
-	ScanRounds int64 `json:"scan_rounds"`      // shared scan pairs executed
+	ScanRounds int64 `json:"scan_rounds"`      // shared scan rounds executed: two linear scans each, or one when phase 2 was omitted
 	Phase1     int64 `json:"phase1_bytes"`     // .arb bytes read, backward scans
 	Phase2     int64 `json:"phase2_bytes"`     // .arb bytes read, forward scans
 	Skipped    int64 `json:"skipped_bytes"`    // bytes pruning seeked past

@@ -278,7 +278,7 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 			return nil, fmt.Errorf("storage: block %d uses encoding %d in a %s container", i, enc, CodecName(codec))
 		}
 		want := bs.blockLen(i)
-		if ln < 1 || (enc == 0 && ln != want) || ln > want+lzMaxExpansion(int(want)) {
+		if ln < 1 || (enc == 0 && ln != want) || ln > want+lzMaxExpansion(int(want)) || (enc != 0 && want > ln*maxDecodeRatio(enc)) {
 			return nil, fmt.Errorf("storage: block %d stored length %d impossible for %d logical bytes", i, ln, want)
 		}
 		bs.offs[i] = off
@@ -294,6 +294,18 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 		bs.slots[i].idx = -1
 	}
 	return bs, nil
+}
+
+// maxDecodeRatio bounds the logical bytes one stored byte of a block in
+// encoding enc can decode to: an LZ match extension byte adds at most 255
+// bytes, a DEFLATE length/distance pair of two one-bit codes 258 bytes per
+// two bits. Parsing rejects a block table that claims more, so a container
+// never makes a reader allocate more than this many times its size.
+func maxDecodeRatio(enc uint8) int64 {
+	if enc == CodecFlate {
+		return 1032
+	}
+	return 255
 }
 
 // blockLen returns the logical length of block i (the last block may be
@@ -389,7 +401,7 @@ func (bs *blockSource) fillSlot(s *blockSlot, i int64, need int) error {
 	if s.idx != i {
 		want := int(bs.blockLen(i))
 		if cap(s.data) < want {
-			s.data = make([]byte, want, bs.blockSize)
+			s.data = make([]byte, want, min(int64(bs.blockSize), bs.logical))
 		}
 		s.data = s.data[:want]
 		s.dec, s.si = 0, 0

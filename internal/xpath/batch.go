@@ -10,11 +10,11 @@ import (
 )
 
 // Batch is a set of Prepared queries that execute together, sharing each
-// scan pair across all members. Single-pass members cost one shared pair
-// of passes for the whole batch; multi-pass members (XPath not(..)) are
+// round of scans across all members. Single-pass members cost one shared
+// round for the whole batch; multi-pass members (XPath not(..)) are
 // scheduled so that round r runs pass r of every member that still has
 // one — sibling queries piggyback on each other's scans, and the total
-// number of scan pairs is the maximum pass count over the batch, not the
+// number of rounds is the maximum pass count over the batch, not the
 // sum. Like Prepared, a Batch supports overlapping executions, including
 // batches that share members (engines) with other live batches or
 // scalar handles.
@@ -33,7 +33,7 @@ func (b *Batch) Len() int { return len(b.members) }
 // Member returns the i-th prepared query.
 func (b *Batch) Member(i int) *Prepared { return b.members[i] }
 
-// Rounds returns the number of shared scan pairs an execution runs: the
+// Rounds returns the number of shared scan rounds an execution runs: the
 // maximum pass count over the members.
 func (b *Batch) Rounds() int {
 	r := 0
@@ -93,13 +93,14 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.Bat
 }
 
 // ExecDisk evaluates the whole batch over a .arb database, in secondary
-// storage or over a tree's record image in RAM. Every round is one shared pair of linear scans for all active
-// members: they step in lanes sharing product automata (core.RunDiskBatch),
-// whose phase-1 states share one temporary state file, and multi-pass
-// members chain their aux masks through one widened sidecar with a slot
-// per member — so a batch of single-pass queries
-// costs exactly two linear scans of the data in aggregate, however many
-// queries it holds. Cancelling ctx aborts the scan in progress and
+// storage or over a tree's record image in RAM. Every round is one shared
+// pass for all active members: they step in lanes sharing product automata
+// (core.RunDiskBatch), whose phase-1 states share one temporary state file
+// — unless the bottom-up pass decides every lane's selections, and the
+// round is one scan with no state file — and multi-pass members chain
+// their aux masks through one widened sidecar with a slot per member. So a
+// batch of single-pass queries costs at most two linear scans of the data
+// in aggregate, however many queries it holds. Cancelling ctx aborts the scan in progress and
 // removes every temporary file. opts.KeepStates and opts.MarkTo do not
 // apply to batches and are ignored.
 func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]*core.Result, ExecStats, error) {

@@ -121,7 +121,10 @@ type ExecOpts struct {
 }
 
 // ExecStats is the merged cost profile of one execution across all its
-// passes.
+// passes. Disk.OneScan counts the passes that omitted phase 2 (only ever
+// a single-pass execution's one pass: aux passes write and read sidecars,
+// which takes both scans); their phase-2 time, bytes and state bytes are
+// zero.
 type ExecStats struct {
 	Engine core.Stats     // automata work (lazy transitions, phase times)
 	Disk   core.DiskStats // scan profile (of the record image, for a tree)

@@ -171,13 +171,15 @@ func TestPruneDifferentialStrategies(t *testing.T) {
 				}
 			}
 			if s.disk {
-				// Every phase covers the database exactly once, read or
-				// skipped, across all passes of the execution.
-				passes := int64(prof.Passes)
+				// Every phase that ran covers the database exactly once,
+				// read or skipped, across all passes of the execution:
+				// phase 1 in every pass, phase 2 in those that did not
+				// omit it.
+				passes, twoScan := int64(prof.Passes), int64(prof.Passes-prof.Disk.OneScan)
 				p1 := prof.Disk.Phase1.Bytes + prof.Disk.Phase1.SkippedBytes
 				p2 := prof.Disk.Phase2.Bytes + prof.Disk.Phase2.SkippedBytes
-				if p1 != passes*dataBytes || p2 != passes*dataBytes {
-					t.Fatalf("query %d %s: phase coverage %d/%d, want %d", qi, s.name, p1, p2, passes*dataBytes)
+				if p1 != passes*dataBytes || p2 != twoScan*dataBytes {
+					t.Fatalf("query %d %s: phase coverage %d/%d, want %d/%d", qi, s.name, p1, p2, passes*dataBytes, twoScan*dataBytes)
 				}
 				if s.opts.NoPrune && prof.SkippedBytes() != 0 {
 					t.Fatalf("query %d %s: NoPrune run skipped %d bytes", qi, s.name, prof.SkippedBytes())

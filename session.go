@@ -249,9 +249,10 @@ func (s *Session) PrepareXPath(q *XPathQuery) (*PreparedQuery, error) {
 
 // PrepareBatch compiles several queries against the session for
 // shared-scan batch execution: PreparedBatch.Exec evaluates all of them
-// during a single pair of scans per round, so a workload of N single-pass
+// during one shared round of scans per pass, so a workload of N single-pass
 // queries over a disk session costs two linear scans of the data in
-// aggregate instead of 2N. Each item must be a *Program (TMNF) or an
+// aggregate instead of 2N — one, when every member's selection is decided
+// by the bottom-up pass. Each item must be a *Program (TMNF) or an
 // *XPathQuery (Core XPath, including not(..) queries, whose auxiliary
 // passes piggyback on the other members' scans). Like PreparedQuery, the
 // members' lazily built automata persist across executions.
@@ -383,11 +384,14 @@ type Profile struct {
 }
 
 // SkippedBytes returns the total .arb bytes this execution's scans
-// seeked past thanks to selectivity-aware pruning. Within each scan
-// pair, Bytes + SkippedBytes covers the database exactly once per
-// phase; the merged Profile accumulates that over the execution's
-// passes, so a P-pass execution's per-phase total is P × database
-// size. In-memory sessions count the bytes of their record image.
+// seeked past thanks to selectivity-aware pruning. Within each pass,
+// Bytes + SkippedBytes covers the database exactly once per phase that
+// ran — phase 1 always, phase 2 unless the pass omitted it because its
+// selections were decided bottom-up (Disk.OneScan counts those passes);
+// the merged Profile accumulates that over the execution's passes, so a
+// P-pass execution's phase-1 total is P × database size and its phase-2
+// total (P − Disk.OneScan) × database size. In-memory sessions count the
+// bytes of their record image.
 func (p *Profile) SkippedBytes() int64 {
 	return p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
 }
@@ -655,13 +659,14 @@ func (q *PreparedQuery) Count(ctx context.Context) (int64, error) {
 }
 
 // PreparedBatch is a set of queries compiled against one Session that
-// execute together: one Exec evaluates every member during a single pair
-// of linear scans per round, sharing the tree or byte-range iteration
+// execute together: one Exec evaluates every member during one shared
+// round of linear scans (two, or one when the bottom-up pass decides every
+// member's selection) per pass, sharing the tree or byte-range iteration
 // and (on disk) one state file and the automaton steps — the members step
 // the product of their automata — while each member keeps its own
 // automata and its own result. Multi-pass members
 // are scheduled so that round r runs pass r of every member that still
-// has one — the number of scan pairs is the longest member's pass count,
+// has one — the number of rounds is the longest member's pass count,
 // not the sum over members.
 //
 // Exec is reentrant exactly as PreparedQuery.Exec is: executions of one
@@ -683,10 +688,10 @@ func (b *PreparedBatch) Queries(i int) []Pred { return b.members[i].Queries() }
 // naming and inspection).
 func (b *PreparedBatch) Program(i int) *Program { return b.members[i].Program() }
 
-// Rounds returns the number of shared scan pairs one Exec runs: 1 for a
-// batch of single-pass queries — two linear scans in aggregate, however
-// many queries the batch holds — plus one per extra not(..) nesting level
-// of the deepest multi-pass member.
+// Rounds returns the number of shared scan rounds one Exec runs: 1 for a
+// batch of single-pass queries — at most two linear scans in aggregate,
+// however many queries the batch holds — plus one per extra not(..)
+// nesting level of the deepest multi-pass member.
 func (b *PreparedBatch) Rounds() int {
 	r := 0
 	for _, m := range b.members {
@@ -704,9 +709,9 @@ func (b *PreparedBatch) Rounds() int {
 // evaluation exactly as for a single query; ExecOpts.KeepStates and
 // ExecOpts.MarkTo do not apply to batches and are rejected. The returned
 // Profile is the merged cost of the whole batch — Profile.Passes counts
-// the scheduled rounds (scan pairs), and on disk the bytes-read counters
-// of Profile.Disk show each aggregate scan reading the database exactly
-// once per phase.
+// the scheduled rounds, and on disk the bytes-read counters of
+// Profile.Disk show each aggregate scan reading the database exactly once
+// per phase that ran (Profile.SkippedBytes).
 //
 // Cancelling ctx aborts the scan in progress: Exec returns ctx.Err()
 // (wrapped) and removes every temporary file — the state file and the
