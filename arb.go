@@ -15,8 +15,10 @@
 // # Quick start
 //
 // The repository is the single Go module "arb"; import the root package
-// as `import "arb"` (the command-line tools live under cmd/arb, cmd/arbgen
-// and cmd/arbbench, runnable with `go run arb/cmd/arb`).
+// as `import "arb"` (the command-line tools live under cmd/arb and
+// cmd/arbgen, runnable with `go run arb/cmd/arb`). Speed numbers come from
+// one place, the seeded benchmark under benchmark/ (`bash
+// benchmark/run.sh`).
 //
 // Querying is session-oriented, matching the engine's compile-once,
 // query-many design: a Session wraps one open source (an on-disk database
@@ -95,9 +97,7 @@
 //	// bytes per phase: exactly two aggregate linear scans' worth of
 //	// coverage, however many queries.
 //
-// The CLI exposes batches as `arb query <base> -f queries.txt -batch`,
-// and `arbbench -experiment batch` records the sequential-vs-batch
-// speedup and the bytes-scanned-per-query trajectory in BENCH_batch.json.
+// The CLI exposes batches as `arb query <base> -f queries.txt -batch`.
 //
 // # Serving
 //
@@ -110,8 +110,7 @@
 // building blocks of `arb serve` (internal/server), the long-running
 // HTTP query server with an LRU plan cache over normalized query text
 // and an adaptive coalescer that gathers concurrent requests into
-// shared-scan batches; `arbbench -experiment serve` records its
-// coalesced-vs-per-request throughput in BENCH_serve.json.
+// shared-scan batches.
 //
 // # Compressed extents
 //
@@ -124,9 +123,7 @@
 // unmodified and bit-identical on compressed databases. Incompressible
 // blocks are stored raw, old uncompressed databases keep opening
 // transparently, and Profile's ScanStats report physical next to
-// logical bytes (Disk.PhaseN.PhysicalBytes); `arbbench -experiment
-// compress` records ratio and scan speedup per block size in
-// BENCH_compress.json.
+// logical bytes (Disk.PhaseN.PhysicalBytes).
 //
 // # Selectivity-aware scan pruning
 //
@@ -136,12 +133,10 @@
 // contribute a state or a selection), and every strategy then seeks past
 // subtree extents whose label summary — carried per extent by the v2
 // .idx sidecar, or by an index built from an in-memory session's record
-// image — is disjoint from it. Pruned execution is bit-identical to unpruned on every
-// strategy and batch member; ExecOpts.NoPrune (CLI: `arb query
-// -noprune`) disables it, and Profile reports the savings
-// (Disk.PhaseN.SkippedBytes, Engine.PrunedNodes). `arbbench -experiment
-// prune` records bytes skipped and speedup versus selectivity in
-// BENCH_prune.json.
+// image — is disjoint from it. Pruned execution is bit-identical to
+// unpruned on every strategy and batch member; ExecOpts.NoPrune (CLI:
+// `arb query -noprune`) disables it, and Profile reports the savings
+// (Disk.PhaseN.SkippedBytes, Engine.PrunedNodes).
 package arb
 
 import (
@@ -150,7 +145,6 @@ import (
 	"io"
 
 	"arb/internal/core"
-	"arb/internal/parallel"
 	"arb/internal/rescache"
 	"arb/internal/storage"
 	"arb/internal/tmnf"
@@ -181,18 +175,8 @@ type (
 	// CreateStats reports database-creation statistics (Figure 5).
 	CreateStats = storage.CreateStats
 
-	// Engine evaluates one compiled program over trees or databases.
-	//
-	// Deprecated: prepare queries on a Session instead; PreparedQuery
-	// persists the engine across executions and supports cancellation.
-	Engine = core.Engine
 	// Result holds the selected nodes per query predicate.
 	Result = core.Result
-	// RunOpts configures in-memory runs of the deprecated Engine.Run.
-	RunOpts = core.RunOpts
-	// DiskOpts configures secondary-storage runs of the deprecated
-	// Engine.RunDisk.
-	DiskOpts = core.DiskOpts
 	// DiskStats reports the scan profile of a secondary-storage run
 	// (Profile.Disk).
 	DiskStats = core.DiskStats
@@ -205,12 +189,6 @@ type (
 	// ResultCacheStats reports the result cache's counters
 	// (Session.ResultCacheStats).
 	ResultCacheStats = rescache.Stats
-
-	// ParallelResult holds the result of a multi-worker run; it is the
-	// same unified type every execution path returns.
-	//
-	// Deprecated: use Result.
-	ParallelResult = parallel.Result
 )
 
 // None is the absent-node sentinel.
@@ -223,7 +201,7 @@ func ParseProgram(src string) (*Program, error) { return tmnf.Parse(src) }
 
 // ParseXPath parses a Core XPath query and translates it to TMNF. The
 // positive fragment compiles to a single program; not(..) conditions add
-// auxiliary passes (evaluate with XPathQuery.Eval).
+// auxiliary passes, which Session.PrepareXPath runs before the main pass.
 func ParseXPath(src string) (*XPathQuery, error) { return xpath.Compile(src) }
 
 // ParseXML parses an XML document into an in-memory tree, text as one

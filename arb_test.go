@@ -2,12 +2,14 @@ package arb_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"arb"
+	"arb/internal/core"
 	"arb/internal/testutil"
 )
 
@@ -33,22 +35,22 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := arb.NewEngine(prog, db.Names)
+	pq, err := arb.NewDBSession(db).Prepare(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ds, err := eng.RunDisk(db, arb.DiskOpts{})
+	res, prof, err := pq.Exec(context.Background(), arb.ExecOpts{Stats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := prog.Queries()[0]
+	q := pq.Queries()[0]
 	if res.Count(q) != 1 {
 		t.Fatalf("selected %d titles, want 1", res.Count(q))
 	}
 	// A handful of bottom-up states: the temporary state file holds
 	// one-byte ids.
-	if ds.StateBytes != db.N {
-		t.Fatalf("state file: %d bytes for %d nodes", ds.StateBytes, db.N)
+	if prof.Disk.StateBytes != db.N {
+		t.Fatalf("state file: %d bytes for %d nodes", prof.Disk.StateBytes, db.N)
 	}
 
 	var buf bytes.Buffer
@@ -73,24 +75,23 @@ func TestXPathFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := q.Eval(tr)
+	pq, err := arb.NewSession(tr).PrepareXPath(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	for _, ok := range sel {
-		if ok {
-			count++
-		}
+	res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if count != 1 {
+	if count := res.Count(pq.Queries()[0]); count != 1 {
 		t.Fatalf("selected %d titles, want 1 (single-author book)", count)
 	}
 }
 
 // TestEngineReuseAcrossDocuments checks footnote 15's design point: one
 // engine's lazily-built automata serve many documents, and transition
-// counts stop growing once the automata have converged.
+// counts stop growing once the automata have converged. A session binds
+// its prepared queries to one source, so the engine is driven directly.
 func TestEngineReuseAcrossDocuments(t *testing.T) {
 	prog, err := arb.ParseProgram(`QUERY :- V.Label[a].FirstChild.NextSibling*.Label[b];`)
 	if err != nil {
@@ -100,15 +101,16 @@ func TestEngineReuseAcrossDocuments(t *testing.T) {
 	// All documents share one name table so Label[..] resolution is
 	// stable across runs.
 	names := testutil.RandomTreeWithNames(rng, nil, 200).Names()
-	eng, err := arb.NewEngine(prog, names)
+	c, err := core.Compile(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := core.NewEngine(c, names)
 	var prev int
 	converged := false
 	for i := 0; i < 25; i++ {
 		tr := testutil.RandomTreeWithNames(rng, names, 200)
-		if _, err := eng.Run(tr, arb.RunOpts{}); err != nil {
+		if _, err := eng.RunContext(context.Background(), tr, core.RunOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		cur := eng.Stats().BUTransitions
@@ -136,12 +138,13 @@ func TestDiskOptsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := arb.NewEngine(prog, db.Names)
+	sess := arb.NewDBSession(db)
+	pq, err := sess.Prepare(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var marked bytes.Buffer
-	if _, _, err := eng.RunDisk(db, arb.DiskOpts{MarkTo: &marked}); err != nil {
+	if _, _, err := pq.Exec(context.Background(), arb.ExecOpts{MarkTo: &marked}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(marked.String(), `arb:selected="true"`) != 2 {
@@ -153,11 +156,18 @@ func TestDiskOptsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := q.EvalDisk(db, filepath.Dir(base), 1)
+	xq, err := sess.PrepareXPath(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Count(q.Main.Queries()[0]) != 1 {
-		t.Fatalf("EvalDisk selected %d titles, want 1", res.Count(q.Main.Queries()[0]))
+	res, prof, err := xq.Exec(context.Background(), arb.ExecOpts{Stats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Passes != 2 {
+		t.Fatalf("negated XPath ran %d passes, want 2 (aux + main)", prof.Passes)
+	}
+	if res.Count(xq.Queries()[0]) != 1 {
+		t.Fatalf("selected %d titles, want 1", res.Count(xq.Queries()[0]))
 	}
 }

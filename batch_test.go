@@ -462,6 +462,7 @@ func TestBatchTwoScansLarge(t *testing.T) {
 	}
 	// One sequential execution: the bytes counters are what is under
 	// test, and the parallel path's counters are covered on the moderate
-	// database above. arbbench -experiment batch is the timing companion.
+	// database above. The benchmark's scan_full batch rows are the timing
+	// companion.
 	checkTwoScans(t, base, []int{1}, false)
 }

@@ -54,11 +54,29 @@ if grep -rnE '\b(RunBatchTree|TreeBatchOpts|RunBatchContext|emitTreeMarked|ExecT
     exit 1
 fi
 
+# One measurement stack and one public API: speed numbers come from
+# benchmark/ alone, and queries run through Session. The old harness
+# (internal/bench, cmd/arbbench and its root BENCH_*.json reports), the
+# streaming matcher only it used, and the pre-Session shim files are gone.
+# Keep them gone.
+if go list ./... | grep -E '^arb/(internal/(bench|stream)|cmd/arbbench)$' >&2; then
+    echo "internal/bench, internal/stream or cmd/arbbench is back: measure in benchmark/" >&2
+    exit 1
+fi
+if ls BENCH_*.json >&2 2>/dev/null; then
+    echo "a root BENCH_*.json is back: benchmark/ reports are the only numbers" >&2
+    exit 1
+fi
+if grep -rln '//arblint:shims' --include='*.go' . >&2; then
+    echo "a //arblint:shims file is back: the public API is Session-only" >&2
+    exit 1
+fi
+
 # Repo-specific invariants: context threading, lock discipline, temp
-# cleanup, deprecated shims, reader Close/Release, snapshot-pin
-# release, atomic/plain access mixing, goroutine termination, and lock
-# ordering — the full nine-analyzer suite, gated on the committed
-# baseline: any finding not already recorded there fails the build.
+# cleanup, reader Close/Release, snapshot-pin release, atomic/plain
+# access mixing, goroutine termination, and lock ordering — the full
+# eight-analyzer suite, gated on the committed baseline: any finding not
+# already recorded there fails the build.
 go run ./cmd/arblint -baseline .arblint-baseline.json ./...
 
 # The analyzers' own fixtures (want-marker tests, CFG unit tests, the

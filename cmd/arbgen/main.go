@@ -15,15 +15,20 @@ import (
 	"fmt"
 	"os"
 
-	"arb/internal/bench"
 	"arb/internal/storage"
 	"arb/internal/workload"
 )
 
+// defaultScale is the fraction of the paper's dataset sizes used when no
+// -scale is given: small enough for a laptop, large enough that scan
+// costs dominate. Scale 1.0 reproduces the paper's sizes (2^25-1
+// sequence symbols, ~32M-node Treebank, ~307M-node Swissprot).
+const defaultScale = 1.0 / 32
+
 func main() {
 	dataset := flag.String("dataset", "", "treebank, swissprot, acgt-flat, or acgt-infix")
 	out := flag.String("out", "", "output database base path")
-	scale := flag.Float64("scale", bench.DefaultScale, "fraction of the paper's dataset size")
+	scale := flag.Float64("scale", defaultScale, "fraction of the paper's dataset size")
 	seed := flag.Int64("seed", 0, "override the generator seed (0 = dataset default)")
 	flag.Parse()
 	if *dataset == "" || *out == "" {
@@ -57,11 +62,7 @@ func run(dataset, out string, scale float64, seed int64) error {
 		if seed == 0 {
 			seed = 4
 		}
-		bits := 25
-		for scale < 1 && bits > 10 && float64(int64(1)<<25)*scale < float64(int64(1)<<bits) {
-			bits--
-		}
-		seq := workload.Sequence(seed, 1<<bits-1)
+		seq := workload.Sequence(seed, workload.ScaledSequenceLength(scale))
 		if dataset == "acgt-flat" {
 			db, err = workload.CreateFlatDB(out, seq)
 		} else {

@@ -1,11 +1,11 @@
-// Command arblint runs the repo's static-analysis suite: nine analyzers
+// Command arblint runs the repo's static-analysis suite: eight analyzers
 // that mechanically enforce the engine's concurrency, cancellation and
 // cleanup invariants (see internal/lint/analyzers).
 //
 // Standalone over package patterns (the CI mode):
 //
 //	go run ./cmd/arblint ./...
-//	go run ./cmd/arblint -analyzers ctxflow,noshims ./internal/core
+//	go run ./cmd/arblint -analyzers ctxflow,closecheck ./internal/core
 //	go run ./cmd/arblint -todos ./...      # list tracked-debt markers
 //	go run ./cmd/arblint -json ./...       # machine-readable findings
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,7 +100,7 @@ func TestExample45Residuals(t *testing.T) {
 	}
 	tr := chainA(t)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{KeepStates: true})
+	res, err := e.RunContext(context.Background(), tr, RunOpts{KeepStates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestExample47TruePreds(t *testing.T) {
 	}
 	tr := chainA(t)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{KeepStates: true})
+	res, err := e.RunContext(context.Background(), tr, RunOpts{KeepStates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestExample47TruePreds(t *testing.T) {
 	// Re-run with query set.
 	c2, _ := Compile(p)
 	e2 := NewEngine(c2, tr.Names())
-	res2, err := e2.Run(tr, RunOpts{})
+	res2, err := e2.RunContext(context.Background(), tr, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func evalBoth(t *testing.T, tr *tree.Tree, p *tmnf.Program) bool {
 		t.Fatalf("compile: %v", err)
 	}
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := e.RunContext(context.Background(), tr, RunOpts{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -308,7 +309,7 @@ Odd  :- SFROdd.invFirstChild;
 			t.Fatal(err)
 		}
 		e := NewEngine(c, tr.Names())
-		res, err := e.Run(tr, RunOpts{})
+		res, err := e.RunContext(context.Background(), tr, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +363,7 @@ func TestSingleNodeTree(t *testing.T) {
 	p := tmnf.MustParse(`QUERY :- Root, Leaf, LastSibling;`)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := e.RunContext(context.Background(), tr, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestEmptyTreeRejected(t *testing.T) {
 	p := tmnf.MustParse(`QUERY :- Root;`)
 	c, _ := Compile(p)
 	e := NewEngine(c, tree.NewNames())
-	if _, err := e.Run(tree.New(nil), RunOpts{}); err == nil {
+	if _, err := e.RunContext(context.Background(), tree.New(nil), RunOpts{}); err == nil {
 		t.Error("empty tree accepted")
 	}
 }
@@ -388,11 +389,11 @@ func TestTransitionCacheReuse(t *testing.T) {
 	p := testutil.RandomProgramParsed(rng, 4, 10)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	if _, err := e.Run(tr, RunOpts{}); err != nil {
+	if _, err := e.RunContext(context.Background(), tr, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	s1 := e.Stats()
-	if _, err := e.Run(tr, RunOpts{}); err != nil {
+	if _, err := e.RunContext(context.Background(), tr, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	s2 := e.Stats()
@@ -407,7 +408,7 @@ func TestStatsPopulated(t *testing.T) {
 	p := tmnf.MustParse(example43)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	if _, err := e.Run(tr, RunOpts{}); err != nil {
+	if _, err := e.RunContext(context.Background(), tr, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -426,7 +427,7 @@ func TestResultWalkAndCount(t *testing.T) {
 	p := tmnf.MustParse(`QUERY :- Label[a];`)
 	c, _ := Compile(p)
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := e.RunContext(context.Background(), tr, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func diskRun(tb testing.TB, t *tree.Tree, prog *tmnf.Program, opts DiskOpts) (*R
 		tb.Fatalf("Compile: %v", err)
 	}
 	e := NewEngine(c, db.Names)
-	res, ds, err := e.RunDisk(db, opts)
+	res, ds, err := e.RunDiskContext(context.Background(), db, opts)
 	if err != nil {
 		tb.Fatalf("RunDisk: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestRunDiskMatchesMemoryAndNaive(t *testing.T) {
 			t.Fatalf("Compile: %v", err)
 		}
 		e := NewEngine(c, tr.Names())
-		mem, err := e.Run(tr, RunOpts{})
+		mem, err := e.RunContext(context.Background(), tr, RunOpts{})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestRunDiskStateFile(t *testing.T) {
 
 	// KeepStateFile retains a uniquely named state file with 4 bytes per
 	// node, reported as Result.StateFile.
-	res, ds, err := e.RunDisk(db, DiskOpts{KeepStateFile: true})
+	res, ds, err := e.RunDiskContext(context.Background(), db, DiskOpts{KeepStateFile: true})
 	if err != nil {
 		t.Fatalf("RunDisk: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestRunDiskStateFile(t *testing.T) {
 	// Default: the state file is removed after the run and no path is
 	// reported.
 	os.Remove(res.StateFile)
-	res2, _, err := e.RunDisk(db, DiskOpts{})
+	res2, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{})
 	if err != nil {
 		t.Fatalf("RunDisk: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestRunDiskRejectsForeignNames(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	e := NewEngine(c, tree.NewNames()) // wrong table
-	if _, _, err := e.RunDisk(db, DiskOpts{}); err == nil {
+	if _, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{}); err == nil {
 		t.Fatal("RunDisk accepted mismatched name table")
 	}
 }
@@ -191,13 +191,13 @@ func TestRunDiskFailureInjection(t *testing.T) {
 	e := NewEngine(c, db.Names)
 
 	// State file in a directory that does not exist.
-	if _, _, err := e.RunDisk(db, DiskOpts{StatePath: filepath.Join(t.TempDir(), "no", "such", "dir", "x.sta")}); err == nil {
+	if _, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{StatePath: filepath.Join(t.TempDir(), "no", "such", "dir", "x.sta")}); err == nil {
 		t.Fatal("RunDisk succeeded with an uncreatable state file")
 	}
 
 	// Corrupted state file cross-check: run once keeping the state file,
 	// truncate the database underneath a mismatched state file.
-	if _, _, err := e.RunDisk(db, DiskOpts{KeepStateFile: true}); err != nil {
+	if _, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{KeepStateFile: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite the .arb with a different (single-node) tree while the
@@ -210,7 +210,7 @@ func TestRunDiskFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if _, _, err := e.RunDisk(db2, DiskOpts{StatePath: base + ".sta"}); err == nil {
+	if _, _, err := e.RunDiskContext(context.Background(), db2, DiskOpts{StatePath: base + ".sta"}); err == nil {
 		t.Fatal("RunDisk accepted a stale state file") // the .sta is 8 bytes, db2 has 1 node
 	}
 }
@@ -233,7 +233,7 @@ func TestRunDiskMarkedOutputInPhase2(t *testing.T) {
 		}
 		e := NewEngine(c, db.Names)
 		var inPhase bytes.Buffer
-		res, _, err := e.RunDisk(db, DiskOpts{MarkTo: &inPhase})
+		res, _, err := e.RunDiskContext(context.Background(), db, DiskOpts{MarkTo: &inPhase})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestMultipleQueriesOneRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewEngine(c, tr.Names())
-		res, err := e.Run(tr, RunOpts{})
+		res, err := e.RunContext(context.Background(), tr, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestSixtyFourQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(c, tr.Names())
-	res, err := e.Run(tr, RunOpts{})
+	res, err := e.RunContext(context.Background(), tr, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestAuxPredicatesDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := NewEngine(c, tr.Names())
-			res, err := e.Run(tr, RunOpts{Aux: auxFn})
+			res, err := e.RunContext(context.Background(), tr, RunOpts{Aux: auxFn})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +163,7 @@ func TestResidualStatesBeatPowerset(t *testing.T) {
 	e := NewEngine(c, names)
 	for i := 0; i < 30; i++ {
 		tr := testutil.RandomTreeWithNames(rng, names, 300)
-		if _, err := e.Run(tr, RunOpts{}); err != nil {
+		if _, err := e.RunContext(context.Background(), tr, RunOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}

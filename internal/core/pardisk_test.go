@@ -178,11 +178,11 @@ func TestRunDiskParallelRightDeepChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
+	seq, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
+	par, _, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, 4, DiskOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +212,11 @@ func TestRunDiskParallelLargeBalancedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
+	seq, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, ds, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
+	par, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, 4, DiskOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
+	want, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +321,9 @@ func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {
 			defer wg.Done()
 			e := NewEngine(c, db.Names)
 			if i%2 == 0 {
-				results[i], _, errs[i] = e.RunDisk(db, DiskOpts{})
+				results[i], _, errs[i] = e.RunDiskContext(context.Background(), db, DiskOpts{})
 			} else {
-				results[i], _, errs[i] = e.RunDiskParallel(db, 3, DiskOpts{})
+				results[i], _, errs[i] = e.RunDiskParallelContext(context.Background(), db, 3, DiskOpts{})
 			}
 		}(i)
 	}
@@ -399,11 +399,11 @@ func TestRunDiskParallelRecoversFromForeignIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := NewEngine(c, db.Names).RunDisk(db, DiskOpts{})
+	seq, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := NewEngine(c, db.Names).RunDiskParallel(db, 4, DiskOpts{})
+	par, _, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, 4, DiskOpts{})
 	if err != nil {
 		t.Fatalf("parallel run did not recover from the stale index: %v", err)
 	}

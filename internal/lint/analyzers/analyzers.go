@@ -1,10 +1,9 @@
-// Package analyzers holds the nine arblint analyzers, one per
+// Package analyzers holds the eight arblint analyzers, one per
 // load-bearing invariant of the two-scan engine:
 //
 //   - ctxflow: engine code threads context, never mints its own roots
 //   - lockdiscipline: `// guarded by:` fields are accessed under their mutex
 //   - tmpcleanup: temp state/aux files are removed on error and cancel paths
-//   - noshims: deprecated shim entry points stay out of library code
 //   - closecheck: storage readers and files get closed or released
 //   - snappin: MVCC snapshot pins are Released on every path (CFG-based,
 //     interprocedural through arblint:acquires / arblint:owns contracts)
@@ -14,11 +13,10 @@
 //
 // Analyzers are heuristic but deliberately low-noise: each rule is scoped
 // to the package layers where its invariant is load-bearing, and the
-// directives in package lint (//arblint:allow, //arblint:todo,
-// //arblint:shims) give reviewed escape hatches. The last four lean on
-// the lint.Module/lint.CFG interprocedural layer: per-function control
-// flow graphs plus module-wide may-reach summaries shared through
-// Mod.Memo.
+// directives in package lint (//arblint:allow, //arblint:todo) give
+// reviewed escape hatches. The last four lean on the lint.Module/lint.CFG
+// interprocedural layer: per-function control flow graphs plus
+// module-wide may-reach summaries shared through Mod.Memo.
 package analyzers
 
 import (
@@ -31,7 +29,7 @@ import (
 
 // All is the full suite in reporting order.
 var All = []*lint.Analyzer{
-	Ctxflow, LockDiscipline, TmpCleanup, NoShims, CloseCheck,
+	Ctxflow, LockDiscipline, TmpCleanup, CloseCheck,
 	SnapPin, AtomicMix, GoroLeak, LockOrder,
 }
 

@@ -20,8 +20,8 @@ import (
 // markers, and RunFixture fails the test unless the analyzer reports
 // exactly the expected diagnostics. Fixture packages are type-checked
 // under a caller-chosen synthetic import path, so scope-sensitive
-// analyzers (ctxflow's internal-package rule, noshims' shim-file rule)
-// see them as the library code they imitate.
+// analyzers (ctxflow's internal-package rule) see them as the library
+// code they imitate.
 
 var (
 	fixtureOnce    sync.Once

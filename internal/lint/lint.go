@@ -15,10 +15,7 @@
 // placed on the offending line or the line directly above it. `allow` is
 // a reviewed, permanent exemption; `todo` marks tracked debt — a spot
 // known to be unsound that the suite documents instead of silently
-// passing (`arblint -todos` lists them). A file whose leading comments
-// contain `//arblint:shims` is a deprecated-shim compatibility file:
-// noshims permits calls to deprecated entry points there, and ctxflow
-// permits the context.Background() roots those context-less shims mint.
+// passing (`arblint -todos` lists them).
 package lint
 
 import (
@@ -82,12 +79,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// IsShimFile reports whether the file containing pos carries the
-// //arblint:shims marker.
-func (p *Pass) IsShimFile(pos token.Pos) bool {
-	return p.pkg.shimFiles[p.Fset.Position(pos).Filename]
-}
-
 // directive is one parsed //arblint: comment.
 type directive struct {
 	kind      string // "allow" or "todo"
@@ -97,8 +88,7 @@ type directive struct {
 }
 
 // parseDirectives scans a file's comments for arblint directives,
-// recording suppressions per (analyzer, line) and whether the file is a
-// shims file.
+// recording suppressions per (analyzer, line).
 func (pkg *Package) parseDirectives(fset *token.FileSet, f *ast.File) {
 	filename := fset.Position(f.Pos()).Filename
 	for _, cg := range f.Comments {
@@ -109,10 +99,6 @@ func (pkg *Package) parseDirectives(fset *token.FileSet, f *ast.File) {
 				continue
 			}
 			text = strings.TrimPrefix(text, "arblint:")
-			if text == "shims" || strings.HasPrefix(text, "shims ") {
-				pkg.shimFiles[filename] = true
-				continue
-			}
 			var kind string
 			switch {
 			case strings.HasPrefix(text, "allow "):

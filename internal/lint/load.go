@@ -25,7 +25,6 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	shimFiles  map[string]bool
 	suppress   map[suppressKey]bool
 	directives []directive
 }
@@ -141,11 +140,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // with the given import path.
 func typecheck(fset *token.FileSet, imp types.Importer, path, dir string, filenames []string) (*Package, error) {
 	pkg := &Package{
-		Path:      path,
-		Dir:       dir,
-		Fset:      fset,
-		shimFiles: make(map[string]bool),
-		suppress:  make(map[suppressKey]bool),
+		Path:     path,
+		Dir:      dir,
+		Fset:     fset,
+		suppress: make(map[suppressKey]bool),
 	}
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -27,12 +28,12 @@ func TestRunMatchesSequential(t *testing.T) {
 		tr := testutil.RandomTree(rng, 4000)
 		prog := testutil.RandomProgramParsed(rng, 4, 8)
 
-		seq, err := engineFor(t, prog, tr.Names()).Run(tr, core.RunOpts{})
+		seq, err := engineFor(t, prog, tr.Names()).RunContext(context.Background(), tr, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 7} {
-			par, err := Run(engineFor(t, prog, tr.Names()), tr, workers)
+			par, err := RunContext(context.Background(), engineFor(t, prog, tr.Names()), tr, workers, core.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestRunMatchesNaiveSmall(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		tr := testutil.RandomTree(rng, 50)
 		prog := testutil.RandomProgramParsed(rng, 3, 6)
-		par, err := Run(engineFor(t, prog, tr.Names()), tr, 3)
+		par, err := RunContext(context.Background(), engineFor(t, prog, tr.Names()), tr, 3, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +87,11 @@ func TestRunOnInfixSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := prog.Queries()[0]
-		seqRes, err := engineFor(t, prog, tr.Names()).Run(tr, core.RunOpts{})
+		seqRes, err := engineFor(t, prog, tr.Names()).RunContext(context.Background(), tr, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parRes, err := Run(engineFor(t, prog, tr.Names()), tr, 4)
+		parRes, err := RunContext(context.Background(), engineFor(t, prog, tr.Names()), tr, 4, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +107,11 @@ func TestRunOnInfixSequence(t *testing.T) {
 func TestRunDegenerateChain(t *testing.T) {
 	tr := workload.FlatTree(workload.Sequence(7, 50000))
 	prog := tmnf.MustParse(`QUERY :- Label[A], LastSibling;`)
-	par, err := Run(engineFor(t, prog, tr.Names()), tr, 4)
+	par, err := RunContext(context.Background(), engineFor(t, prog, tr.Names()), tr, 4, core.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := engineFor(t, prog, tr.Names()).Run(tr, core.RunOpts{})
+	seq, err := engineFor(t, prog, tr.Names()).RunContext(context.Background(), tr, core.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestSharedEngineConcurrentWarmup(t *testing.T) {
 	e := engineFor(t, prog, tr.Names())
 	var first int64 = -1
 	for i := 0; i < 3; i++ {
-		res, err := Run(e, tr, 8)
+		res, err := RunContext(context.Background(), e, tr, 8, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

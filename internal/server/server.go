@@ -114,13 +114,14 @@ type Server struct {
 // server dispatched — the serving-level view of the engine's ScanStats
 // and pruning counters.
 type ProfileCounters struct {
-	ScanRounds int64 `json:"scan_rounds"`      // shared scan rounds executed: two linear scans each, or one when phase 2 was omitted
-	Phase1     int64 `json:"phase1_bytes"`     // .arb bytes read, backward scans
-	Phase2     int64 `json:"phase2_bytes"`     // .arb bytes read, forward scans
-	Skipped    int64 `json:"skipped_bytes"`    // bytes pruning seeked past
-	Pruned     int64 `json:"pruned_nodes"`     // nodes proven irrelevant
-	StateBytes int64 `json:"state_temp_bytes"` // temporary state-file bytes
-	Queries    int64 `json:"queries_executed"` // plans executed (batch members count singly)
+	ScanRounds    int64 `json:"scan_rounds"`      // shared scan rounds executed: two linear scans each, or one when phase 2 was omitted
+	OneScanRounds int64 `json:"one_scan_rounds"`  // of ScanRounds, those that omitted phase 2: one linear scan each
+	Phase1        int64 `json:"phase1_bytes"`     // .arb bytes read, backward scans
+	Phase2        int64 `json:"phase2_bytes"`     // .arb bytes read, forward scans
+	Skipped       int64 `json:"skipped_bytes"`    // bytes pruning seeked past
+	Pruned        int64 `json:"pruned_nodes"`     // nodes proven irrelevant
+	StateBytes    int64 `json:"state_temp_bytes"` // temporary state-file bytes
+	Queries       int64 `json:"queries_executed"` // plans executed (batch members count singly)
 }
 
 // New builds a server over the session. Close releases it; the session
@@ -154,6 +155,7 @@ func (s *Server) addProfile(p *arb.Profile, plans int) {
 	}
 	s.profMu.Lock()
 	s.prof.ScanRounds += int64(p.Passes)
+	s.prof.OneScanRounds += int64(p.Disk.OneScan)
 	s.prof.Phase1 += p.Disk.Phase1.Bytes
 	s.prof.Phase2 += p.Disk.Phase2.Bytes
 	s.prof.Skipped += p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -48,6 +49,125 @@ func getStats(t *testing.T, url string) server.Stats {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// expect is a query's scalar answer: its count and leading ids.
+type expect struct {
+	count int64
+	ids   []int64
+}
+
+// scalarAnswers computes each query's answer through a separate session
+// over base, sequentially, before the server sees traffic. Queries use
+// the workload-file convention (an "xpath:" prefix for Core XPath).
+func scalarAnswers(t *testing.T, base string, srcs []string, maxIDs int) map[string]expect {
+	t.Helper()
+	sess, err := arb.OpenSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	want := map[string]expect{}
+	for _, src := range srcs {
+		var pq *arb.PreparedQuery
+		if expr, ok := strings.CutPrefix(src, "xpath:"); ok {
+			xq, err := arb.ParseXPath(expr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pq, err = sess.PrepareXPath(xq); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			prog, err := arb.ParseProgram(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pq, err = sess.Prepare(prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := pq.Queries()[0]
+		e := expect{count: res.Count(q)}
+		res.Walk(q, func(v arb.NodeID) bool {
+			if len(e.ids) >= maxIDs {
+				return false
+			}
+			e.ids = append(e.ids, int64(v))
+			return true
+		})
+		want[src] = e
+	}
+	return want
+}
+
+// burstDiffer sends every request of the burst concurrently and checks
+// each reply against the scalar answers.
+func burstDiffer(t *testing.T, url string, burst []string, want map[string]expect) {
+	t.Helper()
+	var wg sync.WaitGroup
+	type reply struct {
+		src  string
+		out  map[string]any
+		code int
+	}
+	replies := make([]reply, len(burst))
+	for i, src := range burst {
+		wg.Add(1)
+		go func(i int, src string) {
+			defer wg.Done()
+			out, code := postQuery(t, url, map[string]any{"query": src, "ids": true})
+			replies[i] = reply{src, out, code}
+		}(i, src)
+	}
+	wg.Wait()
+
+	for _, r := range replies {
+		if r.code != http.StatusOK {
+			t.Fatalf("request %q: status %d: %v", r.src, r.code, r.out)
+		}
+		e := want[r.src]
+		results := r.out["results"].([]any)
+		if len(results) != 1 {
+			t.Fatalf("request %q: %d result predicates, want 1", r.src, len(results))
+		}
+		pr := results[0].(map[string]any)
+		if got := int64(pr["count"].(float64)); got != e.count {
+			t.Errorf("request %q: count %d, want %d", r.src, got, e.count)
+		}
+		var ids []int64
+		if raw, ok := pr["ids"].([]any); ok {
+			for _, v := range raw {
+				ids = append(ids, int64(v.(float64)))
+			}
+		}
+		if len(ids) != len(e.ids) {
+			t.Errorf("request %q: %d ids, want %d", r.src, len(ids), len(e.ids))
+			continue
+		}
+		for j := range ids {
+			if ids[j] != e.ids[j] {
+				t.Errorf("request %q: id[%d] = %d, want %d", r.src, j, ids[j], e.ids[j])
+				break
+			}
+		}
+	}
+}
+
+// scanCoverage is the database bytes the rounds between two /stats
+// snapshots read or provably skipped, and the bytes they must cover: a
+// round that omitted phase 2 covers the database once, any other round
+// twice, once per phase.
+func scanCoverage(before, after server.Stats, dbBytes int64) (covered, want int64) {
+	covered = (after.Profile.Phase1 + after.Profile.Phase2 + after.Profile.Skipped) -
+		(before.Profile.Phase1 + before.Profile.Phase2 + before.Profile.Skipped)
+	rounds := after.Profile.ScanRounds - before.Profile.ScanRounds
+	oneScan := after.Profile.OneScanRounds - before.Profile.OneScanRounds
+	return covered, dbBytes * (2*rounds - oneScan)
 }
 
 // TestServeDifferentialCoalesced is the server's acceptance test: N
@@ -100,53 +220,7 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	// 12 requests: the 8 distinct queries plus two hot duplicates each of
 	// a TMNF and an XPath query.
 	burst := append(append([]string{}, distinct...), distinct[0], distinct[0], distinct[4], distinct[4])
-
-	// Scalar baseline through a separate session: count and leading ids
-	// per query, computed sequentially before the server sees traffic.
-	baseSess, err := arb.OpenSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer baseSess.Close()
-	type expect struct {
-		count int64
-		ids   []int64
-	}
-	want := map[string]expect{}
-	for _, src := range distinct {
-		var pq *arb.PreparedQuery
-		if expr, ok := strings.CutPrefix(src, "xpath:"); ok {
-			xq, err := arb.ParseXPath(expr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pq, err = baseSess.PrepareXPath(xq); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			prog, err := arb.ParseProgram(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pq, err = baseSess.Prepare(prog); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := pq.Queries()[0]
-		e := expect{count: res.Count(q)}
-		res.Walk(q, func(v arb.NodeID) bool {
-			if len(e.ids) >= maxIDs {
-				return false
-			}
-			e.ids = append(e.ids, int64(v))
-			return true
-		})
-		want[src] = e
-	}
+	want := scalarAnswers(t, base, distinct, maxIDs)
 
 	// Warm-up request: primes the coalescer's arrival clock so the burst
 	// below is never mistaken for an idle server, and counts as the only
@@ -155,56 +229,9 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 		t.Fatalf("warm-up failed: %d %v", code, out)
 	}
 	before := getStats(t, ts.URL)
-
-	var wg sync.WaitGroup
-	type reply struct {
-		src  string
-		out  map[string]any
-		code int
-	}
-	replies := make([]reply, len(burst))
-	for i, src := range burst {
-		wg.Add(1)
-		go func(i int, src string) {
-			defer wg.Done()
-			out, code := postQuery(t, ts.URL, map[string]any{"query": src, "ids": true})
-			replies[i] = reply{src, out, code}
-		}(i, src)
-	}
-	wg.Wait()
-
-	for _, r := range replies {
-		if r.code != http.StatusOK {
-			t.Fatalf("request %q: status %d: %v", r.src, r.code, r.out)
-		}
-		e := want[r.src]
-		results := r.out["results"].([]any)
-		if len(results) != 1 {
-			t.Fatalf("request %q: %d result predicates, want 1", r.src, len(results))
-		}
-		pr := results[0].(map[string]any)
-		if got := int64(pr["count"].(float64)); got != e.count {
-			t.Errorf("request %q: count %d, want %d", r.src, got, e.count)
-		}
-		var ids []int64
-		if raw, ok := pr["ids"].([]any); ok {
-			for _, v := range raw {
-				ids = append(ids, int64(v.(float64)))
-			}
-		}
-		if len(ids) != len(e.ids) {
-			t.Errorf("request %q: %d ids, want %d", r.src, len(ids), len(e.ids))
-			continue
-		}
-		for j := range ids {
-			if ids[j] != e.ids[j] {
-				t.Errorf("request %q: id[%d] = %d, want %d", r.src, j, ids[j], e.ids[j])
-				break
-			}
-		}
-	}
-
+	burstDiffer(t, ts.URL, burst, want)
 	after := getStats(t, ts.URL)
+
 	n := len(burst)
 	rounds := after.Profile.ScanRounds - before.Profile.ScanRounds
 	bound := int64((n + batchMax - 1) / batchMax) // ⌈N/K⌉ scan pairs = 2·⌈N/K⌉ scans
@@ -214,14 +241,11 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	if rounds < 1 {
 		t.Errorf("no scan rounds recorded for the burst")
 	}
-	// Coverage invariant: every scan pair reads or provably skips the
-	// whole database once per phase.
-	dbBytes := sess.Len() * storage.NodeSize
-	covered := (after.Profile.Phase1 + after.Profile.Phase2 + after.Profile.Skipped) -
-		(before.Profile.Phase1 + before.Profile.Phase2 + before.Profile.Skipped)
-	if covered != 2*dbBytes*rounds {
-		t.Errorf("scan coverage %d bytes over %d rounds, want %d (2 x %d db bytes per round)",
-			covered, rounds, 2*dbBytes*rounds, dbBytes)
+	// Coverage invariant: every scan round reads or provably skips the
+	// whole database once per scan it runs.
+	if covered, wantCovered := scanCoverage(before, after, sess.Len()*storage.NodeSize); covered != wantCovered {
+		t.Errorf("scan coverage %d bytes over %d rounds (%d one-scan), want %d",
+			covered, rounds, after.Profile.OneScanRounds-before.Profile.OneScanRounds, wantCovered)
 	}
 	// The duplicate requests must have hit the plan cache.
 	if hits := after.PlanCache.Hits - before.PlanCache.Hits; hits < 4 {
@@ -229,6 +253,76 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	}
 	if after.Coalescer.MaxBatch < 2 {
 		t.Errorf("max batch %d, want >= 2 (burst never coalesced)", after.Coalescer.MaxBatch)
+	}
+}
+
+// TestServeOneScanRounds sends a burst made only of queries whose
+// bottom-up states decide selection (label selections, some with a
+// structural test): every round the server runs for it must omit phase 2, so
+// one_scan_rounds equals scan_rounds, the rounds cover the database once
+// each and write no state file — and /metrics reports the count.
+func TestServeOneScanRounds(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "full")
+	db, err := storage.CreateFullBinary(base, 16, []string{"a", "b", "c", "d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	sess, err := arb.OpenSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	const maxIDs = 500
+	srv := server.New(context.Background(), sess, server.Config{
+		Window:      time.Second,
+		BatchMax:    4,
+		MaxInflight: 1,
+		MaxIDs:      maxIDs,
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	burst := []string{
+		`QUERY :- Label[a];`,
+		`QUERY :- Label[b];`,
+		`QUERY :- Label[c];`,
+		`QUERY :- Label[d], HasFirstChild;`,
+		`QUERY :- Leaf, Label[b];`,
+		`QUERY :- Label[d];`,
+	}
+	want := scalarAnswers(t, base, burst, maxIDs)
+	before := getStats(t, ts.URL)
+	burstDiffer(t, ts.URL, burst, want)
+	after := getStats(t, ts.URL)
+
+	rounds := after.Profile.ScanRounds - before.Profile.ScanRounds
+	oneScan := after.Profile.OneScanRounds - before.Profile.OneScanRounds
+	if rounds < 1 || oneScan != rounds {
+		t.Errorf("one-scan burst: %d one-scan rounds of %d, want all of them", oneScan, rounds)
+	}
+	if covered, wantCovered := scanCoverage(before, after, sess.Len()*storage.NodeSize); covered != wantCovered {
+		t.Errorf("scan coverage %d bytes over %d one-scan rounds, want %d", covered, rounds, wantCovered)
+	}
+	if p2, sb := after.Profile.Phase2-before.Profile.Phase2, after.Profile.StateBytes-before.Profile.StateBytes; p2 != 0 || sb != 0 {
+		t.Errorf("one-scan burst read %d phase-2 bytes and wrote %d state bytes, want 0 and 0", p2, sb)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("arb_one_scan_rounds_total %d\n", after.Profile.OneScanRounds)
+	if !strings.Contains(body.String(), line) {
+		t.Errorf("/metrics lacks %q:\n%s", line, body.String())
 	}
 }
 

@@ -41,6 +41,18 @@ func Sequence(seed int64, length int) []byte {
 	return seq
 }
 
+// ScaledSequenceLength is the sequence length for a fraction of the
+// paper's 2^25-1 symbols: the largest 2^k-1 (k >= 10) not above
+// scale·2^25, so the infix tree stays complete. Scales of 1 and above
+// give the paper's length.
+func ScaledSequenceLength(scale float64) int {
+	bits := 25
+	for scale < 1 && bits > 10 && float64(int64(1)<<25)*scale < float64(int64(1)<<bits) {
+		bits--
+	}
+	return 1<<bits - 1
+}
+
 // acgtNames returns a name table with the root and the four symbol tags
 // interned, plus the labels for A, C, G, T in symbol order.
 func acgtNames() (*tree.Names, tree.Label, [4]tree.Label) {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"arb/internal/stream"
 	"arb/internal/tmnf"
 )
 
@@ -85,16 +84,4 @@ func (r PathRegex) TMNFSource(rstep string) string {
 // as the query predicate.
 func (r PathRegex) Program(rstep string) (*tmnf.Program, error) {
 	return tmnf.Parse(r.TMNFSource(rstep))
-}
-
-// StreamQuery renders the regex as a one-pass streaming path query
-// (matched against root-path suffixes, i.e. a leading //): the class of
-// queries the Treebank thread shares with stream processors. Only
-// meaningful with the top-down R step.
-func (r PathRegex) StreamQuery() stream.Query {
-	var parts []string
-	parts = append(parts, strings.Join(r.W1, "."))
-	parts = append(parts, "("+strings.Join(r.W2, ".")+")*")
-	parts = append(parts, strings.Join(r.W3, "."))
-	return stream.Query{Regex: strings.Join(parts, "."), AnyPrefix: true}
 }

@@ -5,12 +5,15 @@ import (
 	"math/rand"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"arb/internal/core"
 	"arb/internal/storage"
+	"arb/internal/testutil"
 	"arb/internal/tree"
+	"arb/internal/xmlparse"
 )
 
 func TestSequence(t *testing.T) {
@@ -172,7 +175,7 @@ func evalCount(t *testing.T, tr *tree.Tree, r PathRegex, rstep string) int64 {
 		t.Fatal(err)
 	}
 	e := core.NewEngine(c, tr.Names())
-	res, err := e.Run(tr, core.RunOpts{})
+	res, err := e.RunContext(context.Background(), tr, core.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,4 +298,116 @@ func TestCreateTreebankDBStats(t *testing.T) {
 	if stats.Tags < 240 || stats.Tags > 251 {
 		t.Fatalf("%d tags, want close to 251", stats.Tags)
 	}
+}
+
+// selectedNodes runs the regex program over a tree with the two-phase
+// engine and returns the selected nodes in document order.
+func selectedNodes(t *testing.T, tr *tree.Tree, r PathRegex, rstep string) []tree.NodeID {
+	t.Helper()
+	prog, err := r.Program(rstep)
+	if err != nil {
+		t.Fatalf("Program(%q): %v", rstep, err)
+	}
+	c, err := core.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.NewEngine(c, tr.Names()).RunContext(context.Background(), tr, core.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Selected(prog.Queries()[0])
+}
+
+// TestTreebankRegexFixedDocument pins the Treebank thread's selections on
+// one small document. A regex selects the endpoint of every downward walk
+// that spells it, from any start node; character nodes take document
+// order IDs but are never selected.
+func TestTreebankRegexFixedDocument(t *testing.T) {
+	// r=0, a=1, b=2, a=3, 'h'=4, 'i'=5, c=6.
+	tr, err := xmlparse.ParseTree(strings.NewReader(`<r><a><b/></a><a>hi<c/></a></r>`), xmlparse.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := func(s string) []string { return strings.Split(s, ".") }
+	cases := []struct {
+		w1, w2, w3 string
+		want       []tree.NodeID
+	}{
+		{"r", "a", "b", []tree.NodeID{2}},
+		{"r", "a", "c", []tree.NodeID{6}},
+		{"r", "b", "a", []tree.NodeID{1, 3}},
+		{"a", "b", "c", []tree.NodeID{6}},
+		{"r.a", "b", "b", []tree.NodeID{2}},
+		{"a", "a", "a", nil},
+		{"b", "c", "c", nil},
+	}
+	for _, c := range cases {
+		r := PathRegex{W1: word(c.w1), W2: word(c.w2), W3: word(c.w3)}
+		t.Run(r.String(), func(t *testing.T) {
+			if got := selectedNodes(t, tr, r, RTreebank); !slices.Equal(got, c.want) {
+				t.Fatalf("selected %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestTreebankRegexMatchesRootPaths checks the Treebank thread against an
+// independent oracle: on random trees with single-letter tags, an element
+// is selected iff a suffix of its root path, read as a string of tags,
+// matches the regex under the standard library's regexp.
+func TestTreebankRegexMatchesRootPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	alphabet := []string{"a", "b", "c"}
+	for iter := 0; iter < 150; iter++ {
+		tr := testutil.RandomTree(rng, 40)
+		r := RandomPathRegex(rng, 3+rng.Intn(4), alphabet)
+		re := regexp.MustCompile("(" + strings.Join(r.W1, "") + ")(" +
+			strings.Join(r.W2, "") + ")*(" + strings.Join(r.W3, "") + ")$")
+		got := map[tree.NodeID]bool{}
+		for _, v := range selectedNodes(t, tr, r, RTreebank) {
+			got[v] = true
+		}
+		paths := rootPaths(tr)
+		for v := 0; v < tr.Len(); v++ {
+			id := tree.NodeID(v)
+			want := !tr.Label(id).IsChar() && re.MatchString(paths[v])
+			if got[id] != want {
+				t.Fatalf("iter %d: regex %s, node %d with root path %q: selected %v, want %v",
+					iter, r, v, paths[v], got[id], want)
+			}
+		}
+	}
+}
+
+// rootPaths returns, per element node, its root path as a string of tag
+// names (single-letter tags assumed); character nodes get "".
+func rootPaths(t *tree.Tree) []string {
+	n := t.Len()
+	paths := make([]string, n)
+	// A first child's document parent is the node itself; a second
+	// child's is the node's own document parent.
+	docParent := make([]tree.NodeID, n)
+	docParent[0] = tree.None
+	for v := 0; v < n; v++ {
+		if c := t.First(tree.NodeID(v)); c != tree.None {
+			docParent[c] = tree.NodeID(v)
+		}
+		if c := t.Second(tree.NodeID(v)); c != tree.None {
+			docParent[c] = docParent[v]
+		}
+	}
+	for v := 0; v < n; v++ {
+		l := t.Label(tree.NodeID(v))
+		if l.IsChar() {
+			continue
+		}
+		name, _ := t.Names().TagName(l)
+		if p := docParent[v]; p == tree.None {
+			paths[v] = name
+		} else {
+			paths[v] = paths[p] + name
+		}
+	}
+	return paths
 }

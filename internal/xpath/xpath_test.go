@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -21,6 +22,37 @@ func parseDoc(t *testing.T, src string) *tree.Tree {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// evalTree runs the compiled query over an in-memory tree with one worker
+// — Prepare and ExecDisk over the tree's record image — and returns the
+// main pass's selected nodes as a truth vector over preorder ids.
+func evalTree(q *Query, tr *tree.Tree) ([]bool, error) {
+	db, err := storage.OpenTree(tr, nil)
+	if err != nil {
+		return nil, err
+	}
+	res, err := execDisk(q, db, "", 1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, tr.Len())
+	res.Walk(q.Main.Queries()[0], func(v tree.NodeID) bool {
+		out[v] = true
+		return true
+	})
+	return out, nil
+}
+
+// execDisk prepares the query against db's names and executes every pass
+// with the given workers (0 = all CPUs), aux sidecars under dir.
+func execDisk(q *Query, db *storage.DB, dir string, workers int) (*core.Result, error) {
+	p, err := q.Prepare(db.Names)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: ResolveWorkers(workers), AuxDir: dir})
+	return res, err
 }
 
 func selected(sel []bool) []int {
@@ -204,7 +236,7 @@ func TestTranslateMatchesInterp(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Translate(%q): %v", qs, err)
 			}
-			sel, err := q.Eval(tr)
+			sel, err := evalTree(q, tr)
 			if err != nil {
 				t.Fatalf("Eval(%q): %v", qs, err)
 			}
@@ -263,7 +295,7 @@ func TestTranslateMatchesInterpRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Translate(%q): %v", qs, err)
 		}
-		sel, err := q.Eval(tr)
+		sel, err := evalTree(q, tr)
 		if err != nil {
 			t.Fatalf("Eval(%q): %v", qs, err)
 		}
@@ -324,7 +356,7 @@ func TestPositiveFragmentOnDisk(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := core.NewEngine(c, db.Names)
-		res, _, err := e.RunDisk(db, core.DiskOpts{})
+		res, _, err := e.RunDiskContext(context.Background(), db, core.DiskOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,8 +400,8 @@ func TestXPathParserRobustness(t *testing.T) {
 }
 
 // TestEvalDiskMatchesEval runs multi-pass (negated) queries entirely in
-// secondary storage and compares with the in-memory evaluator and the
-// interpreter.
+// secondary storage and over an in-memory tree's record image, and
+// compares both with the interpreter.
 func TestEvalDiskMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for iter := 0; iter < 40; iter++ {
@@ -384,15 +416,15 @@ func TestEvalDiskMatchesEval(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", qs, err)
 		}
-		mem, err := q.Eval(tr)
+		mem, err := evalTree(q, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := selected(NewInterp(tr).Eval(q.Path))
 		for _, workers := range []int{1, 3} {
-			res, err := q.EvalDisk(db, dir, workers)
+			res, err := execDisk(q, db, dir, workers)
 			if err != nil {
-				t.Fatalf("EvalDisk(%q, workers=%d): %v", qs, workers, err)
+				t.Fatalf("ExecDisk(%q, workers=%d): %v", qs, workers, err)
 			}
 			var gotDisk []int
 			res.Walk(q.Main.Queries()[0], func(v tree.NodeID) bool {

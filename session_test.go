@@ -395,3 +395,44 @@ func TestExecMarkQueryValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedQueryCount covers Count on both backends: it must equal the
+// first query predicate's count from a full Exec.
+func TestPreparedQueryCount(t *testing.T) {
+	tr := buildCatalog(t, 300)
+	dir := t.TempDir()
+	db, err := arb.CreateDBFromTree(filepath.Join(dir, "catalog"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	prog, err := arb.ParseProgram(`QUERY :- Label[flag];`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sess := range map[string]*arb.Session{
+		"memory": arb.NewSession(tr),
+		"disk":   arb.NewDBSession(db),
+	} {
+		pq, err := sess.Prepare(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Count(pq.Queries()[0])
+		if want != 200 {
+			t.Fatalf("%s: Exec counted %d flags, want 200", name, want)
+		}
+		got, err := pq.Count(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: Count() = %d, Exec counted %d", name, got, want)
+		}
+	}
+	assertOnlyDatabaseFiles(t, dir)
+}
