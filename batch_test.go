@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"arb"
 	"arb/internal/naive"
 	"arb/internal/storage"
 	"arb/internal/testutil"
+	"arb/internal/tree"
 	"arb/internal/xpath"
 )
 
@@ -337,6 +339,66 @@ func TestBatchRejectsUnsupportedOpts(t *testing.T) {
 	}
 }
 
+// TestBatchOfOneMatchesScalar: a query is a batch of one at every layer,
+// so a multi-pass query's scalar Exec and its one-member PreparedBatch
+// Exec return the same Result, the same scan counters and the same pass
+// count — on disk and over a tree's record image, sequentially and with a
+// chunk frontier.
+func TestBatchOfOneMatchesScalar(t *testing.T) {
+	tr := buildCatalog(t, 1200)
+	if tr.Len() < 1<<15 {
+		t.Fatalf("catalog has %d nodes, below the parallel threshold", tr.Len())
+	}
+	db, err := arb.CreateDBFromTree(filepath.Join(t.TempDir(), "catalog"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	q, err := arb.ParseXPath(`//item[not(flag)]/name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, backend := range []struct {
+		name string
+		sess *arb.Session
+	}{{"disk", arb.NewDBSession(db)}, {"tree", arb.NewSession(tr)}} {
+		pq, err := backend.sess.PrepareXPath(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := backend.sess.BatchOf(pq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", backend.name, workers), func(t *testing.T) {
+				opts := arb.ExecOpts{Workers: workers, Stats: true}
+				res, prof, err := pq.Exec(ctx, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bres, bprof, err := pb.Exec(ctx, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(bres) != 1 || !reflect.DeepEqual(res, bres[0]) {
+					t.Fatalf("batch of one returned %d results, differing from the scalar Exec's", len(bres))
+				}
+				if res.Count(pq.Queries()[0]) == 0 {
+					t.Fatal("the query selects nothing: the comparison proves little")
+				}
+				if prof.Disk != bprof.Disk {
+					t.Fatalf("disk profile\nscalar %+v\nbatch  %+v", prof.Disk, bprof.Disk)
+				}
+				if prof.Passes != 2 || bprof.Passes != prof.Passes {
+					t.Fatalf("passes: scalar %d, batch %d, want 2 each", prof.Passes, bprof.Passes)
+				}
+			})
+		}
+	}
+}
+
 type noopWriter struct{}
 
 func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
@@ -430,7 +492,8 @@ func checkTwoScans(t *testing.T, base string, workerCounts []int, spotCheck bool
 // moderate generated database.
 func TestBatchTwoScans(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "fb")
-	db, err := storage.CreateFullBinary(base, 16, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 16, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +514,8 @@ func TestBatchTwoScansLarge(t *testing.T) {
 		t.Skip("64 MB database experiment skipped under the race detector")
 	}
 	base := filepath.Join(t.TempDir(), "fb")
-	db, err := storage.CreateFullBinary(base, 24, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 24, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}

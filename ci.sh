@@ -54,6 +54,24 @@ if grep -rnE '\b(RunBatchTree|TreeBatchOpts|RunBatchContext|emitTreeMarked|ExecT
     exit 1
 fi
 
+# A query is a batch of one at every layer: core's scalar aux wiring
+# (BatchMember.AuxOutQuery with DiskOpts' Aux* fields), xpath's sidecar
+# directory option and the tree-walking index builder are gone — a tree's
+# index is BuildIndex over its record image. Keep them gone.
+if grep -rnE '\b(AuxOutQuery|AuxDir|BuildTreeIndex)\b' --include='*.go' . >&2; then
+    echo "AuxOutQuery/AuxDir/BuildTreeIndex are back: a query is a batch of one" >&2
+    exit 1
+fi
+# And internal/xpath has one pass scheduler, Batch.ExecDisk: one call site
+# of core's disk driver. A scalar loop over passes would add a second.
+drivers=$(ls internal/xpath/*.go | grep -v '_test\.go$' |
+    xargs grep -hE '(core\.RunDisk[A-Za-z]*|\.RunDisk[A-Za-z]*Context|RunTreeContext|\.RunContext)\(' |
+    grep -vc '^[[:space:]]*//' || true)
+if [ "$drivers" -ne 1 ]; then
+    echo "internal/xpath calls core's disk driver from $drivers places, want 1 (Batch.ExecDisk)" >&2
+    exit 1
+fi
+
 # One measurement stack and one public API: speed numbers come from
 # benchmark/ alone, and queries run through Session. The old harness
 # (internal/bench, cmd/arbbench and its root BENCH_*.json reports), the

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"arb/internal/storage"
+	"arb/internal/tree"
 )
 
 // buildCLI compiles cmd/arb once per test run.
@@ -285,7 +286,8 @@ func TestCLISignalCancelQuery(t *testing.T) {
 	base := filepath.Join(dbDir, "big")
 	// ~16M nodes (~33MB): a full unpruned scan pair takes long enough
 	// that the signal lands mid-query on any machine.
-	db, err := storage.CreateFullBinary(base, 23, []string{"a", "b", "c"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 23, "a", "b", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"arb"
 	"arb/internal/storage"
 	"arb/internal/testutil"
+	"arb/internal/tree"
 )
 
 // compressedCopy creates a second database from the same tree and
@@ -189,7 +190,8 @@ func TestCompressLargeDifferential(t *testing.T) {
 	}
 	dir := t.TempDir()
 	rawBase := filepath.Join(dir, "raw")
-	rawDB, err := storage.CreateFullBinary(rawBase, 24, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	rawDB, err := storage.CreateBinary(rawBase, names, storage.FullBinary(names, 24, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,8 @@ func TestCompressLargeDifferential(t *testing.T) {
 		t.Fatalf("generated database is %d bytes, want >= 64 MB", bytes)
 	}
 	compBase := filepath.Join(dir, "comp")
-	if _, err := storage.CreateFullBinary(compBase, 24, []string{"a", "b", "c", "d"}); err != nil {
+	names = tree.NewNames()
+	if _, err := storage.CreateBinary(compBase, names, storage.FullBinary(names, 24, "a", "b", "c", "d")); err != nil {
 		t.Fatal(err)
 	}
 	info, err := arb.CompressDB(compBase, "lz", 0)

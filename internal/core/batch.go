@@ -20,30 +20,23 @@ type BatchMember struct {
 	AuxInSlot int
 	// AuxOutSlot, when non-negative, makes phase 2 write the member's
 	// updated mask — the input mask ORed with bit AuxOutBit for every
-	// node selected by query predicate AuxOutQuery — to that slot of the
+	// node its first query predicate selects — to that slot of the
 	// AuxOut sidecar.
-	AuxOutSlot  int
-	AuxOutBit   uint8
-	AuxOutQuery int
+	AuxOutSlot int
+	AuxOutBit  uint8
 }
 
-// DiskBatchOpts configures a secondary-storage batch run. The sidecar
-// paths name widened aux-mask files (storage.MaskStride bytes per node);
-// empty paths mean no aux input/output.
+// DiskBatchOpts configures a secondary-storage batch run: the per-run
+// options of DiskOpts plus the aux-mask sidecars chaining multi-pass
+// members' passes. The sidecar paths name widened mask files of stride
+// slots (storage.MaskStride bytes per node); empty paths mean no aux
+// input/output. A batch prunes an extent only when every member's
+// analysis proves it irrelevant (the scans are shared), and a run with
+// aux input never prunes.
 type DiskBatchOpts struct {
+	DiskOpts
 	AuxIn        string
 	AuxInStride  int
 	AuxOut       string
 	AuxOutStride int
-
-	// NoPrune disables selectivity-aware scan pruning for this round. A
-	// batch round prunes an extent only when every member's analysis
-	// proves it irrelevant (the scans are shared); rounds with aux input
-	// never prune.
-	NoPrune bool
-
-	// Run, when non-nil, receives the round's exact statistics across
-	// all members — deterministic per-run attribution even when batch
-	// executions overlap on shared engines.
-	Run *RunStats
 }

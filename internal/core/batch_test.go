@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -77,13 +78,13 @@ func TestBatchMatchesScalarAndNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		diskRS := &RunStats{}
-		diskRes, _, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{Run: diskRS})
+		diskRes, _, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: DiskOpts{Run: diskRS}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		emptyFrontier(func() {
 			rs := &RunStats{}
-			res, _, eds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{Run: rs})
+			res, _, eds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: DiskOpts{Run: rs}})
 			if err != nil {
 				t.Fatalf("iter %d empty frontier: %v", iter, err)
 			}
@@ -162,4 +163,27 @@ func TestBatchWideStateFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, prog, tr.Len(), res[0], want, "wide-state batch vs scalar")
+}
+
+// TestBatchRejectsPerRunOutputsForManyMembers: a named or kept state file
+// and marked XML belong to one query, so only a batch of one takes them;
+// a larger batch fails up front and creates no file.
+func TestBatchRejectsPerRunOutputsForManyMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tr := testutil.RandomTree(rng, 100)
+	dir := t.TempDir()
+	db, err := storage.CreateFromTree(filepath.Join(dir, "db"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	progs := []*tmnf.Program{testutil.RandomProgramParsed(rng, 3, 6), testutil.RandomProgramParsed(rng, 3, 6)}
+	for _, opts := range []DiskOpts{{StatePath: filepath.Join(dir, "run.sta")}, {KeepStateFile: true}, {MarkTo: io.Discard}} {
+		if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: opts}); err == nil {
+			t.Errorf("a two-member batch accepted %+v", opts)
+		}
+		if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs[:1], db.Names), DiskBatchOpts{DiskOpts: opts}); err != nil {
+			t.Errorf("a batch of one rejected %+v: %v", opts, err)
+		}
+	}
 }

@@ -9,7 +9,9 @@ import (
 	"arb/internal/storage"
 )
 
-// DiskOpts configures a secondary-storage evaluation run.
+// DiskOpts configures a secondary-storage evaluation run: a scalar run's
+// options, and the per-run part of a batch run's (DiskBatchOpts), where
+// StatePath, KeepStateFile and MarkTo need a batch of one member.
 type DiskOpts struct {
 	// StatePath overrides the path of the temporary state file — the
 	// paper's footnote 12: one state id per node, written in reverse
@@ -30,21 +32,6 @@ type DiskOpts struct {
 	// Result.BUStateOf/TDStateOf, visiting the nodes in order.
 	KeepStateFile bool
 
-	// AuxIn optionally names a sidecar file holding one 2-byte
-	// big-endian auxiliary predicate mask per node in preorder (bit k =
-	// Aux[k]) — the disk form of RunOpts.Aux. Phase 1 reads it backwards
-	// alongside the .arb file, phase 2 forwards, preserving the
-	// two-linear-scans property.
-	AuxIn string
-	// AuxOut, when non-empty, makes phase 2 stream an updated aux file:
-	// the input masks (zero if AuxIn is empty) ORed with bit AuxOutBit
-	// for every node the query predicate AuxOutQuery selects. Chaining
-	// runs through aux files is how multi-pass XPath negation evaluates
-	// entirely in secondary storage.
-	AuxOut      string
-	AuxOutBit   uint8
-	AuxOutQuery int
-
 	// MarkTo, when non-nil, streams the document back out as XML during
 	// phase 2 itself, with the nodes selected by query predicate
 	// MarkQuery marked up — the system's default output mode
@@ -54,8 +41,9 @@ type DiskOpts struct {
 
 	// NoPrune disables selectivity-aware scan pruning (prune.go) for this
 	// run. Pruning is otherwise applied automatically whenever it is
-	// provably sound; runs with aux input, marked output, or an external
-	// state-file contract (StatePath/KeepStateFile) never prune.
+	// provably sound; runs with aux input (DiskBatchOpts.AuxIn), marked
+	// output, or an external state-file contract (StatePath/KeepStateFile)
+	// never prune.
 	NoPrune bool
 
 	// Run, when non-nil, receives this run's exact statistics (node
@@ -101,14 +89,12 @@ func (d *DiskStats) Merge(o DiskStats) {
 // the true predicates per node. Main memory holds only the two automata
 // (computed lazily) and a stack bounded by the depth of the XML document.
 // When a node's bottom-up state alone decides its selection (onescan.go)
-// and the run reads no aux input, writes no aux output or marked XML and
-// keeps no states, phase 1 marks the selected nodes itself: the run is one
+// and the run writes no marked XML and keeps no states, phase 1 marks the selected nodes itself: the run is one
 // backward scan, with no state file and no phase 2 (DiskStats.OneScan).
 // It is RunDiskParallelContext with one worker: the chunked driver run
 // with an empty frontier, whose leader scans all of [0, N) itself.
 // Cancelling ctx aborts the scan in progress with ctx.Err(); a failed or
-// cancelled run removes the temporary state file and any partially
-// written AuxOut sidecar.
+// cancelled run removes the temporary state file.
 func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOpts) (*Result, *DiskStats, error) {
 	return e.RunDiskParallelContext(ctx, db, 1, opts)
 }

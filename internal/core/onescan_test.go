@@ -150,7 +150,7 @@ func TestOneScanMatchesTwoScansAndNaive(t *testing.T) {
 							}
 							return bms
 						}
-						opts := DiskBatchOpts{NoPrune: noPrune}
+						opts := DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune}}
 						bms := members()
 						got, _, ds, err := RunDiskBatchParallel(ctx, db, workers, bms, opts)
 						if err != nil {

@@ -53,15 +53,13 @@ var (
 // must emit every node in document order) run with an empty frontier: the
 // leader's glue scan over [0, N) is then the sequential two-scan
 // algorithm itself. Cancelling ctx aborts all workers' scans with
-// ctx.Err() and removes the temporary state file and any partially
-// written AuxOut sidecar.
+// ctx.Err() and removes the temporary state file. It is
+// RunDiskBatchParallel with e as a batch of one.
 func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, workers int, opts DiskOpts) (*Result, *DiskStats, error) {
-	res, agg, ds, err := e.asBatch(opts).exec(ctx, db, workers)
+	res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}, DiskBatchOpts{DiskOpts: opts})
 	if err != nil {
 		return nil, nil, err
 	}
-	e.addPhaseTimes(agg.Phase1Time, agg.Phase2Time)
-	opts.Run.AddPhaseTimes(agg.Phase1Time, agg.Phase2Time)
 	return res[0], ds, nil
 }
 
@@ -82,7 +80,9 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 // RunDiskContext alone. It is RunDiskBatchParallel with one worker: the
 // disk driver run with an empty frontier. Cancelling ctx aborts the scan
 // in progress; a failed or cancelled run removes the state file and any
-// partially written AuxOut sidecar.
+// partially written AuxOut sidecar. The per-run options of the embedded
+// DiskOpts that name one query's output — a named or kept state file,
+// marked XML — need a batch of one member.
 func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
 	return RunDiskBatchParallel(ctx, db, 1, members, opts)
 }
@@ -97,22 +97,22 @@ func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, op
 // frontier, the leader scanning everything. The returned Stats carries the
 // shared phase wall times.
 func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
-	if len(members) == 0 {
+	switch {
+	case len(members) == 0:
 		return nil, Stats{}, nil, errors.New("core: empty batch")
+	case len(members) > 1 && (opts.StatePath != "" || opts.KeepStateFile || opts.MarkTo != nil):
+		return nil, Stats{}, nil, errors.New("core: a state file or marked output needs a batch of one member")
 	}
 	return newDiskBatch(members, opts).exec(ctx, db, workers)
 }
 
 // diskBatch is what one disk run evaluates: its members, in lanes, and the
-// sidecars around them. A scalar run is a batch of one whose sidecars have
-// one slot, plus the options only it may set (a named or kept state file
-// of 4-byte ids, marked output).
+// sidecars around them. A scalar run is a batch of one.
 type diskBatch struct {
 	members []BatchMember
 	engines []*Engine // the members'
 	lanes   []lane
 	opts    DiskBatchOpts
-	scalar  DiskOpts // StatePath, KeepStateFile, MarkTo and MarkQuery
 }
 
 func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
@@ -120,21 +120,6 @@ func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
 	for _, bm := range members {
 		r.engines = append(r.engines, bm.E)
 	}
-	return r
-}
-
-// asBatch is the scalar run as a batch of one.
-func (e *Engine) asBatch(opts DiskOpts) *diskBatch {
-	bm := BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1, AuxOutBit: opts.AuxOutBit, AuxOutQuery: opts.AuxOutQuery}
-	bo := DiskBatchOpts{AuxIn: opts.AuxIn, AuxOut: opts.AuxOut, NoPrune: opts.NoPrune, Run: opts.Run}
-	if opts.AuxIn != "" {
-		bm.AuxInSlot, bo.AuxInStride = 0, 1
-	}
-	if opts.AuxOut != "" {
-		bm.AuxOutSlot, bo.AuxOutStride = 0, 1
-	}
-	r := newDiskBatch([]BatchMember{bm}, bo)
-	r.scalar = opts
 	return r
 }
 
@@ -177,18 +162,18 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 // KeepStates run's states over a tree (storage.DB.InMemory), where the
 // states are kept in the Result instead of a state file.
 func (r *diskBatch) ordered(db *storage.DB) bool {
-	return r.scalar.MarkTo != nil || r.keepsStates(db)
+	return r.opts.MarkTo != nil || r.keepsStates(db)
 }
 
 func (r *diskBatch) keepsStates(db *storage.DB) bool {
-	return r.scalar.KeepStateFile && db.InMemory()
+	return r.opts.KeepStateFile && db.InMemory()
 }
 
 // width is the run's initial state width: the widest any member's engine
 // asks for. A state file somebody else reads keeps the documented 4-byte
 // ids.
 func (r *diskBatch) width() int {
-	if r.scalar.StatePath != "" || r.scalar.KeepStateFile {
+	if r.opts.StatePath != "" || r.opts.KeepStateFile {
 		return stateWide
 	}
 	w := stateByte
@@ -205,7 +190,7 @@ func (r *diskBatch) width() int {
 // states (the first two are per-node facts outside the verdicts, the last
 // two need phase 2's states).
 func (r *diskBatch) decided(l *lane) bool {
-	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.scalar.MarkTo != nil || r.scalar.KeepStateFile || r.scalar.StatePath != "" {
+	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile || r.opts.StatePath != "" {
 		return false
 	}
 	for _, m := range l.members {
@@ -225,7 +210,7 @@ func (r *diskBatch) decided(l *lane) bool {
 // was cut from, or nil when it has none: the planner then loads the index
 // itself, and failing to costs the run its plan, not its answer.
 func (r *diskBatch) plan(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex) *PrunePlan {
-	if r.opts.NoPrune || r.opts.AuxIn != "" || r.scalar.MarkTo != nil || r.scalar.KeepStateFile || r.scalar.StatePath != "" || db.N < PruneMinNodes {
+	if r.opts.NoPrune || r.opts.AuxIn != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile || r.opts.StatePath != "" || db.N < PruneMinNodes {
 		return nil
 	}
 	if ix == nil {
@@ -327,10 +312,10 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		a.files.auxF = auxF
 	}
 
-	keepFile := r.scalar.KeepStateFile && !db.InMemory()
+	keepFile := r.opts.KeepStateFile && !db.InMemory()
 	var statePath string
 	if slots > 0 {
-		stateF, path, err := createStateFile(db, r.scalar, int64(slots)*db.N*int64(width))
+		stateF, path, err := createStateFile(db, r.opts.DiskOpts, int64(slots)*db.N*int64(width))
 		if err != nil {
 			return nil, agg, nil, err
 		}
@@ -397,7 +382,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	res[0].BUStateOf, res[0].TDStateOf = buStates, tdStates
 	// The stale-index, state-width and one-scan retries re-enter this
 	// function: only the attempt that succeeds counts.
-	creditNodes(r.engines, r.opts.Run, db.N, plan)
+	creditRun(r.engines, r.opts.Run, db.N, plan, agg)
 	a.succeeded = true
 	return res, agg, ds, nil
 }
@@ -497,14 +482,14 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	}
 	scan := files.newScan(a.leaderCaches, storage.Extent{Size: db.N}, rootState, rootTD, false)
 	var emitter *storage.XMLEmitter
-	if a.scalar.MarkTo != nil {
-		emitter = storage.NewXMLEmitter(a.scalar.MarkTo, db.Names)
+	if a.opts.MarkTo != nil {
+		emitter = storage.NewXMLEmitter(a.opts.MarkTo, db.Names)
 	}
 	if a.keepsStates(db) {
 		buStates, tdStates = make([]StateID, db.N), make([]StateID, db.N)
 	}
 	if emitter != nil || buStates != nil {
-		markBit := uint64(1) << uint(a.scalar.MarkQuery)
+		markBit := uint64(1) << uint(a.opts.MarkQuery)
 		scan.visit = func(v int64, rec uint16, mask uint64, bu, td StateID) error {
 			if buStates != nil {
 				buStates[v], tdStates[v] = bu, td

@@ -249,8 +249,9 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 		if err := os.WriteFile(auxIn, masks, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		// The aux output follows the first query predicate: QUERY2.
 		prog := tmnf.MustParse(`QUERY :- Aux[0]; P :- Aux[1]; QUERY2 :- P.FirstChild;`)
-		if err := prog.SetQueries("QUERY", "QUERY2"); err != nil {
+		if err := prog.SetQueries("QUERY2", "QUERY"); err != nil {
 			t.Fatal(err)
 		}
 		c, err := Compile(prog)
@@ -260,8 +261,8 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 		run := func(name string, workers int) (*Result, *DiskStats, *RunStats, []byte) {
 			rs := &RunStats{}
 			out := filepath.Join(dir, name+".aux")
-			res, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, workers,
-				DiskOpts{AuxIn: auxIn, AuxOut: out, AuxOutBit: 3, AuxOutQuery: 1, Run: rs})
+			members, opts := chained(NewEngine(c, db.Names), auxIn, out, 3, DiskOpts{Run: rs})
+			res, _, ds, err := RunDiskBatchParallel(context.Background(), db, workers, members, opts)
 			if err != nil {
 				t.Fatalf("iter %d %s: %v", iter, name, err)
 			}
@@ -269,7 +270,7 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, ds, rs, masks
+			return res[0], ds, rs, masks
 		}
 		seq, seqDS, seqRS, seqOut := run("seq", 1)
 		par, _, _, parOut := run("par", 3)
@@ -288,6 +289,22 @@ func TestRunDiskParallelAuxFiles(t *testing.T) {
 		})
 		db.Close()
 	}
+}
+
+// chained is e as a batch of one chaining aux masks the way one pass of a
+// multi-pass query does: it reads slot 0 of the one-slot sidecar auxIn
+// when that is set, and writes its input masks ORed with bit wherever its
+// first query predicate holds to slot 0 of auxOut when that is set.
+func chained(e *Engine, auxIn, auxOut string, bit uint8, opts DiskOpts) ([]BatchMember, DiskBatchOpts) {
+	bm := BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1, AuxOutBit: bit}
+	bo := DiskBatchOpts{DiskOpts: opts, AuxIn: auxIn, AuxOut: auxOut}
+	if auxIn != "" {
+		bm.AuxInSlot, bo.AuxInStride = 0, 1
+	}
+	if auxOut != "" {
+		bm.AuxOutSlot, bo.AuxOutStride = 0, 1
+	}
+	return []BatchMember{bm}, bo
 }
 
 func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {

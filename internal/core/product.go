@@ -257,7 +257,7 @@ func newLane(members []BatchMember, idx []int, readsAux bool, rs *RunStats) lane
 		}
 		if bm.AuxOutSlot >= 0 {
 			l.outs = append(l.outs, laneOut{slot: bm.AuxOutSlot * storage.MaskSize, in: in,
-				bit: 1 << bm.AuxOutBit, query: 1 << uint(l.nq+bm.AuxOutQuery)})
+				bit: 1 << bm.AuxOutBit, query: 1 << uint(l.nq)})
 		}
 		l.nq += len(bm.E.c.Queries)
 	}

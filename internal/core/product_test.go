@@ -312,7 +312,7 @@ func TestBatchLanesMatchScalarAndNaive(t *testing.T) {
 							prunedRows++
 						}
 						rs := &RunStats{}
-						res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{NoPrune: noPrune, Run: rs})
+						res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -375,7 +375,7 @@ func TestBatchOver64PredicatesSplitsLanes(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		rs := &RunStats{}
-		res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{Run: rs})
+		res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{DiskOpts: DiskOpts{Run: rs}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestBatchAuxRoundsMatchScalar(t *testing.T) {
 				if l := lanesFor(round0, false, nil); len(l) != 1 {
 					t.Fatalf("round 0 steps %d lanes, want one product", len(l))
 				}
-				res, _, _, err := RunDiskBatchParallel(ctx, db, workers, round0, DiskBatchOpts{AuxOut: aux0, AuxOutStride: 2, NoPrune: noPrune})
+				res, _, _, err := RunDiskBatchParallel(ctx, db, workers, round0, DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune}, AuxOut: aux0, AuxOutStride: 2})
 				if err != nil {
 					t.Fatalf("%s, round 0: %v", label, err)
 				}
@@ -476,7 +476,7 @@ func TestBatchAuxRoundsMatchScalar(t *testing.T) {
 				if l := lanesFor(round1, true, nil); len(l) != 3 {
 					t.Fatalf("round 1 steps %d lanes, want one per aux reader and one for the rest", len(l))
 				}
-				res, _, _, err = RunDiskBatchParallel(ctx, db, workers, round1, DiskBatchOpts{AuxIn: aux0, AuxInStride: 2, AuxOut: aux1, AuxOutStride: 2, NoPrune: noPrune})
+				res, _, _, err = RunDiskBatchParallel(ctx, db, workers, round1, DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune}, AuxIn: aux0, AuxInStride: 2, AuxOut: aux1, AuxOutStride: 2})
 				if err != nil {
 					t.Fatalf("%s, round 1: %v", label, err)
 				}
@@ -535,7 +535,7 @@ func TestBatchProductOverflowRerunsWide(t *testing.T) {
 			members[m] = BatchMember{E: NewEngine(c, db.Names), AuxInSlot: -1, AuxOutSlot: -1}
 		}
 		stateByteIDs = 2
-		res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{NoPrune: true})
+		res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: true}})
 		stateByteIDs = ids
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
@@ -585,7 +585,7 @@ func TestBatchCancelInPhase2LeavesNoFiles(t *testing.T) {
 	windows := int32((db.N + storage.WindowNodes - 1) / storage.WindowNodes)
 	rs := &RunStats{}
 	_, _, _, err = RunDiskBatch(cancelAtPoll{context.Background(), new(atomic.Int32), windows + windows/2}, db, members,
-		DiskBatchOpts{AuxOut: filepath.Join(dir, "out.aux"), AuxOutStride: 1, NoPrune: true, Run: rs})
+		DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: true, Run: rs}, AuxOut: filepath.Join(dir, "out.aux"), AuxOutStride: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}

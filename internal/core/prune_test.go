@@ -343,12 +343,12 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
 				rs := &RunStats{}
 				out := filepath.Join(dir, "scalar.aux")
-				res, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, workers,
-					DiskOpts{AuxOut: out, AuxOutBit: 1, NoPrune: noPrune, Run: rs})
+				members, opts := chained(NewEngine(c, db.Names), "", out, 1, DiskOpts{NoPrune: noPrune, Run: rs})
+				res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
-				sameResults(t, prog, tr.Len(), res, want, tc.name)
+				sameResults(t, prog, tr.Len(), res[0], want, tc.name)
 				return ds, rs, out
 			})
 		}
@@ -374,7 +374,7 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			rs := &RunStats{}
 			out := filepath.Join(dir, "batch.aux")
 			res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members,
-				DiskBatchOpts{AuxOut: out, AuxOutStride: len(members), NoPrune: noPrune, Run: rs})
+				DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}, AuxOut: out, AuxOutStride: len(members)})
 			if err != nil {
 				t.Fatalf("%s: batch: %v", tc.name, err)
 			}

@@ -44,8 +44,8 @@ func (rs *RunStats) addNodes(n, pruned int64) {
 	rs.mu.Unlock()
 }
 
-// AddPhaseTimes records one run's phase wall times.
-func (rs *RunStats) AddPhaseTimes(p1, p2 time.Duration) {
+// addPhaseTimes records one run's phase wall times.
+func (rs *RunStats) addPhaseTimes(p1, p2 time.Duration) {
 	if rs == nil {
 		return
 	}
@@ -65,17 +65,20 @@ func (rs *RunStats) Snapshot() Stats {
 	return rs.s
 }
 
-// creditNodes records a finished run's node visits and prune savings with
+// creditRun records a finished run's node visits and prune savings with
 // every engine it ran (once per member: a batch of two engines visits each
-// node twice) and with its sink. Drivers call it on success only, so a
+// node twice) and with its sink, and its phase wall times (agg) with each
+// engine and once with the sink. The driver calls it on success only, so a
 // failed or cancelled run credits nothing — it saved nothing either.
-func creditNodes(engines []*Engine, rs *RunStats, n int64, plan *PrunePlan) {
+func creditRun(engines []*Engine, rs *RunStats, n int64, plan *PrunePlan, agg Stats) {
 	var pruned int64
 	if plan != nil {
 		pruned = plan.Nodes
 	}
 	for _, e := range engines {
 		e.addNodes(n, pruned)
+		e.addPhaseTimes(agg.Phase1Time, agg.Phase2Time)
 		rs.addNodes(n, pruned)
 	}
+	rs.addPhaseTimes(agg.Phase1Time, agg.Phase2Time)
 }

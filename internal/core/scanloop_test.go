@@ -235,10 +235,8 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, err = NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{
-		MarkTo: cancelOnWrite{cancel},
-		AuxOut: filepath.Join(dir, "out.aux"),
-	})
+	members, opts := chained(NewEngine(c, db.Names), "", filepath.Join(dir, "out.aux"), 0, DiskOpts{MarkTo: cancelOnWrite{cancel}})
+	_, _, _, err = RunDiskBatch(ctx, db, members, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
@@ -253,10 +251,8 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	if ix, err := db.Index(context.Background(), 0); err != nil || PlanPrune([]*Engine{e}, ix, db.N) == nil {
 		t.Fatalf("no prune plan for a label the document lacks (index error %v)", err)
 	}
-	_, _, err = e.RunDiskContext(cancelAtPoll{context.Background(), new(atomic.Int32), 2}, db, DiskOpts{
-		AuxOut: filepath.Join(dir, "out.aux"),
-		Run:    rs,
-	})
+	members, opts = chained(e, "", filepath.Join(dir, "out.aux"), 0, DiskOpts{Run: rs})
+	_, _, _, err = RunDiskBatch(cancelAtPoll{context.Background(), new(atomic.Int32), 2}, db, members, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pruned run: error %v, want context.Canceled", err)
 	}
@@ -426,7 +422,7 @@ func TestWindowKernelEdges(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
 					aux0, aux1 := filepath.Join(dir, "pass0.aux"), filepath.Join(dir, "pass1.aux")
-					res, _, ds, err := NewEngine(cs[0], db.Names).asBatch(DiskOpts{AuxOut: aux0}).runDiskChunked(ctx, db, 4, tasks, width, true, plan)
+					res, _, ds, err := newDiskBatch(chained(NewEngine(cs[0], db.Names), "", aux0, 0, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, width, true, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -444,7 +440,7 @@ func TestWindowKernelEdges(t *testing.T) {
 						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
 					}
 					// The aux-reading pass never prunes.
-					res, _, _, err = NewEngine(cs[1], db.Names).asBatch(DiskOpts{AuxIn: aux0, AuxOut: aux1, AuxOutBit: 1}).runDiskChunked(ctx, db, 4, tasks, width, true, nil)
+					res, _, _, err = newDiskBatch(chained(NewEngine(cs[1], db.Names), aux0, aux1, 1, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, width, true, nil)
 					if err != nil {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}

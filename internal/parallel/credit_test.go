@@ -23,7 +23,14 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 	tr := testutil.RandomTree(rand.New(rand.NewSource(37)), 3000)
 	// Label[zz] holds nowhere, so every subtree but the root's is dead.
 	prog := tmnf.MustParse(`QUERY :- Label[zz];`)
-	ix := storage.BuildTreeIndex(tr, 0)
+	img, err := storage.OpenTree(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := img.Index(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := int64(tr.Len())
 
 	// A driver runs on the given engines, one per member.
@@ -43,7 +50,7 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, _, _, err = core.RunDiskBatchParallel(ctx, db, workers, members, core.DiskBatchOpts{Run: rs})
+			_, _, _, err = core.RunDiskBatchParallel(ctx, db, workers, members, core.DiskBatchOpts{DiskOpts: core.DiskOpts{Run: rs}})
 			return err
 		}
 	}

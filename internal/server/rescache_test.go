@@ -16,6 +16,7 @@ import (
 	"arb"
 	"arb/internal/server"
 	"arb/internal/storage"
+	"arb/internal/tree"
 )
 
 // TestServeResCacheHit drives the result-cache fast path over HTTP: the
@@ -25,7 +26,8 @@ import (
 // runs zero scans.
 func TestServeResCacheHit(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "full")
-	db, err := storage.CreateFullBinary(base, 12, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 12, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,8 @@ func TestServeResCacheHit(t *testing.T) {
 // and a Retry-After header, counted in /stats.
 func TestServeResCacheQueueLimit(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "full")
-	db, err := storage.CreateFullBinary(base, 10, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 10, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}

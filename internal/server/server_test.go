@@ -16,6 +16,7 @@ import (
 	"arb"
 	"arb/internal/server"
 	"arb/internal/storage"
+	"arb/internal/tree"
 )
 
 // postQuery sends one /query request and decodes the reply.
@@ -183,7 +184,8 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	base := filepath.Join(dir, "full")
 	// Depth 20: ~2.1M nodes, ~4.2MB — big enough that one scan pair takes
 	// long enough for a concurrent burst to pile up behind it.
-	db, err := storage.CreateFullBinary(base, 20, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 20, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,8 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 func TestServeOneScanRounds(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "full")
-	db, err := storage.CreateFullBinary(base, 16, []string{"a", "b", "c", "d"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 16, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +496,8 @@ func TestServeDeadline(t *testing.T) {
 	}
 	dir := t.TempDir()
 	base := filepath.Join(dir, "full")
-	db, err := storage.CreateFullBinary(base, 19, []string{"a", "b"})
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 19, "a", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 // reads a window's masks at the offset of the window's first node, in step
 // with the .arb scan, backwards in phase 1 and forwards in phase 2. A sidecar of
 // stride s holds, for every node in preorder, a vector of s big-endian
-// uint16 masks — stride 1 is the single-query chain of multi-pass XPath
-// evaluation, stride > 1 is the widened form batch execution uses to give
-// every member query its own slot in one shared file.
+// uint16 masks: one slot per multi-pass member of the batch whose rounds
+// chain through it (a scalar query is a batch of one, its sidecar of
+// stride 1).
 
 // MaskSize is the on-disk size of one auxiliary predicate mask.
 const MaskSize = 2

@@ -104,83 +104,105 @@ type CreateOpts struct {
 // temporary base.evt file; the second pass reads base.evt backwards while
 // writing base.arb backwards, which converts the unranked document into
 // its binary-tree encoding using a stack proportional to the *document*
-// depth (not to the potentially enormous sibling counts).
-func Create(base string, feed func(*EventWriter) error, opts CreateOpts) (*DB, *CreateStats, error) {
+// depth (not to the potentially enormous sibling counts). A failed
+// creation removes every file it wrote, base.evt included.
+func Create(base string, feed func(*EventWriter) error, opts CreateOpts) (db *DB, stats *CreateStats, err error) {
 	start := time.Now()
 	evtPath := base + ".evt"
-	arbPath := base + ".arb"
-	labPath := base + ".lab"
 
 	// Pass 1: stream events to disk.
 	evtF, err := os.Create(evtPath)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		evtF.Close()
+		if err == nil && opts.KeepEvt {
+			return
+		}
+		if rerr := os.Remove(evtPath); rerr != nil && err == nil {
+			db.Close()
+			db, stats, err = nil, nil, rerr
+		}
+	}()
 	ew := &EventWriter{w: bufio.NewWriterSize(evtF, defaultBufSize), names: tree.NewNames()}
 	if err := feed(ew); err != nil {
-		evtF.Close()
 		return nil, nil, err
 	}
 	if ew.err != nil {
-		evtF.Close()
 		return nil, nil, ew.err
 	}
 	if ew.depth != 0 {
-		evtF.Close()
 		return nil, nil, fmt.Errorf("storage: %d unclosed elements", ew.depth)
 	}
 	n := ew.stats.ElemNodes + ew.stats.CharNodes
 	if n == 0 {
-		evtF.Close()
 		return nil, nil, fmt.Errorf("storage: empty document")
 	}
 	if err := ew.w.Flush(); err != nil {
-		evtF.Close()
 		return nil, nil, err
 	}
 
 	// Pass 2: read events backwards, write .arb backwards.
-	if err := buildArbBackwards(evtF, n, arbPath); err != nil {
-		evtF.Close()
-		return nil, nil, err
-	}
-	evtF.Close()
-
-	// Write the label file.
-	labF, err := os.Create(labPath)
+	db, labBytes, err := create(base, ew.names, func(arbF *os.File) error {
+		return buildArbBackwards(evtF, n, arbF)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labBytes, err := ew.names.WriteTo(labF)
+	st := ew.stats
+	st.ArbBytes = n * NodeSize
+	st.EvtBytes = 2 * n * 2
+	st.LabBytes = labBytes
+	st.Tags = ew.names.Len()
+	st.Duration = time.Since(start)
+	return db, &st, nil
+}
+
+// create is the tail every creation path shares: write fills the fresh
+// base.arb, then create writes names to base.lab, opens the database and
+// persists its subtree chunk index (one backward pass over the fresh,
+// cached .arb), so parallel evaluation never needs an extra scan. It
+// returns the .lab size. A failure at any step removes the files create
+// made, so a failed creation leaves nothing behind.
+func create(base string, names *tree.Names, write func(arbF *os.File) error) (db *DB, labBytes int64, err error) {
+	arbPath, labPath := base+".arb", base+".lab"
+	arbF, err := os.Create(arbPath)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(arbPath)
+			os.Remove(labPath)
+		}
+	}()
+	err = write(arbF)
+	if err2 := arbF.Close(); err == nil {
+		err = err2
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	labF, err := os.Create(labPath)
+	if err != nil {
+		return nil, 0, err
+	}
+	labBytes, err = names.WriteTo(labF)
 	if err2 := labF.Close(); err == nil {
 		err = err2
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-
-	stats := ew.stats
-	stats.ArbBytes = n * NodeSize
-	stats.EvtBytes = 2 * n * 2
-	stats.LabBytes = labBytes
-	stats.Tags = ew.names.Len()
-	if !opts.KeepEvt {
-		if err := os.Remove(evtPath); err != nil {
-			return nil, nil, err
-		}
+	if db, err = Open(base); err != nil {
+		return nil, 0, err
 	}
-	db, err := Open(base)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Persist the subtree chunk index so parallel evaluation never needs
-	// an extra scan (one backward pass over the fresh, cached .arb).
-	if err := db.WriteIndex(nil, 0); err != nil {
+	if err = db.WriteIndex(nil, 0); err != nil {
 		db.Close()
-		return nil, nil, err
+		return nil, 0, err
 	}
-	stats.Duration = time.Since(start)
-	return db, &stats, nil
+	return db, labBytes, nil
 }
 
 // buildArbBackwards is the second creation pass. Reading the event stream
@@ -190,18 +212,13 @@ func Create(base string, feed func(*EventWriter) error, opts CreateOpts) (*DB, *
 // seen; when a node's begin event arrives, its own frame tells whether it
 // has a first child, and the parent frame — which has already seen any
 // *later* sibling — tells whether it has a second child.
-func buildArbBackwards(evtF *os.File, n int64, arbPath string) error {
+func buildArbBackwards(evtF *os.File, n int64, arbF *os.File) error {
 	evtSize := 4 * n
 	br, err := NewBackwardReader(evtF, evtSize, 2)
 	if err != nil {
 		return err
 	}
 	defer br.Release()
-	arbF, err := os.Create(arbPath)
-	if err != nil {
-		return err
-	}
-	defer arbF.Close()
 	if err := arbF.Truncate(n * NodeSize); err != nil {
 		return err
 	}
@@ -240,88 +257,42 @@ func buildArbBackwards(evtF *os.File, n int64, arbPath string) error {
 	return bw.Close()
 }
 
-// CreateFullBinary writes a full binary tree of the given depth as a
-// database, streaming the records straight to disk: a node at depth d
-// carries the tag tags[d%len(tags)], inner nodes have both children. The
-// tree has 2^(depth+1)-1 nodes, so depth 24 yields a ~64 MB .arb file —
-// the generator exists to make big-database experiments (shared-scan
-// batching, parallel speedups) reproducible without materialising the
-// tree in memory.
-func CreateFullBinary(base string, depth int, tags []string) (*DB, error) {
-	if depth < 0 || depth > 40 {
-		return nil, fmt.Errorf("storage: full binary depth %d out of range", depth)
-	}
-	if len(tags) == 0 {
-		return nil, fmt.Errorf("storage: need at least one tag")
-	}
-	names := tree.NewNames()
-	labels := make([]uint16, len(tags))
-	for i, tg := range tags {
-		l, err := names.Intern(tg)
-		if err != nil {
-			return nil, err
+// FullBinary is a CreateBinary feed of a full binary tree of the given
+// depth whose tags it interns into names (the table passed to
+// CreateBinary): a node at depth d carries the tag tags[d%len(tags)], inner
+// nodes have both children. The tree has 2^(depth+1)-1 nodes, so depth 24
+// yields a ~64 MB .arb file — the feed exists to make big-database
+// experiments (shared-scan batching, parallel speedups) reproducible
+// without materialising the tree in memory.
+func FullBinary(names *tree.Names, depth int, tags ...string) func(RecordSink) error {
+	return func(emit RecordSink) error {
+		if depth < 0 || depth > 40 {
+			return fmt.Errorf("storage: full binary depth %d out of range", depth)
 		}
-		labels[i] = uint16(l)
-	}
-	arbF, err := os.Create(base + ".arb")
-	if err != nil {
-		return nil, err
-	}
-	w := bufio.NewWriterSize(arbF, defaultBufSize)
-	// Precompute the two record encodings per depth level; the preorder
-	// emission is then a plain recursion of the tree's depth.
-	inner := make([][2]byte, depth+1)
-	leaf := make([][2]byte, depth+1)
-	for d := 0; d <= depth; d++ {
-		binary.BigEndian.PutUint16(inner[d][:], Record{Label: labels[d%len(labels)], HasFirst: true, HasSecond: true}.Encode())
-		binary.BigEndian.PutUint16(leaf[d][:], Record{Label: labels[d%len(labels)]}.Encode())
-	}
-	var werr error
-	var emit func(d int)
-	emit = func(d int) {
-		if werr != nil {
-			return
+		if len(tags) == 0 {
+			return fmt.Errorf("storage: need at least one tag")
 		}
-		if d == depth {
-			_, werr = w.Write(leaf[d][:])
-			return
+		labels := make([]tree.Label, len(tags))
+		for i, tg := range tags {
+			l, err := names.Intern(tg)
+			if err != nil {
+				return err
+			}
+			labels[i] = l
 		}
-		if _, werr = w.Write(inner[d][:]); werr != nil {
-			return
+		var node func(d int) error
+		node = func(d int) error {
+			inner := d < depth
+			if err := emit(labels[d%len(labels)], inner, inner); err != nil || !inner {
+				return err
+			}
+			if err := node(d + 1); err != nil {
+				return err
+			}
+			return node(d + 1)
 		}
-		emit(d + 1)
-		emit(d + 1)
+		return node(0)
 	}
-	emit(0)
-	if werr == nil {
-		werr = w.Flush()
-	}
-	if err := arbF.Close(); werr == nil {
-		werr = err
-	}
-	if werr != nil {
-		return nil, werr
-	}
-	labF, err := os.Create(base + ".lab")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := names.WriteTo(labF); err != nil {
-		labF.Close()
-		return nil, err
-	}
-	if err := labF.Close(); err != nil {
-		return nil, err
-	}
-	db, err := Open(base)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.WriteIndex(nil, 0); err != nil {
-		db.Close()
-		return nil, err
-	}
-	return db, nil
 }
 
 // treeImage encodes a tree's records in preorder, checking on the way that
@@ -365,27 +336,9 @@ func CreateFromTree(base string, t *tree.Tree) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(base+".arb", img, 0o666); err != nil {
-		return nil, err
-	}
-	labF, err := os.Create(base + ".lab")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := t.Names().WriteTo(labF); err != nil {
-		labF.Close()
-		return nil, err
-	}
-	if err := labF.Close(); err != nil {
-		return nil, err
-	}
-	db, err := Open(base)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.WriteIndex(nil, 0); err != nil {
-		db.Close()
-		return nil, err
-	}
-	return db, nil
+	db, _, err := create(base, t.Names(), func(arbF *os.File) error {
+		_, err := arbF.Write(img)
+		return err
+	})
+	return db, err
 }

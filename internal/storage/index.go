@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-
-	"arb/internal/tree"
 )
 
 // Extent is a contiguous preorder node range [Root, Root+Size) of the
@@ -83,127 +81,48 @@ type idxNode struct {
 	sig  LabelSig
 }
 
-// indexBuilder accumulates the budget largest subtrees of a bottom-up
-// fold, shared by the disk (BuildIndex) and in-memory (BuildTreeIndex)
-// builders.
-type indexBuilder struct {
-	h      entryHeap
-	budget int
-}
-
-func newIndexBuilder(budget int) *indexBuilder {
-	if budget <= 0 {
-		budget = DefaultIndexBudget
-	}
-	return &indexBuilder{h: make(entryHeap, 0, budget), budget: budget}
-}
-
-// node folds one node: first/second are the child states (nil if absent),
-// rec carries the node's label, v its preorder index.
-func (b *indexBuilder) node(first, second *idxNode, label uint16, v int64) idxNode {
-	n := idxNode{size: 1}
-	n.sig.Add(label)
-	var firstSize int64
-	if first != nil {
-		n.size += first.size
-		firstSize = first.size
-		n.sig.Or(first.sig)
-	}
-	if second != nil {
-		n.size += second.size
-		n.sig.Or(second.sig)
-	}
-	// Almost no node can enter a full heap, so test against its minimum
-	// before touching it, and replace the minimum in place otherwise. (Among
-	// subtrees of the minimum size, which ones are kept is arbitrary.)
-	switch {
-	case len(b.h) < b.budget:
-		heap.Push(&b.h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
-	case n.size > b.h[0].Size:
-		b.h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig}
-		heap.Fix(&b.h, 0)
-	}
-	return n
-}
-
-func (b *indexBuilder) finish(n int64) *SubtreeIndex {
-	entries := []IndexEntry(b.h)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].V < entries[j].V })
-	return newIndex(n, entries)
-}
-
 // BuildIndex scans the database backwards once (stack bounded by the
 // document depth, as in Proposition 5.1) and returns the index of its up
 // to budget largest subtrees, each with its label signature. budget <= 0
 // selects DefaultIndexBudget. A nil ctx (the contextless creation paths)
 // never cancels.
 func BuildIndex(ctx context.Context, db *DB, budget int) (*SubtreeIndex, error) {
-	b := newIndexBuilder(budget)
+	if budget <= 0 {
+		budget = DefaultIndexBudget
+	}
+	h := make(entryHeap, 0, budget)
 	_, _, err := FoldBottomUp(ctx, db, func(first, second *idxNode, rec Record, v int64) idxNode {
-		return b.node(first, second, rec.Label, v)
+		n := idxNode{size: 1}
+		n.sig.Add(rec.Label)
+		var firstSize int64
+		if first != nil {
+			n.size += first.size
+			firstSize = first.size
+			n.sig.Or(first.sig)
+		}
+		if second != nil {
+			n.size += second.size
+			n.sig.Or(second.sig)
+		}
+		// Almost no node can enter a full heap, so test against its minimum
+		// before touching it, and replace the minimum in place otherwise.
+		// (Among subtrees of the minimum size, which ones are kept is
+		// arbitrary.)
+		switch {
+		case len(h) < budget:
+			heap.Push(&h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
+		case n.size > h[0].Size:
+			h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig}
+			heap.Fix(&h, 0)
+		}
+		return n
 	})
 	if err != nil {
 		return nil, err
 	}
-	return b.finish(db.N), nil
-}
-
-// BuildTreeIndex builds a subtree index (with label signatures) over an
-// in-memory tree, provided the tree is laid out in preorder — node v's
-// first child, if any, is v+1, and subtrees are contiguous index ranges.
-// Trees built by the XML parser and the workload generators are always in
-// preorder; for anything else (or an empty tree) BuildTreeIndex returns
-// nil, and callers simply evaluate without pruning. budget <= 0 selects
-// DefaultIndexBudget.
-func BuildTreeIndex(t *tree.Tree, budget int) *SubtreeIndex {
-	n := t.Len()
-	if n == 0 {
-		return nil
-	}
-	b := newIndexBuilder(budget)
-	// Descending index order is reverse preorder for a preorder-laid-out
-	// tree, so a result stack bounded by the document depth suffices —
-	// the in-memory mirror of the backward disk scan. The pop discipline
-	// doubles as the layout check.
-	type frame struct {
-		root int64
-		n    idxNode
-	}
-	var stack []frame
-	for v := int64(n) - 1; v >= 0; v-- {
-		id := tree.NodeID(v)
-		// Pop order: the first child's subtree directly follows v, so its
-		// frame is on top of the stack; the second child's frame is below.
-		var first, second *idxNode
-		if c := t.First(id); c != tree.None {
-			if int64(c) != v+1 || len(stack) == 0 {
-				return nil // not preorder-contiguous
-			}
-			top := stack[len(stack)-1]
-			if int64(c) != top.root {
-				return nil
-			}
-			first = &top.n
-			stack = stack[:len(stack)-1]
-		}
-		if c := t.Second(id); c != tree.None {
-			if len(stack) == 0 {
-				return nil
-			}
-			top := stack[len(stack)-1]
-			if int64(c) != top.root {
-				return nil
-			}
-			second = &top.n
-			stack = stack[:len(stack)-1]
-		}
-		nd := b.node(first, second, uint16(t.Label(id)), v)
-		stack = append(stack, frame{root: v, n: nd})
-	}
-	if len(stack) != 1 || stack[0].root != 0 {
-		return nil
-	}
-	return b.finish(int64(n))
+	entries := []IndexEntry(h)
+	sort.Slice(entries, func(i, j int) bool { return entries[i].V < entries[j].V })
+	return newIndex(db.N, entries), nil
 }
 
 // NewIndex builds a validated index from explicit entries, sorted by

@@ -81,8 +81,8 @@ func TestBuildIndexBudgetKeepsHeaviestClosedUnderParents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The database's own tree is laid out in preorder, which
-		// BuildTreeIndex needs and whose node ids the disk index shares.
+		// The database's own tree is laid out in preorder, which its
+		// record image needs and whose node ids the disk index shares.
 		if tr, err = db.ReadTree(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,15 @@ func TestBuildIndexBudgetKeepsHeaviestClosedUnderParents(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, ix := range map[string]*SubtreeIndex{"disk": disk, "tree": BuildTreeIndex(tr, budget)} {
+			img, err := OpenTree(tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			image, err := img.Index(ctx, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, ix := range map[string]*SubtreeIndex{"disk": disk, "tree": image} {
 				if ix == nil {
 					t.Fatalf("iter %d, %s index: not built", iter, name)
 				}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"arb/internal/testutil"
@@ -126,9 +127,9 @@ func TestPruneStaleV1IndexRebuilt(t *testing.T) {
 	}
 }
 
-// TestPruneTreeIndexMatchesDiskIndex checks that the in-memory tree
-// index agrees entry-for-entry with the disk-built index of the same
-// document, and that non-preorder trees are refused.
+// TestPruneTreeIndexMatchesDiskIndex checks that the index of a tree's
+// record image (OpenTree) agrees entry-for-entry with the disk-built index
+// of the same document, and that non-preorder trees are refused.
 func TestPruneTreeIndexMatchesDiskIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 10; iter++ {
@@ -143,9 +144,13 @@ func TestPruneTreeIndexMatchesDiskIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := BuildTreeIndex(tr, 512)
-		if got == nil {
-			t.Fatalf("iter %d: preorder tree refused", iter)
+		img, err := OpenTree(tr, nil)
+		if err != nil {
+			t.Fatalf("iter %d: preorder tree refused: %v", iter, err)
+		}
+		got, err := img.Index(context.Background(), 512)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got.N != want.N || got.Len() != want.Len() {
 			t.Fatalf("iter %d: tree index %d entries/%d nodes, disk %d/%d", iter, got.Len(), got.N, want.Len(), want.N)
@@ -158,15 +163,15 @@ func TestPruneTreeIndexMatchesDiskIndex(t *testing.T) {
 	}
 
 	// A tree that is not laid out in preorder must be refused, not
-	// mis-indexed.
+	// mis-indexed: its record image does not open.
 	bad := tree.New(tree.NewNames())
 	r := bad.AddNode(300)
 	c1 := bad.AddNode(301)
 	c2 := bad.AddNode(302)
 	bad.SetFirst(r, c2) // first child is node 2: not preorder
 	bad.SetSecond(r, c1)
-	if ix := BuildTreeIndex(bad, 0); ix != nil {
-		t.Fatal("non-preorder tree produced an index")
+	if _, err := OpenTree(bad, nil); err == nil || !strings.Contains(err.Error(), "preorder") {
+		t.Fatalf("non-preorder tree opened with error %v, want one naming preorder", err)
 	}
 }
 

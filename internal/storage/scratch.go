@@ -109,10 +109,10 @@ func (db *DB) RemoveScratch(name string) error {
 }
 
 // ScratchDir creates a private directory for one execution's scratch files
-// — under dir, or next to the database when dir is empty — and returns it
-// with the function that removes it and everything in it. A database in
-// RAM hands out a fresh name prefix instead.
-func (db *DB) ScratchDir(dir string) (string, func(), error) {
+// next to the database and returns it with the function that removes it
+// and everything in it. A database in RAM hands out a fresh name prefix
+// instead.
+func (db *DB) ScratchDir() (string, func(), error) {
 	if m := db.mem; m != nil {
 		m.mu.Lock()
 		m.dirs++
@@ -128,10 +128,7 @@ func (db *DB) ScratchDir(dir string) (string, func(), error) {
 			}
 		}, nil
 	}
-	if dir == "" {
-		dir = filepath.Dir(db.Base)
-	}
-	tmp, err := os.MkdirTemp(dir, "arb-aux-*")
+	tmp, err := os.MkdirTemp(filepath.Dir(db.Base), "arb-aux-*")
 	if err != nil {
 		return "", nil, err
 	}

@@ -166,6 +166,12 @@ func TestCreateErrors(t *testing.T) {
 	cases := map[string]func(*EventWriter) error{
 		"empty":      func(ew *EventWriter) error { return nil },
 		"unbalanced": func(ew *EventWriter) error { return ew.Begin("a") },
+		"feed-error": func(ew *EventWriter) error {
+			if err := ew.Begin("a"); err != nil {
+				return err
+			}
+			return fmt.Errorf("the parser failed")
+		},
 		"extra-end": func(ew *EventWriter) error {
 			if err := ew.Begin("a"); err != nil {
 				return err
@@ -180,6 +186,19 @@ func TestCreateErrors(t *testing.T) {
 		if _, _, err := Create(filepath.Join(dir, name), feed, CreateOpts{}); err == nil {
 			t.Errorf("%s: Create succeeded, want error", name)
 		}
+		assertEmptyDir(t, dir, name)
+	}
+}
+
+// assertEmptyDir fails if a failed creation left any file in dir.
+func assertEmptyDir(t *testing.T, dir, label string) {
+	t.Helper()
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range left {
+		t.Errorf("%s: failed creation left %s behind", label, f.Name())
 	}
 }
 
@@ -402,6 +421,50 @@ func TestCreateBinaryValidation(t *testing.T) {
 	for name, feed := range bad {
 		if _, err := CreateBinary(filepath.Join(dir, name), tree.NewNames(), feed); err == nil {
 			t.Errorf("%s: CreateBinary succeeded, want error", name)
+		}
+		assertEmptyDir(t, dir, name)
+	}
+
+	// The full binary feed writes the same .arb and .lab bytes as
+	// CreateFromTree of the same tree built in memory.
+	const depth = 5
+	tags := []string{"a", "b", "c"}
+	tr := tree.New(nil)
+	var build func(d int) tree.NodeID
+	build = func(d int) tree.NodeID {
+		v := tr.AddNode(tr.Names().MustIntern(tags[d%len(tags)]))
+		if d < depth {
+			tr.SetFirst(v, build(d+1))
+			tr.SetSecond(v, build(d+1))
+		}
+		return v
+	}
+	build(0)
+	names := tree.NewNames()
+	fb, err := CreateBinary(filepath.Join(dir, "feed"), names, FullBinary(names, depth, tags...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	ft, err := CreateFromTree(filepath.Join(dir, "tree"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ft.Close()
+	if fb.N != 1<<(depth+1)-1 {
+		t.Fatalf("full binary tree of depth %d has %d nodes", depth, fb.N)
+	}
+	for _, ext := range []string{".arb", ".lab"} {
+		got, err := os.ReadFile(filepath.Join(dir, "feed"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(dir, "tree"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the full binary feed wrote %d bytes that differ from CreateFromTree's %d", ext, len(got), len(want))
 		}
 	}
 }

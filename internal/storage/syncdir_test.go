@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"arb/internal/tree"
 )
 
 // withSyncDirHooks swaps the directory-sync test hooks for the duration
@@ -38,7 +40,8 @@ func TestSyncDirRunsOnCommitPaths(t *testing.T) {
 
 	dir := t.TempDir()
 	base := filepath.Join(dir, "db")
-	db, err := CreateFullBinary(base, 8, []string{"a", "b"})
+	names := tree.NewNames()
+	db, err := CreateBinary(base, names, FullBinary(names, 8, "a", "b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,8 @@ func TestSyncDirRunsOnCommitPaths(t *testing.T) {
 func TestSyncDirFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "db")
-	db, err := CreateFullBinary(base, 6, []string{"a"})
+	names := tree.NewNames()
+	db, err := CreateBinary(base, names, FullBinary(names, 6, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +108,8 @@ func TestSyncDirToleratesUnsupportedFsync(t *testing.T) {
 
 	dir := t.TempDir()
 	base := filepath.Join(dir, "db")
-	db, err := CreateFullBinary(base, 6, []string{"a"})
+	names := tree.NewNames()
+	db, err := CreateBinary(base, names, FullBinary(names, 6, "a"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -93,17 +94,23 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.Bat
 }
 
 // ExecDisk evaluates the whole batch over a .arb database, in secondary
-// storage or over a tree's record image in RAM. Every round is one shared
-// pass for all active members: they step in lanes sharing product automata
-// (core.RunDiskBatch), whose phase-1 states share one temporary state file
-// — unless the bottom-up pass decides every lane's selections, and the
-// round is one scan with no state file — and multi-pass members chain
-// their aux masks through one widened sidecar with a slot per member. So a
-// batch of single-pass queries costs at most two linear scans of the data
-// in aggregate, however many queries it holds. Cancelling ctx aborts the scan in progress and
-// removes every temporary file. opts.KeepStates and opts.MarkTo do not
-// apply to batches and are ignored.
+// storage or over a tree's record image in RAM. It is the one pass
+// scheduler: every round is one shared pass for all active members, which
+// step in lanes sharing product automata (core.RunDiskBatchParallel) whose
+// phase-1 states share one temporary state file — unless the bottom-up
+// pass decides every lane's selections, and the round is one scan with no
+// state file — and multi-pass members chain their aux masks through one
+// widened sidecar with a slot per member. So a batch of single-pass
+// queries costs at most two linear scans of the data in aggregate, however
+// many queries it holds, and a scalar execution (Prepared.ExecDisk) is a
+// batch of one. opts.KeepStates, opts.MarkTo and opts.MarkQuery apply to
+// the main pass of a batch of one member and are rejected for larger
+// batches. Cancelling ctx aborts the scan in progress and removes every
+// temporary file.
 func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]*core.Result, ExecStats, error) {
+	if len(b.members) > 1 && (opts.KeepStates || opts.MarkTo != nil) {
+		return nil, ExecStats{}, errors.New("xpath: KeepStates and MarkTo need a batch of one member")
+	}
 	rounds := b.Rounds()
 	es := ExecStats{Passes: rounds}
 	results := make([]*core.Result, len(b.members))
@@ -111,12 +118,14 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 	err := statsDelta(&es, func(rs *core.RunStats) error {
 		var tmp string
 		if stride > 0 {
-			// A private scratch directory per execution, removed on
-			// success, failure and cancellation alike (cf.
-			// Prepared.ExecDisk).
+			// A private scratch directory per execution: concurrent
+			// executions sharing a database directory must not clobber each
+			// other's sidecars. Removing it afterwards — on success, failure
+			// and cancellation alike — is what keeps cancelled multi-pass
+			// executions from leaking them.
 			var remove func()
 			var err error
-			if tmp, remove, err = db.ScratchDir(opts.AuxDir); err != nil {
+			if tmp, remove, err = db.ScratchDir(); err != nil {
 				return err
 			}
 			defer remove()
@@ -124,7 +133,12 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 		auxIn := ""
 		for r := 0; r < rounds; r++ {
 			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != "")
-			dopts := core.DiskBatchOpts{AuxIn: auxIn, NoPrune: opts.NoPrune, Run: rs}
+			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, AuxIn: auxIn}
+			if r == rounds-1 {
+				// The main pass of a batch of one (larger batches were
+				// rejected above with these options set).
+				dopts.KeepStateFile, dopts.MarkTo, dopts.MarkQuery = opts.KeepStates, opts.MarkTo, opts.MarkQuery
+			}
 			if auxIn != "" {
 				dopts.AuxInStride = stride
 			}
@@ -132,15 +146,16 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 				dopts.AuxOut = filepath.Join(tmp, fmt.Sprintf("round%d.aux", r))
 				dopts.AuxOutStride = stride
 			}
-			rres, agg, ds, err := core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
-			if err != nil {
-				return fmt.Errorf("xpath: batch round %d: %w", r, err)
-			}
+			rres, _, ds, err := core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
 			if ds != nil {
 				es.Disk.Merge(*ds)
 			}
-			es.Engine.Phase1Time += agg.Phase1Time
-			es.Engine.Phase2Time += agg.Phase2Time
+			if err != nil {
+				if rounds > 1 {
+					err = fmt.Errorf("xpath: round %d: %w", r, err)
+				}
+				return err
+			}
 			for j, res := range rres {
 				i := idx[j]
 				if r == b.members[i].Passes()-1 {

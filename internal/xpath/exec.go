@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
 	"runtime"
 
 	"arb/internal/core"
@@ -110,12 +109,6 @@ type ExecOpts struct {
 	// that pass run with an empty frontier, whatever Workers says.
 	MarkTo    io.Writer
 	MarkQuery int
-	// AuxDir is where disk executions place the temporary aux-mask
-	// sidecar files chaining the passes; empty means next to the
-	// database. Each execution uses a private subdirectory, removed when
-	// the execution finishes, fails, or is cancelled. Executions over a
-	// tree's record image keep their sidecars in RAM and ignore it.
-	AuxDir string
 	// NoPrune disables selectivity-aware scan pruning on every pass.
 	NoPrune bool
 }
@@ -147,63 +140,16 @@ func statsDelta(es *ExecStats, f func(rs *core.RunStats) error) error {
 }
 
 // ExecDisk evaluates the prepared query over a .arb database — in
-// secondary storage, or over a tree's record image in RAM: each auxiliary
-// pass runs as two linear scans whose phase 2 streams an updated
-// 2-byte-per-node aux-mask sidecar, which the next pass reads alongside the
-// database; the main pass returns the unified result. Cancelling ctx
-// aborts the scan in progress with ctx.Err() and removes every temporary
-// sidecar the execution created.
+// secondary storage, or over a tree's record image in RAM — as a batch of
+// one (Batch.ExecDisk): each auxiliary pass is one round of two linear
+// scans whose phase 2 streams an updated aux-mask sidecar, which the next
+// round reads alongside the database; the main pass returns the unified
+// result. Cancelling ctx aborts the scan in progress with ctx.Err() and
+// removes every temporary sidecar the execution created.
 func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) (*core.Result, ExecStats, error) {
-	es := ExecStats{Passes: p.Passes()}
-	var res *core.Result
-	err := statsDelta(&es, func(rs *core.RunStats) error {
-		runPass := func(e *core.Engine, do core.DiskOpts) (*core.Result, error) {
-			do.Run = rs
-			r, ds, err := e.RunDiskParallelContext(ctx, db, opts.Workers, do)
-			if ds != nil {
-				es.Disk.Merge(*ds)
-			}
-			return r, err
-		}
-		var auxIn string
-		if len(p.aux) > 0 {
-			// A private scratch directory per execution: concurrent queries
-			// sharing a database directory must not clobber each other's
-			// sidecar files. Removing it afterwards — on success, failure
-			// and cancellation alike — is what keeps cancelled multi-pass
-			// executions from leaking sidecars.
-			tmp, remove, err := db.ScratchDir(opts.AuxDir)
-			if err != nil {
-				return err
-			}
-			defer remove()
-			for k, e := range p.aux {
-				auxOut := filepath.Join(tmp, fmt.Sprintf("pass%d.aux", k))
-				_, err := runPass(e, core.DiskOpts{
-					AuxIn:     auxIn,
-					AuxOut:    auxOut,
-					AuxOutBit: uint8(k),
-					NoPrune:   opts.NoPrune,
-					// Each pass has exactly one query predicate, index 0.
-				})
-				if err != nil {
-					return fmt.Errorf("xpath: pass %d: %w", k, err)
-				}
-				auxIn = auxOut
-			}
-		}
-		var err error
-		res, err = runPass(p.main, core.DiskOpts{
-			AuxIn:         auxIn,
-			KeepStateFile: opts.KeepStates,
-			MarkTo:        opts.MarkTo,
-			MarkQuery:     opts.MarkQuery,
-			NoPrune:       opts.NoPrune,
-		})
-		return err
-	})
+	res, es, err := NewBatch([]*Prepared{p}).ExecDisk(ctx, db, opts)
 	if err != nil {
 		return nil, es, err
 	}
-	return res, es, nil
+	return res[0], es, nil
 }

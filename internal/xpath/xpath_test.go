@@ -32,7 +32,7 @@ func evalTree(q *Query, tr *tree.Tree) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := execDisk(q, db, "", 1)
+	res, err := execDisk(q, db, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -45,13 +45,13 @@ func evalTree(q *Query, tr *tree.Tree) ([]bool, error) {
 }
 
 // execDisk prepares the query against db's names and executes every pass
-// with the given workers (0 = all CPUs), aux sidecars under dir.
-func execDisk(q *Query, db *storage.DB, dir string, workers int) (*core.Result, error) {
+// with the given workers (0 = all CPUs).
+func execDisk(q *Query, db *storage.DB, workers int) (*core.Result, error) {
 	p, err := q.Prepare(db.Names)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: ResolveWorkers(workers), AuxDir: dir})
+	res, _, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: ResolveWorkers(workers)})
 	return res, err
 }
 
@@ -422,7 +422,7 @@ func TestEvalDiskMatchesEval(t *testing.T) {
 		}
 		want := selected(NewInterp(tr).Eval(q.Path))
 		for _, workers := range []int{1, 3} {
-			res, err := execDisk(q, db, dir, workers)
+			res, err := execDisk(q, db, workers)
 			if err != nil {
 				t.Fatalf("ExecDisk(%q, workers=%d): %v", qs, workers, err)
 			}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"arb/internal/core"
 	"arb/internal/rescache"
 	"arb/internal/storage"
 	"arb/internal/tree"
@@ -506,21 +505,6 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 			return nil, nil, fmt.Errorf("arb: MarkQuery %d out of range (the query defines %d predicates)", opts.MarkQuery, nq)
 		}
 	}
-	workers := opts.Workers
-	switch {
-	case workers < 0:
-		workers = xpath.ResolveWorkers(0)
-	case workers == 0:
-		workers = 1
-	}
-	xopts := xpath.ExecOpts{
-		Workers:    workers,
-		KeepStates: opts.KeepStates,
-		MarkTo:     opts.MarkTo,
-		MarkQuery:  opts.MarkQuery,
-		NoPrune:    opts.NoPrune,
-	}
-
 	db, names, version, release, err := q.s.acquire()
 	defer release()
 	if err != nil {
@@ -532,25 +516,16 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 	}
 
 	start := time.Now()
-	// Result cache: look up at the pinned version before scanning, and
-	// publish on clean completion. Marked-output and kept-state
-	// executions bypass the cache entirely — their side effects are the
-	// point, and a cached Result carries neither.
-	rc := q.s.rc
-	useCache := opts.ResultCache && rc != nil && opts.MarkTo == nil && !opts.KeepStates
-	useCache = useCache && db.N < rescache.MaxNodes
-	var key string
-	var sum *core.SelSummary
+	// Result cache: look up at the pinned version before scanning (exec
+	// publishes on clean completion).
 	cacheKind := ""
-	if useCache {
-		key = q.cacheKey()
-		sum = p.Summary()
-		if res, kind := rc.Lookup(key, version, sum, p.Program(), db.N); kind != rescache.Miss {
+	if q.s.cached(opts, db) {
+		if res, kind := q.s.rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), db.N); kind != rescache.Miss {
 			if !opts.Stats {
 				return res, nil, nil
 			}
 			return res, &Profile{
-				Workers:     workers,
+				Workers:     resolveWorkers(opts.Workers),
 				Version:     version,
 				Duration:    time.Since(start),
 				ResultCache: kind.String(),
@@ -558,17 +533,61 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 		}
 		cacheKind = rescache.Miss.String()
 	}
-
-	res, es, err := p.ExecDisk(ctx, db, xopts)
+	res, prof, err := q.s.exec(ctx, db, version, []*PreparedQuery{q}, []*xpath.Prepared{p}, opts, start, cacheKind)
 	if err != nil {
 		return nil, nil, err
 	}
-	if useCache {
-		var ids []uint64
-		if sum != nil {
-			ids = packIDs(res, p.Queries(), db, rc.IDBudget())
+	return res[0], prof, nil
+}
+
+// resolveWorkers maps ExecOpts.Workers to the worker count an execution
+// dispatches with: 0 and 1 run sequentially, a negative request uses all
+// CPUs.
+func resolveWorkers(n int) int {
+	if n < 0 {
+		return xpath.ResolveWorkers(0)
+	}
+	return max(n, 1)
+}
+
+// cached reports whether an execution with opts over db takes part in the
+// session's result cache. Marked-output and kept-state executions bypass
+// it — their side effects are the point, and a cached Result carries
+// neither.
+func (s *Session) cached(opts ExecOpts, db *storage.DB) bool {
+	return opts.ResultCache && s.rc != nil && opts.MarkTo == nil && !opts.KeepStates && db.N < rescache.MaxNodes
+}
+
+// exec is the one Exec body of PreparedQuery and PreparedBatch, run once
+// the snapshot (db at version) is pinned and the members are compiled (ps,
+// of the handles qs): it runs them as one xpath batch — a scalar query is
+// a batch of one — and publishes every member's completed result at the
+// pinned version when the execution takes part in the result cache, so a
+// coalesced server batch warms the cache for all the queries it carried
+// (lookups stay with the scalar path: servers check TryCached before
+// coalescing). The Profile times the execution from start and reports
+// cacheKind as its ResultCache.
+func (s *Session) exec(ctx context.Context, db *storage.DB, version uint64, qs []*PreparedQuery, ps []*xpath.Prepared, opts ExecOpts, start time.Time, cacheKind string) ([]*Result, *Profile, error) {
+	workers := resolveWorkers(opts.Workers)
+	res, es, err := xpath.NewBatch(ps).ExecDisk(ctx, db, xpath.ExecOpts{
+		Workers:    workers,
+		KeepStates: opts.KeepStates,
+		MarkTo:     opts.MarkTo,
+		MarkQuery:  opts.MarkQuery,
+		NoPrune:    opts.NoPrune,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.cached(opts, db) {
+		for i, q := range qs {
+			sum := ps[i].Summary()
+			var ids []uint64
+			if sum != nil {
+				ids = packIDs(res[i], ps[i].Queries(), db, s.rc.IDBudget())
+			}
+			s.rc.Put(q.cacheKey(), version, res[i], sum, ids)
 		}
-		rc.Put(key, version, res, sum, ids)
 	}
 	if !opts.Stats {
 		return res, nil, nil
@@ -727,15 +746,6 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 	if opts.KeepStates {
 		return nil, nil, fmt.Errorf("arb: KeepStates is not supported for batch execution")
 	}
-	workers := opts.Workers
-	switch {
-	case workers < 0:
-		workers = xpath.ResolveWorkers(0)
-	case workers == 0:
-		workers = 1
-	}
-	xopts := xpath.ExecOpts{Workers: workers, NoPrune: opts.NoPrune}
-
 	// One snapshot serves the whole batch: every member scans the same
 	// version, and coalesced server batches inherit that consistency.
 	db, names, version, release, err := b.s.acquire()
@@ -745,42 +755,11 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 	}
 	members := make([]*xpath.Prepared, len(b.members))
 	for i, m := range b.members {
-		p, err := m.prepared(names)
-		if err != nil {
+		if members[i], err = m.prepared(names); err != nil {
 			return nil, nil, err
 		}
-		members[i] = p
 	}
-	start := time.Now()
-	res, es, err := xpath.NewBatch(members).ExecDisk(ctx, db, xopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Publish every member's completed result at the batch's pinned
-	// version — a coalesced server batch warms the cache for all the
-	// queries it carried. Lookups stay with the scalar path (servers
-	// check TryCached before coalescing).
-	if rc := b.s.rc; opts.ResultCache && rc != nil && db.N < rescache.MaxNodes {
-		for i, m := range b.members {
-			sum := members[i].Summary()
-			var ids []uint64
-			if sum != nil {
-				ids = packIDs(res[i], members[i].Queries(), db, rc.IDBudget())
-			}
-			rc.Put(m.cacheKey(), version, res[i], sum, ids)
-		}
-	}
-	if !opts.Stats {
-		return res, nil, nil
-	}
-	return res, &Profile{
-		Engine:   es.Engine,
-		Disk:     es.Disk,
-		Passes:   es.Passes,
-		Workers:  workers,
-		Version:  version,
-		Duration: time.Since(start),
-	}, nil
+	return b.s.exec(ctx, db, version, b.members, members, opts, time.Now(), "")
 }
 
 // Count executes the batch sequentially and returns, per member, how
