@@ -141,7 +141,6 @@ package arb
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"arb/internal/core"
@@ -241,25 +240,17 @@ func OpenDB(base string) (*DB, error) { return storage.Open(base) }
 type CompressionInfo = storage.ContainerInfo
 
 // CodecName returns the human-readable name of a CompressionInfo codec
-// ("raw", "lz", "flate").
+// ("raw" or "lz").
 func CodecName(codec uint8) string { return storage.CodecName(codec) }
 
 // CompressDB rewrites base.arb in place as a block-compressed container
-// (format v3), replacing it atomically and refreshing the .idx sidecar.
-// codec is "lz" (the built-in LZ codec, fastest decode — the default
-// for an empty string), "flate" (stdlib DEFLATE, tighter, slower);
-// blockSize 0 selects the default extent size. Every reader opened
-// afterwards — including old handles' snapshots in the versioned store
-// — sees identical records; only the physical layout changes.
-func CompressDB(base string, codec string, blockSize int) (CompressionInfo, error) {
-	c, err := storage.ParseCodec(codec)
-	if err != nil {
-		return CompressionInfo{}, err
-	}
-	if c == storage.CodecRaw {
-		return CompressionInfo{}, fmt.Errorf("arb: CompressDB with codec raw is a no-op; databases are created raw")
-	}
-	return storage.CompressInPlace(base, c, blockSize)
+// (format v3) with the built-in LZ codec, replacing it atomically;
+// blockSize 0 selects the default extent size. The .idx sidecar stays
+// valid, since compression moves no node. Every reader opened afterwards
+// — including old handles' snapshots in the versioned store — sees
+// identical records; only the physical layout changes.
+func CompressDB(base string, blockSize int) (CompressionInfo, error) {
+	return storage.CompressInPlace(base, storage.CodecLZ, blockSize)
 }
 
 // EmitXML writes the database back out as XML, wrapping the nodes for

@@ -90,6 +90,20 @@ if grep -rln '//arblint:shims' --include='*.go' . >&2; then
     exit 1
 fi
 
+# One codec, one .idx format, one subtree-index fold: the record stream
+# is LZ-compressed or raw, the .idx sidecar is v2 for both (compression
+# moves no node), and vstore's fragments are indexed by storage.BuildIndex.
+# The DEFLATE codec, the v3 sidecar with its container descriptor and
+# vstore's private index heap are gone. Keep them gone.
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep 'compress/flate' >&2; then
+    echo "non-test code imports compress/flate: LZ is the one codec" >&2
+    exit 1
+fi
+if grep -rnE '\b(CodecFlate|ParseCodec|indexMagicV3|ReadIndexFileInfo|containerDesc|entryMinHeap)\b' --include='*.go' . >&2; then
+    echo "flate, the v3 sidecar or vstore's private index fold is back" >&2
+    exit 1
+fi
+
 # Repo-specific invariants: context threading, lock discipline, temp
 # cleanup, reader Close/Release, snapshot-pin release, atomic/plain
 # access mixing, goroutine termination, and lock ordering — the full
@@ -213,6 +227,9 @@ go test -run Serve -race ./...
 # byte-at-a-time oracle, and the block cache's prefix decoding; then a
 # bounded fuzz of the decoder.
 go test -run 'Compress|SyncDir|LZ|BlockSource' -race ./...
+# Corrupt counts in the .idx sidecar and the .arbm manifest are rejected
+# before they are allocated.
+go test -run 'CountBoundsAlloc' -race ./internal/storage ./internal/vstore
 go test -run '^$' -fuzz FuzzLZDecompress -fuzztime 10s ./internal/storage
 go test -run '^$' -fuzz FuzzOpenContainer -fuzztime 10s -fuzzminimizetime 100x ./internal/storage
 # The versioned extent store: manifest fuzz seeds, the vstore and

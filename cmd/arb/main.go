@@ -130,7 +130,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  arb create <base> [-compress] [-codec lz|flate] [-blocksize N] [file.xml]
+  arb create <base> [-compress] [-blocksize N] [file.xml]
   arb query  <base> (-q <program> | -f <program.tmnf> | -xpath <expr>) [-count|-ids|-mark] [-j N] [-timeout d] [-noprune] [-rescache SIZE]
   arb query  <base> -f <queries.txt> -batch [-j N] [-timeout d] [-noprune]
   arb serve  <base> [-addr :8337] [-window d] [-batch K] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d] [-noprune]
@@ -144,8 +144,7 @@ func usage() {
 
 func create(args []string) error {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
-	compress := fs.Bool("compress", false, "rewrite the finished database as a block-compressed container")
-	codec := fs.String("codec", "lz", "compression codec with -compress: lz (fast decode) or flate (tighter)")
+	compress := fs.Bool("compress", false, "rewrite the finished database as an LZ block-compressed container")
 	blockSize := fs.Int("blocksize", 0, "compressed block size in bytes with -compress (0 = default)")
 	if len(args) < 1 {
 		usage()
@@ -175,7 +174,7 @@ func create(args []string) error {
 	fmt.Printf(".arb %d bytes, .lab %d bytes, temporary .evt %d bytes\n",
 		stats.ArbBytes, stats.LabBytes, stats.EvtBytes)
 	if *compress {
-		info, err := arb.CompressDB(base, *codec, *blockSize)
+		info, err := arb.CompressDB(base, *blockSize)
 		if err != nil {
 			return err
 		}

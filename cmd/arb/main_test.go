@@ -123,7 +123,7 @@ func TestCreateCompressStatsSmoke(t *testing.T) {
 	base := filepath.Join(dir, "db")
 
 	out := captureStdout(t, func() error {
-		return create([]string{base, "-compress", "-codec", "lz", xml})
+		return create([]string{base, "-compress", xml})
 	})
 	if !strings.Contains(out, "compressed with lz:") {
 		t.Fatalf("create -compress output missing compression line:\n%s", out)

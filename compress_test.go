@@ -13,7 +13,7 @@ import (
 
 // compressedCopy creates a second database from the same tree and
 // rewrites it as a block-compressed container.
-func compressedCopy(tb testing.TB, dir string, tr *arb.Tree, codec string, blockSize int) (string, arb.CompressionInfo) {
+func compressedCopy(tb testing.TB, dir string, tr *arb.Tree, blockSize int) (string, arb.CompressionInfo) {
 	tb.Helper()
 	base := filepath.Join(dir, "compressed")
 	db, err := arb.CreateDBFromTree(base, tr)
@@ -21,7 +21,7 @@ func compressedCopy(tb testing.TB, dir string, tr *arb.Tree, codec string, block
 		tb.Fatal(err)
 	}
 	db.Close()
-	info, err := arb.CompressDB(base, codec, blockSize)
+	info, err := arb.CompressDB(base, blockSize)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCompressDifferentialStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rawDB.Close()
-	compBase, info := compressedCopy(t, dir, tr, "lz", 1<<14)
+	compBase, info := compressedCopy(t, dir, tr, 1<<14)
 	compDB, err := arb.OpenDB(compBase)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,9 @@ func TestCompressDifferentialStrategies(t *testing.T) {
 }
 
 // TestCompressBatchDifferential runs shared-scan batches on the
-// compressed database against the raw one at both worker counts.
+// compressed database against the raw one at both worker counts, at the
+// benchmark's geometry (LZ, 16 KB blocks), so batched scans go through
+// the resumable prefix decoder.
 func TestCompressBatchDifferential(t *testing.T) {
 	tr := buildPruneDoc(t, 6, 250)
 	dir := t.TempDir()
@@ -130,7 +132,7 @@ func TestCompressBatchDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rawDB.Close()
-	compBase, _ := compressedCopy(t, dir, tr, "flate", 1<<14)
+	compBase, _ := compressedCopy(t, dir, tr, 1<<14)
 	compDB, err := arb.OpenDB(compBase)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +206,7 @@ func TestCompressLargeDifferential(t *testing.T) {
 	if _, err := storage.CreateBinary(compBase, names, storage.FullBinary(names, 24, "a", "b", "c", "d")); err != nil {
 		t.Fatal(err)
 	}
-	info, err := arb.CompressDB(compBase, "lz", 0)
+	info, err := arb.CompressDB(compBase, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func newPrefixFixture(t *testing.T, seed int64) *prefixFixture {
 		t.Fatal(err)
 	}
 	db.Close()
-	compressCopy(t, base, CodecLZ, minBlockSize)
+	compressCopy(t, base, minBlockSize)
 	stored, err := os.ReadFile(base + ".arb")
 	if err != nil {
 		t.Fatal(err)

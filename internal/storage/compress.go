@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,7 +29,7 @@ import (
 //	                    uint32 logical block size
 //	blocks  (variable): physical block payloads, in logical order
 //	table   (8 bytes per block): uint32 stored length, encoding byte
-//	                    (0 = raw, else the header codec), 3 reserved
+//	                    (0 = raw, 1 = LZ), 3 reserved
 //	footer  (32 bytes): uint64 table offset, uint64 block count,
 //	                    uint64 logical size in bytes, magic "ARBZEND3"
 //	pad     (0-1 bytes): one zero byte iff the file size would otherwise
@@ -45,11 +44,11 @@ import (
 // compressed-input scratch through a sync.Pool.
 
 // Codec identifiers, as stored in container headers and vstore
-// manifests. CodecRaw marks a plain uncompressed .arb file or segment.
+// manifests. CodecRaw marks a plain uncompressed .arb file or segment;
+// CodecLZ, the built-in byte-oriented LZ, is the one compressing codec.
 const (
-	CodecRaw   = 0
-	CodecLZ    = 1 // built-in byte-oriented LZ: fastest decode, good ratio on repetitive label streams
-	CodecFlate = 2 // stdlib DEFLATE: tighter, several times slower to decode
+	CodecRaw = 0
+	CodecLZ  = 1
 )
 
 // CodecName returns the human-readable codec name.
@@ -59,23 +58,8 @@ func CodecName(codec uint8) string {
 		return "raw"
 	case CodecLZ:
 		return "lz"
-	case CodecFlate:
-		return "flate"
 	}
 	return fmt.Sprintf("codec-%d", codec)
-}
-
-// ParseCodec resolves a codec name from the CLI surface.
-func ParseCodec(name string) (uint8, error) {
-	switch name {
-	case "lz", "":
-		return CodecLZ, nil
-	case "flate":
-		return CodecFlate, nil
-	case "raw":
-		return CodecRaw, nil
-	}
-	return 0, fmt.Errorf("storage: unknown codec %q (want lz, flate or raw)", name)
 }
 
 const (
@@ -102,12 +86,18 @@ const (
 	// decodes up to that record, not the block; two blocks 32 apart
 	// still evict each other.
 	blockCacheSlots = 32
+
+	// maxDecodeRatio bounds the logical bytes one stored byte of an LZ
+	// block can decode to: a match extension byte adds at most 255 bytes.
+	// Parsing rejects a block table that claims more, so a container never
+	// makes a reader allocate more than this many times its size.
+	maxDecodeRatio = 255
 )
 
 // blockEnt describes one stored block.
 type blockEnt struct {
 	len uint32 // stored (physical) length
-	enc uint8  // 0 = raw, else the container codec
+	enc uint8  // CodecRaw or CodecLZ
 }
 
 // lzScratchPool recycles the compressed-input buffers block decodes read
@@ -132,7 +122,6 @@ func putScratch(b *[]byte) { lzScratchPool.Put(b) }
 // through io.ReaderAt, decompressing blocks on demand.
 type blockSource struct {
 	phys      io.ReaderAt
-	codec     uint8
 	blockSize int
 	logical   int64
 	offs      []int64 // physical start of block i; len = blocks+1
@@ -216,8 +205,7 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	if string(hdr[:8]) != compressMagic {
 		return nil, fmt.Errorf("storage: not a compressed container")
 	}
-	codec := hdr[8]
-	if codec != CodecLZ && codec != CodecFlate {
+	if codec := hdr[8]; codec != CodecLZ {
 		return nil, fmt.Errorf("storage: container uses unknown codec %d", codec)
 	}
 	blockSize := int(binary.BigEndian.Uint32(hdr[12:16]))
@@ -262,7 +250,6 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	}
 	bs := &blockSource{
 		phys:      r,
-		codec:     codec,
 		blockSize: blockSize,
 		logical:   logical,
 		offs:      make([]int64, blocks+1),
@@ -274,11 +261,11 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	for i := int64(0); i < blocks; i++ {
 		ln := int64(binary.BigEndian.Uint32(table[i*tableEntrySize:]))
 		enc := table[i*tableEntrySize+4]
-		if enc != 0 && enc != codec {
-			return nil, fmt.Errorf("storage: block %d uses encoding %d in a %s container", i, enc, CodecName(codec))
+		if enc != CodecRaw && enc != CodecLZ {
+			return nil, fmt.Errorf("storage: block %d uses unknown encoding %d", i, enc)
 		}
 		want := bs.blockLen(i)
-		if ln < 1 || (enc == 0 && ln != want) || ln > want+lzMaxExpansion(int(want)) || (enc != 0 && want > ln*maxDecodeRatio(enc)) {
+		if ln < 1 || (enc == 0 && ln != want) || ln > want+lzMaxExpansion(int(want)) || (enc != 0 && want > ln*maxDecodeRatio) {
 			return nil, fmt.Errorf("storage: block %d stored length %d impossible for %d logical bytes", i, ln, want)
 		}
 		bs.offs[i] = off
@@ -296,18 +283,6 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	return bs, nil
 }
 
-// maxDecodeRatio bounds the logical bytes one stored byte of a block in
-// encoding enc can decode to: an LZ match extension byte adds at most 255
-// bytes, a DEFLATE length/distance pair of two one-bit codes 258 bytes per
-// two bits. Parsing rejects a block table that claims more, so a container
-// never makes a reader allocate more than this many times its size.
-func maxDecodeRatio(enc uint8) int64 {
-	if enc == CodecFlate {
-		return 1032
-	}
-	return 255
-}
-
 // blockLen returns the logical length of block i (the last block may be
 // short).
 func (bs *blockSource) blockLen(i int64) int64 {
@@ -322,7 +297,7 @@ func (bs *blockSource) blockLen(i int64) int64 {
 func (bs *blockSource) info() ContainerInfo {
 	blocks := len(bs.enc)
 	return ContainerInfo{
-		Codec:        bs.codec,
+		Codec:        CodecLZ,
 		BlockSize:    bs.blockSize,
 		Blocks:       blocks,
 		LogicalBytes: bs.logical,
@@ -393,7 +368,7 @@ func (bs *blockSource) readBlock(i int64, p []byte, rel int64) (int, error) {
 // holds locked, until at least need bytes are valid. An LZ block the
 // slot already holds a prefix of resumes where that prefix ended, from
 // a re-read of the stored bytes not yet consumed; any other slot starts
-// over. Raw and flate blocks are decoded whole. On error the slot is
+// over. Raw blocks are copied whole. On error the slot is
 // left empty, so no later read is served bytes from a failed decode.
 //
 // arblint:holds mu
@@ -431,32 +406,19 @@ func (bs *blockSource) decode(data []byte, i int64, dec, si, need int) (int, int
 	if _, err := bs.phys.ReadAt(*comp, bs.offs[i]+int64(si)); err != nil {
 		return 0, 0, fmt.Errorf("storage: compressed block %d: %w", i, err)
 	}
-	var err error
-	switch bs.enc[i] {
-	case CodecLZ:
-		var n int
-		dec, n, err = lzDecodePrefix(data, *comp, dec, need)
-		si += n
-	case CodecFlate:
-		err = flateDecompress(data, *comp)
-		dec = len(data)
-	default:
-		err = fmt.Errorf("unknown encoding %d", bs.enc[i])
-	}
+	dec, n, err := lzDecodePrefix(data, *comp, dec, need)
 	if err != nil {
 		return 0, 0, fmt.Errorf("storage: block %d: %w", i, err)
 	}
-	return dec, si, nil
+	return dec, si + n, nil
 }
 
 // BlockWriter streams a logical record stream into a container file:
-// Write chunks the bytes into blocks, compresses each with the
-// container codec (falling back to raw storage when compression does
-// not pay), and Close appends the block table and footer. The caller
+// Write chunks the bytes into blocks, compresses each with LZ (falling
+// back to raw storage when compression does not pay), and Close appends the block table and footer. The caller
 // owns f and is responsible for syncing and closing it after Close.
 type BlockWriter struct {
 	w         *bufio.Writer
-	codec     uint8
 	blockSize int
 	buf       []byte
 	used      int
@@ -468,12 +430,9 @@ type BlockWriter struct {
 	err       error
 }
 
-// NewBlockWriter starts a container with the given codec and logical
-// block size (0 selects DefaultBlockSize) on f.
-func NewBlockWriter(f io.Writer, codec uint8, blockSize int) (*BlockWriter, error) {
-	if codec != CodecLZ && codec != CodecFlate {
-		return nil, fmt.Errorf("storage: block writer needs a compressing codec, got %s", CodecName(codec))
-	}
+// NewBlockWriter starts an LZ container with the given logical block
+// size (0 selects DefaultBlockSize) on f.
+func NewBlockWriter(f io.Writer, blockSize int) (*BlockWriter, error) {
 	if blockSize == 0 {
 		blockSize = DefaultBlockSize
 	}
@@ -483,13 +442,12 @@ func NewBlockWriter(f io.Writer, codec uint8, blockSize int) (*BlockWriter, erro
 	blockSize -= blockSize % NodeSize // whole records per block
 	bw := &BlockWriter{
 		w:         bufio.NewWriterSize(f, defaultBufSize),
-		codec:     codec,
 		blockSize: blockSize,
 		buf:       make([]byte, blockSize),
 	}
 	var hdr [compressHeader]byte
 	copy(hdr[:8], compressMagic)
-	hdr[8] = codec
+	hdr[8] = CodecLZ
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(blockSize))
 	if _, err := bw.w.Write(hdr[:]); err != nil {
 		return nil, err
@@ -526,27 +484,13 @@ func (bw *BlockWriter) flushBlock() error {
 		return nil
 	}
 	src := bw.buf[:bw.used]
-	var payload []byte
-	enc := uint8(0)
-	switch bw.codec {
-	case CodecLZ:
-		if cap(bw.scratch) < len(src) {
-			bw.scratch = make([]byte, 0, len(src))
-		}
-		if out, ok := lzCompress(bw.scratch[:0], src); ok {
-			bw.scratch = out
-			payload = out
-			enc = CodecLZ
-		}
-	case CodecFlate:
-		if out, ok := flateCompress(bw.scratch[:0], src); ok {
-			bw.scratch = out
-			payload = out
-			enc = CodecFlate
-		}
+	if cap(bw.scratch) < len(src) {
+		bw.scratch = make([]byte, 0, len(src))
 	}
-	if payload == nil {
-		payload = src // incompressible: store raw
+	payload, enc := src, uint8(CodecRaw) // incompressible: store raw
+	if out, ok := lzCompress(bw.scratch[:0], src); ok {
+		bw.scratch = out
+		payload, enc = out, CodecLZ
 	}
 	if _, err := bw.w.Write(payload); err != nil {
 		bw.err = err
@@ -612,23 +556,23 @@ func (bw *BlockWriter) Close() error {
 // Logical returns the logical bytes written so far.
 func (bw *BlockWriter) Logical() int64 { return bw.logical + int64(bw.used) }
 
-// CompressInPlace rewrites base.arb as a block-compressed container
-// (codec CodecLZ or CodecFlate, blockSize 0 for the default), replacing
-// it atomically via temp file + rename + directory sync, and refreshes
-// the .idx sidecar with the container descriptor. A database that is
-// already compressed is first served raw through its own reader, so
-// recompressing with a different codec or block size works too.
-// Returns the container summary.
+// CompressInPlace rewrites base.arb as an LZ container (blockSize 0
+// for the default), replacing it atomically via temp file + rename +
+// directory sync; codec must be CodecLZ. A database that is already
+// compressed is first served raw through its own reader, so
+// recompressing with a different block size works too. The .idx sidecar
+// stays as it is: compression moves no node. Returns the container
+// summary.
 func CompressInPlace(base string, codec uint8, blockSize int) (ContainerInfo, error) {
 	var zero ContainerInfo
+	if codec != CodecLZ {
+		return zero, fmt.Errorf("storage: cannot compress %s with codec %s, only lz", base, CodecName(codec))
+	}
 	db, err := Open(base)
 	if err != nil {
 		return zero, err
 	}
 	defer db.Close()
-	if codec == CodecRaw {
-		return zero, fmt.Errorf("storage: compressing %s with codec raw is a no-op", base)
-	}
 	dir := filepath.Dir(base)
 	f, err := os.CreateTemp(dir, filepath.Base(base)+".arb.tmp*")
 	if err != nil {
@@ -642,7 +586,7 @@ func CompressInPlace(base string, codec uint8, blockSize int) (ContainerInfo, er
 			os.Remove(tmp)
 		}
 	}()
-	bw, err := NewBlockWriter(f, codec, blockSize)
+	bw, err := NewBlockWriter(f, blockSize)
 	if err != nil {
 		return zero, err
 	}
@@ -673,105 +617,11 @@ func CompressInPlace(base string, codec uint8, blockSize int) (ContainerInfo, er
 	if err := syncDir(dir); err != nil {
 		return zero, err
 	}
-	// Refresh the sidecar with the container descriptor (best-effort,
-	// like every sidecar write: a read-only directory still serves).
-	nf, err := os.Open(base + ".arb")
+	zdb, err := Open(base)
 	if err != nil {
-		return zero, err
-	}
-	st, err := nf.Stat()
-	if err != nil {
-		nf.Close()
-		return zero, err
-	}
-	bs, err := openBlockSource(nf, st.Size())
-	if err != nil {
-		nf.Close()
 		return zero, fmt.Errorf("storage: reopening freshly compressed %s: %w", base, err)
 	}
-	info := bs.info()
-	nf.Close()
-	db.idxMu.Lock()
-	ix := db.idx
-	db.idxMu.Unlock()
-	if ix != nil {
-		_ = WriteIndexFile(base+".idx", ix, &info)
-	} else if ix2, err := ReadIndexFile(base + ".idx"); err == nil {
-		_ = WriteIndexFile(base+".idx", ix2, &info)
-	}
+	defer zdb.Close()
+	info, _ := zdb.Compression()
 	return info, nil
-}
-
-// flateCompress appends src's DEFLATE stream to dst, reporting false
-// when compression does not pay (caller then stores the block raw).
-func flateCompress(dst, src []byte) ([]byte, bool) {
-	buf := sliceWriter{b: dst, limit: len(src) - len(src)/16}
-	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, false
-	}
-	if _, err := fw.Write(src); err != nil {
-		return nil, false
-	}
-	if err := fw.Close(); err != nil {
-		return nil, false
-	}
-	return buf.b, true
-}
-
-// sliceWriter collects writes into a slice, failing once limit bytes
-// have accumulated (the compression-does-not-pay signal).
-type sliceWriter struct {
-	b     []byte
-	limit int
-}
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	if len(w.b)+len(p) > w.limit {
-		return 0, fmt.Errorf("storage: block is incompressible")
-	}
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// flateDecompress inflates src into exactly len(dst) bytes.
-func flateDecompress(dst, src []byte) error {
-	fr := flate.NewReader(newByteReaderAt(src))
-	defer fr.Close()
-	if _, err := io.ReadFull(fr, dst); err != nil {
-		return fmt.Errorf("flate block: %w", err)
-	}
-	// The block must end exactly here.
-	var one [1]byte
-	if n, _ := fr.Read(one[:]); n != 0 {
-		return fmt.Errorf("flate block longer than its declared %d bytes", len(dst))
-	}
-	return nil
-}
-
-// newByteReaderAt wraps a byte slice as an io.Reader without the
-// bytes.Reader allocation dance in the hot decompression path.
-type byteReader struct {
-	b   []byte
-	pos int
-}
-
-func newByteReaderAt(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	c := r.b[r.pos]
-	r.pos++
-	return c, nil
 }

@@ -3,10 +3,13 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"arb/internal/testutil"
@@ -110,82 +113,80 @@ func TestLZDecompressRejectsCorruptStreams(t *testing.T) {
 	}
 }
 
-// compressCopy compresses the database at base in place with the codec
-// and returns the summary.
-func compressCopy(t *testing.T, base string, codec uint8, blockSize int) ContainerInfo {
+// compressCopy compresses the database at base in place and returns the
+// summary.
+func compressCopy(t *testing.T, base string, blockSize int) ContainerInfo {
 	t.Helper()
-	info, err := CompressInPlace(base, codec, blockSize)
+	info, err := CompressInPlace(base, CodecLZ, blockSize)
 	if err != nil {
-		t.Fatalf("CompressInPlace(%s): %v", CodecName(codec), err)
+		t.Fatalf("CompressInPlace: %v", err)
 	}
 	return info
 }
 
 // TestCompressedContainerRoundTrip compresses random-tree databases
-// with both codecs at a small block size and checks byte-identical
+// at a small block size and checks byte-identical
 // reads through every access pattern the scans use.
 func TestCompressedContainerRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	for _, codec := range []uint8{CodecLZ, CodecFlate} {
-		for iter := 0; iter < 4; iter++ {
-			tr := sizedTree(t, rng, 2000, 9000)
-			dir := t.TempDir()
-			base := filepath.Join(dir, "db")
-			db, err := CreateFromTree(base, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw := make([]byte, db.N*NodeSize)
-			if _, err := db.arb.ReadAt(raw, 0); err != nil {
-				t.Fatal(err)
-			}
-			db.Close()
-
-			info := compressCopy(t, base, codec, minBlockSize)
-			if info.LogicalBytes != int64(len(raw)) {
-				t.Fatalf("%s: container logical %d, want %d", CodecName(codec), info.LogicalBytes, len(raw))
-			}
-			cdb, err := Open(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ci, ok := cdb.Compression()
-			if !ok || ci.Codec != codec {
-				t.Fatalf("reopened DB compression = %+v, %v", ci, ok)
-			}
-			if cdb.N != int64(len(raw))/NodeSize {
-				t.Fatalf("compressed N %d, want %d", cdb.N, len(raw)/NodeSize)
-			}
-			// Whole-file read.
-			got := make([]byte, len(raw))
-			if _, err := cdb.arb.ReadAt(got, 0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, raw) {
-				t.Fatalf("%s iter %d: whole-file read differs", CodecName(codec), iter)
-			}
-			// Random sub-range reads, including block-straddling ones.
-			for k := 0; k < 200; k++ {
-				off := rng.Int63n(int64(len(raw)))
-				n := rng.Int63n(int64(len(raw)) - off)
-				if n > 3*minBlockSize {
-					n = 3 * minBlockSize
-				}
-				buf := make([]byte, n)
-				if _, err := cdb.arb.ReadAt(buf, off); err != nil {
-					t.Fatalf("ReadAt(%d, %d): %v", off, n, err)
-				}
-				if !bytes.Equal(buf, raw[off:off+n]) {
-					t.Fatalf("%s iter %d: range [%d,%d) differs", CodecName(codec), iter, off, off+n)
-				}
-			}
-			// Reads past EOF behave like a section of the logical space.
-			tail := make([]byte, 16)
-			if n, err := cdb.arb.ReadAt(tail, int64(len(raw))-4); n != 4 || err == nil {
-				t.Fatalf("tail read returned n=%d err=%v, want 4, EOF", n, err)
-			}
-			cdb.Close()
+	for iter := 0; iter < 4; iter++ {
+		tr := sizedTree(t, rng, 2000, 9000)
+		dir := t.TempDir()
+		base := filepath.Join(dir, "db")
+		db, err := CreateFromTree(base, tr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		raw := make([]byte, db.N*NodeSize)
+		if _, err := db.arb.ReadAt(raw, 0); err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+
+		info := compressCopy(t, base, minBlockSize)
+		if info.LogicalBytes != int64(len(raw)) {
+			t.Fatalf("container logical %d, want %d", info.LogicalBytes, len(raw))
+		}
+		cdb, err := Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci, ok := cdb.Compression()
+		if !ok || ci.Codec != CodecLZ {
+			t.Fatalf("reopened DB compression = %+v, %v", ci, ok)
+		}
+		if cdb.N != int64(len(raw))/NodeSize {
+			t.Fatalf("compressed N %d, want %d", cdb.N, len(raw)/NodeSize)
+		}
+		// Whole-file read.
+		got := make([]byte, len(raw))
+		if _, err := cdb.arb.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("iter %d: whole-file read differs", iter)
+		}
+		// Random sub-range reads, including block-straddling ones.
+		for k := 0; k < 200; k++ {
+			off := rng.Int63n(int64(len(raw)))
+			n := rng.Int63n(int64(len(raw)) - off)
+			if n > 3*minBlockSize {
+				n = 3 * minBlockSize
+			}
+			buf := make([]byte, n)
+			if _, err := cdb.arb.ReadAt(buf, off); err != nil {
+				t.Fatalf("ReadAt(%d, %d): %v", off, n, err)
+			}
+			if !bytes.Equal(buf, raw[off:off+n]) {
+				t.Fatalf("iter %d: range [%d,%d) differs", iter, off, off+n)
+			}
+		}
+		// Reads past EOF behave like a section of the logical space.
+		tail := make([]byte, 16)
+		if n, err := cdb.arb.ReadAt(tail, int64(len(raw))-4); n != 4 || err == nil {
+			t.Fatalf("tail read returned n=%d err=%v, want 4, EOF", n, err)
+		}
+		cdb.Close()
 	}
 }
 
@@ -206,7 +207,7 @@ func TestCompressedScansBitIdentical(t *testing.T) {
 	if _, err := CreateFromTree(compBase, tr); err != nil {
 		t.Fatal(err)
 	}
-	info := compressCopy(t, compBase, CodecLZ, minBlockSize)
+	info := compressCopy(t, compBase, minBlockSize)
 	compDB, err := Open(compBase)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +304,7 @@ func TestCompressedRangeScans(t *testing.T) {
 	if _, err := CreateFromTree(compBase, tr); err != nil {
 		t.Fatal(err)
 	}
-	compressCopy(t, compBase, CodecFlate, minBlockSize)
+	compressCopy(t, compBase, minBlockSize)
 	compDB, err := Open(compBase)
 	if err != nil {
 		t.Fatal(err)
@@ -343,11 +344,11 @@ func TestCompressedRangeScans(t *testing.T) {
 	}
 }
 
-// TestCompressInPlaceSidecar checks the v3 sidecar negotiation: after
-// compression the .idx carries the container descriptor and still
-// loads; a v1-era reader path (ReadIndexFile on v2) keeps working on
-// raw databases.
-func TestCompressInPlaceSidecar(t *testing.T) {
+// TestCompressInPlaceKeepsSidecar checks that compression leaves the
+// .idx sidecar byte-identical — compression moves no node, so the v2
+// index still describes the database — and that the compressed
+// database loads it.
+func TestCompressInPlaceKeepsSidecar(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	tr := sizedTree(t, rng, 1500, 5000)
 	base := filepath.Join(t.TempDir(), "db")
@@ -355,40 +356,143 @@ func TestCompressInPlaceSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WriteIndex(context.Background(), 0); err != nil {
+	db.Close()
+	before, err := os.ReadFile(base + ".idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compressCopy(t, base, 0)
+	after, err := os.ReadFile(base + ".idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("CompressInPlace changed the .idx sidecar (%d -> %d bytes)", len(before), len(after))
+	}
+	assertIndexLoaded(t, base)
+}
+
+// TestIndexV3SidecarRebuiltAsV2 checks that a leftover v3 sidecar — the
+// v2 body behind a container descriptor, once written for compressed
+// databases — is rejected like a v1 file: DB.Index rebuilds the index,
+// rewrites the sidecar as v2, and a later open loads that file.
+func TestIndexV3SidecarRebuiltAsV2(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	tr := sizedTree(t, rng, 1500, 5000)
+	base := filepath.Join(t.TempDir(), "db")
+	db, err := CreateFromTree(base, tr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	db.Close()
-	ix0, ci0, err := ReadIndexFileInfo(base + ".idx")
+	info := compressCopy(t, base, 0)
+	v2, err := os.ReadFile(base + ".idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ci0 != nil {
-		t.Fatalf("raw sidecar carries a descriptor: %+v", ci0)
+	// The v3 layout: its magic, then codec, block size, physical and
+	// logical bytes as uint64 words, then the v2 body.
+	v3 := []byte("ARBIDX3\n")
+	for _, w := range []int64{CodecLZ, int64(info.BlockSize), info.PhysBytes, info.LogicalBytes} {
+		v3 = binary.BigEndian.AppendUint64(v3, uint64(w))
 	}
-	info := compressCopy(t, base, CodecLZ, 0)
-	ix1, ci1, err := ReadIndexFileInfo(base + ".idx")
-	if err != nil {
+	v3 = append(v3, v2[len(indexMagic):]...)
+	if err := os.WriteFile(base+".idx", v3, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if ci1 == nil || ci1.Codec != CodecLZ || ci1.LogicalBytes != info.LogicalBytes || ci1.PhysBytes != info.PhysBytes {
-		t.Fatalf("v3 sidecar descriptor %+v, want %+v", ci1, info)
+	if _, err := ReadIndexFile(base + ".idx"); err == nil {
+		t.Fatal("ReadIndexFile accepted a v3 sidecar")
 	}
-	if ix1.N != ix0.N || ix1.Len() != ix0.Len() {
-		t.Fatalf("sidecar entries changed across compression: %d/%d vs %d/%d", ix1.N, ix1.Len(), ix0.N, ix0.Len())
-	}
-	// The compressed DB loads the sidecar rather than rebuilding.
 	cdb, err := Open(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cdb.Close()
-	ix2, err := cdb.Index(context.Background(), 0)
+	if _, err := cdb.Index(context.Background(), 0); err != nil {
+		t.Fatalf("Index did not rebuild over the v3 sidecar: %v", err)
+	}
+	cdb.Close()
+	got, err := os.ReadFile(base + ".idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix2.Len() != ix0.Len() {
-		t.Fatalf("compressed DB index has %d entries, want %d", ix2.Len(), ix0.Len())
+	if !bytes.Equal(got, v2) {
+		t.Fatalf("rebuilt sidecar (%d bytes) is not the v2 file (%d bytes)", len(got), len(v2))
+	}
+	assertIndexLoaded(t, base)
+}
+
+// TestContainerRejectsCodec2 checks that a container whose header names
+// codec 2 (the retired DEFLATE codec) fails to open, and that
+// CompressInPlace compresses with LZ only.
+func TestContainerRejectsCodec2(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	tr := sizedTree(t, rng, 500, 3000)
+	base := filepath.Join(t.TempDir(), "db")
+	db, err := CreateFromTree(base, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	for _, codec := range []uint8{CodecRaw, 2} {
+		if _, err := CompressInPlace(base, codec, 0); err == nil {
+			t.Fatalf("CompressInPlace accepted codec %d", codec)
+		}
+	}
+	compressCopy(t, base, 0)
+	data, err := os.ReadFile(base + ".arb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] = 2 // the header's codec byte
+	if err := os.WriteFile(base+".arb", data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(base); err == nil {
+		db.Close()
+		t.Fatal("a container naming codec 2 opened")
+	}
+	if _, _, _, err := OpenContainer(bytes.NewReader(data), int64(len(data))); err == nil {
+		t.Fatal("OpenContainer accepted a container naming codec 2")
+	}
+}
+
+// readCounter counts the bytes read through it.
+type readCounter struct {
+	r io.ReaderAt
+	n atomic.Int64
+}
+
+func (c *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// assertIndexLoaded opens the database at base and fails unless
+// DB.Index loads the .idx sidecar: rebuilding it would read records.
+func assertIndexLoaded(t *testing.T, base string) {
+	t.Helper()
+	f, err := os.Open(base + ".arb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := &readCounter{r: f}
+	db, err := OpenReaderAt(base, rc, st.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	opened := rc.n.Load()
+	if _, err := db.Index(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if read := rc.n.Load() - opened; read != 0 {
+		t.Fatalf("Index read %d bytes of %s.arb: the sidecar was rebuilt, not loaded", read, base)
 	}
 }
 
@@ -404,7 +508,7 @@ func TestCompressedRejectsLegacyReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	compressCopy(t, base, CodecLZ, 0)
+	compressCopy(t, base, 0)
 	st, err := os.Stat(base + ".arb")
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +534,7 @@ func TestCompressedConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	compressCopy(t, base, CodecLZ, minBlockSize)
+	compressCopy(t, base, minBlockSize)
 	cdb, err := Open(base)
 	if err != nil {
 		t.Fatal(err)

@@ -2,20 +2,17 @@ package storage
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
 // refDecodeContainer is the container reader's oracle: the layout of
-// compress.go parsed straight from the bytes, and every block decoded
-// whole — LZ by the byte-at-a-time decoder, DEFLATE by the standard
-// library. It returns the blocks' logical bytes, or for a block that does
+// compress.go parsed straight from the bytes, and every LZ block decoded
+// whole by the byte-at-a-time decoder. It returns the blocks' logical bytes, or for a block that does
 // not decode its error instead; err is for a layout that is no container.
 func refDecodeContainer(data []byte) (blockSize int64, blocks [][]byte, blockErrs []error, err error) {
 	bad := errors.New("not a valid container")
@@ -25,7 +22,7 @@ func refDecodeContainer(data []byte) (blockSize int64, blocks [][]byte, blockErr
 	}
 	codec := data[8]
 	blockSize = int64(binary.BigEndian.Uint32(data[12:16]))
-	if (codec != CodecLZ && codec != CodecFlate) || blockSize < minBlockSize || blockSize > maxBlockSize {
+	if codec != CodecLZ || blockSize < minBlockSize || blockSize > maxBlockSize {
 		return 0, nil, nil, bad
 	}
 	footOff := size - compressFooter // behind the pad byte, if any
@@ -46,7 +43,7 @@ func refDecodeContainer(data []byte) (blockSize int64, blocks [][]byte, blockErr
 		ent := data[tableOff+i*tableEntrySize:]
 		ln := int64(binary.BigEndian.Uint32(ent))
 		want := min(uint64(blockSize), logical-i*uint64(blockSize))
-		if phys+ln > int64(tableOff) || want > uint64(ln)*1032 || (ent[4] != 0 && ent[4] != codec) || (ent[4] == 0 && uint64(ln) != want) {
+		if phys+ln > int64(tableOff) || want > uint64(ln)*maxDecodeRatio || (ent[4] != 0 && ent[4] != codec) || (ent[4] == 0 && uint64(ln) != want) {
 			return 0, nil, nil, fmt.Errorf("block %d: %d stored bytes, encoding %d, impossible", i, ln, ent[4])
 		}
 		stored := data[phys : phys+ln]
@@ -58,14 +55,6 @@ func refDecodeContainer(data []byte) (blockSize int64, blocks [][]byte, blockErr
 			copy(block, stored)
 		case CodecLZ:
 			err = lzDecompressRef(block, stored)
-		case CodecFlate:
-			fr := flate.NewReader(bytes.NewReader(stored))
-			var one [1]byte
-			if _, err = io.ReadFull(fr, block); err == nil {
-				if m, _ := fr.Read(one[:]); m != 0 {
-					err = fmt.Errorf("flate block longer than %d bytes", want)
-				}
-			}
 		}
 		if err != nil {
 			block = nil
@@ -80,7 +69,7 @@ func refDecodeContainer(data []byte) (blockSize int64, blocks [][]byte, blockErr
 
 // containerSeed is a record stream of n nodes shaped like a database's —
 // runs of repeated records, a small label alphabet — stored as a plain
-// record stream (codec CodecRaw) or as a container.
+// record stream (codec CodecRaw) or as an LZ container (CodecLZ).
 func containerSeed(t testing.TB, n int, codec uint8, blockSize int) []byte {
 	rng := rand.New(rand.NewSource(int64(n)))
 	recs := make([]byte, 0, n*NodeSize)
@@ -94,7 +83,7 @@ func containerSeed(t testing.TB, n int, codec uint8, blockSize int) []byte {
 		return recs
 	}
 	var buf bytes.Buffer
-	bw, err := NewBlockWriter(&buf, codec, blockSize)
+	bw, err := NewBlockWriter(&buf, blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +102,12 @@ func containerSeed(t testing.TB, n int, codec uint8, blockSize int) []byte {
 // every logical byte the reader serves — read back to front in window-sized
 // pieces, so blocks are decoded in prefixes and resumed, then front to back
 // in one read — must equal the oracle's decode; the reader may instead
-// fail with an error. Seeds: a plain record stream, and LZ and DEFLATE
-// containers at 4 KB and 16 KB blocks.
+// fail with an error. Seeds: a plain record stream, and LZ containers at
+// 4 KB and 16 KB blocks.
 func FuzzOpenContainer(f *testing.F) {
 	f.Add(containerSeed(f, 3000, CodecRaw, 0))
-	for _, codec := range []uint8{CodecLZ, CodecFlate} {
-		for _, blockSize := range []int{4 << 10, 16 << 10} {
-			f.Add(containerSeed(f, 12000, codec, blockSize))
-		}
+	for _, blockSize := range []int{4 << 10, 16 << 10} {
+		f.Add(containerSeed(f, 12000, CodecLZ, blockSize))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := int64(len(data))
@@ -140,7 +127,7 @@ func FuzzOpenContainer(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ok with error %v", err)
 		}
-		if info.LogicalBytes > 1032*size {
+		if info.LogicalBytes > maxDecodeRatio*size {
 			t.Fatalf("a %d-byte file serves %d logical bytes", size, info.LogicalBytes)
 		}
 		blockSize, blocks, blockErrs, refErr := refDecodeContainer(data)

@@ -128,16 +128,6 @@ func (db *DB) Compression() (ContainerInfo, bool) {
 	return db.comp.info(), true
 }
 
-// containerDesc returns the descriptor sidecar writes need for this
-// database (nil for raw databases, which keep the v2 sidecar format).
-func (db *DB) containerDesc() *ContainerInfo {
-	if db.comp == nil {
-		return nil
-	}
-	ci := db.comp.info()
-	return &ci
-}
-
 // PhysSpan returns the physical bytes backing the node range [lo, hi) —
 // what a scan of that range costs in disk reads. For a raw database
 // that is exactly the logical record bytes; for a compressed one it is

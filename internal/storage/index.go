@@ -207,20 +207,19 @@ func (ix *SubtreeIndex) Cut(target, minTask int64) []Extent {
 	return tasks
 }
 
-// indexMagic identifies a v2 .idx sidecar file; indexMagicV3 is the
-// v3 format, identical except for a container descriptor (codec, block
-// size, physical/logical bytes) between the magic and the entries —
-// written for block-compressed databases so tools can report the
-// compression ratio without reopening the container. Readers accept
-// both; v2 stays the format for raw databases, so nothing changes for
-// existing files. indexMagicV1 is the retired label-less format,
-// rejected on read so DB.Index transparently rebuilds (and replaces)
-// stale sidecars — the same negotiation path pre-v3 binaries take when
-// they meet a v3 sidecar.
+// indexMagic identifies a v2 .idx sidecar file, the one format for raw
+// and block-compressed databases alike (compression moves no node).
+// indexMagicV1 is the retired label-less format, rejected on read so
+// DB.Index transparently rebuilds (and replaces) stale sidecars; so is
+// anything else, such as a sidecar carrying a container descriptor.
+//
+// After the magic come uint64 N, uint64 entry count, and per entry
+// uint64 V, Size, FirstSize and the label signature's words, all
+// big-endian: indexEntryBytes bytes an entry.
 const (
-	indexMagic   = "ARBIDX2\n"
-	indexMagicV3 = "ARBIDX3\n"
-	indexMagicV1 = "ARBIDX1\n"
+	indexMagic      = "ARBIDX2\n"
+	indexMagicV1    = "ARBIDX1\n"
+	indexEntryBytes = int64(8 * (3 + len(LabelSig{})))
 )
 
 // Entries exposes the index's entries, sorted by preorder root. The
@@ -237,12 +236,11 @@ func NewIndexForTest(n int64, entries []IndexEntry) *SubtreeIndex {
 	return ix
 }
 
-// WriteIndexFile persists the index next to the database: v2 format
-// for raw databases, v3 (with the container descriptor ci) for
-// compressed ones. The file is written to a temporary name and renamed
+// WriteIndexFile persists the index next to the database. The file is
+// written to a temporary name and renamed
 // into place, so concurrent readers never see a torn sidecar, and the
 // directory is synced so the committed sidecar survives a crash.
-func WriteIndexFile(path string, ix *SubtreeIndex, ci *ContainerInfo) error {
+func WriteIndexFile(path string, ix *SubtreeIndex) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
@@ -256,11 +254,7 @@ func WriteIndexFile(path string, ix *SubtreeIndex, ci *ContainerInfo) error {
 	}()
 	w := bufio.NewWriterSize(f, 1<<16)
 	werr := func() error {
-		magic := indexMagic
-		if ci != nil && ci.Codec != CodecRaw {
-			magic = indexMagicV3
-		}
-		if _, err := w.WriteString(magic); err != nil {
+		if _, err := w.WriteString(indexMagic); err != nil {
 			return err
 		}
 		var buf [8]byte
@@ -268,13 +262,6 @@ func WriteIndexFile(path string, ix *SubtreeIndex, ci *ContainerInfo) error {
 			binary.BigEndian.PutUint64(buf[:], v)
 			_, err := w.Write(buf[:])
 			return err
-		}
-		if magic == indexMagicV3 {
-			for _, v := range []uint64{uint64(ci.Codec), uint64(ci.BlockSize), uint64(ci.PhysBytes), uint64(ci.LogicalBytes)} {
-				if err := put(v); err != nil {
-					return err
-				}
-			}
 		}
 		if err := put(uint64(ix.N)); err != nil {
 			return err
@@ -316,31 +303,27 @@ func WriteIndexFile(path string, ix *SubtreeIndex, ci *ContainerInfo) error {
 	return werr
 }
 
-// ReadIndexFile loads a persisted v2 or v3 index. Stale v1 sidecars
-// (and anything else that is not a well-formed index) are rejected with
-// an error; DB.Index treats that as "no sidecar" and rebuilds from the
+// ReadIndexFile loads a persisted v2 index. Stale v1 sidecars (and
+// anything else that is not a well-formed v2 index) are rejected with an
+// error; DB.Index treats that as "no sidecar" and rebuilds from the
 // data.
 func ReadIndexFile(path string) (*SubtreeIndex, error) {
-	ix, _, err := ReadIndexFileInfo(path)
-	return ix, err
-}
-
-// ReadIndexFileInfo is ReadIndexFile plus the container descriptor a v3
-// sidecar carries (nil for v2 sidecars of raw databases).
-func ReadIndexFileInfo(path string) (*SubtreeIndex, *ContainerInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	r := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(r, magic); err != nil ||
-		(string(magic) != indexMagic && string(magic) != indexMagicV3) {
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != indexMagic {
 		if string(magic) == indexMagicV1 {
-			return nil, nil, fmt.Errorf("storage: %s is a stale v1 index (no label signatures); rebuild required", path)
+			return nil, fmt.Errorf("storage: %s is a stale v1 index (no label signatures); rebuild required", path)
 		}
-		return nil, nil, fmt.Errorf("storage: %s is not an index file", path)
+		return nil, fmt.Errorf("storage: %s is not an index file", path)
 	}
 	var buf [8]byte
 	get := func() (int64, error) {
@@ -349,54 +332,44 @@ func ReadIndexFileInfo(path string) (*SubtreeIndex, *ContainerInfo, error) {
 		}
 		return int64(binary.BigEndian.Uint64(buf[:])), nil
 	}
-	var ci *ContainerInfo
-	if string(magic) == indexMagicV3 {
-		var d [4]int64
-		for i := range d {
-			if d[i], err = get(); err != nil {
-				return nil, nil, err
-			}
-		}
-		if d[0] != CodecLZ && d[0] != CodecFlate {
-			return nil, nil, fmt.Errorf("storage: index %s names unknown codec %d", path, d[0])
-		}
-		ci = &ContainerInfo{Codec: uint8(d[0]), BlockSize: int(d[1]), PhysBytes: d[2], LogicalBytes: d[3]}
-	}
 	n, err := get()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	count, err := get()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if count < 0 || count > 1<<24 {
-		return nil, nil, fmt.Errorf("storage: index %s declares %d entries", path, count)
+	// Bound the allocation by what the file can hold, so a corrupt count
+	// fails here instead of after a huge make.
+	left := st.Size() - int64(len(indexMagic)) - 16
+	if count < 0 || count > 1<<24 || count > left/indexEntryBytes {
+		return nil, fmt.Errorf("storage: index %s declares %d entries in %d bytes", path, count, left)
 	}
 	entries := make([]IndexEntry, count)
 	for i := range entries {
 		if entries[i].V, err = get(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if entries[i].Size, err = get(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if entries[i].FirstSize, err = get(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for w := range entries[i].Labels {
 			v, err := get()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			entries[i].Labels[w] = uint64(v)
 		}
 	}
 	ix := newIndex(n, entries)
 	if err := ix.validate(); err != nil {
-		return nil, nil, fmt.Errorf("storage: index %s: %w", path, err)
+		return nil, fmt.Errorf("storage: index %s: %w", path, err)
 	}
-	return ix, ci, nil
+	return ix, nil
 }
 
 // validate rejects structurally impossible indexes: unsorted or
@@ -457,7 +430,7 @@ func (db *DB) Index(ctx context.Context, budget int) (*SubtreeIndex, error) {
 		// a retired v1 file — or foreign): later opens then load the
 		// index instead of paying the rebuild scan again. Read-only
 		// directories simply keep serving from the in-handle cache.
-		_ = WriteIndexFile(db.Base+".idx", ix, db.containerDesc())
+		_ = WriteIndexFile(db.Base+".idx", ix)
 	}
 	return ix, nil
 }
@@ -475,7 +448,7 @@ func (db *DB) WriteIndex(ctx context.Context, budget int) error {
 	if db.virtual {
 		return nil // no single .arb file a sidecar could describe
 	}
-	return WriteIndexFile(db.Base+".idx", ix, db.containerDesc())
+	return WriteIndexFile(db.Base+".idx", ix)
 }
 
 // RebuildIndex discards any cached index, rebuilds from the data, and
@@ -492,7 +465,7 @@ func (db *DB) RebuildIndex(ctx context.Context, budget int) (*SubtreeIndex, erro
 	if !db.virtual {
 		// The database directory may be read-only; the in-handle cache
 		// alone then serves this process.
-		_ = WriteIndexFile(db.Base+".idx", ix, db.containerDesc())
+		_ = WriteIndexFile(db.Base+".idx", ix)
 	}
 	return ix, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestPruneIndexV2RoundTrip(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "x.idx")
-	if err := WriteIndexFile(path, ix, nil); err != nil {
+	if err := WriteIndexFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadIndexFile(path)
@@ -191,7 +192,7 @@ func FuzzReadIndexFile(f *testing.F) {
 		})
 		dir := f.TempDir()
 		p := filepath.Join(dir, "seed.idx")
-		if err := WriteIndexFile(p, ix, nil); err != nil {
+		if err := WriteIndexFile(p, ix); err != nil {
 			f.Fatal(err)
 		}
 		b, err := os.ReadFile(p)
@@ -233,7 +234,7 @@ func FuzzReadIndexFile(f *testing.F) {
 		}
 		// And it must round-trip bit-stably through the writer.
 		p2 := filepath.Join(dir, "rt.idx")
-		if err := WriteIndexFile(p2, ix, nil); err != nil {
+		if err := WriteIndexFile(p2, ix); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadIndexFile(p2)
@@ -249,4 +250,27 @@ func FuzzReadIndexFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadIndexFileCountBoundsAlloc checks that a 24-byte sidecar whose
+// entry count is the largest the reader accepts is rejected before the
+// entries are allocated: the bytes left in the file bound the count.
+func TestReadIndexFileCountBoundsAlloc(t *testing.T) {
+	data := []byte(indexMagic)
+	data = binary.BigEndian.AppendUint64(data, 100)   // N
+	data = binary.BigEndian.AppendUint64(data, 1<<24) // entry count
+	p := filepath.Join(t.TempDir(), "x.idx")
+	if err := os.WriteFile(p, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadIndexFile(p)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 24-byte sidecar claiming 1<<24 entries was accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("reading a %d-byte sidecar allocated %d bytes", len(data), alloc)
+	}
 }

@@ -54,21 +54,21 @@ func TestSyncDirRunsOnCommitPaths(t *testing.T) {
 	}
 
 	calls = 0
-	if err := WriteIndexFile(base+".idx", ix, nil); err != nil {
+	if err := WriteIndexFile(base+".idx", ix); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("WriteIndexFile synced the directory %d times, want 1", calls)
 	}
 
-	// CompressInPlace commits twice: the container rename and the
-	// rebuilt sidecar.
+	// CompressInPlace commits once: the container rename (the sidecar
+	// stays as it is).
 	calls = 0
 	if _, err := CompressInPlace(base, CodecLZ, 0); err != nil {
 		t.Fatal(err)
 	}
-	if calls < 2 {
-		t.Fatalf("CompressInPlace synced the directory %d times, want >= 2", calls)
+	if calls != 1 {
+		t.Fatalf("CompressInPlace synced the directory %d times, want 1", calls)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestSyncDirFailureSurfaces(t *testing.T) {
 	}
 	boom := errors.New("injected: directory unreachable")
 	withSyncDirHooks(t, func(dir string) (*os.File, error) { return nil, boom }, nil)
-	if err := WriteIndexFile(base+".idx", ix, nil); !errors.Is(err, boom) {
+	if err := WriteIndexFile(base+".idx", ix); !errors.Is(err, boom) {
 		t.Fatalf("WriteIndexFile error = %v, want the injected sync failure", err)
 	}
 }
@@ -120,10 +120,10 @@ func TestSyncDirToleratesUnsupportedFsync(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteIndexFile(base+".idx", ix, nil); err != nil {
+	if err := WriteIndexFile(base+".idx", ix); err != nil {
 		t.Fatalf("WriteIndexFile failed on ignorable fsync error: %v", err)
 	}
-	if _, _, err := ReadIndexFileInfo(base + ".idx"); err != nil {
+	if _, err := ReadIndexFile(base + ".idx"); err != nil {
 		t.Fatalf("committed sidecar unreadable: %v", err)
 	}
 	if !strings.HasSuffix(base, "db") {

@@ -51,7 +51,7 @@ func (st *Store) Compact(ctx context.Context) (*PatchInfo, error) {
 	size := ver.n * storage.NodeSize
 	if st.codec != storage.CodecRaw && size >= compressSegmentMin {
 		var err error
-		if bw, err = storage.NewBlockWriter(f, st.codec, st.blockSize); err != nil {
+		if bw, err = storage.NewBlockWriter(f, st.blockSize); err != nil {
 			return nil, err
 		}
 		w = bw

@@ -1,10 +1,10 @@
 package vstore
 
 import (
-	"container/heap"
+	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"arb/internal/storage"
 	"arb/internal/tree"
@@ -51,8 +51,10 @@ func cloneNames(ns *tree.Names) *tree.Names {
 // (label ids are append-only across versions, so every existing
 // snapshot's table remains valid as a prefix). rootHasSecond overrides
 // the root record's second-subtree flag, which describes the splice
-// target, not the fragment.
-func encodeFragment(t *tree.Tree, rootHasSecond bool, names *tree.Names) (*fragment, error) {
+// target, not the fragment. The fragment's index entries and signature
+// come from storage.BuildIndex over its records; cancelling ctx aborts
+// that fold.
+func encodeFragment(ctx context.Context, t *tree.Tree, rootHasSecond bool, names *tree.Names) (*fragment, error) {
 	n := t.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("vstore: empty replacement tree")
@@ -94,14 +96,10 @@ func encodeFragment(t *tree.Tree, rootHasSecond bool, names *tree.Names) (*fragm
 	}
 
 	// Preorder walk in binary order (node, first subtree, second
-	// subtree), recording each node's label and child flags for the
-	// backward fold below.
-	type meta struct {
-		label     uint16
-		hasFirst  bool
-		hasSecond bool
-	}
-	metas := make([]meta, 0, n)
+	// subtree), encoding each node's label and child flags. The root's
+	// second-subtree flag stays false until the index is built, so the
+	// records fold as one subtree.
+	var buf [storage.NodeSize]byte
 	stack := []tree.NodeID{root}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -110,11 +108,9 @@ func encodeFragment(t *tree.Tree, rootHasSecond bool, names *tree.Names) (*fragm
 		if err != nil {
 			return nil, err
 		}
-		hasSecond := t.HasSecond(v)
-		if v == root {
-			hasSecond = false // folded locally; the splice flag is applied on encode
-		}
-		metas = append(metas, meta{label: label, hasFirst: t.HasFirst(v), hasSecond: hasSecond})
+		rec := storage.Record{Label: label, HasFirst: t.HasFirst(v), HasSecond: v != root && t.HasSecond(v)}
+		binary.BigEndian.PutUint16(buf[:], rec.Encode())
+		f.recs = append(f.recs, buf[:]...)
 		if s := t.Second(v); v != root && s != tree.None {
 			stack = append(stack, s)
 		}
@@ -122,81 +118,27 @@ func encodeFragment(t *tree.Tree, rootHasSecond bool, names *tree.Names) (*fragm
 			stack = append(stack, c)
 		}
 	}
-	f.nodes = int64(len(metas))
+	f.nodes = int64(len(f.recs) / storage.NodeSize)
 
-	// Backward fold over the walk order: per-position subtree sizes and
-	// signatures, exactly like the index builder's scan — the pop
-	// discipline doubles as a cycle/shape check on t.
-	type fnode struct {
-		size int64
-		sig  storage.LabelSig
+	// The fragment root is the largest subtree, so a budget of one more
+	// than fragEntryBudget keeps it plus the heaviest inner subtrees; the
+	// fold's structure check doubles as a cycle/shape check on t.
+	db := storage.NewVirtualDB("", bytes.NewReader(f.recs), f.nodes, f.names, nil)
+	ix, err := storage.BuildIndex(ctx, db, fragEntryBudget+1)
+	if err != nil {
+		return nil, fmt.Errorf("vstore: indexing the replacement tree: %w", err)
 	}
-	var h entryMinHeap
-	fold := make([]fnode, 0, 64)
-	for v := f.nodes - 1; v >= 0; v-- {
-		m := metas[v]
-		nd := fnode{size: 1}
-		nd.sig.Add(m.label)
-		var firstSize int64
-		if m.hasFirst {
-			if len(fold) == 0 {
-				return nil, fmt.Errorf("vstore: replacement tree is not a well-formed subtree")
-			}
-			c := fold[len(fold)-1]
-			fold = fold[:len(fold)-1]
-			nd.size += c.size
-			firstSize = c.size
-			nd.sig.Or(c.sig)
+	all := ix.Entries() // sorted by V: the root entry comes first
+	f.sig = all[0].Labels
+	for _, e := range all[1:] {
+		if e.Size >= fragEntryMinSize {
+			f.entries = append(f.entries, e)
 		}
-		if m.hasSecond {
-			if len(fold) == 0 {
-				return nil, fmt.Errorf("vstore: replacement tree is not a well-formed subtree")
-			}
-			c := fold[len(fold)-1]
-			fold = fold[:len(fold)-1]
-			nd.size += c.size
-			nd.sig.Or(c.sig)
-		}
-		if v > 0 && nd.size >= fragEntryMinSize {
-			heap.Push(&h, storage.IndexEntry{V: v, Size: nd.size, FirstSize: firstSize, Labels: nd.sig})
-			if len(h) > fragEntryBudget {
-				heap.Pop(&h)
-			}
-		}
-		fold = append(fold, nd)
 	}
-	if len(fold) != 1 || fold[0].size != f.nodes {
-		return nil, fmt.Errorf("vstore: replacement tree is not a well-formed subtree")
-	}
-	f.sig = fold[0].sig
-	f.entries = []storage.IndexEntry(h)
-	sort.Slice(f.entries, func(i, j int) bool { return f.entries[i].V < f.entries[j].V })
 
-	// Encode the records; the root carries the splice target's
-	// second-subtree flag.
-	var buf [storage.NodeSize]byte
-	for v, m := range metas {
-		rec := storage.Record{Label: m.label, HasFirst: m.hasFirst, HasSecond: m.hasSecond}
-		if v == 0 {
-			rec.HasSecond = rootHasSecond
-		}
-		binary.BigEndian.PutUint16(buf[:], rec.Encode())
-		f.recs = append(f.recs, buf[:]...)
-	}
+	// The root carries the splice target's second-subtree flag.
+	rec := storage.DecodeRecord(binary.BigEndian.Uint16(f.recs))
+	rec.HasSecond = rootHasSecond
+	binary.BigEndian.PutUint16(f.recs, rec.Encode())
 	return f, nil
-}
-
-// entryMinHeap keeps the largest fragment subtrees by evicting the
-// smallest when over budget.
-type entryMinHeap []storage.IndexEntry
-
-func (h entryMinHeap) Len() int            { return len(h) }
-func (h entryMinHeap) Less(i, j int) bool  { return h[i].Size < h[j].Size }
-func (h entryMinHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *entryMinHeap) Push(x interface{}) { *h = append(*h, x.(storage.IndexEntry)) }
-func (h *entryMinHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }

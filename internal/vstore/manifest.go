@@ -120,7 +120,7 @@ func (m *manifest) validate() (*storage.SubtreeIndex, error) {
 	if m.names < 0 || m.names > int(tree.MaxLabel-tree.FirstNamedLabel)+1 {
 		return nil, fmt.Errorf("vstore: manifest declares %d named labels", m.names)
 	}
-	if m.codec != storage.CodecRaw && m.codec != storage.CodecLZ && m.codec != storage.CodecFlate {
+	if m.codec != storage.CodecRaw && m.codec != storage.CodecLZ {
 		return nil, fmt.Errorf("vstore: manifest declares unknown segment codec %d", m.codec)
 	}
 	if !storage.ValidBlockSize(m.blockSize) {
@@ -308,6 +308,10 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
 	r := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(manifestMagic))
 	if _, err := io.ReadFull(r, magic); err != nil ||
@@ -315,11 +319,13 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 		return nil, nil, fmt.Errorf("vstore: %s is not a manifest file", path)
 	}
 	v1 := string(magic) == manifestMagicV1
+	left := st.Size() - int64(len(magic)) // bytes not yet read
 	var buf [8]byte
 	get := func() (uint64, error) {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return 0, fmt.Errorf("vstore: manifest %s truncated: %w", path, err)
 		}
+		left -= 8
 		return binary.BigEndian.Uint64(buf[:]), nil
 	}
 	getInt := func() (int64, error) {
@@ -332,18 +338,21 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 		}
 		return int64(v), nil
 	}
-	getCount := func(cap int64, what string) (int64, error) {
+	// getCount reads an element count, rejecting one above cap or one
+	// whose elements, at least size bytes each, the rest of the file
+	// cannot hold — so a corrupt count fails before it is allocated.
+	getCount := func(cap, size int64, what string) (int64, error) {
 		v, err := getInt()
 		if err != nil {
 			return 0, err
 		}
-		if v < 0 || v > cap {
+		if v < 0 || v > cap || v > left/size {
 			return 0, fmt.Errorf("vstore: manifest %s declares %d %s", path, v, what)
 		}
 		return v, nil
 	}
 	getStr := func() (string, error) {
-		n, err := getCount(maxNameLen, "name bytes")
+		n, err := getCount(maxNameLen, 1, "name bytes")
 		if err != nil {
 			return "", err
 		}
@@ -351,6 +360,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 		if _, err := io.ReadFull(r, b); err != nil {
 			return "", fmt.Errorf("vstore: manifest %s truncated: %w", path, err)
 		}
+		left -= n
 		return string(b), nil
 	}
 	m := &manifest{}
@@ -380,7 +390,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 		}
 		m.blockSize = int(blockSize)
 	}
-	nseg, err := getCount(maxSegments, "segments")
+	nseg, err := getCount(maxSegments, 32, "segments")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -404,7 +414,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 			return nil, nil, err
 		}
 	}
-	nrun, err := getCount(maxRuns, "runs")
+	nrun, err := getCount(maxRuns, 32, "runs")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -423,7 +433,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 			return nil, nil, err
 		}
 	}
-	nent, err := getCount(maxEntries, "index entries")
+	nent, err := getCount(maxEntries, 56, "index entries")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -446,7 +456,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 			m.entries[i].Labels[w] = v
 		}
 	}
-	nhist, err := getCount(maxHistory, "history entries")
+	nhist, err := getCount(maxHistory, 16, "history entries")
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -122,4 +123,40 @@ func FuzzReadManifest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadManifestCountBoundsAlloc checks that a short manifest whose
+// counts claim the largest run or index-entry table the caps allow is
+// rejected before the table is allocated: every element takes at least
+// one word, so the bytes left in the file bound each count.
+func TestReadManifestCountBoundsAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		counts []uint64 // segments, runs, entries: the last is the huge one
+	}{
+		{"runs", []uint64{0, maxRuns}},
+		{"entries", []uint64{0, 0, maxEntries}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Header: version, n, names, codec, block size; then the counts.
+			data := []byte(manifestMagic)
+			for _, w := range append([]uint64{1, 1, 0, storage.CodecRaw, 0}, tc.counts...) {
+				data = binary.BigEndian.AppendUint64(data, w)
+			}
+			p := filepath.Join(t.TempDir(), "x.arbm")
+			if err := os.WriteFile(p, data, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := readManifest(p)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("a %d-byte manifest claiming %d %s was accepted", len(data), tc.counts[len(tc.counts)-1], tc.name)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("reading a %d-byte manifest allocated %d bytes", len(data), alloc)
+			}
+		})
+	}
 }

@@ -69,7 +69,7 @@ func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (
 	if err != nil {
 		return nil, err
 	}
-	frag, err := encodeFragment(t, rec.HasSecond, ver.names)
+	frag, err := encodeFragment(ctx, t, rec.HasSecond, ver.names)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (st *Store) InsertChild(ctx context.Context, node int64, t *tree.Tree) (*Pa
 	if tree.Label(rec.Label).IsChar() {
 		return nil, fmt.Errorf("vstore: node %d is a text node; it cannot take children", node)
 	}
-	frag, err := encodeFragment(t, rec.HasFirst, ver.names)
+	frag, err := encodeFragment(ctx, t, rec.HasFirst, ver.names)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ const compressSegmentMin = 1 << 12
 // it), and returns the reader serving the segment's logical space.
 func (st *Store) writeSegment(f *os.File, segBytes []byte) (io.ReaderAt, error) {
 	if st.codec != storage.CodecRaw && len(segBytes) >= compressSegmentMin {
-		bw, err := storage.NewBlockWriter(f, st.codec, st.blockSize)
+		bw, err := storage.NewBlockWriter(f, st.blockSize)
 		if err != nil {
 			return nil, err
 		}
