@@ -104,6 +104,15 @@ if grep -rnE '\b(CodecFlate|ParseCodec|indexMagicV3|ReadIndexFileInfo|containerD
     exit 1
 fi
 
+# One analysis walk per engine (core/analysis.go), on tables of its own:
+# prune, subsumption and one-scan read its one plan. The per-verdict walks
+# over the engine's shared tables and their locked caches are gone. Keep
+# them gone.
+if grep -rnE '\b(closeLabels|walkLabels|lockedPruneAnalysis|lockedSelSummary|lockedOneScan|oneScanAnalysis)\b' --include='*.go' . >&2; then
+    echo "a per-verdict analysis walk is back: the engine's one analysis (core/analysis.go) decides them all" >&2
+    exit 1
+fi
+
 # Repo-specific invariants: context threading, lock discipline, temp
 # cleanup, reader Close/Release, snapshot-pin release, atomic/plain
 # access mixing, goroutine termination, and lock ordering — the full
@@ -135,6 +144,12 @@ fi
 go run ./examples/quickstart > /dev/null
 go run ./examples/batchserve > /dev/null
 go run ./examples/serve > /dev/null
+# The paper's example queries each check their answer against a direct
+# computation and exit non-zero on a mismatch.
+go run ./examples/dtdcheck > /dev/null
+go run ./examples/evenpages > /dev/null
+go run ./examples/genefinder > /dev/null
+go run ./examples/parallelmatch > /dev/null
 
 # Benchmark smoke: the repository's one benchmark builds, runs every
 # workload on a tiny corpus and passes its own correctness gate — it
@@ -241,6 +256,10 @@ go test -run 'Patch|Version|Snapshot' -race ./...
 # under version churn, selection-summary subsumption soundness, and
 # the server fast path + admission control.
 go test -run 'ResCache|Subsum' -race ./...
+# The engine's one analysis: pinned prune, subsumption and one-scan
+# verdicts, the engine left clean by planning, one-scan differentials, and
+# concurrent first use of a fresh query's plan.
+go test -run 'OneScan|SelSum|Analysis' -race ./...
 
 # Full suite (includes the fuzz targets' seed corpora), with shuffled
 # test order so inter-test state dependencies cannot hide.

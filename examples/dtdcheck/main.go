@@ -115,12 +115,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
+	res, prof, err := pq.Exec(context.Background(), arb.ExecOpts{Stats: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	got := res.Count(pq.Queries()[0])
-	fmt.Printf("schema check in two scans: %d violating elements\n", got)
+	fmt.Printf("schema check in %d scan(s): %d violating elements; %d + %d lazy transitions\n",
+		2*prof.Passes-prof.Disk.OneScan, got, prof.Engine.BUTransitions, prof.Engine.TDTransitions)
 	if got != int64(violations) {
 		log.Fatalf("engine found %d violations, generator planted %d", got, violations)
 	}

@@ -121,6 +121,6 @@ func main() {
 		log.Fatalf("engine disagrees with the direct count")
 	}
 	st := prof.Engine
-	fmt.Printf("two scans over %d nodes; %d + %d lazy transitions\n",
-		db.N, st.BUTransitions, st.TDTransitions)
+	fmt.Printf("%d scan(s) over %d nodes; %d + %d lazy transitions\n",
+		2*prof.Passes-prof.Disk.OneScan, db.N, st.BUTransitions, st.TDTransitions)
 }

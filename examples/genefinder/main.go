@@ -124,8 +124,8 @@ func main() {
 	}
 	q := pq.Queries()[0]
 	st := prof.Engine
-	fmt.Printf("selected %d gene(s) in two scans: phase 1 %v (%d transitions), phase 2 %v (%d transitions)\n",
-		res.Count(q), st.Phase1Time, st.BUTransitions, st.Phase2Time, st.TDTransitions)
+	fmt.Printf("selected %d gene(s) in %d scan(s): phase 1 %v (%d transitions), phase 2 %v (%d transitions)\n",
+		res.Count(q), 2*prof.Passes-prof.Disk.OneScan, st.Phase1Time, st.BUTransitions, st.Phase2Time, st.TDTransitions)
 	if res.Count(q) != int64(want) {
 		log.Fatalf("engine found %d genes, string matching found %d", res.Count(q), want)
 	}

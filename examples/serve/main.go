@@ -107,6 +107,10 @@ func main() {
 		st.PlanCache.Hits, st.PlanCache.Hits+st.PlanCache.Misses)
 
 	// Drain: stop accepting, let in-flight work finish, shut the core.
+	// The client's idle connections go first: one it dialed for a request
+	// another connection then served never sent a request, and Shutdown
+	// waits five seconds before it counts such a connection as idle.
+	http.DefaultClient.CloseIdleConnections()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

@@ -402,8 +402,11 @@ func TestTransitionCacheReuse(t *testing.T) {
 	}
 }
 
-// TestStatsPopulated: a run reports plausible statistics.
+// TestStatsPopulated: a run reports plausible statistics. The program's
+// bottom-up states decide it, so a default run is one scan and computes no
+// top-down state at all; the two-scan run fills every column.
 func TestStatsPopulated(t *testing.T) {
+	forceTwoScans(t)
 	tr := chainA(t)
 	p := tmnf.MustParse(example43)
 	c, _ := Compile(p)

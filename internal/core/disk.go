@@ -65,7 +65,7 @@ type DiskStats struct {
 	Phase2     storage.ScanStats
 	StateBytes int64
 	// OneScan counts the passes that omitted phase 2: every lane's
-	// selections were decided by its bottom-up states (onescan.go), so
+	// selections were decided by its bottom-up states (analysis.go), so
 	// the pass created no state file and its Phase2 is zero.
 	OneScan int
 }
@@ -88,7 +88,7 @@ func (d *DiskStats) Merge(o DiskStats) {
 // file backwards — yielding the phase-1 states in preorder — and computes
 // the true predicates per node. Main memory holds only the two automata
 // (computed lazily) and a stack bounded by the depth of the XML document.
-// When a node's bottom-up state alone decides its selection (onescan.go)
+// When a node's bottom-up state alone decides its selection (analysis.go)
 // and the run writes no marked XML and keeps no states, phase 1 marks the selected nodes itself: the run is one
 // backward scan, with no state file and no phase 2 (DiskStats.OneScan).
 // It is RunDiskParallelContext with one worker: the chunked driver run

@@ -19,7 +19,7 @@ import (
 // order phase 1 makes them in), its aux masks at v times the sidecars'
 // vector width — so a window reads or writes its slice of each file at an
 // offset computed from its first node, whatever holes the pass skips around
-// it. A lane whose selections its bottom-up states decide (onescan.go) has
+// it. A lane whose selections its bottom-up states decide (analysis.go) has
 // no slot: phase 1 marks its nodes as it folds them, and phase 2 skips it.
 
 // On-disk state widths. The state file is the dominant temporary I/O of a

@@ -124,18 +124,10 @@ type Engine struct {
 
 	stats Stats // guarded by: mu
 
-	// prune caches the engine's selectivity analysis (prune.go), computed
-	// once: live labels, the dead-subtree substitute state, and whether
-	// pruning is admissible at all.
-	prune *pruneAnalysis // guarded by: mu
-
-	// sel caches the engine's label-determined selection summary
-	// (selsum.go), computed once; ok=false records inadmissibility.
-	sel *SelSummary // guarded by: mu
-
-	// onescan caches the engine's bottom-up-determined selection verdicts
-	// (onescan.go), computed once; ok=false records inadmissibility.
-	onescan *oneScanAnalysis // guarded by: mu
+	// analysis is the engine's plan (analysis.go): prune, subsumption and
+	// one-scan verdicts, computed on first use by a walk over tables of its
+	// own and read without locks.
+	analysis func() *analysis
 
 	// scratch rule buffer reused across transition computations
 	ruleBuf []horn.Rule // guarded by: mu
@@ -145,7 +137,7 @@ type Engine struct {
 // needed to resolve Label[..] tests; it must match the databases the
 // engine will be run on.
 func NewEngine(c *Compiled, names *tree.Names) *Engine {
-	return &Engine{
+	e := &Engine{
 		c:         c,
 		solver:    horn.NewSolver(c.U),
 		buIndex:   make(map[string]StateID),
@@ -156,6 +148,18 @@ func NewEngine(c *Compiled, names *tree.Names) *Engine {
 		tdTrans:   make(map[tdKey]StateID),
 		names:     names,
 	}
+	e.analysis = sync.OnceValue(func() *analysis {
+		a := analyze(c, names)
+		if a.pruneOK {
+			// s* is the one state the analysis adds: prune plans hand it
+			// to runs as the state of every skipped extent.
+			e.mu.Lock()
+			a.sub = e.internBU(a.subProg)
+			e.mu.Unlock()
+		}
+		return a
+	})
+	return e
 }
 
 // Compiled returns the engine's compiled program.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,10 +35,11 @@ func labelSet(tags ...string) string {
 
 // oneScanPool draws programs the analysis must admit — label sets, the
 // node-local filters among filterPrograms, //a, a program with several
-// query predicates — and programs it must reject: root-path regexes, the
-// filter that looks at a node's parent, and //S[NP][VP][PP], whose
-// bottom-up closure outgrows the caps. admitted says which is which.
-func oneScanPool(t *testing.T, rng *rand.Rand, tags []string) (pool []*tmnf.Program, admitted []bool) {
+// query predicates — and programs it must reject: the filter that looks at
+// a node's parent, //S[NP][VP][PP], whose bottom-up closure outgrows the
+// caps, and the given number of root-path Treebank regexes. admitted says
+// which is which.
+func oneScanPool(t *testing.T, rng *rand.Rand, tags []string, regexes int) (pool []*tmnf.Program, admitted []bool) {
 	t.Helper()
 	add := func(src string, ok bool) {
 		pool, admitted = append(pool, tmnf.MustParse(src)), append(admitted, ok)
@@ -58,27 +60,105 @@ func oneScanPool(t *testing.T, rng *rand.Rand, tags []string) (pool []*tmnf.Prog
 	add(filterPrograms[2], false)
 	add(rootPath, false)
 	add(firstChildA, false)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < regexes; i++ {
 		src := workload.RandomPathRegex(rng, 3+rng.Intn(6), workload.GrammarAlphabet).TMNFSource(workload.RTreebank)
 		add(src, false)
 	}
 	return pool, admitted
 }
 
+// pinnedVerdicts is every verdict of the engine's analysis over
+// oneScanPool's seed-1 draw with 20 regexes, one row per program: one-scan
+// admission, prune admission, the live-label signature, s*'s residual
+// program and the subsumption verdicts (label:child/root for each mentioned
+// label, then the character and named-label defaults), "-" where the
+// analysis withholds them. The rows were recorded from the three separate
+// walks the one analysis replaced, so a row that moves is a verdict lost or
+// gained.
+const pinnedVerdicts = `
+0 onescan=true prune=true live=[0 800000000 100000000 0] sub="" sum=256:true/true 260:true/true c:false/false n:false/false
+1 onescan=true prune=true live=[0 800000000 4000100000000 0] sub="" sum=256:true/true 257:true/true 260:true/true c:false/false n:false/false
+2 onescan=true prune=true live=[0 800000000 0 0] sub="" sum=256:true/true c:false/false n:false/false
+3 onescan=true prune=true live=[0 800000000 4000100000000 0] sub="" sum=256:true/true 257:true/true 260:true/true c:false/false n:false/false
+4 onescan=true prune=true live=[4 800000000 0 0] sub="p1 <- p0;" sum=-
+5 onescan=true prune=true live=[4 0 100000000 0] sub="p1 <- p0;" sum=-
+6 onescan=true prune=true live=[0 800000000 0 0] sub="" sum=256:true/false c:false/false n:false/false
+7 onescan=true prune=false live=[0 800000000 0 0] sub="-" sum=-
+8 onescan=false prune=true live=[4 800020000 4000000000000 0] sub="p1 <- p0; p4 <- p3; p7 <- p6; p9 <- p2 p5;" sum=-
+9 onescan=false prune=true live=[4 800000000 4000000000000 0] sub="p1 <- p0;" sum=-
+10 onescan=false prune=true live=[0 800000000 0 0] sub="" sum=-
+11 onescan=false prune=true live=[0 1 0 800000000000] sub="" sum=-
+12 onescan=false prune=true live=[4 800020000 4000000000000 0] sub="p0 <- p20; p1 <-;" sum=-
+13 onescan=false prune=true live=[4 800020000 4000000000000 0] sub="p0 <- p17; p1 <-;" sum=-
+14 onescan=false prune=true live=[4 20000 4000000000000 0] sub="p0 <- p23; p1 <-;" sum=-
+15 onescan=false prune=true live=[0 800020000 4000000000000 0] sub="p0 <- p11; p1 <-;" sum=-
+16 onescan=false prune=true live=[4 800000000 4000000000000 0] sub="p0 <- p11; p1 <-;" sum=-
+17 onescan=false prune=true live=[4 800000000 4000000000000 0] sub="p0 <- p11; p1 <-;" sum=-
+18 onescan=false prune=true live=[4 800020000 0 0] sub="p0 <- p14; p1 <-;" sum=-
+19 onescan=false prune=true live=[0 800020000 4000000000000 0] sub="p0 <- p14; p1 <-;" sum=-
+20 onescan=false prune=true live=[4 20000 4000000000000 0] sub="p0 <- p17; p1 <-;" sum=-
+21 onescan=false prune=true live=[0 800020000 0 0] sub="p0 <- p14; p1 <-;" sum=-
+22 onescan=false prune=true live=[0 20000 4000000000000 0] sub="p0 <- p11; p1 <-;" sum=-
+23 onescan=false prune=true live=[4 800020000 4000000000000 0] sub="p0 <- p14; p1 <-;" sum=-
+24 onescan=false prune=true live=[4 20000 4000000000000 0] sub="p0 <- p14; p1 <-;" sum=-
+25 onescan=false prune=true live=[4 800020000 4000000000000 0] sub="p0 <- p20; p1 <-;" sum=-
+26 onescan=false prune=true live=[4 800020000 4000000000000 0] sub="p0 <- p17; p1 <-;" sum=-
+27 onescan=false prune=true live=[0 800020000 0 0] sub="p0 <- p8; p1 <-;" sum=-
+28 onescan=false prune=true live=[0 800020000 0 0] sub="p0 <- p14; p1 <-;" sum=-
+29 onescan=false prune=true live=[4 20000 0 0] sub="p0 <- p23; p1 <-;" sum=-
+30 onescan=false prune=true live=[4 800020000 0 0] sub="p0 <- p17; p1 <-;" sum=-
+31 onescan=false prune=true live=[4 20000 4000000000000 0] sub="p0 <- p14; p1 <-;" sum=-
+`
+
+// verdictRow renders e's verdicts as a row of pinnedVerdicts.
+func verdictRow(e *Engine) string {
+	a := e.analysis()
+	sub := "-"
+	if a.pruneOK {
+		sub = a.subProg.String()
+	}
+	sum := "-"
+	if s := e.SelectionSummary(); s != nil {
+		var ls []tree.Label
+		for l := range s.mentioned {
+			ls = append(ls, l)
+		}
+		slices.Sort(ls)
+		var b strings.Builder
+		for _, l := range ls {
+			fmt.Fprintf(&b, "%d:%v/%v ", l, s.child.labels[l], s.root.labels[l])
+		}
+		fmt.Fprintf(&b, "c:%v/%v n:%v/%v", s.child.charDefault, s.root.charDefault, s.child.namedDefault, s.root.namedDefault)
+		sum = b.String()
+	}
+	return fmt.Sprintf("onescan=%v prune=%v live=%x sub=%q sum=%s", a.oneScan, a.pruneOK, a.live, sub, sum)
+}
+
 // TestOneScanAdmission checks the analysis's verdicts program by program:
-// node-local selections are admitted, every root-path or parent condition
-// is rejected.
+// node-local selections are admitted to one scan, every root-path or
+// parent condition is rejected, and every verdict — prune and subsumption
+// too — is the pinned one. The analysis runs on tables of its own: the
+// engine is left with s* at most, no top-down state and no transition.
 func TestOneScanAdmission(t *testing.T) {
 	names := namesWith(t, "NP", "VP", "PP", "S", "T3", "A", "C")
-	pool, admitted := oneScanPool(t, rand.New(rand.NewSource(1)), []string{"NP", "VP", "T3"})
+	pool, admitted := oneScanPool(t, rand.New(rand.NewSource(1)), []string{"NP", "VP", "T3"}, 20)
+	var rows strings.Builder
 	for i, prog := range pool {
 		c, err := Compile(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := NewEngine(c, names).OneScan(); got != admitted[i] {
+		e := NewEngine(c, names)
+		if got := e.OneScan(); got != admitted[i] {
 			t.Errorf("program %d: one-scan %v, want %v\n%s", i, got, admitted[i], prog)
 		}
+		fmt.Fprintf(&rows, "%d %s\n", i, verdictRow(e))
+		if st := e.Stats(); st.TDStates != 0 || st.BUTransitions != 0 || st.TDTransitions != 0 || st.BUStates > 1 {
+			t.Errorf("program %d: the analysis left %+v in the engine", i, st)
+		}
+	}
+	if got := rows.String(); got != pinnedVerdicts[1:] {
+		t.Errorf("verdicts moved:\n%s\nwant\n%s", got, pinnedVerdicts[1:])
 	}
 }
 
@@ -110,7 +190,7 @@ func TestOneScanMatchesTwoScansAndNaive(t *testing.T) {
 	oneScans, pruned := 0, 0
 	for iter := 0; iter < 2; iter++ {
 		tr := batchDoc(t, rng, 6+rng.Intn(8))
-		pool, admitted := oneScanPool(t, rng, []string{"NP", "VP", "PP", "S", "T1", "T3", "T7", "FILE"})
+		pool, admitted := oneScanPool(t, rng, []string{"NP", "VP", "PP", "S", "T1", "T3", "T7", "FILE"}, 3)
 		comps := make([]*Compiled, len(pool))
 		for i, prog := range pool {
 			var err error

@@ -68,7 +68,7 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 // whole batch: phase 1 is one backward scan writing every lane's bottom-up
 // state per node to one temporary state file; phase 2 is one forward scan
 // reading it back and computing the true predicates. A lane whose members'
-// selections their bottom-up states decide (onescan.go) is marked in
+// selections their bottom-up states decide (analysis.go) is marked in
 // phase 1 and takes no part in the state file or phase 2; when every lane
 // is, the batch is one scan (DiskStats.OneScan). Members step in lanes
 // (product.go): up to 64 query predicates' worth of members share one
@@ -185,7 +185,7 @@ func (r *diskBatch) width() int {
 
 // decided reports whether lane l's selections are decided in phase 1 of
 // this run, so that the lane needs neither state-file slot nor phase 2:
-// every member's program admits one-scan verdicts (onescan.go), and the
+// every member's program admits one-scan verdicts (analysis.go), and the
 // run reads no aux input, writes no aux output or marked XML, and keeps no
 // states (the first two are per-node facts outside the verdicts, the last
 // two need phase 2's states).
@@ -194,7 +194,7 @@ func (r *diskBatch) decided(l *lane) bool {
 		return false
 	}
 	for _, m := range l.members {
-		if !r.engines[m].lockedOneScan().ok {
+		if !r.engines[m].OneScan() {
 			return false
 		}
 	}

@@ -47,11 +47,11 @@ func TestPruneAnalysisAdmission(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		e := NewEngine(c, names)
-		a := e.pruneAnalysis()
-		if a.ok != tc.ok {
-			t.Errorf("%s: analysis ok=%v, want %v", tc.name, a.ok, tc.ok)
+		a := e.analysis()
+		if a.pruneOK != tc.ok {
+			t.Errorf("%s: analysis ok=%v, want %v", tc.name, a.pruneOK, tc.ok)
 		}
-		if a2 := e.pruneAnalysis(); a2 != a {
+		if a2 := e.analysis(); a2 != a {
 			t.Errorf("%s: analysis not cached", tc.name)
 		}
 	}
@@ -69,7 +69,7 @@ func TestPruneAnalysisNegRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(c, tree.NewNames())
-	if a := e.pruneAnalysis(); a.ok {
+	if e.analysis().pruneOK {
 		t.Fatal("analysis admitted a query that selects every non-root node")
 	}
 }

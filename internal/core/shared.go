@@ -111,13 +111,20 @@ func (s *SharedEngine) QueryMask(td StateID) uint64 {
 }
 
 // Verdict is the engine's one-scan verdict for bottom-up state bu
-// (onescan.go): false until the analysis admitted the program, and for
-// states it did not reach.
+// (analysis.go), looked up by its residual program: false when the
+// analysis did not admit the program, and for states it did not reach.
 func (s *SharedEngine) Verdict(bu StateID, root bool) (uint64, bool) {
-	s.e.mu.RLock()
-	defer s.e.mu.RUnlock()
-	if s.e.onescan == nil {
+	a := s.e.analysis()
+	if !a.oneScan {
 		return 0, false
 	}
-	return s.e.onescan.verdict(bu, root)
+	s.e.mu.RLock()
+	k := s.e.buStates[bu].Key()
+	s.e.mu.RUnlock()
+	v := a.child
+	if root {
+		v = a.root
+	}
+	mask, ok := v[k]
+	return mask, ok
 }

@@ -47,7 +47,7 @@ type StepCache struct {
 	masks     []uint64
 	maskKnown []bool
 
-	// One-scan verdicts (onescan.go) per non-root bottom-up state.
+	// One-scan verdicts (analysis.go) per non-root bottom-up state.
 	verdicts     []uint64
 	verdictKnown []bool
 }
