@@ -7,6 +7,35 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# gate PATTERN [FLAGS] PACKAGES runs the tests whose names match PATTERN,
+# and fails when PATTERN selects none: `go test -run` with no match prints
+# "no tests to run" and passes, so a gate whose tests were deleted or
+# renamed would go on passing while checking nothing.
+gate() {
+    pat=$1
+    shift
+    pkgs=$(printf '%s\n' "$@" | grep -v '^-')
+    # shellcheck disable=SC2086 # one package per word
+    if ! go test -list "$pat" $pkgs | grep -qE '^(Test|Fuzz|Example)'; then
+        echo "go test -run '$pat' selects no test in $pkgs: the gate checks nothing" >&2
+        exit 1
+    fi
+    go test -run "$pat" "$@"
+}
+
+# fuzz TARGET PACKAGE [FLAGS] fuzzes TARGET for 10 s, failing when the
+# package has no such target.
+fuzz() {
+    target=$1
+    pkg=$2
+    shift 2
+    if ! go test -list "^$target\$" "$pkg" | grep -qx "$target"; then
+        echo "$pkg has no fuzz target $target" >&2
+        exit 1
+    fi
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$@" "$pkg"
+}
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -51,6 +80,17 @@ fi
 # record image (storage.OpenTree), scratch files in RAM. Keep them gone.
 if grep -rnE '\b(RunBatchTree|TreeBatchOpts|RunBatchContext|emitTreeMarked|ExecTree|SubtreeSizes)\b' --include='*.go' . >&2; then
     echo "an in-memory driver is back: trees run the one driver over their record image" >&2
+    exit 1
+fi
+
+# Test-only knobs and entry points stay out of the libraries' APIs: core's
+# thresholds are package variables its tests set through export_test.go,
+# a state file is kept (KeepStateFile) or temporary — never named by the
+# caller — and storage's per-extent scans and panicking index constructor
+# are gone (tests step BackwardWindows/ForwardWindows over an extent and
+# call NewIndex). Keep them gone.
+if grep -rnE '\b(NewIndexForTest|FoldBottomUpRange|ScanTopDownRange|StatePath|PruneMinNodes|PruneMinExtent)\b' --include='*.go' --exclude='*_test.go' . >&2; then
+    echo "a test-only knob or entry point is back in a library API" >&2
     exit 1
 fi
 
@@ -158,7 +198,7 @@ bash benchmark/run.sh -smoke > /dev/null
 
 # arb serve smoke: the built binary starts, answers TMNF and XPath
 # queries over HTTP, serves /stats, and drains cleanly on SIGTERM.
-go test -run CLIServe ./...
+gate CLIServe ./...
 
 # arb patch smoke: create a database, patch it through the CLI, query
 # old-shape vs new-shape, compact, and emit the patched document.
@@ -226,40 +266,43 @@ fi
 }
 
 # Fast gates: context-cancellation behaviour across storage, the engine
-# and the CLI, the shared-scan batch machinery (differential, order
-# independence, cancellation cleanup), selectivity-aware pruning
-# (analysis admission, v2 index, prune-vs-noprune differentials across
-# all strategies), and the concurrent query server (reentrant handles,
-# coalescing differential vs scalar execution, drain), each under the
-# race detector.
-go test -run Cancel -race ./...
-go test -run Batch -race ./...
-go test -run Prune -race ./...
-go test -run Serve -race ./...
-# Compressed extents: container round-trips, all-strategy differentials
-# on compressed databases, vstore write-policy inheritance, the
-# rename-commit directory-sync hooks, the LZ decoder against its
-# byte-at-a-time oracle, and the block cache's prefix decoding; then a
-# bounded fuzz of the decoder.
-go test -run 'Compress|SyncDir|LZ|BlockSource' -race ./...
+# and the CLI, the shared-scan batch machinery (lanes, product overflow,
+# cancellation cleanup), selectivity-aware pruning (analysis admission, v2
+# index, gap switches at window edges), and the concurrent query server
+# (reentrant handles, coalescing differential vs scalar execution, drain),
+# each under the race detector.
+gate Cancel -race ./...
+gate Batch -race ./...
+gate Prune -race ./...
+gate Serve -race ./...
+# The model-based differential harness (internal/core/model_test.go): its
+# seeded table — every document kind, storage form, query kind and
+# execution option against the naive, interpreter and STA oracles — under
+# the race detector, then a bounded fuzz of its generator.
+gate Model -race ./internal/core
+fuzz FuzzModel ./internal/core
+# Compressed extents: container round-trips, vstore write-policy
+# inheritance, the rename-commit directory-sync hooks, the LZ decoder
+# against its byte-at-a-time oracle, and the block cache's prefix
+# decoding; then a bounded fuzz of the decoder.
+gate 'Compress|SyncDir|LZ|BlockSource' -race ./...
 # Corrupt counts in the .idx sidecar and the .arbm manifest are rejected
 # before they are allocated.
-go test -run 'CountBoundsAlloc' -race ./internal/storage ./internal/vstore
-go test -run '^$' -fuzz FuzzLZDecompress -fuzztime 10s ./internal/storage
-go test -run '^$' -fuzz FuzzOpenContainer -fuzztime 10s -fuzzminimizetime 100x ./internal/storage
-# The versioned extent store: manifest fuzz seeds, the vstore and
-# root-level patch differentials, snapshot isolation/GC, and the
-# concurrent read-while-patching server race.
-go test -run 'Patch|Version|Snapshot' -race ./...
+gate 'CountBoundsAlloc' -race ./internal/storage ./internal/vstore
+fuzz FuzzLZDecompress ./internal/storage
+fuzz FuzzOpenContainer ./internal/storage -fuzzminimizetime 100x
+# The versioned extent store: manifest fuzz seeds, vstore's patch
+# differential against its flat-splice oracle, snapshot isolation/GC, and
+# the concurrent read-while-patching server race.
+gate 'Patch|Version|Snapshot' -race ./...
 # The result cache: unit invariants (budget, eviction, version
-# demotion), cached/subsumed answers bit-identical to every strategy
-# under version churn, selection-summary subsumption soundness, and
-# the server fast path + admission control.
-go test -run 'ResCache|Subsum' -race ./...
+# demotion), cached answers under version churn, selection-summary
+# subsumption soundness, and the server fast path + admission control.
+gate 'ResCache|Subsum' -race ./...
 # The engine's one analysis: pinned prune, subsumption and one-scan
-# verdicts, the engine left clean by planning, one-scan differentials, and
-# concurrent first use of a fresh query's plan.
-go test -run 'OneScan|SelSum|Analysis' -race ./...
+# verdicts, the engine left clean by planning, and concurrent first use of
+# a fresh engine's plan.
+gate 'OneScan|SelSum|Analysis' -race ./...
 
 # Full suite (includes the fuzz targets' seed corpora), with shuffled
 # test order so inter-test state dependencies cannot hide.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"arb/internal/storage"
@@ -35,8 +37,8 @@ const parityProgram = `
 // Each program runs once with one scan allowed and once forced through
 // both phases, pruned, and must answer as the naive oracle does.
 func TestAnalysisLeavesEngineClean(t *testing.T) {
-	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
-	PruneMinNodes, PruneMinExtent = 1, 8
+	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
+	pruneMinNodes, pruneMinExtent = 1, 8
 	t.Cleanup(func() { oneScanOff = false })
 	ctx := context.Background()
 	tr := batchDoc(t, rand.New(rand.NewSource(36)), 12)
@@ -77,6 +79,83 @@ func TestAnalysisLeavesEngineClean(t *testing.T) {
 					label, run.BUTransitions, run.TDTransitions, run.TDStates, st.BUTransitions, st.TDTransitions, st.TDStates)
 			}
 			sameAsNaive(t, prog, tr, nil, res, label)
+		}
+	}
+}
+
+// TestAnalysisConcurrentFirstUse races the first use of a fresh engine's
+// analysis: eight runs (one worker, and two over chunks) start together
+// with goroutines reading its selection summary and prune plan. Every run
+// must select what a lone run of another fresh engine selects, and every
+// reader must see the same summary and the same plan. The thresholds are
+// lowered so the plan is not nil; xpath's test of the same name races a
+// fresh Prepared over a database.
+func TestAnalysisConcurrentFirstUse(t *testing.T) {
+	lowerParallelKnobs(t)
+	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
+	pruneMinNodes, pruneMinExtent = 1, 8
+	ctx := context.Background()
+	tr := batchDoc(t, rand.New(rand.NewSource(5)), 20)
+	db, err := storage.OpenTree(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.Index(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpNP := `VP :- Label[VP]; D :- VP.FirstChild; D :- D.NextSibling; QUERY :- D, Label[NP];`
+	for _, src := range []string{labelSet("NP"), filterPrograms[0], vpNP} {
+		c, err := Compile(tmnf.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(c, db.Names)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		got := make([]*Result, 8)
+		errs := make([]error, len(got))
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i], _, errs[i] = e.RunDiskParallelContext(ctx, db, 1+i%2, DiskOpts{})
+			}()
+		}
+		sums := make([]*SelSummary, 4)
+		plans := make([]*PrunePlan, len(sums))
+		for i := range sums {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				sums[i] = e.SelectionSummary()
+				plans[i] = PlanPrune([]*Engine{e}, ix, db.N)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, res := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s: run %d: %v", src, i, errs[i])
+			}
+			sameSelection(t, res, want, fmt.Sprintf("%s: run %d", src, i))
+		}
+		for i := range sums {
+			if sums[i] != sums[0] {
+				t.Errorf("%s: reader %d saw another summary", src, i)
+			}
+			if (plans[i] == nil) != (plans[0] == nil) || plans[i] != nil && (!slices.Equal(plans[i].Extents, plans[0].Extents) || plans[i].Sub(0) != plans[0].Sub(0)) {
+				t.Errorf("%s: reader %d saw another prune plan", src, i)
+			}
+		}
+		if plans[0] == nil {
+			t.Errorf("%s: no prune plan: the junk extents do not prune", src)
 		}
 	}
 }

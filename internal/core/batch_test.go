@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
-	"arb/internal/naive"
 	"arb/internal/storage"
 	"arb/internal/testutil"
 	"arb/internal/tmnf"
@@ -37,94 +35,6 @@ func batchMembers(t *testing.T, progs []*tmnf.Program, names *tree.Names) []Batc
 		members[i] = BatchMember{E: NewEngine(c, names), AuxInSlot: -1, AuxOutSlot: -1}
 	}
 	return members
-}
-
-// TestBatchMatchesScalarAndNaive is the core-level differential test: the
-// batch strategies — sequential and chunked on disk, chunked over the
-// tree's record image in RAM — select bit-identical nodes to per-program scalar
-// runs and to the naive fixpoint oracle, on random trees and programs.
-func TestBatchMatchesScalarAndNaive(t *testing.T) {
-	lowerParallelKnobs(t)
-	rng := rand.New(rand.NewSource(2024))
-	ctx := context.Background()
-	for iter := 0; iter < 12; iter++ {
-		tr := testutil.RandomTree(rng, 400)
-		progs := batchPrograms(t, rng, 3+rng.Intn(4))
-		base := filepath.Join(t.TempDir(), "db")
-		db, err := storage.CreateFromTree(base, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Scalar reference runs, one engine per program.
-		want := make([]*Result, len(progs))
-		for i, prog := range progs {
-			c, err := Compile(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i], err = NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		img, err := storage.OpenTree(tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		memRes, _, _, err := RunDiskBatchParallel(ctx, img, 4, batchMembers(t, progs, tr.Names()), DiskBatchOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diskRS := &RunStats{}
-		diskRes, _, ds, err := RunDiskBatch(ctx, db, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: DiskOpts{Run: diskRS}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		emptyFrontier(func() {
-			rs := &RunStats{}
-			res, _, eds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: DiskOpts{Run: rs}})
-			if err != nil {
-				t.Fatalf("iter %d empty frontier: %v", iter, err)
-			}
-			for i, prog := range progs {
-				sameResults(t, prog, tr.Len(), res[i], diskRes[i], "batch, empty frontier vs sequential")
-			}
-			sameProfile(t, "batch, empty frontier vs sequential", eds, ds, rs, diskRS)
-		})
-		parRes, _, pds, err := RunDiskBatchParallel(ctx, db, 4, batchMembers(t, progs, db.Names), DiskBatchOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, prog := range progs {
-			sameResults(t, prog, tr.Len(), memRes[i], want[i], "batch-memory vs scalar")
-			sameResults(t, prog, tr.Len(), diskRes[i], want[i], "batch-disk vs scalar")
-			sameResults(t, prog, tr.Len(), parRes[i], want[i], "batch-parallel-disk vs scalar")
-			oracle := naive.Evaluate(tr, prog)
-			for _, q := range prog.Queries() {
-				for v := 0; v < tr.Len(); v++ {
-					if g, w := memRes[i].Holds(q, tree.NodeID(v)), oracle.Holds(q, tree.NodeID(v)); g != w {
-						t.Fatalf("iter %d member %d: batch %s(%d)=%v, naive %v\nprogram:\n%s",
-							iter, i, prog.PredName(q), v, g, w, prog)
-					}
-				}
-			}
-		}
-
-		// One aggregate pass for the whole batch, however many members and
-		// workers: every .arb byte is read or provably-irrelevant-and-
-		// skipped exactly once per phase, and phase 2 runs only if some
-		// lane's selections its bottom-up states do not decide.
-		members := batchMembers(t, progs, db.Names)
-		for name, d := range map[string]*DiskStats{"sequential": ds, "parallel": pds} {
-			checkScans(t, fmt.Sprintf("iter %d %s", iter, name), db, d, 0)
-			if (d.OneScan == 1) != (twoScanLanes(members) == 0) {
-				t.Fatalf("iter %d %s: one-scan %d, %d lanes need phase 2", iter, name, d.OneScan, twoScanLanes(members))
-			}
-		}
-		db.Close()
-	}
 }
 
 // TestBatchWideStateFallback forces the narrow->wide state width restart
@@ -165,7 +75,7 @@ func TestBatchWideStateFallback(t *testing.T) {
 	sameResults(t, prog, tr.Len(), res[0], want, "wide-state batch vs scalar")
 }
 
-// TestBatchRejectsPerRunOutputsForManyMembers: a named or kept state file
+// TestBatchRejectsPerRunOutputsForManyMembers: a kept state file
 // and marked XML belong to one query, so only a batch of one takes them;
 // a larger batch fails up front and creates no file.
 func TestBatchRejectsPerRunOutputsForManyMembers(t *testing.T) {
@@ -178,7 +88,7 @@ func TestBatchRejectsPerRunOutputsForManyMembers(t *testing.T) {
 	}
 	defer db.Close()
 	progs := []*tmnf.Program{testutil.RandomProgramParsed(rng, 3, 6), testutil.RandomProgramParsed(rng, 3, 6)}
-	for _, opts := range []DiskOpts{{StatePath: filepath.Join(dir, "run.sta")}, {KeepStateFile: true}, {MarkTo: io.Discard}} {
+	for _, opts := range []DiskOpts{{KeepStateFile: true}, {MarkTo: io.Discard}} {
 		if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: opts}); err == nil {
 			t.Errorf("a two-member batch accepted %+v", opts)
 		}

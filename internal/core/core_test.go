@@ -4,11 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"arb/internal/automata"
 	"arb/internal/horn"
-	"arb/internal/naive"
 	"arb/internal/testutil"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
@@ -178,104 +175,6 @@ func predNames(p *tmnf.Program, preds []tmnf.Pred) []string {
 		out[i] = p.PredName(q)
 	}
 	return out
-}
-
-// staOraclePreds bounds the programs evalBoth also checks against the
-// selecting-tree-automaton oracle (automata.SelectTMNF), which is
-// exponential in the predicates: it takes up to 20
-// (TestOraclePredicateLimits), and 8 keep the differentials fast.
-const staOraclePreds = 8
-
-// evalBoth runs the two-phase engine and the naive oracle on the same
-// inputs and compares the query predicate's selected sets; programs of at
-// most staOraclePreds predicates are also checked against the Section 3
-// STA semantics, an implementation that shares nothing with either.
-func evalBoth(t *testing.T, tr *tree.Tree, p *tmnf.Program) bool {
-	t.Helper()
-	c, err := Compile(p)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	e := NewEngine(c, tr.Names())
-	res, err := e.RunContext(context.Background(), tr, RunOpts{})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	oracle := naive.Evaluate(tr, p)
-	var sta map[tmnf.Pred][]bool
-	if p.NumPreds() <= staOraclePreds {
-		if sta, err = automata.SelectTMNF(tr, p); err != nil {
-			t.Fatalf("SelectTMNF: %v", err)
-		}
-	}
-	for _, q := range p.Queries() {
-		for v := 0; v < tr.Len(); v++ {
-			got := res.Holds(q, tree.NodeID(v))
-			if got != oracle.Holds(q, tree.NodeID(v)) || sta != nil && got != sta[q][v] {
-				t.Logf("mismatch on pred %s node %d: engine=%v oracle=%v sta=%v\nprogram:\n%s\ntree:\n%s",
-					p.PredName(q), v, got, oracle.Holds(q, tree.NodeID(v)), sta != nil && sta[q][v], p, tr)
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestTheorem41Differential is the central correctness property test:
-// two-phase evaluation agrees with the naive fixpoint on random programs
-// and random trees (Theorem 4.1).
-func TestTheorem41Differential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := testutil.RandomTree(rng, 40)
-		p := testutil.RandomProgramParsed(rng, 1+rng.Intn(5), 1+rng.Intn(12))
-		return evalBoth(t, tr, p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTheorem41AllPredsDifferential marks *every* predicate as a query
-// (multiple query evaluation, Section 7) and compares all of them.
-func TestTheorem41AllPredsDifferential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := testutil.RandomTree(rng, 30)
-		nPreds := 1 + rng.Intn(4)
-		p := testutil.RandomProgramParsed(rng, nPreds, 1+rng.Intn(10))
-		var names []string
-		for i := 0; i < nPreds; i++ {
-			if q, ok := p.Pred(predName(i)); ok {
-				names = append(names, p.PredName(q))
-			}
-		}
-		if err := p.SetQueries(names...); err != nil {
-			return false
-		}
-		return evalBoth(t, tr, p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func predName(i int) string {
-	return "P" + string(rune('0'+i))
-}
-
-// TestCaterpillarDifferential compares caterpillar-expression programs
-// (Glushkov lowering) against the oracle.
-func TestCaterpillarDifferential(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := testutil.RandomTree(rng, 30)
-		p := testutil.RandomCaterpillarProgram(rng)
-		return evalBoth(t, tr, p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestExample22EvenOdd evaluates the even/odd leaf-counting program of

@@ -1,4 +1,4 @@
-package parallel
+package core_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"arb/internal/core"
+	"arb/internal/parallel"
 	"arb/internal/storage"
 	"arb/internal/testutil"
 	"arb/internal/tmnf"
@@ -18,8 +19,9 @@ import (
 // once, on success. A pre-cancelled run credits nothing, and a pruned
 // two-worker run credits what the sequential run does.
 func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
-	defer func(n, x int64) { core.PruneMinNodes, core.PruneMinExtent = n, x }(core.PruneMinNodes, core.PruneMinExtent)
-	core.PruneMinNodes, core.PruneMinExtent = 1, 8
+	k := core.CurrentKnobs()
+	k.PruneMinNodes, k.PruneMinExtent = 1, 8
+	defer core.SetKnobs(k)()
 	tr := testutil.RandomTree(rand.New(rand.NewSource(37)), 3000)
 	// Label[zz] holds nowhere, so every subtree but the root's is dead.
 	prog := tmnf.MustParse(`QUERY :- Label[zz];`)
@@ -68,7 +70,7 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 			_, err := e.RunContext(ctx, tr, opts)
 			return err
 		}), single(func(ctx context.Context, e *core.Engine, opts core.RunOpts) error {
-			_, err := RunContext(ctx, e, tr, 2, opts)
+			_, err := parallel.RunContext(ctx, e, tr, 2, opts)
 			return err
 		})},
 		{"core.RunDiskBatch over the tree", 3, nil, batch(1)},
@@ -80,7 +82,11 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 		t.Helper()
 		engines := make([]*core.Engine, members)
 		for m := range engines {
-			engines[m] = engineFor(t, prog, tr.Names())
+			c, err := core.Compile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[m] = core.NewEngine(c, tr.Names())
 		}
 		rs := &core.RunStats{}
 		err := d(ctx, engines, rs)

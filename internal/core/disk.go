@@ -11,25 +11,22 @@ import (
 
 // DiskOpts configures a secondary-storage evaluation run: a scalar run's
 // options, and the per-run part of a batch run's (DiskBatchOpts), where
-// StatePath, KeepStateFile and MarkTo need a batch of one member.
+// KeepStateFile and MarkTo need a batch of one member.
 type DiskOpts struct {
-	// StatePath overrides the path of the temporary state file — the
-	// paper's footnote 12: one state id per node, written in reverse
-	// preorder by phase 1 (node v's at offset (N-1-v)·w) and read back in
-	// preorder by phase 2. A file the caller names or keeps
-	// (KeepStateFile) holds 4-byte big-endian ids; a temporary one holds
-	// ids of the narrowest of 1, 2 and 4 bytes the engine's automaton fits
-	// (a run whose lazily built automaton outgrows its width midway starts
-	// over with 4), and is sparse wherever a prune plan skipped an extent.
-	// When empty, the run uses a unique temporary file next to the
-	// database, so concurrent runs over one database — kept or not — never
-	// collide.
-	StatePath string
-	// KeepStateFile retains the state file after a successful run and
-	// reports its (unique) path as Result.StateFile; a failed run always
-	// removes the file it created. Over a tree's record image
-	// (storage.DB.InMemory) the run instead records every node's states in
-	// Result.BUStateOf/TDStateOf, visiting the nodes in order.
+	// KeepStateFile retains the phase-1 state file after a successful run
+	// and reports its (unique) path as Result.StateFile; a failed run always
+	// removes the file it created. The state file is the paper's footnote
+	// 12: one state id per node, written in reverse preorder by phase 1
+	// (node v's at offset (N-1-v)·w) and read back in preorder by phase 2.
+	// A kept file holds 4-byte big-endian ids; a temporary one holds ids of
+	// the narrowest of 1, 2 and 4 bytes the engine's automaton fits (a run
+	// whose lazily built automaton outgrows its width midway starts over
+	// with 4), and is sparse wherever a prune plan skipped an extent. Every
+	// run's file is uniquely named next to the database, so concurrent runs
+	// over one database — kept or not — never collide. Over a tree's
+	// record image (storage.DB.InMemory) the run instead records every
+	// node's states in Result.BUStateOf/TDStateOf, visiting the nodes in
+	// order.
 	KeepStateFile bool
 
 	// MarkTo, when non-nil, streams the document back out as XML during
@@ -42,8 +39,7 @@ type DiskOpts struct {
 	// NoPrune disables selectivity-aware scan pruning (prune.go) for this
 	// run. Pruning is otherwise applied automatically whenever it is
 	// provably sound; runs with aux input (DiskBatchOpts.AuxIn), marked
-	// output, or an external state-file contract (StatePath/KeepStateFile)
-	// never prune.
+	// output, or a kept state file never prune.
 	NoPrune bool
 
 	// Run, when non-nil, receives this run's exact statistics (node
@@ -99,17 +95,17 @@ func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOp
 	return e.RunDiskParallelContext(ctx, db, 1, opts)
 }
 
-// createStateFile opens the phase-1 state file for a run, size bytes:
-// opts.StatePath if set; a buffer in RAM for a tree's record image;
-// otherwise a unique temporary file next to the database, so two
-// concurrent runs sharing a database directory never clobber each other's
-// state. KeepStateFile runs use the same unique naming — the kept path is
-// reported as Result.StateFile rather than through a fixed, discoverable
-// name, so concurrent kept runs neither block nor overwrite one another.
-func createStateFile(db *storage.DB, opts DiskOpts, size int64) (storage.ScratchFile, string, error) {
-	if opts.StatePath != "" || db.InMemory() {
-		f, err := db.CreateScratch(opts.StatePath, size)
-		return f, opts.StatePath, err
+// createStateFile opens the phase-1 state file for a run, size bytes: a
+// buffer in RAM for a tree's record image, otherwise a unique temporary
+// file next to the database, so two concurrent runs sharing a database
+// directory never clobber each other's state. KeepStateFile runs use the
+// same unique naming — the kept path is reported as Result.StateFile
+// rather than through a fixed, discoverable name, so concurrent kept runs
+// neither block nor overwrite one another.
+func createStateFile(db *storage.DB, size int64) (storage.ScratchFile, string, error) {
+	if db.InMemory() {
+		f, err := db.CreateScratch("", size)
+		return f, "", err
 	}
 	f, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.sta")
 	if err != nil {

@@ -162,114 +162,6 @@ func TestOneScanAdmission(t *testing.T) {
 	}
 }
 
-// oneScanSources stores tr every way a run can read it: raw, a 4 KB LZ
-// container, a vstore snapshot after a patch, and the tree's record image.
-func oneScanSources(t *testing.T, tr *tree.Tree) []source {
-	t.Helper()
-	img, err := storage.OpenTree(tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(batchSources(t, tr, int64(tr.Len()-1)), source{"tree image", img})
-}
-
-// TestOneScanMatchesTwoScansAndNaive is the one-scan differential: every
-// program of oneScanPool, alone and in random batches that mix admitted and
-// rejected members in one lane or spill past 64 query predicates, over
-// every storage form, at one and four workers, pruned and not, selects
-// bit-identical nodes with the one-scan path on and forced off, and the same
-// nodes as the naive oracle. A run omits phase 2 exactly when every lane's
-// members are admitted.
-func TestOneScanMatchesTwoScansAndNaive(t *testing.T) {
-	lowerParallelKnobs(t)
-	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
-	PruneMinNodes, PruneMinExtent = 1, 8
-	t.Cleanup(func() { oneScanOff = false })
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(32))
-	oneScans, pruned := 0, 0
-	for iter := 0; iter < 2; iter++ {
-		tr := batchDoc(t, rng, 6+rng.Intn(8))
-		pool, admitted := oneScanPool(t, rng, []string{"NP", "VP", "PP", "S", "T1", "T3", "T7", "FILE"}, 3)
-		comps := make([]*Compiled, len(pool))
-		for i, prog := range pool {
-			var err error
-			if comps[i], err = Compile(prog); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, src := range oneScanSources(t, tr) {
-			db := src.db
-			// Batches: random draws, and 70 label programs (two lanes of
-			// ≤ 64 predicates) with the last member a rejected one.
-			batches := [][]int{}
-			for b := 0; b < 3; b++ {
-				batch := make([]int, 2+rng.Intn(6))
-				for m := range batch {
-					batch[m] = rng.Intn(len(pool))
-				}
-				batches = append(batches, batch)
-			}
-			wide := make([]int, 70)
-			for m := range wide {
-				wide[m] = rng.Intn(4) // the label sets
-			}
-			batches = append(batches, wide, append(wide[:69:69], len(pool)-1))
-			for i := range pool {
-				batches = append(batches, []int{i})
-			}
-
-			for _, batch := range batches {
-				for _, workers := range []int{1, 4} {
-					for _, noPrune := range []bool{false, true} {
-						label := fmt.Sprintf("iter %d, %s, members %v, %d workers, noprune %v", iter, src.name, batch, workers, noPrune)
-						members := func() []BatchMember {
-							bms := make([]BatchMember, len(batch))
-							for m, i := range batch {
-								bms[m] = BatchMember{E: NewEngine(comps[i], db.Names), AuxInSlot: -1, AuxOutSlot: -1}
-							}
-							return bms
-						}
-						opts := DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune}}
-						bms := members()
-						got, _, ds, err := RunDiskBatchParallel(ctx, db, workers, bms, opts)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						oneScan := true
-						for _, i := range batch {
-							oneScan = oneScan && admitted[i]
-						}
-						if (ds.OneScan == 1) != oneScan || (ds.OneScan == 1) != (twoScanLanes(bms) == 0) {
-							t.Fatalf("%s: one-scan %d, want %v", label, ds.OneScan, oneScan)
-						}
-						oneScans += ds.OneScan
-						if ds.Phase1.SkippedBytes > 0 {
-							pruned++
-						}
-						oneScanOff = true
-						want, _, wantDS, err := RunDiskBatchParallel(ctx, db, workers, members(), opts)
-						oneScanOff = false
-						if err != nil {
-							t.Fatalf("%s, two scans: %v", label, err)
-						}
-						if wantDS.OneScan != 0 || wantDS.Phase1 != ds.Phase1 {
-							t.Fatalf("%s: phase 1 %+v, forced two scans %+v", label, ds.Phase1, wantDS.Phase1)
-						}
-						for m, i := range batch {
-							sameSelection(t, got[m], want[m], fmt.Sprintf("%s, member %d", label, m))
-							sameAsNaive(t, pool[i], tr, nil, got[m], fmt.Sprintf("%s, member %d", label, m))
-						}
-					}
-				}
-			}
-		}
-	}
-	if oneScans == 0 || pruned == 0 {
-		t.Fatalf("%d one-scan runs, %d of them pruned: the test no longer reaches the one-scan path", oneScans, pruned)
-	}
-}
-
 // TestOneScanRootWithSecondChild runs an admitted program over a tree whose
 // root has a second child — a shape the analysis leaves out of its root
 // configurations: here the root's state (an NP whose sibling chain holds a

@@ -100,8 +100,8 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 	switch {
 	case len(members) == 0:
 		return nil, Stats{}, nil, errors.New("core: empty batch")
-	case len(members) > 1 && (opts.StatePath != "" || opts.KeepStateFile || opts.MarkTo != nil):
-		return nil, Stats{}, nil, errors.New("core: a state file or marked output needs a batch of one member")
+	case len(members) > 1 && (opts.KeepStateFile || opts.MarkTo != nil):
+		return nil, Stats{}, nil, errors.New("core: a kept state file or marked output needs a batch of one member")
 	}
 	return newDiskBatch(members, opts).exec(ctx, db, workers)
 }
@@ -170,10 +170,10 @@ func (r *diskBatch) keepsStates(db *storage.DB) bool {
 }
 
 // width is the run's initial state width: the widest any member's engine
-// asks for. A state file somebody else reads keeps the documented 4-byte
-// ids.
+// asks for. A kept state file, which somebody else reads, keeps the
+// documented 4-byte ids.
 func (r *diskBatch) width() int {
-	if r.opts.StatePath != "" || r.opts.KeepStateFile {
+	if r.opts.KeepStateFile {
 		return stateWide
 	}
 	w := stateByte
@@ -190,7 +190,7 @@ func (r *diskBatch) width() int {
 // states (the first two are per-node facts outside the verdicts, the last
 // two need phase 2's states).
 func (r *diskBatch) decided(l *lane) bool {
-	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile || r.opts.StatePath != "" {
+	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile {
 		return false
 	}
 	for _, m := range l.members {
@@ -204,13 +204,13 @@ func (r *diskBatch) decided(l *lane) bool {
 // plan is the one prune gate of the disk runs, scalar and batch. Seeking
 // past extents the static analysis proves irrelevant to every member is
 // sound only without aux input (aux bits vary per node), without marked
-// output (every node must be emitted), and without an external state-file
-// contract (the pruned state file has holes where extents were skipped);
-// below PruneMinNodes it buys nothing. ix is the index the run's frontier
+// output (every node must be emitted), and without a kept state file (the
+// pruned state file has holes where extents were skipped); below
+// pruneMinNodes it buys nothing. ix is the index the run's frontier
 // was cut from, or nil when it has none: the planner then loads the index
 // itself, and failing to costs the run its plan, not its answer.
 func (r *diskBatch) plan(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex) *PrunePlan {
-	if r.opts.NoPrune || r.opts.AuxIn != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile || r.opts.StatePath != "" || db.N < PruneMinNodes {
+	if r.opts.NoPrune || r.opts.AuxIn != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile || db.N < pruneMinNodes {
 		return nil
 	}
 	if ix == nil {
@@ -315,7 +315,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	keepFile := r.opts.KeepStateFile && !db.InMemory()
 	var statePath string
 	if slots > 0 {
-		stateF, path, err := createStateFile(db, r.opts.DiskOpts, int64(slots)*db.N*int64(width))
+		stateF, path, err := createStateFile(db, int64(slots)*db.N*int64(width))
 		if err != nil {
 			return nil, agg, nil, err
 		}

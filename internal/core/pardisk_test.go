@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -87,207 +85,6 @@ func sameAsNaive(t *testing.T, prog *tmnf.Program, tr *tree.Tree, aux func(tree.
 				t.Fatalf("%s: %s(%d)=%v, naive %v\nprogram:\n%s", label, prog.PredName(q), v, g, w, prog)
 			}
 		}
-	}
-}
-
-func TestRunDiskParallelMatchesSequentialAndNaive(t *testing.T) {
-	lowerParallelKnobs(t)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(71))
-	for iter := 0; iter < 30; iter++ {
-		tr := testutil.RandomTree(rng, 300)
-		prog := testutil.RandomProgramParsed(rng, 4, 8)
-		base := filepath.Join(t.TempDir(), "db")
-		db, err := storage.CreateFromTree(base, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		seqRS := &RunStats{}
-		seq, seqDS, err := NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{Run: seqRS})
-		if err != nil {
-			t.Fatal(err)
-		}
-		emptyFrontier(func() {
-			rs := &RunStats{}
-			par, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, 4, DiskOpts{Run: rs})
-			if err != nil {
-				t.Fatalf("iter %d empty frontier: %v", iter, err)
-			}
-			sameResults(t, prog, tr.Len(), par, seq, "empty frontier vs sequential")
-			sameProfile(t, "empty frontier vs sequential", ds, seqDS, rs, seqRS)
-		})
-		for _, workers := range []int{2, 4, 7} {
-			par, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, workers, DiskOpts{})
-			if err != nil {
-				t.Fatalf("iter %d workers %d: %v", iter, workers, err)
-			}
-			checkScans(t, fmt.Sprintf("iter %d workers %d", iter, workers), db, ds, 0)
-			sameResults(t, prog, tr.Len(), par, seq, "parallel vs sequential")
-		}
-
-		want := naive.Evaluate(tr, prog)
-		par, _, err := NewEngine(c, db.Names).RunDiskParallelContext(ctx, db, 4, DiskOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range prog.Queries() {
-			for v := 0; v < tr.Len(); v++ {
-				id := tree.NodeID(v)
-				if g, w := par.Holds(q, id), want.Holds(q, id); g != w {
-					t.Fatalf("iter %d: parallel %s(%d)=%v, naive %v\nprogram:\n%s\ntree:\n%s",
-						iter, prog.PredName(q), v, g, w, prog, tr)
-				}
-			}
-		}
-		db.Close()
-	}
-}
-
-func TestRunDiskParallelRightDeepChain(t *testing.T) {
-	// Degenerate sibling chain: the frontier collapses toward tiny
-	// first-child leaves and one big tail; results must still match.
-	lowerParallelKnobs(t)
-	tr := tree.New(nil)
-	root := tr.AddNode(tr.Names().MustIntern("r"))
-	prev := tree.None
-	for i := 0; i < 2000; i++ {
-		n := tr.AddNode(tr.Names().MustIntern([]string{"a", "b"}[i%2]))
-		if prev == tree.None {
-			tr.SetFirst(root, n)
-		} else {
-			tr.SetSecond(prev, n)
-		}
-		prev = n
-	}
-	prog := tmnf.MustParse(`QUERY :- Label[a], LastSibling; OTHER :- Label[b]; QUERY2 :- OTHER.NextSibling;`)
-	if err := prog.SetQueries("QUERY", "QUERY2"); err != nil {
-		t.Fatal(err)
-	}
-	base := filepath.Join(t.TempDir(), "db")
-	db, err := storage.CreateFromTree(base, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	c, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, 4, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, prog, tr.Len(), par, seq, "chain")
-	sameAsNaive(t, prog, tr, nil, seq, "chain")
-}
-
-func TestRunDiskParallelLargeBalancedDefaults(t *testing.T) {
-	// A balanced infix tree big enough to clear the default thresholds:
-	// the headline case where chunks divide evenly.
-	if testing.Short() {
-		t.Skip("builds a 128k-node database")
-	}
-	tr := workload.InfixTree(workload.Sequence(4, 1<<17-1))
-	base := filepath.Join(t.TempDir(), "infix")
-	db, err := storage.CreateFromTree(base, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	rx := workload.PathRegex{W1: []string{"A", "C"}, W2: []string{"G"}, W3: []string{"T", "A"}}
-	prog, err := rx.Program(workload.RInfix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, ds, err := NewEngine(c, db.Names).RunDiskParallelContext(context.Background(), db, 4, DiskOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Phase1.Nodes != db.N || ds.Phase2.Nodes != db.N {
-		t.Fatalf("scans visited %d/%d nodes, want %d each", ds.Phase1.Nodes, ds.Phase2.Nodes, db.N)
-	}
-	sameResults(t, prog, tr.Len(), par, seq, "infix")
-	sameAsNaive(t, prog, tr, nil, seq, "infix")
-}
-
-func TestRunDiskParallelAuxFiles(t *testing.T) {
-	// The aux sidecar pipeline (XPath negation's disk path) must produce
-	// byte-identical aux output under parallel evaluation.
-	lowerParallelKnobs(t)
-	rng := rand.New(rand.NewSource(73))
-	for iter := 0; iter < 10; iter++ {
-		tr := testutil.RandomTree(rng, 200)
-		dir := t.TempDir()
-		base := filepath.Join(dir, "db")
-		db, err := storage.CreateFromTree(base, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Random input masks over 2 aux bits.
-		auxIn := filepath.Join(dir, "in.aux")
-		masks := make([]byte, 2*tr.Len())
-		for v := 0; v < tr.Len(); v++ {
-			binary.BigEndian.PutUint16(masks[2*v:], uint16(rng.Intn(4)))
-		}
-		if err := os.WriteFile(auxIn, masks, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The aux output follows the first query predicate: QUERY2.
-		prog := tmnf.MustParse(`QUERY :- Aux[0]; P :- Aux[1]; QUERY2 :- P.FirstChild;`)
-		if err := prog.SetQueries("QUERY2", "QUERY"); err != nil {
-			t.Fatal(err)
-		}
-		c, err := Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := func(name string, workers int) (*Result, *DiskStats, *RunStats, []byte) {
-			rs := &RunStats{}
-			out := filepath.Join(dir, name+".aux")
-			members, opts := chained(NewEngine(c, db.Names), auxIn, out, 3, DiskOpts{Run: rs})
-			res, _, ds, err := RunDiskBatchParallel(context.Background(), db, workers, members, opts)
-			if err != nil {
-				t.Fatalf("iter %d %s: %v", iter, name, err)
-			}
-			masks, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res[0], ds, rs, masks
-		}
-		seq, seqDS, seqRS, seqOut := run("seq", 1)
-		par, _, _, parOut := run("par", 3)
-		sameResults(t, prog, tr.Len(), par, seq, "aux")
-		sameAsNaive(t, prog, tr, func(v tree.NodeID) uint16 { return binary.BigEndian.Uint16(masks[2*v:]) }, seq, "aux")
-		if !bytes.Equal(seqOut, parOut) {
-			t.Fatalf("iter %d: parallel aux output differs from sequential", iter)
-		}
-		emptyFrontier(func() {
-			res, ds, rs, out := run("empty", 4)
-			sameResults(t, prog, tr.Len(), res, seq, "aux, empty frontier")
-			sameProfile(t, "aux, empty frontier vs sequential", ds, seqDS, rs, seqRS)
-			if !bytes.Equal(out, seqOut) {
-				t.Fatalf("iter %d: empty-frontier aux output differs from sequential", iter)
-			}
-		})
-		db.Close()
 	}
 }
 

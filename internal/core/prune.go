@@ -15,15 +15,15 @@ package core
 
 import "arb/internal/storage"
 
-// Pruning thresholds. Variables (not constants) so tests and benchmarks
+// Pruning thresholds. Variables (not constants) so the package's tests
 // can exercise the pruning machinery on small documents.
 var (
-	// PruneMinNodes is the document size below which drivers skip the
+	// pruneMinNodes is the document size below which drivers skip the
 	// planning step entirely — seeking buys nothing on data this small.
-	PruneMinNodes int64 = 1 << 15
-	// PruneMinExtent is the smallest extent worth seeking past; skipping
+	pruneMinNodes int64 = 1 << 15
+	// pruneMinExtent is the smallest extent worth seeking past; skipping
 	// tiny extents fragments the sequential scan for no I/O win.
-	PruneMinExtent int64 = 1 << 12
+	pruneMinExtent int64 = 1 << 12
 )
 
 // PrunePlan is the set of extents one execution may seek past, with the
@@ -49,7 +49,7 @@ func (p *PrunePlan) Sub(m int) StateID { return p.subs[m] }
 // selection is deliberately logical: a sub-block extent still saves its
 // share of decompression and per-node work even when its block must be
 // read for neighbouring live records, so admission thresholds
-// (PruneMinExtent) stay in node units on compressed databases too.
+// (pruneMinExtent) stay in node units on compressed databases too.
 func (p *PrunePlan) PhysicalSavings(db *storage.DB) int64 {
 	var sum int64
 	for _, x := range p.Extents {
@@ -65,7 +65,7 @@ func (p *PrunePlan) PhysicalSavings(db *storage.DB) int64 {
 // when any engine's analysis fails, the index does not describe an
 // n-node document, or no extent qualifies.
 func PlanPrune(engines []*Engine, ix *storage.SubtreeIndex, n int64) *PrunePlan {
-	if ix == nil || ix.N != n || n < PruneMinNodes {
+	if ix == nil || ix.N != n || n < pruneMinNodes {
 		return nil
 	}
 	var live storage.LabelSig
@@ -81,7 +81,7 @@ func PlanPrune(engines []*Engine, ix *storage.SubtreeIndex, n int64) *PrunePlan 
 	plan := &PrunePlan{subs: subs}
 	lastEnd := int64(0)
 	for _, ent := range ix.Entries() {
-		if ent.V < lastEnd || ent.V == 0 || ent.Size < PruneMinExtent {
+		if ent.V < lastEnd || ent.V == 0 || ent.Size < pruneMinExtent {
 			continue
 		}
 		if ent.Labels.Intersects(live) {

@@ -152,8 +152,8 @@ func TestPrunePlanSelectsMaximalDisjointExtents(t *testing.T) {
 		}
 		return s
 	}
-	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
-	PruneMinNodes, PruneMinExtent = 100, 10
+	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
+	pruneMinNodes, pruneMinExtent = 100, 10
 
 	// Synthetic laminar index over 1000 nodes: a dead parent with a dead
 	// child (only the parent should be picked), a live extent, a
@@ -166,7 +166,10 @@ func TestPrunePlanSelectsMaximalDisjointExtents(t *testing.T) {
 		{V: 700, Size: 5, FirstSize: 0, Labels: sig(401)},          // below the size floor
 		{V: 800, Size: 150, FirstSize: 0, Labels: sig(other, 402)}, // live for eOther only
 	}
-	ix := storage.NewIndexForTest(1000, entries)
+	ix, err := storage.NewIndex(1000, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	plan := PlanPrune([]*Engine{eHit}, ix, 1000)
 	if plan == nil {
@@ -234,8 +237,8 @@ func (d *doc) build(tr *tree.Tree, rng *rand.Rand) tree.NodeID {
 // the unpruned aux output and the plan's exact byte accounting.
 func TestPruneGapSwitchEdges(t *testing.T) {
 	lowerParallelKnobs(t)
-	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
-	PruneMinNodes, PruneMinExtent = 1, 8
+	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
+	pruneMinNodes, pruneMinExtent = 1, 8
 
 	hit := func(first, second *doc) *doc { return &doc{label: "hit", first: first, second: second} }
 	junk := func(n int) *doc { return &doc{junk: n} }

@@ -335,8 +335,8 @@ func sameSelection(t *testing.T, got, want *Result, label string) {
 // holds every answer, aux sidecar and marked document to the node-at-a-time
 // in-memory engine over the tree the per-record scan reads back.
 func TestWindowKernelEdges(t *testing.T) {
-	defer func(n, x int64) { PruneMinNodes, PruneMinExtent = n, x }(PruneMinNodes, PruneMinExtent)
-	PruneMinNodes, PruneMinExtent = 1, 8
+	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
+	pruneMinNodes, pruneMinExtent = 1, 8
 	const W = storage.WindowNodes
 	glue := []int64{W, 1, W + 1, 2 * W, W - 1, 16*W + 1, 1, 3}
 	blobs := []int64{W, 40, 2*W + 5, 8, W - 1, 16, W + 1, 0}

@@ -162,11 +162,39 @@ func refFold(db *DB, recs []Record, lo, hi int64) ([]int64, int64, ScanStats) {
 	return order, stack[0], st
 }
 
+// foldExtent folds the subtree extent x bottom-up: FoldBottomUp's adapter
+// over BackwardWindows, run on the extent's range alone.
+func foldExtent[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
+	f := backFold[S]{combine: combine}
+	var zero S
+	if err := f.run(ctx, db, x.Root, x.End()); err != nil {
+		return zero, f.stats, err
+	}
+	if len(f.stack) != 1 {
+		return zero, f.stats, fmt.Errorf("[%d,%d) folds to %d roots", x.Root, x.End(), len(f.stack))
+	}
+	return f.stack[0], f.stats, nil
+}
+
+// scanExtent scans the subtree extent x top-down: ScanTopDown's adapter
+// over ForwardWindows, run on the extent's range alone, its root visited
+// with parent nil and k 0.
+func scanExtent[S any](ctx context.Context, db *DB, x Extent, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
+	t := topDown[S]{visit: visit, end: x.End()}
+	if err := t.run(ctx, db, x.Root, x.End(), nil, nil); err != nil {
+		return t.stats, err
+	}
+	if t.parent != nil || len(t.pending) > 0 {
+		return t.stats, fmt.Errorf("[%d,%d) ends with %d subtrees missing", x.Root, x.End(), len(t.pending)+1)
+	}
+	return t.stats, nil
+}
+
 // checkScans runs the window passes of [lo, hi) with the given holes, and
 // the per-node scans adapted onto them, against the references, callback by
 // callback. whole selects the whole-database entry points, otherwise the
-// range ones over the extent [lo, hi); the adapters take holes only forward
-// over the whole database (ScanTopDownSkipping).
+// adapters run over the extent [lo, hi) alone (foldExtent, scanExtent); they
+// take holes only forward over the whole database (ScanTopDownSkipping).
 func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent, whole bool) {
 	t.Helper()
 	ctx := context.Background()
@@ -200,7 +228,7 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 	if whole {
 		st, err = ScanTopDownSkipping(ctx, db, skip, subtree, visit)
 	} else {
-		st, err = ScanTopDownRange(ctx, db, x, visit)
+		st, err = scanExtent(ctx, db, x, visit)
 	}
 	if err != nil {
 		t.Fatalf("forward scan: %v", err)
@@ -228,7 +256,7 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 	if whole {
 		root, st, err = FoldBottomUp(ctx, db, combine)
 	} else {
-		root, st, err = FoldBottomUpRange(ctx, db, x, combine)
+		root, st, err = foldExtent(ctx, db, x, combine)
 	}
 	if err != nil {
 		t.Fatalf("backward fold: %v", err)

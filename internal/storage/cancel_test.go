@@ -43,45 +43,22 @@ func TestScanCancel(t *testing.T) {
 		t.Errorf("ScanTopDown: error %v, want context.Canceled", err)
 	}
 	x := Extent{Root: 0, Size: db.N}
-	_, _, err = FoldBottomUpRange(ctx, db, x, func(first, second *struct{}, rec Record, v int64) struct{} {
+	_, _, err = foldExtent(ctx, db, x, func(first, second *struct{}, rec Record, v int64) struct{} {
 		visited++
 		return struct{}{}
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("FoldBottomUpRange: error %v, want context.Canceled", err)
+		t.Errorf("fold of an extent: error %v, want context.Canceled", err)
 	}
-	_, err = ScanTopDownRange(ctx, db, x, func(v int64, rec Record, parent *struct{}, k int) (struct{}, error) {
+	_, err = scanExtent(ctx, db, x, func(v int64, rec Record, parent *struct{}, k int) (struct{}, error) {
 		visited++
 		return struct{}{}, nil
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("ScanTopDownRange: error %v, want context.Canceled", err)
+		t.Errorf("scan of an extent: error %v, want context.Canceled", err)
 	}
 	if visited != 0 {
 		t.Errorf("cancelled scans visited %d nodes, want 0", visited)
-	}
-
-	// FoldBottomUpRange must not dress a cancellation up as a bad
-	// extent: callers retry ErrBadExtent with a rebuilt index, which
-	// would turn one cancelled scan into two. Cover plain cancellation
-	// and WithCancelCause (whose Cause differs from ctx.Err()).
-	for name, cctx := range map[string]context.Context{
-		"canceled": ctx,
-		"cause": func() context.Context {
-			c, cancel := context.WithCancelCause(context.Background())
-			cancel(errors.New("operator abort"))
-			return c
-		}(),
-	} {
-		_, _, err := FoldBottomUpRange(cctx, db, x, func(first, second *struct{}, rec Record, v int64) struct{} {
-			return struct{}{}
-		})
-		if errors.Is(err, ErrBadExtent) {
-			t.Errorf("%s: FoldBottomUpRange reports ErrBadExtent on cancellation: %v", name, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: error %v, want context.Canceled", name, err)
-		}
 	}
 }
 

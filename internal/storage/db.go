@@ -277,12 +277,6 @@ func (c *Canceller) Step() error {
 	return c.ctx.Err()
 }
 
-// isCancel reports whether err is a context cancellation (ctx.Err() only
-// ever returns these two sentinels, whatever cause the context carries).
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // backFold is the generic consumer of a backward pass: a stack of subtree
 // results driven by one record at a time, in reverse preorder, calling
 // combine per node.
@@ -315,7 +309,7 @@ func (f *backFold[S]) node(rec Record, v int64) error {
 }
 
 // run folds the node range [lo, hi) — the adapter from BackwardWindows to
-// the per-node FoldBottomUp entry points.
+// FoldBottomUp.
 func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64) error {
 	return db.BackwardWindows(ctx, lo, hi, nil, &f.stats, nil,
 		func(first int64, recs []byte) error {
@@ -345,32 +339,6 @@ func FoldBottomUp[S any](ctx context.Context, db *DB, combine func(first, second
 	}
 	if len(f.stack) != 1 {
 		return zero, f.stats, fmt.Errorf("%w: %d roots", ErrMalformed, len(f.stack))
-	}
-	return f.stack[0], f.stats, nil
-}
-
-// FoldBottomUpRange folds one complete subtree extent bottom-up in a
-// backward scan of just its byte range. combine is called exactly once
-// per node of the extent, in reverse preorder; the subtree root's result
-// is returned. The extent must be a subtree extent (e.g. from
-// SubtreeIndex.Cut) — anything else fails the structure check with
-// ErrBadExtent. Cancellation is deliberately not dressed up as
-// ErrBadExtent: it would send callers into an index rebuild for a
-// non-structural condition.
-func FoldBottomUpRange[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	var zero S
-	f := backFold[S]{combine: combine}
-	if x.Size <= 0 {
-		return zero, f.stats, fmt.Errorf("%w: [%d,%d) is empty", ErrBadExtent, x.Root, x.End())
-	}
-	if err := f.run(ctx, db, x.Root, x.End()); err != nil {
-		if isCancel(err) || errors.Is(err, ErrBadExtent) {
-			return zero, f.stats, err
-		}
-		return zero, f.stats, fmt.Errorf("%w: %v", ErrBadExtent, err)
-	}
-	if len(f.stack) != 1 {
-		return zero, f.stats, fmt.Errorf("%w: [%d,%d) folds to %d roots", ErrBadExtent, x.Root, x.End(), len(f.stack))
 	}
 	return f.stack[0], f.stats, nil
 }
@@ -473,26 +441,6 @@ func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subt
 	}
 	if t.parent != nil || len(t.pending) > 0 {
 		return t.stats, fmt.Errorf("%w: %d announced subtrees missing at end of file", ErrMalformed, len(t.pending)+1)
-	}
-	return t.stats, nil
-}
-
-// ScanTopDownRange scans one complete subtree extent forward. visit is
-// called exactly once per node of the extent in preorder; the extent's
-// root is visited with parent nil and k 0 — the caller supplies its real
-// top-down context through the closure.
-func ScanTopDownRange[S any](ctx context.Context, db *DB, x Extent, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
-	t := topDown[S]{visit: visit, end: x.End()}
-	if x.Size <= 0 {
-		return t.stats, fmt.Errorf("%w: [%d,%d) is empty", ErrBadExtent, x.Root, x.End())
-	}
-	// Callback and read errors pass through unwrapped: only the final
-	// structure check below is evidence of a stale extent.
-	if err := t.run(ctx, db, x.Root, x.End(), nil, nil); err != nil {
-		return t.stats, err
-	}
-	if t.parent != nil || len(t.pending) > 0 {
-		return t.stats, fmt.Errorf("%w: [%d,%d) ends with %d subtrees missing", ErrBadExtent, x.Root, x.End(), len(t.pending)+1)
 	}
 	return t.stats, nil
 }

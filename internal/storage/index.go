@@ -226,16 +226,6 @@ const (
 // returned slice is the index's own storage — callers must not modify it.
 func (ix *SubtreeIndex) Entries() []IndexEntry { return ix.entries }
 
-// NewIndexForTest builds an index from explicit entries (validated), for
-// tests that need precise synthetic extent layouts.
-func NewIndexForTest(n int64, entries []IndexEntry) *SubtreeIndex {
-	ix := newIndex(n, entries)
-	if err := ix.validate(); err != nil {
-		panic(err)
-	}
-	return ix
-}
-
 // WriteIndexFile persists the index next to the database. The file is
 // written to a temporary name and renamed
 // into place, so concurrent readers never see a torn sidecar, and the

@@ -13,10 +13,12 @@ import (
 )
 
 // TestAnalysisConcurrentFirstUse races the first use of a fresh Prepared's
-// analysis: eight executions (one worker, and two over chunks) start
-// together with goroutines reading its selection summary and prune plan. Every execution
-// must select what a lone execution of another fresh Prepared selects, and
-// every reader must see the same summary and the same plan.
+// analysis on a database: eight executions (one worker, and two over
+// chunks) start together with goroutines reading its selection summary and
+// prune plan. Every execution must select what a lone execution of another
+// fresh Prepared selects, and every reader must see the same summary and
+// the same plan. The document is below the prune thresholds, so the plan is
+// nil here; core's test of the same name races a non-nil one.
 func TestAnalysisConcurrentFirstUse(t *testing.T) {
 	tr, err := workload.TreebankTree(workload.TreebankConfig{Seed: 5, Sentences: 130})
 	if err != nil {
@@ -27,8 +29,6 @@ func TestAnalysisConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	defer func(n, x int64) { core.PruneMinNodes, core.PruneMinExtent = n, x }(core.PruneMinNodes, core.PruneMinExtent)
-	core.PruneMinNodes, core.PruneMinExtent = 1, 8
 	ctx := context.Background()
 	ix, err := db.Index(ctx, 0)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"arb/internal/core"
 	"arb/internal/storage"
-	"arb/internal/testutil"
 	"arb/internal/tree"
 	"arb/internal/xmlparse"
 )
@@ -247,65 +246,6 @@ func TestTranslateMatchesInterp(t *testing.T) {
 	}
 }
 
-// randomXPath generates a random positive-or-negated Core XPath query.
-func randomXPath(rng *rand.Rand, depth int) string {
-	axes := []string{"child", "descendant", "self", "parent", "ancestor",
-		"descendant-or-self", "ancestor-or-self",
-		"following-sibling", "preceding-sibling", "following", "preceding"}
-	tests := []string{"a", "b", "c", "*", "node()", "text()"}
-	var step func(d int) string
-	step = func(d int) string {
-		s := axes[rng.Intn(len(axes))] + "::" + tests[rng.Intn(len(tests))]
-		if d < 2 && rng.Intn(3) == 0 {
-			inner := step(d + 1)
-			if rng.Intn(3) == 0 {
-				inner = "not(" + inner + ")"
-			}
-			if rng.Intn(3) == 0 {
-				op := " and "
-				if rng.Intn(2) == 0 {
-					op = " or "
-				}
-				inner += op + step(d+1)
-			}
-			s += "[" + inner + "]"
-		}
-		return s
-	}
-	n := 1 + rng.Intn(3)
-	parts := make([]string, n)
-	for i := range parts {
-		parts[i] = step(depth)
-	}
-	return "//" + strings.Join(parts, "/")
-}
-
-func TestTranslateMatchesInterpRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 150; iter++ {
-		tr := testutil.RandomTree(rng, 30)
-		qs := randomXPath(rng, 0)
-		p, err := Parse(qs)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", qs, err)
-		}
-		in := NewInterp(tr)
-		want := selected(in.Eval(p))
-		q, err := Translate(p)
-		if err != nil {
-			t.Fatalf("Translate(%q): %v", qs, err)
-		}
-		sel, err := evalTree(q, tr)
-		if err != nil {
-			t.Fatalf("Eval(%q): %v", qs, err)
-		}
-		if got := selected(sel); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("iter %d: query %s\nengine      %v\ninterpreter %v\ntree:\n%s",
-				iter, qs, got, want, tr)
-		}
-	}
-}
-
 func TestNestedNegationPasses(t *testing.T) {
 	q, err := Compile("//a[not(b[not(c)])]")
 	if err != nil {
@@ -396,48 +336,5 @@ func TestXPathParserRobustness(t *testing.T) {
 				}
 			}
 		}()
-	}
-}
-
-// TestEvalDiskMatchesEval runs multi-pass (negated) queries entirely in
-// secondary storage and over an in-memory tree's record image, and
-// compares both with the interpreter.
-func TestEvalDiskMatchesEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for iter := 0; iter < 40; iter++ {
-		tr := testutil.RandomTree(rng, 40)
-		dir := t.TempDir()
-		db, err := storage.CreateFromTree(filepath.Join(dir, "db"), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := randomXPath(rng, 0)
-		q, err := Compile(qs)
-		if err != nil {
-			t.Fatalf("Compile(%q): %v", qs, err)
-		}
-		mem, err := evalTree(q, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := selected(NewInterp(tr).Eval(q.Path))
-		for _, workers := range []int{1, 3} {
-			res, err := execDisk(q, db, workers)
-			if err != nil {
-				t.Fatalf("ExecDisk(%q, workers=%d): %v", qs, workers, err)
-			}
-			var gotDisk []int
-			res.Walk(q.Main.Queries()[0], func(v tree.NodeID) bool {
-				gotDisk = append(gotDisk, int(v))
-				return true
-			})
-			if fmt.Sprint(gotDisk) != fmt.Sprint(want) {
-				t.Fatalf("iter %d: query %s (workers=%d)\ndisk        %v\ninterpreter %v", iter, qs, workers, gotDisk, want)
-			}
-		}
-		if fmt.Sprint(selected(mem)) != fmt.Sprint(want) {
-			t.Fatalf("iter %d: query %s: memory %v, interpreter %v", iter, qs, selected(mem), want)
-		}
-		db.Close()
 	}
 }
