@@ -104,9 +104,9 @@
 // Prepared handles are reentrant: any number of goroutines may Exec one
 // PreparedQuery or PreparedBatch at once, overlapping freely while the
 // compiled automata stay shared and warm (engines synchronise
-// internally; even KeepStates disk runs overlap, each keeping its own
-// uniquely named state file). Session.BatchOf folds already-prepared handles
-// into a shared-scan batch without recompiling — together these are the
+// internally; disk runs overlap, each with its own anonymous state file).
+// Session.BatchOf folds already-prepared handles into a shared-scan batch
+// without recompiling — together these are the
 // building blocks of `arb serve` (internal/server), the long-running
 // HTTP query server with an LRU plan cache over normalized query text
 // and an adaptive coalescer that gathers concurrent requests into
@@ -206,7 +206,7 @@ func ParseXPath(src string) (*XPathQuery, error) { return xpath.Compile(src) }
 // ParseXML parses an XML document into an in-memory tree, text as one
 // node per character.
 func ParseXML(r io.Reader) (*Tree, error) {
-	return xmlparse.ParseTree(r, xmlparse.Opts{})
+	return xmlparse.ParseTree(r)
 }
 
 // TreeBuilder constructs an in-memory tree from document events
@@ -221,7 +221,7 @@ func NewTreeBuilder() *TreeBuilder { return tree.NewBuilder(nil) }
 // temporary event file, a backward pass turns it into the binary-tree
 // encoding with memory proportional to the document depth.
 func CreateDB(base string, xml io.Reader) (*DB, *CreateStats, error) {
-	return xmlparse.CreateDB(base, xml, xmlparse.Opts{}, storage.CreateOpts{})
+	return xmlparse.CreateDB(base, xml, storage.CreateOpts{})
 }
 
 // CreateDBFromTree writes an in-memory tree as a database.

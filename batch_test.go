@@ -226,9 +226,6 @@ func TestBatchRejectsUnsupportedOpts(t *testing.T) {
 	if _, _, err := pb.Exec(context.Background(), arb.ExecOpts{MarkTo: sink}); err == nil {
 		t.Error("batch Exec accepted MarkTo")
 	}
-	if _, _, err := pb.Exec(context.Background(), arb.ExecOpts{KeepStates: true}); err == nil {
-		t.Error("batch Exec accepted KeepStates")
-	}
 }
 
 // TestBatchOfOneMatchesScalar: a query is a batch of one at every layer,

@@ -85,12 +85,28 @@ fi
 
 # Test-only knobs and entry points stay out of the libraries' APIs: core's
 # thresholds are package variables its tests set through export_test.go,
-# a state file is kept (KeepStateFile) or temporary — never named by the
-# caller — and storage's per-extent scans and panicking index constructor
+# a state file is never named by the caller, and storage's per-extent
+# scans and panicking index constructor
 # are gone (tests step BackwardWindows/ForwardWindows over an extent and
 # call NewIndex). Keep them gone.
 if grep -rnE '\b(NewIndexForTest|FoldBottomUpRange|ScanTopDownRange|StatePath|PruneMinNodes|PruneMinExtent)\b' --include='*.go' --exclude='*_test.go' . >&2; then
     echo "a test-only knob or entry point is back in a library API" >&2
+    exit 1
+fi
+
+# Every option has a production caller: the kept state file and per-node
+# state arrays (KeepStates), storage's InMemory probe, the server's
+# batch-size and window knobs with their serve flags, and xmlparse's
+# attribute and whitespace options are gone. A run's state file is an
+# anonymous scratch file of the database; the server's sizes are package
+# variables its tests set through export_test.go. Keep them gone.
+if grep -rnwE 'KeepStates|KeepStateFile|BUStateOf|TDStateOf|StateFile|InMemory|BatchMax|IncludeAttrs' --include='*.go' --exclude-dir=benchmark . >&2; then
+    echo "a removed option is back: every option needs a production caller" >&2
+    exit 1
+fi
+if awk '/^func serve\(/,/^}/' cmd/arb/main.go | grep -E '"(window|batch)"' >&2 ||
+    grep -nE 'arb serve .*-(window|batch)\b' cmd/arb/main.go >&2; then
+    echo "arb serve's -window/-batch flags are back: the window auto-tunes and K is fixed" >&2
     exit 1
 fi
 

@@ -133,7 +133,7 @@ func usage() {
   arb create <base> [-compress] [-blocksize N] [file.xml]
   arb query  <base> (-q <program> | -f <program.tmnf> | -xpath <expr>) [-count|-ids|-mark] [-j N] [-timeout d] [-noprune] [-rescache SIZE]
   arb query  <base> -f <queries.txt> -batch [-j N] [-timeout d] [-noprune]
-  arb serve  <base> [-addr :8337] [-window d] [-batch K] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d] [-noprune]
+  arb serve  <base> [-addr :8337] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d] [-noprune]
   arb patch  <base> -op (replace|delete|insert-child) -node N [-xml <fragment> | -f fragment.xml]
   arb compact <base>
   arb cat    <base>
@@ -189,8 +189,6 @@ func create(args []string) error {
 func serve(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8337", "HTTP listen address")
-	window := fs.Duration("window", 0, "coalescing gather window (0 = auto-tune from observed scan durations)")
-	batchMax := fs.Int("batch", 16, "max distinct plans per shared-scan batch (K)")
 	inflight := fs.Int("inflight", 2, "max concurrently running executions")
 	cacheSize := fs.Int("cache", 256, "plan cache capacity (distinct queries)")
 	resCache := fs.String("rescache", "0", "result cache byte budget, e.g. 64m (0 = disabled)")
@@ -223,8 +221,6 @@ func serve(ctx context.Context, args []string) error {
 	defer sess.Close()
 
 	srv := server.New(ctx, sess, server.Config{
-		Window:        *window,
-		BatchMax:      *batchMax,
 		MaxInflight:   *inflight,
 		CacheSize:     *cacheSize,
 		Workers:       workers,
@@ -242,12 +238,8 @@ func serve(ctx context.Context, args []string) error {
 		return err
 	}
 	httpSrv := newHTTPServer(srv.Handler(), *readTimeout)
-	windowDesc := "auto"
-	if *window > 0 {
-		windowDesc = window.String()
-	}
-	fmt.Printf("arb: serving %s on %s (batch %d, window %s, inflight %d, cache %d, rescache %d)\n",
-		base, ln.Addr(), *batchMax, windowDesc, *inflight, *cacheSize, resBytes)
+	fmt.Printf("arb: serving %s on %s (inflight %d, cache %d, rescache %d)\n",
+		base, ln.Addr(), *inflight, *cacheSize, resBytes)
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()

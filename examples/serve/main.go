@@ -51,7 +51,7 @@ func main() {
 	defer sess.Close()
 
 	// Start: the server core plus a real HTTP listener on a random port.
-	srv := server.New(context.Background(), sess, server.Config{Window: 5 * time.Millisecond, BatchMax: 8})
+	srv := server.New(context.Background(), sess, server.Config{})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -3,7 +3,6 @@ package arb_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,7 +96,7 @@ func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 
 // TestInMemoryExecCreatesNoFile: an in-memory session keeps its record
 // image, state files and aux sidecars in RAM, so no execution — scalar,
-// batch, multi-pass not(..), marked output, kept states, sequential or
+// batch, multi-pass not(..), marked output, sequential or
 // parallel — creates a file in the temp directory or the working one.
 func TestInMemoryExecCreatesNoFile(t *testing.T) {
 	tr := imageDoc(t)
@@ -123,14 +122,6 @@ func TestInMemoryExecCreatesNoFile(t *testing.T) {
 			"batch":  func() error { _, _, err := pb.Exec(ctx, arb.ExecOpts{Workers: workers}); return err },
 			"markto": func() error {
 				_, _, err := multi.Exec(ctx, arb.ExecOpts{Workers: workers, MarkTo: &bytes.Buffer{}})
-				return err
-			},
-			"keepstates": func() error {
-				res, _, err := multi.Exec(ctx, arb.ExecOpts{Workers: workers, KeepStates: true})
-				if err == nil && (len(res.BUStateOf) != tr.Len() || len(res.TDStateOf) != tr.Len() || res.StateFile != "") {
-					err = fmt.Errorf("kept %d/%d states and state file %q, want %d each and none",
-						len(res.BUStateOf), len(res.TDStateOf), res.StateFile, tr.Len())
-				}
 				return err
 			},
 		} {
@@ -170,42 +161,6 @@ func TestInMemoryMarkToMatchesDisk(t *testing.T) {
 		}
 		if !bytes.Contains(out[0].Bytes(), []byte("arb:selected")) {
 			t.Fatalf("%s: marked output marks nothing", src)
-		}
-	}
-}
-
-// TestInMemoryKeepStatesMatchDiskStateFile: a KeepStates run over a tree
-// records in Result.BUStateOf the very ids a disk run keeps in its state
-// file — 4 bytes a node in reverse preorder — when both compile afresh
-// against the same document, and TDStateOf holds one state a node too.
-func TestInMemoryKeepStatesMatchDiskStateFile(t *testing.T) {
-	tr := imageDoc(t)
-	db, err := arb.CreateDBFromTree(filepath.Join(t.TempDir(), "doc"), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	q := mustXPath(t, `//t2[not(t4)]`)
-	mem, _, err := prepare(t, arb.NewSession(tr), q).Exec(context.Background(), arb.ExecOpts{KeepStates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, _, err := prepare(t, arb.NewDBSession(db), q).Exec(context.Background(), arb.ExecOpts{KeepStates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.Remove(disk.StateFile)
-	file, err := os.ReadFile(disk.StateFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := tr.Len()
-	if len(file) != 4*n || len(mem.BUStateOf) != n || len(mem.TDStateOf) != n {
-		t.Fatalf("state file %d bytes, kept %d/%d states, want %d bytes and %d states", len(file), len(mem.BUStateOf), len(mem.TDStateOf), 4*n, n)
-	}
-	for v := 0; v < n; v++ {
-		if got, want := mem.BUStateOf[v], int32(binary.BigEndian.Uint32(file[4*(n-1-v):])); got != want {
-			t.Fatalf("node %d: kept bottom-up state %d, the disk run's state file %d", v, got, want)
 		}
 	}
 }

@@ -75,9 +75,9 @@ func TestBatchWideStateFallback(t *testing.T) {
 	sameResults(t, prog, tr.Len(), res[0], want, "wide-state batch vs scalar")
 }
 
-// TestBatchRejectsPerRunOutputsForManyMembers: a kept state file
-// and marked XML belong to one query, so only a batch of one takes them;
-// a larger batch fails up front and creates no file.
+// TestBatchRejectsPerRunOutputsForManyMembers: marked XML belongs to one
+// query, so only a batch of one takes it; a larger batch fails up front and
+// creates no file.
 func TestBatchRejectsPerRunOutputsForManyMembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr := testutil.RandomTree(rng, 100)
@@ -88,12 +88,11 @@ func TestBatchRejectsPerRunOutputsForManyMembers(t *testing.T) {
 	}
 	defer db.Close()
 	progs := []*tmnf.Program{testutil.RandomProgramParsed(rng, 3, 6), testutil.RandomProgramParsed(rng, 3, 6)}
-	for _, opts := range []DiskOpts{{KeepStateFile: true}, {MarkTo: io.Discard}} {
-		if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs, db.Names), DiskBatchOpts{DiskOpts: opts}); err == nil {
-			t.Errorf("a two-member batch accepted %+v", opts)
-		}
-		if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs[:1], db.Names), DiskBatchOpts{DiskOpts: opts}); err != nil {
-			t.Errorf("a batch of one rejected %+v: %v", opts, err)
-		}
+	opts := DiskBatchOpts{DiskOpts: DiskOpts{MarkTo: io.Discard}}
+	if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs, db.Names), opts); err == nil {
+		t.Error("a two-member batch accepted MarkTo")
+	}
+	if _, _, _, err := RunDiskBatch(context.Background(), db, batchMembers(t, progs[:1], db.Names), opts); err != nil {
+		t.Errorf("a batch of one rejected MarkTo: %v", err)
 	}
 }

@@ -185,16 +185,13 @@ func BenchmarkStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := NewEngine(c, t.Names())
-	res, err := e.RunContext(context.Background(), t, RunOpts{KeepStates: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// One inner node of the chain, replayed from the recorded run: its own
+	bu, td := treeStates(e, t)
+	// One inner node of the chain, replayed from its states: its own
 	// bottom-up step, and the top-down step into its next sibling.
 	v := tree.NodeID(t.Len() / 2)
 	next := t.Second(v)
 	rec := storage.Record{Label: uint16(t.Label(v)), HasSecond: true}.Encode()
-	right, tdv := res.BUStateOf[next], res.TDStateOf[v]
+	right, tdv := bu[next], td[v]
 	cache := e.Share().NewStepCache()
 	b.ReportAllocs()
 	b.ResetTimer()

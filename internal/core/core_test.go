@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"arb/internal/edb"
 	"arb/internal/horn"
 	"arb/internal/testutil"
 	"arb/internal/tmnf"
@@ -31,6 +32,33 @@ func chainA(t *testing.T) *tree.Tree {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// treeStates runs Algorithm 4.6 over t through e's own transitions —
+// ReachableStates over the nodes in reverse preorder, then RootTrueSet and
+// TruePreds in preorder — and returns every node's bottom-up and top-down
+// state, which the drivers keep to themselves.
+func treeStates(e *Engine, t *tree.Tree) (bu, td []StateID) {
+	n := tree.NodeID(t.Len())
+	bu, td = make([]StateID, n), make([]StateID, n)
+	state := func(v tree.NodeID) StateID {
+		if v == tree.None {
+			return NoState
+		}
+		return bu[v]
+	}
+	for v := n - 1; v >= 0; v-- {
+		bu[v] = e.ReachableStates(state(t.First(v)), state(t.Second(v)), e.SigID(edb.SigOf(t, v)))
+	}
+	td[0] = e.RootTrueSet(bu[0])
+	for v := range n {
+		for k, c := range []tree.NodeID{t.First(v), t.Second(v)} {
+			if c != tree.None {
+				td[c] = e.TruePreds(td[v], bu[c], k+1)
+			}
+		}
+	}
+	return bu, td
 }
 
 // TestPropLocalExample43 checks the rule-group split of Example 4.3.
@@ -97,10 +125,7 @@ func TestExample45Residuals(t *testing.T) {
 	}
 	tr := chainA(t)
 	e := NewEngine(c, tr.Names())
-	res, err := e.RunContext(context.Background(), tr, RunOpts{KeepStates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bu, _ := treeStates(e, tr)
 	u := c.U
 	pred := func(name string) horn.Atom {
 		q, _ := p.Pred(name)
@@ -116,7 +141,7 @@ func TestExample45Residuals(t *testing.T) {
 	}
 	for v, w := range want {
 		w.Canon()
-		got := e.BUState(res.BUStateOf[v])
+		got := e.BUState(bu[v])
 		if got.Key() != w.Key() {
 			t.Errorf("rho_A(v%d) = %s, want %s", v,
 				got.Format(c.AtomName), w.Format(c.AtomName))
@@ -134,13 +159,10 @@ func TestExample47TruePreds(t *testing.T) {
 	}
 	tr := chainA(t)
 	e := NewEngine(c, tr.Names())
-	res, err := e.RunContext(context.Background(), tr, RunOpts{KeepStates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, td := treeStates(e, tr)
 	want := [][]string{{"P1", "Q"}, {"P2", "P5"}, {"P3", "P4"}}
 	for v, wantNames := range want {
-		got := e.TDSet(res.TDStateOf[v])
+		got := e.TDSet(td[v])
 		if len(got) != len(wantNames) {
 			t.Errorf("v%d true preds = %v, want %v", v, predNames(p, got), wantNames)
 			continue

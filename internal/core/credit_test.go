@@ -14,10 +14,11 @@ import (
 
 // TestCancelledAndPrunedRunsCreditNodes holds the in-memory entry points —
 // the driver over a tree's record image — to the node accounting of disk
-// runs: a run credits its nodes and
-// pruned nodes — which Nodes includes — to its engines and its RunStats
-// once, on success. A pre-cancelled run credits nothing, and a pruned
-// two-worker run credits what the sequential run does.
+// runs: a run credits its nodes and pruned nodes — which Nodes includes —
+// to its engines and its RunStats once, on success. A pre-cancelled run
+// credits nothing, and a two-worker run credits what the sequential run
+// does. The tree adapter (RunContext) runs unpruned and reports to its
+// engine only; the batch driver over the indexed image prunes.
 func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 	k := core.CurrentKnobs()
 	k.PruneMinNodes, k.PruneMinExtent = 1, 8
@@ -37,9 +38,16 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 
 	// A driver runs on the given engines, one per member.
 	type driver func(ctx context.Context, engines []*core.Engine, rs *core.RunStats) error
-	single := func(run func(ctx context.Context, e *core.Engine, opts core.RunOpts) error) driver {
-		return func(ctx context.Context, engines []*core.Engine, rs *core.RunStats) error {
-			return run(ctx, engines[0], core.RunOpts{Index: ix, Run: rs})
+	// adapter runs the tree adapter — core's entry point on one worker,
+	// parallel's on more — which reports to its engine only.
+	adapter := func(workers int) driver {
+		return func(ctx context.Context, engines []*core.Engine, _ *core.RunStats) (err error) {
+			if workers == 1 {
+				_, err = engines[0].RunContext(ctx, tr, core.RunOpts{})
+			} else {
+				_, err = parallel.RunContext(ctx, engines[0], tr, workers, core.RunOpts{})
+			}
+			return err
 		}
 	}
 	batch := func(workers int) driver {
@@ -59,22 +67,14 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 	drivers := []struct {
 		name    string
 		members int
+		adapter bool   // the tree adapter: unpruned, no RunStats
 		seq     driver // the sequential counterpart of a two-worker run
 		run     driver
 	}{
-		{"core.RunContext", 1, nil, single(func(ctx context.Context, e *core.Engine, opts core.RunOpts) error {
-			_, err := e.RunContext(ctx, tr, opts)
-			return err
-		})},
-		{"parallel.RunContext", 1, single(func(ctx context.Context, e *core.Engine, opts core.RunOpts) error {
-			_, err := e.RunContext(ctx, tr, opts)
-			return err
-		}), single(func(ctx context.Context, e *core.Engine, opts core.RunOpts) error {
-			_, err := parallel.RunContext(ctx, e, tr, 2, opts)
-			return err
-		})},
-		{"core.RunDiskBatch over the tree", 3, nil, batch(1)},
-		{"core.RunDiskBatchParallel over the tree", 3, batch(1), batch(2)},
+		{"core.RunContext", 1, true, nil, adapter(1)},
+		{"parallel.RunContext", 1, true, adapter(1), adapter(2)},
+		{"core.RunDiskBatch over the tree", 3, false, nil, batch(1)},
+		{"core.RunDiskBatchParallel over the tree", 3, false, batch(1), batch(2)},
 	}
 	// credits runs d on fresh engines and returns their node credits summed,
 	// and the run's.
@@ -113,10 +113,10 @@ func TestCancelledAndPrunedRunsCreditNodes(t *testing.T) {
 				d.name, engine.Nodes, engine.PrunedNodes, run.Nodes, run.PrunedNodes)
 		}
 		engine, run = credits(context.Background(), d.name, d.run, d.members)
-		if engine.Nodes != int64(d.members)*n || engine.PrunedNodes == 0 || engine.PrunedNodes >= engine.Nodes {
-			t.Fatalf("%s: a pruned run credits its engines %d nodes, %d pruned; want %d per member and a plan", d.name, engine.Nodes, engine.PrunedNodes, n)
+		if engine.Nodes != int64(d.members)*n || (engine.PrunedNodes > 0) == d.adapter || engine.PrunedNodes >= engine.Nodes {
+			t.Fatalf("%s: a run credits its engines %d nodes, %d pruned; want %d per member, and a plan unless unpruned (%v)", d.name, engine.Nodes, engine.PrunedNodes, n, d.adapter)
 		}
-		if run.Nodes != engine.Nodes || run.PrunedNodes != engine.PrunedNodes {
+		if !d.adapter && (run.Nodes != engine.Nodes || run.PrunedNodes != engine.PrunedNodes) {
 			t.Fatalf("%s: the run credits %d nodes, %d pruned; its engines %d and %d", d.name, run.Nodes, run.PrunedNodes, engine.Nodes, engine.PrunedNodes)
 		}
 		if d.seq != nil {

@@ -3,32 +3,22 @@ package core
 import (
 	"context"
 	"io"
-	"os"
-	"path/filepath"
 
 	"arb/internal/storage"
 )
 
 // DiskOpts configures a secondary-storage evaluation run: a scalar run's
 // options, and the per-run part of a batch run's (DiskBatchOpts), where
-// KeepStateFile and MarkTo need a batch of one member.
+// MarkTo needs a batch of one member. The phase-1 state file is the
+// paper's footnote 12, a temporary of the run: one state id per node,
+// written in reverse preorder by phase 1 (node v's at offset (N-1-v)·w)
+// and read back in preorder by phase 2. Its ids are the narrowest of 1, 2
+// and 4 bytes the engine's automaton fits (a run whose lazily built
+// automaton outgrows its width midway starts over with 4), and it is
+// sparse wherever a prune plan skipped an extent. Every run's file is an
+// anonymous scratch file of the database (storage.DB.CreateScratch), so
+// concurrent runs over one database never collide.
 type DiskOpts struct {
-	// KeepStateFile retains the phase-1 state file after a successful run
-	// and reports its (unique) path as Result.StateFile; a failed run always
-	// removes the file it created. The state file is the paper's footnote
-	// 12: one state id per node, written in reverse preorder by phase 1
-	// (node v's at offset (N-1-v)·w) and read back in preorder by phase 2.
-	// A kept file holds 4-byte big-endian ids; a temporary one holds ids of
-	// the narrowest of 1, 2 and 4 bytes the engine's automaton fits (a run
-	// whose lazily built automaton outgrows its width midway starts over
-	// with 4), and is sparse wherever a prune plan skipped an extent. Every
-	// run's file is uniquely named next to the database, so concurrent runs
-	// over one database — kept or not — never collide. Over a tree's
-	// record image (storage.DB.InMemory) the run instead records every
-	// node's states in Result.BUStateOf/TDStateOf, visiting the nodes in
-	// order.
-	KeepStateFile bool
-
 	// MarkTo, when non-nil, streams the document back out as XML during
 	// phase 2 itself, with the nodes selected by query predicate
 	// MarkQuery marked up — the system's default output mode
@@ -38,8 +28,8 @@ type DiskOpts struct {
 
 	// NoPrune disables selectivity-aware scan pruning (prune.go) for this
 	// run. Pruning is otherwise applied automatically whenever it is
-	// provably sound; runs with aux input (DiskBatchOpts.AuxIn), marked
-	// output, or a kept state file never prune.
+	// provably sound; runs with aux input (DiskBatchOpts.AuxIn) or marked
+	// output never prune.
 	NoPrune bool
 
 	// Run, when non-nil, receives this run's exact statistics (node
@@ -85,31 +75,12 @@ func (d *DiskStats) Merge(o DiskStats) {
 // the true predicates per node. Main memory holds only the two automata
 // (computed lazily) and a stack bounded by the depth of the XML document.
 // When a node's bottom-up state alone decides its selection (analysis.go)
-// and the run writes no marked XML and keeps no states, phase 1 marks the selected nodes itself: the run is one
-// backward scan, with no state file and no phase 2 (DiskStats.OneScan).
-// It is RunDiskParallelContext with one worker: the chunked driver run
+// and the run writes no marked XML, phase 1 marks the selected nodes
+// itself: the run is one backward scan, with no state file and no phase 2
+// (DiskStats.OneScan). It is RunDiskParallelContext with one worker: the chunked driver run
 // with an empty frontier, whose leader scans all of [0, N) itself.
-// Cancelling ctx aborts the scan in progress with ctx.Err(); a failed or
-// cancelled run removes the temporary state file.
+// Cancelling ctx aborts the scan in progress with ctx.Err(); every run
+// removes its state file.
 func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOpts) (*Result, *DiskStats, error) {
 	return e.RunDiskParallelContext(ctx, db, 1, opts)
-}
-
-// createStateFile opens the phase-1 state file for a run, size bytes: a
-// buffer in RAM for a tree's record image, otherwise a unique temporary
-// file next to the database, so two concurrent runs sharing a database
-// directory never clobber each other's state. KeepStateFile runs use the
-// same unique naming — the kept path is reported as Result.StateFile
-// rather than through a fixed, discoverable name, so concurrent kept runs
-// neither block nor overwrite one another.
-func createStateFile(db *storage.DB, size int64) (storage.ScratchFile, string, error) {
-	if db.InMemory() {
-		f, err := db.CreateScratch("", size)
-		return f, "", err
-	}
-	f, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.sta")
-	if err != nil {
-		return nil, "", err
-	}
-	return f, f.Name(), nil
 }

@@ -327,8 +327,8 @@ type scanKernel struct {
 	root, end int64
 	lanes     []scanLane
 
-	// visit sees every node of an ordered run — only the leader of an empty
-	// frontier of a scalar run has one — with its query mask and states.
+	// visit sees every node of a marked run — only the leader of an empty
+	// frontier of a scalar run has one — with its query mask.
 	visit visitFunc
 
 	aux    []byte
@@ -337,9 +337,8 @@ type scanKernel struct {
 }
 
 // visitFunc is the one per-node hook of phase 2 (scanKernel.visit): node v,
-// its record, its query mask and its two states. It streams marked XML,
-// records the states of a KeepStates run over a tree, or both.
-type visitFunc func(v int64, rec uint16, mask uint64, bu, td StateID) error
+// its record and its query mask. It streams marked XML.
+type visitFunc func(v int64, rec uint16, mask uint64) error
 
 // scanLane is lane li's phase 2 over the region. The region's root enters
 // in rootTD once its stored state has been checked against rootBU, the
@@ -420,7 +419,7 @@ func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []
 			l.marks.mark(mask, v)
 		}
 		if k.visit != nil {
-			if err := k.visit(v, rec, mask, bu, td); err != nil {
+			if err := k.visit(v, rec, mask); err != nil {
 				return err
 			}
 		}

@@ -175,14 +175,6 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// ResetStats clears the accumulated statistics (the state and transition
-// caches are kept).
-func (e *Engine) ResetStats() {
-	e.mu.Lock()
-	e.stats = Stats{}
-	e.mu.Unlock()
-}
-
 // addNodes records a finished run's n node visits, pruned of them pruned
 // (see Stats.PrunedNodes), in the engine's statistics.
 func (e *Engine) addNodes(n, pruned int64) {

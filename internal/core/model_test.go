@@ -15,7 +15,6 @@ package core_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -495,7 +494,7 @@ func (k *checker) same(label string, qs []arb.Pred, res *arb.Result, want [][]ar
 // cost model: every phase that ran reads or skips each byte once per pass;
 // a single pass takes one scan exactly when the bottom-up states decide
 // every lane of its members (and the run reads no aux input, marks no
-// output, keeps no states and may take one scan), and otherwise writes
+// output and may take one scan), and otherwise writes
 // scanned nodes × state width × the lanes that need phase 2; runs that may
 // not prune do not; and each member's every pass credits every node.
 func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, members ...item) {
@@ -524,15 +523,15 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 		k.t.Fatalf("%s: %d one-scan passes with one scan forced off", label, one)
 	}
 	pruned := d.Phase1.SkippedBytes / storage.NodeSize
-	// KeepStates and MarkTo ride on the main pass alone: aux passes prune.
-	if (pruned > 0) != (prof.Engine.PrunedNodes > 0) || (opts.NoPrune || passes == 1 && (opts.KeepStates || opts.MarkTo != nil)) && pruned > 0 {
+	// MarkTo rides on the main pass alone: aux passes prune.
+	if (pruned > 0) != (prof.Engine.PrunedNodes > 0) || (opts.NoPrune || passes == 1 && opts.MarkTo != nil) && pruned > 0 {
 		k.t.Fatalf("%s: %d nodes pruned, %d bytes skipped", label, prof.Engine.PrunedNodes, d.Phase1.SkippedBytes)
 	}
 	if prof.Engine.Nodes != int64(memberPasses)*n {
 		k.t.Fatalf("%s: the run credits %d nodes, want %d passes × %d", label, prof.Engine.Nodes, memberPasses, n)
 	}
 	if passes == 1 {
-		lanes, twoScan := k.lanes(members, forced || opts.KeepStates || opts.MarkTo != nil)
+		lanes, twoScan := k.lanes(members, forced || opts.MarkTo != nil)
 		if (one == 1) != (twoScan == 0) {
 			k.t.Fatalf("%s: %d one-scan passes, with %d of %d lanes needing phase 2", label, one, twoScan, lanes)
 		}
@@ -541,7 +540,7 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 		}
 		if slots := (n - pruned) * int64(twoScan); slots > 0 {
 			w := d.StateBytes / slots
-			if d.StateBytes%slots != 0 || w != 1 && w != 2 && w != 4 || opts.KeepStates && w != 4 {
+			if d.StateBytes%slots != 0 || w != 1 && w != 2 && w != 4 {
 				k.t.Fatalf("%s: %d state bytes, not %d scanned nodes × width × %d lanes", label, d.StateBytes, n-pruned, twoScan)
 			}
 		}
@@ -630,9 +629,6 @@ func (k *checker) scalar() {
 			res, prof := k.exec(label, pq, opts)
 			k.same(label, pq.Queries(), res, k.want[i])
 			k.profile(label, prof, opts, it)
-			if res.StateFile != "" {
-				k.t.Fatalf("%s: a run that keeps no states kept %s", label, res.StateFile)
-			}
 			if first == nil {
 				first = prof
 				continue
@@ -813,64 +809,6 @@ func (k *checker) cached() {
 	}
 }
 
-// twin opens the case's document in the other kind of source: a database
-// for a tree session, the oracle tree for a disk one.
-func (k *checker) twin() *arb.Session {
-	if formKinds[k.c.form] != "tree" {
-		return arb.NewSession(k.oracle)
-	}
-	base := filepath.Join(k.dir, "twin")
-	db, err := arb.CreateDBFromTree(base, k.oracle)
-	if err != nil {
-		k.t.Fatal(err)
-	}
-	db.Close()
-	sess, err := arb.OpenSession(base)
-	if err != nil {
-		k.t.Fatal(err)
-	}
-	k.t.Cleanup(func() { sess.Close() })
-	return sess
-}
-
-// keepStates runs one item with KeepStates on freshly compiled handles over
-// a tree and over a database holding the same document: the tree run keeps
-// in its Result the very bottom-up ids the disk run keeps in its state file
-// (4 bytes a node, reverse preorder), and both answer as the oracles do.
-func (k *checker) keepStates() {
-	i := k.rng.Intn(len(k.items))
-	it := k.items[i]
-	mem, disk := k.sess, k.twin()
-	if formKinds[k.c.form] != "tree" {
-		mem, disk = disk, mem
-	}
-	opts := arb.ExecOpts{Workers: 1, KeepStates: true}
-	label := k.label("%s, kept states", it.src)
-	pqm, pqd := it.prepare(k.t, mem), it.prepare(k.t, disk)
-	mres, _ := k.exec(label+" over the tree", pqm, opts)
-	dres, dprof := k.exec(label+" on disk", pqd, opts)
-	k.same(label, pqm.Queries(), mres, k.want[i])
-	k.same(label, pqd.Queries(), dres, k.want[i])
-	k.profile(label, dprof, opts, it)
-	file, err := os.ReadFile(dres.StateFile)
-	if err != nil {
-		k.t.Fatal(err)
-	}
-	if err := os.Remove(dres.StateFile); err != nil {
-		k.t.Fatal(err)
-	}
-	n := k.oracle.Len()
-	if len(file) != 4*n || len(mres.BUStateOf) != n || len(mres.TDStateOf) != n || mres.StateFile != "" {
-		k.t.Fatalf("%s: state file of %d bytes, %d/%d states kept over the tree", label, len(file), len(mres.BUStateOf), len(mres.TDStateOf))
-	}
-	for v := 0; v < n; v++ {
-		if got, want := mres.BUStateOf[v], int32(binary.BigEndian.Uint32(file[4*(n-1-v):])); got != want {
-			k.t.Fatalf("%s: node %d kept bottom-up state %d, the state file %d", label, v, got, want)
-		}
-	}
-	k.cov["kept-states"]++
-}
-
 // markTo streams one item's marked document and holds it to the oracle
 // document emitted with the oracles' selection marked.
 func (k *checker) markTo() {
@@ -1027,7 +965,6 @@ func runModel(t *testing.T, c *modelCase, cov coverage) {
 	k.batch(rng.Intn(3) == 0)
 	if !c.production {
 		k.cached()
-		k.keepStates()
 		k.markTo()
 	}
 	k.sameDocument() // last: a full scan would decode every block up front
@@ -1125,7 +1062,7 @@ func TestModel(t *testing.T) {
 		return
 	}
 	for _, w := range []string{"pruned", "one-scan", "parallel", "forced-two-scans", "batch", "shared-handle", "mixed-lanes",
-		"over-64-predicates", "cache-hit", "cache-subsumed", "kept-states", "marked", "patched", "small"} {
+		"over-64-predicates", "cache-hit", "cache-subsumed", "marked", "patched", "small"} {
 		if cov[w] == 0 {
 			t.Errorf("no case reached %q (coverage %v)", w, cov)
 		}

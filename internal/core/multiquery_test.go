@@ -129,7 +129,12 @@ func TestAuxPredicatesDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := NewEngine(c, tr.Names())
-			res, err := e.RunContext(context.Background(), tr, RunOpts{Aux: auxFn})
+			var res *Result
+			if auxFn == nil {
+				res, err = e.RunContext(context.Background(), tr, RunOpts{})
+			} else {
+				res, err = runTreeAux(context.Background(), e, tr, auxFn)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,9 +80,9 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 // RunDiskContext alone. It is RunDiskBatchParallel with one worker: the
 // disk driver run with an empty frontier. Cancelling ctx aborts the scan
 // in progress; a failed or cancelled run removes the state file and any
-// partially written AuxOut sidecar. The per-run options of the embedded
-// DiskOpts that name one query's output — a named or kept state file,
-// marked XML — need a batch of one member.
+// partially written AuxOut sidecar. Marked XML, the one per-run option of
+// the embedded DiskOpts that names one query's output, needs a batch of one
+// member.
 func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
 	return RunDiskBatchParallel(ctx, db, 1, members, opts)
 }
@@ -100,8 +100,8 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 	switch {
 	case len(members) == 0:
 		return nil, Stats{}, nil, errors.New("core: empty batch")
-	case len(members) > 1 && (opts.KeepStateFile || opts.MarkTo != nil):
-		return nil, Stats{}, nil, errors.New("core: a kept state file or marked output needs a batch of one member")
+	case len(members) > 1 && opts.MarkTo != nil:
+		return nil, Stats{}, nil, errors.New("core: marked output needs a batch of one member")
 	}
 	return newDiskBatch(members, opts).exec(ctx, db, workers)
 }
@@ -139,7 +139,7 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 			return nil, agg, nil, errors.New("core: engine name table does not match database")
 		}
 	}
-	err = runOverFrontier(ctx, db, workers, r.ordered(db), func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
+	err = runOverFrontier(ctx, db, workers, r.opts.MarkTo != nil, func(workers int, idx *storage.SubtreeIndex, tasks []storage.Extent) error {
 		plan := r.plan(ctx, db, idx)
 		width, oneScan := r.width(), !oneScanOff
 		for {
@@ -157,25 +157,9 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 	return res, agg, ds, err
 }
 
-// ordered reports whether the run must visit every node in document order,
-// on the leader of an empty frontier: to stream marked XML, or to record a
-// KeepStates run's states over a tree (storage.DB.InMemory), where the
-// states are kept in the Result instead of a state file.
-func (r *diskBatch) ordered(db *storage.DB) bool {
-	return r.opts.MarkTo != nil || r.keepsStates(db)
-}
-
-func (r *diskBatch) keepsStates(db *storage.DB) bool {
-	return r.opts.KeepStateFile && db.InMemory()
-}
-
 // width is the run's initial state width: the widest any member's engine
-// asks for. A kept state file, which somebody else reads, keeps the
-// documented 4-byte ids.
+// asks for.
 func (r *diskBatch) width() int {
-	if r.opts.KeepStateFile {
-		return stateWide
-	}
 	w := stateByte
 	for _, e := range r.engines {
 		w = max(w, stateWidthFor(e.BUStateCount()))
@@ -186,11 +170,11 @@ func (r *diskBatch) width() int {
 // decided reports whether lane l's selections are decided in phase 1 of
 // this run, so that the lane needs neither state-file slot nor phase 2:
 // every member's program admits one-scan verdicts (analysis.go), and the
-// run reads no aux input, writes no aux output or marked XML, and keeps no
-// states (the first two are per-node facts outside the verdicts, the last
-// two need phase 2's states).
+// run reads no aux input and writes no aux output or marked XML (aux masks
+// are per-node facts outside the verdicts, and marked XML needs phase 2's
+// document-order visit).
 func (r *diskBatch) decided(l *lane) bool {
-	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile {
+	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.opts.MarkTo != nil {
 		return false
 	}
 	for _, m := range l.members {
@@ -203,14 +187,13 @@ func (r *diskBatch) decided(l *lane) bool {
 
 // plan is the one prune gate of the disk runs, scalar and batch. Seeking
 // past extents the static analysis proves irrelevant to every member is
-// sound only without aux input (aux bits vary per node), without marked
-// output (every node must be emitted), and without a kept state file (the
-// pruned state file has holes where extents were skipped); below
-// pruneMinNodes it buys nothing. ix is the index the run's frontier
-// was cut from, or nil when it has none: the planner then loads the index
-// itself, and failing to costs the run its plan, not its answer.
+// sound only without aux input (aux bits vary per node) and without marked
+// output (every node must be emitted); below pruneMinNodes it buys
+// nothing. ix is the index the run's frontier was cut from, or nil when it
+// has none: the planner then loads the index itself, and failing to costs
+// the run its plan, not its answer.
 func (r *diskBatch) plan(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex) *PrunePlan {
-	if r.opts.NoPrune || r.opts.AuxIn != "" || r.opts.MarkTo != nil || r.opts.KeepStateFile || db.N < pruneMinNodes {
+	if r.opts.NoPrune || r.opts.AuxIn != "" || r.opts.MarkTo != nil || db.N < pruneMinNodes {
 		return nil
 	}
 	if ix == nil {
@@ -279,8 +262,8 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	tasks, a.inner, a.outer = splitPrune(tasks, planExts)
 	a.tasks = tasks
 	a.leaderSkip, a.taskOf = mergeSkipLists(tasks, a.outer)
-	if r.ordered(db) && len(a.leaderSkip) > 0 {
-		return nil, agg, nil, errors.New("core: an ordered run needs the leader to visit every node")
+	if r.opts.MarkTo != nil && len(a.leaderSkip) > 0 {
+		return nil, agg, nil, errors.New("core: a marked run needs the leader to visit every node")
 	}
 	workers = min(workers, len(tasks))
 
@@ -312,20 +295,13 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		a.files.auxF = auxF
 	}
 
-	keepFile := r.opts.KeepStateFile && !db.InMemory()
-	var statePath string
 	if slots > 0 {
-		stateF, path, err := createStateFile(db, int64(slots)*db.N*int64(width))
+		stateF, err := db.CreateScratch("", int64(slots)*db.N*int64(width))
 		if err != nil {
 			return nil, agg, nil, err
 		}
-		a.files.stateF, statePath = stateF, path
-		defer func() {
-			stateF.Close()
-			if !keepFile || !a.succeeded {
-				db.RemoveScratch(statePath)
-			}
-		}()
+		defer stateF.Close()
+		a.files.stateF = stateF
 	}
 
 	if r.opts.AuxOut != "" {
@@ -359,12 +335,11 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width*slots)
 	agg.Phase1Time = time.Since(start)
 
-	var buStates, tdStates []StateID
 	if slots == 0 {
 		ds.OneScan = 1
 	} else {
 		start = time.Now()
-		if ds.Phase2, buStates, tdStates, err = a.phase2(ctx, rootState); err != nil {
+		if ds.Phase2, err = a.phase2(ctx, rootState); err != nil {
 			return nil, agg, nil, err
 		}
 		agg.Phase2Time = time.Since(start)
@@ -376,10 +351,6 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			res[m] = a.files.sels[li].member(r.members[m].E.c.Prog, l.offs[j])
 		}
 	}
-	if keepFile {
-		res[0].StateFile = statePath
-	}
-	res[0].BUStateOf, res[0].TDStateOf = buStates, tdStates
 	// The stale-index, state-width and one-scan retries re-enter this
 	// function: only the attempt that succeeds counts.
 	creditRun(r.engines, r.opts.Run, db.N, plan, agg)
@@ -403,7 +374,7 @@ type attempt struct {
 	caches       [][]*StepCache     // per worker, one per lane
 	leaderCaches []*StepCache
 	rootStates   [][]StateID // per task, phase 1's root states
-	succeeded    bool        // the attempt finished; its files may stay
+	succeeded    bool        // the attempt finished; its aux-out sidecar may stay
 }
 
 // phase1 folds the database bottom-up: workers fold their chunks — each
@@ -469,9 +440,8 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 // phase2 computes the top-down states of the lanes with a state-file slot:
 // the leader forward over the glue first, assigning each chunk root its
 // top-down entry states, then the workers descend into the chunks. It
-// returns the scans' profile and the states a KeepStates run over a tree
-// records.
-func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.ScanStats, buStates, tdStates []StateID, err error) {
+// returns the scans' profile.
+func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.ScanStats, err error) {
 	db, files := a.db, a.files
 	rootTD := make([]StateID, len(files.lanes))
 	for li, c := range a.leaderCaches {
@@ -484,19 +454,8 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	var emitter *storage.XMLEmitter
 	if a.opts.MarkTo != nil {
 		emitter = storage.NewXMLEmitter(a.opts.MarkTo, db.Names)
-	}
-	if a.keepsStates(db) {
-		buStates, tdStates = make([]StateID, db.N), make([]StateID, db.N)
-	}
-	if emitter != nil || buStates != nil {
 		markBit := uint64(1) << uint(a.opts.MarkQuery)
-		scan.visit = func(v int64, rec uint16, mask uint64, bu, td StateID) error {
-			if buStates != nil {
-				buStates[v], tdStates[v] = bu, td
-			}
-			if emitter == nil {
-				return nil
-			}
+		scan.visit = func(v int64, rec uint16, mask uint64) error {
 			return emitter.Node(v, storage.DecodeRecord(rec), mask&markBit != 0)
 		}
 	}
@@ -516,7 +475,7 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 		err = scan.finish()
 	}
 	if err != nil {
-		return st, nil, nil, err
+		return st, err
 	}
 
 	// Workers: descend into the chunks from their entry states,
@@ -545,19 +504,19 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 		return nil
 	})
 	if err != nil {
-		return st, nil, nil, err
+		return st, err
 	}
 	if files.auxOutF != nil {
 		if err := files.auxOutF.Close(); err != nil {
-			return st, nil, nil, err
+			return st, err
 		}
 	}
 	if emitter != nil {
 		if err := emitter.Finish(); err != nil {
-			return st, nil, nil, err
+			return st, err
 		}
 	}
-	return st, buStates, tdStates, nil
+	return st, nil
 }
 
 // newCaches returns a fresh step cache per lane.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
@@ -102,6 +103,33 @@ func chained(e *Engine, auxIn, auxOut string, bit uint8, opts DiskOpts) ([]Batch
 		bm.AuxOutSlot, bo.AuxOutStride = 0, 1
 	}
 	return []BatchMember{bm}, bo
+}
+
+// runTreeAux runs e over tr's record image as a batch of one reading the
+// masks aux gives every node, from slot 0 of a one-slot sidecar in RAM.
+func runTreeAux(ctx context.Context, e *Engine, tr *tree.Tree, aux func(tree.NodeID) uint16) (*Result, error) {
+	db, err := storage.OpenTree(tr, nil)
+	if err != nil {
+		return nil, err
+	}
+	db.Names = e.names
+	masks := make([]byte, db.N*storage.MaskSize)
+	for v := range db.N {
+		binary.BigEndian.PutUint16(masks[v*storage.MaskSize:], aux(tree.NodeID(v)))
+	}
+	f, err := db.CreateScratch("aux", int64(len(masks)))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.WriteAt(masks, 0); err != nil {
+		return nil, err
+	}
+	members, opts := chained(e, "aux", "", 0, DiskOpts{})
+	res, _, _, err := RunDiskBatch(ctx, db, members, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 func TestRunDiskConcurrentRunsShareDatabase(t *testing.T) {

@@ -40,24 +40,6 @@ type PrunePlan struct {
 // Sub returns the substitute bottom-up state for engine m of the plan.
 func (p *PrunePlan) Sub(m int) StateID { return p.subs[m] }
 
-// PhysicalSavings reports the physical bytes the plan's extents map to
-// in db — on a block-compressed database the stored size of every block
-// an extent touches, on a raw one the extents' record bytes. The scans
-// themselves account the exact figure (a boundary block shared with
-// live records is still read once); this is the planner's upper bound,
-// what the stats surfaces report as "prunable physical bytes". Extent
-// selection is deliberately logical: a sub-block extent still saves its
-// share of decompression and per-node work even when its block must be
-// read for neighbouring live records, so admission thresholds
-// (pruneMinExtent) stay in node units on compressed databases too.
-func (p *PrunePlan) PhysicalSavings(db *storage.DB) int64 {
-	var sum int64
-	for _, x := range p.Extents {
-		sum += db.PhysSpan(x.Root, x.End())
-	}
-	return sum
-}
-
 // PlanPrune reads every engine's analysis (analysis.go) and selects the
 // maximal index extents whose label signatures are disjoint from the
 // union of the engines' live sets — an extent is only prunable if it is

@@ -9,8 +9,7 @@ import (
 )
 
 // Result is the outcome of evaluating a TMNF program over a tree or
-// database: which nodes each query predicate selected, plus (optionally)
-// the per-node automaton states for inspection and output generation.
+// database: which nodes each query predicate selected.
 type Result struct {
 	prog    *tmnf.Program
 	queries []tmnf.Pred
@@ -26,17 +25,6 @@ type Result struct {
 	// goroutine owns the result — during its single-threaded filling
 	// phase or after the parallel workers have been joined.
 	mu sync.Mutex
-
-	// Optional per-node states (KeepStates runs over a tree's record
-	// image).
-	BUStateOf []StateID
-	TDStateOf []StateID
-
-	// StateFile is the path of the retained phase-1 state file after a
-	// successful disk run with KeepStateFile. Each run keeps its own
-	// uniquely named file, so concurrent KeepStateFile runs over one
-	// database never clobber each other; the caller owns removal.
-	StateFile string
 }
 
 // NewResult returns an empty result for evaluating prog over n nodes,

@@ -390,7 +390,7 @@ func TestWindowKernelEdges(t *testing.T) {
 			}
 			return 0
 		}
-		want1, err := NewEngine(cs[1], db.Names).RunContext(ctx, ref, RunOpts{Aux: aux1})
+		want1, err := runTreeAux(ctx, NewEngine(cs[1], db.Names), ref, aux1)
 		if err != nil {
 			t.Fatal(err)
 		}

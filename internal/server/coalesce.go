@@ -21,21 +21,20 @@ import (
 // window tax — because a request arriving more than one window after the
 // previous one, with execution capacity free and nothing pending, runs
 // solo. Any denser arrival pattern opens a gather group that flushes
-// when it holds BatchMax distinct plans or when the window elapses,
+// when it holds batchMax distinct plans or when the window elapses,
 // whichever is first; groups then queue for an execution slot. So the
 // batching degree tracks the arrival rate: bursts and saturated slots
 // coalesce maximally, sparse traffic pays zero added latency.
 //
-// The window itself adapts too, unless pinned by configuration: waiting
-// is only worth a fraction of the scan it amortises, so the coalescer
-// keeps an EWMA of observed execution durations and sets the window to a
-// quarter of it, clamped to [500µs, 25ms]. Fast in-memory workloads
-// shrink toward the floor (near-zero added latency); long disk scans
-// widen the gather so more requests share each scan pair.
+// The window itself adapts too: waiting is only worth a fraction of the
+// scan it amortises, so the coalescer keeps an EWMA of observed execution
+// durations and sets the window to a quarter of it, clamped to
+// [500µs, 25ms]. Fast in-memory workloads shrink toward the floor
+// (near-zero added latency); long disk scans widen the gather so more
+// requests share each scan pair.
 type coalescer struct {
 	sess    *arb.Session
 	win     atomic.Int64  // current gather window, nanoseconds
-	auto    bool          // tune win from observed scan durations
 	ewma    atomic.Int64  // smoothed execution duration, nanoseconds
 	max     int           // distinct plans per group
 	sem     chan struct{} // execution slots (MaxInflight)
@@ -68,27 +67,28 @@ type group struct {
 	later   time.Time // latest member deadline (zero: some member has none)
 }
 
-// Auto-tuning bounds: the seed before any execution has been observed,
-// the smoothing factor (EWMA α = 1/ewmaDiv), the window-to-scan ratio,
-// and the clamp.
-const (
+// Auto-tuning bounds: the seed before any execution has been observed and
+// the clamp — variables, not constants, only so that the package's tests
+// can pin the window (export_test.go) — then the smoothing factor (EWMA
+// α = 1/ewmaDiv) and the window-to-scan ratio.
+var (
 	windowSeed  = 2 * time.Millisecond
 	windowFloor = 500 * time.Microsecond
 	windowCeil  = 25 * time.Millisecond
-	windowFrac  = 4 // window = ewma/windowFrac
-	ewmaDiv     = 5 // α = 0.2
 )
 
-func newCoalescer(sess *arb.Session, window time.Duration, max, inflight int, opts arb.ExecOpts, profile func(*arb.Profile, int)) *coalescer {
+const (
+	windowFrac = 4 // window = ewma/windowFrac
+	ewmaDiv    = 5 // α = 0.2
+)
+
+func newCoalescer(sess *arb.Session, inflight int, opts arb.ExecOpts, profile func(*arb.Profile, int)) *coalescer {
 	opts.Stats = true
 	c := &coalescer{
-		sess: sess, auto: window <= 0, max: max,
+		sess: sess, max: batchMax,
 		sem: make(chan struct{}, inflight), opts: opts, profile: profile,
 	}
-	if c.auto {
-		window = windowSeed
-	}
-	c.win.Store(int64(window))
+	c.win.Store(int64(windowSeed))
 	return c
 }
 
@@ -96,7 +96,7 @@ func newCoalescer(sess *arb.Session, window time.Duration, max, inflight int, op
 // are load/store rather than CAS on purpose: a lost sample under
 // contention only delays convergence, and the EWMA absorbs it.
 func (c *coalescer) observe(d time.Duration) {
-	if !c.auto || d <= 0 {
+	if d <= 0 {
 		return
 	}
 	e := time.Duration(c.ewma.Load())
@@ -276,7 +276,6 @@ type CoalescerStats struct {
 	Dedup      int64   `json:"dedup_hits"`      // requests folded onto a duplicate plan
 	MaxBatch   int     `json:"max_batch_plans"` // largest distinct-plan group so far
 	WindowMS   float64 `json:"window_ms"`       // current gather window
-	WindowAuto bool    `json:"window_auto"`     // window is tuned, not pinned
 	ScanEWMAMS float64 `json:"scan_ewma_ms"`    // smoothed execution duration feeding the tuner
 }
 
@@ -286,7 +285,6 @@ func (c *coalescer) snapshot() CoalescerStats {
 	return CoalescerStats{
 		Groups: c.groups, Solo: c.solos, Requests: c.batched, Dedup: c.dedups, MaxBatch: c.maxBatch,
 		WindowMS:   float64(c.win.Load()) / 1e6,
-		WindowAuto: c.auto,
 		ScanEWMAMS: float64(c.ewma.Load()) / 1e6,
 	}
 }

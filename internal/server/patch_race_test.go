@@ -40,9 +40,8 @@ func TestServePatchRace(t *testing.T) {
 	}
 	defer sess.Close()
 
-	srv := server.New(context.Background(), sess, server.Config{
-		BatchMax: 4, Window: time.Millisecond, MaxInflight: 4,
-	})
+	defer server.SetKnobs(server.Knobs{Window: time.Millisecond, MaxPlans: 4})()
+	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -229,5 +228,33 @@ func TestServePatchRace(t *testing.T) {
 	}
 	if stats.Snapshots != 0 {
 		t.Fatalf("%d snapshots still pinned after quiescence", stats.Snapshots)
+	}
+}
+
+// TestServePatchWithoutFragment: a replace or insert-child /patch request
+// without its "xml" fragment is a bad request, answered with 400 — not a
+// handler panic that drops the connection.
+func TestServePatchWithoutFragment(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "db")
+	db, _, err := arb.CreateDB(base, strings.NewReader("<a><b/><c/></a>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	sess, err := arb.OpenVersionedSession(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	srv := server.New(context.Background(), sess, server.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, op := range []string{"replace", "insert-child"} {
+		resp, err := http.Post(ts.URL+"/patch", "application/json", strings.NewReader(fmt.Sprintf(`{"op": %q, "node": 1}`, op)))
+		if err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s without a fragment: %v, %+v; want status 400", op, err, resp)
+		}
+		resp.Body.Close()
 	}
 }

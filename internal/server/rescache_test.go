@@ -103,8 +103,9 @@ func TestServeResCacheQueueLimit(t *testing.T) {
 	}
 	defer sess.Close()
 
+	// A pinned window: the admitted request parks in its gather group.
+	defer server.SetKnobs(server.Knobs{Window: time.Second})()
 	srv := server.New(context.Background(), sess, server.Config{
-		Window:      time.Second, // pinned: the admitted request parks in its gather group
 		MaxInflight: 1,
 		MaxQueue:    1,
 	})

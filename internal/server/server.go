@@ -27,19 +27,12 @@ import (
 	"arb/internal/xpath"
 )
 
-// Config tunes a Server. The zero value gets sensible defaults.
+// Config sizes a Server to its host. The zero value gets sensible
+// defaults. What no host changes is fixed: the coalescer's gather window
+// tunes itself from observed scan durations, a shared-scan batch holds at
+// most batchMax distinct plans, and a reply lists at most maxIDs ids per
+// predicate.
 type Config struct {
-	// Window is how long a gather group waits for companions before its
-	// batch executes. Zero (the default) means auto: the coalescer seeds
-	// a 2ms window and retunes it from an EWMA of observed scan
-	// durations. A positive value pins the window and disables tuning.
-	// Requests on an idle server skip the window entirely; see the
-	// coalescer.
-	Window time.Duration
-	// BatchMax is K, the maximum number of distinct plans per shared-scan
-	// batch (default 16). Duplicate concurrent queries never count twice —
-	// they share one plan slot and one execution.
-	BatchMax int
 	// MaxInflight bounds concurrently running executions (default 2).
 	MaxInflight int
 	// CacheSize is the plan cache capacity in distinct queries (default 256).
@@ -50,9 +43,6 @@ type Config struct {
 	// Timeout is the default per-request deadline when the request names
 	// none (default 30s). A request's timeout_ms field overrides it.
 	Timeout time.Duration
-	// MaxIDs caps the selected-node ids returned per predicate when a
-	// request asks for ids (default 10000).
-	MaxIDs int
 	// NoPrune disables selectivity-aware pruning for all executions.
 	NoPrune bool
 	// ResCacheBytes enables the session result cache with the given byte
@@ -66,13 +56,19 @@ type Config struct {
 	MaxQueue int
 }
 
+// The server's fixed sizes: variables, not constants, only so that the
+// package's tests can shrink them (export_test.go).
+var (
+	// batchMax is K, the maximum number of distinct plans per shared-scan
+	// batch. Duplicate concurrent queries never count twice — they share
+	// one plan slot and one execution.
+	batchMax = 16
+	// maxIDs caps the selected-node ids returned per predicate when a
+	// request asks for ids.
+	maxIDs = 10000
+)
+
 func (c *Config) fill() {
-	if c.Window < 0 {
-		c.Window = 0 // auto
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 2
 	}
@@ -81,9 +77,6 @@ func (c *Config) fill() {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.MaxIDs <= 0 {
-		c.MaxIDs = 10000
 	}
 }
 
@@ -145,7 +138,7 @@ func New(ctx context.Context, sess *arb.Session, cfg Config) *Server {
 		sess.SetResultCache(cfg.ResCacheBytes)
 		opts.ResultCache = true
 	}
-	s.coal = newCoalescer(sess, cfg.Window, cfg.BatchMax, cfg.MaxInflight, opts, s.addProfile)
+	s.coal = newCoalescer(sess, cfg.MaxInflight, opts, s.addProfile)
 	return s
 }
 
@@ -338,14 +331,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // predResults renders a result per query predicate, truncating id lists
-// at the configured cap.
+// at maxIDs.
 func (s *Server) predResults(pq *arb.PreparedQuery, res *arb.Result, wantIDs bool) []predResult {
 	var out []predResult
 	for _, q := range pq.Queries() {
 		pr := predResult{Predicate: pq.Program().PredName(q), Count: res.Count(q)}
 		if wantIDs {
 			res.Walk(q, func(v arb.NodeID) bool {
-				if len(pr.IDs) >= s.cfg.MaxIDs {
+				if len(pr.IDs) >= maxIDs {
 					pr.Truncated = true
 					return false
 				}

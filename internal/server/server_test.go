@@ -199,12 +199,9 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 
 	const batchMax = 4
 	const maxIDs = 2000
-	srv := server.New(context.Background(), sess, server.Config{
-		Window:      time.Second, // generous: the burst must gather, not fragment
-		BatchMax:    batchMax,
-		MaxInflight: 1,
-		MaxIDs:      maxIDs,
-	})
+	// A generous window: the burst must gather, not fragment.
+	defer server.SetKnobs(server.Knobs{Window: time.Second, MaxPlans: batchMax, MaxIDs: maxIDs})()
+	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -279,12 +276,8 @@ func TestServeOneScanRounds(t *testing.T) {
 	defer sess.Close()
 
 	const maxIDs = 500
-	srv := server.New(context.Background(), sess, server.Config{
-		Window:      time.Second,
-		BatchMax:    4,
-		MaxInflight: 1,
-		MaxIDs:      maxIDs,
-	})
+	defer server.SetKnobs(server.Knobs{Window: time.Second, MaxPlans: 4, MaxIDs: maxIDs})()
+	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

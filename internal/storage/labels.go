@@ -51,6 +51,3 @@ func (s LabelSig) Intersects(o LabelSig) bool {
 func (s LabelSig) IsZero() bool {
 	return s[0]|s[1]|s[2]|s[3] == 0
 }
-
-// HasChars reports whether the signature contains the character class.
-func (s LabelSig) HasChars() bool { return s[0]&1 != 0 }

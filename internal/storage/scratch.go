@@ -14,9 +14,10 @@ import (
 // state file and the aux-mask sidecars chaining multi-pass queries, which
 // the evaluation kernels read and write by node offset. Where they live is
 // the database's business, never an option: a database on disk keeps them
-// in files (next to it, unless the caller names a path), and the record
-// image of an in-memory tree (OpenTree) keeps them in RAM, in a table on its
-// handle — so a run over a tree touches no file system.
+// in files (the state file next to it, a sidecar where the caller names
+// it), and the record image of an in-memory tree (OpenTree) keeps them in
+// RAM, in a table on its handle — so a run over a tree touches no file
+// system.
 
 // ScratchFile is the seam the kernels reach a scratch file through: an
 // *os.File on disk, a fixed-size buffer in RAM.
@@ -57,17 +58,22 @@ type memScratch struct {
 	dirs  int                // guarded by: mu — directories handed out
 }
 
-// InMemory reports whether the database is a record image in RAM, whose
-// runs keep their scratch files in RAM too.
-func (db *DB) InMemory() bool { return db.mem != nil }
-
 // CreateScratch creates the scratch file name, size bytes long, replacing
 // any file of that name. On disk size is only a hint: the file grows as it
-// is written. A database in RAM registers the buffer under name unless name
-// is empty.
+// is written. A database in RAM registers the buffer under name. An empty
+// name asks for an anonymous scratch file, the run's phase-1 state file: on
+// disk a uniquely named temporary next to the database, which Close
+// removes; in RAM a buffer nobody else can reach.
 func (db *DB) CreateScratch(name string, size int64) (ScratchFile, error) {
 	if db.mem == nil {
-		return os.Create(name)
+		if name != "" {
+			return os.Create(name)
+		}
+		f, err := os.CreateTemp(filepath.Dir(db.Base), filepath.Base(db.Base)+"-*.sta")
+		if err != nil {
+			return nil, err
+		}
+		return tempFile{f}, nil
 	}
 	f := make(memFile, size)
 	if name != "" {
@@ -76,6 +82,17 @@ func (db *DB) CreateScratch(name string, size int64) (ScratchFile, error) {
 		db.mem.mu.Unlock()
 	}
 	return f, nil
+}
+
+// tempFile is an anonymous scratch file on disk: closing it removes it.
+type tempFile struct{ *os.File }
+
+func (f tempFile) Close() error {
+	err := f.File.Close()
+	if rerr := os.Remove(f.Name()); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // OpenMasks opens the aux-mask scratch file name and verifies it holds one

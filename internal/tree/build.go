@@ -76,22 +76,6 @@ func (b *Builder) Begin(name string) error {
 	return nil
 }
 
-// BeginLabel opens an element with an already-interned label.
-func (b *Builder) BeginLabel(l Label) error {
-	if b.err != nil {
-		return b.err
-	}
-	if b.done {
-		return b.fail(errors.New("tree: content after document root"))
-	}
-	v := b.t.AddNode(l)
-	if err := b.attach(v); err != nil {
-		return err
-	}
-	b.stack = append(b.stack, builderFrame{node: v, lastChild: None})
-	return nil
-}
-
 // Text adds the bytes of s as character nodes, one node per byte, children
 // of the innermost open element (paper Section 2.1: text is part of the
 // tree, one node per character).

@@ -55,10 +55,10 @@ func cloneNames(ns *tree.Names) *tree.Names {
 // come from storage.BuildIndex over its records; cancelling ctx aborts
 // that fold.
 func encodeFragment(ctx context.Context, t *tree.Tree, rootHasSecond bool, names *tree.Names) (*fragment, error) {
-	n := t.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("vstore: empty replacement tree")
+	if t == nil || t.Len() == 0 {
+		return nil, fmt.Errorf("vstore: the patch needs a non-empty fragment tree")
 	}
+	n := t.Len()
 	root := t.Root()
 	if t.HasSecond(root) {
 		return nil, fmt.Errorf("vstore: replacement tree root has a next sibling (not a single subtree)")

@@ -325,7 +325,7 @@ func selectedNodes(t *testing.T, tr *tree.Tree, r PathRegex, rstep string) []tre
 // order IDs but are never selected.
 func TestTreebankRegexFixedDocument(t *testing.T) {
 	// r=0, a=1, b=2, a=3, 'h'=4, 'i'=5, c=6.
-	tr, err := xmlparse.ParseTree(strings.NewReader(`<r><a><b/></a><a>hi<c/></a></r>`), xmlparse.Opts{})
+	tr, err := xmlparse.ParseTree(strings.NewReader(`<r><a><b/></a><a>hi<c/></a></r>`))
 	if err != nil {
 		t.Fatal(err)
 	}

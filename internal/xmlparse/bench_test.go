@@ -29,7 +29,7 @@ func BenchmarkParse(b *testing.B) {
 	doc := benchDoc()
 	b.SetBytes(int64(len(doc)))
 	for i := 0; i < b.N; i++ {
-		if err := Parse(bytes.NewReader(doc), nullHandler{}, Opts{}); err != nil {
+		if err := Parse(bytes.NewReader(doc), nullHandler{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func BenchmarkParseTree(b *testing.B) {
 	doc := string(benchDoc())
 	b.SetBytes(int64(len(doc)))
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseTree(strings.NewReader(doc), Opts{}); err != nil {
+		if _, err := ParseTree(strings.NewReader(doc)); err != nil {
 			b.Fatal(err)
 		}
 	}

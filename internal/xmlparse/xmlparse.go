@@ -33,25 +33,12 @@ var (
 	_ Handler = (*storage.EventWriter)(nil)
 )
 
-// Opts configures parsing.
-type Opts struct {
-	// IncludeAttrs models each attribute as a child element named
-	// "@<attr-name>" whose content is the attribute value, inserted
-	// before the element's regular children. The paper's datasets contain
-	// element and character nodes only, so the default is off.
-	IncludeAttrs bool
-	// DropWhitespaceText discards text runs that consist entirely of XML
-	// whitespace (pretty-printing indentation). The paper keeps all text;
-	// generators that emit indented XML set this to compare against
-	// non-indented equivalents.
-	DropWhitespaceText bool
-}
-
 // Parse streams the XML document from r into h. Comments, processing
-// instructions and directives are skipped; CDATA arrives as ordinary text.
-// It returns an error for malformed XML (encoding/xml enforces matched
-// tags) or when the handler rejects an event.
-func Parse(r io.Reader, h Handler, opts Opts) error {
+// instructions, directives and attributes are skipped — the paper's
+// documents are trees of elements and characters — and CDATA arrives as
+// ordinary text. It returns an error for malformed XML (encoding/xml
+// enforces matched tags) or when the handler rejects an event.
+func Parse(r io.Reader, h Handler) error {
 	dec := xml.NewDecoder(r)
 	// The paper's documents are trees of elements and text; entity
 	// resolution beyond the predefined five is out of scope.
@@ -74,22 +61,6 @@ func Parse(r io.Reader, h Handler, opts Opts) error {
 				return err
 			}
 			depth++
-			if opts.IncludeAttrs {
-				for _, a := range t.Attr {
-					if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-						continue
-					}
-					if err := h.Begin("@" + a.Name.Local); err != nil {
-						return err
-					}
-					if err := h.Text([]byte(a.Value)); err != nil {
-						return err
-					}
-					if err := h.End(); err != nil {
-						return err
-					}
-				}
-			}
 		case xml.EndElement:
 			if err := h.End(); err != nil {
 				return err
@@ -98,9 +69,6 @@ func Parse(r io.Reader, h Handler, opts Opts) error {
 		case xml.CharData:
 			if depth == 0 {
 				// Whitespace between the prolog and the root element.
-				continue
-			}
-			if opts.DropWhitespaceText && isXMLSpace(t) {
 				continue
 			}
 			if len(t) > 0 {
@@ -114,19 +82,10 @@ func Parse(r io.Reader, h Handler, opts Opts) error {
 	}
 }
 
-func isXMLSpace(b []byte) bool {
-	for _, c := range b {
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return false
-		}
-	}
-	return true
-}
-
 // ParseTree parses the document into an in-memory binary tree.
-func ParseTree(r io.Reader, opts Opts) (*tree.Tree, error) {
+func ParseTree(r io.Reader) (*tree.Tree, error) {
 	b := tree.NewBuilder(nil)
-	if err := Parse(r, b, opts); err != nil {
+	if err := Parse(r, b); err != nil {
 		return nil, err
 	}
 	return b.Tree()
@@ -136,8 +95,8 @@ func ParseTree(r io.Reader, opts Opts) (*tree.Tree, error) {
 // using the paper's two-pass creation scheme (Section 5): this function is
 // the SAX pass writing the event file; storage.Create performs the
 // backward pass producing the .arb file.
-func CreateDB(base string, r io.Reader, opts Opts, copts storage.CreateOpts) (*storage.DB, *storage.CreateStats, error) {
+func CreateDB(base string, r io.Reader, copts storage.CreateOpts) (*storage.DB, *storage.CreateStats, error) {
 	return storage.Create(base, func(ew *storage.EventWriter) error {
-		return Parse(r, ew, opts)
+		return Parse(r, ew)
 	}, copts)
 }

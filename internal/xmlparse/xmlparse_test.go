@@ -11,9 +11,9 @@ import (
 	"arb/internal/tree"
 )
 
-func mustParseTree(t *testing.T, src string, opts Opts) *tree.Tree {
+func mustParseTree(t *testing.T, src string) *tree.Tree {
 	t.Helper()
-	tr, err := ParseTree(strings.NewReader(src), opts)
+	tr, err := ParseTree(strings.NewReader(src))
 	if err != nil {
 		t.Fatalf("ParseTree(%q): %v", src, err)
 	}
@@ -22,7 +22,7 @@ func mustParseTree(t *testing.T, src string, opts Opts) *tree.Tree {
 
 func TestParsePaperExample(t *testing.T) {
 	// Example 4.5's three-node document.
-	tr := mustParseTree(t, `<a> <a> <a/> </a> </a>`, Opts{DropWhitespaceText: true})
+	tr := mustParseTree(t, `<a><a><a/></a></a>`)
 	if tr.Len() != 3 {
 		t.Fatalf("got %d nodes, want 3", tr.Len())
 	}
@@ -39,7 +39,7 @@ func TestParsePaperExample(t *testing.T) {
 }
 
 func TestParseCharactersAsNodes(t *testing.T) {
-	tr := mustParseTree(t, `<g><seq>ACG</seq></g>`, Opts{})
+	tr := mustParseTree(t, `<g><seq>ACG</seq></g>`)
 	// g, seq, 'A', 'C', 'G'
 	if tr.Len() != 5 {
 		t.Fatalf("got %d nodes, want 5", tr.Len())
@@ -59,7 +59,7 @@ func TestParseCharactersAsNodes(t *testing.T) {
 }
 
 func TestParseEntitiesAndCDATA(t *testing.T) {
-	tr := mustParseTree(t, `<a>&lt;x&gt;<![CDATA[&]]></a>`, Opts{})
+	tr := mustParseTree(t, `<a>&lt;x&gt;<![CDATA[&]]></a>`)
 	var got []byte
 	for v := tr.First(0); v != tree.None; v = tr.Second(v) {
 		got = append(got, tr.Label(v).Char())
@@ -71,26 +71,16 @@ func TestParseEntitiesAndCDATA(t *testing.T) {
 
 func TestParseSkipsNonTreeNodes(t *testing.T) {
 	src := `<?xml version="1.0"?><!-- c --><r><!-- inner --><?pi data?><a/></r>`
-	tr := mustParseTree(t, src, Opts{})
+	tr := mustParseTree(t, src)
 	if tr.Len() != 2 {
 		t.Fatalf("got %d nodes, want 2 (r, a)", tr.Len())
 	}
 }
 
-func TestParseAttrsOption(t *testing.T) {
-	src := `<r id="7"><a x="y"/></r>`
-	tr := mustParseTree(t, src, Opts{IncludeAttrs: true})
-	// r, @id, '7', a, @x, 'y'
-	if tr.Len() != 6 {
-		t.Fatalf("got %d nodes, want 6", tr.Len())
-	}
-	if _, ok := tr.Names().Lookup("@id"); !ok {
-		t.Fatal("@id label missing")
-	}
-	// Default drops attributes.
-	tr = mustParseTree(t, src, Opts{})
+func TestParseDropsAttributes(t *testing.T) {
+	tr := mustParseTree(t, `<r id="7"><a x="y"/></r>`)
 	if tr.Len() != 2 {
-		t.Fatalf("got %d nodes, want 2", tr.Len())
+		t.Fatalf("got %d nodes, want 2 (r, a)", tr.Len())
 	}
 }
 
@@ -101,7 +91,7 @@ func TestParseMalformed(t *testing.T) {
 		`text only`,
 		``,
 	} {
-		if _, err := ParseTree(strings.NewReader(src), Opts{}); err == nil {
+		if _, err := ParseTree(strings.NewReader(src)); err == nil {
 			t.Errorf("ParseTree(%q) succeeded, want error", src)
 		}
 	}
@@ -116,7 +106,7 @@ func TestParseDeepDocument(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("</a>")
 	}
-	tr := mustParseTree(t, b.String(), Opts{})
+	tr := mustParseTree(t, b.String())
 	if tr.Len() != depth {
 		t.Fatalf("got %d nodes, want %d", tr.Len(), depth)
 	}
@@ -125,7 +115,7 @@ func TestParseDeepDocument(t *testing.T) {
 func TestCreateDBRoundTrip(t *testing.T) {
 	src := `<doc><p>hi</p><p>yo</p></doc>`
 	base := filepath.Join(t.TempDir(), "db")
-	db, stats, err := CreateDB(base, strings.NewReader(src), Opts{}, storage.CreateOpts{})
+	db, stats, err := CreateDB(base, strings.NewReader(src), storage.CreateOpts{})
 	if err != nil {
 		t.Fatalf("CreateDB: %v", err)
 	}
@@ -137,7 +127,7 @@ func TestCreateDBRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTree: %v", err)
 	}
-	want := mustParseTree(t, src, Opts{})
+	want := mustParseTree(t, src)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, want)
 	}

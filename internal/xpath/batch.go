@@ -28,12 +28,6 @@ type Batch struct {
 // output follows member order.
 func NewBatch(members []*Prepared) *Batch { return &Batch{members: members} }
 
-// Len returns the number of member queries.
-func (b *Batch) Len() int { return len(b.members) }
-
-// Member returns the i-th prepared query.
-func (b *Batch) Member(i int) *Prepared { return b.members[i] }
-
 // Rounds returns the number of shared scan rounds an execution runs: the
 // maximum pass count over the members.
 func (b *Batch) Rounds() int {
@@ -103,13 +97,12 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.Bat
 // widened sidecar with a slot per member. So a batch of single-pass
 // queries costs at most two linear scans of the data in aggregate, however
 // many queries it holds, and a scalar execution (Prepared.ExecDisk) is a
-// batch of one. opts.KeepStates, opts.MarkTo and opts.MarkQuery apply to
-// the main pass of a batch of one member and are rejected for larger
-// batches. Cancelling ctx aborts the scan in progress and removes every
+// batch of one. opts.MarkTo and opts.MarkQuery apply to the main pass of a
+// batch of one member and are rejected for larger batches. Cancelling ctx aborts the scan in progress and removes every
 // temporary file.
 func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]*core.Result, ExecStats, error) {
-	if len(b.members) > 1 && (opts.KeepStates || opts.MarkTo != nil) {
-		return nil, ExecStats{}, errors.New("xpath: KeepStates and MarkTo need a batch of one member")
+	if len(b.members) > 1 && opts.MarkTo != nil {
+		return nil, ExecStats{}, errors.New("xpath: MarkTo needs a batch of one member")
 	}
 	rounds := b.Rounds()
 	es := ExecStats{Passes: rounds}
@@ -136,8 +129,8 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, AuxIn: auxIn}
 			if r == rounds-1 {
 				// The main pass of a batch of one (larger batches were
-				// rejected above with these options set).
-				dopts.KeepStateFile, dopts.MarkTo, dopts.MarkQuery = opts.KeepStates, opts.MarkTo, opts.MarkQuery
+				// rejected above with MarkTo set).
+				dopts.MarkTo, dopts.MarkQuery = opts.MarkTo, opts.MarkQuery
 			}
 			if auxIn != "" {
 				dopts.AuxInStride = stride

@@ -97,12 +97,6 @@ type ExecOpts struct {
 	// Workers is the number of parallel evaluation workers; 1 runs the
 	// one driver with an empty frontier.
 	Workers int
-	// KeepStates retains per-node evaluation state from the main pass:
-	// runs over a tree's record image (storage.OpenTree) record the
-	// automaton states in the Result (Result.BUStateOf/TDStateOf); disk
-	// runs keep the phase-1 state file under a unique per-run name
-	// reported as Result.StateFile.
-	KeepStates bool
 	// MarkTo, when non-nil, streams the document back out as XML with
 	// the nodes selected by query predicate MarkQuery marked up, during
 	// the main pass's second scan itself (Section 6.3); marking makes

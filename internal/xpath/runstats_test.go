@@ -25,7 +25,7 @@ func TestExecStatsDeterministicUnderOverlap(t *testing.T) {
 		sb.WriteString(fmt.Sprintf("<a><b x='1'>t%d</b><c/></a>", i%7))
 	}
 	sb.WriteString("</root>")
-	tr, err := xmlparse.ParseTree(strings.NewReader(sb.String()), xmlparse.Opts{})
+	tr, err := xmlparse.ParseTree(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 
 func parseDoc(t *testing.T, src string) *tree.Tree {
 	t.Helper()
-	tr, err := xmlparse.ParseTree(strings.NewReader(src), xmlparse.Opts{})
+	tr, err := xmlparse.ParseTree(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}

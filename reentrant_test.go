@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -98,14 +97,14 @@ func TestExecReentrantOverlap(t *testing.T) {
 	assertOnlyDatabaseFiles(t, dir)
 }
 
-// TestKeepStatesOverlap is the regression test for the per-run state-file
-// names: two KeepStates disk Execs of ONE handle must overlap, each
-// keeping its own uniquely named state file. The first execution is
-// pinned mid-run (its MarkTo writer blocks on a gate); the second must
-// complete — KeepStates and all — while the first is still inside Exec.
-// Under the old fixed base.sta name the handle serialised its keepers
-// and this test timed out.
-func TestKeepStatesOverlap(t *testing.T) {
+// TestStateFilesOverlap is the regression test for the per-run state-file
+// names: two disk Execs of ONE handle that both take two scans must
+// overlap, each with its own state file. The first execution is pinned in
+// phase 2 (its MarkTo writer blocks on a gate), its state file open; the
+// second must complete while the first is still inside Exec, without
+// touching the first's file. Under the old fixed base.sta name the handle
+// serialised its runs and this test timed out.
+func TestStateFilesOverlap(t *testing.T) {
 	tr := buildCatalog(t, 300)
 	dir := t.TempDir()
 	db, err := arb.CreateDBFromTree(filepath.Join(dir, "catalog"), tr)
@@ -115,7 +114,9 @@ func TestKeepStatesOverlap(t *testing.T) {
 	defer db.Close()
 	sess := arb.NewDBSession(db)
 
-	prog, err := arb.ParseProgram(`QUERY :- Label[flag];`)
+	// The flags under an item: a top-down fact, so every run takes two
+	// scans and writes a state file.
+	prog, err := arb.ParseProgram(`I :- Label[item]; F :- I.FirstChild; F :- F.NextSibling; QUERY :- F, Label[flag];`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,30 +124,37 @@ func TestKeepStatesOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stateFiles := func() []string {
+		m, _ := filepath.Glob(filepath.Join(dir, "*.sta"))
+		return m
+	}
 
 	gate := &gateWriter{started: make(chan struct{}), release: make(chan struct{})}
 	type outcome struct {
-		res *arb.Result
-		err error
+		res  *arb.Result
+		prof *arb.Profile
+		err  error
+	}
+	run := func(opts arb.ExecOpts, out chan<- outcome) {
+		opts.Stats = true
+		res, prof, err := pq.Exec(context.Background(), opts)
+		out <- outcome{res, prof, err}
 	}
 	pinned := make(chan outcome, 1)
-	go func() {
-		res, _, err := pq.Exec(context.Background(), arb.ExecOpts{KeepStates: true, MarkTo: gate})
-		pinned <- outcome{res, err}
-	}()
+	go run(arb.ExecOpts{MarkTo: gate}, pinned)
 	select {
 	case <-gate.started:
 	case <-time.After(10 * time.Second):
 		t.Fatal("pinned execution never reached its writer")
 	}
+	if m := stateFiles(); len(m) != 1 {
+		t.Fatalf("the pinned execution holds state files %v, want one", m)
+	}
 
-	// The handle is mid-Exec with a kept state file in flight; a second
-	// KeepStates Exec of the SAME handle must still run to completion.
+	// The handle is mid-Exec with a state file in flight; a second Exec
+	// of the SAME handle must still run to completion.
 	overlapped := make(chan outcome, 1)
-	go func() {
-		res, _, err := pq.Exec(context.Background(), arb.ExecOpts{KeepStates: true})
-		overlapped <- outcome{res, err}
-	}()
+	go run(arb.ExecOpts{}, overlapped)
 	var second outcome
 	select {
 	case second = <-overlapped:
@@ -154,7 +162,10 @@ func TestKeepStatesOverlap(t *testing.T) {
 			t.Fatal(second.err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("second KeepStates Exec did not overlap the pinned one (handle serialises keepers)")
+		t.Fatal("second Exec did not overlap the pinned one (handle serialises its runs)")
+	}
+	if m := stateFiles(); len(m) != 1 {
+		t.Fatalf("with the pinned execution still in phase 2, state files %v, want its one", m)
 	}
 
 	close(gate.release)
@@ -162,24 +173,10 @@ func TestKeepStatesOverlap(t *testing.T) {
 	if first.err != nil {
 		t.Fatalf("pinned execution failed: %v", first.err)
 	}
-
-	// Each run kept its own state file: distinct names, both present,
-	// both full-size.
-	if first.res.StateFile == "" || second.res.StateFile == "" {
-		t.Fatalf("kept runs reported state files %q and %q", first.res.StateFile, second.res.StateFile)
-	}
-	if first.res.StateFile == second.res.StateFile {
-		t.Fatalf("both runs kept the same state file %s", first.res.StateFile)
-	}
-	for _, p := range []string{first.res.StateFile, second.res.StateFile} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("kept state file missing: %v", err)
+	for _, o := range []outcome{first, second} {
+		if n := o.res.Count(pq.Queries()[0]); n != 200 || o.prof.Disk.OneScan != 0 || o.prof.Disk.StateBytes == 0 {
+			t.Fatalf("a run selected %d nodes, %d one-scan passes and %d state bytes; want 200 in two scans", n, o.prof.Disk.OneScan, o.prof.Disk.StateBytes)
 		}
-		if st.Size() == 0 {
-			t.Fatalf("kept state file %s is empty", p)
-		}
-		os.Remove(p)
 	}
 	assertOnlyDatabaseFiles(t, dir)
 }

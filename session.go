@@ -315,15 +315,6 @@ type ExecOpts struct {
 	// disjoint subtrees (chunk byte ranges on disk), and any negative
 	// value uses all CPUs. Results are identical at every setting.
 	Workers int
-	// KeepStates retains per-node evaluation state from the main pass:
-	// in-memory sessions record the automaton states in the Result
-	// (Result.BUStateOf/TDStateOf), running the main pass sequentially and
-	// unpruned; disk sessions keep the phase-1 state file and report its
-	// path as Result.StateFile. Every execution writes a uniquely named
-	// file next to the database, so KeepStates executions — through one
-	// handle or many — run concurrently without blocking or clobbering
-	// each other; the caller owns removal of each kept file.
-	KeepStates bool
 	// Stats asks Exec to return a Profile of this execution's cost;
 	// when false Exec returns a nil Profile.
 	Stats bool
@@ -341,8 +332,8 @@ type ExecOpts struct {
 	// an in-memory session's record image), turning the two-scan cost into
 	// one proportional to query selectivity; results are bit-identical either way, and
 	// Profile reports what was skipped (Disk.PhaseN.SkippedBytes,
-	// Engine.PrunedNodes). Executions that keep per-node state, stream
-	// marked XML, or read aux masks never prune regardless of this flag.
+	// Engine.PrunedNodes). Executions that stream marked XML or read aux
+	// masks never prune regardless of this flag.
 	NoPrune bool
 	// ResultCache opts this execution into the session's result cache
 	// (SetResultCache): a completed result is published under the query's
@@ -351,7 +342,7 @@ type ExecOpts struct {
 	// cached superset when the selection summaries prove containment —
 	// with zero scans (Profile.Passes is 0 and Profile.ResultCache names
 	// the hit kind). Ignored without a session cache, and never applied
-	// to executions that stream marked XML or keep per-node state.
+	// to executions that stream marked XML.
 	ResultCache bool
 }
 
@@ -403,9 +394,8 @@ func (p *Profile) SkippedBytes() int64 {
 // Exec is reentrant: any number of goroutines may execute one handle at
 // once and the executions overlap, sharing the warm automata through the
 // engines' internal locks — the shape a server's plan cache needs, where
-// one hot handle fields many concurrent requests. Even ExecOpts.KeepStates
-// disk executions overlap freely: each keeps its own uniquely named state
-// file, reported as Result.StateFile.
+// one hot handle fields many concurrent requests. Disk executions overlap
+// freely: each keeps its phase-1 states in its own anonymous state file.
 type PreparedQuery struct {
 	s   *Session
 	src any // recompilation source: *Program or *XPathQuery
@@ -551,11 +541,10 @@ func resolveWorkers(n int) int {
 }
 
 // cached reports whether an execution with opts over db takes part in the
-// session's result cache. Marked-output and kept-state executions bypass
-// it — their side effects are the point, and a cached Result carries
-// neither.
+// session's result cache. Marked-output executions bypass it — the marked
+// document is the point, and a cached Result carries none.
 func (s *Session) cached(opts ExecOpts, db *storage.DB) bool {
-	return opts.ResultCache && s.rc != nil && opts.MarkTo == nil && !opts.KeepStates && db.N < rescache.MaxNodes
+	return opts.ResultCache && s.rc != nil && opts.MarkTo == nil && db.N < rescache.MaxNodes
 }
 
 // exec is the one Exec body of PreparedQuery and PreparedBatch, run once
@@ -570,11 +559,10 @@ func (s *Session) cached(opts ExecOpts, db *storage.DB) bool {
 func (s *Session) exec(ctx context.Context, db *storage.DB, version uint64, qs []*PreparedQuery, ps []*xpath.Prepared, opts ExecOpts, start time.Time, cacheKind string) ([]*Result, *Profile, error) {
 	workers := resolveWorkers(opts.Workers)
 	res, es, err := xpath.NewBatch(ps).ExecDisk(ctx, db, xpath.ExecOpts{
-		Workers:    workers,
-		KeepStates: opts.KeepStates,
-		MarkTo:     opts.MarkTo,
-		MarkQuery:  opts.MarkQuery,
-		NoPrune:    opts.NoPrune,
+		Workers:   workers,
+		MarkTo:    opts.MarkTo,
+		MarkQuery: opts.MarkQuery,
+		NoPrune:   opts.NoPrune,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -725,8 +713,8 @@ func (b *PreparedBatch) Rounds() int {
 // shared scans and returns one Result per member, in PrepareBatch order.
 // The selected nodes are bit-identical to executing each member through
 // its own PreparedQuery. ExecOpts.Workers picks sequential or parallel
-// evaluation exactly as for a single query; ExecOpts.KeepStates and
-// ExecOpts.MarkTo do not apply to batches and are rejected. The returned
+// evaluation exactly as for a single query; ExecOpts.MarkTo does not apply
+// to batches and is rejected. The returned
 // Profile is the merged cost of the whole batch — Profile.Passes counts
 // the scheduled rounds, and on disk the bytes-read counters of
 // Profile.Disk show each aggregate scan reading the database exactly once
@@ -742,9 +730,6 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 	}
 	if opts.MarkTo != nil {
 		return nil, nil, fmt.Errorf("arb: MarkTo is not supported for batch execution; mark through a single PreparedQuery")
-	}
-	if opts.KeepStates {
-		return nil, nil, fmt.Errorf("arb: KeepStates is not supported for batch execution")
 	}
 	// One snapshot serves the whole batch: every member scans the same
 	// version, and coalesced server batches inherit that consistency.

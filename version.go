@@ -13,7 +13,7 @@ import (
 // snapshots (internal/vstore). A versioned session keeps the whole
 // query surface of a plain disk session — every execution strategy runs
 // on a pinned version snapshot unmodified — and adds in-place mutation:
-// ReplaceSubtree, DeleteSubtree and InsertChild write only the new
+// Patch's replace, delete and insert-child write only the new
 // subtree bytes plus a fixed-up index along the affected path (O(subtree),
 // never O(database)), commit atomically by manifest rename, and never
 // disturb a running query, which keeps reading the version it pinned.
@@ -89,67 +89,47 @@ func (s *Session) versioned() (*vstore.Store, error) {
 	return s.vs, nil
 }
 
-// ReplaceSubtree replaces the XML subtree rooted at node — the node and
-// everything below it in document order, not its following siblings —
-// with the tree t, committing a new version in O(|old subtree| + |t|)
-// I/O. Queries already executing keep reading the version they pinned.
-func (s *Session) ReplaceSubtree(ctx context.Context, node int64, t *Tree) (*PatchInfo, error) {
-	vs, err := s.versioned()
-	if err != nil {
-		return nil, err
-	}
-	return vs.ReplaceSubtree(ctx, node, t)
-}
-
-// DeleteSubtree removes the XML subtree rooted at node (the document
-// root cannot be deleted). When the node has a following sibling the
-// sibling chain takes its place; otherwise the parent's child flag is
-// cleared — either way one new version commits in O(|subtree|) I/O.
-func (s *Session) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, error) {
-	vs, err := s.versioned()
-	if err != nil {
-		return nil, err
-	}
-	return vs.DeleteSubtree(ctx, node)
-}
-
-// InsertChild inserts t as the new first child of node, before the
-// node's existing children in document order. Text nodes cannot take
-// children.
-func (s *Session) InsertChild(ctx context.Context, node int64, t *Tree) (*PatchInfo, error) {
-	vs, err := s.versioned()
-	if err != nil {
-		return nil, err
-	}
-	return vs.InsertChild(ctx, node, t)
-}
-
 // PatchOp names one mutation for Session.Patch — the string-dispatched
 // form the CLI and the HTTP server speak.
 type PatchOp struct {
-	// Op is "replace", "delete" or "insert-child".
+	// Op is "replace", "delete" or "insert-child":
+	//   - "replace" replaces the XML subtree rooted at Node — the node and
+	//     everything below it in document order, not its following
+	//     siblings — with Tree, in O(|old subtree| + |Tree|) I/O;
+	//   - "delete" removes the XML subtree rooted at Node (the document
+	//     root cannot be deleted): a following sibling chain takes its
+	//     place, or else the parent's child flag is cleared, in
+	//     O(|subtree|) I/O;
+	//   - "insert-child" inserts Tree as the new first child of Node,
+	//     before its existing children (text nodes take no children).
 	Op string
 	// Node is the target's preorder id in the current version.
 	Node int64
-	// Tree is the fragment to splice in (nil for "delete").
+	// Tree is the fragment to splice in: required by "replace" and
+	// "insert-child", nil for "delete".
 	Tree *Tree
 }
 
-// Patch applies one mutation described by op, committing a new version.
-// It is the dynamic-dispatch twin of ReplaceSubtree / DeleteSubtree /
-// InsertChild for callers that receive the operation as data (the arb
-// CLI's patch subcommand, the server's POST /patch).
+// Patch applies one mutation described by op, committing a new version —
+// the one mutation entry point of a session, for callers that build the
+// operation in code and for those that receive it as data (the arb CLI's
+// patch subcommand, the server's POST /patch) alike. Queries already
+// executing keep reading the version they pinned.
 func (s *Session) Patch(ctx context.Context, op PatchOp) (*PatchInfo, error) {
+	vs, err := s.versioned()
+	if err != nil {
+		return nil, err
+	}
 	switch op.Op {
 	case "replace":
-		return s.ReplaceSubtree(ctx, op.Node, op.Tree)
+		return vs.ReplaceSubtree(ctx, op.Node, op.Tree)
 	case "delete":
 		if op.Tree != nil {
 			return nil, fmt.Errorf("arb: patch op %q takes no fragment", op.Op)
 		}
-		return s.DeleteSubtree(ctx, op.Node)
+		return vs.DeleteSubtree(ctx, op.Node)
 	case "insert-child":
-		return s.InsertChild(ctx, op.Node, op.Tree)
+		return vs.InsertChild(ctx, op.Node, op.Tree)
 	default:
 		return nil, fmt.Errorf("arb: unknown patch op %q (want replace, delete or insert-child)", op.Op)
 	}

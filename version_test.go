@@ -2,6 +2,7 @@ package arb_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -237,5 +238,31 @@ func TestVersionedSessionDifferential(t *testing.T) {
 			}
 			verify()
 		})
+	}
+}
+
+// TestPatchWithoutFragment: replace and insert-child splice a fragment in,
+// so a patch that names neither is refused with an error — not a nil
+// dereference in the store — and commits nothing.
+func TestPatchWithoutFragment(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "db")
+	db, _, err := arb.CreateDB(base, strings.NewReader("<a><b/><c/></a>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	sess, err := arb.OpenVersionedSession(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	v0 := sess.Version()
+	for _, op := range []string{"replace", "insert-child"} {
+		if _, err := sess.Patch(context.Background(), arb.PatchOp{Op: op, Node: 1}); err == nil || !strings.Contains(err.Error(), "needs a non-empty fragment") {
+			t.Errorf("%s without a fragment: %v, want a needs-a-fragment error", op, err)
+		}
+	}
+	if v := sess.Version(); v != v0 {
+		t.Fatalf("refused patches moved the version from %d to %d", v0, v)
 	}
 }
