@@ -111,6 +111,15 @@ func TestCLIEndToEnd(t *testing.T) {
 	if _, err := exec.Command(bin, "query", filepath.Join(dir, "missing"), "-q", "QUERY :- Root;").CombinedOutput(); err == nil {
 		t.Fatal("missing database accepted")
 	}
+	// A Session error already begins with "arb:"; the CLI must not add a
+	// second prefix.
+	patchOut, err := exec.Command(bin, "patch", base, "-op", "delete", "-node", "1", "-xml", "<x/>").CombinedOutput()
+	if err == nil {
+		t.Fatal("delete with a fragment accepted")
+	}
+	if msg := string(patchOut); !strings.HasPrefix(msg, "arb: ") || strings.Contains(msg, "arb: arb:") {
+		t.Fatalf("patch error printed as %q, want one \"arb: \" prefix", msg)
+	}
 }
 
 // TestCLIBatchMode runs a workload file through `query -f file -batch`:

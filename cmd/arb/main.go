@@ -123,7 +123,12 @@ func main() {
 		usage()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "arb:", err)
+		// Session errors already name the program; prefix the rest.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "arb:") {
+			msg = "arb: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

@@ -1,4 +1,4 @@
-// Command arblint runs the repo's static-analysis suite: eight analyzers
+// Command arblint runs the repo's static-analysis suite: six analyzers
 // that mechanically enforce the engine's concurrency, cancellation and
 // cleanup invariants (see internal/lint/analyzers).
 //

@@ -46,9 +46,8 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestInterproceduralAnalyzersClean pins the PR-7..9 subsystems
-// (vstore snapshots, the coalescer's atomics, server/parallel
-// goroutines, the module's mutexes) as clean under the four
+// TestInterproceduralAnalyzersClean pins the server and parallel
+// goroutines and the module's mutexes as clean under the two
 // interprocedural analyzers specifically, independent of the rest of
 // the suite.
 func TestInterproceduralAnalyzersClean(t *testing.T) {
@@ -57,7 +56,7 @@ func TestInterproceduralAnalyzersClean(t *testing.T) {
 	}
 	root := moduleRoot(t)
 	cmd := exec.Command("go", "run", "./cmd/arblint",
-		"-analyzers", "snappin,atomicmix,goroleak,lockorder", "./...")
+		"-analyzers", "goroleak,lockorder", "./...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -65,7 +64,7 @@ func TestInterproceduralAnalyzersClean(t *testing.T) {
 	}
 }
 
-// TestRosterAndJSON asserts the advertised suite is the full eight and
+// TestRosterAndJSON asserts the advertised suite is the full six and
 // that the machine-readable path stays wired: -json with the committed
 // baseline must emit an empty JSON array on a clean tree.
 func TestRosterAndJSON(t *testing.T) {
@@ -81,7 +80,7 @@ func TestRosterAndJSON(t *testing.T) {
 	}
 	want := []string{
 		"ctxflow", "lockdiscipline", "tmpcleanup", "closecheck",
-		"snappin", "atomicmix", "goroleak", "lockorder",
+		"goroleak", "lockorder",
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	if len(lines) != len(want) {

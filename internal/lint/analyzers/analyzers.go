@@ -1,22 +1,21 @@
-// Package analyzers holds the eight arblint analyzers, one per
+// Package analyzers holds the six arblint analyzers, one per
 // load-bearing invariant of the two-scan engine:
 //
 //   - ctxflow: engine code threads context, never mints its own roots
 //   - lockdiscipline: `// guarded by:` fields are accessed under their mutex
 //   - tmpcleanup: temp state/aux files are removed on error and cancel paths
 //   - closecheck: storage readers and files get closed or released
-//   - snappin: MVCC snapshot pins are Released on every path (CFG-based,
-//     interprocedural through arblint:acquires / arblint:owns contracts)
-//   - atomicmix: fields touched via sync/atomic are never accessed plainly
 //   - goroleak: spawned goroutines provably terminate (cancellation-bound)
 //   - lockorder: declared mutexes keep one global acquisition order
 //
 // Analyzers are heuristic but deliberately low-noise: each rule is scoped
 // to the package layers where its invariant is load-bearing, and the
 // directives in package lint (//arblint:allow, //arblint:todo) give
-// reviewed escape hatches. The last four lean on the lint.Module/lint.CFG
-// interprocedural layer: per-function control flow graphs plus
-// module-wide may-reach summaries shared through Mod.Memo.
+// reviewed escape hatches. The last two lean on the lint.Module
+// interprocedural layer: module-wide summaries of callees shared through
+// Mod.Memo. Snapshot pins and atomics need no analyzer: Session.pinned
+// releases its pin with a defer, the repo uses typed atomics only, and
+// ci.sh keeps both shapes with two grep ratchets.
 package analyzers
 
 import (
@@ -29,8 +28,7 @@ import (
 
 // All is the full suite in reporting order.
 var All = []*lint.Analyzer{
-	Ctxflow, LockDiscipline, TmpCleanup, CloseCheck,
-	SnapPin, AtomicMix, GoroLeak, LockOrder,
+	Ctxflow, LockDiscipline, TmpCleanup, CloseCheck, GoroLeak, LockOrder,
 }
 
 // ByName returns the named analyzer, or nil.
@@ -56,15 +54,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// funcKey names a function or method as pkgpath.Func or pkgpath.Type.Method,
-// ignoring pointerness of the receiver.
-func funcKey(f *types.Func) string {
-	s := f.FullName()
-	s = strings.ReplaceAll(s, "(*", "")
-	s = strings.ReplaceAll(s, "(", "")
-	return strings.ReplaceAll(s, ")", "")
 }
 
 // exprName renders a call target for diagnostics (best effort).

@@ -27,14 +27,6 @@ func TestCloseCheckFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.CloseCheck, "testdata/closecheck", "arb/internal/core/closefixture")
 }
 
-func TestSnapPinFixture(t *testing.T) {
-	lint.RunFixture(t, analyzers.SnapPin, "testdata/snappin", "arb/internal/vstore/snapfixture")
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	lint.RunFixture(t, analyzers.AtomicMix, "testdata/atomicmix", "arb/internal/server/atomfixture")
-}
-
 func TestGoroLeakFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.GoroLeak, "testdata/goroleak", "arb/internal/parallel/gorofixture")
 }

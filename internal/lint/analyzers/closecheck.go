@@ -59,7 +59,7 @@ func checkCloseInFunc(pass *lint.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(pass.Info, call); fn != nil && closeProducers[funcKey(fn)] {
+			if fn := calleeFunc(pass.Info, call); fn != nil && closeProducers[lint.FuncKey(fn)] {
 				checkProducerCall(pass, fd, call, fn, stack)
 			}
 		}
@@ -107,7 +107,7 @@ func checkProducerCall(pass *lint.Pass, fd *ast.FuncDecl, call *ast.CallExpr, fn
 	}
 	pass.Reportf(call.Pos(),
 		"%s result is never closed: defer its Close/Release (or hand it off) so the resource is reclaimed on every path",
-		funcKey(fn))
+		lint.FuncKey(fn))
 }
 
 // resourceHandled reports whether obj is closed/released somewhere in fd,

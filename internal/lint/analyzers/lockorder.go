@@ -160,6 +160,23 @@ func qualifyMutex(pass *lint.Pass, x ast.Expr, name string) string {
 	return pkgPath + "." + name
 }
 
+// referencedObject resolves the variable or field an addressable
+// expression names: the field object for s.mu, the var for mu.
+func referencedObject(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
+			return sel.Obj()
+		}
+		return info.Uses[e.Sel]
+	case *ast.IndexExpr:
+		return referencedObject(info, e.X)
+	}
+	return nil
+}
+
 // isMutexType reports whether t (or *t) has a Lock method — sync.Mutex,
 // sync.RWMutex, and locker-shaped named types.
 func isMutexType(t types.Type, pkg *types.Package) bool {

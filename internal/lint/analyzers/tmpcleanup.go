@@ -61,7 +61,7 @@ func runTmpCleanup(pass *lint.Pass) error {
 				return true
 			}
 			fn := calleeFunc(pass.Info, call)
-			if fn == nil || !tracked(funcKey(fn)) {
+			if fn == nil || !tracked(lint.FuncKey(fn)) {
 				return true
 			}
 			var enclosing ast.Node
@@ -79,7 +79,7 @@ func runTmpCleanup(pass *lint.Pass) error {
 			}
 			pass.Reportf(call.Pos(),
 				"%s result is not cleaned up on error paths: defer os.Remove/os.RemoveAll in this function, or return the handle so the caller owns removal",
-				funcKey(fn))
+				lint.FuncKey(fn))
 			return true
 		})
 	}
@@ -117,7 +117,7 @@ func deferCleansUp(info *types.Info, fn ast.Node) bool {
 		ast.Inspect(d.Call, func(m ast.Node) bool {
 			if call, ok := m.(*ast.CallExpr); ok {
 				if cf := calleeFunc(info, call); cf != nil {
-					if k := funcKey(cf); k == "os.Remove" || k == "os.RemoveAll" {
+					if k := lint.FuncKey(cf); k == "os.Remove" || k == "os.RemoveAll" {
 						found = true
 					}
 				}

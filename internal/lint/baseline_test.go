@@ -9,8 +9,8 @@ import (
 func TestBaselineRoundTrip(t *testing.T) {
 	const root = "/mod"
 	diags := []Diagnostic{
-		{Analyzer: "snappin", Pos: token.Position{Filename: "/mod/a/f.go", Line: 10}, Message: "leak"},
-		{Analyzer: "snappin", Pos: token.Position{Filename: "/mod/a/f.go", Line: 22}, Message: "leak"},
+		{Analyzer: "closecheck", Pos: token.Position{Filename: "/mod/a/f.go", Line: 10}, Message: "leak"},
+		{Analyzer: "closecheck", Pos: token.Position{Filename: "/mod/a/f.go", Line: 22}, Message: "leak"},
 		{Analyzer: "goroleak", Pos: token.Position{Filename: "/mod/b.go", Line: 3}, Message: "spin"},
 	}
 	path := filepath.Join(t.TempDir(), "base.json")
@@ -41,7 +41,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	// A new instance of an already-baselined finding in the same file
 	// exceeds the recorded count and must surface.
 	extra := append(shifted, Diagnostic{
-		Analyzer: "snappin",
+		Analyzer: "closecheck",
 		Pos:      token.Position{Filename: "/mod/a/f.go", Line: 999},
 		Message:  "leak",
 	})

@@ -3,10 +3,9 @@ package lint
 // Module is the whole-run view the interprocedural analyzers work
 // against: every loaded package, with function declarations resolvable
 // across package boundaries. Analyzers still report per package (one
-// Pass each), but may-reach summaries — "this helper releases its pin
-// parameter", "this function's goroutine body terminates", "this
-// function may acquire these mutexes" — are computed once per module
-// and shared between passes through Memo.
+// Pass each), but may-reach summaries — "this function's goroutine body
+// terminates", "this function may acquire these mutexes" — are computed
+// once per module and shared between passes through Memo.
 //
 // Cross-package identity: a *types.Func seen from its defining package
 // (type-checked from source) and the same function seen from an
@@ -80,9 +79,6 @@ func (m *Module) Decl(f *types.Func) *FuncInfo {
 	}
 	return m.decls[FuncKey(f)]
 }
-
-// DeclByKey resolves a FuncKey directly.
-func (m *Module) DeclByKey(key string) *FuncInfo { return m.decls[key] }
 
 // Memo returns the named analyzer's module-wide summary store. The
 // store persists across the analyzer's passes over different packages;

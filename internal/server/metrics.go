@@ -85,8 +85,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.gauge("arb_store_segments", "Open segments (base plus live patch segments).", float64(st.Store.Segments))
 		m.gauge("arb_store_segment_bytes", "Record bytes held by open segments.", float64(st.Store.SegmentBytes))
 		m.gauge("arb_store_live_versions", "Versions not yet collected (current included).", float64(st.Store.LiveVersions))
-		m.gauge("arb_store_snapshots", "Outstanding snapshot pins.", float64(st.Store.Snapshots))
-		m.gauge("arb_snapshot_pins", "Outstanding snapshot pins (snappin's runtime counterpart: nonzero at quiescence means a leak).", float64(st.Store.Pins))
+		m.gauge("arb_store_snapshots", "Outstanding snapshot pins (nonzero at quiescence means a leak).", float64(st.Store.Snapshots))
 		m.counter("arb_store_patches_total", "Patches committed since the store was opened.", st.Store.Patches)
 		m.counter("arb_store_compactions_total", "Compactions committed since the store was opened.", st.Store.Compactions)
 	}

@@ -483,10 +483,8 @@ func (st *Store) manifestFor(ver *version, op string) *manifest {
 }
 
 // StoreStats is a point-in-time summary of the store for monitoring.
-// Pins is the runtime counterpart of the snappin analyzer: a value that
-// stays above zero while the store is quiescent means some execution
-// leaked its snapshot and segment GC is wedged — the dynamic signal for
-// whatever the static analysis could not see.
+// Snapshots above zero while the store is quiescent means some reader
+// leaked its snapshot and segment GC is wedged.
 type StoreStats struct {
 	Version      uint64 `json:"version"`      // current version id
 	Nodes        int64  `json:"nodes"`        // nodes in the current version
@@ -494,7 +492,6 @@ type StoreStats struct {
 	SegmentBytes int64  `json:"segmentBytes"` // record bytes held by open segments
 	LiveVersions int    `json:"liveVersions"` // versions not yet collected (current included)
 	Snapshots    int    `json:"snapshots"`    // outstanding snapshot pins
-	Pins         int    `json:"pins"`         // alias of Snapshots under the gauge's name
 	Patches      int64  `json:"patches"`      // patches committed since the store was opened
 	Compactions  int64  `json:"compactions"`  // compactions committed since the store was opened
 }
@@ -509,7 +506,6 @@ func (st *Store) Stats() StoreStats {
 		Segments:     len(st.segs),
 		LiveVersions: st.live,
 		Snapshots:    st.snapRefs,
-		Pins:         st.snapRefs,
 		Patches:      st.patches,
 		Compactions:  st.compactions,
 	}

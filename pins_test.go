@@ -1,22 +1,37 @@
 package arb
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"arb/internal/storage"
 )
 
-// TestSessionPinsGauge pins the runtime counterpart of the snappin
-// analyzer: acquire raises the session's pin gauge and the store's
-// pins stat, release lowers both, double release stays idempotent, and
-// a quiescent session reads zero.
+// writeFunc adapts a function to io.Writer.
+type writeFunc func([]byte) (int, error)
+
+func (f writeFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestSessionPinsGauge holds the versioned store's snapshot count to the
+// pins pinned takes: each call holds one for fn's whole run and releases
+// it on every way out — a normal return, fn's error, and an Exec whose
+// context is cancelled mid-scan — so a quiescent session reads zero.
 func TestSessionPinsGauge(t *testing.T) {
-	doc, err := ParseXML(strings.NewReader("<a><b/><c/></a>"))
+	var doc strings.Builder
+	doc.WriteString("<a>")
+	for range 20000 {
+		doc.WriteString("<b><c>text</c></b>")
+	}
+	doc.WriteString("</a>")
+	tr, err := ParseXML(strings.NewReader(doc.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := filepath.Join(t.TempDir(), "db")
-	db, err := CreateDBFromTree(base, doc)
+	db, err := CreateDBFromTree(base, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,33 +42,76 @@ func TestSessionPinsGauge(t *testing.T) {
 	}
 	defer sess.Close()
 
-	if n := sess.Pins(); n != 0 {
-		t.Fatalf("fresh session holds %d pins, want 0", n)
+	snapshots := func(t *testing.T, want int, when string) {
+		t.Helper()
+		st, ok := sess.StoreStats()
+		if !ok {
+			t.Fatal("versioned session must report store stats")
+		}
+		if st.Snapshots != want {
+			t.Fatalf("%s: store holds %d snapshots, want %d", when, st.Snapshots, want)
+		}
 	}
 
-	_, _, _, release1, _ := sess.acquire()
-	_, _, _, release2, _ := sess.acquire()
-	if n := sess.Pins(); n != 2 {
-		t.Fatalf("after two acquires Pins() = %d, want 2", n)
-	}
-	st, ok := sess.StoreStats()
-	if !ok {
-		t.Fatal("versioned session must report store stats")
-	}
-	if st.Pins != 2 || st.Snapshots != 2 {
-		t.Fatalf("store stats report pins=%d snapshots=%d, want 2/2", st.Pins, st.Snapshots)
-	}
-
-	release1()
-	release1() // idempotent: the second call must not underflow
-	if n := sess.Pins(); n != 1 {
-		t.Fatalf("after releasing one pin twice Pins() = %d, want 1", n)
-	}
-	release2()
-	if n := sess.Pins(); n != 0 {
-		t.Fatalf("after releasing everything Pins() = %d, want 0", n)
-	}
-	if st, _ := sess.StoreStats(); st.Pins != 0 {
-		t.Fatalf("quiescent store reports pins=%d, want 0", st.Pins)
+	for _, row := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"nested", func(t *testing.T) {
+			err := sess.pinned(func(*storage.DB, *Names, uint64) error {
+				if err := sess.pinned(func(*storage.DB, *Names, uint64) error {
+					snapshots(t, 2, "inside two calls")
+					return nil
+				}); err != nil {
+					return err
+				}
+				snapshots(t, 1, "after the inner call")
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"fn-error", func(t *testing.T) {
+			boom := errors.New("boom")
+			if err := sess.pinned(func(*storage.DB, *Names, uint64) error { return boom }); err != boom {
+				t.Fatalf("pinned returned %v, want fn's error", err)
+			}
+		}},
+		{"exec-cancel", func(t *testing.T) {
+			xq, err := ParseXPath("//b/c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := sess.PrepareXPath(xq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// The marked output's first write lands mid-scan: read the
+			// store's pins there, then cancel.
+			held := -1
+			mark := writeFunc(func(p []byte) (int, error) {
+				if held < 0 {
+					st, _ := sess.StoreStats()
+					held = st.Snapshots
+					cancel()
+				}
+				return len(p), nil
+			})
+			if _, _, err := pq.Exec(ctx, ExecOpts{MarkTo: mark}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Exec cancelled mid-scan returned %v, want context.Canceled", err)
+			}
+			if held != 1 {
+				t.Fatalf("Exec mid-scan held %d snapshots, want 1", held)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			snapshots(t, 0, "before")
+			row.run(t)
+			snapshots(t, 0, "after")
+		})
 	}
 }

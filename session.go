@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"arb/internal/rescache"
@@ -56,18 +55,7 @@ type Session struct {
 	// query prepared on the session; nil means no result caching. Set it
 	// before executions begin — the field itself is not synchronised.
 	rc *rescache.Cache
-
-	// pins counts the snapshot pins acquired through this session and
-	// not yet released — the runtime counterpart of the snappin
-	// analyzer. Nonzero while the session is idle means an execution
-	// leaked its release and the store cannot collect superseded
-	// versions.
-	pins atomic.Int64
 }
-
-// Pins reports the session's outstanding snapshot pins. Zero whenever
-// no execution is in flight; anything else is a leak.
-func (s *Session) Pins() int64 { return s.pins.Load() }
 
 // image returns the tree's record image, opening it on first use; a tree
 // not laid out in preorder fails every execution with the reason.
@@ -191,31 +179,27 @@ func (s *Session) ResultCacheStats() (ResultCacheStats, bool) {
 	return s.rc.Stats(), true
 }
 
-// acquire resolves the source one execution reads: the database handle
+// pinned runs fn on the source one execution reads: the database handle
 // (the tree's record image for in-memory sessions), the label-name table
-// to compile against, the version read (0 unless versioned), and a release
-// the caller must invoke when the execution is done. Versioned sessions pin
-// a snapshot here — the execution keeps reading that version however
-// many patches commit meanwhile, and the release is what lets the
-// store collect superseded versions and their patch segments.
-func (s *Session) acquire() (db *storage.DB, names *tree.Names, version uint64, release func(), err error) {
+// to compile against, and the version read (0 unless versioned).
+// Versioned sessions pin a snapshot for fn's whole run — fn keeps reading
+// that version however many patches commit meanwhile — and release it
+// when fn returns or panics, which is what lets the store collect
+// superseded versions and their patch segments.
+func (s *Session) pinned(fn func(db *storage.DB, names *tree.Names, version uint64) error) error {
 	switch {
 	case s.vs != nil:
 		snap := s.vs.Snapshot()
-		s.pins.Add(1)
-		var once sync.Once
-		release = func() {
-			once.Do(func() {
-				snap.Release()
-				s.pins.Add(-1)
-			})
-		}
-		return snap.DB(), snap.Names(), snap.Version(), release, nil
+		defer snap.Release()
+		return fn(snap.DB(), snap.Names(), snap.Version())
 	case s.db != nil:
-		return s.db, s.db.Names, 0, func() {}, nil
+		return fn(s.db, s.db.Names, 0)
 	default:
 		db, err := s.image()
-		return db, s.t.Names(), 0, func() {}, err
+		if err != nil {
+			return err
+		}
+		return fn(db, s.t.Names(), 0)
 	}
 }
 
@@ -495,39 +479,43 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 			return nil, nil, fmt.Errorf("arb: MarkQuery %d out of range (the query defines %d predicates)", opts.MarkQuery, nq)
 		}
 	}
-	db, names, version, release, err := q.s.acquire()
-	defer release()
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := q.prepared(names)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	start := time.Now()
-	// Result cache: look up at the pinned version before scanning (exec
-	// publishes on clean completion).
-	cacheKind := ""
-	if q.s.cached(opts, db) {
-		if res, kind := q.s.rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), db.N); kind != rescache.Miss {
-			if !opts.Stats {
-				return res, nil, nil
-			}
-			return res, &Profile{
-				Workers:     resolveWorkers(opts.Workers),
-				Version:     version,
-				Duration:    time.Since(start),
-				ResultCache: kind.String(),
-			}, nil
+	var res *Result
+	var prof *Profile
+	err := q.s.pinned(func(db *storage.DB, names *tree.Names, version uint64) error {
+		p, err := q.prepared(names)
+		if err != nil {
+			return err
 		}
-		cacheKind = rescache.Miss.String()
-	}
-	res, prof, err := q.s.exec(ctx, db, version, []*PreparedQuery{q}, []*xpath.Prepared{p}, opts, start, cacheKind)
+		start := time.Now()
+		// Result cache: look up at the pinned version before scanning
+		// (exec publishes on clean completion).
+		cacheKind := ""
+		if q.s.cached(opts, db) {
+			if hit, kind := q.s.rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), db.N); kind != rescache.Miss {
+				res = hit
+				if opts.Stats {
+					prof = &Profile{
+						Workers:     resolveWorkers(opts.Workers),
+						Version:     version,
+						Duration:    time.Since(start),
+						ResultCache: kind.String(),
+					}
+				}
+				return nil
+			}
+			cacheKind = rescache.Miss.String()
+		}
+		rs, pr, err := q.s.exec(ctx, db, version, []*PreparedQuery{q}, []*xpath.Prepared{p}, opts, start, cacheKind)
+		if err != nil {
+			return err
+		}
+		res, prof = rs[0], pr
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return res[0], prof, nil
+	return res, prof, nil
 }
 
 // resolveWorkers maps ExecOpts.Workers to the worker count an execution
@@ -604,24 +592,27 @@ func (q *PreparedQuery) TryCached() (*Result, *Profile, bool) {
 		return nil, nil, false
 	}
 	start := time.Now()
-	db, names, version, release, err := q.s.acquire()
-	defer release()
-	if err != nil {
+	var res *Result
+	var prof *Profile
+	err := q.s.pinned(func(db *storage.DB, names *tree.Names, version uint64) error {
+		p, err := q.prepared(names)
+		if err != nil || db.N >= rescache.MaxNodes {
+			return err
+		}
+		hit, kind := rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), db.N)
+		if kind != rescache.Miss {
+			res, prof = hit, &Profile{
+				Version:     version,
+				Duration:    time.Since(start),
+				ResultCache: kind.String(),
+			}
+		}
+		return nil
+	})
+	if err != nil || prof == nil {
 		return nil, nil, false
 	}
-	p, err := q.prepared(names)
-	if err != nil || db.N >= rescache.MaxNodes {
-		return nil, nil, false
-	}
-	res, kind := rc.Lookup(q.cacheKey(), version, p.Summary(), p.Program(), db.N)
-	if kind == rescache.Miss {
-		return nil, nil, false
-	}
-	return res, &Profile{
-		Version:     version,
-		Duration:    time.Since(start),
-		ResultCache: kind.String(),
-	}, true
+	return res, prof, true
 }
 
 // packIDs renders the packed (id, label, root) subsumption list of a
@@ -733,18 +724,22 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 	}
 	// One snapshot serves the whole batch: every member scans the same
 	// version, and coalesced server batches inherit that consistency.
-	db, names, version, release, err := b.s.acquire()
-	defer release()
+	var res []*Result
+	var prof *Profile
+	err := b.s.pinned(func(db *storage.DB, names *tree.Names, version uint64) (err error) {
+		members := make([]*xpath.Prepared, len(b.members))
+		for i, m := range b.members {
+			if members[i], err = m.prepared(names); err != nil {
+				return err
+			}
+		}
+		res, prof, err = b.s.exec(ctx, db, version, b.members, members, opts, time.Now(), "")
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	members := make([]*xpath.Prepared, len(b.members))
-	for i, m := range b.members {
-		if members[i], err = m.prepared(names); err != nil {
-			return nil, nil, err
-		}
-	}
-	return b.s.exec(ctx, db, version, b.members, members, opts, time.Now(), "")
+	return res, prof, nil
 }
 
 // Count executes the batch sequentially and returns, per member, how

@@ -144,12 +144,9 @@ func (s *Session) EmitXML(ctx context.Context, w io.Writer, selected func(v int6
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	db, _, _, release, err := s.acquire()
-	defer release()
-	if err != nil {
-		return err
-	}
-	return storage.EmitXMLContext(ctx, db, w, selected)
+	return s.pinned(func(db *storage.DB, _ *Names, _ uint64) error {
+		return storage.EmitXMLContext(ctx, db, w, selected)
+	})
 }
 
 // Compact rewrites the current version into a single fresh segment and
