@@ -17,8 +17,10 @@ func (f writeFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestSessionPinsGauge holds the versioned store's snapshot count to the
 // pins pinned takes: each call holds one for fn's whole run and releases
-// it on every way out — a normal return, fn's error, and an Exec whose
-// context is cancelled mid-scan — so a quiescent session reads zero.
+// it on every way out — a normal return, fn's error or panic, and an
+// Exec whose context is cancelled mid-scan — so a quiescent session reads
+// zero. Every caller of pinned (Exec, PreparedBatch.Exec, EmitXML and
+// TryCached) has a row that holds one pin while it runs and none after.
 func TestSessionPinsGauge(t *testing.T) {
 	var doc strings.Builder
 	doc.WriteString("<a>")
@@ -53,6 +55,19 @@ func TestSessionPinsGauge(t *testing.T) {
 		}
 	}
 
+	prepare := func(t *testing.T, xpath string) *PreparedQuery {
+		t.Helper()
+		xq, err := ParseXPath(xpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := sess.PrepareXPath(xq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pq
+	}
+
 	for _, row := range []struct {
 		name string
 		run  func(t *testing.T)
@@ -79,14 +94,7 @@ func TestSessionPinsGauge(t *testing.T) {
 			}
 		}},
 		{"exec-cancel", func(t *testing.T) {
-			xq, err := ParseXPath("//b/c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			pq, err := sess.PrepareXPath(xq)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pq := prepare(t, "//b/c")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			// The marked output's first write lands mid-scan: read the
@@ -105,6 +113,95 @@ func TestSessionPinsGauge(t *testing.T) {
 			}
 			if held != 1 {
 				t.Fatalf("Exec mid-scan held %d snapshots, want 1", held)
+			}
+		}},
+		{"fn-panic", func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want fn's panic", r)
+				}
+			}()
+			sess.pinned(func(*storage.DB, *Names, uint64) error { panic("boom") })
+		}},
+		{"exec", func(t *testing.T) {
+			pq := prepare(t, "//b/c")
+			held := -1
+			mark := writeFunc(func(p []byte) (int, error) {
+				if held < 0 {
+					st, _ := sess.StoreStats()
+					held = st.Snapshots
+				}
+				return len(p), nil
+			})
+			res, _, err := pq.Exec(context.Background(), ExecOpts{MarkTo: mark})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held != 1 {
+				t.Fatalf("Exec mid-scan held %d snapshots, want 1", held)
+			}
+			if n := res.Count(pq.Queries()[0]); n != 20000 {
+				t.Fatalf("Exec selected %d nodes, want 20000", n)
+			}
+		}},
+		{"batch-exec", func(t *testing.T) {
+			b, err := sess.BatchOf(prepare(t, "//b/c"), prepare(t, "//b"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, err := b.Count(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counts[0] != 20000 || counts[1] != 20000 {
+				t.Fatalf("batch counts %v, want [20000 20000]", counts)
+			}
+		}},
+		{"batch-cancel", func(t *testing.T) {
+			b, err := sess.BatchOf(prepare(t, "//b/c"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, _, err := b.Exec(ctx, ExecOpts{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("batch Exec on a cancelled context returned %v, want context.Canceled", err)
+			}
+		}},
+		{"emit-xml-error", func(t *testing.T) {
+			full := errors.New("disk full")
+			held := -1
+			w := writeFunc(func([]byte) (int, error) {
+				st, _ := sess.StoreStats()
+				held = st.Snapshots
+				return 0, full
+			})
+			if err := sess.EmitXML(context.Background(), w, nil); !errors.Is(err, full) {
+				t.Fatalf("EmitXML returned %v, want the writer's error", err)
+			}
+			if held != 1 {
+				t.Fatalf("EmitXML mid-write held %d snapshots, want 1", held)
+			}
+		}},
+		// Runs last: it attaches a result cache to the shared session.
+		{"try-cached", func(t *testing.T) {
+			sess.SetResultCache(1 << 20)
+			pq := prepare(t, "//b/c")
+			if _, _, ok := pq.TryCached(); ok {
+				t.Fatal("TryCached hit an empty cache")
+			}
+			if _, _, err := pq.Exec(context.Background(), ExecOpts{ResultCache: true}); err != nil {
+				t.Fatal(err)
+			}
+			res, prof, ok := pq.TryCached()
+			if !ok {
+				t.Fatal("TryCached missed a published result")
+			}
+			if prof.Version != sess.Version() {
+				t.Fatalf("TryCached read version %d, want %d", prof.Version, sess.Version())
+			}
+			if n := res.Count(pq.Queries()[0]); n != 20000 {
+				t.Fatalf("cached result selects %d nodes, want 20000", n)
 			}
 		}},
 	} {
