@@ -212,9 +212,31 @@ if grep -rnE '\batomic\.(Add|Load|Store|Swap|CompareAndSwap)[A-Z]' --include='*.
     exit 1
 fi
 
-# Repo-specific invariants: context threading, lock discipline, temp
-# cleanup, reader Close/Release, goroutine termination, and lock ordering
-# — the full six-analyzer suite, gated on the committed baseline: any
+# Every file is born a temp. Only internal/storage/file.go creates or
+# renames a file: a committed file through storage.WriteFile (a temporary
+# beside its path, synced, renamed over it, its directory synced; removed
+# on any error), a scratch file as an anonymous handle whose Close removes
+# it (DB.CreateScratch, Create's event file). internal/lint writes its
+# baseline and vet output itself. The tmpcleanup analyzer, the named aux
+# sidecars (ScratchDir, OpenMasks, RemoveScratch, OpenMaskFile) with their
+# RAM name table, KeepEvt and the exported SyncDir are gone. Keep them gone.
+creators=$({ ls ./*.go; find internal -name '*.go' -not -path 'internal/lint/*'; } |
+    grep -v '_test\.go$' | grep -vx 'internal/storage/file.go' |
+    xargs grep -nE 'os\.(Create|CreateTemp|MkdirTemp|OpenFile|Rename|WriteFile)\(' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$creators" ]; then
+    echo "a file is created or renamed outside internal/storage/file.go (use storage.WriteFile or DB.CreateScratch):" >&2
+    echo "$creators" >&2
+    exit 1
+fi
+if grep -rnwE 'TmpCleanup|ScratchDir|OpenMasks|RemoveScratch|OpenMaskFile|KeepEvt|SyncDir|memScratch' --include='*.go' . >&2; then
+    echo "tmpcleanup, a named aux sidecar, KeepEvt or the exported SyncDir is back: files are born temps in storage/file.go" >&2
+    exit 1
+fi
+
+# Repo-specific invariants: context threading, lock discipline, reader
+# and scratch-file Close/Release, goroutine termination, and lock ordering
+# — the full five-analyzer suite, gated on the committed baseline: any
 # finding not already recorded there fails the build.
 go run ./cmd/arblint -baseline .arblint-baseline.json ./...
 
@@ -340,7 +362,8 @@ gate Serve -race ./...
 gate Model -race ./internal/core
 fuzz FuzzModel ./internal/core
 # Compressed extents: container round-trips, vstore write-policy
-# inheritance, the rename-commit directory-sync hooks, the LZ decoder
+# inheritance, the commit table over every storage.WriteFile caller (file
+# and directory sync hooks), the LZ decoder
 # against its byte-at-a-time oracle, and the block cache's prefix
 # decoding; then a bounded fuzz of the decoder.
 gate 'Compress|SyncDir|LZ|BlockSource' -race ./...

@@ -1,4 +1,4 @@
-// Command arblint runs the repo's static-analysis suite: six analyzers
+// Command arblint runs the repo's static-analysis suite: five analyzers
 // that mechanically enforce the engine's concurrency, cancellation and
 // cleanup invariants (see internal/lint/analyzers).
 //

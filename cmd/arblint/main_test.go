@@ -64,7 +64,7 @@ func TestInterproceduralAnalyzersClean(t *testing.T) {
 	}
 }
 
-// TestRosterAndJSON asserts the advertised suite is the full six and
+// TestRosterAndJSON asserts the advertised suite is the full five and
 // that the machine-readable path stays wired: -json with the committed
 // baseline must emit an empty JSON array on a clean tree.
 func TestRosterAndJSON(t *testing.T) {
@@ -79,7 +79,7 @@ func TestRosterAndJSON(t *testing.T) {
 		t.Fatalf("arblint -list failed:\n%s\nerror: %v", out, err)
 	}
 	want := []string{
-		"ctxflow", "lockdiscipline", "tmpcleanup", "closecheck",
+		"ctxflow", "lockdiscipline", "closecheck",
 		"goroleak", "lockorder",
 	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")

@@ -1,5 +1,7 @@
 package core
 
+import "arb/internal/storage"
+
 // Batch evaluation runs N compiled programs over one document during a
 // single pair of linear scans. The scans are query-independent I/O — the
 // paper's cost model is dominated by them — so a server fielding many
@@ -28,15 +30,17 @@ type BatchMember struct {
 
 // DiskBatchOpts configures a secondary-storage batch run: the per-run
 // options of DiskOpts plus the aux-mask sidecars chaining multi-pass
-// members' passes. The sidecar paths name widened mask files of stride
-// slots (storage.MaskStride bytes per node); empty paths mean no aux
-// input/output. A batch prunes an extent only when every member's
-// analysis proves it irrelevant (the scans are shared), and a run with
-// aux input never prunes.
+// members' passes. The sidecars are scratch files of the database
+// (storage.DB.CreateScratch) holding widened mask vectors of stride slots
+// (storage.MaskStride bytes per node); nil means no aux input/output. The
+// caller owns both: the run reads AuxIn and fills every node's vector of
+// AuxOut, closing neither. A batch prunes an extent only when every
+// member's analysis proves it irrelevant (the scans are shared), and a run
+// with aux input never prunes.
 type DiskBatchOpts struct {
 	DiskOpts
-	AuxIn        string
+	AuxIn        storage.ScratchFile
 	AuxInStride  int
-	AuxOut       string
+	AuxOut       storage.ScratchFile
 	AuxOutStride int
 }

@@ -79,8 +79,8 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 // scans too. Results are identical to running each member through
 // RunDiskContext alone. It is RunDiskBatchParallel with one worker: the
 // disk driver run with an empty frontier. Cancelling ctx aborts the scan
-// in progress; a failed or cancelled run removes the state file and any
-// partially written AuxOut sidecar. Marked XML, the one per-run option of
+// in progress; a failed or cancelled run removes its state file (the aux
+// sidecars are the caller's). Marked XML, the one per-run option of
 // the embedded DiskOpts that names one query's output, needs a batch of one
 // member.
 func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
@@ -116,7 +116,7 @@ type diskBatch struct {
 }
 
 func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
-	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.AuxIn != "", opts.Run)}
+	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.AuxIn != nil, opts.Run)}
 	for _, bm := range members {
 		r.engines = append(r.engines, bm.E)
 	}
@@ -174,7 +174,7 @@ func (r *diskBatch) width() int {
 // are per-node facts outside the verdicts, and marked XML needs phase 2's
 // document-order visit).
 func (r *diskBatch) decided(l *lane) bool {
-	if r.opts.AuxIn != "" || r.opts.AuxOut != "" || r.opts.MarkTo != nil {
+	if r.opts.AuxIn != nil || r.opts.AuxOut != nil || r.opts.MarkTo != nil {
 		return false
 	}
 	for _, m := range l.members {
@@ -193,7 +193,7 @@ func (r *diskBatch) decided(l *lane) bool {
 // has none: the planner then loads the index itself, and failing to costs
 // the run its plan, not its answer.
 func (r *diskBatch) plan(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex) *PrunePlan {
-	if r.opts.NoPrune || r.opts.AuxIn != "" || r.opts.MarkTo != nil || db.N < pruneMinNodes {
+	if r.opts.NoPrune || r.opts.AuxIn != nil || r.opts.MarkTo != nil || db.N < pruneMinNodes {
 		return nil
 	}
 	if ix == nil {
@@ -268,12 +268,14 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	workers = min(workers, len(tasks))
 
 	a.files = &diskFiles{
-		n:     db.N,
-		w:     width,
-		lanes: slices.Clone(r.lanes),
-		sels:  make([]*Result, len(r.lanes)),
-		inW:   int(storage.MaskStride(r.opts.AuxInStride)),
-		outW:  int(storage.MaskStride(r.opts.AuxOutStride)),
+		n:       db.N,
+		w:       width,
+		lanes:   slices.Clone(r.lanes),
+		sels:    make([]*Result, len(r.lanes)),
+		inW:     int(storage.MaskStride(r.opts.AuxInStride)),
+		outW:    int(storage.MaskStride(r.opts.AuxOutStride)),
+		auxF:    r.opts.AuxIn,
+		auxOutF: r.opts.AuxOut,
 	}
 	a.subs = make([]StateID, len(r.lanes))
 	slots := 0
@@ -286,38 +288,13 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		}
 	}
 
-	if r.opts.AuxIn != "" {
-		auxF, err := db.OpenMasks(r.opts.AuxIn, r.opts.AuxInStride)
-		if err != nil {
-			return nil, agg, nil, err
-		}
-		defer auxF.Close()
-		a.files.auxF = auxF
-	}
-
 	if slots > 0 {
-		stateF, err := db.CreateScratch("", int64(slots)*db.N*int64(width))
+		stateF, err := db.CreateScratch(int64(slots) * db.N * int64(width))
 		if err != nil {
 			return nil, agg, nil, err
 		}
 		defer stateF.Close()
 		a.files.stateF = stateF
-	}
-
-	if r.opts.AuxOut != "" {
-		auxOutF, err := db.CreateScratch(r.opts.AuxOut, db.N*int64(a.files.outW))
-		if err != nil {
-			return nil, agg, nil, err
-		}
-		defer func() {
-			auxOutF.Close()
-			if !a.succeeded {
-				// A failed or cancelled run must not leave a partial
-				// sidecar behind for a later pass to trust.
-				db.RemoveScratch(r.opts.AuxOut)
-			}
-		}()
-		a.files.auxOutF = auxOutF
 	}
 
 	// Per-worker step caches, one per lane, reused across both phases.
@@ -354,7 +331,6 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	// The stale-index, state-width and one-scan retries re-enter this
 	// function: only the attempt that succeeds counts.
 	creditRun(r.engines, r.opts.Run, db.N, plan, agg)
-	a.succeeded = true
 	return res, agg, ds, nil
 }
 
@@ -374,7 +350,6 @@ type attempt struct {
 	caches       [][]*StepCache     // per worker, one per lane
 	leaderCaches []*StepCache
 	rootStates   [][]StateID // per task, phase 1's root states
-	succeeded    bool        // the attempt finished; its aux-out sidecar may stay
 }
 
 // phase1 folds the database bottom-up: workers fold their chunks — each
@@ -505,11 +480,6 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	})
 	if err != nil {
 		return st, err
-	}
-	if files.auxOutF != nil {
-		if err := files.auxOutF.Close(); err != nil {
-			return st, err
-		}
 	}
 	if emitter != nil {
 		if err := emitter.Finish(); err != nil {

@@ -93,16 +93,38 @@ func sameAsNaive(t *testing.T, prog *tmnf.Program, tr *tree.Tree, aux func(tree.
 // multi-pass query does: it reads slot 0 of the one-slot sidecar auxIn
 // when that is set, and writes its input masks ORed with bit wherever its
 // first query predicate holds to slot 0 of auxOut when that is set.
-func chained(e *Engine, auxIn, auxOut string, bit uint8, opts DiskOpts) ([]BatchMember, DiskBatchOpts) {
+func chained(e *Engine, auxIn, auxOut storage.ScratchFile, bit uint8, opts DiskOpts) ([]BatchMember, DiskBatchOpts) {
 	bm := BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1, AuxOutBit: bit}
 	bo := DiskBatchOpts{DiskOpts: opts, AuxIn: auxIn, AuxOut: auxOut}
-	if auxIn != "" {
+	if auxIn != nil {
 		bm.AuxInSlot, bo.AuxInStride = 0, 1
 	}
-	if auxOut != "" {
+	if auxOut != nil {
 		bm.AuxOutSlot, bo.AuxOutStride = 0, 1
 	}
 	return []BatchMember{bm}, bo
+}
+
+// sidecar creates an aux-mask scratch file of db with stride slots a node,
+// closed (and so removed) when the test ends.
+func sidecar(t *testing.T, db *storage.DB, stride int) storage.ScratchFile {
+	t.Helper()
+	f, err := db.CreateScratch(db.N * storage.MaskStride(stride))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// masksOf reads the whole of db's aux-mask sidecar f of stride slots a node.
+func masksOf(t *testing.T, db *storage.DB, f storage.ScratchFile, stride int) []byte {
+	t.Helper()
+	masks := make([]byte, db.N*storage.MaskStride(stride))
+	if _, err := f.ReadAt(masks, 0); err != nil {
+		t.Fatal(err)
+	}
+	return masks
 }
 
 // runTreeAux runs e over tr's record image as a batch of one reading the
@@ -117,14 +139,15 @@ func runTreeAux(ctx context.Context, e *Engine, tr *tree.Tree, aux func(tree.Nod
 	for v := range db.N {
 		binary.BigEndian.PutUint16(masks[v*storage.MaskSize:], aux(tree.NodeID(v)))
 	}
-	f, err := db.CreateScratch("aux", int64(len(masks)))
+	f, err := db.CreateScratch(int64(len(masks)))
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	if _, err := f.WriteAt(masks, 0); err != nil {
 		return nil, err
 	}
-	members, opts := chained(e, "aux", "", 0, DiskOpts{})
+	members, opts := chained(e, f, nil, 0, DiskOpts{})
 	res, _, _, err := RunDiskBatch(ctx, db, members, opts)
 	if err != nil {
 		return nil, err

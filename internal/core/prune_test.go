@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -290,15 +289,11 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 		// a profile in which each phase read or skipped every byte once and
 		// skipped exactly the plan's nodes, credited once per member, and at
 		// four workers with an empty frontier the very profile of one worker.
-		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, string)) {
+		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte)) {
 			t.Helper()
 			var refAux []byte
-			check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, auxOut string) {
+			check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, masks []byte) {
 				t.Helper()
-				masks, err := os.ReadFile(auxOut)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if refAux == nil {
 					refAux = masks
 				} else if !bytes.Equal(masks, refAux) {
@@ -343,16 +338,16 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAsNaive(t, prog, tr, nil, want, tc.name+": in-memory reference")
-			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
+			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte) {
 				rs := &RunStats{}
-				out := filepath.Join(dir, "scalar.aux")
-				members, opts := chained(NewEngine(c, db.Names), "", out, 1, DiskOpts{NoPrune: noPrune, Run: rs})
+				out := sidecar(t, db, 1)
+				members, opts := chained(NewEngine(c, db.Names), nil, out, 1, DiskOpts{NoPrune: noPrune, Run: rs})
 				res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				sameResults(t, prog, tr.Len(), res[0], want, tc.name)
-				return ds, rs, out
+				return ds, rs, masksOf(t, db, out, 1)
 			})
 		}
 
@@ -369,13 +364,13 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			}
 			sameAsNaive(t, prog, tr, nil, wants[i], tc.name+": in-memory reference")
 		}
-		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, string) {
+		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte) {
 			members := batchMembers(t, progs, db.Names)
 			for m := range members {
 				members[m].AuxOutSlot, members[m].AuxOutBit = m, uint8(m)
 			}
 			rs := &RunStats{}
-			out := filepath.Join(dir, "batch.aux")
+			out := sidecar(t, db, len(members))
 			res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members,
 				DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}, AuxOut: out, AuxOutStride: len(members)})
 			if err != nil {
@@ -384,7 +379,7 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			for i, prog := range progs {
 				sameResults(t, prog, tr.Len(), res[i], wants[i], tc.name+", batch")
 			}
-			return ds, rs, out
+			return ds, rs, masksOf(t, db, out, len(members))
 		})
 	}
 }

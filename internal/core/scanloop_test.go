@@ -210,9 +210,10 @@ func (c cancelAtPoll) Err() error {
 // TestRunDiskCancelMidScanLeavesNoFiles cancels a disk run from inside
 // phase 2, at whatever node the marked-XML output first spills its buffer
 // — mid-window for the block-at-a-time readers — and checks the run
-// reports ctx.Err() and removes its state file and partial aux sidecar;
-// then cancels a pruned run between its phases, which must in addition
-// credit no pruned nodes: a cancelled run saved nothing.
+// reports ctx.Err() and removes its state file (the partial aux sidecar
+// is gone once its owner closes it); then cancels a pruned run between its
+// phases, which must in addition credit no pruned nodes: a cancelled run
+// saved nothing.
 func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<16))
@@ -235,7 +236,11 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	members, opts := chained(NewEngine(c, db.Names), "", filepath.Join(dir, "out.aux"), 0, DiskOpts{MarkTo: cancelOnWrite{cancel}})
+	out, err := db.CreateScratch(db.N * storage.MaskStride(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members, opts := chained(NewEngine(c, db.Names), nil, out, 0, DiskOpts{MarkTo: cancelOnWrite{cancel}})
 	_, _, _, err = RunDiskBatch(ctx, db, members, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
@@ -251,10 +256,13 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	if ix, err := db.Index(context.Background(), 0); err != nil || PlanPrune([]*Engine{e}, ix, db.N) == nil {
 		t.Fatalf("no prune plan for a label the document lacks (index error %v)", err)
 	}
-	members, opts = chained(e, "", filepath.Join(dir, "out.aux"), 0, DiskOpts{Run: rs})
+	members, opts = chained(e, nil, out, 0, DiskOpts{Run: rs})
 	_, _, _, err = RunDiskBatch(cancelAtPoll{context.Background(), new(atomic.Int32), 2}, db, members, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pruned run: error %v, want context.Canceled", err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if got, eng := rs.Snapshot().PrunedNodes, e.Stats().PrunedNodes; got != 0 || eng != 0 {
 		t.Fatalf("cancelled pruned run credits %d pruned nodes to the run and %d to the engine, want 0", got, eng)
@@ -342,7 +350,6 @@ func TestWindowKernelEdges(t *testing.T) {
 	blobs := []int64{W, 40, 2*W + 5, 8, W - 1, 16, W + 1, 0}
 	rng := rand.New(rand.NewSource(24))
 	ctx := context.Background()
-	dir := t.TempDir()
 	tr, exts, starts := spineTree(t, rng, glue, blobs)
 
 	// The snapshot reads three runs of two segment files: the original up
@@ -421,8 +428,8 @@ func TestWindowKernelEdges(t *testing.T) {
 						continue // the wider codecs: one row, the one with every kind of hole
 					}
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
-					aux0, aux1 := filepath.Join(dir, "pass0.aux"), filepath.Join(dir, "pass1.aux")
-					res, _, ds, err := newDiskBatch(chained(NewEngine(cs[0], db.Names), "", aux0, 0, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, width, true, plan)
+					aux0, aux1 := sidecar(t, db, 1), sidecar(t, db, 1)
+					res, _, ds, err := newDiskBatch(chained(NewEngine(cs[0], db.Names), nil, aux0, 0, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, width, true, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -445,12 +452,8 @@ func TestWindowKernelEdges(t *testing.T) {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}
 					sameSelection(t, res[0], want1, label+", pass 1")
-					for i, path := range []string{aux0, aux1} {
-						got, err := os.ReadFile(path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(got, wantAux[i]) {
+					for i, f := range []storage.ScratchFile{aux0, aux1} {
+						if !bytes.Equal(masksOf(t, db, f, 1), wantAux[i]) {
 							t.Fatalf("%s: pass %d wrote aux masks that differ from the reference", label, i)
 						}
 					}

@@ -1,10 +1,9 @@
-// Package analyzers holds the six arblint analyzers, one per
+// Package analyzers holds the five arblint analyzers, one per
 // load-bearing invariant of the two-scan engine:
 //
 //   - ctxflow: engine code threads context, never mints its own roots
 //   - lockdiscipline: `// guarded by:` fields are accessed under their mutex
-//   - tmpcleanup: temp state/aux files are removed on error and cancel paths
-//   - closecheck: storage readers and files get closed or released
+//   - closecheck: storage readers, files and scratch files get closed or released
 //   - goroleak: spawned goroutines provably terminate (cancellation-bound)
 //   - lockorder: declared mutexes keep one global acquisition order
 //
@@ -13,9 +12,12 @@
 // directives in package lint (//arblint:allow, //arblint:todo) give
 // reviewed escape hatches. The last two lean on the lint.Module
 // interprocedural layer: module-wide summaries of callees shared through
-// Mod.Memo. Snapshot pins and atomics need no analyzer: Session.pinned
-// releases its pin with a defer, the repo uses typed atomics only, and
-// ci.sh keeps both shapes with two grep ratchets.
+// Mod.Memo. Snapshot pins, atomics and temp files need no analyzer:
+// Session.pinned releases its pin with a defer, the repo uses typed
+// atomics only, and only internal/storage/file.go creates or renames a
+// file — a committed file through WriteFile, which removes its temporary
+// on failure, a scratch file as a handle whose Close removes it — and
+// ci.sh keeps all three shapes with grep ratchets.
 package analyzers
 
 import (
@@ -28,7 +30,7 @@ import (
 
 // All is the full suite in reporting order.
 var All = []*lint.Analyzer{
-	Ctxflow, LockDiscipline, TmpCleanup, CloseCheck, GoroLeak, LockOrder,
+	Ctxflow, LockDiscipline, CloseCheck, GoroLeak, LockOrder,
 }
 
 // ByName returns the named analyzer, or nil.

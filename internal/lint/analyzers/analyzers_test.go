@@ -19,10 +19,6 @@ func TestLockDisciplineFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.LockDiscipline, "testdata/lockdiscipline", "arb/internal/core/lockfixture")
 }
 
-func TestTmpCleanupFixture(t *testing.T) {
-	lint.RunFixture(t, analyzers.TmpCleanup, "testdata/tmpcleanup", "arb/internal/core/tmpfixture")
-}
-
 func TestCloseCheckFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.CloseCheck, "testdata/closecheck", "arb/internal/core/closefixture")
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // CloseCheck enforces resource hygiene on the storage layer's open/scan
-// primitives: a *storage.DB, *os.File or *BackwardReader obtained in
-// library code must be closed or released on every path. BackwardReaders
-// draw their I/O buffers from a shared pool — an abandoned reader
-// quietly degrades the pool for every later scan, which is invisible in
-// tests and expensive under serving load.
+// primitives: a *storage.DB, *os.File, *BackwardReader or scratch file
+// obtained in library code must be closed or released on every path.
+// BackwardReaders draw their I/O buffers from a shared pool — an abandoned
+// reader quietly degrades the pool for every later scan, which is
+// invisible in tests and expensive under serving load — and a scratch
+// file on disk is removed only by its Close.
 //
 // A producer call passes if its result is closed/released (deferred or
 // not), returned to the caller, passed to another function, or stored
@@ -29,7 +30,7 @@ var CloseCheck = &lint.Analyzer{
 var closeProducers = map[string]bool{
 	"arb/internal/storage.Open":              true,
 	"arb/internal/storage.NewBackwardReader": true,
-	"arb/internal/storage.OpenMaskFile":      true,
+	"arb/internal/storage.DB.CreateScratch":  true,
 	"os.Open":                                true,
 }
 

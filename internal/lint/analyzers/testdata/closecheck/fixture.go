@@ -87,24 +87,24 @@ func storesReader(f *os.File, end int64) (*scanState, error) {
 	return &scanState{br: br}, nil
 }
 
-// leaksMaskFile opens an aux sidecar through the size-checking opener and
-// never closes it.
-func leaksMaskFile(path string, n int64) error {
-	f, err := storage.OpenMaskFile(path, n, 1) // want "storage.OpenMaskFile result is never closed"
+// leaksScratch creates an anonymous scratch file and never closes it: on
+// disk the file outlives the function.
+func leaksScratch(db *storage.DB) error {
+	f, err := db.CreateScratch(db.N * storage.MaskSize) // want "storage.DB.CreateScratch result is never closed"
 	if err != nil {
 		return err
 	}
-	_, err = f.ReadAt(make([]byte, 2), 0)
+	_, err = f.WriteAt(make([]byte, 2), 0)
 	return err
 }
 
-// closesMaskFile is the clean counterpart.
-func closesMaskFile(path string, n int64) error {
-	f, err := storage.OpenMaskFile(path, n, 1)
+// closesScratch is the clean counterpart.
+func closesScratch(db *storage.DB) error {
+	f, err := db.CreateScratch(db.N * storage.MaskSize)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	_, err = f.ReadAt(make([]byte, 2), 0)
+	_, err = f.WriteAt(make([]byte, 2), 0)
 	return err
 }

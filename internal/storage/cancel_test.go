@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -63,7 +65,7 @@ func TestScanCancel(t *testing.T) {
 }
 
 // TestBatchScanCancel covers the shapes batch execution relies on: the
-// widened aux-mask sidecar's size check, and vector-state folds (one state
+// widened aux-mask sidecar's exact size, and vector-state folds (one state
 // per batch member), which a cancelled context aborts before any node is
 // visited; no temporary files survive next to the database.
 func TestBatchScanCancel(t *testing.T) {
@@ -77,25 +79,29 @@ func TestBatchScanCancel(t *testing.T) {
 	defer db.Close()
 
 	// A widened mask sidecar with one slot per member, as batch rounds
-	// write it: slot m of node v carries v+m (for positioning checks).
+	// write it: slot m of node v carries v+m (for positioning checks). It
+	// is an anonymous scratch file exactly as long as its masks.
 	const stride = 3
-	maskPath := filepath.Join(dir, "t.auxb")
-	maskBytes := make([]byte, db.N*MaskStride(stride))
+	size := db.N * MaskStride(stride)
+	maskF, err := db.CreateScratch(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maskBytes := make([]byte, size)
 	for v := int64(0); v < db.N; v++ {
 		for m := 0; m < stride; m++ {
 			binary.BigEndian.PutUint16(maskBytes[v*MaskStride(stride)+int64(m)*MaskSize:], uint16(v)+uint16(m))
 		}
 	}
-	if err := os.WriteFile(maskPath, maskBytes, 0o666); err != nil {
+	if _, err := maskF.WriteAt(maskBytes, 0); err != nil {
 		t.Fatal(err)
 	}
-	maskF, err := OpenMaskFile(maskPath, db.N, stride)
-	if err != nil {
-		t.Fatal(err)
+	back := make([]byte, size+1)
+	if n, err := maskF.ReadAt(back, 0); n != int(size) || !errors.Is(err, io.EOF) || !bytes.Equal(back[:n], maskBytes) {
+		t.Fatalf("mask sidecar reads back %d bytes (%v), want its %d bytes then EOF", n, err, size)
 	}
-	defer maskF.Close()
-	if _, err := OpenMaskFile(maskPath, db.N, stride+1); err == nil {
-		t.Error("OpenMaskFile accepted a sidecar with the wrong stride")
+	if err := maskF.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Vector-state scans (the batch shape: S = one state per member)
@@ -121,14 +127,14 @@ func TestBatchScanCancel(t *testing.T) {
 		t.Errorf("cancelled batch-shaped scans visited %d nodes, want 0", visited)
 	}
 
-	// Nothing beyond the database files and the sidecar this test wrote.
+	// Nothing beyond the database files: closing the sidecar removed it.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		switch filepath.Ext(e.Name()) {
-		case ".arb", ".lab", ".idx", ".auxb":
+		case ".arb", ".lab", ".idx":
 		default:
 			t.Errorf("stray file after cancelled scans: %s", e.Name())
 		}

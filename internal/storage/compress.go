@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
@@ -557,11 +556,10 @@ func (bw *BlockWriter) Close() error {
 func (bw *BlockWriter) Logical() int64 { return bw.logical + int64(bw.used) }
 
 // CompressInPlace rewrites base.arb as an LZ container (blockSize 0
-// for the default), replacing it atomically via temp file + rename +
-// directory sync; codec must be CodecLZ. A database that is already
-// compressed is first served raw through its own reader, so
-// recompressing with a different block size works too. The .idx sidecar
-// stays as it is: compression moves no node. Returns the container
+// for the default), committed through WriteFile; codec must be CodecLZ. A
+// database that is already compressed is first served raw through its own
+// reader, so recompressing with a different block size works too. The .idx
+// sidecar stays as it is: compression moves no node. Returns the container
 // summary.
 func CompressInPlace(base string, codec uint8, blockSize int) (ContainerInfo, error) {
 	var zero ContainerInfo
@@ -573,48 +571,17 @@ func CompressInPlace(base string, codec uint8, blockSize int) (ContainerInfo, er
 		return zero, err
 	}
 	defer db.Close()
-	dir := filepath.Dir(base)
-	f, err := os.CreateTemp(dir, filepath.Base(base)+".arb.tmp*")
+	err = WriteFile(base+".arb", func(f *os.File) error {
+		bw, err := NewBlockWriter(f, blockSize)
+		if err != nil {
+			return err
+		}
+		if _, err := io.Copy(bw, io.NewSectionReader(db.arb, 0, db.N*NodeSize)); err != nil {
+			return err
+		}
+		return bw.Close()
+	})
 	if err != nil {
-		return zero, err
-	}
-	tmp := f.Name()
-	renamed := false
-	defer func() {
-		if !renamed {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw, err := NewBlockWriter(f, blockSize)
-	if err != nil {
-		return zero, err
-	}
-	size := db.N * NodeSize
-	const chunk = int64(1 << 20)
-	for off := int64(0); off < size; off += chunk {
-		end := off + chunk
-		if end > size {
-			end = size
-		}
-		if _, err := io.Copy(bw, io.NewSectionReader(db.arb, off, end-off)); err != nil {
-			return zero, err
-		}
-	}
-	if err := bw.Close(); err != nil {
-		return zero, err
-	}
-	if err := f.Sync(); err != nil {
-		return zero, err
-	}
-	if err := f.Close(); err != nil {
-		return zero, err
-	}
-	if err := os.Rename(tmp, base+".arb"); err != nil {
-		return zero, err
-	}
-	renamed = true
-	if err := syncDir(dir); err != nil {
 		return zero, err
 	}
 	zdb, err := Open(base)

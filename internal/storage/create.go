@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -92,37 +93,30 @@ func (e *EventWriter) End() error {
 	return e.err
 }
 
-// CreateOpts configures database creation.
-type CreateOpts struct {
-	// KeepEvt retains the temporary event file after creation.
-	KeepEvt bool
-}
+// CreateOpts configures database creation. It has no options.
+type CreateOpts struct{}
 
 // Create builds a database under the given base path (producing base.arb
 // and base.lab) from the document events that feed emits. It implements
-// the paper's two-pass scheme: feed is the SAX parsing pass writing the
-// temporary base.evt file; the second pass reads base.evt backwards while
-// writing base.arb backwards, which converts the unranked document into
-// its binary-tree encoding using a stack proportional to the *document*
-// depth (not to the potentially enormous sibling counts). A failed
-// creation removes every file it wrote, base.evt included.
-func Create(base string, feed func(*EventWriter) error, opts CreateOpts) (db *DB, stats *CreateStats, err error) {
+// the paper's two-pass scheme: feed is the SAX parsing pass writing a
+// temporary event file, an anonymous scratch file next to the database;
+// the second pass reads it backwards while writing base.arb backwards,
+// which converts the unranked document into its binary-tree encoding using
+// a stack proportional to the *document* depth (not to the potentially
+// enormous sibling counts). A failed creation removes every file it
+// wrote, the event file included.
+func Create(base string, feed func(*EventWriter) error, _ CreateOpts) (db *DB, stats *CreateStats, err error) {
 	start := time.Now()
-	evtPath := base + ".evt"
 
 	// Pass 1: stream events to disk.
-	evtF, err := os.Create(evtPath)
+	evtF, err := createTemp(base, ".evt")
 	if err != nil {
 		return nil, nil, err
 	}
 	defer func() {
-		evtF.Close()
-		if err == nil && opts.KeepEvt {
-			return
-		}
-		if rerr := os.Remove(evtPath); rerr != nil && err == nil {
+		if cerr := evtF.Close(); cerr != nil && err == nil {
 			db.Close()
-			db, stats, err = nil, nil, rerr
+			db, stats, err = nil, nil, cerr
 		}
 	}()
 	ew := &EventWriter{w: bufio.NewWriterSize(evtF, defaultBufSize), names: tree.NewNames()}
@@ -159,16 +153,16 @@ func Create(base string, feed func(*EventWriter) error, opts CreateOpts) (db *DB
 	return db, &st, nil
 }
 
-// create is the tail every creation path shares: write fills the fresh
-// base.arb, then create writes names to base.lab, opens the database and
-// persists its subtree chunk index (one backward pass over the fresh,
-// cached .arb), so parallel evaluation never needs an extra scan. It
-// returns the .lab size. A failure at any step removes the files create
-// made, so a failed creation leaves nothing behind.
+// create is the tail every creation path shares: write fills base.arb,
+// then create writes names to base.lab, opens the database and persists
+// its subtree chunk index as base.idx (one backward pass over the fresh,
+// cached .arb), so parallel evaluation never needs an extra scan. Each
+// file is committed through WriteFile, so it is durable before the next
+// one is written. It returns the .lab size. A failure at any step removes
+// the files create committed, so a failed creation leaves nothing behind.
 func create(base string, names *tree.Names, write func(arbF *os.File) error) (db *DB, labBytes int64, err error) {
 	arbPath, labPath := base+".arb", base+".lab"
-	arbF, err := os.Create(arbPath)
-	if err != nil {
+	if err := WriteFile(arbPath, write); err != nil {
 		return nil, 0, err
 	}
 	defer func() {
@@ -177,31 +171,28 @@ func create(base string, names *tree.Names, write func(arbF *os.File) error) (db
 			os.Remove(labPath)
 		}
 	}()
-	err = write(arbF)
-	if err2 := arbF.Close(); err == nil {
-		err = err2
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	labF, err := os.Create(labPath)
-	if err != nil {
-		return nil, 0, err
-	}
-	labBytes, err = names.WriteTo(labF)
-	if err2 := labF.Close(); err == nil {
-		err = err2
-	}
-	if err != nil {
+	if err = WriteFile(labPath, func(f *os.File) (err error) {
+		labBytes, err = names.WriteTo(f)
+		return err
+	}); err != nil {
 		return nil, 0, err
 	}
 	if db, err = Open(base); err != nil {
 		return nil, 0, err
 	}
-	if err = db.WriteIndex(nil, 0); err != nil {
+	// Built from the fresh records, never loaded: a sidecar left by an
+	// earlier database at base may match the node count but not the labels.
+	ix, err := BuildIndex(nil, db, 0)
+	if err == nil {
+		err = WriteIndexFile(base+".idx", ix)
+	}
+	if err != nil {
 		db.Close()
 		return nil, 0, err
 	}
+	db.idxMu.Lock()
+	db.idx = ix
+	db.idxMu.Unlock()
 	return db, labBytes, nil
 }
 
@@ -212,7 +203,7 @@ func create(base string, names *tree.Names, write func(arbF *os.File) error) (db
 // seen; when a node's begin event arrives, its own frame tells whether it
 // has a first child, and the parent frame — which has already seen any
 // *later* sibling — tells whether it has a second child.
-func buildArbBackwards(evtF *os.File, n int64, arbF *os.File) error {
+func buildArbBackwards(evtF io.ReaderAt, n int64, arbF *os.File) error {
 	evtSize := 4 * n
 	br, err := NewBackwardReader(evtF, evtSize, 2)
 	if err != nil {

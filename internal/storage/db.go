@@ -43,9 +43,9 @@ type DB struct {
 	// because no on-disk .idx can describe the stitched view.
 	virtual bool
 
-	// mem is the scratch table of a record image in RAM (OpenTree); nil
-	// for a database on disk (scratch.go).
-	mem *memScratch
+	// inRAM marks the record image of an in-memory tree (OpenTree), whose
+	// scratch files are buffers in RAM (scratch.go).
+	inRAM bool
 
 	idxMu sync.Mutex
 	idx   *SubtreeIndex // guarded by: idxMu
@@ -187,7 +187,7 @@ func OpenTree(t *tree.Tree, ix *SubtreeIndex) (*DB, error) {
 		return nil, err
 	}
 	db := NewVirtualDB("", bytes.NewReader(img), int64(t.Len()), t.Names(), ix)
-	db.mem = &memScratch{files: map[string]memFile{}}
+	db.inRAM = true
 	return db, nil
 }
 

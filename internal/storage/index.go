@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -226,24 +225,12 @@ const (
 // returned slice is the index's own storage — callers must not modify it.
 func (ix *SubtreeIndex) Entries() []IndexEntry { return ix.entries }
 
-// WriteIndexFile persists the index next to the database. The file is
-// written to a temporary name and renamed
-// into place, so concurrent readers never see a torn sidecar, and the
-// directory is synced so the committed sidecar survives a crash.
+// WriteIndexFile persists the index next to the database, committed
+// through WriteFile: concurrent readers never see a torn sidecar, and the
+// committed sidecar survives a crash.
 func WriteIndexFile(path string, ix *SubtreeIndex) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	renamed := false
-	defer func() {
-		if !renamed {
-			os.Remove(tmp)
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<16)
-	werr := func() error {
+	return WriteFile(path, func(f *os.File) error {
+		w := bufio.NewWriterSize(f, 1<<16)
 		if _, err := w.WriteString(indexMagic); err != nil {
 			return err
 		}
@@ -276,21 +263,7 @@ func WriteIndexFile(path string, ix *SubtreeIndex) error {
 			}
 		}
 		return w.Flush()
-	}()
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-		renamed = werr == nil
-	}
-	if werr == nil {
-		werr = syncDir(filepath.Dir(path))
-	}
-	return werr
+	})
 }
 
 // ReadIndexFile loads a persisted v2 index. Stale v1 sidecars (and
@@ -423,22 +396,6 @@ func (db *DB) Index(ctx context.Context, budget int) (*SubtreeIndex, error) {
 		_ = WriteIndexFile(db.Base+".idx", ix)
 	}
 	return ix, nil
-}
-
-// WriteIndex builds (or reuses) the database's subtree index and persists
-// it as base.idx. Database creation calls this so that parallel
-// evaluation needs no extra scan, ever; for databases created before the
-// index existed, the first Index call rebuilds it transparently. A nil
-// ctx (the contextless creation paths) never cancels.
-func (db *DB) WriteIndex(ctx context.Context, budget int) error {
-	ix, err := db.Index(ctx, budget)
-	if err != nil {
-		return err
-	}
-	if db.virtual {
-		return nil // no single .arb file a sidecar could describe
-	}
-	return WriteIndexFile(db.Base+".idx", ix)
 }
 
 // RebuildIndex discards any cached index, rebuilds from the data, and

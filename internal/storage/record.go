@@ -14,8 +14,8 @@
 //	           are reserved for text characters.
 //
 // Databases are created in two passes: a SAX-style parsing pass writes a
-// temporary event file (base.evt, two 2-byte events per node) and counts
-// nodes; a second pass reads the event file backwards and writes the .arb
+// temporary event file (an anonymous scratch file next to base, two
+// 2-byte events per node) and counts nodes; a second pass reads the event file backwards and writes the .arb
 // file backwards, turning the unranked document into its binary encoding
 // with only a stack proportional to the document depth.
 package storage

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,7 +92,7 @@ func TestFigure1TreeSerialisation(t *testing.T) {
 }
 
 func TestCreateRoundTrip(t *testing.T) {
-	// Document events -> .evt -> backward pass -> .arb -> ReadTree must
+	// Document events -> event file -> backward pass -> .arb -> ReadTree must
 	// equal the tree built directly from the same events.
 	feed := func(h tree.EventHandler) error {
 		if err := h.Begin("a"); err != nil {
@@ -134,30 +135,42 @@ func TestCreateRoundTrip(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("round trip:\n got %s\nwant %s", got, want)
 	}
-	// The event file is deleted by default.
-	if _, err := os.Stat(base + ".evt"); !os.IsNotExist(err) {
-		t.Fatal(".evt not cleaned up")
+	// The event file was an anonymous temporary: only the database's own
+	// files are left.
+	left, err := os.ReadDir(filepath.Dir(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range left {
+		if name := f.Name(); name != "db.arb" && name != "db.lab" && name != "db.idx" {
+			t.Errorf("creation left %s behind", name)
+		}
 	}
 }
 
-func TestCreateKeepEvt(t *testing.T) {
+// TestCreateOverExistingRebuildsIndex recreates a database in place with
+// the same shape and node count but other labels: the new base.idx must
+// describe the new records, not be the old sidecar loaded back.
+func TestCreateOverExistingRebuildsIndex(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "db")
-	db, stats, err := Create(base, func(ew *EventWriter) error {
-		if err := ew.Begin("a"); err != nil {
-			return err
+	for _, tags := range [][]string{{"a"}, {"c", "d"}} {
+		names := tree.NewNames()
+		db, err := CreateBinary(base, names, FullBinary(names, 8, tags...))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return ew.End()
-	}, CreateOpts{KeepEvt: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	st, err := os.Stat(base + ".evt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != stats.EvtBytes || st.Size() != 4 {
-		t.Fatalf(".evt size %d, stats %d", st.Size(), stats.EvtBytes)
+		want, err := BuildIndex(context.Background(), db, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Close()
+		got, err := ReadIndexFile(base + ".idx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Entries(), want.Entries()) {
+			t.Fatalf("tags %v: base.idx does not describe the created records", tags)
+		}
 	}
 }
 

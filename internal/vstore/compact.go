@@ -3,9 +3,6 @@ package vstore
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"arb/internal/storage"
 )
@@ -29,67 +26,19 @@ func (st *Store) Compact(ctx context.Context) (*PatchInfo, error) {
 	st.nextSeg++
 	st.mu.Unlock()
 
-	name := fmt.Sprintf("%s-%06d.seg", filepath.Base(st.base), segID)
-	path := filepath.Join(st.dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	// Compaction is also how a store opened over a raw base converges onto
+	// compressed storage after the write policy changes.
+	size := ver.n * storage.NodeSize
+	seg, err := st.newSegment(ctx, segID, ver.src, size)
 	if err != nil {
 		return nil, err
 	}
 	committed := false
 	defer func() {
 		if !committed {
-			f.Close()
-			os.Remove(path)
+			seg.drop(st.dir)
 		}
 	}()
-	// Copy in bounded chunks so cancellation is honoured mid-copy. With a
-	// compressing write policy the stream is re-blocked through a
-	// BlockWriter — compaction is also how a store opened over a raw base
-	// converges onto compressed storage after the policy changes.
-	var w io.Writer = f
-	var bw *storage.BlockWriter
-	size := ver.n * storage.NodeSize
-	if st.codec != storage.CodecRaw && size >= compressSegmentMin {
-		var err error
-		if bw, err = storage.NewBlockWriter(f, st.blockSize); err != nil {
-			return nil, err
-		}
-		w = bw
-	}
-	cancel := storage.NewCanceller(ctx)
-	const chunk = int64(1 << 20)
-	for off := int64(0); off < size; off += chunk {
-		if err := cancel.Step(); err != nil {
-			return nil, err
-		}
-		end := off + chunk
-		if end > size {
-			end = size
-		}
-		if _, err := io.Copy(w, io.NewSectionReader(ver.src, off, end-off)); err != nil {
-			return nil, err
-		}
-	}
-	if bw != nil {
-		if err := bw.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	if err := storage.SyncDir(st.dir); err != nil {
-		return nil, err
-	}
-	src, logical, err := openSegmentSource(f)
-	if err != nil {
-		return nil, err
-	}
-	if logical != size {
-		return nil, fmt.Errorf("vstore: internal: compacted segment holds %d logical bytes, want %d", logical, size)
-	}
-
-	seg := &segment{id: segID, kind: segPatch, nodes: ver.n, name: name, f: f, src: src}
 	newVer := &version{
 		id:     ver.id + 1,
 		n:      ver.n,

@@ -167,22 +167,11 @@ func (m *manifest) validate() (*storage.SubtreeIndex, error) {
 	return ix, nil
 }
 
-// writeManifest persists m to path via a temporary file and atomic
-// rename — the commit point of every patch, compaction and bootstrap.
+// writeManifest commits m to path through storage.WriteFile — the commit
+// point of every patch, compaction and bootstrap.
 func writeManifest(path string, m *manifest) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	renamed := false
-	defer func() {
-		if !renamed {
-			os.Remove(tmp)
-		}
-	}()
-	w := bufio.NewWriterSize(f, 1<<16)
-	werr := func() error {
+	return storage.WriteFile(path, func(f *os.File) error {
+		w := bufio.NewWriterSize(f, 1<<16)
 		if _, err := w.WriteString(manifestMagic); err != nil {
 			return err
 		}
@@ -279,23 +268,7 @@ func writeManifest(path string, m *manifest) error {
 			}
 		}
 		return w.Flush()
-	}()
-	if err := f.Sync(); werr == nil {
-		werr = err
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-		renamed = werr == nil
-	}
-	if werr == nil {
-		// The rename is the commit point, but it is only durable once the
-		// directory entry reaches disk.
-		werr = storage.SyncDir(filepath.Dir(path))
-	}
-	return werr
+	})
 }
 
 // readManifest loads and validates a .arbm file. Corrupt, truncated or

@@ -1,13 +1,12 @@
 package vstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"arb/internal/storage"
@@ -79,7 +78,7 @@ func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (
 	}
 	spec := spliceSpec{kind: opReplace, anchor: node, start: node, end: end, frag: frag}
 	op := fmt.Sprintf("replace node %d (%d -> %d nodes)", node, end-node, frag.nodes)
-	return st.commit(spec, op)
+	return st.commit(ctx, spec, op)
 }
 
 // DeleteSubtree removes the XML subtree rooted at node. When the node
@@ -124,7 +123,7 @@ func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, err
 		spec.fixups = []fixup{{node: parent, rec: prec}}
 	}
 	op := fmt.Sprintf("delete node %d (%d nodes)", node, end-node)
-	return st.commit(spec, op)
+	return st.commit(ctx, spec, op)
 }
 
 // InsertChild inserts t as the new first child of node (document order:
@@ -159,15 +158,16 @@ func (st *Store) InsertChild(ctx context.Context, node int64, t *tree.Tree) (*Pa
 		fixups: []fixup{{node: node, rec: newRec}},
 	}
 	op := fmt.Sprintf("insert %d nodes under node %d", frag.nodes, node)
-	return st.commit(spec, op)
+	return st.commit(ctx, spec, op)
 }
 
-// commit materialises a splice as a new version and publishes it: write
-// the segment (fragment records plus fixed-up records, synced), derive
-// the new run table and index, persist a grown name table if the patch
-// introduced tags, write the manifest to a temp file and rename it into
-// place — the atomic commit point — then swap the current version.
-func (st *Store) commit(spec spliceSpec, op string) (*PatchInfo, error) {
+// commit materialises a splice as a new version and publishes it: commit
+// the segment (fragment records plus fixed-up records), derive the new run
+// table and index, commit a grown name table if the patch introduced tags,
+// commit the manifest — the atomic commit point — then swap the current
+// version. Cancelling ctx aborts a long segment write; nothing is
+// published then.
+func (st *Store) commit(ctx context.Context, spec spliceSpec, op string) (*PatchInfo, error) {
 	// The caller (holding wmu) pinned the version we compute against.
 	st.mu.Lock()
 	ver := st.cur
@@ -199,23 +199,15 @@ func (st *Store) commit(spec spliceSpec, op string) (*PatchInfo, error) {
 	var seg *segment
 	committed := false
 	if len(segBytes) > 0 {
-		name := fmt.Sprintf("%s-%06d.seg", filepath.Base(st.base), segID)
-		path := filepath.Join(st.dir, name)
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-		if err != nil {
+		var err error
+		if seg, err = st.newSegment(ctx, segID, bytes.NewReader(segBytes), int64(len(segBytes))); err != nil {
 			return nil, err
 		}
 		defer func() {
 			if !committed {
-				f.Close()
-				os.Remove(path)
+				seg.drop(st.dir)
 			}
 		}()
-		src, err := st.writeSegment(f, segBytes)
-		if err != nil {
-			return nil, err
-		}
-		seg = &segment{id: segID, kind: segPatch, nodes: int64(len(segBytes)) / storage.NodeSize, name: name, f: f, src: src}
 	}
 
 	runs := spliceRuns(ver.runs, ver.n, spec, seg, fragNodes)
@@ -257,42 +249,6 @@ func (st *Store) commit(spec spliceSpec, op string) (*PatchInfo, error) {
 // regardless of the store's codec policy. Readers never consult the
 // policy — each segment file is sniffed individually at open.
 const compressSegmentMin = 1 << 12
-
-// writeSegment persists one new segment's record bytes to f — block-
-// compressed when the store's write policy applies and the segment is
-// big enough to benefit — syncs the file and its directory entry (the
-// segment must be durable before the manifest rename that references
-// it), and returns the reader serving the segment's logical space.
-func (st *Store) writeSegment(f *os.File, segBytes []byte) (io.ReaderAt, error) {
-	if st.codec != storage.CodecRaw && len(segBytes) >= compressSegmentMin {
-		bw, err := storage.NewBlockWriter(f, st.blockSize)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := bw.Write(segBytes); err != nil {
-			return nil, err
-		}
-		if err := bw.Close(); err != nil {
-			return nil, err
-		}
-	} else if _, err := f.Write(segBytes); err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		return nil, err
-	}
-	if err := storage.SyncDir(st.dir); err != nil {
-		return nil, err
-	}
-	src, logical, err := openSegmentSource(f)
-	if err != nil {
-		return nil, err
-	}
-	if logical != int64(len(segBytes)) {
-		return nil, fmt.Errorf("vstore: internal: segment holds %d logical bytes, wrote %d", logical, len(segBytes))
-	}
-	return src, nil
-}
 
 // spliceRuns derives the new run table: old runs clipped to before the
 // patch, the fragment as one run, old runs after the patch shifted by
@@ -443,36 +399,15 @@ func trimEntries(entries []storage.IndexEntry, budget int) []storage.IndexEntry 
 	return out
 }
 
-// writeNamesFile persists a grown label-name table via temp file and
-// rename (the .vlab is committed before the manifest that relies on
-// it; ids are append-only, so a stale-but-longer .vlab is harmless).
+// writeNamesFile commits a grown label-name table through
+// storage.WriteFile (the .vlab is committed before the manifest that
+// relies on it; ids are append-only, so a stale-but-longer .vlab is
+// harmless).
 func writeNamesFile(path string, names *tree.Names) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	return storage.WriteFile(path, func(f *os.File) error {
+		_, err := names.WriteTo(f)
 		return err
-	}
-	tmp := f.Name()
-	renamed := false
-	defer func() {
-		if !renamed {
-			os.Remove(tmp)
-		}
-	}()
-	_, werr := names.WriteTo(f)
-	if err := f.Sync(); werr == nil {
-		werr = err
-	}
-	if err := f.Close(); werr == nil {
-		werr = err
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-		renamed = werr == nil
-	}
-	if werr == nil {
-		werr = storage.SyncDir(filepath.Dir(path))
-	}
-	return werr
+	})
 }
 
 // checkedRec reads the record at node, validating the position.

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"arb/internal/storage"
@@ -51,6 +53,79 @@ func openSegmentSource(f *os.File) (io.ReaderAt, int64, error) {
 		return src, info.LogicalBytes, nil
 	}
 	return f, fi.Size(), nil
+}
+
+// openSegment opens the segment file name in the store's directory and
+// checks that it serves at least want logical bytes: the records a
+// manifest promises, or those a commit just wrote. The caller sets the
+// segment's id and kind.
+func (st *Store) openSegment(name string, want int64) (*segment, error) {
+	f, err := os.Open(filepath.Join(st.dir, name))
+	if err != nil {
+		return nil, fmt.Errorf("vstore: missing segment %s: %w", name, err)
+	}
+	src, logical, err := openSegmentSource(f)
+	if err == nil && logical < want {
+		err = fmt.Errorf("holds %d bytes, want %d", logical, want)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("vstore: segment %s: %w", name, err)
+	}
+	return &segment{nodes: want / storage.NodeSize, name: name, f: f, src: src}, nil
+}
+
+// newSegment commits patch segment id through storage.WriteFile, holding
+// the size logical bytes src serves, and opens it. The bytes are copied in
+// bounded chunks, so cancelling ctx aborts a long copy, and block-compressed
+// when the store's write policy applies and the segment is big enough to
+// benefit. Until a manifest references the segment, the caller drops it on
+// failure.
+func (st *Store) newSegment(ctx context.Context, id uint64, src io.ReaderAt, size int64) (*segment, error) {
+	name := fmt.Sprintf("%s-%06d.seg", filepath.Base(st.base), id)
+	path := filepath.Join(st.dir, name)
+	err := storage.WriteFile(path, func(f *os.File) error {
+		var w io.Writer = f
+		var bw *storage.BlockWriter
+		if st.codec != storage.CodecRaw && size >= compressSegmentMin {
+			var err error
+			if bw, err = storage.NewBlockWriter(f, st.blockSize); err != nil {
+				return err
+			}
+			w = bw
+		}
+		cancel := storage.NewCanceller(ctx)
+		const chunk = int64(1 << 20)
+		for off := int64(0); off < size; off += chunk {
+			if err := cancel.Step(); err != nil {
+				return err
+			}
+			end := min(off+chunk, size)
+			if _, err := io.Copy(w, io.NewSectionReader(src, off, end-off)); err != nil {
+				return err
+			}
+		}
+		if bw != nil {
+			return bw.Close()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	seg, err := st.openSegment(name, size)
+	if err != nil {
+		os.Remove(path)
+		return nil, err
+	}
+	seg.id, seg.kind = id, segPatch
+	return seg, nil
+}
+
+// drop closes the segment's file and removes it.
+func (sg *segment) drop(dir string) {
+	sg.f.Close()
+	os.Remove(filepath.Join(dir, sg.name))
 }
 
 // version is one immutable database version: a run table stitching
@@ -112,19 +187,31 @@ type Store struct {
 // Cancelling ctx aborts a bootstrap index build.
 func Open(ctx context.Context, base string) (*Store, error) {
 	st := &Store{base: base, dir: filepath.Dir(base), segs: make(map[uint64]*segment)}
-	if _, err := os.Stat(base + ".arbm"); err == nil {
-		if err := st.openManifest(base + ".arbm"); err != nil {
-			return nil, err
-		}
-	} else if os.IsNotExist(err) {
-		if err := st.bootstrap(ctx); err != nil {
-			return nil, err
-		}
+	versioned, err := Versioned(base)
+	if err != nil {
+		return nil, err
+	}
+	if versioned {
+		err = st.openManifest(base + ".arbm")
 	} else {
+		err = st.bootstrap(ctx)
+	}
+	if err != nil {
 		return nil, err
 	}
 	st.sweepOrphans()
 	return st, nil
+}
+
+// Versioned reports whether base is a versioned database: whether its
+// base.arbm manifest exists. An error other than the manifest's absence is
+// returned, not read as "plain".
+func Versioned(base string) (bool, error) {
+	_, err := os.Stat(base + ".arbm")
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // bootstrap builds version 1 directly over the plain base.arb database:
@@ -153,16 +240,11 @@ func (st *Store) bootstrap(ctx context.Context) error {
 	if n == 0 {
 		return fmt.Errorf("vstore: %s.arb is empty", st.base)
 	}
-	f, err := os.Open(st.base + ".arb")
+	seg, err := st.openSegment(filepath.Base(st.base)+".arb", n*storage.NodeSize)
 	if err != nil {
 		return err
 	}
-	src, _, err := openSegmentSource(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	seg := &segment{id: 0, kind: segBase, nodes: n, name: filepath.Base(st.base) + ".arb", f: f, src: src}
+	seg.kind = segBase
 	runs := []run{{seg: seg, logical: 0, phys: 0, count: n}}
 	st.segs[0] = seg
 	st.nextSeg = 1
@@ -197,24 +279,15 @@ func (st *Store) openManifest(path string) error {
 	}()
 	var maxID uint64
 	for _, ms := range m.segs {
-		f, err := os.Open(filepath.Join(st.dir, ms.name))
-		if err != nil {
-			return fmt.Errorf("vstore: manifest references missing segment %s: %w", ms.name, err)
-		}
 		// The promised byte count is logical: a compressed segment is
 		// validated against the record space its container declares, not
 		// its (smaller) physical size.
-		src, logical, err := openSegmentSource(f)
+		seg, err := st.openSegment(ms.name, ms.nodes*storage.NodeSize)
 		if err != nil {
-			f.Close()
-			return fmt.Errorf("vstore: segment %s: %w", ms.name, err)
+			return err
 		}
-		if logical < ms.nodes*storage.NodeSize {
-			f.Close()
-			return fmt.Errorf("vstore: segment %s holds %d bytes, manifest promises %d",
-				ms.name, logical, ms.nodes*storage.NodeSize)
-		}
-		segs[ms.id] = &segment{id: ms.id, kind: ms.kind, nodes: ms.nodes, name: ms.name, f: f, src: src}
+		seg.id, seg.kind = ms.id, ms.kind
+		segs[ms.id] = seg
 		if ms.id >= maxID {
 			maxID = ms.id + 1
 		}
@@ -297,9 +370,9 @@ func (ver *version) finish(base string) {
 }
 
 // sweepOrphans removes leftovers of interrupted commits: patch segments
-// not referenced by the loaded version and stray manifest/name-table
-// temp files. Best-effort — a locked directory only delays cleanup to
-// the next Open.
+// not referenced by the loaded version and the commit temporaries of every
+// file of the base (storage.RemoveTemps). Best-effort — a locked directory
+// only delays cleanup to the next Open.
 //
 // arblint:holds mu — construction: the store is not yet shared.
 func (st *Store) sweepOrphans() {
@@ -307,21 +380,19 @@ func (st *Store) sweepOrphans() {
 	for _, sg := range st.segs {
 		referenced[sg.name] = true
 	}
-	prefix := filepath.Base(st.base)
-	if matches, err := filepath.Glob(filepath.Join(st.dir, prefix+"-*.seg")); err == nil {
+	prefix := filepath.Base(st.base) + "-"
+	if matches, err := filepath.Glob(filepath.Join(st.dir, prefix+"*.seg")); err == nil {
 		for _, path := range matches {
-			if !referenced[filepath.Base(path)] {
+			// Only <base>-<id>.seg is the store's: db-2-000001.seg belongs
+			// to the database db-2 beside base db.
+			name := filepath.Base(path)
+			_, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), ".seg"), 10, 64)
+			if err == nil && !referenced[name] {
 				os.Remove(path)
 			}
 		}
 	}
-	for _, pat := range []string{prefix + ".arbm.tmp*", prefix + ".vlab.tmp*"} {
-		if matches, err := filepath.Glob(filepath.Join(st.dir, pat)); err == nil {
-			for _, path := range matches {
-				os.Remove(path)
-			}
-		}
-	}
+	storage.RemoveTemps(st.base)
 }
 
 // Base returns the store's database path prefix.
@@ -418,10 +489,11 @@ func (st *Store) releaseLocked(ver *version) {
 		if sg.refs > 0 {
 			continue
 		}
-		sg.f.Close()
 		delete(st.segs, sg.id)
 		if sg.kind == segPatch {
-			os.Remove(filepath.Join(st.dir, sg.name))
+			sg.drop(st.dir)
+		} else {
+			sg.f.Close()
 		}
 	}
 }

@@ -437,6 +437,72 @@ func TestSnapshotIsolationAndGC(t *testing.T) {
 	snap.Release()
 }
 
+// TestOpenSweepsStrayTemps plants what interrupted commits leave behind —
+// a commit temporary of each of the base's files and a segment no manifest
+// references — and reopens the store: every stray is gone, and every
+// committed or referenced file holds the bytes it held, as does the
+// segment of a database db-2 beside base db.
+func TestOpenSweepsStrayTemps(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(5))
+	doc := randDoc(r, tree.NewNames(), 80)
+	st, base := createStore(t, doc)
+	serial := 0
+	frag := randFragment(r, &serial, 10)
+	if _, err := st.ReplaceSubtree(ctx, 1, frag); err != nil {
+		t.Fatal(err)
+	}
+	recs := oReplace(oFromTree(doc), 1, oFromTree(frag))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Dir(base)
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := make(map[string]string)
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[e.Name()] = string(b)
+		}
+		return m
+	}
+	if err := os.WriteFile(filepath.Join(dir, "db-2-000001.seg"), []byte("db-2's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	committed := files()
+	for _, name := range []string{"db.arb.tmp11", "db.lab.tmp12", "db.idx.tmp13", "db.arbm.tmp14",
+		"db.vlab.tmp15", "db-000099.seg.tmp16", "db-000098.seg"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("stray"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	after := files()
+	for name := range after {
+		if _, ok := committed[name]; !ok {
+			t.Errorf("reopen left %s", name)
+		}
+	}
+	for name, b := range committed {
+		if after[name] != b {
+			t.Errorf("reopen changed or removed %s", name)
+		}
+	}
+	snap := st.Snapshot()
+	defer snap.Release()
+	checkVersion(t, snap, recs)
+}
+
 // TestVersionedDBRunsStrategies sanity-checks that a snapshot's virtual
 // DB feeds the generic scan primitives (the full strategy matrix is
 // exercised by the root-level differential test).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"arb/internal/core"
 	"arb/internal/storage"
@@ -93,13 +92,14 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.Bat
 // step in lanes sharing product automata (core.RunDiskBatchParallel) whose
 // phase-1 states share one temporary state file — unless the bottom-up
 // pass decides every lane's selections, and the round is one scan with no
-// state file — and multi-pass members chain their aux masks through one
-// widened sidecar with a slot per member. So a batch of single-pass
+// state file — and multi-pass members chain their aux masks through
+// widened sidecars with a slot per member, one anonymous scratch file a
+// round, passed by handle to the next. So a batch of single-pass
 // queries costs at most two linear scans of the data in aggregate, however
 // many queries it holds, and a scalar execution (Prepared.ExecDisk) is a
 // batch of one. opts.MarkTo and opts.MarkQuery apply to the main pass of a
-// batch of one member and are rejected for larger batches. Cancelling ctx aborts the scan in progress and removes every
-// temporary file.
+// batch of one member and are rejected for larger batches. Cancelling ctx
+// aborts the scan in progress and removes every temporary file.
 func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]*core.Result, ExecStats, error) {
 	if len(b.members) > 1 && opts.MarkTo != nil {
 		return nil, ExecStats{}, errors.New("xpath: MarkTo needs a batch of one member")
@@ -109,37 +109,39 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 	results := make([]*core.Result, len(b.members))
 	slots, stride := b.auxSlots()
 	err := statsDelta(&es, func(rs *core.RunStats) error {
-		var tmp string
-		if stride > 0 {
-			// A private scratch directory per execution: concurrent
-			// executions sharing a database directory must not clobber each
-			// other's sidecars. Removing it afterwards — on success, failure
-			// and cancellation alike — is what keeps cancelled multi-pass
-			// executions from leaking them.
-			var remove func()
-			var err error
-			if tmp, remove, err = db.ScratchDir(); err != nil {
-				return err
+		// A round's sidecar lives until the next round has read it.
+		var auxIn storage.ScratchFile
+		defer func() {
+			if auxIn != nil {
+				auxIn.Close()
 			}
-			defer remove()
-		}
-		auxIn := ""
+		}()
 		for r := 0; r < rounds; r++ {
-			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != "")
+			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != nil)
 			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, AuxIn: auxIn}
 			if r == rounds-1 {
 				// The main pass of a batch of one (larger batches were
 				// rejected above with MarkTo set).
 				dopts.MarkTo, dopts.MarkQuery = opts.MarkTo, opts.MarkQuery
 			}
-			if auxIn != "" {
+			if auxIn != nil {
 				dopts.AuxInStride = stride
 			}
 			if anyOut {
-				dopts.AuxOut = filepath.Join(tmp, fmt.Sprintf("round%d.aux", r))
-				dopts.AuxOutStride = stride
+				// A fresh anonymous sidecar per round, handed to the next
+				// round and removed when closed: concurrent executions never
+				// share one, and a failed round leaves none behind.
+				out, err := db.CreateScratch(db.N * storage.MaskStride(stride))
+				if err != nil {
+					return err
+				}
+				dopts.AuxOut, dopts.AuxOutStride = out, stride
 			}
 			rres, _, ds, err := core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
+			if auxIn != nil {
+				auxIn.Close()
+			}
+			auxIn = dopts.AuxOut
 			if ds != nil {
 				es.Disk.Merge(*ds)
 			}
@@ -155,7 +157,6 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 					results[i] = res
 				}
 			}
-			auxIn = dopts.AuxOut
 		}
 		return nil
 	})

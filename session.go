@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
 
@@ -89,7 +88,11 @@ func NewDBSession(db *DB) *Session { return &Session{db: db} }
 // opens exactly as before (use OpenVersionedSession to patch one for
 // the first time).
 func OpenSession(base string) (*Session, error) {
-	if _, err := os.Stat(base + ".arbm"); err == nil {
+	versioned, err := vstore.Versioned(base)
+	if err != nil {
+		return nil, err
+	}
+	if versioned {
 		return OpenVersionedSession(context.Background(), base)
 	}
 	db, err := storage.Open(base)
