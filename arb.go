@@ -105,12 +105,13 @@
 // PreparedQuery or PreparedBatch at once, overlapping freely while the
 // compiled automata stay shared and warm (engines synchronise
 // internally; disk runs overlap, each with its own anonymous state file).
-// Session.BatchOf folds already-prepared handles into a shared-scan batch
-// without recompiling — together these are the
-// building blocks of `arb serve` (internal/server), the long-running
-// HTTP query server with an LRU plan cache over normalized query text
-// and an adaptive coalescer that gathers concurrent requests into
-// shared-scan batches.
+// That is what `arb serve` (internal/server) builds on: a long-running
+// HTTP query server with an LRU plan cache over normalized query text,
+// which runs each miss as its own Exec of the cached handle in one of a
+// bounded number of execution slots. Session.BatchOf folds
+// already-prepared handles into a shared-scan batch without recompiling,
+// for a caller that has a set of queries to answer together
+// (examples/batchserve).
 //
 // # Compressed extents
 //

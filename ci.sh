@@ -96,17 +96,28 @@ fi
 
 # Every option has a production caller: the kept state file and per-node
 # state arrays (KeepStates), storage's InMemory probe, the server's
-# batch-size and window knobs with their serve flags, and xmlparse's
-# attribute and whitespace options are gone. A run's state file is an
-# anonymous scratch file of the database; the server's sizes are package
-# variables its tests set through export_test.go. Keep them gone.
+# batch-size and window knobs, arb serve's -window, -batch and -noprune
+# flags, and xmlparse's attribute and whitespace options are gone. A run's
+# state file is an anonymous scratch file of the database; the server's
+# id cap is a package variable its tests set through export_test.go.
+# Keep them gone.
 if grep -rnwE 'KeepStates|KeepStateFile|BUStateOf|TDStateOf|StateFile|InMemory|BatchMax|IncludeAttrs' --include='*.go' --exclude-dir=benchmark . >&2; then
     echo "a removed option is back: every option needs a production caller" >&2
     exit 1
 fi
-if awk '/^func serve\(/,/^}/' cmd/arb/main.go | grep -E '"(window|batch)"' >&2 ||
-    grep -nE 'arb serve .*-(window|batch)\b' cmd/arb/main.go >&2; then
-    echo "arb serve's -window/-batch flags are back: the window auto-tunes and K is fixed" >&2
+if awk '/^func serve\(/,/^}/' cmd/arb/main.go | grep -E '"(window|batch|noprune)"' >&2 ||
+    grep -nE 'arb serve .*-(window|batch|noprune)\b' cmd/arb/main.go >&2; then
+    echo "arb serve's -window/-batch/-noprune flags are back: the server has no gather window, and pruning is on (arb query -noprune compares)" >&2
+    exit 1
+fi
+
+# The server runs each miss as its own Exec in one of its execution
+# slots: the gather-window coalescer, its EWMA window tuner, K and their
+# /stats block and /metrics series are gone, because no workload showed
+# gathering winning. Bring gathering back only with a workload where it
+# wins. Keep them gone.
+if grep -rnE '\b(coalescer|CoalescerStats|windowSeed|windowFloor|windowCeil|batchMax)\b|arb_coalescer_' --include='*.go' . >&2; then
+    echo "the server's coalescer, its window tuner or K is back: a miss runs as its own Exec" >&2
     exit 1
 fi
 
@@ -349,7 +360,7 @@ fi
 # and the CLI, the shared-scan batch machinery (lanes, product overflow,
 # cancellation cleanup), selectivity-aware pruning (analysis admission, v2
 # index, gap switches at window edges), and the concurrent query server
-# (reentrant handles, coalescing differential vs scalar execution, drain),
+# (reentrant handles, concurrent differential vs scalar execution, drain),
 # each under the race detector.
 gate Cancel -race ./...
 gate Batch -race ./...

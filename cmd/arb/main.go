@@ -9,7 +9,7 @@
 //	arb query  <base> -q <program>     evaluate a TMNF program (Arb syntax)
 //	arb query  <base> -xpath <expr>    evaluate a Core XPath query (incl. not(..), on disk)
 //	arb query  <base> -f queries.txt -batch   evaluate a whole workload in shared scans
-//	arb serve  <base> [-addr :8337]    serve queries over HTTP with plan caching + coalescing
+//	arb serve  <base> [-addr :8337]    serve queries over HTTP with plan caching
 //	arb patch  <base> -op replace -node N -xml '<frag/>'   mutate a subtree, commit a new version
 //	arb compact <base>                 rewrite the live version into one segment
 //	arb cat    <base>                  write the database back as XML
@@ -59,8 +59,8 @@
 // Serve mode (`arb serve <base>`) keeps the session open and fields
 // queries over HTTP (POST /query with {"query": "..."}; GET
 // /query?q=...; GET /stats; GET /healthz), with an LRU plan cache keyed
-// by normalized query text and an adaptive coalescer folding concurrent
-// requests into shared-scan batches — see internal/server. SIGINT and
+// by normalized query text, each miss running as its own execution in
+// one of -inflight slots — see internal/server. SIGINT and
 // SIGTERM drain the listener gracefully; the same signals interrupt a
 // running `arb query`, which then cleans up its temporary files and
 // exits non-zero.
@@ -138,7 +138,7 @@ func usage() {
   arb create <base> [-compress] [-blocksize N] [file.xml]
   arb query  <base> (-q <program> | -f <program.tmnf> | -xpath <expr>) [-count|-ids|-mark] [-j N] [-timeout d] [-noprune] [-rescache SIZE]
   arb query  <base> -f <queries.txt> -batch [-j N] [-timeout d] [-noprune]
-  arb serve  <base> [-addr :8337] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d] [-noprune]
+  arb serve  <base> [-addr :8337] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d]
   arb patch  <base> -op (replace|delete|insert-child) -node N [-xml <fragment> | -f fragment.xml]
   arb compact <base>
   arb cat    <base>
@@ -202,7 +202,6 @@ func serve(ctx context.Context, args []string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	drain := fs.Duration("drain", 10*time.Second, "grace period for in-flight requests on shutdown")
 	readTimeout := fs.Duration("readtimeout", 10*time.Second, "deadline for reading each request's headers (guards the listener against stalled clients)")
-	noprune := fs.Bool("noprune", false, "disable selectivity-aware scan pruning")
 	if len(args) < 1 {
 		usage()
 	}
@@ -230,7 +229,6 @@ func serve(ctx context.Context, args []string) error {
 		CacheSize:     *cacheSize,
 		Workers:       workers,
 		Timeout:       *timeout,
-		NoPrune:       *noprune,
 		ResCacheBytes: resBytes,
 		MaxQueue:      *maxQueue,
 	})
@@ -255,10 +253,10 @@ func serve(ctx context.Context, args []string) error {
 	}
 
 	// Graceful drain: stop accepting, let in-flight handlers finish their
-	// (possibly coalesced) executions, then cancel whatever remains.
+	// executions, then cancel whatever remains.
 	st := srv.Snapshot()
-	fmt.Printf("arb: draining (served %d requests, %d groups, cache hit rate %.0f%%)\n",
-		st.Requests, st.Coalescer.Groups, 100*st.HitRate)
+	fmt.Printf("arb: draining (served %d requests, %d executions, cache hit rate %.0f%%)\n",
+		st.Requests, st.Profile.Queries, 100*st.HitRate)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {

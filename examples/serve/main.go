@@ -1,11 +1,10 @@
 // Serve: the full query-server loop in one program — start `arb serve`'s
 // engine (internal/server) over a freshly created database, query it over
 // real HTTP from concurrent clients, read the /stats counters that show
-// the plan cache and the shared-scan coalescer at work, and drain the
-// listener gracefully. This is the compile-once/query-many shape of the
-// paper deployed as a long-running service: hot queries keep their
-// automata warm in the plan cache, and concurrent requests share scan
-// pairs instead of paying two scans each.
+// the plan cache at work, and drain the listener gracefully. This is the
+// compile-once/query-many shape of the paper deployed as a long-running
+// service: hot queries keep their automata warm in the plan cache, and
+// every request runs the cached plan's two linear scans.
 package main
 
 import (
@@ -63,20 +62,19 @@ func main() {
 	fmt.Println("serving inventory over HTTP")
 
 	// Query: four concurrent clients, two of them asking the same hot
-	// query — the coalescer folds the burst into shared scans and the
-	// duplicate shares one cached plan.
+	// query — the duplicate shares one cached plan.
 	queries := []string{
 		`QUERY :- Label[product];`,
 		`xpath://product/name`,
 		`xpath://product[not(flag)]`,
-		`xpath://product/name`, // duplicate: plan-cache hit + dedup slot
+		`xpath://product/name`, // duplicate: plan-cache hit
 	}
 	type answer struct {
 		Results []struct {
 			Predicate string `json:"predicate"`
 			Count     int64  `json:"count"`
 		} `json:"results"`
-		Coalesced int `json:"coalesced"`
+		PlanCache string `json:"plan_cache"`
 	}
 	answers := make([]answer, len(queries))
 	var wg sync.WaitGroup
@@ -97,13 +95,13 @@ func main() {
 	wg.Wait()
 	for i, q := range queries {
 		a := answers[i]
-		fmt.Printf("%-34s -> %d nodes (shared scans with %d plan(s))\n",
-			q, a.Results[0].Count, a.Coalesced)
+		fmt.Printf("%-34s -> %d nodes (plan cache %s)\n",
+			q, a.Results[0].Count, a.PlanCache)
 	}
 
 	st := srv.Snapshot()
-	fmt.Printf("served %d requests in %d execution group(s), %d scan pair(s); plan cache %d/%d hit\n",
-		st.Requests, st.Coalescer.Groups, st.Profile.ScanRounds,
+	fmt.Printf("served %d requests in %d execution(s), %d scan round(s); plan cache %d/%d hit\n",
+		st.Requests, st.Profile.Queries, st.Profile.ScanRounds,
 		st.PlanCache.Hits, st.PlanCache.Hits+st.PlanCache.Misses)
 
 	// Drain: stop accepting, let in-flight work finish, shut the core.

@@ -13,7 +13,7 @@ import (
 //
 // The locks are the engine's own, so any number of SharedEngine views of
 // one engine — workers of one run, or entirely separate overlapping runs
-// (a reentrant PreparedQuery, a coalesced server batch sharing a scalar
+// (a reentrant PreparedQuery, a PreparedBatch sharing a scalar
 // handle's automata) — synchronise with each other. The per-node loops
 // never call a view directly: they step a StepCache (NewStepCache), whose
 // misses are the only calls that reach the lock.

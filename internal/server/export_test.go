@@ -1,29 +1,30 @@
 package server
 
-import "time"
-
 // Knobs are the server's fixed sizes, which the external tests (package
-// server_test) set through SetKnobs: a gather window pinned long (or short)
-// enough to decide whether a burst gathers, and batches and id lists small
-// enough to count.
+// server_test) set through SetKnobs: id lists small enough to count.
 type Knobs struct {
-	Window   time.Duration // the auto-tuner's seed, floor and ceiling at once
-	MaxPlans int
-	MaxIDs   int
+	MaxIDs int
 }
 
 // SetKnobs installs k, a zero field keeping its current value, and returns
 // the function that puts the previous knobs back.
 func SetKnobs(k Knobs) (restore func()) {
-	seed, floor, ceil, bm, ids := windowSeed, windowFloor, windowCeil, batchMax, maxIDs
-	if k.Window > 0 {
-		windowSeed, windowFloor, windowCeil = k.Window, k.Window, k.Window
-	}
-	if k.MaxPlans > 0 {
-		batchMax = k.MaxPlans
-	}
+	ids := maxIDs
 	if k.MaxIDs > 0 {
 		maxIDs = k.MaxIDs
 	}
-	return func() { windowSeed, windowFloor, windowCeil, batchMax, maxIDs = seed, floor, ceil, bm, ids }
+	return func() { maxIDs = ids }
+}
+
+// HoldSlots takes every execution slot of s, so that an admitted query
+// waits for one until release frees them all.
+func HoldSlots(s *Server) (release func()) {
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
+	}
+	return func() {
+		for range cap(s.slots) {
+			<-s.slots
+		}
+	}
 }

@@ -58,26 +58,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.gauge("arb_result_cache_capacity_bytes", "Configured result cache byte budget.", float64(rc.Capacity))
 	}
 
-	m.gauge("arb_queue_depth", "Queries waiting on (or in) the coalescer.", float64(st.Queue.Depth))
+	m.gauge("arb_queue_depth", "Admitted queries waiting for or holding an execution slot.", float64(st.Queue.Depth))
 	m.gauge("arb_queue_limit", "Admission-control queue bound (0 = unbounded).", float64(st.Queue.Limit))
 	m.counter("arb_throttled_total", "Queries refused with 429 by admission control.", st.Queue.Throttled)
 
-	m.counter("arb_coalescer_groups_total", "Executions dispatched (solo and batched).", st.Coalescer.Groups)
-	m.counter("arb_coalescer_solo_total", "Idle fast-path executions.", st.Coalescer.Solo)
-	m.counter("arb_coalescer_requests_total", "Requests routed through gather groups.", st.Coalescer.Requests)
-	m.counter("arb_coalescer_dedup_total", "Requests folded onto a duplicate plan.", st.Coalescer.Dedup)
-	m.gauge("arb_coalescer_max_batch_plans", "Largest distinct-plan group so far.", float64(st.Coalescer.MaxBatch))
-	m.gauge("arb_coalescer_window_seconds", "Current gather window.", st.Coalescer.WindowMS/1e3)
-	m.gauge("arb_coalescer_scan_ewma_seconds", "Smoothed execution duration feeding the window tuner.", st.Coalescer.ScanEWMAMS/1e3)
-
-	m.counter("arb_scan_rounds_total", "Shared scan rounds executed (one or two linear scans each).", st.Profile.ScanRounds)
-	m.counter("arb_one_scan_rounds_total", "Shared scan rounds that omitted phase 2 (one linear scan each).", st.Profile.OneScanRounds)
+	m.counter("arb_scan_rounds_total", "Scan rounds executed (one or two linear scans each).", st.Profile.ScanRounds)
+	m.counter("arb_one_scan_rounds_total", "Scan rounds that omitted phase 2 (one linear scan each).", st.Profile.OneScanRounds)
 	m.counter("arb_phase1_bytes_total", "Database bytes read by backward scans.", st.Profile.Phase1)
 	m.counter("arb_phase2_bytes_total", "Database bytes read by forward scans.", st.Profile.Phase2)
 	m.counter("arb_skipped_bytes_total", "Database bytes pruning seeked past.", st.Profile.Skipped)
 	m.counter("arb_pruned_nodes_total", "Nodes proven irrelevant by pruning.", st.Profile.Pruned)
 	m.counter("arb_state_temp_bytes_total", "Temporary state-file bytes written.", st.Profile.StateBytes)
-	m.counter("arb_queries_executed_total", "Plans executed (batch members count singly).", st.Profile.Queries)
+	m.counter("arb_queries_executed_total", "Plans executed.", st.Profile.Queries)
 
 	m.gauge("arb_session_nodes", "Nodes in the session's document (current version).", float64(st.Session.Nodes))
 	if st.Store != nil {

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"arb"
 	"arb/internal/server"
@@ -40,7 +39,6 @@ func TestServePatchRace(t *testing.T) {
 	}
 	defer sess.Close()
 
-	defer server.SetKnobs(server.Knobs{Window: time.Millisecond, MaxPlans: 4})()
 	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

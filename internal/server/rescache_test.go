@@ -9,9 +9,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"arb"
 	"arb/internal/server"
@@ -78,7 +76,7 @@ func TestServeResCacheHit(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, name := range []string{"arb_result_cache_hits_total", "arb_result_cache_bytes", "arb_queue_depth", "arb_coalescer_window_seconds"} {
+	for _, name := range []string{"arb_result_cache_hits_total", "arb_result_cache_bytes", "arb_queue_depth", "arb_scan_rounds_total"} {
 		if !strings.Contains(string(body), name) {
 			t.Fatalf("/metrics lacks %s", name)
 		}
@@ -86,7 +84,7 @@ func TestServeResCacheHit(t *testing.T) {
 }
 
 // TestServeResCacheQueueLimit exercises admission control: with a
-// one-slot queue and a long pinned gather window, a concurrent burst
+// one-slot queue and the one execution slot held, a concurrent burst
 // must see exactly one request admitted and the rest refused with 429
 // and a Retry-After header, counted in /stats.
 func TestServeResCacheQueueLimit(t *testing.T) {
@@ -103,8 +101,6 @@ func TestServeResCacheQueueLimit(t *testing.T) {
 	}
 	defer sess.Close()
 
-	// A pinned window: the admitted request parks in its gather group.
-	defer server.SetKnobs(server.Knobs{Window: time.Second})()
 	srv := server.New(context.Background(), sess, server.Config{
 		MaxInflight: 1,
 		MaxQueue:    1,
@@ -113,49 +109,56 @@ func TestServeResCacheQueueLimit(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Warm the coalescer's idle clock so the burst cannot take the solo
-	// fast path and drain the queue early.
-	if _, code := postQuery(t, ts.URL, map[string]any{"query": `QUERY :- Root;`}); code != http.StatusOK {
-		t.Fatalf("warm-up failed with status %d", code)
-	}
-
+	// The admitted request waits for the held slot, so it stays queued
+	// until every other request of the burst has been refused.
+	release := server.HoldSlots(srv)
 	const burst = 8
-	codes := make([]int, burst)
-	retryAfter := make([]string, burst)
-	var wg sync.WaitGroup
+	type reply struct {
+		code       int
+		retryAfter string
+	}
+	replies := make(chan reply, burst)
 	for i := 0; i < burst; i++ {
-		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
 			q := url.Values{"q": {fmt.Sprintf("QUERY :- Label[%c];", 'a'+i%4)}}
 			resp, err := http.Get(ts.URL + "/query?" + q.Encode())
 			if err != nil {
+				replies <- reply{}
 				return
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			codes[i] = resp.StatusCode
-			retryAfter[i] = resp.Header.Get("Retry-After")
+			replies <- reply{resp.StatusCode, resp.Header.Get("Retry-After")}
 		}(i)
 	}
-	wg.Wait()
+	// Every reply but the admitted request's arrives while the slot is
+	// held; the admitted one only once it is freed.
+	var got []reply
+	for range burst - 1 {
+		got = append(got, <-replies)
+	}
+	release()
+	got = append(got, <-replies)
 
 	ok, throttled := 0, 0
-	for i, code := range codes {
-		switch code {
+	for i, r := range got {
+		switch r.code {
 		case http.StatusOK:
 			ok++
 		case http.StatusTooManyRequests:
 			throttled++
-			if retryAfter[i] == "" {
+			if r.retryAfter == "" {
 				t.Fatal("429 reply lacks a Retry-After header")
 			}
 		default:
-			t.Fatalf("request %d: unexpected status %d", i, code)
+			t.Fatalf("reply %d: unexpected status %d", i, r.code)
 		}
 	}
-	if ok < 1 || throttled < 1 {
-		t.Fatalf("burst of %d: %d ok, %d throttled — want both admission and refusal", burst, ok, throttled)
+	if got[burst-1].code != http.StatusOK {
+		t.Fatalf("the reply that waited for the slot has status %d, want 200", got[burst-1].code)
+	}
+	if ok != 1 || throttled != burst-1 {
+		t.Fatalf("burst of %d: %d ok, %d throttled — want 1 admitted and %d refused", burst, ok, throttled, burst-1)
 	}
 	st := srv.Snapshot()
 	if st.Queue.Throttled != int64(throttled) {

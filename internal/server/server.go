@@ -1,14 +1,12 @@
 // Package server implements `arb serve`: a long-running concurrent query
 // server over one arb.Session. It is the serving shape the paper's
-// engine was built for — compile once, query many — scaled out along two
-// axes: an LRU plan cache keyed by normalized query text keeps the
-// compiled automata of hot queries warm across requests, and an adaptive
-// coalescer folds concurrent requests into shared-scan batches so M
-// simultaneous disk queries cost ~2·⌈M/K⌉ linear scans instead of 2·M.
+// engine was built for — compile once, query many: an LRU plan cache
+// keyed by normalized query text keeps the compiled automata of hot
+// queries warm across requests, and every miss runs as its own Exec of
+// the cached plan in one of a bounded number of execution slots.
 // Requests carry their own deadlines through the session's context
-// plumbing, executions are bounded by a concurrency limiter, and /stats
-// surfaces the merged execution profile (bytes scanned and skipped,
-// pruned nodes, cache hit rate, batching degree).
+// plumbing, and /stats surfaces the merged execution profile (bytes
+// scanned and skipped, pruned nodes, cache hit rate).
 package server
 
 import (
@@ -28,10 +26,8 @@ import (
 )
 
 // Config sizes a Server to its host. The zero value gets sensible
-// defaults. What no host changes is fixed: the coalescer's gather window
-// tunes itself from observed scan durations, a shared-scan batch holds at
-// most batchMax distinct plans, and a reply lists at most maxIDs ids per
-// predicate.
+// defaults. What no host changes is fixed: a reply lists at most maxIDs
+// ids per predicate.
 type Config struct {
 	// MaxInflight bounds concurrently running executions (default 2).
 	MaxInflight int
@@ -43,30 +39,21 @@ type Config struct {
 	// Timeout is the default per-request deadline when the request names
 	// none (default 30s). A request's timeout_ms field overrides it.
 	Timeout time.Duration
-	// NoPrune disables selectivity-aware pruning for all executions.
-	NoPrune bool
 	// ResCacheBytes enables the session result cache with the given byte
 	// budget (default 0 = disabled). Cached queries answer with zero
 	// scans; see internal/rescache.
 	ResCacheBytes int64
-	// MaxQueue bounds requests waiting on the coalescer (default 0 =
-	// unbounded). When the bound is hit, new queries are refused with
-	// 429 and a Retry-After header instead of piling onto the queue.
-	// Result-cache hits bypass the queue and are never refused.
+	// MaxQueue bounds requests waiting for or holding an execution slot
+	// (default 0 = unbounded). When the bound is hit, new queries are
+	// refused with 429 and a Retry-After header instead of piling onto
+	// the queue. Result-cache hits bypass the queue and are never refused.
 	MaxQueue int
 }
 
-// The server's fixed sizes: variables, not constants, only so that the
-// package's tests can shrink them (export_test.go).
-var (
-	// batchMax is K, the maximum number of distinct plans per shared-scan
-	// batch. Duplicate concurrent queries never count twice — they share
-	// one plan slot and one execution.
-	batchMax = 16
-	// maxIDs caps the selected-node ids returned per predicate when a
-	// request asks for ids.
-	maxIDs = 10000
-)
+// maxIDs caps the selected-node ids returned per predicate when a request
+// asks for ids: a variable, not a constant, only so that the package's
+// tests can shrink it (export_test.go).
+var maxIDs = 10000
 
 func (c *Config) fill() {
 	if c.MaxInflight <= 0 {
@@ -85,7 +72,8 @@ type Server struct {
 	sess  *arb.Session
 	cfg   Config
 	cache *planCache
-	coal  *coalescer
+	slots chan struct{} // execution slots (MaxInflight)
+	opts  arb.ExecOpts  // every execution's options; Stats always set
 
 	base   context.Context
 	cancel context.CancelFunc
@@ -96,7 +84,7 @@ type Server struct {
 	errorsN   atomic.Int64
 	inflight  atomic.Int64
 	patchesN  atomic.Int64 // committed /patch operations
-	queued    atomic.Int64 // queries waiting on (or in) the coalescer
+	queued    atomic.Int64 // admitted queries waiting for or holding a slot
 	throttled atomic.Int64 // queries refused with 429 by admission control
 
 	profMu sync.Mutex
@@ -107,14 +95,14 @@ type Server struct {
 // server dispatched — the serving-level view of the engine's ScanStats
 // and pruning counters.
 type ProfileCounters struct {
-	ScanRounds    int64 `json:"scan_rounds"`      // shared scan rounds executed: two linear scans each, or one when phase 2 was omitted
+	ScanRounds    int64 `json:"scan_rounds"`      // scan rounds executed: two linear scans each, or one when phase 2 was omitted
 	OneScanRounds int64 `json:"one_scan_rounds"`  // of ScanRounds, those that omitted phase 2: one linear scan each
 	Phase1        int64 `json:"phase1_bytes"`     // .arb bytes read, backward scans
 	Phase2        int64 `json:"phase2_bytes"`     // .arb bytes read, forward scans
 	Skipped       int64 `json:"skipped_bytes"`    // bytes pruning seeked past
 	Pruned        int64 `json:"pruned_nodes"`     // nodes proven irrelevant
 	StateBytes    int64 `json:"state_temp_bytes"` // temporary state-file bytes
-	Queries       int64 `json:"queries_executed"` // plans executed (batch members count singly)
+	Queries       int64 `json:"queries_executed"` // plans executed
 }
 
 // New builds a server over the session. Close releases it; the session
@@ -127,25 +115,22 @@ func New(ctx context.Context, sess *arb.Session, cfg Config) *Server {
 		sess:  sess,
 		cfg:   cfg,
 		cache: newPlanCache(cfg.CacheSize),
+		slots: make(chan struct{}, cfg.MaxInflight),
+		opts:  arb.ExecOpts{Workers: cfg.Workers, Stats: true},
 		start: time.Now(),
 	}
 	s.base, s.cancel = context.WithCancel(ctx)
-	opts := arb.ExecOpts{Workers: cfg.Workers, NoPrune: cfg.NoPrune}
 	if cfg.ResCacheBytes > 0 {
 		// Executions publish into (and read through) the result cache;
-		// the handler additionally short-circuits hits before the
-		// coalescer via TryCached.
+		// the handler additionally short-circuits hits before admission
+		// via TryCached.
 		sess.SetResultCache(cfg.ResCacheBytes)
-		opts.ResultCache = true
+		s.opts.ResultCache = true
 	}
-	s.coal = newCoalescer(sess, cfg.MaxInflight, opts, s.addProfile)
 	return s
 }
 
-func (s *Server) addProfile(p *arb.Profile, plans int) {
-	if p == nil {
-		return
-	}
+func (s *Server) addProfile(p *arb.Profile) {
 	s.profMu.Lock()
 	s.prof.ScanRounds += int64(p.Passes)
 	s.prof.OneScanRounds += int64(p.Disk.OneScan)
@@ -154,7 +139,7 @@ func (s *Server) addProfile(p *arb.Profile, plans int) {
 	s.prof.Skipped += p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
 	s.prof.Pruned += p.Engine.PrunedNodes
 	s.prof.StateBytes += p.Disk.StateBytes
-	s.prof.Queries += int64(plans)
+	s.prof.Queries++
 	s.profMu.Unlock()
 }
 
@@ -214,7 +199,6 @@ type queryResponse struct {
 	Results     []predResult `json:"results"`
 	PlanCache   string       `json:"plan_cache"`             // "hit" or "miss"
 	ResultCache string       `json:"result_cache,omitempty"` // "hit" or "subsumed" when answered without scanning
-	Coalesced   int          `json:"coalesced"`              // distinct plans sharing this request's scans
 	Version     uint64       `json:"version,omitempty"`      // database version the execution read (versioned sessions)
 	Elapsed     float64      `json:"elapsed_seconds"`
 }
@@ -272,7 +256,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// Result-cache fast path: a hit answers from memory with zero scans,
 	// skipping the deadline plumbing, the admission queue and the
-	// coalescer entirely — the whole point of the tier.
+	// execution slots entirely — the whole point of the tier.
 	if res, prof, ok := pq.TryCached(); ok {
 		writeJSON(w, http.StatusOK, queryResponse{
 			Query:       key,
@@ -287,8 +271,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Admission control: past the cache, every request costs an
 	// execution (or a wait for one). A bounded queue sheds load early
-	// with 429 + Retry-After instead of letting deadlines expire deep in
-	// the coalescer.
+	// with 429 + Retry-After instead of letting deadlines expire while
+	// waiting for a slot.
 	if s.cfg.MaxQueue > 0 {
 		if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
 			s.queued.Add(-1)
@@ -304,10 +288,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
+	// The execution ends at the request's deadline, when the client goes
+	// away, or when Close cancels the server, whichever comes first.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
+	defer context.AfterFunc(s.base, cancel)()
 
-	res, coalesced, version, err := s.coal.submit(ctx, s.base, key, pq)
+	res, prof, err := s.exec(ctx, pq)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -324,10 +311,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Query:     key,
 		Results:   s.predResults(pq, res, req.IDs),
 		PlanCache: planCache,
-		Coalesced: coalesced,
-		Version:   version,
+		Version:   prof.Version,
 		Elapsed:   time.Since(start).Seconds(),
 	})
+}
+
+// exec runs pq in one of the server's execution slots, waiting for a free
+// slot no longer than ctx allows, and merges its profile into /stats.
+func (s *Server) exec(ctx context.Context, pq *arb.PreparedQuery) (*arb.Result, *arb.Profile, error) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
+	}
+	defer func() { <-s.slots }()
+	res, prof, err := pq.Exec(ctx, s.opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.addProfile(prof)
+	return res, prof, nil
 }
 
 // predResults renders a result per query predicate, truncating id lists
@@ -484,7 +487,6 @@ type Stats struct {
 	Patches       int64           `json:"patch_requests"`
 	PlanCache     CacheStats      `json:"plan_cache"`
 	HitRate       float64         `json:"plan_cache_hit_rate"`
-	Coalescer     CoalescerStats  `json:"coalescer"`
 	Profile       ProfileCounters `json:"profile"`
 	// ResultCache is the session result cache's counters (present only
 	// when the server runs with -rescache).
@@ -518,7 +520,6 @@ func (s *Server) Snapshot() Stats {
 		Inflight:      s.inflight.Load(),
 		Patches:       s.patchesN.Load(),
 		PlanCache:     s.cache.snapshot(),
-		Coalescer:     s.coal.snapshot(),
 	}
 	s.profMu.Lock()
 	st.Profile = s.prof

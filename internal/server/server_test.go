@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"arb"
 	"arb/internal/server"
@@ -171,19 +170,19 @@ func scanCoverage(before, after server.Stats, dbBytes int64) (covered, want int6
 	return covered, dbBytes * (2*rounds - oneScan)
 }
 
-// TestServeDifferentialCoalesced is the server's acceptance test: N
+// TestServeDifferentialConcurrent is the server's acceptance test: N
 // concurrent requests (hot and cold, TMNF and XPath, with duplicates)
 // against a disk database must return results bit-identical to scalar
-// PreparedQuery.Exec, while the merged profile proves the coalescer paid
-// at most 2·⌈N/K⌉ linear scans for the whole burst.
-func TestServeDifferentialCoalesced(t *testing.T) {
+// PreparedQuery.Exec, while the merged profile shows that every request
+// ran its own Exec: one plan per scan round, N rounds for the burst.
+func TestServeDifferentialConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a multi-megabyte database")
 	}
 	dir := t.TempDir()
 	base := filepath.Join(dir, "full")
 	// Depth 20: ~2.1M nodes, ~4.2MB — big enough that one scan pair takes
-	// long enough for a concurrent burst to pile up behind it.
+	// long enough for a concurrent burst to queue for the one slot.
 	names := tree.NewNames()
 	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 20, "a", "b", "c", "d"))
 	if err != nil {
@@ -197,10 +196,8 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	}
 	defer sess.Close()
 
-	const batchMax = 4
 	const maxIDs = 2000
-	// A generous window: the burst must gather, not fragment.
-	defer server.SetKnobs(server.Knobs{Window: time.Second, MaxPlans: batchMax, MaxIDs: maxIDs})()
+	defer server.SetKnobs(server.Knobs{MaxIDs: maxIDs})()
 	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -221,24 +218,17 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	burst := append(append([]string{}, distinct...), distinct[0], distinct[0], distinct[4], distinct[4])
 	want := scalarAnswers(t, base, distinct, maxIDs)
 
-	// Warm-up request: primes the coalescer's arrival clock so the burst
-	// below is never mistaken for an idle server, and counts as the only
-	// solo execution this test tolerates.
-	if out, code := postQuery(t, ts.URL, map[string]any{"query": `QUERY :- Root;`}); code != http.StatusOK {
-		t.Fatalf("warm-up failed: %d %v", code, out)
-	}
 	before := getStats(t, ts.URL)
 	burstDiffer(t, ts.URL, burst, want)
 	after := getStats(t, ts.URL)
 
-	n := len(burst)
+	// Every plan is single-pass, so one Exec per request is one scan round
+	// per request: no request shared another's scans or skipped its own.
 	rounds := after.Profile.ScanRounds - before.Profile.ScanRounds
-	bound := int64((n + batchMax - 1) / batchMax) // ⌈N/K⌉ scan pairs = 2·⌈N/K⌉ scans
-	if rounds > bound {
-		t.Errorf("burst of %d requests cost %d scan pairs, want <= %d (coalescer failed)", n, rounds, bound)
-	}
-	if rounds < 1 {
-		t.Errorf("no scan rounds recorded for the burst")
+	queries := after.Profile.Queries - before.Profile.Queries
+	if queries != int64(len(burst)) || rounds != queries {
+		t.Errorf("burst of %d requests: %d plans executed in %d scan rounds, want %d in %d",
+			len(burst), queries, rounds, len(burst), len(burst))
 	}
 	// Coverage invariant: every scan round reads or provably skips the
 	// whole database once per scan it runs.
@@ -249,9 +239,6 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 	// The duplicate requests must have hit the plan cache.
 	if hits := after.PlanCache.Hits - before.PlanCache.Hits; hits < 4 {
 		t.Errorf("plan cache hits during burst = %d, want >= 4 (duplicates must share plans)", hits)
-	}
-	if after.Coalescer.MaxBatch < 2 {
-		t.Errorf("max batch %d, want >= 2 (burst never coalesced)", after.Coalescer.MaxBatch)
 	}
 }
 
@@ -276,7 +263,7 @@ func TestServeOneScanRounds(t *testing.T) {
 	defer sess.Close()
 
 	const maxIDs = 500
-	defer server.SetKnobs(server.Knobs{Window: time.Second, MaxPlans: 4, MaxIDs: maxIDs})()
+	defer server.SetKnobs(server.Knobs{MaxIDs: maxIDs})()
 	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

@@ -104,7 +104,8 @@ type CreateOpts struct{}
 // which converts the unranked document into its binary-tree encoding using
 // a stack proportional to the *document* depth (not to the potentially
 // enormous sibling counts). A failed creation removes every file it
-// wrote, the event file included.
+// wrote, the event file included. Creating over a patched database
+// replaces it whole: its versioned store goes too.
 func Create(base string, feed func(*EventWriter) error, _ CreateOpts) (db *DB, stats *CreateStats, err error) {
 	start := time.Now()
 
@@ -160,8 +161,13 @@ func Create(base string, feed func(*EventWriter) error, _ CreateOpts) (db *DB, s
 // file is committed through WriteFile, so it is durable before the next
 // one is written. It returns the .lab size. A failure at any step removes
 // the files create committed, so a failed creation leaves nothing behind.
+// A versioned store over base goes first (removeVersioned): it describes
+// the records being replaced.
 func create(base string, names *tree.Names, write func(arbF *os.File) error) (db *DB, labBytes int64, err error) {
 	arbPath, labPath := base+".arb", base+".lab"
+	if err := removeVersioned(base); err != nil {
+		return nil, 0, err
+	}
 	if err := WriteFile(arbPath, write); err != nil {
 		return nil, 0, err
 	}

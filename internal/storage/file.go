@@ -55,11 +55,17 @@ func WriteFile(path string, write func(f *os.File) error) error {
 	return syncDir(filepath.Dir(path))
 }
 
+// segSuffix is what follows a base's name in the name of a versioned
+// store's segment: base-<n>.seg. segName matches it whole.
+const segSuffix = `-[0-9]+\.seg`
+
+var segName = regexp.MustCompile(`^` + segSuffix + `$`)
+
 // tempName matches what follows a base's name in the name of a commit
 // temporary of one of its files: base.<ext> (the database's .arb, .lab and
 // .idx, a versioned store's .arbm and .vlab) or base-<n>.seg (a versioned
 // store's segments).
-var tempName = regexp.MustCompile(`^(-[0-9]+\.seg|\.[a-z]+)\` + tmpSuffix + `[0-9]+$`)
+var tempName = regexp.MustCompile(`^(` + segSuffix + `|\.[a-z]+)\` + tmpSuffix + `[0-9]+$`)
 
 // RemoveTemps removes the commit temporaries WriteFile left beside base's
 // files when a process died mid-commit. It is best-effort, and only for an
@@ -76,6 +82,37 @@ func RemoveTemps(base string) {
 			os.Remove(path)
 		}
 	}
+}
+
+// removeVersioned removes the versioned store (internal/vstore) a patched
+// database keeps beside base: its base.arbm manifest first, with the
+// directory synced, so that no crash can pair the old manifest with
+// records committed afterwards; then its base.vlab name table and its
+// base-<n>.seg segments, which nothing reads without the manifest.
+func removeVersioned(base string) error {
+	if err := os.Remove(base + ".arbm"); err == nil {
+		if err := syncDir(filepath.Dir(base)); err != nil {
+			return err
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	if err := os.Remove(base + ".vlab"); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	prefix := filepath.Base(base)
+	segs, err := filepath.Glob(filepath.Join(filepath.Dir(base), prefix+"-*.seg"))
+	if err != nil {
+		return err
+	}
+	for _, path := range segs {
+		if segName.MatchString(filepath.Base(path)[len(prefix):]) {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // createTemp creates an anonymous scratch file <base>-*<ext> beside the

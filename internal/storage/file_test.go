@@ -213,3 +213,67 @@ func TestRemoveTempsSparesOtherFiles(t *testing.T) {
 		t.Fatalf("after RemoveTemps: %v, want %v", left, kept)
 	}
 }
+
+// TestSyncDirCreateDropsManifestFirst: Create over the base of a patched
+// database removes the versioned store's manifest, and syncs the
+// directory, before the first file of the new database is written, so no
+// crash leaves the old manifest beside new records. It then removes the
+// store's name table and segments, and nothing of another database.
+func TestSyncDirCreateDropsManifestFirst(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "db")
+	createIndexed(t, base, 4)
+	planted := []string{"db.arbm", "db.vlab", "db-000001.seg", "db-000012.seg"}
+	kept := []string{"db-2-000001.seg", "db-old.seg", "db2.arbm", "db2-000001.seg"}
+	for _, name := range append(append([]string{}, planted...), kept...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldArb, err := os.ReadFile(base + ".arb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstSync []string
+	var arbAtSync []byte
+	origOpen := openDirForSync
+	withSyncHooks(t, nil, func(d string) (*os.File, error) {
+		if firstSync == nil {
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				return nil, err
+			}
+			firstSync = []string{}
+			for _, e := range entries {
+				firstSync = append(firstSync, e.Name())
+			}
+			arbAtSync, _ = os.ReadFile(base + ".arb")
+		}
+		return origOpen(d)
+	}, nil)
+	names := tree.NewNames()
+	db, err := CreateBinary(base, names, FullBinary(names, 3, "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	// The first directory sync must be the manifest removal's: the
+	// manifest gone, the old records still in place.
+	if firstSync == nil || slices.Contains(firstSync, "db.arbm") || !bytes.Equal(arbAtSync, oldArb) {
+		t.Fatalf("first directory sync saw %v and the old .arb %v, want the manifest gone and the old .arb",
+			firstSync, bytes.Equal(arbAtSync, oldArb))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range entries {
+		left = append(left, e.Name())
+	}
+	want := append([]string{"db.arb", "db.idx", "db.lab"}, kept...)
+	sort.Strings(want)
+	if !slices.Equal(left, want) {
+		t.Fatalf("after Create: %v, want %v", left, want)
+	}
+}

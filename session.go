@@ -269,14 +269,14 @@ func (s *Session) PrepareBatch(items ...any) (*PreparedBatch, error) {
 // handles' own compiled passes, so their warm automata — transition
 // tables paid for by earlier scalar executions — drive the shared scans
 // directly, and work computed during the batch warms the scalar handles
-// in return. This is the shape a coalescing query server wants: cache
-// one PreparedQuery per distinct query text, and fold whatever mix of
-// hot handles the current requests name into one shared-scan execution.
+// in return: keep one PreparedQuery per distinct query text, and run
+// whatever mix of them a caller needs answered together as one
+// shared-scan execution.
 //
 // The handles remain independently usable (including concurrently with
 // batch executions that contain them). Every query must have been
 // prepared on this session; duplicates are allowed but cost a redundant
-// member each — callers coalescing requests should deduplicate first.
+// member each — deduplicate first.
 func (s *Session) BatchOf(queries ...*PreparedQuery) (*PreparedBatch, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("arb: BatchOf needs at least one query")
@@ -543,9 +543,8 @@ func (s *Session) cached(opts ExecOpts, db *storage.DB) bool {
 // of the handles qs): it runs them as one xpath batch — a scalar query is
 // a batch of one — and publishes every member's completed result at the
 // pinned version when the execution takes part in the result cache, so a
-// coalesced server batch warms the cache for all the queries it carried
-// (lookups stay with the scalar path: servers check TryCached before
-// coalescing). The Profile times the execution from start and reports
+// batch warms the cache for all the queries it carried (lookups stay with
+// the scalar path: a batch always scans). The Profile times the execution from start and reports
 // cacheKind as its ResultCache.
 func (s *Session) exec(ctx context.Context, db *storage.DB, version uint64, qs []*PreparedQuery, ps []*xpath.Prepared, opts ExecOpts, start time.Time, cacheKind string) ([]*Result, *Profile, error) {
 	workers := resolveWorkers(opts.Workers)
@@ -586,8 +585,8 @@ func (s *Session) exec(ctx context.Context, db *storage.DB, version uint64, qs [
 // executing anything: it pins the session's current version, consults
 // the cache (exactly or via subsumption), and reports ok=false on a
 // miss or when the session has no cache. Servers call it before
-// queueing work — a hit costs no scan, no queue slot, no coalescing
-// wait. The returned Profile carries the pinned version and the hit
+// queueing work — a hit costs no scan, no queue slot and no wait for an
+// execution slot. The returned Profile carries the pinned version and the hit
 // kind in Profile.ResultCache.
 func (q *PreparedQuery) TryCached() (*Result, *Profile, bool) {
 	rc := q.s.rc
@@ -726,7 +725,7 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 		return nil, nil, fmt.Errorf("arb: MarkTo is not supported for batch execution; mark through a single PreparedQuery")
 	}
 	// One snapshot serves the whole batch: every member scans the same
-	// version, and coalesced server batches inherit that consistency.
+	// version.
 	var res []*Result
 	var prof *Profile
 	err := b.s.pinned(func(db *storage.DB, names *tree.Names, version uint64) (err error) {

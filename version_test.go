@@ -266,3 +266,98 @@ func TestPatchWithoutFragment(t *testing.T) {
 		t.Fatalf("refused patches moved the version from %d to %d", v0, v)
 	}
 }
+
+// TestCreateOverPatchedDatabase: creating a database over the base of a
+// patched one replaces it whole. The old manifest must not survive to
+// describe the new records — whether the name count it declares differs
+// from the new document's (the open would fail) or matches it (the open
+// would read the old version's run table over the new records) — and
+// neither may the old name table or segments.
+func TestCreateOverPatchedDatabase(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ name, frag, second string }{
+		// The first document names a, b and c; the first two patches add
+		// no name, so the manifest declares the .lab's three names.
+		{"fewer names", "<b><c/></b>", "<a><b/></a>"},
+		{"as many names", "<b><c/></b>", "<x><y/><z/><y/></x>"},
+		// A patch naming zz grows the store's own name table (.vlab).
+		{"grown names", "<zz><zz/><b/></zz>", "<a><zz/><c><b/></c><b/><zz/></a>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := filepath.Join(dir, "db")
+			db, _, err := arb.CreateDB(base, strings.NewReader("<a><b/><c/></a>"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+			sess, err := arb.OpenVersionedSession(ctx, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frag, err := arb.ParseXML(strings.NewReader(tc.frag))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Patch(ctx, arb.PatchOp{Op: "insert-child", Node: 0, Tree: frag}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if db, _, err = arb.CreateDB(base, strings.NewReader(tc.second)); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+			for _, pat := range []string{"db.arbm", "db.vlab", "db-*.seg"} {
+				if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) > 0 {
+					t.Errorf("re-created database keeps the patched one's %v", m)
+				}
+			}
+			tr, err := arb.ParseXML(strings.NewReader(tc.second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := arb.NewSession(tr)
+			defer oracle.Close()
+			sess, err = arb.OpenSession(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			if sess.Versioned() || sess.Len() != oracle.Len() {
+				t.Fatalf("re-created database opens versioned %v with %d nodes, want plain with %d",
+					sess.Versioned(), sess.Len(), oracle.Len())
+			}
+			for _, expr := range []string{"//b", "//zz", "//c/b", "/a/*", "//y"} {
+				if got, want := xpathIDs(t, sess, expr), xpathIDs(t, oracle, expr); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: ids %v, want %v", expr, got, want)
+				}
+			}
+		})
+	}
+}
+
+// xpathIDs runs a Core XPath query on sess and returns its selected ids.
+func xpathIDs(t *testing.T, sess *arb.Session, expr string) []arb.NodeID {
+	t.Helper()
+	q, err := arb.ParseXPath(expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pq, err := sess.PrepareXPath(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := pq.Exec(context.Background(), arb.ExecOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []arb.NodeID
+	res.Walk(pq.Queries()[0], func(v arb.NodeID) bool {
+		ids = append(ids, v)
+		return true
+	})
+	return ids
+}
