@@ -21,11 +21,14 @@
 // benchmark/run.sh`).
 //
 // Querying is session-oriented, matching the engine's compile-once,
-// query-many design: a Session wraps one open source (an on-disk database
-// or an in-memory tree) and owns what its queries share — the label-name
-// table and, on disk, the subtree index; a PreparedQuery holds a compiled
-// program whose lazily built automata persist across executions, so a
-// warm query evaluates with two table lookups per node.
+// query-many design: a Session reads one store of database versions and
+// owns what its queries share — the label-name table and the subtree
+// index; a PreparedQuery holds a compiled program whose lazily built
+// automata persist across executions, so a warm query evaluates with two
+// table lookups per node. Every execution pins one version: a tree
+// (NewSession), an open database (NewDBSession) or a plain database on
+// disk (OpenSession) is read-only at version 1, and a patched database or
+// one opened with OpenVersionedSession takes Patch and Compact.
 //
 //	sess, err := arb.OpenSession("mydb")              // mydb.arb + mydb.lab (+ mydb.idx)
 //	defer sess.Close()
@@ -141,7 +144,6 @@
 package arb
 
 import (
-	"context"
 	"io"
 
 	"arb/internal/core"
@@ -162,8 +164,6 @@ type (
 	NodeID = tree.NodeID
 	// Names maps label indices to tag names (the .lab table).
 	Names = tree.Names
-	// Label is a node label: 0..255 are text characters, >= 256 tags.
-	Label = tree.Label
 
 	// Program is a TMNF program (possibly with several query predicates).
 	Program = tmnf.Program
@@ -190,9 +190,6 @@ type (
 	// (Session.ResultCacheStats).
 	ResultCacheStats = rescache.Stats
 )
-
-// None is the absent-node sentinel.
-const None = tree.None
 
 // ParseProgram parses a TMNF program in the Arb surface syntax,
 // including caterpillar expressions. The predicate named QUERY (or Query)
@@ -252,11 +249,4 @@ func CodecName(codec uint8) string { return storage.CodecName(codec) }
 // identical records; only the physical layout changes.
 func CompressDB(base string, blockSize int) (CompressionInfo, error) {
 	return storage.CompressInPlace(base, storage.CodecLZ, blockSize)
-}
-
-// EmitXML writes the database back out as XML, wrapping the nodes for
-// which selected returns true in <arb:selected> markup (the system's
-// default output mode). selected may be nil for plain output.
-func EmitXML(db *DB, w io.Writer, selected func(v int64) bool) error {
-	return storage.EmitXMLContext(context.Background(), db, w, selected)
 }

@@ -35,7 +35,8 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := arb.NewDBSession(db).Prepare(prog)
+	sess := arb.NewDBSession(db)
+	pq, err := sess.Prepare(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := arb.EmitXML(db, &buf, func(v int64) bool { return res.Holds(q, arb.NodeID(v)) }); err != nil {
+	if err := sess.EmitXML(context.Background(), &buf, func(v int64) bool { return res.Holds(q, arb.NodeID(v)) }); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -245,10 +245,39 @@ if grep -rnwE 'TmpCleanup|ScratchDir|OpenMasks|RemoveScratch|OpenMaskFile|KeepEv
     exit 1
 fi
 
+# The library spawns goroutines in one place: the worker pool of the one
+# disk driver (internal/core/pardisk.go), whose workers range over a task
+# channel the driver closes and which it waits for before returning. The
+# goroleak analyzer that proved each spawned goroutine terminates is gone;
+# a second go statement in the root package or internal/ must fold into
+# the pool instead.
+spawns=$({ ls ./*.go; find internal -name '*.go' -not -path '*/testdata/*'; } |
+    grep -v '_test\.go$' |
+    xargs grep -nE '(^|[{;])[[:space:]]*go[[:space:]]+[A-Za-z_(]' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(printf '%s\n' "$spawns" | grep -c 'internal/core/pardisk.go:')" -ne 1 ] ||
+    [ "$(printf '%s\n' "$spawns" | grep -c .)" -ne 1 ]; then
+    echo "the library has go statements beyond the worker pool's one (internal/core/pardisk.go):" >&2
+    echo "$spawns" >&2
+    exit 1
+fi
+
+# A session has one source, a versioned store: a tree, a caller's
+# database and a plain database are read-only stores of one version, so
+# no accessor branches on the kind of source. The tree/database fields,
+# the lazily opened tree image and the package-level EmitXML (a
+# duplicate of Session.EmitXML) are gone. Keep them gone.
+if grep -nwE 'treeOnce|treeDB|treeErr|ownDB' ./*.go >&2 ||
+    grep -nE '\bs\.(t|db)\b' session.go version.go >&2 ||
+    grep -nE '^func EmitXML\(' arb.go >&2; then
+    echo "a session source branch or arb.EmitXML is back: every Session reads one vstore.Store" >&2
+    exit 1
+fi
+
 # Repo-specific invariants: context threading, lock discipline, reader
-# and scratch-file Close/Release, goroutine termination, and lock ordering
-# — the full five-analyzer suite, gated on the committed baseline: any
-# finding not already recorded there fails the build.
+# and scratch-file Close/Release, and lock ordering — the full
+# four-analyzer suite, gated on the committed baseline: any finding not
+# already recorded there fails the build.
 go run ./cmd/arblint -baseline .arblint-baseline.json ./...
 
 # The analyzers' own fixtures (want-marker tests, the baseline

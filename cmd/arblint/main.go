@@ -1,4 +1,4 @@
-// Command arblint runs the repo's static-analysis suite: five analyzers
+// Command arblint runs the repo's static-analysis suite: four analyzers
 // that mechanically enforce the engine's concurrency, cancellation and
 // cleanup invariants (see internal/lint/analyzers).
 //

@@ -46,25 +46,24 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestInterproceduralAnalyzersClean pins the server and parallel
-// goroutines and the module's mutexes as clean under the two
-// interprocedural analyzers specifically, independent of the rest of
-// the suite.
+// TestInterproceduralAnalyzersClean pins the module's mutexes as clean
+// under the interprocedural analyzer specifically, independent of the
+// rest of the suite.
 func TestInterproceduralAnalyzersClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs arblint over the whole module")
 	}
 	root := moduleRoot(t)
 	cmd := exec.Command("go", "run", "./cmd/arblint",
-		"-analyzers", "goroleak,lockorder", "./...")
+		"-analyzers", "lockorder", "./...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("interprocedural analyzers reported findings (or failed):\n%s\nerror: %v", out, err)
+		t.Fatalf("the interprocedural analyzer reported findings (or failed):\n%s\nerror: %v", out, err)
 	}
 }
 
-// TestRosterAndJSON asserts the advertised suite is the full five and
+// TestRosterAndJSON asserts the advertised suite is the full four and
 // that the machine-readable path stays wired: -json with the committed
 // baseline must emit an empty JSON array on a clean tree.
 func TestRosterAndJSON(t *testing.T) {
@@ -78,10 +77,7 @@ func TestRosterAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("arblint -list failed:\n%s\nerror: %v", out, err)
 	}
-	want := []string{
-		"ctxflow", "lockdiscipline", "closecheck",
-		"goroleak", "lockorder",
-	}
+	want := []string{"ctxflow", "lockdiscipline", "closecheck", "lockorder"}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	if len(lines) != len(want) {
 		t.Errorf("arblint -list prints %d analyzers, want %d:\n%s", len(lines), len(want), out)

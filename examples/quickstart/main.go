@@ -99,7 +99,7 @@ func main() {
 	// 4. Emit the document with matches marked up (the system's default
 	// output mode).
 	fmt.Println("\nmarked document:")
-	if err := arb.EmitXML(db, os.Stdout, func(v int64) bool {
+	if err := sess.EmitXML(ctx, os.Stdout, func(v int64) bool {
 		return res.Holds(q, arb.NodeID(v))
 	}); err != nil {
 		log.Fatal(err)

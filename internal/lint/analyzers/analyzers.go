@@ -1,23 +1,24 @@
-// Package analyzers holds the five arblint analyzers, one per
+// Package analyzers holds the four arblint analyzers, one per
 // load-bearing invariant of the two-scan engine:
 //
 //   - ctxflow: engine code threads context, never mints its own roots
 //   - lockdiscipline: `// guarded by:` fields are accessed under their mutex
 //   - closecheck: storage readers, files and scratch files get closed or released
-//   - goroleak: spawned goroutines provably terminate (cancellation-bound)
 //   - lockorder: declared mutexes keep one global acquisition order
 //
 // Analyzers are heuristic but deliberately low-noise: each rule is scoped
 // to the package layers where its invariant is load-bearing, and the
 // directives in package lint (//arblint:allow, //arblint:todo) give
-// reviewed escape hatches. The last two lean on the lint.Module
+// reviewed escape hatches. The last leans on the lint.Module
 // interprocedural layer: module-wide summaries of callees shared through
-// Mod.Memo. Snapshot pins, atomics and temp files need no analyzer:
+// Mod.Memo. Snapshot pins, atomics, temp files and goroutines need no
+// analyzer:
 // Session.pinned releases its pin with a defer, the repo uses typed
 // atomics only, and only internal/storage/file.go creates or renames a
 // file — a committed file through WriteFile, which removes its temporary
-// on failure, a scratch file as a handle whose Close removes it — and
-// ci.sh keeps all three shapes with grep ratchets.
+// on failure, a scratch file as a handle whose Close removes it — and the
+// library has one go statement, the worker pool's; ci.sh keeps all four
+// shapes with grep ratchets.
 package analyzers
 
 import (
@@ -30,7 +31,7 @@ import (
 
 // All is the full suite in reporting order.
 var All = []*lint.Analyzer{
-	Ctxflow, LockDiscipline, CloseCheck, GoroLeak, LockOrder,
+	Ctxflow, LockDiscipline, CloseCheck, LockOrder,
 }
 
 // ByName returns the named analyzer, or nil.

@@ -23,10 +23,6 @@ func TestCloseCheckFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.CloseCheck, "testdata/closecheck", "arb/internal/core/closefixture")
 }
 
-func TestGoroLeakFixture(t *testing.T) {
-	lint.RunFixture(t, analyzers.GoroLeak, "testdata/goroleak", "arb/internal/parallel/gorofixture")
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	lint.RunFixture(t, analyzers.LockOrder, "testdata/lockorder", "arb/internal/vstore/lockfixture")
 }

@@ -11,7 +11,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	diags := []Diagnostic{
 		{Analyzer: "closecheck", Pos: token.Position{Filename: "/mod/a/f.go", Line: 10}, Message: "leak"},
 		{Analyzer: "closecheck", Pos: token.Position{Filename: "/mod/a/f.go", Line: 22}, Message: "leak"},
-		{Analyzer: "goroleak", Pos: token.Position{Filename: "/mod/b.go", Line: 3}, Message: "spin"},
+		{Analyzer: "lockorder", Pos: token.Position{Filename: "/mod/b.go", Line: 3}, Message: "inversion"},
 	}
 	path := filepath.Join(t.TempDir(), "base.json")
 	if err := WriteBaseline(path, root, diags); err != nil {

@@ -1,11 +1,11 @@
 package lint
 
-// Module is the whole-run view the interprocedural analyzers work
-// against: every loaded package, with function declarations resolvable
-// across package boundaries. Analyzers still report per package (one
-// Pass each), but may-reach summaries — "this function's goroutine body
-// terminates", "this function may acquire these mutexes" — are computed
-// once per module and shared between passes through Memo.
+// Module is the whole-run view the interprocedural analyzer (lockorder)
+// works against: every loaded package, with function declarations
+// resolvable across package boundaries. Analyzers still report per
+// package (one Pass each), but may-reach summaries — "this function may
+// acquire these mutexes" — are computed once per module and shared
+// between passes through Memo.
 //
 // Cross-package identity: a *types.Func seen from its defining package
 // (type-checked from source) and the same function seen from an

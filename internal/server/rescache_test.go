@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"arb"
 	"arb/internal/server"
@@ -166,5 +167,71 @@ func TestServeResCacheQueueLimit(t *testing.T) {
 	}
 	if st.Queue.Limit != 1 {
 		t.Fatalf("stats report queue limit %d, want 1", st.Queue.Limit)
+	}
+}
+
+// TestServeQueueDepthUnbounded holds the one execution slot of a server
+// whose queue is unbounded (MaxQueue 0): a query admitted meanwhile waits
+// for the slot, and /stats and /metrics count it in the queue depth until
+// it completes.
+func TestServeQueueDepthUnbounded(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "full")
+	names := tree.NewNames()
+	db, err := storage.CreateBinary(base, names, storage.FullBinary(names, 8, "a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	sess, err := arb.OpenSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	srv := server.New(context.Background(), sess, server.Config{MaxInflight: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	release := server.HoldSlots(srv)
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/query?" + url.Values{"q": {"QUERY :- Label[a];"}}.Encode())
+		if err != nil {
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Snapshot().Queue.Depth != 1 {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatalf("queue depth %d while a query waits for the held slot, want 1", srv.Snapshot().Queue.Depth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		release()
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "arb_queue_depth 1\n") {
+		release()
+		t.Fatalf("/metrics does not report arb_queue_depth 1:\n%s", body)
+	}
+	release()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("the waiting query finished with status %d, want 200", code)
+	}
+	// The handler leaves the queue once its reply is written.
+	for srv.Snapshot().Queue.Depth != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d after the query completed, want 0", srv.Snapshot().Queue.Depth)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

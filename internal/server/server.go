@@ -273,16 +273,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// execution (or a wait for one). A bounded queue sheds load early
 	// with 429 + Retry-After instead of letting deadlines expire while
 	// waiting for a slot.
-	if s.cfg.MaxQueue > 0 {
-		if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
-			s.queued.Add(-1)
-			s.throttled.Add(1)
-			w.Header().Set("Retry-After", "1")
-			s.fail(w, http.StatusTooManyRequests, "query queue full (%d waiting); retry later", s.cfg.MaxQueue)
-			return
-		}
-		defer s.queued.Add(-1)
+	// Every admitted query counts into the queue depth; only a bounded
+	// queue compares it against a limit.
+	if depth := s.queued.Add(1); s.cfg.MaxQueue > 0 && depth > int64(s.cfg.MaxQueue) {
+		s.queued.Add(-1)
+		s.throttled.Add(1)
+		w.Header().Set("Retry-After", "1")
+		s.fail(w, http.StatusTooManyRequests, "query queue full (%d waiting); retry later", s.cfg.MaxQueue)
+		return
 	}
+	defer s.queued.Add(-1)
 
 	timeout := s.cfg.Timeout
 	if req.TimeoutMS > 0 {
@@ -533,11 +533,12 @@ func (s *Server) Snapshot() Stats {
 	st.Queue.Depth = s.queued.Load()
 	st.Queue.Limit = s.cfg.MaxQueue
 	st.Queue.Throttled = s.throttled.Load()
-	st.Session.Nodes = s.sess.Len()
-	st.Session.Disk = s.sess.DB() != nil || s.sess.Versioned()
-	st.Session.Versioned = s.sess.Versioned()
-	st.Session.Version = s.sess.Version()
-	if ss, ok := s.sess.StoreStats(); ok {
+	ss, versioned := s.sess.StoreStats()
+	st.Session.Nodes = ss.Nodes
+	st.Session.Disk = ss.Segments > 0 // a tree's record image holds no segment
+	st.Session.Versioned = versioned
+	st.Session.Version = ss.Version
+	if versioned {
 		st.Store = &ss
 	}
 	return st

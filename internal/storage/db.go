@@ -179,17 +179,26 @@ func NewVirtualDB(base string, r io.ReaderAt, n int64, names *tree.Names, ix *Su
 // keep their scratch files in RAM too. ix is the tree's subtree index, or
 // nil to build one from the image on first use. The records say only
 // whether a node has children, so they stand for t only when t is laid out
-// in preorder (tree.CheckPreorder); any other tree fails here rather than
-// be answered for as the tree its records spell.
+// in preorder (tree.CheckPreorder); any other tree (or an empty one) fails
+// here rather than be answered for as the tree its records spell. The
+// failure still comes with a database of t's length and names, whose every
+// read fails with it, for a caller that must hand out a handle regardless.
 func OpenTree(t *tree.Tree, ix *SubtreeIndex) (*DB, error) {
 	img, err := treeImage(t)
+	var r io.ReaderAt = bytes.NewReader(img)
 	if err != nil {
-		return nil, err
+		r = failedImage{err}
 	}
-	db := NewVirtualDB("", bytes.NewReader(img), int64(t.Len()), t.Names(), ix)
+	db := NewVirtualDB("", r, int64(t.Len()), t.Names(), ix)
 	db.inRAM = true
-	return db, nil
+	return db, err
 }
+
+// failedImage is the record source of a tree that has no record image:
+// every read fails with the reason.
+type failedImage struct{ err error }
+
+func (f failedImage) ReadAt([]byte, int64) (int, error) { return 0, f.err }
 
 // Close releases the database's file handle (a no-op for virtual
 // databases, whose segment files are owned by the versioned store).

@@ -15,6 +15,9 @@ import (
 // long-patched store sheds its history. The commit is atomic exactly
 // like a patch; concurrent readers are unaffected.
 func (st *Store) Compact(ctx context.Context) (*PatchInfo, error) {
+	if !st.Writable() {
+		return nil, ErrReadOnly
+	}
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	snap := st.Snapshot()

@@ -59,6 +59,9 @@ type PatchInfo struct {
 // spliced, and the subtree index is fixed up along the ancestor path
 // only. Concurrent snapshots keep reading the old version.
 func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (*PatchInfo, error) {
+	if !st.Writable() {
+		return nil, ErrReadOnly
+	}
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	snap := st.Snapshot()
@@ -86,6 +89,9 @@ func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (
 // the parent's child flag is cleared (one fixed-up record). The
 // document root cannot be deleted.
 func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, error) {
+	if !st.Writable() {
+		return nil, ErrReadOnly
+	}
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	snap := st.Snapshot()
@@ -131,6 +137,9 @@ func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, err
 // node's old first child as its next sibling, and the node's record
 // gains the first-child flag. Text nodes cannot take children.
 func (st *Store) InsertChild(ctx context.Context, node int64, t *tree.Tree) (*PatchInfo, error) {
+	if !st.Writable() {
+		return nil, ErrReadOnly
+	}
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	snap := st.Snapshot()

@@ -2,6 +2,7 @@ package vstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -164,6 +165,12 @@ type Store struct {
 	// commits at a time. Readers never take it.
 	wmu sync.Mutex
 
+	// ro is the database of a read-only store (ReadOnly), whose one
+	// version reads it directly; nil for a store opened with Open. Close
+	// closes it when closeRO is set.
+	ro      *storage.DB
+	closeRO bool
+
 	// mu guards the version/segment bookkeeping below; it is held only
 	// for pointer swaps and refcounts, never during I/O or scans.
 	mu          sync.Mutex
@@ -202,6 +209,29 @@ func Open(ctx context.Context, base string) (*Store, error) {
 	st.sweepOrphans()
 	return st, nil
 }
+
+// ReadOnly returns a read-only store over an open database: its one
+// version, 1, reads db itself — no stitched view, and db's subtree index
+// stays lazy inside it — and every patch and compaction fails with
+// ErrReadOnly. Close closes db when own is set; otherwise the caller keeps
+// it.
+func ReadOnly(db *storage.DB, own bool) *Store {
+	return &Store{
+		base:    db.Base,
+		ro:      db,
+		closeRO: own,
+		cur:     &version{id: 1, n: db.N, names: db.Names, nNames: db.Names.Len(), db: db, refs: 1},
+		live:    1,
+		history: []HistoryEntry{{Version: 1, Op: "open"}},
+	}
+}
+
+// ErrReadOnly is the error of a patch or compaction of a read-only store.
+var ErrReadOnly = errors.New("vstore: the store is read-only")
+
+// Writable reports whether the store accepts patches and compactions:
+// false for a read-only store (ReadOnly).
+func (st *Store) Writable() bool { return st.ro == nil }
 
 // Versioned reports whether base is a versioned database: whether its
 // base.arbm manifest exists. An error other than the manifest's absence is
@@ -584,12 +614,18 @@ func (st *Store) Stats() StoreStats {
 	for _, sg := range st.segs {
 		s.SegmentBytes += sg.nodes * storage.NodeSize
 	}
+	if st.ro != nil && st.ro.Base != "" {
+		// A read-only store over a database file serves it as its one
+		// segment; over a record image in RAM it holds none.
+		s.Segments, s.SegmentBytes = 1, st.ro.N*storage.NodeSize
+	}
 	return s
 }
 
-// Close closes every open segment file. Outstanding snapshots become
-// invalid — callers drain readers first (the server does). Files on
-// disk are left exactly as the last commit published them.
+// Close closes every open segment file, and the database of a read-only
+// store that owns it. Outstanding snapshots become invalid — callers
+// drain readers first (the server does). Files on disk are left exactly
+// as the last commit published them.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -598,6 +634,9 @@ func (st *Store) Close() error {
 	}
 	st.closed = true
 	var first error
+	if st.closeRO {
+		first = st.ro.Close()
+	}
 	for _, sg := range st.segs {
 		if err := sg.f.Close(); err != nil && first == nil {
 			first = err

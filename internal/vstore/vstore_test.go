@@ -3,6 +3,7 @@ package vstore
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -597,5 +598,60 @@ func TestOpenPlainDatabaseNoManifest(t *testing.T) {
 	_ = names
 	if !strings.HasSuffix(base, "db") {
 		t.Fatalf("unexpected base %q", base)
+	}
+}
+
+// TestReadOnlyStore holds a read-only store to its contract: one version,
+// 1, whose snapshots read the very database it wraps; every writer
+// refused with ErrReadOnly, leaving no manifest; and Close closing the
+// database only when the store owns it.
+func TestReadOnlyStore(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	doc := randDoc(r, tree.NewNames(), 60)
+	base := filepath.Join(t.TempDir(), "db")
+	db, err := storage.CreateFromTree(base, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st := ReadOnly(db, false)
+	snap := st.Snapshot()
+	defer snap.Release()
+	if snap.DB() != db || snap.Version() != 1 || st.Version() != 1 || st.Nodes() != db.N || st.Names() != db.Names {
+		t.Fatalf("read-only snapshot: db %p version %d (store %d), %d nodes; want db %p version 1, %d nodes",
+			snap.DB(), snap.Version(), st.Version(), st.Nodes(), db, db.N)
+	}
+	if st.Writable() {
+		t.Fatal("a read-only store reports itself writable")
+	}
+	ctx := context.Background()
+	frag := randFragment(r, new(int), 3)
+	for op, write := range map[string]func() (*PatchInfo, error){
+		"ReplaceSubtree": func() (*PatchInfo, error) { return st.ReplaceSubtree(ctx, 1, frag) },
+		"DeleteSubtree":  func() (*PatchInfo, error) { return st.DeleteSubtree(ctx, 1) },
+		"InsertChild":    func() (*PatchInfo, error) { return st.InsertChild(ctx, 0, frag) },
+		"Compact":        func() (*PatchInfo, error) { return st.Compact(ctx) },
+	} {
+		if _, err := write(); !errors.Is(err, ErrReadOnly) {
+			t.Errorf("%s on a read-only store: error %v, want ErrReadOnly", op, err)
+		}
+	}
+	if _, err := os.Stat(base + ".arbm"); !os.IsNotExist(err) {
+		t.Fatalf("a refused write left a manifest (err=%v)", err)
+	}
+	if s := st.Stats(); s.Snapshots != 1 || s.Segments != 1 || s.SegmentBytes != db.N*storage.NodeSize {
+		t.Fatalf("stats %+v: want 1 snapshot and the database file as the one segment", s)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RecordAt(0); err != nil {
+		t.Fatalf("closing a store that does not own its database closed it: %v", err)
+	}
+	if err := ReadOnly(db, true).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.RecordAt(0); err == nil {
+		t.Fatal("closing a store that owns its database left it open")
 	}
 }

@@ -15,12 +15,14 @@ type writeFunc func([]byte) (int, error)
 
 func (f writeFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestSessionPinsGauge holds the versioned store's snapshot count to the
-// pins pinned takes: each call holds one for fn's whole run and releases
-// it on every way out — a normal return, fn's error or panic, and an
-// Exec whose context is cancelled mid-scan — so a quiescent session reads
-// zero. Every caller of pinned (Exec, PreparedBatch.Exec, EmitXML and
-// TryCached) has a row that holds one pin while it runs and none after.
+// TestSessionPinsGauge holds the store's snapshot count to the pins
+// pinned takes, on every kind of source — a versioned store, a tree's
+// record image and a caller's database: each call holds one for fn's
+// whole run and releases it on every way out — a normal return, fn's
+// error or panic, and an Exec whose context is cancelled mid-scan — so a
+// quiescent session reads zero. Every caller of pinned (Exec,
+// PreparedBatch.Exec, EmitXML and TryCached) has a row that holds one pin
+// while it runs and none after.
 func TestSessionPinsGauge(t *testing.T) {
 	var doc strings.Builder
 	doc.WriteString("<a>")
@@ -37,21 +39,27 @@ func TestSessionPinsGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Close()
+	defer db.Close()
 	sess, err := OpenVersionedSession(nil, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	pinsGauge(t, sess)
+	for name, sess := range map[string]*Session{"tree": NewSession(tr), "db": NewDBSession(db)} {
+		t.Run(name, func(t *testing.T) {
+			defer sess.Close()
+			pinsGauge(t, sess)
+		})
+	}
+}
 
+// pinsGauge runs TestSessionPinsGauge's rows on one session.
+func pinsGauge(t *testing.T, sess *Session) {
 	snapshots := func(t *testing.T, want int, when string) {
 		t.Helper()
-		st, ok := sess.StoreStats()
-		if !ok {
-			t.Fatal("versioned session must report store stats")
-		}
-		if st.Snapshots != want {
-			t.Fatalf("%s: store holds %d snapshots, want %d", when, st.Snapshots, want)
+		if got := sess.vs.Stats().Snapshots; got != want {
+			t.Fatalf("%s: store holds %d snapshots, want %d", when, got, want)
 		}
 	}
 
@@ -102,8 +110,7 @@ func TestSessionPinsGauge(t *testing.T) {
 			held := -1
 			mark := writeFunc(func(p []byte) (int, error) {
 				if held < 0 {
-					st, _ := sess.StoreStats()
-					held = st.Snapshots
+					held = sess.vs.Stats().Snapshots
 					cancel()
 				}
 				return len(p), nil
@@ -128,8 +135,7 @@ func TestSessionPinsGauge(t *testing.T) {
 			held := -1
 			mark := writeFunc(func(p []byte) (int, error) {
 				if held < 0 {
-					st, _ := sess.StoreStats()
-					held = st.Snapshots
+					held = sess.vs.Stats().Snapshots
 				}
 				return len(p), nil
 			})
@@ -172,8 +178,7 @@ func TestSessionPinsGauge(t *testing.T) {
 			full := errors.New("disk full")
 			held := -1
 			w := writeFunc(func([]byte) (int, error) {
-				st, _ := sess.StoreStats()
-				held = st.Snapshots
+				held = sess.vs.Stats().Snapshots
 				return 0, full
 			})
 			if err := sess.EmitXML(context.Background(), w, nil); !errors.Is(err, full) {

@@ -14,14 +14,22 @@ import (
 	"arb/internal/xpath"
 )
 
-// Session wraps one open query source — an in-memory Tree or an on-disk
-// DB — and is the root of everything shared between the queries prepared
-// on it: the label-name table every engine resolves Label[..] tests
-// against, and the database handle (for a tree, its record image) with its
-// lazily built subtree index, which the parallel evaluator cuts its chunk
-// frontier from. Queries enter through Prepare/PrepareXPath, whose
-// PreparedQuery handles persist the compiled automata across executions —
-// the compile-once, query-many shape the paper's engine is built for.
+// Session wraps one open query source and is the root of everything
+// shared between the queries prepared on it: the label-name table every
+// engine resolves Label[..] tests against, and the database (for a tree,
+// its record image) with its lazily built subtree index, which the
+// parallel evaluator cuts its chunk frontier from. Queries enter through
+// Prepare/PrepareXPath, whose PreparedQuery handles persist the compiled
+// automata across executions — the compile-once, query-many shape the
+// paper's engine is built for.
+//
+// Every session reads a versioned store, and every execution pins one
+// version snapshot of it for its whole run. A tree (NewSession), a
+// caller's database (NewDBSession) or a plain database on disk
+// (OpenSession) is a read-only store of one version, 1, read straight from
+// that database; a patched database (OpenSession) or any database opened
+// through OpenVersionedSession also takes Patch and Compact, which publish
+// new versions without disturbing running executions.
 //
 // A Session is safe for concurrent use: any number of goroutines may
 // prepare and execute queries on it at once (disk reads are
@@ -31,24 +39,7 @@ import (
 // plan cached and shared across a server's concurrent requests never
 // queues those requests behind each other.
 type Session struct {
-	t     *tree.Tree
-	db    *storage.DB
-	ownDB bool
-
-	// vs is non-nil for versioned sessions (databases with a .arbm
-	// manifest, or any database opened through OpenVersionedSession):
-	// executions pin an immutable version snapshot for their whole
-	// duration, and Patch/Compact publish new versions without
-	// disturbing them. Exactly one of t, db, vs is the session's source.
 	vs *vstore.Store
-
-	// The tree's record image opened as a database (storage.OpenTree),
-	// built on first use and shared by every execution on the session:
-	// trees run through the same driver as databases, with their scratch
-	// files in RAM.
-	treeOnce sync.Once
-	treeDB   *storage.DB
-	treeErr  error
 
 	// rc is the session's result cache (SetResultCache), shared by every
 	// query prepared on the session; nil means no result caching. Set it
@@ -56,108 +47,66 @@ type Session struct {
 	rc *rescache.Cache
 }
 
-// image returns the tree's record image, opening it on first use; a tree
-// not laid out in preorder fails every execution with the reason.
-func (s *Session) image() (*storage.DB, error) {
-	s.treeOnce.Do(func() {
-		s.treeDB, s.treeErr = storage.OpenTree(s.t, nil)
-		if s.treeErr != nil {
-			s.treeErr = fmt.Errorf("arb: %w", s.treeErr)
-		}
-	})
-	return s.treeDB, s.treeErr
-}
-
 // NewSession opens a session over an in-memory tree, which must be laid
 // out in preorder (Tree.CheckPreorder; ParseXML and TreeBuilder always
 // are). Executions run over the tree's record image — 2 bytes a node,
-// encoded on first use and kept — through the same driver as databases,
-// with their temporaries in RAM: an in-memory session touches no file
-// system. A tree that is not in preorder fails every execution.
-func NewSession(t *Tree) *Session { return &Session{t: t} }
+// encoded here and kept — through the same driver as databases, with their
+// temporaries in RAM: an in-memory session touches no file system. A tree
+// that is not in preorder fails every execution.
+func NewSession(t *Tree) *Session {
+	db, _ := storage.OpenTree(t, nil) // a failed image fails every read with the reason
+	return &Session{vs: vstore.ReadOnly(db, false)}
+}
 
 // NewDBSession opens a session over an already-open database. Closing the
 // session does not close the database; the caller keeps ownership.
-func NewDBSession(db *DB) *Session { return &Session{db: db} }
+func NewDBSession(db *DB) *Session { return &Session{vs: vstore.ReadOnly(db, false)} }
 
-// OpenSession opens the database stored at base (base.arb, base.lab) and
-// wraps it in a session that owns it: Close closes the database too.
-// When a base.arbm version manifest is present — the database has been
-// patched — the session opens versioned: queries read consistent MVCC
-// snapshots and the session accepts Patch/Compact. A plain database
-// opens exactly as before (use OpenVersionedSession to patch one for
-// the first time).
+// OpenSession opens the database stored at base (base.arb, base.lab) in a
+// session that owns it: Close closes it too. When a base.arbm version
+// manifest is present — the database has been patched — the session is
+// OpenVersionedSession's and accepts Patch/Compact. A plain database opens
+// read-only, as version 1, and opening it changes no file (use
+// OpenVersionedSession to patch one for the first time).
 func OpenSession(base string) (*Session, error) {
 	versioned, err := vstore.Versioned(base)
 	if err != nil {
 		return nil, err
 	}
 	if versioned {
-		return OpenVersionedSession(context.Background(), base)
+		return OpenVersionedSession(nil, base)
 	}
 	db, err := storage.Open(base)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{db: db, ownDB: true}, nil
+	return &Session{vs: vstore.ReadOnly(db, true)}, nil
 }
 
-// Close releases the session's resources (the database handle or
-// versioned store, when the session owns one).
-func (s *Session) Close() error {
-	if s.vs != nil {
-		return s.vs.Close()
-	}
-	if s.ownDB && s.db != nil {
-		return s.db.Close()
-	}
-	return nil
+// Close releases the session's store, and with it the database when the
+// session owns one.
+func (s *Session) Close() error { return s.vs.Close() }
+
+// Names returns the label-name table of the session's current version;
+// patches that introduce new tags publish a grown copy, and ids never
+// change meaning (tables only append), so labels resolved against an
+// older table stay valid.
+func (s *Session) Names() *Names { return s.vs.Names() }
+
+// Compression reports the block-compression container of the database
+// the session reads directly, when it is a compressed .arb. Trees report
+// none; versioned sessions also report none here — their segments are
+// individually compressed (or not) behind the run table.
+func (s *Session) Compression() (info CompressionInfo, ok bool) {
+	s.pinned(func(db *storage.DB, _ *tree.Names, _ uint64) error {
+		info, ok = db.Compression()
+		return nil
+	})
+	return info, ok
 }
 
-// Names returns the session's label-name table. For versioned sessions
-// this is the current version's table; patches that introduce new tags
-// publish a grown copy, and ids never change meaning (tables only
-// append), so labels resolved against an older table stay valid.
-func (s *Session) Names() *Names {
-	if s.vs != nil {
-		return s.vs.Names()
-	}
-	if s.db != nil {
-		return s.db.Names
-	}
-	return s.t.Names()
-}
-
-// DB returns the session's database, or nil for in-memory and versioned
-// sessions (a versioned session has no single database — each execution
-// pins its own version snapshot).
-func (s *Session) DB() *DB { return s.db }
-
-// Compression reports the database's block-compression container when
-// the session reads directly from a compressed .arb. In-memory sessions
-// report none; versioned sessions also report none here — their
-// segments are individually compressed (or not) behind the run table.
-func (s *Session) Compression() (CompressionInfo, bool) {
-	if s.db != nil {
-		return s.db.Compression()
-	}
-	return CompressionInfo{}, false
-}
-
-// Tree returns the session's tree, or nil for disk sessions.
-func (s *Session) Tree() *Tree { return s.t }
-
-// Len returns the number of nodes of the session's document (for
-// versioned sessions: of the current version).
-func (s *Session) Len() int64 {
-	if s.vs != nil {
-		return s.vs.Nodes()
-	}
-	if s.db != nil {
-		return s.db.N
-	}
-	return int64(s.t.Len())
-}
+// Len returns the number of nodes of the session's current version.
+func (s *Session) Len() int64 { return s.vs.Nodes() }
 
 // SetResultCache attaches a result cache of the given byte budget to the
 // session: executions opting in via ExecOpts.ResultCache publish their
@@ -166,11 +115,10 @@ func (s *Session) Len() int64 {
 // scanning. maxBytes <= 0 disables caching. Call before executions
 // begin; the cache itself is safe for any amount of concurrency.
 //
-// In-memory sessions have no version ids, so the cache assumes the tree
-// is not mutated while the session lives — the same contract the
-// session's cached record image already relies on. Versioned sessions need
-// no such caveat: every execution pins a version, and entries can only
-// answer requests pinning the same one.
+// Every execution pins a version, and entries only answer requests
+// pinning the same one, so patches never serve stale answers. A tree
+// session's one version assumes the tree is not mutated while the session
+// lives — the same contract its record image already relies on.
 func (s *Session) SetResultCache(maxBytes int64) { s.rc = rescache.New(maxBytes) }
 
 // ResultCacheStats reports the result cache's counters; ok is false when
@@ -182,28 +130,16 @@ func (s *Session) ResultCacheStats() (ResultCacheStats, bool) {
 	return s.rc.Stats(), true
 }
 
-// pinned runs fn on the source one execution reads: the database handle
-// (the tree's record image for in-memory sessions), the label-name table
-// to compile against, and the version read (0 unless versioned).
-// Versioned sessions pin a snapshot for fn's whole run — fn keeps reading
-// that version however many patches commit meanwhile — and release it
-// when fn returns or panics, which is what lets the store collect
-// superseded versions and their patch segments.
+// pinned runs fn on the version one execution reads: its database
+// handle, the label-name table to compile against, and its version id.
+// The snapshot stays pinned for fn's whole run — fn keeps reading that
+// version however many patches commit meanwhile — and is released when fn
+// returns or panics, which is what lets the store collect superseded
+// versions and their patch segments.
 func (s *Session) pinned(fn func(db *storage.DB, names *tree.Names, version uint64) error) error {
-	switch {
-	case s.vs != nil:
-		snap := s.vs.Snapshot()
-		defer snap.Release()
-		return fn(snap.DB(), snap.Names(), snap.Version())
-	case s.db != nil:
-		return fn(s.db, s.db.Names, 0)
-	default:
-		db, err := s.image()
-		if err != nil {
-			return err
-		}
-		return fn(db, s.t.Names(), 0)
-	}
+	snap := s.vs.Snapshot()
+	defer snap.Release()
+	return fn(snap.DB(), snap.Names(), snap.Version())
 }
 
 // Prepare compiles a TMNF program against the session: the result's
@@ -346,10 +282,10 @@ type Profile struct {
 	// threshold and marked-output passes may still evaluate
 	// sequentially.
 	Workers int
-	// Version is the database version this execution read — versioned
-	// sessions pin exactly one MVCC snapshot for all their passes, so
-	// concurrent patches never change an execution's data mid-flight.
-	// Zero for unversioned sessions.
+	// Version is the database version this execution read — every
+	// execution pins exactly one MVCC snapshot for all its passes, so
+	// concurrent patches never change an execution's data mid-flight. A
+	// read-only session's one version is 1.
 	Version  uint64
 	Duration time.Duration
 	// ResultCache reports how the result cache served this execution:
@@ -429,8 +365,8 @@ func (q *PreparedQuery) handle() *xpath.Prepared {
 }
 
 // prepared returns the compiled handle bound to names, recompiling once
-// per name-table generation. The common case — unversioned sessions,
-// and versioned sessions whose patches added no tags — is a pointer
+// per name-table generation. The common case — read-only sessions, and
+// versioned sessions whose patches added no tags — is a pointer
 // compare returning the cached handle.
 func (q *PreparedQuery) prepared(names *tree.Names) (*xpath.Prepared, error) {
 	q.mu.Lock()

@@ -9,14 +9,17 @@ import (
 	"arb/internal/vstore"
 )
 
-// Versioned-session surface: copy-on-write subtree patching with MVCC
-// snapshots (internal/vstore). A versioned session keeps the whole
-// query surface of a plain disk session — every execution strategy runs
-// on a pinned version snapshot unmodified — and adds in-place mutation:
-// Patch's replace, delete and insert-child write only the new
-// subtree bytes plus a fixed-up index along the affected path (O(subtree),
-// never O(database)), commit atomically by manifest rename, and never
-// disturb a running query, which keeps reading the version it pinned.
+// The versioned surface of a session: its version id and history, its
+// store's bookkeeping, and copy-on-write subtree patching with MVCC
+// snapshots (internal/vstore). Every session reads a store of versions and
+// every execution pins one snapshot of it; a writable store — a patched
+// database, or any database opened through OpenVersionedSession — adds
+// in-place mutation: Patch's replace, delete and insert-child write only
+// the new subtree bytes plus a fixed-up index along the affected path
+// (O(subtree), never O(database)), commit atomically by manifest rename,
+// and never disturb a running query, which keeps reading the version it
+// pinned. A read-only session (a tree, a caller's database, a plain
+// database) stays at version 1 and refuses Patch and Compact.
 
 // PatchInfo reports one committed mutation: the version it produced,
 // the node-count change, and the bytes it appended.
@@ -46,44 +49,31 @@ func OpenVersionedSession(ctx context.Context, base string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{vs: vs, ownDB: true}, nil
+	return &Session{vs: vs}, nil
 }
 
-// Versioned reports whether the session supports Patch/Compact and
-// MVCC snapshots.
-func (s *Session) Versioned() bool { return s.vs != nil }
+// Versioned reports whether the session supports Patch/Compact: false for
+// a read-only session, whose one version is 1.
+func (s *Session) Versioned() bool { return s.vs.Writable() }
 
-// Version returns the current version id of a versioned session (each
-// committed patch or compaction increments it), or 0 for unversioned
-// sessions.
-func (s *Session) Version() uint64 {
-	if s.vs == nil {
-		return 0
-	}
-	return s.vs.Version()
-}
+// Version returns the session's current version id: each committed patch
+// or compaction increments it, and a read-only session stays at 1.
+func (s *Session) Version() uint64 { return s.vs.Version() }
 
-// History returns the committed operation chain of a versioned session,
-// oldest first (nil for unversioned sessions).
-func (s *Session) History() []HistoryEntry {
-	if s.vs == nil {
-		return nil
-	}
-	return s.vs.History()
-}
+// History returns the committed operation chain of the session's store,
+// oldest first (a read-only session's is its one "open").
+func (s *Session) History() []HistoryEntry { return s.vs.History() }
 
-// StoreStats returns the versioned store's bookkeeping summary; ok is
-// false for unversioned sessions.
+// StoreStats returns the session's store bookkeeping summary; ok is false
+// for a read-only session, whose store takes no patches.
 func (s *Session) StoreStats() (stats StoreStats, ok bool) {
-	if s.vs == nil {
-		return StoreStats{}, false
-	}
-	return s.vs.Stats(), true
+	return s.vs.Stats(), s.Versioned()
 }
 
-// errNotVersioned is the shared guard of the mutation surface.
+// versioned returns the session's store for a patch or compaction, or the
+// error refusing one on a read-only session.
 func (s *Session) versioned() (*vstore.Store, error) {
-	if s.vs == nil {
+	if !s.Versioned() {
 		return nil, fmt.Errorf("arb: session is not versioned (open the database with OpenVersionedSession to patch it)")
 	}
 	return s.vs, nil
@@ -137,9 +127,8 @@ func (s *Session) Patch(ctx context.Context, op PatchOp) (*PatchInfo, error) {
 
 // EmitXML writes the session's document back out as XML, wrapping the
 // nodes for which selected returns true in <arb:selected> markup
-// (selected may be nil for plain output). Versioned sessions emit a
-// consistent snapshot of the current version — a patch committing
-// mid-emit changes nothing; in-memory sessions emit their tree.
+// (selected may be nil for plain output). It emits a consistent snapshot
+// of the current version: a patch committing mid-emit changes nothing.
 func (s *Session) EmitXML(ctx context.Context, w io.Writer, selected func(v int64) bool) error {
 	if ctx == nil {
 		ctx = context.Background()

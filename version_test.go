@@ -144,8 +144,8 @@ func TestVersionedSessionDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if oprof.Version != 0 {
-						t.Fatalf("unversioned execution reports version %d", oprof.Version)
+					if oprof.Version != 1 {
+						t.Fatalf("read-only execution reports version %d, want 1", oprof.Version)
 					}
 					want := owant.Selected(opq.Queries()[0])
 					sameSelected(t, fmt.Sprintf("%s at version %d, interpreter oracle", sources[i], sess.Version()), i, want, oracleSelected(otree, queries[i])[0])
