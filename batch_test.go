@@ -294,7 +294,9 @@ func (noopWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // batchTwoScansQueries builds the 16 single-pass programs of the
 // two-scans experiments: label tests and small structural patterns over
-// the generated full-binary tags.
+// the generated full-binary tags. Every fourth has an upward and a
+// downward condition, which neither the one-scan nor the forward verdict
+// admits, so the batch needs both phases on any document.
 func batchTwoScansQueries(t testing.TB) []any {
 	t.Helper()
 	tags := []string{"a", "b", "c", "d"}
@@ -309,7 +311,7 @@ func batchTwoScansQueries(t testing.TB) []any {
 		case 2:
 			src = fmt.Sprintf(`QUERY :- Leaf, Label[%s];`, tags[(i/4)%4])
 		case 3:
-			src = fmt.Sprintf(`QUERY :- V.Label[%s].SecondChild.HasFirstChild;`, tags[(i/4)%4])
+			src = fmt.Sprintf(`U :- Label[%s]; P :- U.invFirstChild; S :- P.SecondChild; QUERY :- S, HasFirstChild;`, tags[(i/4)%4])
 		}
 		p, err := arb.ParseProgram(src)
 		if err != nil {

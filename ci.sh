@@ -70,6 +70,16 @@ if [ "$loops" -gt 0 ]; then
     echo "internal/core calls storage.FoldBottomUp*/ScanTopDown* from $loops places, want 0" >&2
     exit 1
 fi
+# Two kernels: phase 1's foldKernel and phase 2's scanKernel. A forward
+# scan is phase 2 with its bottom-up states read from the records — a
+# property of the attempt, not a third kernel. Keep it two.
+kernels=$(ls internal/core/*.go | grep -v '_test\.go$' |
+    xargs grep -hoE '^type [A-Za-z0-9_]+Kernel struct' | sort)
+if [ "$kernels" != "$(printf 'type foldKernel struct\ntype scanKernel struct')" ]; then
+    echo "internal/core declares kernels other than foldKernel and scanKernel:" >&2
+    echo "$kernels" >&2
+    exit 1
+fi
 # The batch disk driver and its per-node state vectors are gone: a batch
 # is lanes of the scalar driver (core/product.go). Keep them gone.
 if grep -rnE '\b(runDiskBatchChunked|takeVec)\b' --include='*.go' . >&2; then
@@ -420,10 +430,11 @@ gate 'Patch|Version|Snapshot' -race ./...
 # demotion), cached answers under version churn, selection-summary
 # subsumption soundness, and the server fast path + admission control.
 gate 'ResCache|Subsum' -race ./...
-# The engine's one analysis: pinned prune, subsumption and one-scan
-# verdicts, the engine left clean by planning, and concurrent first use of
-# a fresh engine's plan.
-gate 'OneScan|SelSum|Analysis' -race ./...
+# The engine's one analysis: pinned prune, subsumption, one-scan and
+# forward verdicts, the engine left clean by planning, concurrent first use
+# of a fresh engine's plan, and forward runs' cancellation, scratch-free
+# runs and two-scan fallback.
+gate 'OneScan|Forward|SelSum|Analysis' -race ./...
 
 # Full suite (includes the fuzz targets' seed corpora), with shuffled
 # test order so inter-test state dependencies cannot hide.

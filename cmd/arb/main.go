@@ -425,12 +425,11 @@ func query(ctx context.Context, args []string) error {
 		}
 	}
 	if *verbose {
+		phase1 := fmt.Sprintf("phase 1 (bottom-up): %v, %d transitions", prof.Engine.Phase1Time, prof.Engine.BUTransitions)
 		phase2 := fmt.Sprintf("phase 2 (top-down): %v, %d transitions", prof.Engine.Phase2Time, prof.Engine.TDTransitions)
-		if oneScan(prof) {
-			phase2 = "phase 2: omitted (one scan)"
-		}
-		fmt.Fprintf(os.Stderr, "phase 1 (bottom-up): %v, %d transitions; %s; %d passes, %d workers, temp %d bytes\n",
-			prof.Engine.Phase1Time, prof.Engine.BUTransitions, phase2, prof.Passes, prof.Workers, prof.Disk.StateBytes)
+		phase1, phase2 = omitPhases(prof, phase1, phase2)
+		fmt.Fprintf(os.Stderr, "%s; %s; %d passes, %d workers, temp %d bytes\n",
+			phase1, phase2, prof.Passes, prof.Workers, prof.Disk.StateBytes)
 		if skipped := prof.SkippedBytes(); skipped > 0 || prof.Engine.PrunedNodes > 0 {
 			fmt.Fprintf(os.Stderr, "pruning: skipped %d data bytes (%d nodes proven irrelevant); -noprune disables\n",
 				skipped, prof.Engine.PrunedNodes)
@@ -503,22 +502,32 @@ func runBatch(ctx context.Context, sess *arb.Session, path string, workers int, 
 		}
 	}
 	if verbose {
+		phase1 := fmt.Sprintf("phase 1: %v", prof.Engine.Phase1Time)
 		phase2 := fmt.Sprintf("phase 2: %v", prof.Engine.Phase2Time)
-		if oneScan(prof) {
-			phase2 = "phase 2: omitted (one scan)"
-		}
-		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s); phase 1: %v, %s; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
-			len(items), prof.Passes, prof.Engine.Phase1Time, phase2,
+		phase1, phase2 = omitPhases(prof, phase1, phase2)
+		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s); %s, %s; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
+			len(items), prof.Passes, phase1, phase2,
 			prof.Workers, prof.Disk.StateBytes,
 			float64(prof.Disk.Phase1.Bytes+prof.Disk.Phase2.Bytes)/float64(len(items)))
 	}
 	return nil
 }
 
-// oneScan reports whether every pass of an execution omitted phase 2: its
-// selections were decided by the bottom-up pass alone.
-func oneScan(prof *arb.Profile) bool {
-	return prof.Passes > 0 && prof.Disk.OneScan == prof.Passes
+// omitPhases returns the -v descriptions of the two phases, rewriting the
+// one every pass of an execution omitted: phase 2 when the bottom-up pass
+// alone decided the selections (one scan), phase 1 when the records
+// decided the bottom-up states (one forward scan).
+func omitPhases(prof *arb.Profile, phase1, phase2 string) (string, string) {
+	if prof.Passes == 0 || prof.Disk.OneScan != prof.Passes {
+		return phase1, phase2
+	}
+	switch {
+	case prof.Disk.Phase1.Nodes == 0:
+		phase1 = "phase 1: omitted (forward scan)"
+	case prof.Disk.Phase2.Nodes == 0:
+		phase2 = "phase 2: omitted (one scan)"
+	}
+	return phase1, phase2
 }
 
 // printIDs streams the selected preorder ids to stdout, surfacing write

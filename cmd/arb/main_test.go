@@ -67,8 +67,10 @@ func capture(t *testing.T, f **os.File, fn func() error) string {
 
 // TestQueryVerboseOneScan checks what query -v and -batch -v say about
 // the scans: a label selection is decided by the bottom-up pass, so phase 2
-// is omitted and no state file written; a child-of-the-root query keeps
-// both scans and its temp bytes.
+// is omitted and no state file written; a regular path's bottom-up states
+// are decided by the records, so phase 1 is omitted and no state file
+// written; a filter with an upward and a downward condition keeps both
+// scans and its temp bytes.
 func TestQueryVerboseOneScan(t *testing.T) {
 	dir := t.TempDir()
 	xml := filepath.Join(dir, "doc.xml")
@@ -81,6 +83,13 @@ func TestQueryVerboseOneScan(t *testing.T) {
 	if err := os.WriteFile(work, []byte("QUERY :- Label[a];\nxpath://b\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	forward := filepath.Join(dir, "forward.txt")
+	if err := os.WriteFile(forward, []byte("xpath:/doc/a\nxpath://c/a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The a children of c nodes with an a child.
+	const filter = `A :- Label[a]; U :- A; U :- U.invNextSibling; P :- U.invFirstChild; F :- Label[c], P;
+		D :- F.FirstChild; D :- D.NextSibling; QUERY :- D, Label[a];`
 	ctx := context.Background()
 	for _, tc := range []struct {
 		args          []string
@@ -88,7 +97,9 @@ func TestQueryVerboseOneScan(t *testing.T) {
 	}{
 		{[]string{"-q", "QUERY :- Label[a];"}, "; phase 2: omitted (one scan); 1 passes, 1 workers, temp 0 bytes", "phase 2 (top-down)"},
 		{[]string{"-batch", "-f", work}, "phase 2: omitted (one scan); 1 workers, temp 0 bytes", "phase 2: 0"},
-		{[]string{"-xpath", "/doc/a"}, "phase 2 (top-down)", "omitted"},
+		{[]string{"-xpath", "/doc/a"}, "phase 1: omitted (forward scan); phase 2 (top-down)", "phase 1 (bottom-up)"},
+		{[]string{"-batch", "-f", forward}, "; phase 1: omitted (forward scan), phase 2: ", "phase 2: omitted"},
+		{[]string{"-q", filter}, "phase 2 (top-down)", "omitted"},
 	} {
 		args := append([]string{base, "-v", "-j", "1"}, tc.args...)
 		var stderr string
@@ -101,6 +112,9 @@ func TestQueryVerboseOneScan(t *testing.T) {
 		}
 		if tc.notWant == "omitted" && strings.Contains(stderr, "temp 0 bytes") {
 			t.Fatalf("query %q printed\n%s\nwant a state file's temp bytes", args, stderr)
+		}
+		if strings.Contains(tc.want, "forward scan") && !strings.Contains(stderr, "temp 0 bytes") {
+			t.Fatalf("query %q printed\n%s\nwant no state file's temp bytes", args, stderr)
 		}
 	}
 }

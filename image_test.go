@@ -43,9 +43,11 @@ func imageDoc(t *testing.T) *arb.Tree {
 // members exceed one lane's 64-bit query mask, so an in-memory batch steps
 // two lanes — a 64-member product and a member alone. Label selections are
 // decided by bottom-up states, so with 65 of them the batch runs one scan
-// and writes no state; with a root-path member last, that member's lane
-// writes one state id per node and the other still none: 1 byte a node, as
-// the member's automaton stays under the one-byte width. Results are
+// and writes no state; with a member last that has an upward and a
+// downward condition (which neither the one-scan nor the forward verdict
+// admits), that member's lane writes one state id per node and the other
+// still none: 1 byte a node, as the member's automaton stays under the
+// one-byte width. Results are
 // bit-identical to each member's scalar Exec and to the naive oracle.
 func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 	tr := imageDoc(t)
@@ -58,7 +60,9 @@ func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 		}
 		items[i] = p
 	}
-	rootPath, err := arb.ParseProgram(`R :- Root; D :- R.FirstChild; D :- D.NextSibling; QUERY :- D, Label[t1];`)
+	// The t1 children of t2 nodes with a t3 child.
+	twoScan, err := arb.ParseProgram(`C :- Label[t3]; U :- C; U :- U.invNextSibling; P :- U.invFirstChild; F :- Label[t2], P;
+		D :- F.FirstChild; D :- D.NextSibling; QUERY :- D, Label[t1];`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +74,7 @@ func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 		oneScan    int
 	}{
 		{"label selections", items[64], 0, 1},
-		{"a root-path member last", rootPath, n, 0},
+		{"a two-scan member last", twoScan, n, 0},
 	} {
 		items[64] = tc.last
 		want := scalarSelected(t, sess, items)

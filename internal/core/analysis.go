@@ -1,9 +1,11 @@
-// The static analysis (this file) decides, once per engine, the three
+// The static analysis (this file) decides, once per engine, the four
 // things a run may know before it reads a node: which extents it may seek
 // past (prune.go), which selections a label alone decides (the result
-// cache's subsumption, selsum.go), and which selections a bottom-up state
-// alone decides (one scan, pardisk.go). All three are closure walks over
-// the compiled automata, and one walk computes them, on a scratch engine
+// cache's subsumption, selsum.go), which selections a bottom-up state
+// alone decides (one scan, pardisk.go), and whether a node's bottom-up
+// state is decided by its own record (forward scan, pardisk.go). All four
+// are closure walks over the compiled automata, and one walk computes
+// them, on a scratch engine
 // of its own: none of the states and transitions it reaches land in the
 // engine, whose tables and Stats hold what runs compute and nothing else
 // (Figure 6's columns). The engine gains one state from the analysis, the
@@ -43,6 +45,16 @@
 //     its own states up. A state a run meets outside the walk cannot
 //     happen; should one appear anyway, the run starts over with two scans
 //     (errTwoScans).
+//   - Forward scan. A node's bottom-up state depends on its record alone —
+//     label, child flags, root-ness — when, over every pair (s₁, s₂) of
+//     the bottom-up closure, δA(σ, s₁, s₂) depends only on σ, on s₁ ≠ ⊥
+//     and s₂ ≠ ⊥, and on root-ness. By induction over the subtree, every
+//     node's state is then one δA step with any closure state standing in
+//     for each child it has, so phase 2 computes it from the record it
+//     reads: no phase 1 and no state file. Root-path queries qualify —
+//     their conditions are top-down facts — and upward ones (//a[b]) do
+//     not. A document's root has no second child, so the walk leaves that
+//     shape out; a run whose root has one starts over with two scans.
 package core
 
 import (
@@ -67,11 +79,13 @@ const (
 )
 
 // errTwoScans ends a one-scan attempt that met a bottom-up state the
-// analysis did not cover; the driver reruns it with phase 2.
+// analysis did not cover, or a forward attempt over a root with a second
+// child; the driver reruns it with both phases.
 var errTwoScans = errors.New("core: bottom-up state outside the one-scan analysis")
 
 // oneScanOff forces every run through both phases. A variable only so the
-// package tests can check one-scan answers against forced two-scan ones.
+// package tests can check one-scan and forward answers against forced
+// two-scan ones.
 var oneScanOff = false
 
 // analysis is an engine's plan: every verdict of the walk, computed once
@@ -92,6 +106,10 @@ type analysis struct {
 	// the root; both nil when the program is not admitted.
 	oneScan     bool
 	child, root map[string]uint64
+
+	// Forward scan: every node's bottom-up state is a function of its
+	// record (StepCache.RecState).
+	forward bool
 }
 
 // analyze runs the walk for program c over the name table names, on a
@@ -180,12 +198,12 @@ func (a *analysis) judgePrune(w *Engine, reps []tree.Label) {
 
 // judgeLabels walks the trees over the mentioned labels and the two
 // representatives for the subsumption verdicts (of a program with one
-// query predicate) and the one-scan verdicts. After each bottom-up round it
-// walks the top-down closure over the states found so far, once per
-// verdict still standing: those configurations are real ones too, so a
-// verdict refused there is refused for good (root-path queries fail on the
-// first round's leaves), and the round that adds nothing walks the whole
-// closure.
+// query predicate), the one-scan verdicts and the forward verdict. After
+// each bottom-up round it checks the states found so far, once per verdict
+// still standing: those configurations are real ones too, so a verdict
+// refused there is refused for good (root-path queries fail one scan on
+// the first round's leaves), and the round that adds nothing checks the
+// whole closure.
 //
 // arblint:holds mu — the walk owns its scratch engine w.
 func (a *analysis) judgeLabels(w *Engine, mentioned map[tree.Label]bool, charRep, namedRep tree.Label, oneQuery bool) {
@@ -197,8 +215,8 @@ func (a *analysis) judgeLabels(w *Engine, mentioned map[tree.Label]bool, charRep
 	alphabet = append(alphabet, charRep, namedRep)
 	var childV, rootV map[tree.Label]uint64
 	var child, root map[StateID]uint64
-	selOK, oneOK := oneQuery, true
-	if _, ok := w.closeBU(alphabet, labelBUCap, func(bu buClosure) bool {
+	selOK, oneOK, fwdOK := oneQuery, true, true
+	if bu, ok := w.closeBU(alphabet, labelBUCap, func(bu buClosure) bool {
 		states := bu.states()
 		if selOK {
 			childV, rootV, selOK = w.labelVerdicts(alphabet, bu, states)
@@ -206,9 +224,14 @@ func (a *analysis) judgeLabels(w *Engine, mentioned map[tree.Label]bool, charRep
 		if oneOK {
 			child, root, oneOK = w.stateVerdicts(alphabet, states)
 		}
-		return selOK || oneOK
+		if fwdOK {
+			fwdOK = w.recordVerdict(alphabet, states, false)
+		}
+		return selOK || oneOK || fwdOK
 	}); !ok {
 		return
+	} else if fwdOK {
+		fwdOK = w.recordVerdict(alphabet, bu.states(), true)
 	}
 	if selOK {
 		a.sel = newSelSummary(mentioned, charRep, namedRep, childV, rootV)
@@ -216,6 +239,7 @@ func (a *analysis) judgeLabels(w *Engine, mentioned map[tree.Label]bool, charRep
 	if oneOK {
 		a.oneScan, a.child, a.root = true, w.keyed(child), w.keyed(root)
 	}
+	a.forward = fwdOK
 }
 
 // labelVerdicts is the subsumption walk: the query mask of every label at
@@ -262,6 +286,42 @@ func (w *Engine) stateVerdicts(alphabet []tree.Label, states []StateID) (child, 
 		return agree(child, s, w.queryMask(td))
 	})
 	return child, root, ok
+}
+
+// recordVerdict is the forward walk over non-root nodes or roots: false
+// when two steps into nodes of one record — over the states as children,
+// on every side the record announces one — yield different states. Roots
+// take no second child, which a document's root never has; they are
+// checked once, over the whole closure, as no root is a child.
+//
+// arblint:holds mu — the walk owns its scratch engine w.
+func (w *Engine) recordVerdict(alphabet []tree.Label, states []StateID, root bool) bool {
+	none := []StateID{NoState}
+	for _, l := range alphabet {
+		for shape := range 4 {
+			first, second := shape&1 != 0, shape&2 != 0
+			if root && second {
+				continue
+			}
+			lefts, rights := none, none
+			if first {
+				lefts = states
+			}
+			if second {
+				rights = states
+			}
+			sig := w.sigOf(l, first, second, root)
+			want := w.ReachableStates(lefts[0], rights[0], sig)
+			for _, s1 := range lefts {
+				for _, s2 := range rights {
+					if w.ReachableStates(s1, s2, sig) != want {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
 }
 
 // agree records mask as k's verdict in m, false when k already has another.
@@ -425,6 +485,11 @@ func (e *Engine) sigOf(l tree.Label, hasFirst, hasSecond, root bool) int32 {
 // states alone, so a run without aux input, marked output or kept states
 // answers in one scan.
 func (e *Engine) OneScan() bool { return e.analysis().oneScan }
+
+// Forward reports whether the engine's bottom-up states are decided by
+// the nodes' own records, so a run without aux input answers in one
+// forward scan, with no phase 1 and no state file.
+func (e *Engine) Forward() bool { return e.analysis().forward }
 
 // SelectionSummary returns the engine's label-determined selection
 // summary, or nil when the program does not admit one (selection depends

@@ -144,6 +144,58 @@ func BenchmarkRunDisk(b *testing.B) {
 	})
 }
 
+// BenchmarkForwardScan times phase 2 of a Treebank regular path program,
+// whose records decide its bottom-up states, warm and with one worker:
+// "forward" is the one forward scan that replaces both phases, each node's
+// bottom-up state loaded from its record's entry in the step cache;
+// "twoscans" forces both phases, each node's state read back from the
+// state file. Each reports its phase 2 per node (phase2-ns/node) beside
+// the whole run's ns/op.
+func BenchmarkForwardScan(b *testing.B) {
+	shape := benchShapes[1]
+	db, err := shape.create(filepath.Join(b.TempDir(), "db"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	prog, err := shape.regex(rand.New(rand.NewSource(25)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := Compile(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(c, db.Names)
+	if !e.Forward() {
+		b.Fatal("a Treebank regular path program is not admitted to a forward scan")
+	}
+	for _, twoScans := range []bool{false, true} {
+		name := "forward"
+		if twoScans {
+			name = "twoscans"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer func(off bool) { oneScanOff = off }(oneScanOff)
+			oneScanOff = twoScans
+			ctx := context.Background()
+			if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{NoPrune: true}); err != nil {
+				b.Fatal(err)
+			}
+			rs := &RunStats{}
+			b.ReportAllocs()
+			b.SetBytes(db.N * storage.NodeSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.RunDiskContext(ctx, db, DiskOpts{NoPrune: true, Run: rs}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rs.Snapshot().Phase2Time.Nanoseconds())/float64(db.N*int64(b.N)), "phase2-ns/node")
+		})
+	}
+}
+
 // BenchmarkRunDiskBatchOfOne runs the same program over the same database
 // as the only member of a batch: a lane of one, which steps the member's
 // engine as a scalar run does, so its ratio to BenchmarkRunDisk is about 1.

@@ -45,14 +45,19 @@ type DiskOpts struct {
 // node — times the nodes it scanned times its lanes that needed phase 2
 // (one for a scalar run, usually one for a batch), so extents a prune plan
 // skipped count for nothing. A one-scan pass (OneScan) writes no state:
-// its StateBytes and Phase2 are zero.
+// its StateBytes are zero, and so is its Phase2 (one backward scan) or its
+// Phase1 (one forward scan). Unpruned, a run's passes read
+// Phase1.Bytes + Phase2.Bytes == (2·passes − OneScan) × the database size.
 type DiskStats struct {
 	Phase1     storage.ScanStats
 	Phase2     storage.ScanStats
 	StateBytes int64
-	// OneScan counts the passes that omitted phase 2: every lane's
-	// selections were decided by its bottom-up states (analysis.go), so
-	// the pass created no state file and its Phase2 is zero.
+	// OneScan counts the passes that took one linear scan and created no
+	// state file. A backward one omitted phase 2: every lane's selections
+	// were decided by its bottom-up states (analysis.go). A forward one
+	// omitted phase 1: every member's bottom-up states were decided by the
+	// nodes' records (analysis.go), so phase 2 computed each from the
+	// record it read. Phase1 stays zero for exactly the forward ones.
 	OneScan int
 }
 
@@ -77,8 +82,12 @@ func (d *DiskStats) Merge(o DiskStats) {
 // When a node's bottom-up state alone decides its selection (analysis.go)
 // and the run writes no marked XML, phase 1 marks the selected nodes
 // itself: the run is one backward scan, with no state file and no phase 2
-// (DiskStats.OneScan). It is RunDiskParallelContext with one worker: the chunked driver run
-// with an empty frontier, whose leader scans all of [0, N) itself.
+// (DiskStats.OneScan). Otherwise, when a node's record alone decides its
+// bottom-up state (analysis.go), phase 2 computes each state from the
+// record it reads: the run is one forward scan, with no phase 1 and no
+// state file. It is RunDiskParallelContext with one worker: the chunked
+// driver run with an empty frontier, whose leader scans all of [0, N)
+// itself.
 // Cancelling ctx aborts the scan in progress with ctx.Err(); every run
 // removes its state file.
 func (e *Engine) RunDiskContext(ctx context.Context, db *storage.DB, opts DiskOpts) (*Result, *DiskStats, error) {

@@ -96,11 +96,16 @@ func TestRunDiskFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	c, err := Compile(tmnf.MustParse(`R :- Root; QUERY :- R.FirstChild;`)) // a top-down fact: two scans
+	// The b first children of nodes whose first child is a b: an upward
+	// and a downward condition, so neither verdict admits it: two scans.
+	c, err := Compile(tmnf.MustParse(`U :- Label[b]; P :- U.invFirstChild; QUERY :- P.FirstChild;`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine(c, db.Names)
+	if e.OneScan() || e.Forward() {
+		t.Fatal("a program with an upward and a downward condition is admitted to one scan")
+	}
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,9 @@ import (
 // offset computed from its first node, whatever holes the pass skips around
 // it. A lane whose selections its bottom-up states decide (analysis.go) has
 // no slot: phase 1 marks its nodes as it folds them, and phase 2 skips it.
+// A forward attempt (every lane's bottom-up states decided by the records,
+// analysis.go) has no state file at all: phase 2 alone runs, and takes each
+// node's bottom-up state from its lane cache's record table instead.
 
 // On-disk state widths. The state file is the dominant temporary I/O of a
 // run, so runs start with the narrowest width their automata currently fit
@@ -91,7 +94,8 @@ type diskFiles struct {
 	w       int                 // bytes per state id (stateByte, stateNarrow or stateWide)
 	lanes   []lane              // the run's lanes, each with its state-file slot
 	sels    []*Result           // per lane, what its members select
-	stateF  storage.ScratchFile // phase 1 writes it, phase 2 reads it; nil when no lane has a slot
+	stateF  storage.ScratchFile // phase 1 writes it, phase 2 reads it; nil when no lane has a slot, or forward
+	forward bool                // no phase 1: phase 2 takes bottom-up states from the records
 	auxF    storage.ScratchFile // input masks; nil without AuxIn
 	auxOutF storage.ScratchFile // output masks; nil without AuxOut, written by phase 2
 	inW     int                 // bytes per node of the aux-in sidecar
@@ -319,9 +323,9 @@ func (k *foldKernel) finish() ([]StateID, error) {
 }
 
 // scanKernel is phase 2 over one region [root, end): per lane with a
-// state-file slot the stack of top-down states whose second subtree is
-// pending and where the next node hangs, and one aux-out buffer every lane
-// fills.
+// state-file slot (every lane of a forward attempt) the stack of top-down
+// states whose second subtree is pending and where the next node hangs,
+// and one aux-out buffer every lane fills.
 type scanKernel struct {
 	*diskFiles
 	root, end int64
@@ -342,8 +346,9 @@ type visitFunc func(v int64, rec uint16, mask uint64) error
 
 // scanLane is lane li's phase 2 over the region. The region's root enters
 // in rootTD once its stored state has been checked against rootBU, the
-// state phase 1 computed for it; the next node hangs under parent as child
-// k (k == 0 only before the region's root and after its last node).
+// state phase 1 (or, forward, the root's record) gave it; the next node
+// hangs under parent as child k (k == 0 only before the region's root and
+// after its last node).
 type scanLane struct {
 	*lane
 	li             int
@@ -357,16 +362,19 @@ type scanLane struct {
 }
 
 // newScan starts phase 2 over the region x, a worker's chunk or not, whose
-// root states phase 1 computed as rootBU and which enters in rootTD, one
-// each per lane; lanes without a state-file slot take no part.
+// root states are rootBU and which enters in rootTD, one each per lane;
+// lanes without a state-file slot take no part.
 func (r *diskFiles) newScan(caches []*StepCache, x storage.Extent, rootBU, rootTD []StateID, worker bool) *scanKernel {
 	k := &scanKernel{diskFiles: r, root: x.Root, end: x.End(), aux: r.auxBuf(), auxOut: runWriter{f: r.auxOutF}}
 	for li, c := range caches {
 		if r.lanes[li].slot < 0 {
 			continue
 		}
-		k.lanes = append(k.lanes, scanLane{lane: &r.lanes[li], li: li, cache: c, rootBU: rootBU[li], rootTD: rootTD[li],
-			marks: r.marks(li, x, worker), states: make([]byte, storage.WindowNodes*r.w)})
+		l := scanLane{lane: &r.lanes[li], li: li, cache: c, rootBU: rootBU[li], rootTD: rootTD[li], marks: r.marks(li, x, worker)}
+		if !r.forward {
+			l.states = make([]byte, storage.WindowNodes*r.w)
+		}
+		k.lanes = append(k.lanes, l)
 	}
 	return k
 }
@@ -385,9 +393,12 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 	}
 	for li := range k.lanes {
 		l := &k.lanes[li]
-		states := l.states[:n*k.w]
-		if _, err := k.stateF.ReadAt(states, k.stateOff(l.slot, first, n)); err != nil {
-			return fmt.Errorf("core: reading state file: %w", err)
+		var states []byte
+		if !k.forward {
+			states = l.states[:n*k.w]
+			if _, err := k.stateF.ReadAt(states, k.stateOff(l.slot, first, n)); err != nil {
+				return fmt.Errorf("core: reading state file: %w", err)
+			}
 		}
 		if err := k.scan(l, first, recs, states, aux, auxOut); err != nil {
 			return err
@@ -397,7 +408,9 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 	return nil
 }
 
-// scan steps one lane over the window, first node first.
+// scan steps one lane over the window, first node first, taking each
+// node's bottom-up state from states, or from its record where states is
+// nil (a forward attempt: the region's root's came with the region).
 func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []byte) (err error) {
 	n := len(recs) / storage.NodeSize
 	w := k.w
@@ -405,7 +418,17 @@ func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []
 	for i := 0; i < n; i++ {
 		v := first + int64(i)
 		rec := binary.BigEndian.Uint16(recs[i*storage.NodeSize:])
-		bu := getState(states[(n-1-i)*w:], w)
+		var bu StateID
+		switch {
+		case states != nil:
+			bu = getState(states[(n-1-i)*w:], w)
+		case kk == 0:
+			bu = l.rootBU
+		default:
+			if bu = cache.recHit(rec) - 1; bu < 0 {
+				bu, _ = cache.RecState(rec, false) // false only at a root
+			}
+		}
 		var td StateID
 		if kk == 0 {
 			if td, err = k.enter(l, v, bu); err != nil {

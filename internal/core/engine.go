@@ -152,9 +152,12 @@ func NewEngine(c *Compiled, names *tree.Names) *Engine {
 		a := analyze(c, names)
 		if a.pruneOK {
 			// s* is the one state the analysis adds: prune plans hand it
-			// to runs as the state of every skipped extent.
+			// to runs as the state of every skipped extent. No run computed
+			// it, so Stats, which the runs' RunStats partition, leave it out.
 			e.mu.Lock()
+			n := e.stats.BUStates
 			a.sub = e.internBU(a.subProg)
+			e.stats.BUStates = n
 			e.mu.Unlock()
 		}
 		return a

@@ -49,13 +49,16 @@ func Lanes(names *tree.Names, progs ...*tmnf.Program) ([][]int, error) {
 	return lanes, nil
 }
 
-// OneScan compiles prog over names and reports whether its bottom-up
-// states decide its selection, so that a run without aux input, marked
-// output or kept states answers it in one scan.
-func OneScan(names *tree.Names, prog *tmnf.Program) (bool, error) {
+// Verdicts compiles prog over names and reports its one-scan verdict —
+// whether its bottom-up states decide its selection, so that a run without
+// aux input or marked output answers it in one backward scan — and its
+// forward verdict: whether its records decide its bottom-up states, so
+// that a run without aux input answers it in one forward scan.
+func Verdicts(names *tree.Names, prog *tmnf.Program) (oneScan, forward bool, err error) {
 	c, err := Compile(prog)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
-	return NewEngine(c, names).OneScan(), nil
+	e := NewEngine(c, names)
+	return e.OneScan(), e.Forward(), nil
 }

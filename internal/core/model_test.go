@@ -465,8 +465,11 @@ type checker struct {
 	want     [][][]arb.NodeID     // per item, per query predicate
 	lz       bool
 	serial   int
-	admitted map[*arb.Program]bool // oneScan's verdicts at this version
+	admitted map[*arb.Program]verdicts // core's verdicts at this version
 }
+
+// verdicts are a program's one-scan and forward verdicts (core.Verdicts).
+type verdicts struct{ oneScan, forward bool }
 
 func (k *checker) label(format string, args ...any) string {
 	return fmt.Sprintf("%v: ", *k.c) + fmt.Sprintf(format, args...)
@@ -491,12 +494,16 @@ func (k *checker) same(label string, qs []arb.Pred, res *arb.Result, want [][]ar
 }
 
 // profile holds an execution of members (one item, or a batch's) to the
-// cost model: every phase that ran reads or skips each byte once per pass;
-// a single pass takes one scan exactly when the bottom-up states decide
-// every lane of its members (and the run reads no aux input, marks no
-// output and may take one scan), and otherwise writes
-// scanned nodes × state width × the lanes that need phase 2; runs that may
-// not prune do not; and each member's every pass credits every node.
+// cost model: every phase that ran reads or skips each byte once per pass
+// — phase 1 in every pass but the forward ones, phase 2 in every pass but
+// the backward one-scan ones; a single pass takes one backward scan
+// exactly when the bottom-up states decide every lane of its members (and
+// the run reads no aux input, marks no output and may take one scan), else
+// one forward scan — no phase 1 and no state bytes — exactly when the
+// records decide every member's bottom-up states (and the run may take one
+// scan), and otherwise writes scanned nodes × state width × the lanes that
+// need phase 2; runs that may not prune do not; and each member's every
+// pass credits every node.
 func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, members ...item) {
 	k.t.Helper()
 	passes, memberPasses := 0, 0
@@ -511,9 +518,15 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 	if prof.Passes != passes || prof.ResultCache == "hit" || prof.ResultCache == "subsumed" {
 		k.t.Fatalf("%s: %d passes (cache %q), want %d", label, prof.Passes, prof.ResultCache, passes)
 	}
-	if d.Phase1.Bytes+d.Phase1.SkippedBytes != int64(passes)*data || d.Phase1.Nodes != int64(passes)*n ||
-		d.Phase2.Bytes+d.Phase2.SkippedBytes != int64(passes-one)*data || d.Phase2.Nodes != int64(passes-one)*n {
-		k.t.Fatalf("%s: scans %+v over %d passes, %d of them one-scan: want every byte read or skipped once per phase that ran", label, d, passes, one)
+	// The forward passes are the one-scan passes without phase 1; the last
+	// pass of a multi-pass run reads aux input and is never one.
+	fwd := passes - int(d.Phase1.Nodes/n)
+	if d.Phase1.Nodes%n != 0 || fwd < 0 || fwd > one || passes > 1 && fwd == passes {
+		k.t.Fatalf("%s: phase 1 visited %d nodes over %d passes, %d of them one-scan", label, d.Phase1.Nodes, passes, one)
+	}
+	if d.Phase1.Bytes+d.Phase1.SkippedBytes != int64(passes-fwd)*data || d.Phase1.Nodes != int64(passes-fwd)*n ||
+		d.Phase2.Bytes+d.Phase2.SkippedBytes != int64(passes-one+fwd)*data || d.Phase2.Nodes != int64(passes-one+fwd)*n {
+		k.t.Fatalf("%s: scans %+v over %d passes, %d of them one-scan, %d forward: want every byte read or skipped once per phase that ran", label, d, passes, one, fwd)
 	}
 	if one == passes && d.StateBytes != 0 {
 		k.t.Fatalf("%s: one-scan run wrote %d state bytes", label, d.StateBytes)
@@ -522,7 +535,8 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 	if one > 0 && forced {
 		k.t.Fatalf("%s: %d one-scan passes with one scan forced off", label, one)
 	}
-	pruned := d.Phase1.SkippedBytes / storage.NodeSize
+	// A pass skips a pruned extent in every phase it runs.
+	pruned := max(d.Phase1.SkippedBytes, d.Phase2.SkippedBytes) / storage.NodeSize
 	// MarkTo rides on the main pass alone: aux passes prune.
 	if (pruned > 0) != (prof.Engine.PrunedNodes > 0) || (opts.NoPrune || passes == 1 && opts.MarkTo != nil) && pruned > 0 {
 		k.t.Fatalf("%s: %d nodes pruned, %d bytes skipped", label, prof.Engine.PrunedNodes, d.Phase1.SkippedBytes)
@@ -532,13 +546,14 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 	}
 	if passes == 1 {
 		lanes, twoScan := k.lanes(members, forced || opts.MarkTo != nil)
-		if (one == 1) != (twoScan == 0) {
-			k.t.Fatalf("%s: %d one-scan passes, with %d of %d lanes needing phase 2", label, one, twoScan, lanes)
+		forward := !forced && twoScan > 0 && !slices.ContainsFunc(members, func(it item) bool { return !k.verdicts(it.main()).forward })
+		if (one == 1) != (twoScan == 0 || forward) || (fwd == 1) != forward {
+			k.t.Fatalf("%s: %d one-scan passes, %d forward, with %d of %d lanes needing phase 2 and forward %v", label, one, fwd, twoScan, lanes, forward)
 		}
 		if prof.Engine.PrunedNodes != int64(len(members))*pruned {
 			k.t.Fatalf("%s: the run credits %d pruned nodes, want %d members × %d", label, prof.Engine.PrunedNodes, len(members), pruned)
 		}
-		if slots := (n - pruned) * int64(twoScan); slots > 0 {
+		if slots := (n - pruned) * int64(twoScan); slots > 0 && !forward {
 			w := d.StateBytes / slots
 			if d.StateBytes%slots != 0 || w != 1 && w != 2 && w != 4 {
 				k.t.Fatalf("%s: %d state bytes, not %d scanned nodes × width × %d lanes", label, d.StateBytes, n-pruned, twoScan)
@@ -554,15 +569,18 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 		}
 	}
 	if info, ok := k.sess.Compression(); ok && opts.NoPrune && opts.Workers <= 1 {
-		if d.Phase1.PhysicalBytes != int64(passes)*info.PayloadBytes {
-			k.t.Fatalf("%s: a full sequential scan read %d physical bytes, the container holds %d", label, d.Phase1.PhysicalBytes, info.PayloadBytes)
+		if d.Phase1.PhysicalBytes != int64(passes-fwd)*info.PayloadBytes || fwd == passes && d.Phase2.PhysicalBytes != info.PayloadBytes {
+			k.t.Fatalf("%s: a full sequential scan read %d+%d physical bytes, the container holds %d", label, d.Phase1.PhysicalBytes, d.Phase2.PhysicalBytes, info.PayloadBytes)
 		}
 	}
 	if pruned > 0 {
 		k.cov["pruned"]++
 	}
-	if one > 0 {
+	if one > fwd {
 		k.cov["one-scan"]++
+	}
+	if fwd > 0 {
+		k.cov["forward"]++
 	}
 }
 
@@ -581,28 +599,49 @@ func (k *checker) lanes(members []item, twoScans bool) (lanes, twoScan int) {
 		k.t.Fatal(err)
 	}
 	for _, l := range ls {
-		if twoScans || slices.ContainsFunc(l, func(m int) bool { return !k.oneScan(progs[m]) }) {
+		if twoScans || slices.ContainsFunc(l, func(m int) bool { return !k.verdicts(progs[m]).oneScan }) {
 			twoScan++
 		}
 	}
 	return len(ls), twoScan
 }
 
-// oneScan is core.OneScan over the session's names, once per program and
+// verdicts is core.Verdicts over the session's names, once per program and
 // version.
-func (k *checker) oneScan(p *arb.Program) bool {
-	ok, seen := k.admitted[p]
+func (k *checker) verdicts(p *arb.Program) verdicts {
+	v, seen := k.admitted[p]
 	if !seen {
 		var err error
-		if ok, err = core.OneScan(k.sess.Names(), p); err != nil {
+		if v.oneScan, v.forward, err = core.Verdicts(k.sess.Names(), p); err != nil {
 			k.t.Fatal(err)
 		}
 		if k.admitted == nil {
-			k.admitted = map[*arb.Program]bool{}
+			k.admitted = map[*arb.Program]verdicts{}
 		}
-		k.admitted[p] = ok
+		k.admitted[p] = v
 	}
-	return ok
+	return v
+}
+
+// sameScans holds forced, a run with two scans forced, to allowed, the same
+// run with one scan allowed, on engines it warmed: the same phase 1 —
+// where allowed took it: a single forward pass read in its phase 2 what
+// forced reads in phase 1.
+func (k *checker) sameScans(label string, forced, allowed *arb.Profile) {
+	k.t.Helper()
+	a, f := allowed.Disk, forced.Disk
+	switch n := k.sess.Len(); {
+	case f.OneScan != 0:
+		k.t.Fatalf("%s: %d one-scan passes with two scans forced", label, f.OneScan)
+	case a.Phase1.Nodes == int64(allowed.Passes)*n:
+		if f.Phase1 != a.Phase1 {
+			k.t.Fatalf("%s: phase 1 %+v with two scans forced; with one scan allowed %+v", label, f.Phase1, a.Phase1)
+		}
+	case allowed.Passes == 1:
+		if f.Phase1.Nodes != a.Phase2.Nodes || f.Phase1.Bytes != a.Phase2.Bytes || f.Phase1.SkippedBytes != a.Phase2.SkippedBytes {
+			k.t.Fatalf("%s: phase 1 %+v with two scans forced; the forward scan %+v", label, f.Phase1, a.Phase2)
+		}
+	}
 }
 
 func (k *checker) exec(label string, pq *arb.PreparedQuery, opts arb.ExecOpts) (*arb.Result, *arb.Profile) {
@@ -651,9 +690,7 @@ func (k *checker) scalar() {
 		k.profile(label, prof, opts, it)
 		restore()
 		k.same(label, pq.Queries(), res, k.want[i])
-		if prof.Disk.OneScan != 0 || prof.Disk.Phase1 != first.Disk.Phase1 {
-			k.t.Fatalf("%s: %d one-scan passes, phase 1 %+v; with one scan allowed %+v", label, prof.Disk.OneScan, prof.Disk.Phase1, first.Disk.Phase1)
-		}
+		k.sameScans(label, prof, first)
 		k.cov["forced-two-scans"]++
 	}
 }
@@ -726,10 +763,8 @@ func (k *checker) batch(wide bool) {
 	restore := twoScans()
 	forced := k.execBatch(label+", two scans forced", pb, opts, members, want)
 	restore()
-	if forced.Disk.OneScan != 0 || forced.Disk.Phase1 != prof.Disk.Phase1 {
-		k.t.Fatalf("%s: forced two scans: %d one-scan passes, phase 1 %+v; with one scan allowed %+v", label, forced.Disk.OneScan, forced.Disk.Phase1, prof.Disk.Phase1)
-	}
-	if lanes, twoScan := k.lanes(members, false); rounds == 1 && twoScan > 0 {
+	k.sameScans(label+", forced two scans", forced, prof)
+	if lanes, twoScan := k.lanes(members, false); rounds == 1 && twoScan > 0 && prof.Disk.Phase1.Nodes > 0 {
 		scanned := k.sess.Len() - prof.Disk.Phase1.SkippedBytes/storage.NodeSize
 		w, fw := prof.Disk.StateBytes/(scanned*int64(twoScan)), forced.Disk.StateBytes/(scanned*int64(lanes))
 		if w != fw && w != 4 {
@@ -1061,7 +1096,7 @@ func TestModel(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	for _, w := range []string{"pruned", "one-scan", "parallel", "forced-two-scans", "batch", "shared-handle", "mixed-lanes",
+	for _, w := range []string{"pruned", "one-scan", "forward", "parallel", "forced-two-scans", "batch", "shared-handle", "mixed-lanes",
 		"over-64-predicates", "cache-hit", "cache-subsumed", "marked", "patched", "small"} {
 		if cov[w] == 0 {
 			t.Errorf("no case reached %q (coverage %v)", w, cov)

@@ -33,38 +33,40 @@ func labelSet(tags ...string) string {
 	return b.String()
 }
 
-// oneScanPool draws programs the analysis must admit — label sets, the
-// node-local filters among filterPrograms, //a, a program with several
-// query predicates — and programs it must reject: the filter that looks at
-// a node's parent, //S[NP][VP][PP], whose bottom-up closure outgrows the
-// caps, and the given number of root-path Treebank regexes. admitted says
-// which is which.
-func oneScanPool(t *testing.T, rng *rand.Rand, tags []string, regexes int) (pool []*tmnf.Program, admitted []bool) {
+// oneScanPool draws programs the analysis must admit to one scan — label
+// sets, the node-local filters among filterPrograms, //a, a program with
+// several query predicates — and programs it must reject: the filter that
+// looks at a node's parent, //S[NP][VP][PP], whose bottom-up closure
+// outgrows the caps, and the given number of root-path Treebank regexes.
+// admitted says which is which. forward says which programs the forward
+// verdict must admit: those without an upward condition — label sets, //a
+// and every root-path program.
+func oneScanPool(t *testing.T, rng *rand.Rand, tags []string, regexes int) (pool []*tmnf.Program, admitted, forward []bool) {
 	t.Helper()
-	add := func(src string, ok bool) {
-		pool, admitted = append(pool, tmnf.MustParse(src)), append(admitted, ok)
+	add := func(src string, ok, fwd bool) {
+		pool, admitted, forward = append(pool, tmnf.MustParse(src)), append(admitted, ok), append(forward, fwd)
 	}
 	for i := 0; i < 4; i++ {
 		set := make([]string, 1+rng.Intn(4))
 		for j := range set {
 			set[j] = tags[rng.Intn(len(tags))]
 		}
-		add(labelSet(set...), true)
+		add(labelSet(set...), true, true)
 	}
-	add(filterPrograms[0], true)
-	add(filterPrograms[3], true)
-	add(strings.ReplaceAll(descendantsLabeled, "Label[a]", "Label[NP]"), true)
+	add(filterPrograms[0], true, false)
+	add(filterPrograms[3], true, false)
+	add(strings.ReplaceAll(descendantsLabeled, "Label[a]", "Label[NP]"), true, true)
 	add(`Leaves :- Leaf; NPs :- Label[NP]; UpLeaf :- Leaves.invFirstChild; NPLeaves :- UpLeaf, NPs; Top :- Root;
-	     QUERY :- NPLeaves; QUERY :- Top;`, true)
-	add(filterPrograms[1], false)
-	add(filterPrograms[2], false)
-	add(rootPath, false)
-	add(firstChildA, false)
+	     QUERY :- NPLeaves; QUERY :- Top;`, true, false)
+	add(filterPrograms[1], false, false)
+	add(filterPrograms[2], false, false)
+	add(rootPath, false, true)
+	add(firstChildA, false, true)
 	for i := 0; i < regexes; i++ {
 		src := workload.RandomPathRegex(rng, 3+rng.Intn(6), workload.GrammarAlphabet).TMNFSource(workload.RTreebank)
-		add(src, false)
+		add(src, false, true)
 	}
-	return pool, admitted
+	return pool, admitted, forward
 }
 
 // pinnedVerdicts is every verdict of the engine's analysis over
@@ -141,7 +143,7 @@ func verdictRow(e *Engine) string {
 // engine is left with s* at most, no top-down state and no transition.
 func TestOneScanAdmission(t *testing.T) {
 	names := namesWith(t, "NP", "VP", "PP", "S", "T3", "A", "C")
-	pool, admitted := oneScanPool(t, rand.New(rand.NewSource(1)), []string{"NP", "VP", "T3"}, 20)
+	pool, admitted, _ := oneScanPool(t, rand.New(rand.NewSource(1)), []string{"NP", "VP", "T3"}, 20)
 	var rows strings.Builder
 	for i, prog := range pool {
 		c, err := Compile(prog)
@@ -194,6 +196,57 @@ func TestOneScanRootWithSecondChild(t *testing.T) {
 	}
 	if ds.OneScan != 0 {
 		t.Fatalf("one-scan %d over a root with a second child", ds.OneScan)
+	}
+	sameAsNaive(t, prog, tr, nil, res, "root with a second child")
+}
+
+// TestForwardAdmission checks the forward verdict program by program over
+// oneScanPool's draw: programs without an upward condition — label sets,
+// //a, root-path conditions and all twenty Treebank regexes, whose R step
+// walks down — are admitted, every upward condition is rejected, and the
+// walk leaves the engine as clean as the one-scan verdicts do.
+func TestForwardAdmission(t *testing.T) {
+	names := namesWith(t, "NP", "VP", "PP", "S", "T3", "A", "C")
+	pool, _, forward := oneScanPool(t, rand.New(rand.NewSource(1)), []string{"NP", "VP", "T3"}, 20)
+	for i, prog := range pool {
+		c, err := Compile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(c, names)
+		if got := e.Forward(); got != forward[i] {
+			t.Errorf("program %d: forward %v, want %v\n%s", i, got, forward[i], prog)
+		}
+		if st := e.Stats(); st.TDStates != 0 || st.BUTransitions != 0 || st.TDTransitions != 0 || st.BUStates != 0 {
+			t.Errorf("program %d: the analysis left %+v in the engine", i, st)
+		}
+	}
+}
+
+// TestForwardRootWithSecondChild runs a forward program over a tree whose
+// root has a second child, a shape the forward verdict leaves out: the run
+// must notice it at the root's record, start over with two scans and
+// answer as the oracle does.
+func TestForwardRootWithSecondChild(t *testing.T) {
+	names := namesWith(t, "C", "A")
+	ca, _ := names.Lookup("C")
+	a, _ := names.Lookup("A")
+	tr := tree.New(names)
+	root := tr.AddNode(ca)
+	tr.SetFirst(root, tr.AddNode(a))
+	tr.SetSecond(root, tr.AddNode(a))
+	prog := tmnf.MustParse(firstChildA)
+	e := NewEngine(forwardProgram(t, names), names)
+	img, err := storage.OpenTree(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ds, err := e.RunDiskContext(context.Background(), img, DiskOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.OneScan != 0 || ds.Phase1.Nodes != img.N {
+		t.Fatalf("one-scan %d, phase 1 %+v over a root with a second child: want two scans", ds.OneScan, ds.Phase1)
 	}
 	sameAsNaive(t, prog, tr, nil, res, "root with a second child")
 }

@@ -70,7 +70,11 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 // reading it back and computing the true predicates. A lane whose members'
 // selections their bottom-up states decide (analysis.go) is marked in
 // phase 1 and takes no part in the state file or phase 2; when every lane
-// is, the batch is one scan (DiskStats.OneScan). Members step in lanes
+// is, the batch is one backward scan (DiskStats.OneScan). Otherwise, when
+// every member's bottom-up states are decided by the records (analysis.go)
+// and the run reads no aux input, the batch is one forward scan: phase 2
+// alone, every lane taking each node's state from its record, with no
+// state file. Members step in lanes
 // (product.go): up to 64 query predicates' worth of members share one
 // product automaton, so a batch of single-pass queries usually costs one
 // automaton step per node and one state id per node, whatever its size.
@@ -125,8 +129,9 @@ func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
 
 // exec runs r over db: the state width and the prune plan are chosen per
 // attempt, an attempt whose state ids outgrow the width is rerun wide, and
-// one that meets a bottom-up state its one-scan verdicts do not cover is
-// rerun with phase 2 for every lane.
+// one that meets a bottom-up state its one-scan verdicts do not cover, or
+// a root its forward verdict does not, is rerun with both phases for every
+// lane.
 func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res []*Result, agg Stats, ds *DiskStats, err error) {
 	if db.N == 0 {
 		return nil, agg, nil, errors.New("core: empty database")
@@ -179,6 +184,23 @@ func (r *diskBatch) decided(l *lane) bool {
 	}
 	for _, m := range l.members {
 		if !r.engines[m].OneScan() {
+			return false
+		}
+	}
+	return true
+}
+
+// forward reports whether this run's bottom-up states are its records'
+// (analysis.go), so that phase 2 alone answers it, computing each node's
+// state from the record it reads: every member's program admits the
+// forward verdict, and the run reads no aux input (aux masks are per-node
+// facts outside the records).
+func (r *diskBatch) forward() bool {
+	if r.opts.AuxIn != nil {
+		return false
+	}
+	for _, e := range r.engines {
+		if !e.Forward() {
 			return false
 		}
 	}
@@ -251,7 +273,12 @@ func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered b
 // states decide (decided) are marked in phase 1 and get no state-file
 // slot; when no lane has one, the attempt creates no state file and runs
 // no phase 2. A state such a lane meets outside its verdicts ends the
-// attempt with errTwoScans.
+// attempt with errTwoScans. Otherwise, with oneScan, an attempt whose
+// every member's records decide its bottom-up states (forward) runs
+// forward-only: no phase 1 and no state file, chunk roots' states read
+// from their records (recordRoots), and phase 2's kernels taking every
+// node's state from its record; a root with a second child ends it with
+// errTwoScans. A pass that mixes such lanes with others runs both phases.
 func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers int, tasks []storage.Extent, width int, oneScan bool, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
 	var agg Stats
 	var planExts []storage.Extent
@@ -287,8 +314,14 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 			l.slot, slots = slots, slots+1
 		}
 	}
-
-	if slots > 0 {
+	// A pass that phase 1 alone answers stays one backward scan; one that
+	// phase 2 alone can answer is one forward scan, every lane in it.
+	if a.files.forward = oneScan && slots > 0 && r.forward(); a.files.forward {
+		for li := range a.files.lanes {
+			a.files.lanes[li].slot = li
+		}
+		slots = len(a.files.lanes)
+	} else if slots > 0 {
 		stateF, err := db.CreateScratch(int64(slots) * db.N * int64(width))
 		if err != nil {
 			return nil, agg, nil, err
@@ -304,19 +337,29 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	}
 	a.leaderCaches = r.newCaches()
 
-	start := time.Now()
-	ds, rootState, err := a.phase1(ctx)
-	if err != nil {
-		return nil, agg, nil, err
+	ds := &DiskStats{}
+	var rootState []StateID
+	var err error
+	if !a.files.forward {
+		start := time.Now()
+		if ds, rootState, err = a.phase1(ctx); err != nil {
+			return nil, agg, nil, err
+		}
+		ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width*slots)
+		agg.Phase1Time = time.Since(start)
 	}
-	ds.StateBytes = ds.Phase1.Bytes / storage.NodeSize * int64(width*slots)
-	agg.Phase1Time = time.Since(start)
-
-	if slots == 0 {
+	if slots == 0 || a.files.forward {
 		ds.OneScan = 1
-	} else {
-		start = time.Now()
-		if ds.Phase2, err = a.phase2(ctx, rootState); err != nil {
+	}
+	if slots > 0 {
+		start := time.Now()
+		if a.files.forward {
+			rootState, err = a.recordRoots()
+		}
+		if err == nil {
+			ds.Phase2, err = a.phase2(ctx, rootState)
+		}
+		if err != nil {
 			return nil, agg, nil, err
 		}
 		agg.Phase2Time = time.Since(start)
@@ -410,6 +453,35 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 	ds := &DiskStats{Phase1: fold.st}
 	ds.Phase1.Merge(chunks)
 	return ds, rootState, nil
+}
+
+// recordRoots stands in for phase 1's root states in a forward attempt:
+// each chunk root's states and the document root's, one per lane, from
+// their records — one record read apiece. A root with a second child,
+// which the forward verdict leaves out, ends the attempt with errTwoScans.
+func (a *attempt) recordRoots() ([]StateID, error) {
+	states := func(v int64) ([]StateID, error) {
+		r, err := a.db.RecordAt(v)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]StateID, len(a.leaderCaches))
+		for li, c := range a.leaderCaches {
+			var ok bool
+			if out[li], ok = c.RecState(r.Encode(), v == 0); !ok {
+				return nil, errTwoScans
+			}
+		}
+		return out, nil
+	}
+	a.rootStates = make([][]StateID, len(a.tasks))
+	for i, x := range a.tasks {
+		var err error
+		if a.rootStates[i], err = states(x.Root); err != nil {
+			return nil, err
+		}
+	}
+	return states(0)
 }
 
 // phase2 computes the top-down states of the lanes with a state-file slot:

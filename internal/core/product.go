@@ -201,7 +201,9 @@ type lane struct {
 	auxIn   int   // byte offset of the lane's mask in a node's aux-in vector; -1 for none
 	outs    []laneOut
 	// slot is the lane's region of one attempt's state file, or -1 when
-	// its bottom-up states decide its selections and phase 2 skips it.
+	// its bottom-up states decide its selections and phase 2 skips it. A
+	// forward attempt has no state file, and every lane a slot: all of
+	// them take part in phase 2.
 	slot int
 }
 

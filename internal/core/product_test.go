@@ -187,7 +187,10 @@ func TestBatchProductOverflowRerunsWide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := batchPool(t, rng)[:6]
+	// Regular path programs need no phase 1 (their records decide their
+	// bottom-up states); a filter with an upward and a downward condition
+	// beside them makes the lane need both phases, and its state file.
+	pool := append(batchPool(t, rng)[:5], tmnf.MustParse(filterPrograms[2]))
 	want := make([]*Result, len(pool))
 	comps := make([]*Compiled, len(pool))
 	for i, prog := range pool {

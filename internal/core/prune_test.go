@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -238,6 +239,7 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 	lowerParallelKnobs(t)
 	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
 	pruneMinNodes, pruneMinExtent = 1, 8
+	t.Cleanup(func() { oneScanOff = false })
 
 	hit := func(first, second *doc) *doc { return &doc{label: "hit", first: first, second: second} }
 	junk := func(n int) *doc { return &doc{junk: n} }
@@ -289,36 +291,53 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 		// a profile in which each phase read or skipped every byte once and
 		// skipped exactly the plan's nodes, credited once per member, and at
 		// four workers with an empty frontier the very profile of one worker.
+		// The label programs' records decide their bottom-up states, so every
+		// row runs as one forward scan — phase 2's holes alone; over a root
+		// with a second child, a shape the forward verdict leaves out, it
+		// starts over with two scans — and once more with two scans forced,
+		// phase 1's holes too.
 		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte)) {
 			t.Helper()
 			var refAux []byte
-			check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, masks []byte) {
-				t.Helper()
-				if refAux == nil {
-					refAux = masks
-				} else if !bytes.Equal(masks, refAux) {
-					t.Fatalf("%s: aux output differs from the unpruned run's", label)
-				}
-				for _, ph := range []storage.ScanStats{ds.Phase1, ds.Phase2} {
-					if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
-						t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
+			for _, twoScans := range []bool{false, true} {
+				oneScanOff = twoScans
+				label := fmt.Sprintf("%s, two scans forced %v", label, twoScans)
+				check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, masks []byte) {
+					t.Helper()
+					if refAux == nil {
+						refAux = masks
+					} else if !bytes.Equal(masks, refAux) {
+						t.Fatalf("%s: aux output differs from the unpruned run's", label)
+					}
+					phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
+					if !twoScans && !tr.HasSecond(0) {
+						if ds.Phase1 != (storage.ScanStats{}) || ds.StateBytes != 0 || ds.OneScan != 1 {
+							t.Fatalf("%s: phase 1 %+v, %d state bytes, one-scan %d: want one forward scan", label, ds.Phase1, ds.StateBytes, ds.OneScan)
+						}
+						phases = phases[1:]
+					}
+					for _, ph := range phases {
+						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
+							t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
+						}
+					}
+					if got := rs.Snapshot().PrunedNodes; got != members*pruned {
+						t.Fatalf("%s: run credits %d pruned nodes, want %d per member", label, got, pruned)
 					}
 				}
-				if got := rs.Snapshot().PrunedNodes; got != members*pruned {
-					t.Fatalf("%s: run credits %d pruned nodes, want %d per member", label, got, pruned)
-				}
+				ds, rs, out := run(1, true)
+				check(label+", unpruned", 0, ds, rs, out)
+				seqDS, seqRS, out := run(1, false)
+				check(label+", 1 worker", pruned, seqDS, seqRS, out)
+				emptyFrontier(func() {
+					ds, rs, out := run(4, false)
+					check(label+", 4 workers, empty frontier", pruned, ds, rs, out)
+					sameProfile(t, label+", 4 workers, empty frontier vs 1 worker", ds, seqDS, rs, seqRS)
+				})
+				ds, rs, out = run(4, false)
+				check(label+", 4 workers", pruned, ds, rs, out)
 			}
-			ds, rs, out := run(1, true)
-			check(label+", unpruned", 0, ds, rs, out)
-			seqDS, seqRS, out := run(1, false)
-			check(label+", 1 worker", pruned, seqDS, seqRS, out)
-			emptyFrontier(func() {
-				ds, rs, out := run(4, false)
-				check(label+", 4 workers, empty frontier", pruned, ds, rs, out)
-				sameProfile(t, label+", 4 workers, empty frontier vs 1 worker", ds, seqDS, rs, seqRS)
-			})
-			ds, rs, out = run(4, false)
-			check(label+", 4 workers", pruned, ds, rs, out)
+			oneScanOff = false
 		}
 
 		// Scalar entry point, per program.

@@ -339,9 +339,11 @@ func sameSelection(t *testing.T, got, want *Result, label string) {
 // (storage.WindowNodes) and the 16-times-larger reads under them — from a
 // raw file, an LZ container and a stitched vstore snapshot, with and
 // without a prune plan, with an empty frontier and with chunks, at every
-// state width, through a two-pass aux chain and with marked output, and
-// holds every answer, aux sidecar and marked document to the node-at-a-time
-// in-memory engine over the tree the per-record scan reads back.
+// state width and as one forward scan (the first pass's label program has
+// its bottom-up states decided by the records), through a two-pass aux
+// chain and with marked output, and holds every answer, aux sidecar and
+// marked document to the node-at-a-time in-memory engine over the tree the
+// per-record scan reads back.
 func TestWindowKernelEdges(t *testing.T) {
 	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
 	pruneMinNodes, pruneMinExtent = 1, 8
@@ -421,15 +423,17 @@ func TestWindowKernelEdges(t *testing.T) {
 			t.Fatalf("%s: plan %+v, want the blobs %v", src.name, plan, exts)
 		}
 
-		for _, width := range []int{stateByte, stateNarrow, stateWide} {
+		for _, width := range []int{stateByte, stateNarrow, stateWide, 0} {
 			for _, plan := range []*PrunePlan{nil, plan} {
 				for _, tasks := range [][]storage.Extent{nil, chunks} {
-					if width != stateByte && (db != raw || plan == nil || tasks == nil) {
+					if width != stateByte && width != 0 && (db != raw || plan == nil || tasks == nil) {
 						continue // the wider codecs: one row, the one with every kind of hole
 					}
+					// Width 0 is the forward scan: one phase, no state file.
+					forward := width == 0
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
 					aux0, aux1 := sidecar(t, db, 1), sidecar(t, db, 1)
-					res, _, ds, err := newDiskBatch(chained(NewEngine(cs[0], db.Names), nil, aux0, 0, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, width, true, plan)
+					res, _, ds, err := newDiskBatch(chained(NewEngine(cs[0], db.Names), nil, aux0, 0, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), forward, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -438,7 +442,14 @@ func TestWindowKernelEdges(t *testing.T) {
 					if plan != nil {
 						pruned = plan.Nodes
 					}
-					for _, ph := range []storage.ScanStats{ds.Phase1, ds.Phase2} {
+					phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
+					if forward {
+						if ds.Phase1 != (storage.ScanStats{}) || ds.OneScan != 1 {
+							t.Fatalf("%s: phase 1 %+v, one-scan %d: want one forward scan", label, ds.Phase1, ds.OneScan)
+						}
+						phases = phases[1:]
+					}
+					for _, ph := range phases {
 						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
 							t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
 						}
@@ -447,7 +458,7 @@ func TestWindowKernelEdges(t *testing.T) {
 						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
 					}
 					// The aux-reading pass never prunes.
-					res, _, _, err = newDiskBatch(chained(NewEngine(cs[1], db.Names), aux0, aux1, 1, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, width, true, nil)
+					res, _, _, err = newDiskBatch(chained(NewEngine(cs[1], db.Names), aux0, aux1, 1, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), true, nil)
 					if err != nil {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}
@@ -556,27 +567,49 @@ func (c atPoll) Err() error {
 }
 
 // firstChildA selects the A nodes that are first children of C nodes: a
-// top-down fact, so the one-scan analysis rejects it and its runs keep the
-// state file and phase 2.
+// top-down fact, so the one-scan analysis rejects it, and a node's records
+// decide its bottom-up states, so its runs are one forward scan.
 const firstChildA = `P :- Label[C]; Q :- P.FirstChild; QUERY :- Q, Label[A];`
 
-// twoScanProgram compiles firstChildA and checks that it needs phase 2.
+// childOfAWithC selects the A children of A nodes with a C child —
+// filterPrograms[2]'s shape over the ACGT labels: an upward condition (the C
+// child) and a downward one (the A parent), so neither verdict admits it
+// and its runs keep phase 1, the state file and phase 2.
+const childOfAWithC = `C :- Label[C]; U :- C; U :- U.invNextSibling; P :- U.invFirstChild; F :- Label[A], P;
+	D :- F.FirstChild; D :- D.NextSibling; QUERY :- D, Label[A];`
+
+// twoScanProgram compiles childOfAWithC and checks that it needs both
+// phases.
 func twoScanProgram(t *testing.T, names *tree.Names) *Compiled {
+	t.Helper()
+	c, err := Compile(tmnf.MustParse(childOfAWithC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := NewEngine(c, names); e.OneScan() || e.Forward() {
+		t.Fatalf("the analysis admits an upward and a downward condition: one scan %v, forward %v", e.OneScan(), e.Forward())
+	}
+	return c
+}
+
+// forwardProgram compiles firstChildA and checks that it takes one forward
+// scan.
+func forwardProgram(t *testing.T, names *tree.Names) *Compiled {
 	t.Helper()
 	c, err := Compile(tmnf.MustParse(firstChildA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if NewEngine(c, names).OneScan() {
-		t.Fatal("the one-scan analysis admits a first-child condition")
+	if e := NewEngine(c, names); e.OneScan() || !e.Forward() {
+		t.Fatalf("a first-child condition: one scan %v, forward %v; want a forward scan", e.OneScan(), e.Forward())
 	}
 	return c
 }
 
 // TestRunDiskFaultsBetweenPhases damages the state file once phase 1 has
 // written it out, and feeds the driver records that are no tree — to a
-// two-scan and to a one-scan program: every fault must be the error it
-// always was, never an answer, and leave no file behind.
+// two-scan, a forward and a one-scan program: every fault must be the
+// error it always was, never an answer, and leave no file behind.
 func TestRunDiskFaultsBetweenPhases(t *testing.T) {
 	dir := t.TempDir()
 	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<12))
@@ -645,7 +678,7 @@ func TestRunDiskFaultsBetweenPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, src := range []string{firstChildA, `QUERY :- Label[A];`} {
+		for _, src := range []string{childOfAWithC, firstChildA, `QUERY :- Label[A];`} {
 			c, err := Compile(tmnf.MustParse(src))
 			if err != nil {
 				t.Fatal(err)
@@ -736,4 +769,81 @@ func TestOneScanCancel(t *testing.T) {
 	if after, _ := os.ReadDir(dir); seen != 0 || len(after) != len(before) {
 		t.Fatalf("a cancelled one-scan run created files: %d entries mid-run, %d after, %d before", seen, len(after), len(before))
 	}
+}
+
+// TestForwardCancel is TestRunDiskCancelLandsAtNextWindow and
+// TestOneScanCancel for a forward run: uncancelled, it polls once per
+// window of its one scan and reads no byte in phase 1; cancelled from a
+// poll halfway through, it stops at that very poll with the context's
+// error and no result, having created no file at any point.
+func TestForwardCancel(t *testing.T) {
+	dir := t.TempDir()
+	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := forwardProgram(t, db.Names)
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total atomic.Int32
+	_, ds, err := NewEngine(c, db.Names).RunDiskContext(cancelAtPoll{context.Background(), &total, math.MaxInt32}, db, DiskOpts{NoPrune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := int32((db.N + storage.WindowNodes - 1) / storage.WindowNodes)
+	if ds.OneScan != 1 || ds.Phase1 != (storage.ScanStats{}) || ds.StateBytes != 0 || total.Load() < windows || total.Load() > windows+1 {
+		t.Fatalf("one-scan %d, phase 1 %+v, %d state bytes, %d polls over %d windows: want one forward scan", ds.OneScan, ds.Phase1, ds.StateBytes, total.Load(), windows)
+	}
+	var polls atomic.Int32
+	p := total.Load() / 2
+	seen := 0
+	ctx := atPoll{cancelAtPoll{context.Background(), &polls, p}, func() {
+		if after, _ := os.ReadDir(dir); len(after) != len(before) {
+			seen = len(after)
+		}
+	}}
+	res, _, err := NewEngine(c, db.Names).RunDiskContext(ctx, db, DiskOpts{NoPrune: true})
+	if res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("result %v, error %v; want no result and context.Canceled", res, err)
+	}
+	if polls.Load() != p {
+		t.Fatalf("cancelled at poll %d of %d, but the run polled %d times: it went on past the cancellation", p, total.Load(), polls.Load())
+	}
+	if after, _ := os.ReadDir(dir); seen != 0 || len(after) != len(before) {
+		t.Fatalf("a cancelled forward run created files: %d entries mid-run, %d after, %d before", seen, len(after), len(before))
+	}
+}
+
+// TestForwardMakesNoScratch removes the database's directory, so that no
+// scratch file can be created (TestRunDiskFailureInjection's fault): a
+// forward run creates none, so it answers as the oracle does all the same.
+func TestForwardMakesNoScratch(t *testing.T) {
+	tr := workload.InfixTree(workload.Sequence(4, 1<<10))
+	dir := filepath.Join(t.TempDir(), "d")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.CreateFromTree(filepath.Join(dir, "db"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	e := NewEngine(forwardProgram(t, db.Names), db.Names)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateScratch(1); err == nil {
+		t.Fatal("CreateScratch succeeded without the database's directory")
+	}
+	res, ds, err := e.RunDiskContext(context.Background(), db, DiskOpts{})
+	if err != nil {
+		t.Fatalf("a forward run without the database's directory: %v", err)
+	}
+	if ds.OneScan != 1 || ds.Phase1 != (storage.ScanStats{}) {
+		t.Fatalf("one-scan %d, phase 1 %+v: want one forward scan", ds.OneScan, ds.Phase1)
+	}
+	sameAsNaive(t, tmnf.MustParse(firstChildA), tr, nil, res, "forward run without a directory")
 }

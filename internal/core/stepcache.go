@@ -24,13 +24,14 @@ import (
 type StepCache struct {
 	s stepper
 
-	// Signature classes (Engine.SigID) by record. Non-root signatures
-	// without aux bits are indexed directly by label<<2 | child flags, in a
-	// table sized from the name table; root or aux-extra signatures (rare:
-	// one root per document, aux only on multi-pass members) go through
-	// the map, keyed rec | extra<<16 | root<<32.
-	sigByRec []int32 // 0 = unknown, else sig id + 1
-	sigAux   map[uint64]int32
+	// Signature classes (Engine.SigID) and, in a forward run, bottom-up
+	// states (RecState) by record. Non-root signatures without aux bits
+	// are indexed directly by label<<2 | child flags, in a table sized from
+	// the name table; root or aux-extra signatures (rare: one root per
+	// document, aux only on multi-pass members) go through the map, keyed
+	// rec | extra<<16 | root<<32.
+	byRec  []recEntry
+	sigAux map[uint64]int32
 
 	// δA: bu[((l+1)*dimS + (r+1))*dimSig + sig] = state id + 1. Keys the
 	// dense table will not grow to hold (maxDenseEntries) live in buMap.
@@ -50,6 +51,15 @@ type StepCache struct {
 	// One-scan verdicts (analysis.go) per non-root bottom-up state.
 	verdicts     []uint64
 	verdictKnown []bool
+}
+
+// recEntry is what a StepCache knows of one non-root record: its
+// signature class and, once a forward run has asked, its bottom-up state —
+// side by side, so the kernel that needs one loads it with no second
+// record-indexed lookup.
+type recEntry struct {
+	sig int32   // 0 = unknown, else sig id + 1
+	bu  StateID // 0 = unknown, else state id + 1
 }
 
 // maxDenseEntries bounds each dense transition table (4 MB of StateIDs):
@@ -84,7 +94,7 @@ func newStepCache(s stepper, names *tree.Names) *StepCache {
 	if names != nil {
 		labels += names.Len()
 	}
-	return &StepCache{s: s, sigByRec: make([]int32, labels<<2)}
+	return &StepCache{s: s, byRec: make([]recEntry, labels<<2)}
 }
 
 // SigID resolves the signature given by a node's record bits (label and
@@ -96,12 +106,12 @@ func (c *StepCache) SigID(rec uint16, root bool, extra uint16) int32 {
 			return s - 1
 		}
 		i := int(bits.RotateLeft16(rec, 2))
-		if i >= len(c.sigByRec) {
+		if i >= len(c.byRec) {
 			// A label past the name table the cache was sized from.
-			c.sigByRec = append(c.sigByRec, make([]int32, i+1-len(c.sigByRec))...)
+			c.byRec = append(c.byRec, make([]recEntry, i+1-len(c.byRec))...)
 		}
 		s := c.internSig(rec, root, extra)
-		c.sigByRec[i] = s + 1
+		c.byRec[i].sig = s + 1
 		return s
 	}
 	key := uint64(rec) | uint64(extra)<<16
@@ -119,18 +129,26 @@ func (c *StepCache) SigID(rec uint16, root bool, extra uint16) int32 {
 	return s
 }
 
-// sigHit, buHit and tdHit are the table lookups of SigID, BUStep and
-// TDStep on their own: each returns its dense table's entry — the id + 1
-// — or 0 where the table has none. SigID, BUStep and TDStep are beyond
-// the compiler's inlining budget, a lookup without a call in it is not, so
-// a loop that steps millions of nodes tries the hit first and calls the
-// full method for the rest (the window kernels do; QueryMask inlines as it
-// is). sigHit is for non-root records without aux bits only.
+// sigHit, recHit, buHit and tdHit are the table lookups of SigID,
+// RecState, BUStep and TDStep on their own: each returns its dense table's
+// entry — the id + 1 — or 0 where the table has none. SigID, RecState,
+// BUStep and TDStep are beyond the compiler's inlining budget, a lookup
+// without a call in it is not, so a loop that steps millions of nodes
+// tries the hit first and calls the full method for the rest (the window
+// kernels do; QueryMask inlines as it is). sigHit and recHit are for
+// non-root records without aux bits only.
 func (c *StepCache) sigHit(rec uint16) int32 {
 	// The child flags are the record's two top bits, so rotating them to
 	// the bottom gives label<<2 | flags: dense in the label.
-	if i := int(bits.RotateLeft16(rec, 2)); i < len(c.sigByRec) {
-		return c.sigByRec[i]
+	if i := int(bits.RotateLeft16(rec, 2)); i < len(c.byRec) {
+		return c.byRec[i].sig
+	}
+	return 0
+}
+
+func (c *StepCache) recHit(rec uint16) StateID {
+	if i := int(bits.RotateLeft16(rec, 2)); i < len(c.byRec) {
+		return c.byRec[i].bu
 	}
 	return 0
 }
@@ -212,6 +230,37 @@ func (c *StepCache) growBU(needS StateID, needSig int32) bool {
 	}
 	c.bu, c.dimS, c.dimSig = nb, newS, newSig
 	return true
+}
+
+// RecState is the bottom-up state of a node with record bits rec, at the
+// root or not, in a forward run: one δA step with a leaf's state standing
+// in for each child the record announces, which the forward verdict
+// (analysis.go) proves is every such node's state. false for a root with a
+// second child, a shape the verdict leaves out.
+func (c *StepCache) RecState(rec uint16, root bool) (StateID, bool) {
+	if root && rec&storage.FlagSecond != 0 {
+		return NoState, false
+	}
+	if !root {
+		if s := c.recHit(rec); s != 0 {
+			return s - 1, true
+		}
+	}
+	left, right := NoState, NoState
+	if kids := rec & (storage.FlagFirst | storage.FlagSecond); kids != 0 {
+		leaf := c.BUStep(NoState, NoState, c.SigID(rec&^kids, false, 0))
+		if kids&storage.FlagFirst != 0 {
+			left = leaf
+		}
+		if kids&storage.FlagSecond != 0 {
+			right = leaf
+		}
+	}
+	s := c.BUStep(left, right, c.SigID(rec, root, 0))
+	if !root {
+		c.byRec[bits.RotateLeft16(rec, 2)].bu = s + 1 // SigID sized the table
+	}
+	return s, true
 }
 
 // TDStep is the cached δB_k.

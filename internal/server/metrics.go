@@ -63,7 +63,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("arb_throttled_total", "Queries refused with 429 by admission control.", st.Queue.Throttled)
 
 	m.counter("arb_scan_rounds_total", "Scan rounds executed (one or two linear scans each).", st.Profile.ScanRounds)
-	m.counter("arb_one_scan_rounds_total", "Scan rounds that omitted phase 2 (one linear scan each).", st.Profile.OneScanRounds)
+	m.counter("arb_one_scan_rounds_total", "Scan rounds that took one linear scan each: phase 2 omitted (one scan) or phase 1 omitted (forward scan).", st.Profile.OneScanRounds)
 	m.counter("arb_phase1_bytes_total", "Database bytes read by backward scans.", st.Profile.Phase1)
 	m.counter("arb_phase2_bytes_total", "Database bytes read by forward scans.", st.Profile.Phase2)
 	m.counter("arb_skipped_bytes_total", "Database bytes pruning seeked past.", st.Profile.Skipped)

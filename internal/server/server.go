@@ -96,7 +96,7 @@ type Server struct {
 // and pruning counters.
 type ProfileCounters struct {
 	ScanRounds    int64 `json:"scan_rounds"`      // scan rounds executed: two linear scans each, or one when phase 2 was omitted
-	OneScanRounds int64 `json:"one_scan_rounds"`  // of ScanRounds, those that omitted phase 2: one linear scan each
+	OneScanRounds int64 `json:"one_scan_rounds"`  // of ScanRounds, those that took one linear scan each (one scan or forward scan)
 	Phase1        int64 `json:"phase1_bytes"`     // .arb bytes read, backward scans
 	Phase2        int64 `json:"phase2_bytes"`     // .arb bytes read, forward scans
 	Skipped       int64 `json:"skipped_bytes"`    // bytes pruning seeked past

@@ -108,10 +108,11 @@ type ExecOpts struct {
 }
 
 // ExecStats is the merged cost profile of one execution across all its
-// passes. Disk.OneScan counts the passes that omitted phase 2 (only ever
-// a single-pass execution's one pass: aux passes write and read sidecars,
-// which takes both scans); their phase-2 time, bytes and state bytes are
-// zero.
+// passes. Disk.OneScan counts the passes that took one scan: a backward
+// one omitted phase 2 (only ever a single-pass execution's one pass: aux
+// passes write sidecars, which takes phase 2), a forward one omitted phase
+// 1 (any pass that reads no sidecar); the phase they omitted reads no
+// bytes, and neither writes state bytes.
 type ExecStats struct {
 	Engine core.Stats     // automata work (lazy transitions, phase times)
 	Disk   core.DiskStats // scan profile (of the record image, for a tree)

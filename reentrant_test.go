@@ -114,9 +114,11 @@ func TestStateFilesOverlap(t *testing.T) {
 	defer db.Close()
 	sess := arb.NewDBSession(db)
 
-	// The flags under an item: a top-down fact, so every run takes two
+	// The flags under an item with a name: an upward condition (the name
+	// child) and a downward one (the item parent), so every run takes two
 	// scans and writes a state file.
-	prog, err := arb.ParseProgram(`I :- Label[item]; F :- I.FirstChild; F :- F.NextSibling; QUERY :- F, Label[flag];`)
+	prog, err := arb.ParseProgram(`C :- Label[name]; U :- C; U :- U.invNextSibling; P :- U.invFirstChild; I :- Label[item], P;
+		F :- I.FirstChild; F :- F.NextSibling; QUERY :- F, Label[flag];`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,12 +299,13 @@ type Profile struct {
 // SkippedBytes returns the total .arb bytes this execution's scans
 // seeked past thanks to selectivity-aware pruning. Within each pass,
 // Bytes + SkippedBytes covers the database exactly once per phase that
-// ran — phase 1 always, phase 2 unless the pass omitted it because its
-// selections were decided bottom-up (Disk.OneScan counts those passes);
-// the merged Profile accumulates that over the execution's passes, so a
-// P-pass execution's phase-1 total is P × database size and its phase-2
-// total (P − Disk.OneScan) × database size. In-memory sessions count the
-// bytes of their record image.
+// ran — both, unless the pass took one scan (Disk.OneScan counts those
+// passes): it omitted phase 2 because its selections were decided
+// bottom-up, or phase 1 because its records decided its bottom-up states
+// (a forward scan, whose Phase1 is zero); the merged Profile accumulates
+// that over the execution's passes, so a P-pass execution's phase-1 and
+// phase-2 totals add up to (2P − Disk.OneScan) × database size. In-memory
+// sessions count the bytes of their record image.
 func (p *Profile) SkippedBytes() int64 {
 	return p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
 }
