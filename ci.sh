@@ -162,10 +162,6 @@ if ls BENCH_*.json >&2 2>/dev/null; then
     echo "a root BENCH_*.json is back: benchmark/ reports are the only numbers" >&2
     exit 1
 fi
-if grep -rln '//arblint:shims' --include='*.go' . >&2; then
-    echo "a //arblint:shims file is back: the public API is Session-only" >&2
-    exit 1
-fi
 
 # One codec, one .idx format, one subtree-index fold: the record stream
 # is LZ-compressed or raw, the .idx sidecar is v2 for both (compression
@@ -237,11 +233,11 @@ fi
 # renames a file: a committed file through storage.WriteFile (a temporary
 # beside its path, synced, renamed over it, its directory synced; removed
 # on any error), a scratch file as an anonymous handle whose Close removes
-# it (DB.CreateScratch, Create's event file). internal/lint writes its
-# baseline and vet output itself. The tmpcleanup analyzer, the named aux
-# sidecars (ScratchDir, OpenMasks, RemoveScratch, OpenMaskFile) with their
-# RAM name table, KeepEvt and the exported SyncDir are gone. Keep them gone.
-creators=$({ ls ./*.go; find internal -name '*.go' -not -path 'internal/lint/*'; } |
+# it (DB.CreateScratch, Create's event file). The tmpcleanup analyzer, the
+# named aux sidecars (ScratchDir, OpenMasks, RemoveScratch, OpenMaskFile)
+# with their RAM name table, KeepEvt and the exported SyncDir are gone.
+# Keep them gone.
+creators=$({ ls ./*.go; find internal -name '*.go'; } |
     grep -v '_test\.go$' | grep -vx 'internal/storage/file.go' |
     xargs grep -nE 'os\.(Create|CreateTemp|MkdirTemp|OpenFile|Rename|WriteFile)\(' |
     grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -261,7 +257,7 @@ fi
 # goroleak analyzer that proved each spawned goroutine terminates is gone;
 # a second go statement in the root package or internal/ must fold into
 # the pool instead.
-spawns=$({ ls ./*.go; find internal -name '*.go' -not -path '*/testdata/*'; } |
+spawns=$({ ls ./*.go; find internal -name '*.go'; } |
     grep -v '_test\.go$' |
     xargs grep -nE '(^|[{;])[[:space:]]*go[[:space:]]+[A-Za-z_(]' |
     grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -284,17 +280,123 @@ if grep -nwE 'treeOnce|treeDB|treeErr|ownDB' ./*.go >&2 ||
     exit 1
 fi
 
-# Repo-specific invariants: context threading, lock discipline, reader
-# and scratch-file Close/Release, and lock ordering — the full
-# four-analyzer suite, gated on the committed baseline: any finding not
-# already recorded there fails the build.
-go run ./cmd/arblint -baseline .arblint-baseline.json ./...
+# The repository's invariants hold by construction, not by analysis:
+# internal/lint, its analyzers (ctxflow, closecheck, lockdiscipline,
+# lockorder), cmd/arblint and the .arblint-baseline.json it gated on are
+# gone, each analyzer replaced by a type or a ratchet below. Keep them gone.
+if [ -e internal/lint ] || [ -e cmd/arblint ] || [ -e .arblint-baseline.json ] ||
+    go list ./... | grep -E '^arb/(internal/lint|cmd/arblint)' >&2; then
+    echo "internal/lint, cmd/arblint or .arblint-baseline.json is back: hold an invariant with a type or a ci.sh ratchet" >&2
+    exit 1
+fi
 
-# The analyzers' own fixtures (want-marker tests, the baseline
-# round-trip, and the repo-is-clean driver gates) under the
-# race detector: the lint framework shells out to `go list` and builds
-# module summaries concurrently with test parallelism.
-go test -race ./internal/lint/... ./cmd/arblint
+# Context threading (was ctxflow): cancellation flows from the public API
+# down to every scan loop. The root package turns a caller's nil ctx into
+# context.Background() at its entries; internal/ never mints a context,
+# and never passes a literal nil as the first of several arguments, the
+# context's place in every call that takes one. The one nil is storage's
+# contextless creation, BuildIndex(nil, db, 0) in create (NewCanceller's
+# doc).
+libfiles=$({ ls ./*.go; find internal -name '*.go'; } | grep -v '_test\.go$' | sed 's|^\./||')
+minted=$(find internal -name '*.go' | grep -v '_test\.go$' |
+    xargs grep -nE 'context\.(Background|TODO)\(\)' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$minted" ]; then
+    echo "internal/ mints a context: thread the caller's ctx instead" >&2
+    echo "$minted" >&2
+    exit 1
+fi
+nilctx=$(find internal -name '*.go' | grep -v '_test\.go$' |
+    xargs grep -nE '[A-Za-z0-9_]\(nil,' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^internal/storage/create\.go:[0-9]+:[[:space:]]*ix, err := BuildIndex\(nil, db, 0\)$' || true)
+if [ -n "$nilctx" ]; then
+    echo "internal/ passes a literal nil first (a dropped context?): thread the caller's ctx" >&2
+    echo "$nilctx" >&2
+    exit 1
+fi
+
+# Readers and files are closed (was closecheck). A producer — os.Open,
+# storage.Open, NewBackwardReader, DB.CreateScratch — in a non-test file of
+# the root package or internal/ is returned to the caller, or its bound
+# result v is followed, right after its `if err != nil` block, by
+# `defer v.Close()` (or `defer v.Release()`). Otherwise its function is on
+# this owner list, which says who closes it; an entry that no longer
+# matches fails too, so the list stays exact.
+#   session.go:OpenSession              the store: vstore.ReadOnly(db, true)
+#   internal/storage/db.go:Open         the DB (its closer); closed on failure
+#   internal/storage/db.go:openFrom     the .lab handle, right after ReadNames
+#   internal/storage/create.go:create   the caller (returned); closed on failure
+#   internal/vstore/store.go:openSegment  the segment (drop, release, Close)
+#   internal/vstore/store.go:bootstrap  closed once the index is read, and on failure
+#   internal/vstore/store.go:loadNames  each name table, right after ReadNames
+#   internal/xpath/batch.go:ExecDisk    a round's aux sidecar: the next round,
+#                                       or the deferred close of the last
+closeowners='session.go:OpenSession
+internal/storage/db.go:Open
+internal/storage/db.go:openFrom
+internal/storage/create.go:create
+internal/vstore/store.go:openSegment
+internal/vstore/store.go:bootstrap
+internal/vstore/store.go:loadNames
+internal/xpath/batch.go:ExecDisk'
+# shellcheck disable=SC2086 # one file per word
+unclosed=$(awk -v owners="$closeowners" '
+    BEGIN { n = split(owners, o, "\n"); for (i = 1; i <= n; i++) owner[o[i]] = 0 }
+    function report() {
+        if ((FILENAME ":" fn) in owner) owner[FILENAME ":" fn]++
+        else print where
+    }
+    FNR == 1 { state = 0; fn = "" }
+    /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+    state == 2 { if ($0 == ind "}") state = 3; next }
+    state == 3 {
+        if ($0 !~ ("^[[:space:]]*defer " v "\\.(Close|Release)\\(\\)[[:space:]]*$")) report()
+        state = 0
+    }
+    state == 1 {
+        state = 0
+        if ($0 ~ ("^" ind "if err != nil \\{[[:space:]]*$")) { state = 2; next }
+        report()
+    }
+    /(os\.Open|storage\.Open|[^.A-Za-z0-9_]Open|NewBackwardReader|CreateScratch)\(/ &&
+        !/^[[:space:]]*\/\// && !/^func / && !/return [A-Za-z_.]*(Open|NewBackwardReader|CreateScratch)\(/ {
+        where = FILENAME ":" fn ":" FNR ": " $0
+        ind = $0; sub(/[^[:space:]].*/, "", ind)
+        if ($0 ~ /^[[:space:]]*(if )?[A-Za-z_][A-Za-z0-9_]*, err :?= /) {
+            v = $0; sub(/^[[:space:]]*(if )?/, "", v); sub(/,.*/, "", v)
+            state = ($0 ~ /; err != nil \{[[:space:]]*$/) ? 2 : 1
+        } else report()
+    }
+    END { for (k in owner) if (owner[k] == 0) print k ": on the owner list but opens nothing unclosed" }
+' $libfiles)
+if [ -n "$unclosed" ]; then
+    echo "a reader or file is not closed by a defer after its error check (close it, or list its owner in ci.sh):" >&2
+    echo "$unclosed" >&2
+    exit 1
+fi
+
+# Shared state sits behind its lock by construction (was lockdiscipline):
+# internal/guard's Mutex[T] and RWMutex[T] reach their value only inside an
+# accessor's callback, so an unguarded access cannot be written. Library
+# code declares no other mutex — a worker's results go to per-task slots
+# the driver merges after the join — and no Go file carries the retired
+# analyzers' `guarded by:` annotations or arblint: directives.
+# shellcheck disable=SC2086 # one file per word
+mutexes=$(printf '%s\n' $libfiles | grep -v '^internal/guard/' |
+    xargs grep -nE 'sync\.(RW)?Mutex\b' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$mutexes" ]; then
+    echo "a sync.Mutex/RWMutex outside internal/guard: put the state it guards in a guard.Mutex[T]" >&2
+    echo "$mutexes" >&2
+    exit 1
+fi
+if grep -rnE 'guarded by:|arblint:' --include='*.go' . >&2; then
+    echo "a guarded-by annotation or arblint: directive is back: guard the state with internal/guard" >&2
+    exit 1
+fi
+# Lock order (was lockorder): no accessor callback takes a second lock
+# (TestLockNesting, a syntactic check), the guard types work under the race
+# detector, and the orders that go through calls, which guard's package
+# doc lists, are exercised by the race suite.
+gate 'Guard|LockNesting' -race ./...
 
 # External analyzers when the toolchain provides them. The CI image has
 # no network, so they cannot be fetched or version-pinned here; any

@@ -5,10 +5,9 @@
 // alone decides (one scan, pardisk.go), and whether a node's bottom-up
 // state is decided by its own record (forward scan, pardisk.go). All four
 // are closure walks over the compiled automata, and one walk computes
-// them, on a scratch engine
-// of its own: none of the states and transitions it reaches land in the
-// engine, whose tables and Stats hold what runs compute and nothing else
-// (Figure 6's columns). The engine gains one state from the analysis, the
+// them, on a bare automaton of its own: none of the states and
+// transitions it reaches land in the engine, whose tables and Stats hold
+// what runs compute and nothing else (Figure 6's columns). The engine gains one state from the analysis, the
 // dead-subtree substitute s*, which prune plans hand to runs.
 //
 // Soundness rests on the alphabet collapse: the automaton alphabet is the
@@ -112,10 +111,10 @@ type analysis struct {
 	forward bool
 }
 
-// analyze runs the walk for program c over the name table names, on a
-// scratch engine it owns.
+// analyze runs the walk for program c over the name table names, on an
+// automaton it owns.
 func analyze(c *Compiled, names *tree.Names) *analysis {
-	w := NewEngine(c, names)
+	w := newAutomaton(c, names)
 	a := &analysis{}
 
 	// Mentioned labels: only resolved Label[..]/char tests pin individual
@@ -158,20 +157,18 @@ func analyze(c *Compiled, names *tree.Names) *analysis {
 		}
 	}
 
-	a.judgePrune(w, reps)
+	a.judgePrune(&w, reps)
 	// The label verdicts need both classes' defaults (a program naming
 	// every character is pathological) and no aux input.
 	if !aux && len(reps) == 2 {
-		a.judgeLabels(w, mentioned, reps[0], reps[1], len(c.Queries) == 1)
+		a.judgeLabels(&w, mentioned, reps[0], reps[1], len(c.Queries) == 1)
 	}
 	return a
 }
 
 // judgePrune closes the dead-subtree states over the representatives and,
 // when they fold to one state s*, the top-down states from ⊤ over it.
-//
-// arblint:holds mu — the walk owns its scratch engine w.
-func (a *analysis) judgePrune(w *Engine, reps []tree.Label) {
+func (a *analysis) judgePrune(w *automaton, reps []tree.Label) {
 	if len(reps) == 0 {
 		return // every label is live: no extent is ever dead
 	}
@@ -204,9 +201,7 @@ func (a *analysis) judgePrune(w *Engine, reps []tree.Label) {
 // refused there is refused for good (root-path queries fail one scan on
 // the first round's leaves), and the round that adds nothing checks the
 // whole closure.
-//
-// arblint:holds mu — the walk owns its scratch engine w.
-func (a *analysis) judgeLabels(w *Engine, mentioned map[tree.Label]bool, charRep, namedRep tree.Label, oneQuery bool) {
+func (a *analysis) judgeLabels(w *automaton, mentioned map[tree.Label]bool, charRep, namedRep tree.Label, oneQuery bool) {
 	alphabet := make([]tree.Label, 0, len(mentioned)+2)
 	for l := range mentioned {
 		alphabet = append(alphabet, l)
@@ -246,9 +241,7 @@ func (a *analysis) judgeLabels(w *Engine, mentioned map[tree.Label]bool, charRep
 // non-root nodes and at the root, false when a label's mask depends on
 // more than the label. Root configurations include a second child: a
 // summary answers for any document.
-//
-// arblint:holds mu — the walk owns its scratch engine w.
-func (w *Engine) labelVerdicts(alphabet []tree.Label, bu buClosure, states []StateID) (child, root map[tree.Label]uint64, ok bool) {
+func (w *automaton) labelVerdicts(alphabet []tree.Label, bu buClosure, states []StateID) (child, root map[tree.Label]uint64, ok bool) {
 	child, root = map[tree.Label]uint64{}, map[tree.Label]uint64{}
 	// Roots without a second child first: their configurations refuse
 	// most programs that fail, before the quadratic rest is enumerated.
@@ -275,9 +268,7 @@ func (w *Engine) labelVerdicts(alphabet []tree.Label, bu buClosure, states []Sta
 // depends on more than the state. Root configurations leave out a second
 // child, which a document's root never has; a run over a tree whose root
 // has one meets a state outside the verdicts and reruns with two scans.
-//
-// arblint:holds mu — the walk owns its scratch engine w.
-func (w *Engine) stateVerdicts(alphabet []tree.Label, states []StateID) (child, root map[StateID]uint64, ok bool) {
+func (w *automaton) stateVerdicts(alphabet []tree.Label, states []StateID) (child, root map[StateID]uint64, ok bool) {
 	child, root = map[StateID]uint64{}, map[StateID]uint64{}
 	starts, ok := w.roots(alphabet, states, false, func(_ tree.Label, s, td StateID) bool {
 		return agree(root, s, w.queryMask(td))
@@ -293,9 +284,7 @@ func (w *Engine) stateVerdicts(alphabet []tree.Label, states []StateID) (child, 
 // on every side the record announces one — yield different states. Roots
 // take no second child, which a document's root never has; they are
 // checked once, over the whole closure, as no root is a child.
-//
-// arblint:holds mu — the walk owns its scratch engine w.
-func (w *Engine) recordVerdict(alphabet []tree.Label, states []StateID, root bool) bool {
+func (w *automaton) recordVerdict(alphabet []tree.Label, states []StateID, root bool) bool {
 	none := []StateID{NoState}
 	for _, l := range alphabet {
 		for shape := range 4 {
@@ -335,9 +324,7 @@ func agree[K comparable](m map[K]uint64, k K, mask uint64) bool {
 
 // keyed re-keys verdicts from the walk's state ids to residual program
 // keys, which every engine of the program shares.
-//
-// arblint:holds mu — the walk owns its scratch engine w.
-func (w *Engine) keyed(v map[StateID]uint64) map[string]uint64 {
+func (w *automaton) keyed(v map[StateID]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(v))
 	for s, mask := range v {
 		out[w.BUState(s).Key()] = mask
@@ -363,9 +350,7 @@ func (bu buClosure) states() []StateID {
 // subtree built from alphabet, over the four child shapes. round, when not
 // nil, sees the states after each round. ok is false when the closure
 // outgrows maxStates or round returns false.
-//
-// arblint:holds mu — the walk owns its scratch engine.
-func (w *Engine) closeBU(alphabet []tree.Label, maxStates int, round func(buClosure) bool) (bu buClosure, ok bool) {
+func (w *automaton) closeBU(alphabet []tree.Label, maxStates int, round func(buClosure) bool) (bu buClosure, ok bool) {
 	bu = buClosure{}
 	note := func(s StateID, l tree.Label) bool {
 		if bu[s] == nil {
@@ -402,9 +387,7 @@ func (w *Engine) closeBU(alphabet []tree.Label, maxStates int, round func(buClos
 // combination, with a second child only if second. It reports each to
 // each with the root's bottom-up state and its top-down start state, and
 // returns the distinct start states.
-//
-// arblint:holds mu — the walk owns its scratch engine.
-func (w *Engine) roots(alphabet []tree.Label, states []StateID, second bool, each func(l tree.Label, bu, td StateID) bool) (starts []StateID, ok bool) {
+func (w *automaton) roots(alphabet []tree.Label, states []StateID, second bool, each func(l tree.Label, bu, td StateID) bool) (starts []StateID, ok bool) {
 	seen := map[StateID]bool{}
 	cfg := func(l tree.Label, left, right StateID) bool {
 		s := w.ReachableStates(left, right, w.sigOf(l, left != NoState, right != NoState, true))
@@ -443,9 +426,7 @@ func (w *Engine) roots(alphabet []tree.Label, states []StateID, second bool, eac
 // starts by stepping into any of the bottom-up states on either side. step
 // sees each step's child state and result; ok is false when it returns
 // false or the closure outgrows maxStates.
-//
-// arblint:holds mu — the walk owns its scratch engine.
-func (w *Engine) closeTD(starts, states []StateID, maxStates int, step func(bu, td StateID) bool) bool {
+func (w *automaton) closeTD(starts, states []StateID, maxStates int, step func(bu, td StateID) bool) bool {
 	seen := map[StateID]bool{}
 	for _, t := range starts {
 		seen[t] = true
@@ -475,10 +456,8 @@ func (w *Engine) closeTD(starts, states []StateID, maxStates int, step func(bu, 
 
 // sigOf is the signature class of a node labeled l with the given child
 // flags and root-ness.
-//
-// arblint:holds mu
-func (e *Engine) sigOf(l tree.Label, hasFirst, hasSecond, root bool) int32 {
-	return e.SigID(edb.NodeSig{Label: l, HasFirst: hasFirst, HasSecond: hasSecond, IsRoot: root})
+func (t *automaton) sigOf(l tree.Label, hasFirst, hasSecond, root bool) int32 {
+	return t.SigID(edb.NodeSig{Label: l, HasFirst: hasFirst, HasSecond: hasSecond, IsRoot: root})
 }
 
 // OneScan reports whether the engine's selection is decided by bottom-up

@@ -61,9 +61,11 @@ func TestBatchWideStateFallback(t *testing.T) {
 	e := NewEngine(c, db.Names)
 	// An engine that already interned states near the 16-bit limit makes
 	// the run pick the wide layout up front.
-	for len(e.buStates) < 1<<16-256 {
-		e.buStates = append(e.buStates, nil)
-	}
+	e.tables.Write(func(t *automaton) {
+		for len(t.buStates) < 1<<16-256 {
+			t.buStates = append(t.buStates, nil)
+		}
+	})
 	members := []BatchMember{{E: e, AuxInSlot: -1, AuxOutSlot: -1}}
 	if newDiskBatch(members, DiskBatchOpts{}).width() != stateWide {
 		t.Fatal("padded engine did not select the wide state layout")

@@ -237,7 +237,8 @@ func BenchmarkStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	e := NewEngine(c, t.Names())
-	bu, td := treeStates(e, t)
+	var bu, td []StateID
+	e.tables.Write(func(a *automaton) { bu, td = treeStates(a, t) })
 	// One inner node of the chain, replayed from its states: its own
 	// bottom-up step, and the top-down step into its next sibling.
 	v := tree.NodeID(t.Len() / 2)

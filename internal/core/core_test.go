@@ -38,7 +38,7 @@ func chainA(t *testing.T) *tree.Tree {
 // ReachableStates over the nodes in reverse preorder, then RootTrueSet and
 // TruePreds in preorder — and returns every node's bottom-up and top-down
 // state, which the drivers keep to themselves.
-func treeStates(e *Engine, t *tree.Tree) (bu, td []StateID) {
+func treeStates(e *automaton, t *tree.Tree) (bu, td []StateID) {
 	n := tree.NodeID(t.Len())
 	bu, td = make([]StateID, n), make([]StateID, n)
 	state := func(v tree.NodeID) StateID {
@@ -124,8 +124,8 @@ func TestExample45Residuals(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := chainA(t)
-	e := NewEngine(c, tr.Names())
-	bu, _ := treeStates(e, tr)
+	e := newAutomaton(c, tr.Names())
+	bu, _ := treeStates(&e, tr)
 	u := c.U
 	pred := func(name string) horn.Atom {
 		q, _ := p.Pred(name)
@@ -158,8 +158,8 @@ func TestExample47TruePreds(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := chainA(t)
-	e := NewEngine(c, tr.Names())
-	_, td := treeStates(e, tr)
+	e := newAutomaton(c, tr.Names())
+	_, td := treeStates(&e, tr)
 	want := [][]string{{"P1", "Q"}, {"P2", "P5"}, {"P3", "P4"}}
 	for v, wantNames := range want {
 		got := e.TDSet(td[v])

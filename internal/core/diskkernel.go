@@ -111,7 +111,7 @@ func (r *diskFiles) stateOff(slot int, first int64, n int) int64 {
 // laneMarks is where a kernel records one lane's selections: the lane's
 // Result directly (the leader, whose scans never overlap a worker's) or
 // private bitsets from word w0 on (a worker's chunk), which merge merges
-// under the Result's lock.
+// once the workers are joined.
 type laneMarks struct {
 	sel   *Result
 	local [][]uint64
@@ -148,7 +148,7 @@ func (m *laneMarks) mark(mask uint64, v int64) {
 // merge hands a worker's private marks to the Result.
 func (m *laneMarks) merge() {
 	for qi := range m.local {
-		m.sel.MergeWords(qi, m.w0, m.local[qi])
+		m.sel.mergeWords(qi, m.w0, m.local[qi])
 	}
 }
 

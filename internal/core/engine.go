@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"arb/internal/edb"
+	"arb/internal/guard"
 	"arb/internal/horn"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
@@ -80,85 +81,94 @@ func (s Stats) Sub(o Stats) Stats {
 // computed lazily by ComputeReachableStates and ComputeTruePreds and are
 // reused across nodes and across trees (footnote 15 of the paper).
 //
-// Concurrency: the engine's tables are guarded by one RWMutex, and every
-// evaluation driver — scalar or batch, sequential or parallel — steps a
-// private StepCache (dense per-run tables, no locks when warm) in front of
-// a SharedEngine view (Share), which takes the lock on the cache's misses
-// — so any number of runs of one engine may overlap, and transitions
-// computed by one run serve all.
-// The raw transition methods (ReachableStates, TruePreds, ...) do not
-// lock; they are for callers that hold mu or own the engine exclusively.
+// Concurrency: the tables are an automaton value behind one guard.RWMutex,
+// reachable only through its accessors. Every evaluation driver — scalar
+// or batch, sequential or parallel — steps a private StepCache (dense
+// per-run tables, no locks when warm) in front of a SharedEngine view
+// (Share), which takes the lock on the cache's misses — so any number of
+// runs of one engine may overlap, and transitions computed by one run
+// serve all.
 type Engine struct {
-	// mu guards every lazily grown table below. The raw interning and
-	// transition methods declare the contract arblint:holds mu — they run
-	// either under SharedEngine (which takes mu) or on an engine the
-	// caller owns exclusively; lockdiscipline enforces the split.
-	mu     sync.RWMutex
+	c     *Compiled
+	names *tree.Names
+
+	// tables holds every lazily grown table and the cumulative Stats.
+	tables *guard.RWMutex[automaton]
+
+	// analysis is the engine's plan (analysis.go): prune, subsumption and
+	// one-scan verdicts, computed on first use by a walk over an automaton
+	// of its own and read without locks.
+	analysis func() *analysis
+}
+
+// automaton is the pair of lazily built automata of one compiled program
+// over one name table: their states, transitions and statistics. An
+// Engine guards its automaton; the analysis walk steps a bare one it owns.
+type automaton struct {
 	c      *Compiled
 	solver *horn.Solver
+	names  *tree.Names
 
 	// Bottom-up automaton A: states are canonical residual programs.
-	buStates []*horn.Program    // guarded by: mu
-	buIndex  map[string]StateID // guarded by: mu
-	buTrans  map[buKey]StateID  // guarded by: mu
+	buStates []*horn.Program
+	buIndex  map[string]StateID
+	buTrans  map[buKey]StateID
 
 	// Node-signature interning; sig ids key the transition table and map
 	// to precomputed EDB fact sets. Signatures with identical fact sets
 	// share one id: the automaton alphabet is 2^sigma for the program's
 	// own sigma (Definition 4.2), so all labels the program does not
 	// mention collapse into one equivalence class.
-	sigIndex  map[edb.NodeSig]int32 // guarded by: mu
-	factIndex map[string]int32      // guarded by: mu
-	sigFacts  [][]horn.Atom         // guarded by: mu
+	sigIndex  map[edb.NodeSig]int32
+	factIndex map[string]int32
+	sigFacts  [][]horn.Atom
 
 	// Top-down automaton B: states are canonical sorted sets of local
 	// atoms (the predicates true at a node).
-	tdStates [][]horn.Atom      // guarded by: mu
-	tdIndex  map[string]StateID // guarded by: mu
-	tdTrans  map[tdKey]StateID  // guarded by: mu
+	tdStates [][]horn.Atom
+	tdIndex  map[string]StateID
+	tdTrans  map[tdKey]StateID
 	// tdQuery caches, per top-down state, the bitmask of query predicates
 	// it contains (bit i = Queries[i]).
-	tdQuery []uint64 // guarded by: mu
+	tdQuery []uint64
 
-	names *tree.Names
-
-	stats Stats // guarded by: mu
-
-	// analysis is the engine's plan (analysis.go): prune, subsumption and
-	// one-scan verdicts, computed on first use by a walk over tables of its
-	// own and read without locks.
-	analysis func() *analysis
+	stats Stats
 
 	// scratch rule buffer reused across transition computations
-	ruleBuf []horn.Rule // guarded by: mu
+	ruleBuf []horn.Rule
 }
 
-// NewEngine returns an engine for the compiled program. The name table is
-// needed to resolve Label[..] tests; it must match the databases the
-// engine will be run on.
-func NewEngine(c *Compiled, names *tree.Names) *Engine {
-	e := &Engine{
+// newAutomaton returns the empty automata of c over names.
+func newAutomaton(c *Compiled, names *tree.Names) automaton {
+	return automaton{
 		c:         c,
 		solver:    horn.NewSolver(c.U),
+		names:     names,
 		buIndex:   make(map[string]StateID),
 		buTrans:   make(map[buKey]StateID),
 		sigIndex:  make(map[edb.NodeSig]int32),
 		factIndex: make(map[string]int32),
 		tdIndex:   make(map[string]StateID),
 		tdTrans:   make(map[tdKey]StateID),
-		names:     names,
 	}
+}
+
+// NewEngine returns an engine for the compiled program. The name table is
+// needed to resolve Label[..] tests; it must match the databases the
+// engine will be run on.
+func NewEngine(c *Compiled, names *tree.Names) *Engine {
+	e := &Engine{c: c, names: names, tables: guard.NewRW(newAutomaton(c, names))}
 	e.analysis = sync.OnceValue(func() *analysis {
 		a := analyze(c, names)
 		if a.pruneOK {
 			// s* is the one state the analysis adds: prune plans hand it
 			// to runs as the state of every skipped extent. No run computed
 			// it, so Stats, which the runs' RunStats partition, leave it out.
-			e.mu.Lock()
-			n := e.stats.BUStates
-			a.sub = e.internBU(a.subProg)
-			e.stats.BUStates = n
-			e.mu.Unlock()
+			e.tables.Write(func(t *automaton) {
+				n := t.stats.BUStates
+				a.sub = t.internBU(a.subProg)
+				t.stats.BUStates = n
+			})
 		}
 		return a
 	})
@@ -172,106 +182,82 @@ func (e *Engine) Compiled() *Compiled { return e.c }
 // every run of the engine. Per-run attribution under overlapping
 // executions goes through RunStats sinks (ShareTo and the drivers' Run
 // options), not through deltas of this cumulative snapshot.
-func (e *Engine) Stats() Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.stats
+func (e *Engine) Stats() (s Stats) {
+	e.tables.Read(func(t *automaton) { s = t.stats })
+	return s
 }
 
-// addNodes records a finished run's n node visits, pruned of them pruned
-// (see Stats.PrunedNodes), in the engine's statistics.
-func (e *Engine) addNodes(n, pruned int64) {
-	e.mu.Lock()
-	e.stats.Nodes += n
-	e.stats.PrunedNodes += pruned
-	e.mu.Unlock()
+// addRun folds a finished run's n node visits, pruned of them pruned (see
+// Stats.PrunedNodes), and its phase wall times into the engine's
+// statistics.
+func (e *Engine) addRun(n, pruned int64, p1, p2 time.Duration) {
+	e.tables.Write(func(t *automaton) {
+		t.stats.Nodes += n
+		t.stats.PrunedNodes += pruned
+		t.stats.Phase1Time += p1
+		t.stats.Phase2Time += p2
+	})
 }
-
-// addPhaseTimes folds one run's phase wall times into the engine's
-// cumulative statistics.
-func (e *Engine) addPhaseTimes(p1, p2 time.Duration) {
-	e.mu.Lock()
-	e.stats.Phase1Time += p1
-	e.stats.Phase2Time += p2
-	e.mu.Unlock()
-}
-
-// statsSnapshot reads the cumulative statistics without locking; the
-// ShareTo slow paths bracket raw transition calls with it to compute
-// exact per-call deltas.
-//
-// arblint:holds mu
-func (e *Engine) statsSnapshot() Stats { return e.stats }
 
 // BUStateCount returns the number of bottom-up states interned so far
 // (the disk driver sizes its on-disk state width from it).
-func (e *Engine) BUStateCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.buStates)
+func (e *Engine) BUStateCount() (n int) {
+	e.tables.Read(func(t *automaton) { n = len(t.buStates) })
+	return n
 }
 
 // SigID interns a node signature, collapsing signatures that satisfy the
 // same EDB facts of the program into one alphabet symbol.
-//
-// arblint:holds mu — the caller holds the engine's write lock
-// (SharedEngine) or owns the engine exclusively.
-func (e *Engine) SigID(sig edb.NodeSig) int32 {
-	if id, ok := e.sigIndex[sig]; ok {
+func (t *automaton) SigID(sig edb.NodeSig) int32 {
+	if id, ok := t.sigIndex[sig]; ok {
 		return id
 	}
-	facts := e.c.FactsFor(e.names, sig)
+	facts := t.c.FactsFor(t.names, sig)
 	var key []byte
 	for _, a := range facts {
 		key = appendUvarint(key, uint64(a))
 	}
-	id, ok := e.factIndex[string(key)]
+	id, ok := t.factIndex[string(key)]
 	if !ok {
-		id = int32(len(e.sigFacts))
-		e.factIndex[string(key)] = id
-		e.sigFacts = append(e.sigFacts, facts)
+		id = int32(len(t.sigFacts))
+		t.factIndex[string(key)] = id
+		t.sigFacts = append(t.sigFacts, facts)
 	}
-	e.sigIndex[sig] = id
+	t.sigIndex[sig] = id
 	return id
 }
 
 // internBU hash-conses a canonical residual program into a state of A.
-//
-// arblint:holds mu
-func (e *Engine) internBU(p *horn.Program) StateID {
+func (t *automaton) internBU(p *horn.Program) StateID {
 	k := p.Key()
-	if id, ok := e.buIndex[k]; ok {
+	if id, ok := t.buIndex[k]; ok {
 		return id
 	}
-	id := StateID(len(e.buStates))
-	e.buStates = append(e.buStates, p)
-	e.buIndex[k] = id
-	e.stats.BUStates++
+	id := StateID(len(t.buStates))
+	t.buStates = append(t.buStates, p)
+	t.buIndex[k] = id
+	t.stats.BUStates++
 	return id
 }
 
 // BUState returns the residual program of bottom-up state id.
-//
-// arblint:holds mu
-func (e *Engine) BUState(id StateID) *horn.Program { return e.buStates[id] }
+func (t *automaton) BUState(id StateID) *horn.Program { return t.buStates[id] }
 
 // internTD hash-conses a sorted set of local atoms into a state of B.
-//
-// arblint:holds mu
-func (e *Engine) internTD(atoms []horn.Atom) StateID {
+func (t *automaton) internTD(atoms []horn.Atom) StateID {
 	var buf []byte
 	for _, a := range atoms {
 		buf = appendUvarint(buf, uint64(a))
 	}
 	k := string(buf)
-	if id, ok := e.tdIndex[k]; ok {
+	if id, ok := t.tdIndex[k]; ok {
 		return id
 	}
-	id := StateID(len(e.tdStates))
-	e.tdStates = append(e.tdStates, atoms)
-	e.tdIndex[k] = id
+	id := StateID(len(t.tdStates))
+	t.tdStates = append(t.tdStates, atoms)
+	t.tdIndex[k] = id
 	var qmask uint64
-	for qi, q := range e.c.Queries {
+	for qi, q := range t.c.Queries {
 		for _, a := range atoms {
 			if a == q {
 				qmask |= 1 << uint(qi)
@@ -279,16 +265,14 @@ func (e *Engine) internTD(atoms []horn.Atom) StateID {
 			}
 		}
 	}
-	e.tdQuery = append(e.tdQuery, qmask)
-	e.stats.TDStates++
+	t.tdQuery = append(t.tdQuery, qmask)
+	t.stats.TDStates++
 	return id
 }
 
 // TDSet returns the true predicates of top-down state id.
-//
-// arblint:holds mu
-func (e *Engine) TDSet(id StateID) []tmnf.Pred {
-	atoms := e.tdStates[id]
+func (t *automaton) TDSet(id StateID) []tmnf.Pred {
+	atoms := t.tdStates[id]
 	out := make([]tmnf.Pred, len(atoms))
 	for i, a := range atoms {
 		out[i] = tmnf.Pred(a)
@@ -308,89 +292,79 @@ func appendUvarint(b []byte, v uint64) []byte {
 // automaton (procedure ComputeReachableStates, Figure 2), with lazy
 // caching: given the states of the two children (NoState for ⊥) and the
 // node signature, it returns the state of the node.
-//
-// arblint:holds mu — the caller holds the engine's write lock
-// (SharedEngine) or owns the engine exclusively.
-func (e *Engine) ReachableStates(left, right StateID, sigID int32) StateID {
+func (t *automaton) ReachableStates(left, right StateID, sigID int32) StateID {
 	key := buKey{left, right, sigID}
-	if id, ok := e.buTrans[key]; ok {
+	if id, ok := t.buTrans[key]; ok {
 		return id
 	}
-	e.stats.BUTransitions++
+	t.stats.BUTransitions++
 
-	u := e.c.U
-	rules := e.ruleBuf[:0]
-	rules = append(rules, e.c.Local...)
-	for _, a := range e.sigFacts[sigID] {
+	u := t.c.U
+	rules := t.ruleBuf[:0]
+	rules = append(rules, t.c.Local...)
+	for _, a := range t.sigFacts[sigID] {
 		rules = append(rules, horn.Rule{Head: a})
 	}
 	if left != NoState {
-		rules = append(rules, e.c.Left...)
-		rules = append(rules, horn.PushDownProgram(u, 1, e.buStates[left])...)
+		rules = append(rules, t.c.Left...)
+		rules = append(rules, horn.PushDownProgram(u, 1, t.buStates[left])...)
 	}
 	if right != NoState {
-		rules = append(rules, e.c.Right...)
-		rules = append(rules, horn.PushDownProgram(u, 2, e.buStates[right])...)
+		rules = append(rules, t.c.Right...)
+		rules = append(rules, horn.PushDownProgram(u, 2, t.buStates[right])...)
 	}
-	e.ruleBuf = rules[:0]
+	t.ruleBuf = rules[:0]
 
-	res := e.solver.LTUR(rules)
+	res := t.solver.LTUR(rules)
 	if left != NoState || right != NoState {
 		res = horn.Contract(u, res)
 	}
-	id := e.internBU(res)
-	e.buTrans[key] = id
+	id := t.internBU(res)
+	t.buTrans[key] = id
 	return id
 }
 
 // RootTrueSet extracts the top-down start state s_B from the bottom-up
 // state of the root: the predicates true in every reachable STA state,
-// i.e. the facts of the root's residual program (step 2 of Algorithm 4.6).
-//
-// arblint:holds mu
-func (e *Engine) RootTrueSet(rootState StateID) StateID {
-	return e.internTD(e.buStates[rootState].TruePreds())
+// i.t. the facts of the root's residual program (step 2 of Algorithm 4.6).
+func (t *automaton) RootTrueSet(rootState StateID) StateID {
+	return t.internTD(t.buStates[rootState].TruePreds())
 }
 
 // TruePreds is the transition function δB_k of the top-down automaton
 // (procedure ComputeTruePreds, Figure 3), with lazy caching: given the
 // top-down state of the parent, the bottom-up state (residual program) of
 // the k-th child, and k, it returns the top-down state of the child.
-//
-// arblint:holds mu — the caller holds the engine's write lock
-// (SharedEngine) or owns the engine exclusively.
-func (e *Engine) TruePreds(parent StateID, resid StateID, k int) StateID {
+func (t *automaton) TruePreds(parent StateID, resid StateID, k int) StateID {
 	key := tdKey{parent, resid, uint8(k)}
-	if id, ok := e.tdTrans[key]; ok {
+	if id, ok := t.tdTrans[key]; ok {
 		return id
 	}
-	e.stats.TDTransitions++
+	t.stats.TDTransitions++
 
-	u := e.c.U
-	rules := e.ruleBuf[:0]
+	u := t.c.U
+	rules := t.ruleBuf[:0]
 	if k == 1 {
-		rules = append(rules, e.c.Down1...)
+		rules = append(rules, t.c.Down1...)
 	} else {
-		rules = append(rules, e.c.Down2...)
+		rules = append(rules, t.c.Down2...)
 	}
-	for _, a := range e.tdStates[parent] {
+	for _, a := range t.tdStates[parent] {
 		rules = append(rules, horn.Rule{Head: a})
 	}
-	rules = append(rules, horn.PushDownProgram(u, k, e.buStates[resid])...)
-	e.ruleBuf = rules[:0]
+	rules = append(rules, horn.PushDownProgram(u, k, t.buStates[resid])...)
+	t.ruleBuf = rules[:0]
 
-	derived := e.solver.Derivable(rules)
+	derived := t.solver.Derivable(rules)
 	space := horn.Super1
 	if k == 2 {
 		space = horn.Super2
 	}
 	childPreds := horn.PushUpFrom(u, k, horn.PredsInSpace(u, derived, space))
-	id := e.internTD(childPreds)
-	e.tdTrans[key] = id
+	id := t.internTD(childPreds)
+	t.tdTrans[key] = id
 	return id
 }
 
 // queryMask returns the query-predicate bitmask of a top-down state.
-//
-// arblint:holds mu
-func (e *Engine) queryMask(td StateID) uint64 { return e.tdQuery[td] }
+func (t *automaton) queryMask(td StateID) uint64 { return t.tdQuery[td] }

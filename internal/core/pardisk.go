@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"arb/internal/storage"
@@ -402,8 +403,7 @@ type attempt struct {
 // the scans' profile and the root's states, one per lane.
 func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 	a.rootStates = make([][]StateID, len(a.tasks))
-	var statsMu sync.Mutex
-	var chunks storage.ScanStats // guarded by: statsMu
+	outs := make([]chunkOut, len(a.tasks))
 	err := runPool(ctx, len(a.caches), len(a.tasks), func(worker, i int) error {
 		x := a.tasks[i]
 		k := a.files.newFold(a.caches[worker], x, true)
@@ -417,12 +417,10 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 		if err != nil {
 			return chunkErr(x, err)
 		}
+		outs[i].st = k.st
 		for li := range k.lanes {
-			k.lanes[li].marks.merge()
+			outs[i].marks = append(outs[i].marks, k.lanes[li].marks)
 		}
-		statsMu.Lock()
-		chunks.Merge(k.st)
-		statsMu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -451,7 +449,7 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 		return nil, nil, err
 	}
 	ds := &DiskStats{Phase1: fold.st}
-	ds.Phase1.Merge(chunks)
+	mergeChunks(&ds.Phase1, outs)
 	return ds, rootState, nil
 }
 
@@ -526,10 +524,10 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	}
 
 	// Workers: descend into the chunks from their entry states,
-	// accumulating marks in private per-chunk bitsets merged under the
-	// selections' locks.
+	// accumulating marks in private per-chunk bitsets merged after the
+	// join.
 	st = scan.st
-	var statsMu sync.Mutex
+	outs := make([]chunkOut, len(a.tasks))
 	err = runPool(ctx, len(a.caches), len(a.tasks), func(worker, i int) error {
 		x := a.tasks[i]
 		k := files.newScan(a.caches[worker], x, a.rootStates[i], tdRoots[i], true)
@@ -542,17 +540,16 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 		if err != nil {
 			return chunkErr(x, err)
 		}
+		outs[i].st = k.st
 		for li := range k.lanes {
-			k.lanes[li].marks.merge()
+			outs[i].marks = append(outs[i].marks, k.lanes[li].marks)
 		}
-		statsMu.Lock()
-		st.Merge(k.st)
-		statsMu.Unlock()
 		return nil
 	})
 	if err != nil {
 		return st, err
 	}
+	mergeChunks(&st, outs)
 	if emitter != nil {
 		if err := emitter.Finish(); err != nil {
 			return st, err
@@ -581,10 +578,30 @@ func chunkErr(x storage.Extent, err error) error {
 	return err
 }
 
+// chunkOut is what a worker's chunk hands its driver: the chunk's scan
+// profile and each lane's private marks. Each task writes its own slot,
+// and the driver merges them after the join, so the merge takes no lock.
+type chunkOut struct {
+	st    storage.ScanStats
+	marks []laneMarks
+}
+
+// mergeChunks folds joined chunks' profiles into st and their marks into
+// the lanes' Results.
+func mergeChunks(st *storage.ScanStats, outs []chunkOut) {
+	for _, o := range outs {
+		st.Merge(o.st)
+		for i := range o.marks {
+			o.marks[i].merge()
+		}
+	}
+}
+
 // runPool fans n task indices out over a worker pool, stopping at the
 // first error or when ctx is cancelled (in which case it reports
-// ctx.Err() unless a task failed first). run receives the worker id so
-// callers can give each goroutine private caches.
+// ctx.Err() unless a task failed). run receives the worker id so callers
+// can give each goroutine private caches. Each task's error lands in its
+// own slot; after the join, the lowest-numbered task's error wins.
 func runPool(ctx context.Context, workers, n int, run func(worker, i int) error) error {
 	if n == 0 {
 		return ctx.Err() // nothing to fan out: an empty frontier
@@ -593,26 +610,19 @@ func runPool(ctx context.Context, workers, n int, run func(worker, i int) error)
 		workers = n
 	}
 	ch := make(chan int)
+	errs := make([]error, n)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			for i := range ch {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if stop || ctx.Err() != nil {
+				if failed.Load() || ctx.Err() != nil {
 					continue
 				}
-				if err := run(worker, i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
+				if errs[i] = run(worker, i); errs[i] != nil {
+					failed.Store(true)
 				}
 			}
 		}(w)
@@ -622,10 +632,12 @@ func runPool(ctx context.Context, workers, n int, run func(worker, i int) error)
 	}
 	close(ch)
 	wg.Wait()
-	if firstErr == nil {
-		firstErr = ctx.Err()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return firstErr
+	return ctx.Err()
 }
 
 // runWriter buffers WriteAt output that arrives in ascending runs with

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -317,4 +320,114 @@ func TestRunDiskParallelFallsBackForMarkedOutput(t *testing.T) {
 	}
 	sameResults(t, prog, tr.Len(), par, seq, "marked output")
 	sameProfile(t, "marked output, 4 workers vs 1", parDS, seqDS, parRS, seqRS)
+}
+
+// TestRunPoolLowestTaskErrorWins checks that runPool's errors land in
+// per-task slots and that, after the join, the lowest-numbered failing
+// task's error is the one reported, whichever worker finished first.
+func TestRunPoolLowestTaskErrorWins(t *testing.T) {
+	const n = 6
+	var started sync.WaitGroup
+	started.Add(n)
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = errors.New("task " + strconv.Itoa(i))
+	}
+	// n workers, each task failing only once all n have started: every
+	// task runs and fails, in an order the scheduler picks.
+	err := runPool(context.Background(), n, n, func(_, i int) error {
+		started.Done()
+		started.Wait()
+		if i == 0 {
+			return nil
+		}
+		return errs[i]
+	})
+	if err != errs[1] {
+		t.Fatalf("runPool = %v, want %v", err, errs[1])
+	}
+}
+
+// TestRunPoolStopsAfterFailure checks that once a task fails, the tasks
+// not yet started are skipped: one worker takes them in order.
+func TestRunPoolStopsAfterFailure(t *testing.T) {
+	boom := errors.New("boom")
+	var ran []int
+	err := runPool(context.Background(), 1, 5, func(_, i int) error {
+		ran = append(ran, i)
+		if i == 2 {
+			return boom
+		}
+		return nil
+	})
+	if err != boom {
+		t.Fatalf("runPool = %v, want %v", err, boom)
+	}
+	if !slices.Equal(ran, []int{0, 1, 2}) {
+		t.Fatalf("ran tasks %v, want [0 1 2]", ran)
+	}
+}
+
+// TestRunPoolCancelled checks that a cancelled run with no failing task
+// reports ctx.Err(), with tasks and without.
+func TestRunPoolCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, n := range []int{0, 3} {
+		ran := 0
+		err := runPool(ctx, 2, n, func(_, _ int) error { ran++; return nil })
+		if err != context.Canceled {
+			t.Fatalf("n=%d: runPool = %v, want %v", n, err, context.Canceled)
+		}
+		if ran != 0 {
+			t.Fatalf("n=%d: %d tasks ran under a cancelled context", n, ran)
+		}
+	}
+}
+
+// TestMergeChunksSharedWord merges two workers' chunks whose private
+// bitsets share a boundary word: the driver's merge after the join ORs
+// both into the Result, counts each selected node once and sums the
+// chunks' scan profiles.
+func TestMergeChunksSharedWord(t *testing.T) {
+	sel := newSelections(2, 200)
+	chunk := func(root, end int64) laneMarks {
+		m := laneMarks{sel: sel, w0: root / 64, local: make([][]uint64, 2)}
+		for qi := range m.local {
+			m.local[qi] = make([]uint64, (end-1)/64-m.w0+1)
+		}
+		return m
+	}
+	a, b := chunk(10, 71), chunk(70, 200) // both hold word 1 (nodes 64..127)
+	want := map[int64]bool{}
+	for v := int64(10); v < 71; v += 3 {
+		a.mark(1, v)
+		want[v] = true
+	}
+	for v := int64(70); v < 200; v += 5 {
+		b.mark(1|2, v)
+		want[v] = true
+	}
+	sel.mark(0, 5) // the leader's own mark, made before the join
+	want[5] = true
+	var st storage.ScanStats
+	mergeChunks(&st, []chunkOut{
+		{st: storage.ScanStats{Nodes: 61, Bytes: 100}, marks: []laneMarks{a}},
+		{st: storage.ScanStats{Nodes: 130, Bytes: 200}, marks: []laneMarks{b}},
+	})
+	if st.Nodes != 191 || st.Bytes != 300 {
+		t.Fatalf("merged profile %d nodes, %d bytes; want 191, 300", st.Nodes, st.Bytes)
+	}
+	if got := sel.counts[0]; got != int64(len(want)) {
+		t.Fatalf("query 0 counts %d nodes, want %d", got, len(want))
+	}
+	for v := int64(0); v < 200; v++ {
+		if got := sel.sel[0][v/64]&(1<<uint(v%64)) != 0; got != want[v] {
+			t.Fatalf("query 0 node %d selected %v, want %v", v, got, want[v])
+		}
+		inB := v >= 70 && (v-70)%5 == 0
+		if got := sel.sel[1][v/64]&(1<<uint(v%64)) != 0; got != inB {
+			t.Fatalf("query 1 node %d selected %v, want %v", v, got, inB)
+		}
+	}
 }

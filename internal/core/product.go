@@ -3,9 +3,9 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"arb/internal/edb"
+	"arb/internal/guard"
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
@@ -29,16 +29,22 @@ const maxLaneQueries = 64
 // product is the product automaton of one lane, a stepper for the lane's
 // StepCaches: each miss steps every member through the member's own
 // StepCache and interns the resulting tuple. The lane's worker caches miss
-// concurrently, so everything is guarded by pmu, which is taken before any
-// member engine's lock (the member caches' misses) and never after one.
+// concurrently, so the tables sit behind one lock, held across the
+// members' steps: a member cache's miss takes its engine's lock inside
+// the product's (guard's package doc lists the order).
 type product struct {
-	pmu    sync.Mutex
-	caches []*StepCache // guarded by: pmu
-	offs   []int        // each member's first bit in the combined query mask
-	sigs   tuples       // guarded by: pmu
-	bu     tuples       // guarded by: pmu
-	td     tuples       // guarded by: pmu
-	cur    []StateID    // guarded by: pmu — the tuple being stepped
+	offs []int // each member's first bit in the combined query mask
+	t    *guard.Mutex[productTables]
+}
+
+// productTables is a product's mutable state: the members' step caches,
+// the interned tuples, and the tuple being stepped.
+type productTables struct {
+	caches []*StepCache
+	sigs   tuples
+	bu     tuples
+	td     tuples
+	cur    []StateID
 }
 
 // tuples interns fixed-length tuples of member ids as dense ids, in an
@@ -94,100 +100,100 @@ func hashTuple(tu []int32) int {
 func (t *tuples) at(id int32, m int) int32 { return t.flat[int(id)*t.n+m] }
 
 // newProduct builds the product of the members' automata.
-//
-// arblint:holds pmu — the fresh product is exclusively owned.
 func newProduct(members []*SharedEngine, offs []int) *product {
 	n := len(members)
-	p := &product{offs: offs, cur: make([]StateID, n)}
-	p.sigs, p.bu, p.td = tuples{n: n}, tuples{n: n}, tuples{n: n}
+	t := productTables{cur: make([]StateID, n), sigs: tuples{n: n}, bu: tuples{n: n}, td: tuples{n: n}}
 	for _, s := range members {
 		// The lane's caches resolve each record once, so the members' need
 		// no signature table: SigID goes to their engines directly.
-		p.caches = append(p.caches, &StepCache{s: s})
+		t.caches = append(t.caches, &StepCache{s: s})
 	}
-	return p
+	return &product{offs: offs, t: guard.New(t)}
 }
 
 // SigID is the product's signature class: the tuple of the members'.
-func (p *product) SigID(sig edb.NodeSig) int32 {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	for m, c := range p.caches {
-		p.cur[m] = c.s.SigID(sig)
-	}
-	return p.sigs.intern(p.cur)
+func (p *product) SigID(sig edb.NodeSig) (id int32) {
+	p.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			t.cur[m] = c.s.SigID(sig)
+		}
+		id = t.sigs.intern(t.cur)
+	})
+	return id
 }
 
 // ReachableStates is the product's δA.
-func (p *product) ReachableStates(left, right StateID, sig int32) StateID {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	for m, c := range p.caches {
-		l, r := NoState, NoState
-		if left != NoState {
-			l = p.bu.at(left, m)
+func (p *product) ReachableStates(left, right StateID, sig int32) (id StateID) {
+	p.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			l, r := NoState, NoState
+			if left != NoState {
+				l = t.bu.at(left, m)
+			}
+			if right != NoState {
+				r = t.bu.at(right, m)
+			}
+			t.cur[m] = c.BUStep(l, r, t.sigs.at(sig, m))
 		}
-		if right != NoState {
-			r = p.bu.at(right, m)
-		}
-		p.cur[m] = c.BUStep(l, r, p.sigs.at(sig, m))
-	}
-	return p.bu.intern(p.cur)
+		id = t.bu.intern(t.cur)
+	})
+	return id
 }
 
 // RootTrueSet is the product's top-down start state.
-func (p *product) RootTrueSet(bu StateID) StateID {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	for m, c := range p.caches {
-		p.cur[m] = c.RootTrueSet(p.bu.at(bu, m))
-	}
-	return p.td.intern(p.cur)
+func (p *product) RootTrueSet(bu StateID) (id StateID) {
+	p.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			t.cur[m] = c.RootTrueSet(t.bu.at(bu, m))
+		}
+		id = t.td.intern(t.cur)
+	})
+	return id
 }
 
 // TruePreds is the product's δB_k.
-func (p *product) TruePreds(parent, bu StateID, k int) StateID {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	for m, c := range p.caches {
-		p.cur[m] = c.TDStep(p.td.at(parent, m), p.bu.at(bu, m), k)
-	}
-	return p.td.intern(p.cur)
+func (p *product) TruePreds(parent, bu StateID, k int) (id StateID) {
+	p.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			t.cur[m] = c.TDStep(t.td.at(parent, m), t.bu.at(bu, m), k)
+		}
+		id = t.td.intern(t.cur)
+	})
+	return id
 }
 
 // QueryMask is the members' query masks side by side.
-func (p *product) QueryMask(td StateID) uint64 {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	var mask uint64
-	for m, c := range p.caches {
-		mask |= c.QueryMask(p.td.at(td, m)) << uint(p.offs[m])
-	}
+func (p *product) QueryMask(td StateID) (mask uint64) {
+	p.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			mask |= c.QueryMask(t.td.at(td, m)) << uint(p.offs[m])
+		}
+	})
 	return mask
 }
 
 // Verdict is the members' one-scan verdicts side by side: known only
 // where every member's is.
-func (p *product) Verdict(bu StateID, root bool) (uint64, bool) {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	var mask uint64
-	for m, c := range p.caches {
-		v, ok := c.Verdict(p.bu.at(bu, m), root)
-		if !ok {
-			return 0, false
+func (p *product) Verdict(bu StateID, root bool) (mask uint64, ok bool) {
+	p.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			v, known := c.Verdict(t.bu.at(bu, m), root)
+			if !known {
+				mask = 0
+				return
+			}
+			mask |= v << uint(p.offs[m])
 		}
-		mask |= v << uint(p.offs[m])
-	}
-	return mask, true
+		ok = true
+	})
+	return mask, ok
 }
 
 // state interns a tuple of member bottom-up states: the substitute state
 // of a pruned extent is the tuple of the members' own.
-func (p *product) state(members []StateID) StateID {
-	p.pmu.Lock()
-	defer p.pmu.Unlock()
-	return p.bu.intern(members)
+func (p *product) state(members []StateID) (id StateID) {
+	p.t.Do(func(t *productTables) { id = t.bu.intern(members) })
+	return id
 }
 
 // lane is the members of a disk run that step one automaton: st is the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"arb/internal/tmnf"
 	"arb/internal/tree"
@@ -10,21 +9,20 @@ import (
 
 // Result is the outcome of evaluating a TMNF program over a tree or
 // database: which nodes each query predicate selected.
+//
+// A Result has one writer at a time and no lock: the run that fills it
+// marks it from the leader's scans, and parallel workers mark private
+// per-chunk bitsets that the driver merges (mergeWords) after joining
+// them. Once published, a result is only read.
 type Result struct {
 	prog    *tmnf.Program
 	queries []tmnf.Pred
 	n       int64
 	// sel[qi] is a bitset over preorder node indices.
-	sel [][]uint64 // guarded by: mu
+	sel [][]uint64
 	// counts[qi] is the number of selected nodes, maintained eagerly so
 	// huge runs can report counts without rescanning bitsets.
-	counts []int64 // guarded by: mu
-	// mu serialises concurrent MergeWords calls from parallel workers.
-	// The single-threaded marking and read paths (mark, MarkMask, Holds,
-	// Count, Walk) declare arblint:holds mu instead: they run while one
-	// goroutine owns the result — during its single-threaded filling
-	// phase or after the parallel workers have been joined.
-	mu sync.Mutex
+	counts []int64
 }
 
 // NewResult returns an empty result for evaluating prog over n nodes,
@@ -39,8 +37,6 @@ func NewResult(prog *tmnf.Program, n int64) *Result {
 // newSelections returns empty selections of nq query predicates over n
 // nodes: a disk lane marks its members' predicates side by side in one,
 // and member splits it up once the run is done.
-//
-// arblint:holds mu — the fresh result is exclusively owned.
 func newSelections(nq int, n int64) *Result {
 	r := &Result{n: n, sel: make([][]uint64, nq), counts: make([]int64, nq)}
 	words := (n + 63) / 64
@@ -52,16 +48,12 @@ func newSelections(nq int, n int64) *Result {
 
 // member returns the result of prog, whose query predicates are r's from
 // index first on: a view of r's bitsets, not a copy.
-//
-// arblint:holds mu — the run that filled r has finished.
 func (r *Result) member(prog *tmnf.Program, first int) *Result {
 	qs := prog.Queries()
 	return &Result{prog: prog, queries: qs, n: r.n, sel: r.sel[first : first+len(qs)], counts: r.counts[first : first+len(qs)]}
 }
 
 // mark records that query qi selects node v.
-//
-// arblint:holds mu — marking is single-threaded.
 func (r *Result) mark(qi int, v int64) {
 	w, b := v/64, uint(v%64)
 	if r.sel[qi][w]&(1<<b) == 0 {
@@ -71,10 +63,7 @@ func (r *Result) mark(qi int, v int64) {
 }
 
 // MarkMask records all queries in the bitmask (bit i = query i) as
-// selecting node v. Not safe for concurrent use; parallel markers should
-// accumulate private bitsets and MergeWords them.
-//
-// arblint:holds mu — marking is single-threaded.
+// selecting node v. Not safe for concurrent use.
 func (r *Result) MarkMask(mask uint64, v int64) {
 	for qi := 0; mask != 0; qi++ {
 		if mask&1 != 0 {
@@ -84,13 +73,11 @@ func (r *Result) MarkMask(mask uint64, v int64) {
 	}
 }
 
-// MergeWords ORs a bitset fragment for query qi — words starting at word
-// index w0 — into the result under the result's lock, keeping counts in
-// step. Parallel workers accumulate marks into private per-chunk bitsets
-// and merge them here, so chunk boundaries sharing a word never race.
-func (r *Result) MergeWords(qi int, w0 int64, words []uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// mergeWords ORs a bitset fragment for query qi — words starting at word
+// index w0 — into the result, keeping counts in step: a worker's private
+// per-chunk marks, merged by the driver after the join, so chunk
+// boundaries sharing a word never race.
+func (r *Result) mergeWords(qi int, w0 int64, words []uint64) {
 	dst := r.sel[qi][w0 : w0+int64(len(words))]
 	for i, w := range words {
 		if w == 0 {
@@ -121,8 +108,6 @@ func (r *Result) queryIndex(q tmnf.Pred) int {
 }
 
 // Holds reports whether query predicate q selected node v.
-//
-// arblint:holds mu — reads run after evaluation has completed.
 func (r *Result) Holds(q tmnf.Pred, v tree.NodeID) bool {
 	qi := r.queryIndex(q)
 	if qi < 0 {
@@ -132,8 +117,6 @@ func (r *Result) Holds(q tmnf.Pred, v tree.NodeID) bool {
 }
 
 // Count returns the number of nodes selected by q.
-//
-// arblint:holds mu — reads run after evaluation has completed.
 func (r *Result) Count(q tmnf.Pred) int64 {
 	qi := r.queryIndex(q)
 	if qi < 0 {
@@ -155,8 +138,6 @@ func (r *Result) Selected(q tmnf.Pred) []tree.NodeID {
 
 // Walk calls f on each node selected by q in preorder until f returns
 // false.
-//
-// arblint:holds mu — reads run after evaluation has completed.
 func (r *Result) Walk(q tmnf.Pred, f func(tree.NodeID) bool) {
 	qi := r.queryIndex(q)
 	if qi < 0 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"time"
-)
+import "arb/internal/guard"
 
 // RunStats is a per-run statistics sink: every evaluation driver that is
 // handed one mirrors the work it does — node visits, prune savings,
@@ -19,8 +16,7 @@ import (
 // share the sink) and nil-safe: a nil *RunStats discards everything, so
 // drivers mirror unconditionally.
 type RunStats struct {
-	mu sync.Mutex
-	s  Stats // guarded by: mu
+	s guard.Mutex[Stats]
 }
 
 // Add folds a stats delta into the run.
@@ -28,41 +24,16 @@ func (rs *RunStats) Add(o Stats) {
 	if rs == nil {
 		return
 	}
-	rs.mu.Lock()
-	rs.s.Add(o)
-	rs.mu.Unlock()
-}
-
-// addNodes records n node visits, pruned of them pruned.
-func (rs *RunStats) addNodes(n, pruned int64) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.s.Nodes += n
-	rs.s.PrunedNodes += pruned
-	rs.mu.Unlock()
-}
-
-// addPhaseTimes records one run's phase wall times.
-func (rs *RunStats) addPhaseTimes(p1, p2 time.Duration) {
-	if rs == nil {
-		return
-	}
-	rs.mu.Lock()
-	rs.s.Phase1Time += p1
-	rs.s.Phase2Time += p2
-	rs.mu.Unlock()
+	rs.s.Do(func(s *Stats) { s.Add(o) })
 }
 
 // Snapshot returns the statistics accumulated so far.
-func (rs *RunStats) Snapshot() Stats {
+func (rs *RunStats) Snapshot() (s Stats) {
 	if rs == nil {
 		return Stats{}
 	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.s
+	rs.s.Do(func(v *Stats) { s = *v })
+	return s
 }
 
 // creditRun records a finished run's node visits and prune savings with
@@ -76,9 +47,12 @@ func creditRun(engines []*Engine, rs *RunStats, n int64, plan *PrunePlan, agg St
 		pruned = plan.Nodes
 	}
 	for _, e := range engines {
-		e.addNodes(n, pruned)
-		e.addPhaseTimes(agg.Phase1Time, agg.Phase2Time)
-		rs.addNodes(n, pruned)
+		e.addRun(n, pruned, agg.Phase1Time, agg.Phase2Time)
 	}
-	rs.addPhaseTimes(agg.Phase1Time, agg.Phase2Time)
+	rs.Add(Stats{
+		Nodes:       n * int64(len(engines)),
+		PrunedNodes: pruned * int64(len(engines)),
+		Phase1Time:  agg.Phase1Time,
+		Phase2Time:  agg.Phase2Time,
+	})
 }

@@ -5,13 +5,14 @@ import (
 )
 
 // SharedEngine adapts an Engine for concurrent use: lookups of
-// already-computed states and transitions take a read lock; lazily
-// computing a new transition takes the write lock. Tree automata admit
-// parallel evaluation naturally — runs on disjoint subtrees are
-// independent (Section 6.2) — and because transition tables converge
-// quickly, the write lock is rarely contended after warm-up.
+// already-computed states and transitions read the tables under the read
+// lock; lazily computing a new transition writes them under the write
+// lock. Tree automata admit parallel evaluation naturally — runs on
+// disjoint subtrees are independent (Section 6.2) — and because
+// transition tables converge quickly, the write lock is rarely contended
+// after warm-up.
 //
-// The locks are the engine's own, so any number of SharedEngine views of
+// The lock is the engine's own, so any number of SharedEngine views of
 // one engine — workers of one run, or entirely separate overlapping runs
 // (a reentrant PreparedQuery, a PreparedBatch sharing a scalar
 // handle's automata) — synchronise with each other. The per-node loops
@@ -40,74 +41,62 @@ func (e *Engine) ShareTo(rs *RunStats) *SharedEngine { return &SharedEngine{e: e
 func (s *SharedEngine) Engine() *Engine { return s.e }
 
 // SigID is the concurrent signature interning: the engine's alphabet
-// symbol for a node signature (Engine.SigID).
-func (s *SharedEngine) SigID(sig edb.NodeSig) int32 {
-	s.e.mu.RLock()
-	id, ok := s.e.sigIndex[sig]
-	s.e.mu.RUnlock()
-	if ok {
-		return id
+// symbol for a node signature (automaton.SigID).
+func (s *SharedEngine) SigID(sig edb.NodeSig) (id int32) {
+	var ok bool
+	s.e.tables.Read(func(t *automaton) { id, ok = t.sigIndex[sig] })
+	if !ok {
+		s.e.tables.Write(func(t *automaton) { id = t.SigID(sig) })
 	}
-	s.e.mu.Lock()
-	id = s.e.SigID(sig)
-	s.e.mu.Unlock()
 	return id
 }
 
 // ReachableStates is the concurrent δA: the bottom-up state for the given
 // child states and signature class.
-func (s *SharedEngine) ReachableStates(left, right StateID, sigID int32) StateID {
-	s.e.mu.RLock()
-	id, ok := s.e.buTrans[buKey{left, right, sigID}]
-	s.e.mu.RUnlock()
+func (s *SharedEngine) ReachableStates(left, right StateID, sigID int32) (id StateID) {
+	var ok bool
+	s.e.tables.Read(func(t *automaton) { id, ok = t.buTrans[buKey{left, right, sigID}] })
 	if ok {
 		return id
 	}
-
-	s.e.mu.Lock()
-	before := s.e.statsSnapshot()
-	id = s.e.ReachableStates(left, right, sigID)
-	delta := s.e.statsSnapshot().Sub(before)
-	s.e.mu.Unlock()
-	s.rs.Add(delta)
-	return id
+	return s.compute(func(t *automaton) StateID { return t.ReachableStates(left, right, sigID) })
 }
 
 // RootTrueSet is the concurrent step 2 of Algorithm 4.6.
 func (s *SharedEngine) RootTrueSet(rootState StateID) StateID {
-	s.e.mu.Lock()
-	before := s.e.statsSnapshot()
-	id := s.e.RootTrueSet(rootState)
-	delta := s.e.statsSnapshot().Sub(before)
-	s.e.mu.Unlock()
-	s.rs.Add(delta)
-	return id
+	return s.compute(func(t *automaton) StateID { return t.RootTrueSet(rootState) })
 }
 
 // TruePreds is the concurrent δB.
-func (s *SharedEngine) TruePreds(parent, resid StateID, k int) StateID {
-	s.e.mu.RLock()
-	if id, ok := s.e.tdTrans[tdKey{parent, resid, uint8(k)}]; ok {
-		s.e.mu.RUnlock()
+func (s *SharedEngine) TruePreds(parent, resid StateID, k int) (id StateID) {
+	var ok bool
+	s.e.tables.Read(func(t *automaton) { id, ok = t.tdTrans[tdKey{parent, resid, uint8(k)}] })
+	if ok {
 		return id
 	}
-	s.e.mu.RUnlock()
+	return s.compute(func(t *automaton) StateID { return t.TruePreds(parent, resid, k) })
+}
 
-	s.e.mu.Lock()
-	before := s.e.statsSnapshot()
-	id := s.e.TruePreds(parent, resid, k)
-	delta := s.e.statsSnapshot().Sub(before)
-	s.e.mu.Unlock()
+// compute runs a transition that may grow the tables under the write
+// lock, and credits the view's run with exactly the work the call did:
+// the difference of the cumulative statistics around it, taken inside
+// the lock.
+func (s *SharedEngine) compute(step func(*automaton) StateID) (id StateID) {
+	var delta Stats
+	s.e.tables.Write(func(t *automaton) {
+		before := t.stats
+		id = step(t)
+		delta = t.stats.Sub(before)
+	})
 	s.rs.Add(delta)
 	return id
 }
 
 // QueryMask returns the query-predicate bitmask of a top-down state (bit
 // i set iff query i's predicate is in the state).
-func (s *SharedEngine) QueryMask(td StateID) uint64 {
-	s.e.mu.RLock()
-	defer s.e.mu.RUnlock()
-	return s.e.queryMask(td)
+func (s *SharedEngine) QueryMask(td StateID) (mask uint64) {
+	s.e.tables.Read(func(t *automaton) { mask = t.queryMask(td) })
+	return mask
 }
 
 // Verdict is the engine's one-scan verdict for bottom-up state bu
@@ -118,9 +107,8 @@ func (s *SharedEngine) Verdict(bu StateID, root bool) (uint64, bool) {
 	if !a.oneScan {
 		return 0, false
 	}
-	s.e.mu.RLock()
-	k := s.e.buStates[bu].Key()
-	s.e.mu.RUnlock()
+	var k string
+	s.e.tables.Read(func(t *automaton) { k = t.buStates[bu].Key() })
 	v := a.child
 	if root {
 		v = a.root

@@ -24,9 +24,9 @@ package rescache
 
 import (
 	"container/list"
-	"sync"
 
 	"arb/internal/core"
+	"arb/internal/guard"
 	"arb/internal/tmnf"
 	"arb/internal/tree"
 )
@@ -101,13 +101,17 @@ type entry struct {
 // Cache is a byte-budgeted result cache. All methods are safe for
 // concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64               // guarded by: mu
-	entries map[entryKey]*entry // guarded by: mu
-	lru     *list.List          // guarded by: mu; front = most recent
-	maxVer  uint64              // guarded by: mu; newest version seen
-	stats   Stats               // guarded by: mu
+	max int64
+	t   *guard.Mutex[tables]
+}
+
+// tables is a cache's mutable state.
+type tables struct {
+	bytes   int64
+	entries map[entryKey]*entry
+	lru     *list.List // front = most recent
+	maxVer  uint64     // newest version seen
+	stats   Stats
 }
 
 // New returns a cache with the given byte budget; maxBytes <= 0 is
@@ -116,11 +120,7 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &Cache{
-		max:     maxBytes,
-		entries: make(map[entryKey]*entry),
-		lru:     list.New(),
-	}
+	return &Cache{max: maxBytes, t: guard.New(tables{entries: make(map[entryKey]*entry), lru: list.New()})}
 }
 
 // IDBudget is the largest packed id-list (in entries) worth publishing:
@@ -129,12 +129,12 @@ func New(maxBytes int64) *Cache {
 func (c *Cache) IDBudget() int64 { return c.max / 4 / 8 }
 
 // Stats returns a snapshot of the cache's counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = len(c.entries)
-	s.Bytes = c.bytes
+func (c *Cache) Stats() (s Stats) {
+	c.t.Do(func(t *tables) {
+		s = t.stats
+		s.Entries = len(t.entries)
+		s.Bytes = t.bytes
+	})
 	s.Capacity = c.max
 	return s
 }
@@ -149,33 +149,38 @@ func (c *Cache) Lookup(key string, version uint64, sum *core.SelSummary, prog *t
 	if c == nil {
 		return nil, Miss
 	}
-	c.mu.Lock()
-	c.noteVersion(version)
-	if e, ok := c.entries[entryKey{key, version}]; ok && e.res.Len() == n {
-		c.lru.MoveToFront(e.elem)
-		c.stats.Hits++
-		res := e.res
-		c.mu.Unlock()
-		return res, Hit
-	}
+	var hit *core.Result
 	var src []uint64
 	found := false
-	if sum != nil {
-		for _, e := range c.entries {
-			if e.k.version == version && e.ids != nil && e.res.Len() == n && core.Subsumes(sum, e.sum) {
-				c.lru.MoveToFront(e.elem)
-				src, found = e.ids, true
-				break
+	c.t.Do(func(t *tables) {
+		t.noteVersion(version)
+		if e, ok := t.entries[entryKey{key, version}]; ok && e.res.Len() == n {
+			t.lru.MoveToFront(e.elem)
+			t.stats.Hits++
+			hit = e.res
+			return
+		}
+		if sum != nil {
+			for _, e := range t.entries {
+				if e.k.version == version && e.ids != nil && e.res.Len() == n && core.Subsumes(sum, e.sum) {
+					t.lru.MoveToFront(e.elem)
+					src, found = e.ids, true
+					break
+				}
 			}
 		}
+		if found {
+			t.stats.Subsumed++
+		} else {
+			t.stats.Misses++
+		}
+	})
+	if hit != nil {
+		return hit, Hit
 	}
 	if !found {
-		c.stats.Misses++
-		c.mu.Unlock()
 		return nil, Miss
 	}
-	c.stats.Subsumed++
-	c.mu.Unlock()
 
 	// Re-filter outside the lock: packed lists are immutable once
 	// published, and the verdicts need no store access — the labels ride
@@ -206,69 +211,65 @@ func (c *Cache) Put(key string, version uint64, res *core.Result, sum *core.SelS
 	}
 	words := (res.Len() + 63) / 64
 	bytes := int64(len(res.Queries()))*words*8 + int64(len(ids))*8 + int64(len(key)) + 256
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noteVersion(version)
-	if bytes > c.max/4 {
-		c.stats.Rejected++
-		return
-	}
-	k := entryKey{key, version}
-	if old, ok := c.entries[k]; ok {
-		// Identical key and version means an identical result; keep the
-		// resident entry (it may carry ids this publish lacks, or vice
-		// versa — prefer whichever has the subsumption list).
-		if old.ids == nil && ids != nil {
-			c.bytes += int64(len(ids)) * 8
-			old.ids, old.sum = ids, sum
-			old.bytes += int64(len(ids)) * 8
-			c.evict()
+	c.t.Do(func(t *tables) {
+		t.noteVersion(version)
+		if bytes > c.max/4 {
+			t.stats.Rejected++
+			return
 		}
-		c.lru.MoveToFront(old.elem)
-		return
-	}
-	e := &entry{k: k, res: res, ids: ids, sum: sum, bytes: bytes}
-	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
-	c.bytes += bytes
-	c.evict()
+		k := entryKey{key, version}
+		if old, ok := t.entries[k]; ok {
+			// Identical key and version means an identical result; keep the
+			// resident entry (it may carry ids this publish lacks, or vice
+			// versa — prefer whichever has the subsumption list).
+			if old.ids == nil && ids != nil {
+				t.bytes += int64(len(ids)) * 8
+				old.ids, old.sum = ids, sum
+				old.bytes += int64(len(ids)) * 8
+				t.evict(c.max)
+			}
+			t.lru.MoveToFront(old.elem)
+			return
+		}
+		e := &entry{k: k, res: res, ids: ids, sum: sum, bytes: bytes}
+		e.elem = t.lru.PushFront(e)
+		t.entries[k] = e
+		t.bytes += bytes
+		t.evict(c.max)
+	})
 }
 
 // noteVersion records a newly observed version, demoting every entry of
 // superseded versions to the back of the LRU so eviction drains them
 // first — they can only ever answer executions still pinning an old
 // snapshot, which end as those snapshots release.
-//
-// arblint:holds mu
-func (c *Cache) noteVersion(version uint64) {
-	if version <= c.maxVer {
+func (t *tables) noteVersion(version uint64) {
+	if version <= t.maxVer {
 		return
 	}
-	c.maxVer = version
+	t.maxVer = version
 	var stale []*list.Element
-	for el := c.lru.Front(); el != nil; el = el.Next() {
+	for el := t.lru.Front(); el != nil; el = el.Next() {
 		if el.Value.(*entry).k.version < version {
 			stale = append(stale, el)
 		}
 	}
 	for _, el := range stale {
-		c.lru.MoveToBack(el)
+		t.lru.MoveToBack(el)
 	}
 }
 
 // evict drops LRU-back entries until the budget holds.
-//
-// arblint:holds mu
-func (c *Cache) evict() {
-	for c.bytes > c.max {
-		el := c.lru.Back()
+func (t *tables) evict(budget int64) {
+	for t.bytes > budget {
+		el := t.lru.Back()
 		if el == nil {
 			return
 		}
 		e := el.Value.(*entry)
-		c.lru.Remove(el)
-		delete(c.entries, e.k)
-		c.bytes -= e.bytes
-		c.stats.Evictions++
+		t.lru.Remove(el)
+		delete(t.entries, e.k)
+		t.bytes -= e.bytes
+		t.stats.Evictions++
 	}
 }

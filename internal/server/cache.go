@@ -2,9 +2,9 @@ package server
 
 import (
 	"container/list"
-	"sync"
 
 	"arb"
+	"arb/internal/guard"
 )
 
 // planCache is an LRU cache of compiled query plans keyed by normalized
@@ -14,13 +14,16 @@ import (
 // never queue behind each other. Eviction only drops the cache's
 // reference; executions still holding the handle finish normally.
 type planCache struct {
-	mu  sync.Mutex
 	cap int
-	// ll is the LRU list, front = most recently used.
-	ll    *list.List               // guarded by: mu
-	items map[string]*list.Element // guarded by: mu
+	t   *guard.Mutex[planTables]
+}
 
-	hits, misses, evictions int64 // guarded by: mu
+// planTables is a plan cache's mutable state.
+type planTables struct {
+	ll    *list.List // LRU list, front = most recently used
+	items map[string]*list.Element
+
+	hits, misses, evictions int64
 }
 
 type cacheEntry struct {
@@ -29,40 +32,44 @@ type cacheEntry struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	return &planCache{cap: capacity, t: guard.New(planTables{ll: list.New(), items: make(map[string]*list.Element)})}
 }
 
 // get returns the cached plan for key, promoting it to most recent.
-func (c *planCache) get(key string) (*arb.PreparedQuery, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*cacheEntry).pq, true
-	}
-	c.misses++
-	return nil, false
+func (c *planCache) get(key string) (pq *arb.PreparedQuery, ok bool) {
+	c.t.Do(func(t *planTables) {
+		var el *list.Element
+		if el, ok = t.items[key]; ok {
+			t.ll.MoveToFront(el)
+			t.hits++
+			pq = el.Value.(*cacheEntry).pq
+			return
+		}
+		t.misses++
+	})
+	return pq, ok
 }
 
 // put inserts a freshly compiled plan and returns the canonical handle
 // for key: when two requests raced to compile the same cold query, the
 // loser adopts the winner's handle so the whole server shares one.
-func (c *planCache) put(key string, pq *arb.PreparedQuery) *arb.PreparedQuery {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pq
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, pq: pq})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	return pq
+func (c *planCache) put(key string, pq *arb.PreparedQuery) (canon *arb.PreparedQuery) {
+	c.t.Do(func(t *planTables) {
+		if el, ok := t.items[key]; ok {
+			t.ll.MoveToFront(el)
+			canon = el.Value.(*cacheEntry).pq
+			return
+		}
+		t.items[key] = t.ll.PushFront(&cacheEntry{key: key, pq: pq})
+		for t.ll.Len() > c.cap {
+			last := t.ll.Back()
+			t.ll.Remove(last)
+			delete(t.items, last.Value.(*cacheEntry).key)
+			t.evictions++
+		}
+		canon = pq
+	})
+	return canon
 }
 
 // CacheStats is the plan cache's corner of the /stats payload.
@@ -74,11 +81,12 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-func (c *planCache) snapshot() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Size: c.ll.Len(), Capacity: c.cap,
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-	}
+func (c *planCache) snapshot() (cs CacheStats) {
+	c.t.Do(func(t *planTables) {
+		cs = CacheStats{
+			Size: t.ll.Len(), Capacity: c.cap,
+			Hits: t.hits, Misses: t.misses, Evictions: t.evictions,
+		}
+	})
+	return cs
 }

@@ -14,14 +14,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"arb"
+	"arb/internal/guard"
 	"arb/internal/xpath"
 )
 
@@ -37,7 +38,8 @@ type Config struct {
 	// (default 1; negative = all CPUs).
 	Workers int
 	// Timeout is the default per-request deadline when the request names
-	// none (default 30s). A request's timeout_ms field overrides it.
+	// none (default 30s). A request's timeout_ms field overrides it; a
+	// negative one, or one a time.Duration cannot hold, is a bad request.
 	Timeout time.Duration
 	// ResCacheBytes enables the session result cache with the given byte
 	// budget (default 0 = disabled). Cached queries answer with zero
@@ -87,8 +89,7 @@ type Server struct {
 	queued    atomic.Int64 // admitted queries waiting for or holding a slot
 	throttled atomic.Int64 // queries refused with 429 by admission control
 
-	profMu sync.Mutex
-	prof   ProfileCounters // guarded by: profMu
+	prof guard.Mutex[ProfileCounters]
 }
 
 // ProfileCounters is the merged cost profile across every execution the
@@ -131,16 +132,16 @@ func New(ctx context.Context, sess *arb.Session, cfg Config) *Server {
 }
 
 func (s *Server) addProfile(p *arb.Profile) {
-	s.profMu.Lock()
-	s.prof.ScanRounds += int64(p.Passes)
-	s.prof.OneScanRounds += int64(p.Disk.OneScan)
-	s.prof.Phase1 += p.Disk.Phase1.Bytes
-	s.prof.Phase2 += p.Disk.Phase2.Bytes
-	s.prof.Skipped += p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
-	s.prof.Pruned += p.Engine.PrunedNodes
-	s.prof.StateBytes += p.Disk.StateBytes
-	s.prof.Queries++
-	s.profMu.Unlock()
+	s.prof.Do(func(pc *ProfileCounters) {
+		pc.ScanRounds += int64(p.Passes)
+		pc.OneScanRounds += int64(p.Disk.OneScan)
+		pc.Phase1 += p.Disk.Phase1.Bytes
+		pc.Phase2 += p.Disk.Phase2.Bytes
+		pc.Skipped += p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
+		pc.Pruned += p.Engine.PrunedNodes
+		pc.StateBytes += p.Disk.StateBytes
+		pc.Queries++
+	})
 }
 
 // Close rejects new requests and cancels outstanding executions. Call it
@@ -193,6 +194,10 @@ type predResult struct {
 	Truncated bool    `json:"ids_truncated,omitempty"`
 }
 
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds; 0 means
+// the server's default.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
 // queryResponse is the /query reply.
 type queryResponse struct {
 	Query       string       `json:"query"` // normalized form (the plan-cache key)
@@ -239,6 +244,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	default:
 		s.fail(w, http.StatusMethodNotAllowed, "use GET or POST")
+		return
+	}
+	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
+		s.fail(w, http.StatusBadRequest, "timeout_ms %d out of range [0, %d]", req.TimeoutMS, maxTimeoutMS)
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -521,9 +530,7 @@ func (s *Server) Snapshot() Stats {
 		Patches:       s.patchesN.Load(),
 		PlanCache:     s.cache.snapshot(),
 	}
-	s.profMu.Lock()
-	st.Profile = s.prof
-	s.profMu.Unlock()
+	s.prof.Do(func(pc *ProfileCounters) { st.Profile = *pc })
 	if total := st.PlanCache.Hits + st.PlanCache.Misses; total > 0 {
 		st.HitRate = float64(st.PlanCache.Hits) / float64(total)
 	}

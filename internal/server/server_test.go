@@ -428,6 +428,45 @@ func TestServeHTTPBasics(t *testing.T) {
 	}
 }
 
+// TestServeBadTimeout checks that a timeout_ms a time.Duration cannot
+// hold, or a negative one, is a bad request on GET and POST alike — not a
+// wrapped negative deadline (504) or a silent fall back to the default.
+func TestServeBadTimeout(t *testing.T) {
+	b := arb.NewTreeBuilder()
+	if err := b.Begin("r"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.End(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := b.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(context.Background(), arb.NewSession(tr), server.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const overflow = 9223372036855 // ms: one past the largest time.Duration
+	resp, err := http.Get(ts.URL + fmt.Sprintf("/query?q=QUERY%%20%%3A-%%20Root%%3B&timeout_ms=%d", overflow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("GET timeout_ms=%d: status %d, want 400", overflow, resp.StatusCode)
+	}
+	for _, ms := range []int64{overflow, -1} {
+		if out, code := postQuery(t, ts.URL, map[string]any{"query": `QUERY :- Root;`, "timeout_ms": ms}); code != http.StatusBadRequest {
+			t.Fatalf("POST timeout_ms=%d: status %d (%v), want 400", ms, code, out)
+		}
+	}
+	if out, code := postQuery(t, ts.URL, map[string]any{"query": `QUERY :- Root;`, "timeout_ms": overflow - 1}); code != http.StatusOK {
+		t.Fatalf("POST timeout_ms=%d: status %d (%v), want 200", overflow-1, code, out)
+	}
+}
+
 // TestServeDrain checks the shutdown contract: after Close the server
 // rejects new queries with 503 and reports unhealthy, while the HTTP
 // listener's own Shutdown is what drains in-flight handlers.

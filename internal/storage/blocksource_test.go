@@ -240,10 +240,8 @@ func TestBlockSourcePrefixReads(t *testing.T) {
 		if err := fx.read(bs, start+fault-2, 3); err == nil {
 			t.Fatal("a read reaching the corrupt sequence succeeded")
 		}
-		s := &bs.slots[i%blockCacheSlots]
-		s.mu.Lock()
-		idx := s.idx
-		s.mu.Unlock()
+		var idx int64
+		bs.slots[i%blockCacheSlots].Do(func(s *blockSlot) { idx = s.idx })
 		if idx != -1 {
 			t.Fatalf("the slot still claims block %d after a failed decode", idx)
 		}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"arb/internal/guard"
 )
 
 // Block-compressed .arb containers (database format v3).
@@ -126,16 +128,16 @@ type blockSource struct {
 	offs      []int64 // physical start of block i; len = blocks+1
 	enc       []uint8
 	physSum   []int64 // prefix sums of stored lengths; len = blocks+1
-	slots     []blockSlot
+	slots     []*guard.Mutex[blockSlot]
 	decoded   atomic.Int64 // block bytes decoded so far; read by tests
 }
 
+// blockSlot is one entry of a block source's decoded-block cache.
 type blockSlot struct {
-	mu   sync.Mutex
-	idx  int64  // block index held, -1 when empty; guarded by: mu
-	data []byte // the block's logical bytes; valid below dec; guarded by: mu
-	dec  int    // bytes of data decoded; guarded by: mu
-	si   int    // stored-stream offset the decode resumes at; guarded by: mu
+	idx  int64  // block index held, -1 when empty
+	data []byte // the block's logical bytes; valid below dec
+	dec  int    // bytes of data decoded
+	si   int    // stored-stream offset the decode resumes at
 }
 
 // ContainerInfo summarises a compressed container for stats surfaces.
@@ -194,8 +196,6 @@ func ValidBlockSize(blockSize int) bool {
 
 // openBlockSource parses a container served by r (size physical bytes)
 // and returns a logical-space ReaderAt over it.
-//
-// arblint:holds mu — construction: the source is not yet shared.
 func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 	var hdr [compressHeader]byte
 	if _, err := r.ReadAt(hdr[:], 0); err != nil {
@@ -254,7 +254,7 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 		offs:      make([]int64, blocks+1),
 		enc:       make([]uint8, blocks),
 		physSum:   make([]int64, blocks+1),
-		slots:     make([]blockSlot, blockCacheSlots),
+		slots:     make([]*guard.Mutex[blockSlot], blockCacheSlots),
 	}
 	off := int64(compressHeader)
 	for i := int64(0); i < blocks; i++ {
@@ -277,7 +277,7 @@ func openBlockSource(r io.ReaderAt, size int64) (*blockSource, error) {
 		return nil, fmt.Errorf("storage: container blocks end at %d, table starts at %d", off, tableOff)
 	}
 	for i := range bs.slots {
-		bs.slots[i].idx = -1
+		bs.slots[i] = guard.New(blockSlot{idx: -1})
 	}
 	return bs, nil
 }
@@ -346,31 +346,29 @@ func (bs *blockSource) ReadAt(p []byte, off int64) (int, error) {
 
 // readBlock copies block i's bytes from logical offset rel into p,
 // decompressing through the slot cache only as far as the copy reaches.
-func (bs *blockSource) readBlock(i int64, p []byte, rel int64) (int, error) {
+func (bs *blockSource) readBlock(i int64, p []byte, rel int64) (n int, err error) {
 	want := bs.blockLen(i)
 	if rel >= want {
 		return 0, fmt.Errorf("storage: block %d read at %d past its %d bytes", i, rel, want)
 	}
 	need := min(rel+int64(len(p)), want)
-	s := &bs.slots[i%blockCacheSlots]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx != i || int64(s.dec) < need {
-		if err := bs.fillSlot(s, i, int(need)); err != nil {
-			return 0, err
+	bs.slots[i%blockCacheSlots].Do(func(s *blockSlot) {
+		if s.idx != i || int64(s.dec) < need {
+			if err = bs.fillSlot(s, i, int(need)); err != nil {
+				return
+			}
 		}
-	}
-	return copy(p, s.data[rel:s.dec]), nil
+		n = copy(p, s.data[rel:s.dec])
+	})
+	return n, err
 }
 
 // fillSlot decodes block i into the slot, which the caller (readBlock)
-// holds locked, until at least need bytes are valid. An LZ block the
+// holds, until at least need bytes are valid. An LZ block the
 // slot already holds a prefix of resumes where that prefix ended, from
 // a re-read of the stored bytes not yet consumed; any other slot starts
 // over. Raw blocks are copied whole. On error the slot is
 // left empty, so no later read is served bytes from a failed decode.
-//
-// arblint:holds mu
 func (bs *blockSource) fillSlot(s *blockSlot, i int64, need int) error {
 	if s.idx != i {
 		want := int(bs.blockLen(i))

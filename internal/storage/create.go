@@ -196,9 +196,7 @@ func create(base string, names *tree.Names, write func(arbF *os.File) error) (db
 		db.Close()
 		return nil, 0, err
 	}
-	db.idxMu.Lock()
-	db.idx = ix
-	db.idxMu.Unlock()
+	db.setIndex(ix)
 	return db, labBytes, nil
 }
 

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
+	"arb/internal/guard"
 	"arb/internal/tree"
 )
 
@@ -47,8 +47,8 @@ type DB struct {
 	// scratch files are buffers in RAM (scratch.go).
 	inRAM bool
 
-	idxMu sync.Mutex
-	idx   *SubtreeIndex // guarded by: idxMu
+	// idx is the subtree index, loaded or built on first use (Index).
+	idx guard.Mutex[*SubtreeIndex]
 }
 
 // Open opens base.arb and base.lab. A block-compressed container
@@ -171,7 +171,9 @@ func (db *DB) RecordAt(v int64) (Record, error) {
 // no-op: the segment files behind r belong to whoever stitched it (the
 // versioned store's snapshot refcounts).
 func NewVirtualDB(base string, r io.ReaderAt, n int64, names *tree.Names, ix *SubtreeIndex) *DB {
-	return &DB{Base: base, N: n, Names: names, arb: r, virtual: true, idx: ix}
+	db := &DB{Base: base, N: n, Names: names, arb: r, virtual: true}
+	db.setIndex(ix)
+	return db
 }
 
 // OpenTree opens the record image of an in-memory tree as a database: the
@@ -266,8 +268,10 @@ type Canceller struct {
 // NewCanceller returns a canceller for ctx. A nil ctx never cancels: it
 // is the explicit signal of the contextless creation paths (database
 // builds have no context in their API), not a shorthand for Background —
-// evaluation paths must always thread the caller's context (the ctxflow
-// analyzer enforces it).
+// evaluation paths must always thread the caller's context. Two ci.sh
+// ratchets hold internal/ to that: no context.Background or
+// context.TODO, and no call with a literal nil first of several
+// arguments but create's BuildIndex(nil, db, 0).
 func NewCanceller(ctx context.Context) Canceller {
 	return Canceller{ctx: ctx}
 }

@@ -371,31 +371,37 @@ func (ix *SubtreeIndex) validate() error {
 // index every later parallel run still performs exactly two linear scans'
 // worth of I/O in aggregate. budget <= 0 selects DefaultIndexBudget.
 // Cancelling ctx aborts a rebuild scan; a nil ctx never cancels.
-func (db *DB) Index(ctx context.Context, budget int) (*SubtreeIndex, error) {
-	db.idxMu.Lock()
-	defer db.idxMu.Unlock()
-	if db.idx != nil {
-		return db.idx, nil
-	}
-	if !db.virtual {
-		if ix, err := ReadIndexFile(db.Base + ".idx"); err == nil && ix.N == db.N {
-			db.idx = ix
-			return ix, nil
+func (db *DB) Index(ctx context.Context, budget int) (ix *SubtreeIndex, err error) {
+	db.idx.Do(func(cached **SubtreeIndex) {
+		if *cached != nil {
+			ix = *cached
+			return
 		}
-	}
-	ix, err := BuildIndex(ctx, db, budget)
-	if err != nil {
-		return nil, err
-	}
-	db.idx = ix
-	if !db.virtual {
-		// Best-effort refresh of the sidecar (it was missing, stale — e.g.
-		// a retired v1 file — or foreign): later opens then load the
-		// index instead of paying the rebuild scan again. Read-only
-		// directories simply keep serving from the in-handle cache.
-		_ = WriteIndexFile(db.Base+".idx", ix)
-	}
-	return ix, nil
+		if !db.virtual {
+			if ix, err = ReadIndexFile(db.Base + ".idx"); err == nil && ix.N == db.N {
+				*cached = ix
+				return
+			}
+		}
+		if ix, err = BuildIndex(ctx, db, budget); err != nil {
+			ix = nil
+			return
+		}
+		*cached = ix
+		if !db.virtual {
+			// Best-effort refresh of the sidecar (it was missing, stale — e.g.
+			// a retired v1 file — or foreign): later opens then load the
+			// index instead of paying the rebuild scan again. Read-only
+			// directories simply keep serving from the in-handle cache.
+			_ = WriteIndexFile(db.Base+".idx", ix)
+		}
+	})
+	return ix, err
+}
+
+// setIndex installs ix as the database's cached subtree index.
+func (db *DB) setIndex(ix *SubtreeIndex) {
+	db.idx.Do(func(cached **SubtreeIndex) { *cached = ix })
 }
 
 // RebuildIndex discards any cached index, rebuilds from the data, and
@@ -406,9 +412,7 @@ func (db *DB) RebuildIndex(ctx context.Context, budget int) (*SubtreeIndex, erro
 	if err != nil {
 		return nil, err
 	}
-	db.idxMu.Lock()
-	db.idx = ix
-	db.idxMu.Unlock()
+	db.setIndex(ix)
 	if !db.virtual {
 		// The database directory may be read-only; the in-handle cache
 		// alone then serves this process.

@@ -59,29 +59,23 @@ type PatchInfo struct {
 // spliced, and the subtree index is fixed up along the ancestor path
 // only. Concurrent snapshots keep reading the old version.
 func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (*PatchInfo, error) {
-	if !st.Writable() {
-		return nil, ErrReadOnly
-	}
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	snap := st.Snapshot()
-	defer snap.Release()
-	ver := snap.v
-	rec, err := ver.checkedRec(node)
-	if err != nil {
-		return nil, err
-	}
-	frag, err := encodeFragment(ctx, t, rec.HasSecond, ver.names)
-	if err != nil {
-		return nil, err
-	}
-	end, err := ver.xmlEnd(ctx, node, rec)
-	if err != nil {
-		return nil, err
-	}
-	spec := spliceSpec{kind: opReplace, anchor: node, start: node, end: end, frag: frag}
-	op := fmt.Sprintf("replace node %d (%d -> %d nodes)", node, end-node, frag.nodes)
-	return st.commit(ctx, spec, op)
+	return st.write(func(ver *version, next *uint64) (*PatchInfo, error) {
+		rec, err := ver.checkedRec(node)
+		if err != nil {
+			return nil, err
+		}
+		frag, err := encodeFragment(ctx, t, rec.HasSecond, ver.names)
+		if err != nil {
+			return nil, err
+		}
+		end, err := ver.xmlEnd(ctx, node, rec)
+		if err != nil {
+			return nil, err
+		}
+		spec := spliceSpec{kind: opReplace, anchor: node, start: node, end: end, frag: frag}
+		op := fmt.Sprintf("replace node %d (%d -> %d nodes)", node, end-node, frag.nodes)
+		return st.commit(ctx, ver, next, spec, op)
+	})
 }
 
 // DeleteSubtree removes the XML subtree rooted at node. When the node
@@ -89,47 +83,41 @@ func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (
 // the parent's child flag is cleared (one fixed-up record). The
 // document root cannot be deleted.
 func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, error) {
-	if !st.Writable() {
-		return nil, ErrReadOnly
-	}
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	snap := st.Snapshot()
-	defer snap.Release()
-	ver := snap.v
-	if node == 0 {
-		return nil, fmt.Errorf("vstore: cannot delete the document root")
-	}
-	rec, err := ver.checkedRec(node)
-	if err != nil {
-		return nil, err
-	}
-	end, err := ver.xmlEnd(ctx, node, rec)
-	if err != nil {
-		return nil, err
-	}
-	spec := spliceSpec{kind: opDelete, anchor: node, start: node, end: end}
-	if !rec.HasSecond {
-		// No sibling steps into the node's place: the parent loses this
-		// child (its record is the one byte-pair rewritten outside the
-		// spliced range).
-		parent, k, err := ver.parentOf(ctx, node)
+	return st.write(func(ver *version, next *uint64) (*PatchInfo, error) {
+		if node == 0 {
+			return nil, fmt.Errorf("vstore: cannot delete the document root")
+		}
+		rec, err := ver.checkedRec(node)
 		if err != nil {
 			return nil, err
 		}
-		prec, err := ver.readRec(parent)
+		end, err := ver.xmlEnd(ctx, node, rec)
 		if err != nil {
 			return nil, err
 		}
-		if k == 1 {
-			prec.HasFirst = false
-		} else {
-			prec.HasSecond = false
+		spec := spliceSpec{kind: opDelete, anchor: node, start: node, end: end}
+		if !rec.HasSecond {
+			// No sibling steps into the node's place: the parent loses this
+			// child (its record is the one byte-pair rewritten outside the
+			// spliced range).
+			parent, k, err := ver.parentOf(ctx, node)
+			if err != nil {
+				return nil, err
+			}
+			prec, err := ver.readRec(parent)
+			if err != nil {
+				return nil, err
+			}
+			if k == 1 {
+				prec.HasFirst = false
+			} else {
+				prec.HasSecond = false
+			}
+			spec.fixups = []fixup{{node: parent, rec: prec}}
 		}
-		spec.fixups = []fixup{{node: parent, rec: prec}}
-	}
-	op := fmt.Sprintf("delete node %d (%d nodes)", node, end-node)
-	return st.commit(ctx, spec, op)
+		op := fmt.Sprintf("delete node %d (%d nodes)", node, end-node)
+		return st.commit(ctx, ver, next, spec, op)
+	})
 }
 
 // InsertChild inserts t as the new first child of node (document order:
@@ -137,37 +125,46 @@ func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, err
 // node's old first child as its next sibling, and the node's record
 // gains the first-child flag. Text nodes cannot take children.
 func (st *Store) InsertChild(ctx context.Context, node int64, t *tree.Tree) (*PatchInfo, error) {
+	return st.write(func(ver *version, next *uint64) (*PatchInfo, error) {
+		rec, err := ver.checkedRec(node)
+		if err != nil {
+			return nil, err
+		}
+		if tree.Label(rec.Label).IsChar() {
+			return nil, fmt.Errorf("vstore: node %d is a text node; it cannot take children", node)
+		}
+		frag, err := encodeFragment(ctx, t, rec.HasFirst, ver.names)
+		if err != nil {
+			return nil, err
+		}
+		newRec := rec
+		newRec.HasFirst = true
+		spec := spliceSpec{
+			kind:   opInsert,
+			anchor: node,
+			start:  node + 1,
+			end:    node + 1,
+			frag:   frag,
+			fixups: []fixup{{node: node, rec: newRec}},
+		}
+		op := fmt.Sprintf("insert %d nodes under node %d", frag.nodes, node)
+		return st.commit(ctx, ver, next, spec, op)
+	})
+}
+
+// write runs one patch or compaction under the writer lock: op computes
+// against the current version, pinned for the call, and takes its
+// segment's id from next.
+func (st *Store) write(op func(ver *version, next *uint64) (*PatchInfo, error)) (info *PatchInfo, err error) {
 	if !st.Writable() {
 		return nil, ErrReadOnly
 	}
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	snap := st.Snapshot()
-	defer snap.Release()
-	ver := snap.v
-	rec, err := ver.checkedRec(node)
-	if err != nil {
-		return nil, err
-	}
-	if tree.Label(rec.Label).IsChar() {
-		return nil, fmt.Errorf("vstore: node %d is a text node; it cannot take children", node)
-	}
-	frag, err := encodeFragment(ctx, t, rec.HasFirst, ver.names)
-	if err != nil {
-		return nil, err
-	}
-	newRec := rec
-	newRec.HasFirst = true
-	spec := spliceSpec{
-		kind:   opInsert,
-		anchor: node,
-		start:  node + 1,
-		end:    node + 1,
-		frag:   frag,
-		fixups: []fixup{{node: node, rec: newRec}},
-	}
-	op := fmt.Sprintf("insert %d nodes under node %d", frag.nodes, node)
-	return st.commit(ctx, spec, op)
+	st.writer.Do(func(next *uint64) {
+		snap := st.Snapshot()
+		defer snap.Release()
+		info, err = op(snap.v, next)
+	})
+	return info, err
 }
 
 // commit materialises a splice as a new version and publishes it: commit
@@ -175,14 +172,11 @@ func (st *Store) InsertChild(ctx context.Context, node int64, t *tree.Tree) (*Pa
 // table and index, commit a grown name table if the patch introduced tags,
 // commit the manifest — the atomic commit point — then swap the current
 // version. Cancelling ctx aborts a long segment write; nothing is
-// published then.
-func (st *Store) commit(ctx context.Context, spec spliceSpec, op string) (*PatchInfo, error) {
-	// The caller (holding wmu) pinned the version we compute against.
-	st.mu.Lock()
-	ver := st.cur
-	segID := st.nextSeg
-	st.nextSeg++
-	st.mu.Unlock()
+// published then. ver is the current version, which the caller (write)
+// pinned, and next the writer's next segment id.
+func (st *Store) commit(ctx context.Context, ver *version, next *uint64, spec spliceSpec, op string) (*PatchInfo, error) {
+	segID := *next
+	*next++
 
 	var fragNodes int64
 	var fragSig storage.LabelSig

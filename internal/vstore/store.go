@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
+	"arb/internal/guard"
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
@@ -32,7 +34,6 @@ type segment struct {
 	name  string // file name relative to the store directory
 	f     *os.File
 	src   io.ReaderAt // logical record space: f itself, or a decompressing view over it
-	refs  int         // live versions referencing the segment; guarded by: mu (the Store's)
 }
 
 // openSegmentSource sniffs an open segment file and returns the reader
@@ -142,11 +143,10 @@ type version struct {
 	nNames int
 	db     *storage.DB
 	segs   []*segment // unique segments referenced by runs
-	refs   int        // pins: the store's own (while current) plus one per snapshot; guarded by: mu (the Store's)
 }
 
 // Store is a versioned .arb database: one writer at a time (patches and
-// compactions serialise on wmu), any number of lock-free readers, each
+// compactions serialise on writer), any number of lock-free readers, each
 // pinning a version via Snapshot. The current version is published by
 // atomic manifest rename; superseded versions survive until their last
 // snapshot is released, which drives patch-segment garbage collection.
@@ -161,9 +161,10 @@ type Store struct {
 	codec     uint8
 	blockSize int
 
-	// wmu serialises writers: at most one patch/compact computes and
-	// commits at a time. Readers never take it.
-	wmu sync.Mutex
+	// writer serialises writers: at most one patch/compact computes and
+	// commits at a time, holding the id the next segment takes. Readers
+	// never take it.
+	writer *guard.Mutex[uint64]
 
 	// ro is the database of a read-only store (ReadOnly), whose one
 	// version reads it directly; nil for a store opened with Open. Close
@@ -171,18 +172,27 @@ type Store struct {
 	ro      *storage.DB
 	closeRO bool
 
-	// mu guards the version/segment bookkeeping below; it is held only
-	// for pointer swaps and refcounts, never during I/O or scans.
-	mu          sync.Mutex
-	cur         *version            // guarded by: mu
-	segs        map[uint64]*segment // open segments by id; guarded by: mu
-	nextSeg     uint64              // guarded by: mu
-	history     []HistoryEntry      // guarded by: mu
-	live        int                 // versions not yet collected; guarded by: mu
-	snapRefs    int                 // outstanding snapshots; guarded by: mu
-	patches     int64               // committed patches; guarded by: mu
-	compactions int64               // committed compactions; guarded by: mu
-	closed      bool                // guarded by: mu
+	// state is the version and segment bookkeeping; its lock is held for
+	// pointer swaps and refcounts, and to close and remove the segments a
+	// dying version frees, never during scans or segment writes.
+	state *guard.Mutex[storeState]
+}
+
+// storeState is a store's bookkeeping: the current version, the live
+// versions with their pins, the open segments with the live versions
+// referencing each, and the counters Stats reports.
+type storeState struct {
+	cur *version
+	// vers holds each version not yet collected and its pins: the store's
+	// own (while current) plus one per snapshot.
+	vers map[*version]int
+	// segs holds each open segment and the live versions referencing it.
+	segs        map[*segment]int
+	history     []HistoryEntry
+	snapRefs    int   // outstanding snapshots
+	patches     int64 // committed patches
+	compactions int64 // committed compactions
+	closed      bool
 }
 
 // Open opens base as a versioned database. With a base.arbm manifest
@@ -193,20 +203,23 @@ type Store struct {
 // files are created or modified until the first patch commits.
 // Cancelling ctx aborts a bootstrap index build.
 func Open(ctx context.Context, base string) (*Store, error) {
-	st := &Store{base: base, dir: filepath.Dir(base), segs: make(map[uint64]*segment)}
+	st := &Store{base: base, dir: filepath.Dir(base)}
 	versioned, err := Versioned(base)
 	if err != nil {
 		return nil, err
 	}
+	s := storeState{vers: make(map[*version]int), segs: make(map[*segment]int)}
+	var next uint64
 	if versioned {
-		err = st.openManifest(base + ".arbm")
+		next, err = st.openManifest(&s, base+".arbm")
 	} else {
-		err = st.bootstrap(ctx)
+		next, err = st.bootstrap(ctx, &s)
 	}
 	if err != nil {
 		return nil, err
 	}
-	st.sweepOrphans()
+	st.sweepOrphans(s.segs)
+	st.writer, st.state = guard.New(next), guard.New(s)
 	return st, nil
 }
 
@@ -216,13 +229,17 @@ func Open(ctx context.Context, base string) (*Store, error) {
 // ErrReadOnly. Close closes db when own is set; otherwise the caller keeps
 // it.
 func ReadOnly(db *storage.DB, own bool) *Store {
+	v := &version{id: 1, n: db.N, names: db.Names, nNames: db.Names.Len(), db: db}
 	return &Store{
 		base:    db.Base,
 		ro:      db,
 		closeRO: own,
-		cur:     &version{id: 1, n: db.N, names: db.Names, nNames: db.Names.Len(), db: db, refs: 1},
-		live:    1,
-		history: []HistoryEntry{{Version: 1, Op: "open"}},
+		writer:  guard.New(uint64(0)),
+		state: guard.New(storeState{
+			cur:     v,
+			vers:    map[*version]int{v: 1},
+			history: []HistoryEntry{{Version: 1, Op: "open"}},
+		}),
 	}
 }
 
@@ -244,20 +261,19 @@ func Versioned(base string) (bool, error) {
 	return err == nil, err
 }
 
-// bootstrap builds version 1 directly over the plain base.arb database:
-// one base segment, one run, the database's own (possibly freshly
-// built) subtree index.
-//
-// arblint:holds mu — construction: the store is not yet shared.
-func (st *Store) bootstrap(ctx context.Context) error {
+// bootstrap builds version 1 directly over the plain base.arb database
+// into s — one base segment, one run, the database's own (possibly
+// freshly built) subtree index — and returns the id the next segment
+// takes.
+func (st *Store) bootstrap(ctx context.Context, s *storeState) (uint64, error) {
 	db, err := storage.Open(st.base)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ix, err := db.Index(ctx, 0)
 	if err != nil {
 		db.Close()
-		return err
+		return 0, err
 	}
 	n, names := db.N, db.Names
 	if ci, ok := db.Compression(); ok {
@@ -265,38 +281,34 @@ func (st *Store) bootstrap(ctx context.Context) error {
 		st.codec, st.blockSize = ci.Codec, ci.BlockSize
 	}
 	if err := db.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if n == 0 {
-		return fmt.Errorf("vstore: %s.arb is empty", st.base)
+		return 0, fmt.Errorf("vstore: %s.arb is empty", st.base)
 	}
 	seg, err := st.openSegment(filepath.Base(st.base)+".arb", n*storage.NodeSize)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	seg.kind = segBase
 	runs := []run{{seg: seg, logical: 0, phys: 0, count: n}}
-	st.segs[0] = seg
-	st.nextSeg = 1
-	st.install(&version{id: 1, n: n, runs: runs, idx: ix, names: names, nNames: names.Len()})
-	st.history = []HistoryEntry{{Version: 1, Op: "open"}}
-	return nil
+	s.install(st.base, &version{id: 1, n: n, runs: runs, idx: ix, names: names, nNames: names.Len()})
+	s.history = []HistoryEntry{{Version: 1, Op: "open"}}
+	return 1, nil
 }
 
-// openManifest loads the current version from a validated manifest,
-// opening every referenced segment and verifying it holds the promised
+// openManifest loads the current version from a validated manifest into
+// s, opening every referenced segment and verifying it holds the promised
 // bytes — a manifest referencing a missing or truncated segment is
-// rejected whole.
-//
-// arblint:holds mu — construction: the store is not yet shared.
-func (st *Store) openManifest(path string) error {
+// rejected whole — and returns the id the next segment takes.
+func (st *Store) openManifest(s *storeState, path string) (uint64, error) {
 	m, ix, err := readManifest(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	names, err := st.loadNames(m.names)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	segs := make(map[uint64]*segment, len(m.segs))
 	ok := false
@@ -314,7 +326,7 @@ func (st *Store) openManifest(path string) error {
 		// its (smaller) physical size.
 		seg, err := st.openSegment(ms.name, ms.nodes*storage.NodeSize)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		seg.id, seg.kind = ms.id, ms.kind
 		segs[ms.id] = seg
@@ -326,13 +338,14 @@ func (st *Store) openManifest(path string) error {
 	for i, mr := range m.runs {
 		runs[i] = run{seg: segs[mr.seg], logical: mr.logical, phys: mr.phys, count: mr.count}
 	}
-	st.segs = segs
-	st.nextSeg = maxID
+	for _, sg := range segs {
+		s.segs[sg] = 0 // a segment no run references stays open until Close
+	}
 	st.codec, st.blockSize = m.codec, m.blockSize
-	st.install(&version{id: m.version, n: m.n, runs: runs, idx: ix, names: names, nNames: m.names})
-	st.history = m.history
+	s.install(st.base, &version{id: m.version, n: m.n, runs: runs, idx: ix, names: names, nNames: m.names})
+	s.history = m.history
 	ok = true
-	return nil
+	return maxID, nil
 }
 
 // loadNames reads the store's label-name table — base.vlab when the
@@ -373,16 +386,13 @@ func (st *Store) loadNames(count int) (*tree.Names, error) {
 
 // install makes ver the current version (store construction only; the
 // commit path uses publish).
-//
-// arblint:holds mu — construction: the store is not yet shared.
-func (st *Store) install(ver *version) {
-	ver.finish(st.base)
-	ver.refs = 1
+func (s *storeState) install(base string, ver *version) {
+	ver.finish(base)
+	s.vers[ver] = 1
 	for _, sg := range ver.segs {
-		sg.refs++
+		s.segs[sg]++
 	}
-	st.cur = ver
-	st.live++
+	s.cur = ver
 }
 
 // finish derives a version's stitched reader, unique segment list and
@@ -400,14 +410,12 @@ func (ver *version) finish(base string) {
 }
 
 // sweepOrphans removes leftovers of interrupted commits: patch segments
-// not referenced by the loaded version and the commit temporaries of every
-// file of the base (storage.RemoveTemps). Best-effort — a locked directory
-// only delays cleanup to the next Open.
-//
-// arblint:holds mu — construction: the store is not yet shared.
-func (st *Store) sweepOrphans() {
+// other than the open ones and the commit temporaries of every file of
+// the base (storage.RemoveTemps). Best-effort — a locked directory only
+// delays cleanup to the next Open.
+func (st *Store) sweepOrphans(open map[*segment]int) {
 	referenced := make(map[string]bool)
-	for _, sg := range st.segs {
+	for sg := range open {
 		referenced[sg.name] = true
 	}
 	prefix := filepath.Base(st.base) + "-"
@@ -429,56 +437,51 @@ func (st *Store) sweepOrphans() {
 func (st *Store) Base() string { return st.base }
 
 // Version returns the current version id.
-func (st *Store) Version() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cur.id
+func (st *Store) Version() (id uint64) {
+	st.state.Do(func(s *storeState) { id = s.cur.id })
+	return id
 }
 
 // Nodes returns the node count of the current version.
-func (st *Store) Nodes() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cur.n
+func (st *Store) Nodes() (n int64) {
+	st.state.Do(func(s *storeState) { n = s.cur.n })
+	return n
 }
 
 // Names returns the label-name table of the current version. The table
 // is immutable (patches that add tags publish a grown copy), so the
 // caller may hold it across versions: ids never change meaning, newer
 // versions only append.
-func (st *Store) Names() *tree.Names {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cur.names
+func (st *Store) Names() (names *tree.Names) {
+	st.state.Do(func(s *storeState) { names = s.cur.names })
+	return names
 }
 
 // History returns the committed operation chain, oldest first.
-func (st *Store) History() []HistoryEntry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]HistoryEntry, len(st.history))
-	copy(out, st.history)
+func (st *Store) History() (out []HistoryEntry) {
+	st.state.Do(func(s *storeState) { out = slices.Clone(s.history) })
 	return out
 }
 
 // Snapshot pins the current version and returns an immutable view of
 // it. The caller must Release it; the last release of a superseded
 // version deletes whatever patch segments only it referenced.
-func (st *Store) Snapshot() *Snapshot {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.cur.refs++
-	st.snapRefs++
-	return &Snapshot{st: st, v: st.cur}
+func (st *Store) Snapshot() (snap *Snapshot) {
+	st.state.Do(func(s *storeState) {
+		s.vers[s.cur]++
+		s.snapRefs++
+		snap = &Snapshot{st: st, v: s.cur}
+	})
+	return snap
 }
 
 // Snapshot is a pinned database version. Its DB is a fully functional
 // read-only *storage.DB — every scan primitive and evaluation strategy
 // runs on it unmodified — valid until Release.
 type Snapshot struct {
-	st   *Store
-	v    *version
-	once sync.Once
+	st       *Store
+	v        *version
+	released atomic.Bool
 }
 
 // DB returns the version's virtual database handle.
@@ -495,66 +498,61 @@ func (s *Snapshot) Names() *tree.Names { return s.v.names }
 
 // Release unpins the version. Releasing twice is safe (idempotent).
 func (s *Snapshot) Release() {
-	s.once.Do(func() {
-		s.st.mu.Lock()
-		defer s.st.mu.Unlock()
-		s.st.snapRefs--
-		s.st.releaseLocked(s.v)
+	if s.released.Swap(true) {
+		return
+	}
+	s.st.state.Do(func(state *storeState) {
+		state.snapRefs--
+		state.release(s.st.dir, s.v)
 	})
 }
 
-// releaseLocked drops one pin of ver; at zero the version dies and its
-// segment references unwind — a patch segment no live version uses is
-// closed and deleted (the base .arb is closed but always kept on disk).
-//
-// arblint:holds mu
-func (st *Store) releaseLocked(ver *version) {
-	ver.refs--
-	if ver.refs > 0 {
+// release drops one pin of ver; at zero the version dies and its segment
+// references unwind — a patch segment no live version uses is closed and
+// deleted from dir (the base .arb is closed but always kept on disk).
+func (s *storeState) release(dir string, ver *version) {
+	s.vers[ver]--
+	if s.vers[ver] > 0 {
 		return
 	}
-	st.live--
+	delete(s.vers, ver)
 	for _, sg := range ver.segs {
-		sg.refs--
-		if sg.refs > 0 {
+		s.segs[sg]--
+		if s.segs[sg] > 0 {
 			continue
 		}
-		delete(st.segs, sg.id)
+		delete(s.segs, sg)
 		if sg.kind == segPatch {
-			sg.drop(st.dir)
+			sg.drop(dir)
 		} else {
 			sg.f.Close()
 		}
 	}
 }
 
-// publish commits ver as the new current version under st.mu: segment
-// refcounts move to the new version, the store's pin on the old one is
-// released (collecting it immediately if no snapshot holds it), and the
-// history gains op.
+// publish commits ver as the new current version: segment refcounts move
+// to the new version, the store's pin on the old one is released
+// (collecting it immediately if no snapshot holds it), and the history
+// gains op.
 func (st *Store) publish(ver *version, op string, isCompact bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ver.refs = 1
-	for _, sg := range ver.segs {
-		if _, known := st.segs[sg.id]; !known {
-			st.segs[sg.id] = sg
+	st.state.Do(func(s *storeState) {
+		s.vers[ver] = 1
+		for _, sg := range ver.segs {
+			s.segs[sg]++
 		}
-		sg.refs++
-	}
-	st.live++
-	old := st.cur
-	st.cur = ver
-	st.history = append(st.history, HistoryEntry{Version: ver.id, Op: op})
-	if len(st.history) > maxHistory {
-		st.history = st.history[len(st.history)-maxHistory:]
-	}
-	if isCompact {
-		st.compactions++
-	} else {
-		st.patches++
-	}
-	st.releaseLocked(old)
+		old := s.cur
+		s.cur = ver
+		s.history = append(s.history, HistoryEntry{Version: ver.id, Op: op})
+		if len(s.history) > maxHistory {
+			s.history = s.history[len(s.history)-maxHistory:]
+		}
+		if isCompact {
+			s.compactions++
+		} else {
+			s.patches++
+		}
+		s.release(st.dir, old)
+	})
 }
 
 // manifestFor serialises a version (plus the current history) for the
@@ -575,9 +573,9 @@ func (st *Store) manifestFor(ver *version, op string) *manifest {
 	for _, r := range ver.runs {
 		m.runs = append(m.runs, manifestRun{seg: r.seg.id, logical: r.logical, phys: r.phys, count: r.count})
 	}
-	st.mu.Lock()
-	m.history = append(append([]HistoryEntry{}, st.history...), HistoryEntry{Version: ver.id, Op: op})
-	st.mu.Unlock()
+	st.state.Do(func(s *storeState) {
+		m.history = append(slices.Clone(s.history), HistoryEntry{Version: ver.id, Op: op})
+	})
 	if len(m.history) > maxHistory {
 		m.history = m.history[len(m.history)-maxHistory:]
 	}
@@ -599,48 +597,47 @@ type StoreStats struct {
 }
 
 // Stats returns a snapshot of the store's bookkeeping.
-func (st *Store) Stats() StoreStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	s := StoreStats{
-		Version:      st.cur.id,
-		Nodes:        st.cur.n,
-		Segments:     len(st.segs),
-		LiveVersions: st.live,
-		Snapshots:    st.snapRefs,
-		Patches:      st.patches,
-		Compactions:  st.compactions,
-	}
-	for _, sg := range st.segs {
-		s.SegmentBytes += sg.nodes * storage.NodeSize
-	}
+func (st *Store) Stats() (out StoreStats) {
+	st.state.Do(func(s *storeState) {
+		out = StoreStats{
+			Version:      s.cur.id,
+			Nodes:        s.cur.n,
+			Segments:     len(s.segs),
+			LiveVersions: len(s.vers),
+			Snapshots:    s.snapRefs,
+			Patches:      s.patches,
+			Compactions:  s.compactions,
+		}
+		for sg := range s.segs {
+			out.SegmentBytes += sg.nodes * storage.NodeSize
+		}
+	})
 	if st.ro != nil && st.ro.Base != "" {
 		// A read-only store over a database file serves it as its one
 		// segment; over a record image in RAM it holds none.
-		s.Segments, s.SegmentBytes = 1, st.ro.N*storage.NodeSize
+		out.Segments, out.SegmentBytes = 1, st.ro.N*storage.NodeSize
 	}
-	return s
+	return out
 }
 
 // Close closes every open segment file, and the database of a read-only
 // store that owns it. Outstanding snapshots become invalid — callers
 // drain readers first (the server does). Files on disk are left exactly
 // as the last commit published them.
-func (st *Store) Close() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return nil
-	}
-	st.closed = true
-	var first error
-	if st.closeRO {
-		first = st.ro.Close()
-	}
-	for _, sg := range st.segs {
-		if err := sg.f.Close(); err != nil && first == nil {
-			first = err
+func (st *Store) Close() (first error) {
+	st.state.Do(func(s *storeState) {
+		if s.closed {
+			return
 		}
-	}
+		s.closed = true
+		if st.closeRO {
+			first = st.ro.Close()
+		}
+		for sg := range s.segs {
+			if err := sg.f.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	})
 	return first
 }

@@ -659,3 +659,83 @@ func TestReadOnlyStore(t *testing.T) {
 		t.Fatal("closing a store that owns its database left it open")
 	}
 }
+
+// TestStoreRefcountsTrackPins pins snapshots across a patch sequence and
+// releases them in random order, checking the store's guarded bookkeeping
+// after every step: each live version's pins are the store's own (while
+// current) plus its unreleased snapshots, each open segment's count is the
+// live versions referencing it, and a patch segment no live version
+// references is closed and gone from disk.
+func TestStoreRefcountsTrackPins(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(11))
+	st, _ := createStore(t, randDoc(r, tree.NewNames(), 120))
+	defer st.Close()
+	serial := 0
+	var snaps []*Snapshot
+	seen := map[*segment]bool{}
+	check := func(step string) {
+		t.Helper()
+		st.state.Do(func(s *storeState) {
+			want := map[*version]int{s.cur: 1}
+			for _, sn := range snaps {
+				want[sn.v]++
+			}
+			if len(s.vers) != len(want) || s.snapRefs != len(snaps) {
+				t.Fatalf("%s: %d live versions and %d snapshot pins, want %d and %d", step, len(s.vers), s.snapRefs, len(want), len(snaps))
+			}
+			segRefs := map[*segment]int{}
+			for v, pins := range want {
+				if s.vers[v] != pins {
+					t.Fatalf("%s: version %d has %d pins, want %d", step, v.id, s.vers[v], pins)
+				}
+				for _, sg := range v.segs {
+					segRefs[sg]++
+					seen[sg] = true
+				}
+			}
+			if len(s.segs) != len(segRefs) {
+				t.Fatalf("%s: %d open segments, want %d", step, len(s.segs), len(segRefs))
+			}
+			for sg, n := range segRefs {
+				if s.segs[sg] != n {
+					t.Fatalf("%s: segment %s has %d references, want %d", step, sg.name, s.segs[sg], n)
+				}
+			}
+			for sg := range seen {
+				if _, open := s.segs[sg]; open || sg.kind != segPatch {
+					continue
+				}
+				if _, err := os.Stat(filepath.Join(st.dir, sg.name)); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("%s: collected patch segment %s is still on disk (%v)", step, sg.name, err)
+				}
+			}
+		})
+	}
+	check("open")
+	for i := 0; i < 12; i++ {
+		if r.Intn(2) == 0 {
+			snaps = append(snaps, st.Snapshot())
+			check(fmt.Sprintf("pin %d", i))
+		}
+		v := r.Int63n(st.Stats().Nodes)
+		if _, err := st.ReplaceSubtree(ctx, v, randFragment(r, &serial, 10)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("patch %d", i))
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("only %d snapshots pinned; the sequence checks too little", len(snaps))
+	}
+	for len(snaps) > 0 {
+		i := r.Intn(len(snaps))
+		sn := snaps[i]
+		snaps = append(snaps[:i], snaps[i+1:]...)
+		sn.Release()
+		check(fmt.Sprintf("release of version %d", sn.v.id))
+	}
+	if _, err := st.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("compact")
+}

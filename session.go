@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"arb/internal/guard"
 	"arb/internal/rescache"
 	"arb/internal/storage"
 	"arb/internal/tree"
@@ -152,7 +153,7 @@ func (s *Session) Prepare(prog *Program) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{s: s, src: prog, names: names, p: p}, nil
+	return newPreparedQuery(s, prog, names, p), nil
 }
 
 // PrepareXPath compiles a Core XPath query against the session. Queries
@@ -166,7 +167,7 @@ func (s *Session) PrepareXPath(q *XPathQuery) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{s: s, src: q, names: names, p: p}, nil
+	return newPreparedQuery(s, q, names, p), nil
 }
 
 // PrepareBatch compiles several queries against the session for
@@ -324,72 +325,80 @@ type PreparedQuery struct {
 	s   *Session
 	src any // recompilation source: *Program or *XPathQuery
 
+	// cacheKey returns the query's normalized result-cache key: the same
+	// "xpath:"/"tmnf:"-prefixed normal form the server's plan cache keys
+	// by, so one identity serves both tiers. It is rendered once, on first
+	// use, from the source alone (not the name table), so it survives
+	// recompilation.
+	cacheKey func() string
+
 	// On a versioned session a patch that introduces new tag names
 	// publishes a grown label table; engines are bound to the exact
 	// table their database snapshot carries, so the handle recompiles
 	// lazily when the table identity changes (tables only append, so
 	// the recompiled plan answers identically on unchanged labels).
 	// Patches that add no tags keep the table — and the warm automata.
-	mu    sync.Mutex
-	names *tree.Names     // table p is compiled against; guarded by: mu
-	p     *xpath.Prepared // guarded by: mu (pointer swap only; the handle itself is reentrant)
-
-	// key is the query's normalized result-cache key, rendered once on
-	// first use. It depends only on the source (not the name table), so
-	// it survives recompilation.
-	key string // guarded by: mu
+	bound *guard.Mutex[boundPlan]
 }
 
-// cacheKey returns the query's normalized result-cache key: the same
-// "xpath:"/"tmnf:"-prefixed normal form the server's plan cache keys by,
-// so one identity serves both tiers.
-func (q *PreparedQuery) cacheKey() string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.key == "" {
-		switch src := q.src.(type) {
-		case *XPathQuery:
-			q.key = "xpath:" + src.Path.String()
-		case *Program:
-			q.key = "tmnf:" + src.String()
-		}
+// boundPlan is a query's compiled handle and the name table it is
+// compiled against. Recompiling swaps the pointer only; the handle itself
+// is reentrant.
+type boundPlan struct {
+	names *tree.Names
+	p     *xpath.Prepared
+}
+
+// newPreparedQuery returns the handle of src, compiled to p against names.
+func newPreparedQuery(s *Session, src any, names *tree.Names, p *xpath.Prepared) *PreparedQuery {
+	return &PreparedQuery{
+		s:   s,
+		src: src,
+		cacheKey: sync.OnceValue(func() string {
+			switch src := src.(type) {
+			case *XPathQuery:
+				return "xpath:" + src.Path.String()
+			case *Program:
+				return "tmnf:" + src.String()
+			}
+			return ""
+		}),
+		bound: guard.New(boundPlan{names: names, p: p}),
 	}
-	return q.key
 }
 
 // handle returns the current compiled handle (for inspection paths that
 // do not care which name-table generation it is bound to).
-func (q *PreparedQuery) handle() *xpath.Prepared {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.p
+func (q *PreparedQuery) handle() (p *xpath.Prepared) {
+	q.bound.Do(func(b *boundPlan) { p = b.p })
+	return p
 }
 
 // prepared returns the compiled handle bound to names, recompiling once
 // per name-table generation. The common case — read-only sessions, and
 // versioned sessions whose patches added no tags — is a pointer
 // compare returning the cached handle.
-func (q *PreparedQuery) prepared(names *tree.Names) (*xpath.Prepared, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if names == q.names {
-		return q.p, nil
-	}
-	var p *xpath.Prepared
-	var err error
-	switch src := q.src.(type) {
-	case *Program:
-		p, err = xpath.PrepareProgram(src, names)
-	case *XPathQuery:
-		p, err = src.Prepare(names)
-	default:
-		err = fmt.Errorf("arb: unknown query source %T", q.src)
-	}
-	if err != nil {
-		return nil, err
-	}
-	q.names, q.p = names, p
-	return p, nil
+func (q *PreparedQuery) prepared(names *tree.Names) (p *xpath.Prepared, err error) {
+	q.bound.Do(func(b *boundPlan) {
+		if names == b.names {
+			p = b.p
+			return
+		}
+		switch src := q.src.(type) {
+		case *Program:
+			p, err = xpath.PrepareProgram(src, names)
+		case *XPathQuery:
+			p, err = src.Prepare(names)
+		default:
+			err = fmt.Errorf("arb: unknown query source %T", q.src)
+		}
+		if err != nil {
+			p = nil
+			return
+		}
+		b.names, b.p = names, p
+	})
+	return p, err
 }
 
 // Queries returns the query predicates Exec's result reports, in the
