@@ -43,10 +43,11 @@
 // database holds, kept in RAM with the run's temporaries), ExecOpts.Workers
 // picks sequential or parallel, and Core XPath queries with not(..)
 // conditions (sess.PrepareXPath) transparently run their auxiliary passes
-// first, chained through aux-mask sidecars. Every path returns the same
-// unified Result with identical selected nodes, and the ctx cancels long
-// scans promptly, cleaning up temporary files. In-memory sources enter
-// through NewSession(tree); ParseXML and TreeBuilder construct trees. The subpackages under internal implement
+// first, each pass's selection an aux predicate of the later ones. Every
+// path returns the same unified Result with identical selected nodes, and
+// the ctx cancels long scans promptly, cleaning up temporary files.
+// In-memory sources enter through NewSession(tree); ParseXML and
+// TreeBuilder construct trees. The subpackages under internal implement
 // the pieces (storage model, Horn solver, automata, frontends,
 // workloads); this package is the supported public surface.
 //

@@ -126,7 +126,7 @@ func TestEngineReuseAcrossDocuments(t *testing.T) {
 }
 
 // TestDiskOptsFacade exercises the disk-run extensions through the
-// public API: in-phase marked output and the aux sidecar chain.
+// public API: in-phase marked output and the multi-pass aux chain.
 func TestDiskOptsFacade(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "lib")
 	db, _, err := arb.CreateDB(base, strings.NewReader(libraryXML))

@@ -148,8 +148,8 @@ func checkBatchAgainst(t testing.TB, label string, pb *arb.PreparedBatch, opts a
 
 // TestBatchCancel checks batch cancellation: an already-cancelled context
 // aborts sequential, parallel and multi-pass batch executions with
-// ctx.Err(), and neither the state file nor any aux sidecar
-// survives — on cancellation mid-scan either.
+// ctx.Err(), and no state file survives — on cancellation mid-scan
+// either.
 func TestBatchCancel(t *testing.T) {
 	tr := buildCatalog(t, 1200)
 	dir := t.TempDir()

@@ -132,9 +132,9 @@ if grep -rnE '\b(coalescer|CoalescerStats|windowSeed|windowFloor|windowCeil|batc
 fi
 
 # A query is a batch of one at every layer: core's scalar aux wiring
-# (BatchMember.AuxOutQuery with DiskOpts' Aux* fields), xpath's sidecar
-# directory option and the tree-walking index builder are gone — a tree's
-# index is BuildIndex over its record image. Keep them gone.
+# (BatchMember.AuxOutQuery with DiskOpts' Aux* fields), xpath's AuxDir
+# option for its aux files and the tree-walking index builder are gone — a
+# tree's index is BuildIndex over its record image. Keep them gone.
 if grep -rnE '\b(AuxOutQuery|AuxDir|BuildTreeIndex)\b' --include='*.go' . >&2; then
     echo "AuxOutQuery/AuxDir/BuildTreeIndex are back: a query is a batch of one" >&2
     exit 1
@@ -251,6 +251,26 @@ if grep -rnwE 'TmpCleanup|ScratchDir|OpenMasks|RemoveScratch|OpenMaskFile|KeepEv
     exit 1
 fi
 
+# A run creates one scratch file, its phase-1 state file. Multi-pass
+# queries chain their passes through their aux passes' own selections
+# (core.AuxPlanes, one bit a node), so the aux-mask sidecars, their byte
+# layout (MaskStride, MaskSize, DiskBatchOpts' AuxInStride and
+# AuxOutStride) and phase 2's mask reads and writes (runWriter, auxWindow,
+# laneOut) are gone, and non-test code calls DB.CreateScratch from one
+# place: the state file in internal/core/pardisk.go. Keep it one.
+if grep -rnwE 'MaskStride|MaskSize|AuxInStride|AuxOutStride|runWriter|auxWindow|laneOut' --include='*.go' . >&2; then
+    echo "an aux-mask sidecar, its byte layout or phase 2's mask writer is back: aux passes publish their selections as planes" >&2
+    exit 1
+fi
+scratch=$(find . -name '*.go' ! -name '*_test.go' | xargs grep -nE 'CreateScratch\(' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|func )' || true)
+if [ "$(printf '%s\n' "$scratch" | grep -c .)" -ne 1 ] ||
+    [ "$(printf '%s\n' "$scratch" | grep -c '^\./internal/core/pardisk\.go:')" -ne 1 ]; then
+    echo "non-test code creates scratch files beyond the state file's one call in internal/core/pardisk.go:" >&2
+    echo "$scratch" >&2
+    exit 1
+fi
+
 # The library spawns goroutines in one place: the worker pool of the one
 # disk driver (internal/core/pardisk.go), whose workers range over a task
 # channel the driver closes and which it waits for before returning. The
@@ -328,16 +348,13 @@ fi
 #   internal/vstore/store.go:openSegment  the segment (drop, release, Close)
 #   internal/vstore/store.go:bootstrap  closed once the index is read, and on failure
 #   internal/vstore/store.go:loadNames  each name table, right after ReadNames
-#   internal/xpath/batch.go:ExecDisk    a round's aux sidecar: the next round,
-#                                       or the deferred close of the last
 closeowners='session.go:OpenSession
 internal/storage/db.go:Open
 internal/storage/db.go:openFrom
 internal/storage/create.go:create
 internal/vstore/store.go:openSegment
 internal/vstore/store.go:bootstrap
-internal/vstore/store.go:loadNames
-internal/xpath/batch.go:ExecDisk'
+internal/vstore/store.go:loadNames'
 # shellcheck disable=SC2086 # one file per word
 unclosed=$(awk -v owners="$closeowners" '
     BEGIN { n = split(owners, o, "\n"); for (i = 1; i <= n; i++) owner[o[i]] = 0 }

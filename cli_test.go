@@ -7,6 +7,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -302,8 +304,8 @@ func TestCLISignalCancelQuery(t *testing.T) {
 	}
 	db.Close()
 
-	// A multi-pass negated XPath query, forced unpruned: several scan
-	// pairs of work, aux sidecars in flight when the signal arrives.
+	// A multi-pass negated XPath query, forced unpruned: several scans of
+	// work, state files in flight when the signal arrives.
 	cmd := exec.Command(bin, "query", base, "-noprune",
 		"-xpath", "//a[not(b)]")
 	var output strings.Builder
@@ -379,6 +381,47 @@ func TestCLITimeoutCancel(t *testing.T) {
 		case ".arb", ".lab", ".idx", ".xml":
 		default:
 			t.Errorf("stray file after timeout: %s", e.Name())
+		}
+	}
+}
+
+// TestCLIUsageFlags holds the usage text to the flag sets: for every
+// subcommand, the flags its usage lines name are exactly the flags its -h
+// prints (none for a subcommand without a flag set), so neither side can
+// advertise a flag the other lacks.
+func TestCLIUsageFlags(t *testing.T) {
+	bin := buildCLI(t)
+	usage, _ := exec.Command(bin).CombinedOutput()
+	flagRx := regexp.MustCompile(`(?:^|[\s\[(|])-([a-z]+)\b`)
+	named := map[string][]string{}
+	for _, line := range strings.Split(string(usage), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || f[0] != "arb" {
+			continue
+		}
+		var flags []string
+		for _, m := range flagRx.FindAllStringSubmatch(line, -1) {
+			flags = append(flags, m[1])
+		}
+		named[f[1]] = append(named[f[1]], flags...) // a key even without flags
+	}
+	if len(named) < 7 {
+		t.Fatalf("usage names %d subcommands:\n%s", len(named), usage)
+	}
+	missing := filepath.Join(t.TempDir(), "missing", "db")
+	helpRx := regexp.MustCompile(`(?m)^  -([a-z]+)\b`)
+	for sub, flags := range named {
+		out, _ := exec.Command(bin, sub, missing, "-h").CombinedOutput()
+		var defined []string
+		if strings.Contains(string(out), "Usage of "+sub+":") {
+			for _, m := range helpRx.FindAllStringSubmatch(string(out), -1) {
+				defined = append(defined, m[1])
+			}
+		}
+		slices.Sort(flags)
+		slices.Sort(defined)
+		if flags, defined = slices.Compact(flags), slices.Compact(defined); !slices.Equal(flags, defined) {
+			t.Errorf("arb %s: usage names flags %v, -h prints %v", sub, flags, defined)
 		}
 	}
 }

@@ -25,10 +25,11 @@
 // flight keep the version they pinned. `arb compact` folds the
 // accumulated patch segments back into a single fresh segment.
 //
-// Query output: -count prints the number of selected nodes per query
-// predicate (default); -ids prints the selected preorder node ids; -mark
-// re-emits the document with selected nodes wrapped in <arb:selected>
-// markup (the system's default output mode described in Section 6.3).
+// Query output: by default the number of selected nodes per query
+// predicate; -ids prints the selected preorder node ids; -mark re-emits
+// the document with selected nodes wrapped in <arb:selected> markup (the
+// system's default output mode described in Section 6.3); -v adds the
+// engine's statistics on stderr.
 //
 // Queries run through the library's Session/PreparedQuery API: one
 // prepared query per invocation, executed with arb.ExecOpts. -j N
@@ -92,7 +93,7 @@ func main() {
 	}
 	// One interruption contract for every subcommand: the first SIGINT or
 	// SIGTERM cancels ctx — running scans abort promptly and remove their
-	// temporary state/aux files, the server drains — and a second signal
+	// temporary state files, the server drains — and a second signal
 	// kills the process the default way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -136,9 +137,9 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   arb create <base> [-compress] [-blocksize N] [file.xml]
-  arb query  <base> (-q <program> | -f <program.tmnf> | -xpath <expr>) [-count|-ids|-mark] [-j N] [-timeout d] [-noprune] [-rescache SIZE]
-  arb query  <base> -f <queries.txt> -batch [-j N] [-timeout d] [-noprune]
-  arb serve  <base> [-addr :8337] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d]
+  arb query  <base> (-q <program> | -f <program.tmnf> | -xpath <expr>) [-ids|-mark] [-v] [-j N] [-timeout d] [-noprune]
+  arb query  <base> -f <queries.txt> -batch [-v] [-j N] [-timeout d] [-noprune]
+  arb serve  <base> [-addr :8337] [-inflight N] [-cache N] [-rescache SIZE] [-maxqueue N] [-j N] [-timeout d] [-drain d] [-readtimeout d]
   arb patch  <base> -op (replace|delete|insert-child) -node N [-xml <fragment> | -f fragment.xml]
   arb compact <base>
   arb cat    <base>
@@ -321,7 +322,6 @@ func query(ctx context.Context, args []string) error {
 	jobs := fs.Int("j", 1, "parallel workers (0 = all CPUs, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "abort the evaluation after this long (0 = no limit)")
 	noprune := fs.Bool("noprune", false, "disable selectivity-aware scan pruning (read every byte even when the index proves subtrees irrelevant)")
-	resCache := fs.String("rescache", "0", "result cache byte budget, e.g. 64m (0 = disabled; caches completed results within this process)")
 	if len(args) < 1 {
 		usage()
 	}
@@ -341,13 +341,6 @@ func query(ctx context.Context, args []string) error {
 		return err
 	}
 	defer sess.Close()
-	resBytes, err := parseSize(*resCache)
-	if err != nil {
-		return fmt.Errorf("-rescache: %w", err)
-	}
-	if resBytes > 0 {
-		sess.SetResultCache(resBytes)
-	}
 
 	// Workers: the flag speaks CLI (0 = all CPUs), ExecOpts speaks
 	// library (negative = all CPUs, 0 = sequential).
@@ -401,7 +394,7 @@ func query(ctx context.Context, args []string) error {
 		}
 	}
 
-	opts := arb.ExecOpts{Workers: workers, Stats: *verbose, NoPrune: *noprune, ResultCache: resBytes > 0}
+	opts := arb.ExecOpts{Workers: workers, Stats: *verbose, NoPrune: *noprune}
 	var markOut *bufio.Writer
 	if *mark {
 		// The marked document streams out during the final pass itself

@@ -83,7 +83,7 @@ func ExampleSession() {
 	defer sess.Close()
 
 	// not(..) needs an auxiliary pass; Exec chains the passes through
-	// aux-mask sidecar files, entirely in secondary storage.
+	// the aux pass's selection, entirely in secondary storage.
 	xq, err := arb.ParseXPath(`//book[not(author)]`)
 	if err != nil {
 		log.Fatal(err)

@@ -99,7 +99,7 @@ func TestInMemoryBatchOver64PredicatesRunsInTwoLanes(t *testing.T) {
 }
 
 // TestInMemoryExecCreatesNoFile: an in-memory session keeps its record
-// image, state files and aux sidecars in RAM, so no execution — scalar,
+// image and state files in RAM, so no execution — scalar,
 // batch, multi-pass not(..), marked output, sequential or
 // parallel — creates a file in the temp directory or the working one.
 func TestInMemoryExecCreatesNoFile(t *testing.T) {

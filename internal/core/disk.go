@@ -28,8 +28,8 @@ type DiskOpts struct {
 
 	// NoPrune disables selectivity-aware scan pruning (prune.go) for this
 	// run. Pruning is otherwise applied automatically whenever it is
-	// provably sound; runs with aux input (DiskBatchOpts.AuxIn) or marked
-	// output never prune.
+	// provably sound; runs with aux input (BatchMember.AuxInSlot) or
+	// marked output never prune.
 	NoPrune bool
 
 	// Run, when non-nil, receives this run's exact statistics (node

@@ -13,14 +13,15 @@ import (
 // automaton step, the stack and the state-file codec in one loop body
 // instead of behind a per-node callback. Each window is stepped once per
 // lane (a scalar run is one lane of one member), every lane over the same
-// decoded records with its own cache and stack. Every per-node byte outside
-// the records is addressed by node index — the state of node v of the lane
-// in state-file slot L sits at L·N·w + (N-1-v)·w (reverse preorder, the
-// order phase 1 makes them in), its aux masks at v times the sidecars'
-// vector width — so a window reads or writes its slice of each file at an
-// offset computed from its first node, whatever holes the pass skips around
-// it. A lane whose selections its bottom-up states decide (analysis.go) has
-// no slot: phase 1 marks its nodes as it folds them, and phase 2 skips it.
+// decoded records with its own cache and stack. Every per-node state is
+// addressed by node index — the state of node v of the lane in state-file
+// slot L sits at L·N·w + (N-1-v)·w (reverse preorder, the order phase 1
+// makes them in) — so a window reads or writes its slice of the state file
+// at an offset computed from its first node, whatever holes the pass skips
+// around it; a lane reading aux input takes node v's aux bits from bit v
+// of its planes (AuxPlanes). A lane whose selections its bottom-up states
+// decide (analysis.go) has no slot: phase 1 marks its nodes as it folds
+// them, and phase 2 skips it.
 // A forward attempt (every lane's bottom-up states decided by the records,
 // analysis.go) has no state file at all: phase 2 alone runs, and takes each
 // node's bottom-up state from its lane cache's record table instead.
@@ -87,8 +88,9 @@ func stateWidthFor(n int) int {
 }
 
 // diskFiles is what the kernels of one attempt share: the lanes, the
-// scratch files (storage.ScratchFile: files on disk, buffers in RAM for a
-// tree's record image), the attempt's state width and the lanes' selections.
+// state file (storage.ScratchFile: a file on disk, a buffer in RAM for a
+// tree's record image), the attempt's state width and the lanes'
+// selections.
 type diskFiles struct {
 	n       int64               // nodes in the database
 	w       int                 // bytes per state id (stateByte, stateNarrow or stateWide)
@@ -96,10 +98,6 @@ type diskFiles struct {
 	sels    []*Result           // per lane, what its members select
 	stateF  storage.ScratchFile // phase 1 writes it, phase 2 reads it; nil when no lane has a slot, or forward
 	forward bool                // no phase 1: phase 2 takes bottom-up states from the records
-	auxF    storage.ScratchFile // input masks; nil without AuxIn
-	auxOutF storage.ScratchFile // output masks; nil without AuxOut, written by phase 2
-	inW     int                 // bytes per node of the aux-in sidecar
-	outW    int                 // bytes per node of the aux-out sidecar
 }
 
 // stateOff is the state-file offset of the states in slot's region of the
@@ -152,34 +150,13 @@ func (m *laneMarks) merge() {
 	}
 }
 
-// auxWindow reads the input masks of the n nodes from first on into buf.
-func (r *diskFiles) auxWindow(buf []byte, first int64, n int) ([]byte, error) {
-	if r.auxF == nil {
-		return nil, nil
-	}
-	buf = buf[:n*r.inW]
-	if _, err := r.auxF.ReadAt(buf, first*int64(r.inW)); err != nil {
-		return nil, fmt.Errorf("core: reading aux file: %w", err)
-	}
-	return buf, nil
-}
-
-func (r *diskFiles) auxBuf() []byte {
-	if r.auxF == nil {
-		return nil
-	}
-	return make([]byte, storage.WindowNodes*r.inW)
-}
-
 // foldKernel is phase 1 over one region — a worker's chunk or the leader's
 // glue: per lane the stack of subtree states and either a window's worth of
 // buffer for the states it writes or, for a lane without a state-file slot,
-// the marks its states decide; and one buffer for the aux masks every lane
-// reads.
+// the marks its states decide.
 type foldKernel struct {
 	*diskFiles
 	lanes []foldLane
-	aux   []byte
 	st    storage.ScanStats
 }
 
@@ -194,7 +171,7 @@ type foldLane struct {
 // newFold starts phase 1 over the region x, a worker's chunk or not, with
 // one cache per lane.
 func (r *diskFiles) newFold(caches []*StepCache, x storage.Extent, worker bool) *foldKernel {
-	k := &foldKernel{diskFiles: r, aux: r.auxBuf()}
+	k := &foldKernel{diskFiles: r}
 	for li, c := range caches {
 		l := foldLane{lane: &r.lanes[li], cache: c}
 		if l.slot >= 0 {
@@ -210,13 +187,9 @@ func (r *diskFiles) newFold(caches []*StepCache, x storage.Extent, worker bool) 
 // foldWindow steps every lane's δA over one window of records.
 func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 	n := len(recs) / storage.NodeSize
-	aux, err := k.auxWindow(k.aux, first, n)
-	if err != nil {
-		return err
-	}
 	for li := range k.lanes {
 		l := &k.lanes[li]
-		if err := k.fold(l, first, recs, aux); err != nil {
+		if err := k.fold(l, first, recs); err != nil {
 			return err
 		}
 		if l.slot < 0 {
@@ -233,18 +206,14 @@ func (k *foldKernel) foldWindow(first int64, recs []byte) error {
 // fold steps one lane over the window, last node first, and writes each
 // node's state to the lane's buffer — or, for a lane without a slot, marks
 // the node with its state's one-scan verdict.
-func (k *foldKernel) fold(l *foldLane, first int64, recs, aux []byte) error {
+func (k *foldKernel) fold(l *foldLane, first int64, recs []byte) error {
 	n := len(recs) / storage.NodeSize
-	w, inW := k.w, k.inW
+	w := k.w
 	var out []byte
 	if l.slot >= 0 {
 		out = l.states[:n*w]
 	}
-	var in []byte
-	if l.auxIn >= 0 {
-		in = aux[l.auxIn:]
-	}
-	cache, stack, maxStack := l.cache, l.stack, k.st.MaxStack
+	cache, stack, maxStack, aux := l.cache, l.stack, k.st.MaxStack, l.aux
 	for i := n - 1; i >= 0; i-- {
 		rec := binary.BigEndian.Uint16(recs[i*storage.NodeSize:])
 		left, right := NoState, NoState
@@ -261,8 +230,8 @@ func (k *foldKernel) fold(l *foldLane, first int64, recs, aux []byte) error {
 			right, stack = stack[len(stack)-1], stack[:len(stack)-1]
 		}
 		var extra uint16
-		if in != nil {
-			extra = binary.BigEndian.Uint16(in[i*inW:])
+		if aux != nil {
+			extra = aux.bits(first + int64(i))
 		}
 		// The table hits inline (see StepCache.sigHit); the calls are for
 		// the root, aux bits and transitions not cached yet.
@@ -324,8 +293,7 @@ func (k *foldKernel) finish() ([]StateID, error) {
 
 // scanKernel is phase 2 over one region [root, end): per lane with a
 // state-file slot (every lane of a forward attempt) the stack of top-down
-// states whose second subtree is pending and where the next node hangs,
-// and one aux-out buffer every lane fills.
+// states whose second subtree is pending and where the next node hangs.
 type scanKernel struct {
 	*diskFiles
 	root, end int64
@@ -335,9 +303,7 @@ type scanKernel struct {
 	// frontier of a scalar run has one — with its query mask.
 	visit visitFunc
 
-	aux    []byte
-	auxOut runWriter
-	st     storage.ScanStats
+	st storage.ScanStats
 }
 
 // visitFunc is the one per-node hook of phase 2 (scanKernel.visit): node v,
@@ -365,7 +331,7 @@ type scanLane struct {
 // root states are rootBU and which enters in rootTD, one each per lane;
 // lanes without a state-file slot take no part.
 func (r *diskFiles) newScan(caches []*StepCache, x storage.Extent, rootBU, rootTD []StateID, worker bool) *scanKernel {
-	k := &scanKernel{diskFiles: r, root: x.Root, end: x.End(), aux: r.auxBuf(), auxOut: runWriter{f: r.auxOutF}}
+	k := &scanKernel{diskFiles: r, root: x.Root, end: x.End()}
 	for li, c := range caches {
 		if r.lanes[li].slot < 0 {
 			continue
@@ -382,15 +348,6 @@ func (r *diskFiles) newScan(caches []*StepCache, x storage.Extent, rootBU, rootT
 // scanWindow steps every lane's δB over one window of records.
 func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 	n := len(recs) / storage.NodeSize
-	aux, err := k.auxWindow(k.aux, first, n)
-	if err != nil {
-		return err
-	}
-	var auxOut []byte
-	if k.auxOutF != nil {
-		auxOut = k.auxOut.at(first*int64(k.outW), n*k.outW)
-		clear(auxOut) // slots no lane fills stay zero
-	}
 	for li := range k.lanes {
 		l := &k.lanes[li]
 		var states []byte
@@ -400,7 +357,7 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 				return fmt.Errorf("core: reading state file: %w", err)
 			}
 		}
-		if err := k.scan(l, first, recs, states, aux, auxOut); err != nil {
+		if err := k.scan(l, first, recs, states); err != nil {
 			return err
 		}
 	}
@@ -411,7 +368,7 @@ func (k *scanKernel) scanWindow(first int64, recs []byte) error {
 // scan steps one lane over the window, first node first, taking each
 // node's bottom-up state from states, or from its record where states is
 // nil (a forward attempt: the region's root's came with the region).
-func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []byte) (err error) {
+func (k *scanKernel) scan(l *scanLane, first int64, recs, states []byte) (err error) {
 	n := len(recs) / storage.NodeSize
 	w := k.w
 	cache, pending, parent, kk, maxStack := l.cache, l.pending, l.parent, l.k, k.st.MaxStack
@@ -444,18 +401,6 @@ func (k *scanKernel) scan(l *scanLane, first int64, recs, states, aux, auxOut []
 		if k.visit != nil {
 			if err := k.visit(v, rec, mask); err != nil {
 				return err
-			}
-		}
-		if auxOut != nil {
-			for _, o := range l.outs {
-				var cur uint16
-				if o.in >= 0 {
-					cur = binary.BigEndian.Uint16(aux[i*k.inW+o.in:])
-				}
-				if mask&o.query != 0 {
-					cur |= o.bit
-				}
-				binary.BigEndian.PutUint16(auxOut[i*k.outW+o.slot:], cur)
 			}
 		}
 		if rec&storage.FlagSecond != 0 {
@@ -515,17 +460,12 @@ func (k *scanKernel) entryStates(x storage.Extent, bu []StateID) ([]StateID, err
 	return td, nil
 }
 
-// hole moves the scan past the skipped subtree x. A pruned one is selection
-// free, so all it leaves behind is zero output masks (prunable passes have
-// no aux input to propagate); a chunk writes its own, and its own kernel
-// counts its nodes and bytes.
+// hole moves the scan past the skipped subtree x: a pruned one, which is
+// selection free, or a chunk, whose own kernel counts its nodes and bytes.
 func (k *scanKernel) hole(x storage.Extent, pruned bool) error {
 	if pruned {
 		k.st.SkippedBytes += x.Size * storage.NodeSize
 		k.st.Nodes += x.Size
-		if k.auxOutF != nil {
-			k.auxOut.zeros(x.Root*int64(k.outW), x.Size*int64(k.outW))
-		}
 	}
 	for li := range k.lanes {
 		l := &k.lanes[li]
@@ -541,13 +481,12 @@ func (k *scanKernel) hole(x storage.Extent, pruned bool) error {
 	return nil
 }
 
-// finish checks that the region ended where its records said it would and
-// flushes its output masks.
+// finish checks that the region ended where its records said it would.
 func (k *scanKernel) finish() error {
 	for _, l := range k.lanes {
 		if l.k != 0 || len(l.pending) > 0 {
 			return fmt.Errorf("%w: %d announced subtrees missing at node %d", storage.ErrMalformed, len(l.pending)+1, k.end)
 		}
 	}
-	return k.auxOut.flush()
+	return nil
 }

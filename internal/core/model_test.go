@@ -956,15 +956,15 @@ func (k *checker) open(tr *arb.Tree) {
 	k.t.Cleanup(func() { k.sess.Close() })
 }
 
-// noLeftovers fails when an execution left a state file, an aux sidecar
-// or a temporary file behind.
+// noLeftovers fails when an execution left a state file or a temporary
+// file behind.
 func (k *checker) noLeftovers() {
 	filepath.WalkDir(k.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			k.t.Fatal(err)
 		}
 		name := d.Name()
-		if strings.HasSuffix(name, ".sta") || strings.HasPrefix(name, "arb-aux-") || strings.Contains(name, ".tmp") {
+		if strings.HasSuffix(name, ".sta") || strings.Contains(name, ".tmp") {
 			k.t.Errorf("%s: an execution left %s behind", k.label("files"), path)
 		}
 		return nil

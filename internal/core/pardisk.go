@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"sync"
@@ -79,15 +78,15 @@ func (e *Engine) RunDiskParallelContext(ctx context.Context, db *storage.DB, wor
 // (product.go): up to 64 query predicates' worth of members share one
 // product automaton, so a batch of single-pass queries usually costs one
 // automaton step per node and one state id per node, whatever its size.
-// Auxiliary masks ride in widened sidecars with one slot per member
-// (DiskBatchOpts), so multi-pass members chain their passes through shared
-// scans too. Results are identical to running each member through
-// RunDiskContext alone. It is RunDiskBatchParallel with one worker: the
-// disk driver run with an empty frontier. Cancelling ctx aborts the scan
-// in progress; a failed or cancelled run removes its state file (the aux
-// sidecars are the caller's). Marked XML, the one per-run option of
-// the embedded DiskOpts that names one query's output, needs a batch of one
-// member.
+// Multi-pass members chain their passes through shared scans too: a
+// member's aux pass publishes its selection as a plane of
+// DiskBatchOpts.Aux, which its later passes read in phase 1. Results are
+// identical to running each member through RunDiskContext alone. It is
+// RunDiskBatchParallel with one worker: the disk driver run with an empty
+// frontier. Cancelling ctx aborts the scan in progress; a failed or
+// cancelled run removes its state file and publishes no plane. Marked XML,
+// the one per-run option of the embedded DiskOpts that names one query's
+// output, needs a batch of one member.
 func RunDiskBatch(ctx context.Context, db *storage.DB, members []BatchMember, opts DiskBatchOpts) ([]*Result, Stats, *DiskStats, error) {
 	return RunDiskBatchParallel(ctx, db, 1, members, opts)
 }
@@ -108,11 +107,16 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 	case len(members) > 1 && opts.MarkTo != nil:
 		return nil, Stats{}, nil, errors.New("core: marked output needs a batch of one member")
 	}
-	return newDiskBatch(members, opts).exec(ctx, db, workers)
+	r := newDiskBatch(members, opts)
+	res, agg, ds, err := r.exec(ctx, db, workers)
+	if err == nil {
+		r.publish(res) // after every attempt: only a run that succeeded publishes
+	}
+	return res, agg, ds, err
 }
 
 // diskBatch is what one disk run evaluates: its members, in lanes, and the
-// sidecars around them. A scalar run is a batch of one.
+// aux planes they read. A scalar run is a batch of one.
 type diskBatch struct {
 	members []BatchMember
 	engines []*Engine // the members'
@@ -121,7 +125,7 @@ type diskBatch struct {
 }
 
 func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
-	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.AuxIn != nil, opts.Run)}
+	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.Aux, opts.Run)}
 	for _, bm := range members {
 		r.engines = append(r.engines, bm.E)
 	}
@@ -163,6 +167,22 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 	return res, agg, ds, err
 }
 
+// publish sets the plane of each aux-writing member to the words of its
+// result's first query predicate, res being the run's results.
+func (r *diskBatch) publish(res []*Result) {
+	for m, bm := range r.members {
+		if bm.AuxOutSlot < 0 {
+			continue
+		}
+		p := r.opts.Aux[bm.AuxOutSlot]
+		if n := int(bm.AuxOutBit) + 1; len(p) < n {
+			p = append(p, make(AuxPlanes, n-len(p))...)
+		}
+		p[bm.AuxOutBit] = res[m].sel[0]
+		r.opts.Aux[bm.AuxOutSlot] = p
+	}
+}
+
 // width is the run's initial state width: the widest any member's engine
 // asks for.
 func (r *diskBatch) width() int {
@@ -176,11 +196,12 @@ func (r *diskBatch) width() int {
 // decided reports whether lane l's selections are decided in phase 1 of
 // this run, so that the lane needs neither state-file slot nor phase 2:
 // every member's program admits one-scan verdicts (analysis.go), and the
-// run reads no aux input and writes no aux output or marked XML (aux masks
-// are per-node facts outside the verdicts, and marked XML needs phase 2's
-// document-order visit).
+// run reads no aux input and writes no marked XML (aux bits are per-node
+// facts outside the verdicts, and marked XML needs phase 2's
+// document-order visit). An aux-writing lane may be decided: the marks
+// phase 1 makes are the plane it publishes.
 func (r *diskBatch) decided(l *lane) bool {
-	if r.opts.AuxIn != nil || r.opts.AuxOut != nil || r.opts.MarkTo != nil {
+	if r.readsAux() || r.opts.MarkTo != nil {
 		return false
 	}
 	for _, m := range l.members {
@@ -194,10 +215,10 @@ func (r *diskBatch) decided(l *lane) bool {
 // forward reports whether this run's bottom-up states are its records'
 // (analysis.go), so that phase 2 alone answers it, computing each node's
 // state from the record it reads: every member's program admits the
-// forward verdict, and the run reads no aux input (aux masks are per-node
+// forward verdict, and the run reads no aux input (aux bits are per-node
 // facts outside the records).
 func (r *diskBatch) forward() bool {
-	if r.opts.AuxIn != nil {
+	if r.readsAux() {
 		return false
 	}
 	for _, e := range r.engines {
@@ -208,6 +229,16 @@ func (r *diskBatch) forward() bool {
 	return true
 }
 
+// readsAux reports whether a member of the run reads aux input.
+func (r *diskBatch) readsAux() bool {
+	for _, bm := range r.members {
+		if bm.AuxInSlot >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // plan is the one prune gate of the disk runs, scalar and batch. Seeking
 // past extents the static analysis proves irrelevant to every member is
 // sound only without aux input (aux bits vary per node) and without marked
@@ -216,7 +247,7 @@ func (r *diskBatch) forward() bool {
 // has none: the planner then loads the index itself, and failing to costs
 // the run its plan, not its answer.
 func (r *diskBatch) plan(ctx context.Context, db *storage.DB, ix *storage.SubtreeIndex) *PrunePlan {
-	if r.opts.NoPrune || r.opts.AuxIn != nil || r.opts.MarkTo != nil || db.N < pruneMinNodes {
+	if r.opts.NoPrune || r.readsAux() || r.opts.MarkTo != nil || db.N < pruneMinNodes {
 		return nil
 	}
 	if ix == nil {
@@ -296,14 +327,10 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 	workers = min(workers, len(tasks))
 
 	a.files = &diskFiles{
-		n:       db.N,
-		w:       width,
-		lanes:   slices.Clone(r.lanes),
-		sels:    make([]*Result, len(r.lanes)),
-		inW:     int(storage.MaskStride(r.opts.AuxInStride)),
-		outW:    int(storage.MaskStride(r.opts.AuxOutStride)),
-		auxF:    r.opts.AuxIn,
-		auxOutF: r.opts.AuxOut,
+		n:     db.N,
+		w:     width,
+		lanes: slices.Clone(r.lanes),
+		sels:  make([]*Result, len(r.lanes)),
 	}
 	a.subs = make([]StateID, len(r.lanes))
 	slots := 0
@@ -638,52 +665,4 @@ func runPool(ctx context.Context, workers, n int, run func(worker, i int) error)
 		}
 	}
 	return ctx.Err()
-}
-
-// runWriter buffers WriteAt output that arrives in ascending runs with
-// occasional jumps (pruned holes, the leader's scattered glue writes):
-// contiguous bytes collect in one buffer, and a jump — or a full buffer —
-// writes it out at the run's offset. Errors surface at flush.
-type runWriter struct {
-	f     io.WriterAt
-	buf   []byte // the current run's bytes not yet written
-	start int64  // file offset of buf[0]
-	err   error
-}
-
-const runWriterBuf = 1 << 16
-
-// at returns the n bytes at file offset off for the caller to fill in
-// place: per-node masks are encoded straight into the buffer, with no
-// temporary that would escape through an io.Writer.
-func (rw *runWriter) at(off int64, n int) []byte {
-	if off != rw.start+int64(len(rw.buf)) || len(rw.buf)+n > cap(rw.buf) {
-		rw.flush()
-		if cap(rw.buf) < n {
-			rw.buf = make([]byte, 0, max(n, runWriterBuf))
-		}
-		rw.start = off
-	}
-	rw.buf = rw.buf[:len(rw.buf)+n]
-	return rw.buf[len(rw.buf)-n:]
-}
-
-// zeros writes n zero bytes at offset off: the aux-mask slots of a pruned
-// extent (none of its nodes is ever selected, and prunable passes have no
-// aux input to propagate).
-func (rw *runWriter) zeros(off, n int64) {
-	for n > 0 {
-		c := min(n, runWriterBuf)
-		clear(rw.at(off, int(c)))
-		off += c
-		n -= c
-	}
-}
-
-func (rw *runWriter) flush() error {
-	if len(rw.buf) > 0 && rw.err == nil {
-		_, rw.err = rw.f.WriteAt(rw.buf, rw.start)
-	}
-	rw.buf = rw.buf[:0]
-	return rw.err
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -77,7 +76,7 @@ func sameResults(t *testing.T, prog *tmnf.Program, n int, got, want *Result, lab
 }
 
 // sameAsNaive asserts res selects, for every query of prog, exactly what
-// the naive fixpoint oracle derives over tr with the aux masks (nil: none):
+// the naive fixpoint oracle derives over tr with the aux bits (nil: none):
 // the independent check beside comparisons of the one driver's variants —
 // in memory, on disk, parallel, batched — with each other.
 func sameAsNaive(t *testing.T, prog *tmnf.Program, tr *tree.Tree, aux func(tree.NodeID) uint16, res *Result, label string) {
@@ -92,65 +91,51 @@ func sameAsNaive(t *testing.T, prog *tmnf.Program, tr *tree.Tree, aux func(tree.
 	}
 }
 
-// chained is e as a batch of one chaining aux masks the way one pass of a
-// multi-pass query does: it reads slot 0 of the one-slot sidecar auxIn
-// when that is set, and writes its input masks ORed with bit wherever its
-// first query predicate holds to slot 0 of auxOut when that is set.
-func chained(e *Engine, auxIn, auxOut storage.ScratchFile, bit uint8, opts DiskOpts) ([]BatchMember, DiskBatchOpts) {
-	bm := BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1, AuxOutBit: bit}
-	bo := DiskBatchOpts{DiskOpts: opts, AuxIn: auxIn, AuxOut: auxOut}
-	if auxIn != nil {
-		bm.AuxInSlot, bo.AuxInStride = 0, 1
+// chained is e as a batch of one chaining aux planes the way one pass of
+// a multi-pass query does, through the one slot of aux: with in set it
+// reads the planes already there, and with out >= 0 a successful run
+// publishes its first query predicate's selection there as plane out.
+func chained(e *Engine, aux []AuxPlanes, in bool, out int, opts DiskOpts) ([]BatchMember, DiskBatchOpts) {
+	bm := BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1}
+	if in {
+		bm.AuxInSlot = 0
 	}
-	if auxOut != nil {
-		bm.AuxOutSlot, bo.AuxOutStride = 0, 1
+	if out >= 0 {
+		bm.AuxOutSlot, bm.AuxOutBit = 0, uint8(out)
 	}
-	return []BatchMember{bm}, bo
+	return []BatchMember{bm}, DiskBatchOpts{DiskOpts: opts, Aux: aux}
 }
 
-// sidecar creates an aux-mask scratch file of db with stride slots a node,
-// closed (and so removed) when the test ends.
-func sidecar(t *testing.T, db *storage.DB, stride int) storage.ScratchFile {
-	t.Helper()
-	f, err := db.CreateScratch(db.N * storage.MaskStride(stride))
-	if err != nil {
-		t.Fatal(err)
+// planesOf returns the aux planes of a node set over n nodes: plane b
+// holds the nodes whose aux(v) has bit b, up to the highest bit any node
+// has.
+func planesOf(n int64, aux func(tree.NodeID) uint16) AuxPlanes {
+	var planes AuxPlanes
+	for v := range n {
+		for m, b := aux(tree.NodeID(v)), 0; m != 0; m, b = m>>1, b+1 {
+			for len(planes) <= b {
+				planes = append(planes, make([]uint64, (n+63)/64))
+			}
+			planes[b][v/64] |= uint64(m&1) << (v % 64)
+		}
 	}
-	t.Cleanup(func() { f.Close() })
-	return f
+	return planes
 }
 
-// masksOf reads the whole of db's aux-mask sidecar f of stride slots a node.
-func masksOf(t *testing.T, db *storage.DB, f storage.ScratchFile, stride int) []byte {
-	t.Helper()
-	masks := make([]byte, db.N*storage.MaskStride(stride))
-	if _, err := f.ReadAt(masks, 0); err != nil {
-		t.Fatal(err)
-	}
-	return masks
+// samePlanes reports whether a and b hold the same planes, word for word.
+func samePlanes(a, b []AuxPlanes) bool {
+	return slices.EqualFunc(a, b, func(x, y AuxPlanes) bool { return slices.EqualFunc(x, y, slices.Equal) })
 }
 
 // runTreeAux runs e over tr's record image as a batch of one reading the
-// masks aux gives every node, from slot 0 of a one-slot sidecar in RAM.
+// aux bits aux gives every node, as planes.
 func runTreeAux(ctx context.Context, e *Engine, tr *tree.Tree, aux func(tree.NodeID) uint16) (*Result, error) {
 	db, err := storage.OpenTree(tr, nil)
 	if err != nil {
 		return nil, err
 	}
 	db.Names = e.names
-	masks := make([]byte, db.N*storage.MaskSize)
-	for v := range db.N {
-		binary.BigEndian.PutUint16(masks[v*storage.MaskSize:], aux(tree.NodeID(v)))
-	}
-	f, err := db.CreateScratch(int64(len(masks)))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(masks, 0); err != nil {
-		return nil, err
-	}
-	members, opts := chained(e, f, nil, 0, DiskOpts{})
+	members, opts := chained(e, []AuxPlanes{planesOf(db.N, aux)}, true, -1, DiskOpts{})
 	res, _, _, err := RunDiskBatch(ctx, db, members, opts)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"arb/internal/edb"
 	"arb/internal/guard"
-	"arb/internal/storage"
 	"arb/internal/tree"
 )
 
@@ -201,11 +200,10 @@ func (p *product) state(members []StateID) (id StateID) {
 type lane struct {
 	st      stepper
 	names   *tree.Names
-	members []int // indices into the run's members
-	offs    []int // each member's first bit in the lane's query mask
-	nq      int   // query predicates in all
-	auxIn   int   // byte offset of the lane's mask in a node's aux-in vector; -1 for none
-	outs    []laneOut
+	members []int     // indices into the run's members
+	offs    []int     // each member's first bit in the lane's query mask
+	nq      int       // query predicates in all
+	aux     AuxPlanes // the planes its one member reads; nil for none
 	// slot is the lane's region of one attempt's state file, or -1 when
 	// its bottom-up states decide its selections and phase 2 skips it. A
 	// forward attempt has no state file, and every lane a slot: all of
@@ -213,31 +211,22 @@ type lane struct {
 	slot int
 }
 
-// laneOut is one member's slot of the aux-out sidecar: its aux-in mask (at
-// byte offset in of the node's input vector; none for -1) ORed with bit
-// wherever the lane's query mask has query. slot is a byte offset too.
-type laneOut struct {
-	slot, in int
-	bit      uint16
-	query    uint64
-}
-
 // lanesFor splits a run's members into lanes, greedily in member order: a
 // lane holds at most maxLaneQueries query predicates, and a member that
-// reads aux input (readsAux and a slot) steps alone — the product's
-// signature classes carry no aux bits.
-func lanesFor(members []BatchMember, readsAux bool, rs *RunStats) []lane {
+// reads aux input steps alone with its planes — the product's signature
+// classes carry no aux bits.
+func lanesFor(members []BatchMember, aux []AuxPlanes, rs *RunStats) []lane {
 	var lanes []lane
 	var cur []int
 	nq := 0
 	flush := func() {
 		if len(cur) > 0 {
-			lanes = append(lanes, newLane(members, cur, readsAux, rs))
+			lanes = append(lanes, newLane(members, cur, rs))
 			cur, nq = nil, 0
 		}
 	}
 	for m, bm := range members {
-		alone := readsAux && bm.AuxInSlot >= 0
+		alone := bm.AuxInSlot >= 0
 		q := len(bm.E.c.Queries)
 		if alone || nq+q > maxLaneQueries {
 			flush()
@@ -245,29 +234,20 @@ func lanesFor(members []BatchMember, readsAux bool, rs *RunStats) []lane {
 		cur, nq = append(cur, m), nq+q
 		if alone {
 			flush()
+			lanes[len(lanes)-1].aux = aux[bm.AuxInSlot]
 		}
 	}
 	flush()
 	return lanes
 }
 
-func newLane(members []BatchMember, idx []int, readsAux bool, rs *RunStats) lane {
-	l := lane{names: members[idx[0]].E.names, members: idx, auxIn: -1}
+func newLane(members []BatchMember, idx []int, rs *RunStats) lane {
+	l := lane{names: members[idx[0]].E.names, members: idx}
 	shared := make([]*SharedEngine, len(idx))
 	for j, m := range idx {
-		bm := members[m]
-		shared[j] = bm.E.ShareTo(rs)
+		shared[j] = members[m].E.ShareTo(rs)
 		l.offs = append(l.offs, l.nq)
-		in := -1
-		if readsAux && bm.AuxInSlot >= 0 {
-			in = bm.AuxInSlot * storage.MaskSize
-			l.auxIn = in
-		}
-		if bm.AuxOutSlot >= 0 {
-			l.outs = append(l.outs, laneOut{slot: bm.AuxOutSlot * storage.MaskSize, in: in,
-				bit: 1 << bm.AuxOutBit, query: 1 << uint(l.nq)})
-		}
-		l.nq += len(bm.E.c.Queries)
+		l.nq += len(members[m].E.c.Queries)
 	}
 	if len(idx) == 1 {
 		l.st = shared[0]

@@ -228,10 +228,10 @@ func TestBatchProductOverflowRerunsWide(t *testing.T) {
 	}
 }
 
-// TestBatchCancelInPhase2LeavesNoFiles cancels a batch writing an aux
-// sidecar from a context poll inside phase 2: the run must report
-// ctx.Err(), remove its state file (the partial sidecar is gone once its
-// owner closes it), and credit no node to its engines or its run.
+// TestBatchCancelInPhase2LeavesNoFiles cancels a batch with an
+// aux-writing member from a context poll inside phase 2: the run must
+// report ctx.Err(), remove its state file, publish no aux plane, and credit
+// no node to its engines or its run.
 func TestBatchCancelInPhase2LeavesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<16))
@@ -256,17 +256,14 @@ func TestBatchCancelInPhase2LeavesNoFiles(t *testing.T) {
 	members[1].AuxOutSlot = 0
 	windows := int32((db.N + storage.WindowNodes - 1) / storage.WindowNodes)
 	rs := &RunStats{}
-	out, err := db.CreateScratch(db.N * storage.MaskStride(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	aux := make([]AuxPlanes, 1)
 	_, _, _, err = RunDiskBatch(cancelAtPoll{context.Background(), new(atomic.Int32), windows + windows/2}, db, members,
-		DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: true, Run: rs}, AuxOut: out, AuxOutStride: 1})
+		DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: true, Run: rs}, Aux: aux})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
+	if aux[0] != nil {
+		t.Fatalf("cancelled batch published %d aux planes, want none", len(aux[0]))
 	}
 	if got := rs.Snapshot(); got.Nodes != 0 || got.PrunedNodes != 0 {
 		t.Fatalf("cancelled batch credits %+v to its run, want no nodes", got)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -287,34 +286,33 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 		}
 
 		// checkRows holds an entry point — run executes it and checks the
-		// answer — to its own unpruned run in every row: the same aux output,
-		// a profile in which each phase read or skipped every byte once and
-		// skipped exactly the plan's nodes, credited once per member, and at
-		// four workers with an empty frontier the very profile of one worker.
-		// The label programs' records decide their bottom-up states, so every
-		// row runs as one forward scan — phase 2's holes alone; over a root
-		// with a second child, a shape the forward verdict leaves out, it
-		// starts over with two scans — and once more with two scans forced,
-		// phase 1's holes too.
-		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte)) {
+		// answer — to its own unpruned run in every row: the same aux planes,
+		// word for word, a profile in which each phase read or skipped every
+		// byte once and skipped exactly the plan's nodes, credited once per
+		// member, and at four workers with an empty frontier the very profile
+		// of one worker. The label programs' bottom-up states decide their
+		// selections, aux-writing or not, so every row runs as one backward
+		// scan — phase 1's holes alone — and once more with two scans forced,
+		// phase 2's holes too.
+		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes)) {
 			t.Helper()
-			var refAux []byte
+			var refAux []AuxPlanes
 			for _, twoScans := range []bool{false, true} {
 				oneScanOff = twoScans
 				label := fmt.Sprintf("%s, two scans forced %v", label, twoScans)
-				check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, masks []byte) {
+				check := func(label string, pruned int64, ds *DiskStats, rs *RunStats, aux []AuxPlanes) {
 					t.Helper()
 					if refAux == nil {
-						refAux = masks
-					} else if !bytes.Equal(masks, refAux) {
+						refAux = aux
+					} else if !samePlanes(aux, refAux) {
 						t.Fatalf("%s: aux output differs from the unpruned run's", label)
 					}
 					phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
-					if !twoScans && !tr.HasSecond(0) {
-						if ds.Phase1 != (storage.ScanStats{}) || ds.StateBytes != 0 || ds.OneScan != 1 {
-							t.Fatalf("%s: phase 1 %+v, %d state bytes, one-scan %d: want one forward scan", label, ds.Phase1, ds.StateBytes, ds.OneScan)
+					if !twoScans {
+						if ds.Phase2 != (storage.ScanStats{}) || ds.StateBytes != 0 || ds.OneScan != 1 {
+							t.Fatalf("%s: phase 2 %+v, %d state bytes, one-scan %d: want one backward scan", label, ds.Phase2, ds.StateBytes, ds.OneScan)
 						}
-						phases = phases[1:]
+						phases = phases[:1]
 					}
 					for _, ph := range phases {
 						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
@@ -357,16 +355,16 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAsNaive(t, prog, tr, nil, want, tc.name+": in-memory reference")
-			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte) {
+			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes) {
 				rs := &RunStats{}
-				out := sidecar(t, db, 1)
-				members, opts := chained(NewEngine(c, db.Names), nil, out, 1, DiskOpts{NoPrune: noPrune, Run: rs})
+				aux := make([]AuxPlanes, 1)
+				members, opts := chained(NewEngine(c, db.Names), aux, false, 1, DiskOpts{NoPrune: noPrune, Run: rs})
 				res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				sameResults(t, prog, tr.Len(), res[0], want, tc.name)
-				return ds, rs, masksOf(t, db, out, 1)
+				return ds, rs, aux
 			})
 		}
 
@@ -383,22 +381,22 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			}
 			sameAsNaive(t, prog, tr, nil, wants[i], tc.name+": in-memory reference")
 		}
-		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []byte) {
+		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes) {
 			members := batchMembers(t, progs, db.Names)
 			for m := range members {
 				members[m].AuxOutSlot, members[m].AuxOutBit = m, uint8(m)
 			}
 			rs := &RunStats{}
-			out := sidecar(t, db, len(members))
+			aux := make([]AuxPlanes, len(members))
 			res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members,
-				DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}, AuxOut: out, AuxOutStride: len(members)})
+				DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}, Aux: aux})
 			if err != nil {
 				t.Fatalf("%s: batch: %v", tc.name, err)
 			}
 			for i, prog := range progs {
 				sameResults(t, prog, tr.Len(), res[i], wants[i], tc.name+", batch")
 			}
-			return ds, rs, masksOf(t, db, out, len(members))
+			return ds, rs, aux
 		})
 	}
 }

@@ -210,10 +210,9 @@ func (c cancelAtPoll) Err() error {
 // TestRunDiskCancelMidScanLeavesNoFiles cancels a disk run from inside
 // phase 2, at whatever node the marked-XML output first spills its buffer
 // — mid-window for the block-at-a-time readers — and checks the run
-// reports ctx.Err() and removes its state file (the partial aux sidecar
-// is gone once its owner closes it); then cancels a pruned run between its
-// phases, which must in addition credit no pruned nodes: a cancelled run
-// saved nothing.
+// reports ctx.Err(), removes its state file and publishes no aux plane;
+// then cancels a pruned run between its phases, which must in addition
+// credit no pruned nodes: a cancelled run saved nothing.
 func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	dir := t.TempDir()
 	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<16))
@@ -236,11 +235,8 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, err := db.CreateScratch(db.N * storage.MaskStride(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	members, opts := chained(NewEngine(c, db.Names), nil, out, 0, DiskOpts{MarkTo: cancelOnWrite{cancel}})
+	aux := make([]AuxPlanes, 1)
+	members, opts := chained(NewEngine(c, db.Names), aux, false, 0, DiskOpts{MarkTo: cancelOnWrite{cancel}})
 	_, _, _, err = RunDiskBatch(ctx, db, members, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
@@ -256,13 +252,13 @@ func TestRunDiskCancelMidScanLeavesNoFiles(t *testing.T) {
 	if ix, err := db.Index(context.Background(), 0); err != nil || PlanPrune([]*Engine{e}, ix, db.N) == nil {
 		t.Fatalf("no prune plan for a label the document lacks (index error %v)", err)
 	}
-	members, opts = chained(e, nil, out, 0, DiskOpts{Run: rs})
+	members, opts = chained(e, aux, false, 0, DiskOpts{Run: rs})
 	_, _, _, err = RunDiskBatch(cancelAtPoll{context.Background(), new(atomic.Int32), 2}, db, members, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pruned run: error %v, want context.Canceled", err)
 	}
-	if err := out.Close(); err != nil {
-		t.Fatal(err)
+	if aux[0] != nil {
+		t.Fatalf("cancelled runs published %d aux planes, want none", len(aux[0]))
 	}
 	if got, eng := rs.Snapshot().PrunedNodes, e.Stats().PrunedNodes; got != 0 || eng != 0 {
 		t.Fatalf("cancelled pruned run credits %d pruned nodes to the run and %d to the engine, want 0", got, eng)
@@ -339,9 +335,10 @@ func sameSelection(t *testing.T, got, want *Result, label string) {
 // (storage.WindowNodes) and the 16-times-larger reads under them — from a
 // raw file, an LZ container and a stitched vstore snapshot, with and
 // without a prune plan, with an empty frontier and with chunks, at every
-// state width and as one forward scan (the first pass's label program has
-// its bottom-up states decided by the records), through a two-pass aux
-// chain and with marked output, and holds every answer, aux sidecar and
+// state width and as one backward scan (the first pass's label program has
+// its selection decided by its bottom-up states, and the marks phase 1
+// makes are the aux plane it publishes), through a two-pass aux chain and
+// with marked output, and holds every answer, aux plane and
 // marked document to the node-at-a-time in-memory engine over the tree the
 // per-record scan reads back.
 func TestWindowKernelEdges(t *testing.T) {
@@ -405,19 +402,7 @@ func TestWindowKernelEdges(t *testing.T) {
 		}
 		sameAsNaive(t, progs[0], ref, nil, want0, src.name+": pass 0 reference")
 		sameAsNaive(t, progs[1], ref, aux1, want1, src.name+": pass 1 reference")
-		q1 := progs[1].Queries()[0]
-		wantAux := [2][]byte{make([]byte, 2*db.N), make([]byte, 2*db.N)}
-		for v := int64(0); v < db.N; v++ {
-			var m uint16
-			if want0.Holds(q0, tree.NodeID(v)) {
-				m |= 1
-			}
-			binary.BigEndian.PutUint16(wantAux[0][2*v:], m)
-			if want1.Holds(q1, tree.NodeID(v)) {
-				m |= 2
-			}
-			binary.BigEndian.PutUint16(wantAux[1][2*v:], m)
-		}
+		wantAux := []AuxPlanes{{want0.sel[0], want1.sel[0]}}
 		plan := PlanPrune([]*Engine{NewEngine(cs[0], db.Names)}, ix, db.N)
 		if plan == nil || !slices.Equal(plan.Extents, exts) {
 			t.Fatalf("%s: plan %+v, want the blobs %v", src.name, plan, exts)
@@ -429,25 +414,28 @@ func TestWindowKernelEdges(t *testing.T) {
 					if width != stateByte && width != 0 && (db != raw || plan == nil || tasks == nil) {
 						continue // the wider codecs: one row, the one with every kind of hole
 					}
-					// Width 0 is the forward scan: one phase, no state file.
-					forward := width == 0
+					// Width 0 is one scan: the label program's bottom-up
+					// states decide its selection, so phase 1 alone.
+					oneScan := width == 0
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
-					aux0, aux1 := sidecar(t, db, 1), sidecar(t, db, 1)
-					res, _, ds, err := newDiskBatch(chained(NewEngine(cs[0], db.Names), nil, aux0, 0, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), forward, plan)
+					aux := make([]AuxPlanes, 1)
+					b := newDiskBatch(chained(NewEngine(cs[0], db.Names), aux, false, 0, DiskOpts{}))
+					res, _, ds, err := b.runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), oneScan, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
+					b.publish(res)
 					sameSelection(t, res[0], want0, label)
 					var pruned int64
 					if plan != nil {
 						pruned = plan.Nodes
 					}
 					phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
-					if forward {
-						if ds.Phase1 != (storage.ScanStats{}) || ds.OneScan != 1 {
-							t.Fatalf("%s: phase 1 %+v, one-scan %d: want one forward scan", label, ds.Phase1, ds.OneScan)
+					if oneScan {
+						if ds.Phase2 != (storage.ScanStats{}) || ds.OneScan != 1 {
+							t.Fatalf("%s: phase 2 %+v, one-scan %d: want one backward scan", label, ds.Phase2, ds.OneScan)
 						}
-						phases = phases[1:]
+						phases = phases[:1]
 					}
 					for _, ph := range phases {
 						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
@@ -458,15 +446,14 @@ func TestWindowKernelEdges(t *testing.T) {
 						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
 					}
 					// The aux-reading pass never prunes.
-					res, _, _, err = newDiskBatch(chained(NewEngine(cs[1], db.Names), aux0, aux1, 1, DiskOpts{})).runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), true, nil)
-					if err != nil {
+					b = newDiskBatch(chained(NewEngine(cs[1], db.Names), aux, true, 1, DiskOpts{}))
+					if res, _, _, err = b.runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), true, nil); err != nil {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}
+					b.publish(res)
 					sameSelection(t, res[0], want1, label+", pass 1")
-					for i, f := range []storage.ScratchFile{aux0, aux1} {
-						if !bytes.Equal(masksOf(t, db, f, 1), wantAux[i]) {
-							t.Fatalf("%s: pass %d wrote aux masks that differ from the reference", label, i)
-						}
+					if !samePlanes(aux, wantAux) {
+						t.Fatalf("%s: the passes published aux planes that differ from the reference", label)
 					}
 				}
 			}

@@ -229,15 +229,6 @@ func (p *Program) TruePreds() []Atom {
 	return dedupSorted(out)
 }
 
-// PredsAsRules converts a set of predicates into facts.
-func PredsAsRules(atoms []Atom) []Rule {
-	out := make([]Rule, len(atoms))
-	for i, a := range atoms {
-		out[i] = Rule{Head: a}
-	}
-	return out
-}
-
 // PushDownProgram returns a copy of p (which must mention only local atoms)
 // with every atom moved to the superscript-k space.
 func PushDownProgram(u Universe, k int, p *Program) []Rule {

@@ -324,10 +324,6 @@ func TestPredsHelpers(t *testing.T) {
 	if !reflect.DeepEqual(up, []Atom{u.LocalAtom(1)}) {
 		t.Errorf("PushUpFrom = %v", up)
 	}
-	rules := PredsAsRules([]Atom{3, 5})
-	if len(rules) != 2 || !rules[0].IsFact() || rules[1].Head != 5 {
-		t.Errorf("PredsAsRules = %v", rules)
-	}
 }
 
 // TestContractIdempotent: contracting an already-contracted program is a

@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -64,10 +61,10 @@ func TestScanCancel(t *testing.T) {
 	}
 }
 
-// TestBatchScanCancel covers the shapes batch execution relies on: the
-// widened aux-mask sidecar's exact size, and vector-state folds (one state
-// per batch member), which a cancelled context aborts before any node is
-// visited; no temporary files survive next to the database.
+// TestBatchScanCancel covers the shape batch execution relies on:
+// vector-state folds (one state per batch member), which a cancelled
+// context aborts before any node is visited; no temporary files survive
+// next to the database.
 func TestBatchScanCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr := testutil.RandomTree(rng, 600)
@@ -77,32 +74,7 @@ func TestBatchScanCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-
-	// A widened mask sidecar with one slot per member, as batch rounds
-	// write it: slot m of node v carries v+m (for positioning checks). It
-	// is an anonymous scratch file exactly as long as its masks.
 	const stride = 3
-	size := db.N * MaskStride(stride)
-	maskF, err := db.CreateScratch(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maskBytes := make([]byte, size)
-	for v := int64(0); v < db.N; v++ {
-		for m := 0; m < stride; m++ {
-			binary.BigEndian.PutUint16(maskBytes[v*MaskStride(stride)+int64(m)*MaskSize:], uint16(v)+uint16(m))
-		}
-	}
-	if _, err := maskF.WriteAt(maskBytes, 0); err != nil {
-		t.Fatal(err)
-	}
-	back := make([]byte, size+1)
-	if n, err := maskF.ReadAt(back, 0); n != int(size) || !errors.Is(err, io.EOF) || !bytes.Equal(back[:n], maskBytes) {
-		t.Fatalf("mask sidecar reads back %d bytes (%v), want its %d bytes then EOF", n, err, size)
-	}
-	if err := maskF.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Vector-state scans (the batch shape: S = one state per member)
 	// honour cancellation before visiting a single node.
@@ -127,7 +99,7 @@ func TestBatchScanCancel(t *testing.T) {
 		t.Errorf("cancelled batch-shaped scans visited %d nodes, want 0", visited)
 	}
 
-	// Nothing beyond the database files: closing the sidecar removed it.
+	// Nothing beyond the database files.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -550,9 +550,6 @@ func (bw *BlockWriter) Close() error {
 	return nil
 }
 
-// Logical returns the logical bytes written so far.
-func (bw *BlockWriter) Logical() int64 { return bw.logical + int64(bw.used) }
-
 // CompressInPlace rewrites base.arb as an LZ container (blockSize 0
 // for the default), committed through WriteFile; codec must be CodecLZ. A
 // database that is already compressed is first served raw through its own

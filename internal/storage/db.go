@@ -164,8 +164,8 @@ func (db *DB) RecordAt(v int64) (Record, error) {
 
 // NewVirtualDB wraps an arbitrary record source as a database handle: r
 // must serve n nodes (n*NodeSize bytes) of well-formed preorder records
-// via ReadAt. base anchors relative temp files (disk runs place state
-// and aux sidecars next to it) but names no actual .arb file; ix is the
+// via ReadAt. base anchors relative temp files (disk runs place their
+// state files next to it) but names no actual .arb file; ix is the
 // subtree index describing r (virtual databases never read or write .idx
 // sidecars; nil builds one from r on first use). Closing a virtual DB is a
 // no-op: the segment files behind r belong to whoever stitched it (the

@@ -46,8 +46,3 @@ func (s *LabelSig) Or(o LabelSig) {
 func (s LabelSig) Intersects(o LabelSig) bool {
 	return s[0]&o[0]|s[1]&o[1]|s[2]&o[2]|s[3]&o[3] != 0
 }
-
-// IsZero reports an empty signature.
-func (s LabelSig) IsZero() bool {
-	return s[0]|s[1]|s[2]|s[3] == 0
-}

@@ -286,7 +286,7 @@ func TestScansAgreeWithTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		docDepth := tree.DocDepth(tr)
+		docDepth := int(slices.Max(tr.DocDepth()))
 
 		// Top-down: records must arrive in preorder with correct parents.
 		type info struct{ v int64 }

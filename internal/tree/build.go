@@ -5,6 +5,15 @@ import (
 	"fmt"
 )
 
+// EventHandler consumes a document event stream; it is structurally
+// identical to xmlparse.Handler (tree cannot import xmlparse, which
+// depends on this package). A Builder is one.
+type EventHandler interface {
+	Begin(name string) error
+	Text(s []byte) error
+	End() error
+}
+
 // Builder incrementally constructs a Tree from an unranked-document event
 // stream (begin-element / text / end-element), producing the first-child/
 // next-sibling binary encoding in preorder. Because document order equals

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,5 +279,27 @@ func TestDocDepthBoundsBuilderStack(t *testing.T) {
 	}
 	if maxDepth != 2 {
 		t.Errorf("builder stack reached %d, want 2", maxDepth)
+	}
+}
+
+func TestDocDepth(t *testing.T) {
+	b := NewBuilder(nil)
+	for _, ev := range []string{"a", "b", "c", "/", "/", "b", "/", "/"} {
+		var err error
+		if ev == "/" {
+			err = b.End()
+		} else {
+			err = b.Begin(ev)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := b.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := slices.Max(tr.DocDepth()); d != 3 {
+		t.Fatalf("document depth %d, want 3", d)
 	}
 }

@@ -239,7 +239,7 @@ func TestTreebankStats(t *testing.T) {
 	if n := tr.Names().Len(); n != 251 {
 		t.Fatalf("%d tags, want 251 (as in Figure 5)", n)
 	}
-	if d := tree.DocDepth(tr); d > 12 {
+	if d := slices.Max(tr.DocDepth()); d > 12 {
 		t.Fatalf("document depth %d, want shallow parse trees", d)
 	}
 	// Determinism.

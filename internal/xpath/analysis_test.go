@@ -9,6 +9,7 @@ import (
 
 	"arb/internal/core"
 	"arb/internal/storage"
+	"arb/internal/tree"
 	"arb/internal/workload"
 )
 
@@ -81,6 +82,52 @@ func TestAnalysisConcurrentFirstUse(t *testing.T) {
 			if (plans[i] == nil) != (plans[0] == nil) || plans[i] != nil && (!slices.Equal(plans[i].Extents, plans[0].Extents) || plans[i].Sub(0) != plans[0].Sub(0)) {
 				t.Errorf("%s: reader %d saw another prune plan", src, i)
 			}
+		}
+	}
+}
+
+// TestOneScanAuxPass runs //NP[not(PP)], whose aux pass the analysis
+// admits to one scan, over a Treebank database. The aux pass is one
+// backward scan whose phase-1 marks are the plane the main pass reads, so
+// the execution runs phase 1 twice and phase 2 once, writes state bytes
+// for its main pass alone, and selects what the XPath interpreter selects.
+func TestOneScanAuxPass(t *testing.T) {
+	const src = "//NP[not(PP)]"
+	tr, err := workload.TreebankTree(workload.TreebankConfig{Seed: 5, Sentences: 130})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.CreateFromTree(filepath.Join(t.TempDir(), "db"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	p := prepare(t, src, db)
+	if p.Passes() != 2 || !p.aux[0].OneScan() || p.main.OneScan() {
+		t.Fatalf("%s: %d passes, aux pass one-scan %v, main %v: want the aux pass alone admitted", src, p.Passes(), p.aux[0].OneScan(), p.main.OneScan())
+	}
+	path, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []tree.NodeID
+	for _, v := range selected(NewInterp(tr).Eval(path)) {
+		want = append(want, tree.NodeID(v))
+	}
+	for _, workers := range []int{1, 4} {
+		res, es, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, d := db.N, es.Disk
+		if es.Passes != 2 || d.OneScan != 1 || d.Phase1.Nodes != 2*n || d.Phase2.Nodes != n {
+			t.Fatalf("%d workers: %d passes, %d one-scan, phase 1 %d and phase 2 %d nodes of %d: want one scan, then two", workers, es.Passes, d.OneScan, d.Phase1.Nodes, d.Phase2.Nodes, n)
+		}
+		if w := d.StateBytes / n; d.StateBytes%n != 0 || w != 1 && w != 2 && w != 4 {
+			t.Fatalf("%d workers: %d state bytes, not the main pass's %d nodes × width", workers, d.StateBytes, n)
+		}
+		if got := res.Selected(p.Queries()[0]); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: %d nodes selected, the interpreter %d", workers, len(got), len(want))
 		}
 	}
 }

@@ -39,27 +39,27 @@ func (b *Batch) Rounds() int {
 	return r
 }
 
-// auxSlots assigns each multi-pass member its slot in the widened aux
-// sidecars of disk executions; single-pass members get -1. The returned
-// stride is the number of slots.
-func (b *Batch) auxSlots() (slots []int, stride int) {
+// auxSlots assigns each multi-pass member its slot in the aux planes of
+// disk executions (core.DiskBatchOpts.Aux); single-pass members get -1.
+// The returned count is the number of slots.
+func (b *Batch) auxSlots() (slots []int, n int) {
 	slots = make([]int, len(b.members))
 	for i, m := range b.members {
 		if m.Passes() > 1 {
-			slots[i] = stride
-			stride++
+			slots[i] = n
+			n++
 		} else {
 			slots[i] = -1
 		}
 	}
-	return slots, stride
+	return slots, n
 }
 
 // roundMembers builds the core batch members of round r. For each member
-// still holding a pass: pass r's engine, the member's aux input (bits of
-// its earlier passes) and — on every pass but its main — the instruction
-// to emit bit r of its own slot.
-func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.BatchMember, idx []int, anyOut bool) {
+// still holding a pass: pass r's engine, the member's aux input (the
+// planes of its earlier passes) from round 1 on and — on every pass but
+// its main — the instruction to publish plane r of its own slot.
+func (b *Batch) roundMembers(r int, slots []int) (bms []core.BatchMember, idx []int) {
 	for i, m := range b.members {
 		if r >= m.Passes() {
 			continue
@@ -71,19 +71,18 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.Bat
 		}
 		bm := core.BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1}
 		if m.Passes() > 1 {
-			if haveAuxIn {
+			if r > 0 {
 				bm.AuxInSlot = slots[i]
 			}
 			if !isMain {
 				bm.AuxOutSlot = slots[i]
 				bm.AuxOutBit = uint8(r)
-				anyOut = true
 			}
 		}
 		bms = append(bms, bm)
 		idx = append(idx, i)
 	}
-	return bms, idx, anyOut
+	return bms, idx
 }
 
 // ExecDisk evaluates the whole batch over a .arb database, in secondary
@@ -92,14 +91,15 @@ func (b *Batch) roundMembers(r int, slots []int, haveAuxIn bool) (bms []core.Bat
 // step in lanes sharing product automata (core.RunDiskBatchParallel) whose
 // phase-1 states share one temporary state file — unless the bottom-up
 // pass decides every lane's selections, and the round is one scan with no
-// state file — and multi-pass members chain their aux masks through
-// widened sidecars with a slot per member, one anonymous scratch file a
-// round, passed by handle to the next. So a batch of single-pass
-// queries costs at most two linear scans of the data in aggregate, however
-// many queries it holds, and a scalar execution (Prepared.ExecDisk) is a
-// batch of one. opts.MarkTo and opts.MarkQuery apply to the main pass of a
-// batch of one member and are rejected for larger batches. Cancelling ctx
-// aborts the scan in progress and removes every temporary file.
+// state file — and multi-pass members chain their passes through their
+// own selections: each aux pass publishes what it selects as a plane of
+// the member's slot of core.DiskBatchOpts.Aux, which its later passes
+// read. So a batch of single-pass queries costs at most two linear scans
+// of the data in aggregate, however many queries it holds, and a scalar
+// execution (Prepared.ExecDisk) is a batch of one. opts.MarkTo and
+// opts.MarkQuery apply to the main pass of a batch of one member and are
+// rejected for larger batches. Cancelling ctx aborts the scan in progress
+// and removes its state file.
 func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]*core.Result, ExecStats, error) {
 	if len(b.members) > 1 && opts.MarkTo != nil {
 		return nil, ExecStats{}, errors.New("xpath: MarkTo needs a batch of one member")
@@ -107,41 +107,18 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 	rounds := b.Rounds()
 	es := ExecStats{Passes: rounds}
 	results := make([]*core.Result, len(b.members))
-	slots, stride := b.auxSlots()
+	slots, n := b.auxSlots()
+	aux := make([]core.AuxPlanes, n)
 	err := statsDelta(&es, func(rs *core.RunStats) error {
-		// A round's sidecar lives until the next round has read it.
-		var auxIn storage.ScratchFile
-		defer func() {
-			if auxIn != nil {
-				auxIn.Close()
-			}
-		}()
 		for r := 0; r < rounds; r++ {
-			bms, idx, anyOut := b.roundMembers(r, slots, auxIn != nil)
-			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, AuxIn: auxIn}
+			bms, idx := b.roundMembers(r, slots)
+			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, Aux: aux}
 			if r == rounds-1 {
 				// The main pass of a batch of one (larger batches were
 				// rejected above with MarkTo set).
 				dopts.MarkTo, dopts.MarkQuery = opts.MarkTo, opts.MarkQuery
 			}
-			if auxIn != nil {
-				dopts.AuxInStride = stride
-			}
-			if anyOut {
-				// A fresh anonymous sidecar per round, handed to the next
-				// round and removed when closed: concurrent executions never
-				// share one, and a failed round leaves none behind.
-				out, err := db.CreateScratch(db.N * storage.MaskStride(stride))
-				if err != nil {
-					return err
-				}
-				dopts.AuxOut, dopts.AuxOutStride = out, stride
-			}
 			rres, _, ds, err := core.RunDiskBatchParallel(ctx, db, opts.Workers, bms, dopts)
-			if auxIn != nil {
-				auxIn.Close()
-			}
-			auxIn = dopts.AuxOut
 			if ds != nil {
 				es.Disk.Merge(*ds)
 			}

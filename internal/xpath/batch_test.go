@@ -28,10 +28,8 @@ func prepare(t *testing.T, src string, db *storage.DB) *Prepared {
 // in dir.
 func assertNoTempFiles(t *testing.T, dir string) {
 	t.Helper()
-	for _, pat := range []string{"*.sta", "arb-aux-*"} {
-		if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) > 0 {
-			t.Fatalf("executions left temporary files behind: %v", m)
-		}
+	if m, _ := filepath.Glob(filepath.Join(dir, "*.sta")); len(m) > 0 {
+		t.Fatalf("executions left temporary files behind: %v", m)
 	}
 }
 

@@ -109,10 +109,10 @@ type ExecOpts struct {
 
 // ExecStats is the merged cost profile of one execution across all its
 // passes. Disk.OneScan counts the passes that took one scan: a backward
-// one omitted phase 2 (only ever a single-pass execution's one pass: aux
-// passes write sidecars, which takes phase 2), a forward one omitted phase
-// 1 (any pass that reads no sidecar); the phase they omitted reads no
-// bytes, and neither writes state bytes.
+// one omitted phase 2, a forward one omitted phase 1 (either only a pass
+// that reads no aux planes: an aux pass's selection is its plane, however
+// it was made); the phase they omitted reads no bytes, and neither writes
+// state bytes.
 type ExecStats struct {
 	Engine core.Stats     // automata work (lazy transitions, phase times)
 	Disk   core.DiskStats // scan profile (of the record image, for a tree)
@@ -136,11 +136,10 @@ func statsDelta(es *ExecStats, f func(rs *core.RunStats) error) error {
 
 // ExecDisk evaluates the prepared query over a .arb database — in
 // secondary storage, or over a tree's record image in RAM — as a batch of
-// one (Batch.ExecDisk): each auxiliary pass is one round of two linear
-// scans whose phase 2 streams an updated aux-mask sidecar, which the next
-// round reads alongside the database; the main pass returns the unified
-// result. Cancelling ctx aborts the scan in progress with ctx.Err() and
-// removes every temporary sidecar the execution created.
+// one (Batch.ExecDisk): each auxiliary pass is one round of at most two
+// linear scans whose selection later rounds read as an aux plane; the main
+// pass returns the unified result. Cancelling ctx aborts the scan in
+// progress with ctx.Err() and removes its state file.
 func (p *Prepared) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) (*core.Result, ExecStats, error) {
 	res, es, err := NewBatch([]*Prepared{p}).ExecDisk(ctx, db, opts)
 	if err != nil {

@@ -81,7 +81,7 @@ func prepare(t testing.TB, sess *arb.Session, item any) *arb.PreparedQuery {
 
 // TestPruneCancelNoLeak checks cancellation during pruned executions:
 // wherever the cancel lands — including mid-skip — the result is either
-// clean or ctx.Err(), and no state file or aux sidecar survives.
+// clean or ctx.Err(), and no state file survives.
 func TestPruneCancelNoLeak(t *testing.T) {
 	tr := buildPruneDoc(t, 8, 300)
 	dir := t.TempDir()
@@ -91,7 +91,7 @@ func TestPruneCancelNoLeak(t *testing.T) {
 	}
 	defer db.Close()
 	sess := arb.NewDBSession(db)
-	pq := prepare(t, sess, mustXPath(t, `//item[not(flag)]/name`)) // multi-pass: aux sidecars in play
+	pq := prepare(t, sess, mustXPath(t, `//item[not(flag)]/name`)) // multi-pass: aux planes in play
 	want, err := pq.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -158,9 +158,8 @@ func (s *Session) Prepare(prog *Program) (*PreparedQuery, error) {
 
 // PrepareXPath compiles a Core XPath query against the session. Queries
 // in the positive fragment become one pass; every not(..) condition adds
-// an auxiliary pass, chained through aux-mask sidecars (in RAM for
-// in-memory sessions) — Exec runs all passes and returns the main pass's
-// result.
+// an auxiliary pass, whose selection later passes read as an aux
+// predicate — Exec runs all passes and returns the main pass's result.
 func (s *Session) PrepareXPath(q *XPathQuery) (*PreparedQuery, error) {
 	names := s.Names()
 	p, err := q.Prepare(names)
@@ -417,8 +416,8 @@ func (q *PreparedQuery) Program() *Program { return q.handle().Program() }
 //
 // Cancelling ctx aborts the scan in progress: Exec returns ctx.Err()
 // (wrapped, so errors.Is reports context.Canceled or DeadlineExceeded)
-// and every temporary file the execution created — state files and
-// aux-mask sidecars — is removed. A nil ctx means context.Background().
+// and every temporary file the execution created — its state files — is
+// removed. A nil ctx means context.Background().
 func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -660,9 +659,8 @@ func (b *PreparedBatch) Rounds() int {
 // per phase that ran (Profile.SkippedBytes).
 //
 // Cancelling ctx aborts the scan in progress: Exec returns ctx.Err()
-// (wrapped) and removes every temporary file — the state file and the
-// aux-mask sidecars chaining multi-pass members. A nil ctx means
-// context.Background().
+// (wrapped) and removes every temporary file — the state file. A nil ctx
+// means context.Background().
 func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Profile, error) {
 	if ctx == nil {
 		ctx = context.Background()

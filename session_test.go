@@ -120,8 +120,8 @@ func TestExecDifferentialNotXPath(t *testing.T) {
 }
 
 // assertOnlyDatabaseFiles fails if dir holds anything beyond the
-// database triple (.arb, .lab, .idx) — stray .sta state files, aux
-// sidecars or arb-aux-* directories mean an execution leaked.
+// database triple (.arb, .lab, .idx) — a stray .sta state file means an
+// execution leaked.
 func assertOnlyDatabaseFiles(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -140,8 +140,7 @@ func assertOnlyDatabaseFiles(t *testing.T, dir string) {
 // TestExecCancelDisk checks prompt cancellation on the secondary-storage
 // paths: an already-cancelled context must abort sequential, parallel
 // and multi-pass executions with ctx.Err(), and every temporary file —
-// phase-1 state files and the aux sidecars chaining multi-pass XPath —
-// must be cleaned up.
+// the phase-1 state files — must be cleaned up.
 func TestExecCancelDisk(t *testing.T) {
 	tr := buildCatalog(t, 1200)
 	dir := t.TempDir()
