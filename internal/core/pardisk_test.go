@@ -416,3 +416,146 @@ func TestMergeChunksSharedWord(t *testing.T) {
 		}
 	}
 }
+
+// planeIsQuery asserts plane holds exactly the nodes of tr that the naive
+// oracle selects for prog's first query predicate: the set an aux-writing
+// member publishes.
+func planeIsQuery(t *testing.T, label string, plane []uint64, tr *tree.Tree, prog *tmnf.Program) {
+	t.Helper()
+	want := naive.EvaluateAux(tr, prog, nil)
+	q := prog.Queries()[0]
+	if len(plane) != (tr.Len()+63)/64 {
+		t.Fatalf("%s: plane of %d words for %d nodes", label, len(plane), tr.Len())
+	}
+	for v := 0; v < tr.Len(); v++ {
+		if g, w := plane[v/64]>>(v%64)&1 == 1, want.Holds(q, tree.NodeID(v)); g != w {
+			t.Fatalf("%s: plane bit %d is %v, naive %s(%d) %v\nprogram:\n%s", label, v, g, prog.PredName(q), v, w, prog)
+		}
+	}
+}
+
+// TestAuxPublishSharesResultWords runs a batch of two aux-writing members,
+// serially and over a frontier: a successful run publishes each member's
+// first query predicate as plane AuxOutBit of its AuxOutSlot, and that
+// plane is the member's own Result words, not a copy. The planes already
+// in a slot stay as they were, and planes below AuxOutBit that no pass
+// has published stay nil.
+func TestAuxPublishSharesResultWords(t *testing.T) {
+	lowerParallelKnobs(t)
+	rng := rand.New(rand.NewSource(49))
+	ctx := context.Background()
+	for iter := 0; iter < 4; iter++ {
+		tr := testutil.RandomTree(rng, 300)
+		db, err := storage.CreateFromTree(filepath.Join(t.TempDir(), "db"), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		progs := []*tmnf.Program{testutil.RandomProgramParsed(rng, 4, 8), testutil.RandomProgramParsed(rng, 4, 8)}
+		var cs []*Compiled
+		for _, p := range progs {
+			c, err := Compile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs = append(cs, c)
+		}
+		held := planesOf(db.N, func(v tree.NodeID) uint16 { return uint16(1 - v%2) })[0]
+		for _, workers := range []int{1, 4} {
+			label := "iter " + strconv.Itoa(iter) + ", " + strconv.Itoa(workers) + " workers"
+			aux := []AuxPlanes{{held}, nil}
+			members := []BatchMember{
+				{E: NewEngine(cs[0], db.Names), AuxInSlot: -1, AuxOutSlot: 0, AuxOutBit: 1},
+				{E: NewEngine(cs[1], db.Names), AuxInSlot: -1, AuxOutSlot: 1, AuxOutBit: 2},
+			}
+			res, _, _, err := RunDiskBatchParallel(ctx, db, workers, members, DiskBatchOpts{Aux: aux})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(aux[0]) != 2 || len(aux[1]) != 3 || aux[1][0] != nil || aux[1][1] != nil {
+				t.Fatalf("%s: slots of %d and %d planes (%v, %v below the published one), want 2 and 3 with nothing below",
+					label, len(aux[0]), len(aux[1]), aux[1][0] != nil, len(aux[1]) > 1 && aux[1][1] != nil)
+			}
+			if &aux[0][0][0] != &held[0] {
+				t.Fatalf("%s: the plane slot 0 held before the run was replaced", label)
+			}
+			for m, p := range []*[]uint64{&aux[0][1], &aux[1][2]} {
+				if &(*p)[0] != &res[m].sel[0][0] || len(*p) != len(res[m].sel[0]) {
+					t.Fatalf("%s: member %d's plane is not its Result's words", label, m)
+				}
+				planeIsQuery(t, label+", member "+strconv.Itoa(m), *p, tr, progs[m])
+			}
+		}
+	}
+}
+
+// TestAuxFailedRunPublishesNothing runs an aux-writing member into
+// failures — an engine whose name table is not the database's, and a state
+// file damaged between the phases — and then over the same slot after a
+// run whose state ids outgrow one byte and rerun wide: only the run that
+// returns success publishes, and it publishes its final attempt's words.
+func TestAuxFailedRunPublishesNothing(t *testing.T) {
+	dir := t.TempDir()
+	db, err := workload.CreateInfixDB(filepath.Join(dir, "db"), workload.Sequence(4, 1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	c := twoScanProgram(t, db.Names)
+	held := planesOf(db.N, func(v tree.NodeID) uint16 { return uint16(v & 1) })[0]
+	unchanged := func(label string, aux []AuxPlanes) {
+		t.Helper()
+		if len(aux[0]) != 1 || &aux[0][0][0] != &held[0] {
+			t.Fatalf("%s: the failed run left %d planes in the slot, want the one it held", label, len(aux[0]))
+		}
+	}
+
+	aux := []AuxPlanes{{held}}
+	members, opts := chained(NewEngine(c, tree.NewNames()), aux, false, 1, DiskOpts{NoPrune: true})
+	if _, _, _, err := RunDiskBatch(context.Background(), db, members, opts); err == nil {
+		t.Fatal("a run against a foreign name table succeeded")
+	}
+	unchanged("foreign name table", aux)
+
+	done := false
+	ctx := atPoll{context.Background(), func() {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.sta"))
+		if done || len(files) != 1 {
+			return
+		}
+		if st, err := os.Stat(files[0]); err == nil && st.Size() == db.N*stateByte { // phase 1 is over
+			done = true
+			if err := os.Truncate(files[0], st.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}}
+	members, opts = chained(NewEngine(c, db.Names), aux, false, 1, DiskOpts{NoPrune: true})
+	if _, _, _, err := RunDiskBatch(ctx, db, members, opts); !done || err == nil || !strings.Contains(err.Error(), "core: reading state file") {
+		t.Fatalf("truncated state file (seen complete %v): error %v, want a state file read error", done, err)
+	}
+	unchanged("truncated state file", aux)
+
+	want, _, err := NewEngine(c, db.Names).RunDiskContext(context.Background(), db, DiskOpts{NoPrune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := stateByteIDs
+	t.Cleanup(func() { stateByteIDs = ids })
+	stateByteIDs = 2
+	e, rs := NewEngine(c, db.Names), &RunStats{}
+	members, opts = chained(e, aux, false, 1, DiskOpts{NoPrune: true, Run: rs})
+	res, _, ds, err := RunDiskBatch(context.Background(), db, members, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.BUStateCount() <= 2 || ds.StateBytes != db.N*stateWide {
+		t.Fatalf("%d bottom-up states and %d state bytes: the run did not outgrow one byte and rerun wide", e.BUStateCount(), ds.StateBytes)
+	}
+	if len(aux[0]) != 2 || &aux[0][0][0] != &held[0] || &aux[0][1][0] != &res[0].sel[0][0] {
+		t.Fatalf("the rerun run left %d planes, want the held one and its Result's words", len(aux[0]))
+	}
+	if !slices.Equal(aux[0][1], want.sel[0]) {
+		t.Fatal("the rerun run published a plane other than a one-byte run's selection")
+	}
+}
