@@ -421,8 +421,8 @@ func query(ctx context.Context, args []string) error {
 		phase1 := fmt.Sprintf("phase 1 (bottom-up): %v, %d transitions", prof.Engine.Phase1Time, prof.Engine.BUTransitions)
 		phase2 := fmt.Sprintf("phase 2 (top-down): %v, %d transitions", prof.Engine.Phase2Time, prof.Engine.TDTransitions)
 		phase1, phase2 = omitPhases(prof, phase1, phase2)
-		fmt.Fprintf(os.Stderr, "%s; %s; %d passes, %d workers, temp %d bytes\n",
-			phase1, phase2, prof.Passes, prof.Workers, prof.Disk.StateBytes)
+		fmt.Fprintf(os.Stderr, "%s; %s; %d passes%s, %d workers, temp %d bytes\n",
+			phase1, phase2, prof.Passes, someOneScan(prof), prof.Workers, prof.Disk.StateBytes)
 		if skipped := prof.SkippedBytes(); skipped > 0 || prof.Engine.PrunedNodes > 0 {
 			fmt.Fprintf(os.Stderr, "pruning: skipped %d data bytes (%d nodes proven irrelevant); -noprune disables\n",
 				skipped, prof.Engine.PrunedNodes)
@@ -498,8 +498,8 @@ func runBatch(ctx context.Context, sess *arb.Session, path string, workers int, 
 		phase1 := fmt.Sprintf("phase 1: %v", prof.Engine.Phase1Time)
 		phase2 := fmt.Sprintf("phase 2: %v", prof.Engine.Phase2Time)
 		phase1, phase2 = omitPhases(prof, phase1, phase2)
-		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s); %s, %s; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
-			len(items), prof.Passes, phase1, phase2,
+		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s)%s; %s, %s; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
+			len(items), prof.Passes, someOneScan(prof), phase1, phase2,
 			prof.Workers, prof.Disk.StateBytes,
 			float64(prof.Disk.Phase1.Bytes+prof.Disk.Phase2.Bytes)/float64(len(items)))
 	}
@@ -521,6 +521,15 @@ func omitPhases(prof *arb.Profile, phase1, phase2 string) (string, string) {
 		phase2 = "phase 2: omitted (one scan)"
 	}
 	return phase1, phase2
+}
+
+// someOneScan notes, for -v, how many passes took one scan when some but
+// not all did: each phase ran in some pass, so omitPhases rewrites neither.
+func someOneScan(prof *arb.Profile) string {
+	if prof.Disk.OneScan == 0 || prof.Disk.OneScan == prof.Passes {
+		return ""
+	}
+	return fmt.Sprintf(", %d of them one scan", prof.Disk.OneScan)
 }
 
 // printIDs streams the selected preorder ids to stdout, surfacing write

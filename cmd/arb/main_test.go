@@ -70,7 +70,8 @@ func capture(t *testing.T, f **os.File, fn func() error) string {
 // is omitted and no state file written; a regular path's bottom-up states
 // are decided by the records, so phase 1 is omitted and no state file
 // written; a filter with an upward and a downward condition keeps both
-// scans and its temp bytes.
+// scans and its temp bytes; and a not(..) whose aux pass alone takes one
+// scan runs both phases and says how many of its passes took one.
 func TestQueryVerboseOneScan(t *testing.T) {
 	dir := t.TempDir()
 	xml := filepath.Join(dir, "doc.xml")
@@ -87,6 +88,10 @@ func TestQueryVerboseOneScan(t *testing.T) {
 	if err := os.WriteFile(forward, []byte("xpath:/doc/a\nxpath://c/a\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	negation := filepath.Join(dir, "negation.txt")
+	if err := os.WriteFile(negation, []byte("xpath://a[not(b)]\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	// The a children of c nodes with an a child.
 	const filter = `A :- Label[a]; U :- A; U :- U.invNextSibling; P :- U.invFirstChild; F :- Label[c], P;
 		D :- F.FirstChild; D :- D.NextSibling; QUERY :- D, Label[a];`
@@ -100,6 +105,8 @@ func TestQueryVerboseOneScan(t *testing.T) {
 		{[]string{"-xpath", "/doc/a"}, "phase 1: omitted (forward scan); phase 2 (top-down)", "phase 1 (bottom-up)"},
 		{[]string{"-batch", "-f", forward}, "; phase 1: omitted (forward scan), phase 2: ", "phase 2: omitted"},
 		{[]string{"-q", filter}, "phase 2 (top-down)", "omitted"},
+		{[]string{"-xpath", "//a[not(b)]"}, "; 2 passes, 1 of them one scan, 1 workers, temp ", "omitted"},
+		{[]string{"-batch", "-f", negation}, "2 shared round(s), 1 of them one scan; phase 1: ", "omitted"},
 	} {
 		args := append([]string{base, "-v", "-j", "1"}, tc.args...)
 		var stderr string

@@ -232,8 +232,9 @@ func (d *doc) build(tr *tree.Tree, rng *rand.Rand) tree.NodeID {
 // scan switches its per-gap state and aux readers at an edge — no glue
 // between two extents, none after the last, none but the root — and holds
 // every disk entry point (scalar and batch; one worker, four workers with
-// an empty frontier, four workers with chunks) to the unpruned answer,
-// the unpruned aux output and the plan's exact byte accounting.
+// an empty frontier, four workers with chunks), as one backward scan, one
+// forward scan and two scans, to the unpruned answer, the unpruned aux
+// output and the plan's exact byte accounting.
 func TestPruneGapSwitchEdges(t *testing.T) {
 	lowerParallelKnobs(t)
 	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
@@ -257,6 +258,14 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 		{"an extent ending at N after glue", hit(hit(nil, hit(nil, junk(30))), nil), []storage.Extent{ext(3, 30)}},
 	}
 	progs := []*tmnf.Program{tmnf.MustParse(`QUERY :- Label[hit];`), tmnf.MustParse(`QUERY :- Label[r];`)}
+	// fwdProgs select hit nodes by their parents' labels: top-down facts the
+	// one-scan analysis rejects, over bottom-up states the records decide,
+	// so their runs are one forward scan. Junk carries neither label, so
+	// their plans are the case's too.
+	fwdProgs := []*tmnf.Program{
+		tmnf.MustParse(`P :- Label[hit]; Q :- P.FirstChild; QUERY :- Q, Label[hit];`),
+		tmnf.MustParse(`P :- Label[r]; Q :- P.FirstChild; QUERY :- Q, Label[hit];`),
+	}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(22))
 
@@ -291,10 +300,13 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 		// byte once and skipped exactly the plan's nodes, credited once per
 		// member, and at four workers with an empty frontier the very profile
 		// of one worker. The label programs' bottom-up states decide their
-		// selections, aux-writing or not, so every row runs as one backward
-		// scan — phase 1's holes alone — and once more with two scans forced,
-		// phase 2's holes too.
-		checkRows := func(label string, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes)) {
+		// selections, aux-writing or not, so their rows run as one backward
+		// scan — phase 1's holes alone. The forward programs' records decide
+		// their bottom-up states, so their rows run as one forward scan —
+		// phase 2's holes alone; over a root with a second child, a shape
+		// the forward verdict leaves out, it starts over with two scans.
+		// Every row runs once more with two scans forced, both phases' holes.
+		checkRows := func(label string, forward bool, members, pruned int64, run func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes)) {
 			t.Helper()
 			var refAux []AuxPlanes
 			for _, twoScans := range []bool{false, true} {
@@ -308,11 +320,22 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 						t.Fatalf("%s: aux output differs from the unpruned run's", label)
 					}
 					phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
-					if !twoScans {
+					switch {
+					case twoScans:
+					case !forward:
 						if ds.Phase2 != (storage.ScanStats{}) || ds.StateBytes != 0 || ds.OneScan != 1 {
 							t.Fatalf("%s: phase 2 %+v, %d state bytes, one-scan %d: want one backward scan", label, ds.Phase2, ds.StateBytes, ds.OneScan)
 						}
 						phases = phases[:1]
+					case tr.HasSecond(0):
+						if ds.StateBytes == 0 || ds.OneScan != 0 {
+							t.Fatalf("%s: %d state bytes, one-scan %d: want two scans under a root with a second child", label, ds.StateBytes, ds.OneScan)
+						}
+					default:
+						if ds.Phase1 != (storage.ScanStats{}) || ds.StateBytes != 0 || ds.OneScan != 1 {
+							t.Fatalf("%s: phase 1 %+v, %d state bytes, one-scan %d: want one forward scan", label, ds.Phase1, ds.StateBytes, ds.OneScan)
+						}
+						phases = phases[1:]
 					}
 					for _, ph := range phases {
 						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
@@ -339,23 +362,27 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 		}
 
 		// Scalar entry point, per program.
-		for pi, prog := range progs {
+		for pi, prog := range append(slices.Clip(progs), fwdProgs...) {
 			c, err := Compile(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The case is the first program's plan; for the second, hit
-			// nodes are junk too, and its plan is whatever that leaves.
+			forward := pi >= len(progs)
+			if e := NewEngine(c, db.Names); e.OneScan() == forward || !e.Forward() {
+				t.Fatalf("%s: program %d: one scan %v, forward %v", tc.name, pi, e.OneScan(), e.Forward())
+			}
+			// The case is the plan of every program but the second: for it,
+			// hit nodes are junk too, and its plan is whatever that leaves.
 			plan := PlanPrune([]*Engine{NewEngine(c, db.Names)}, ix, db.N)
-			if plan == nil || (pi == 0 && !slices.Equal(plan.Extents, tc.plan)) {
-				t.Fatalf("%s: plan %+v, want extents %v", tc.name, plan, tc.plan)
+			if plan == nil || (pi != 1 && !slices.Equal(plan.Extents, tc.plan)) {
+				t.Fatalf("%s: program %d: plan %+v, want extents %v", tc.name, pi, plan, tc.plan)
 			}
 			want, err := NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameAsNaive(t, prog, tr, nil, want, tc.name+": in-memory reference")
-			checkRows(tc.name, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes) {
+			checkRows(fmt.Sprintf("%s, program %d", tc.name, pi), forward, 1, plan.Nodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes) {
 				rs := &RunStats{}
 				aux := make([]AuxPlanes, 1)
 				members, opts := chained(NewEngine(c, db.Names), aux, false, 1, DiskOpts{NoPrune: noPrune, Run: rs})
@@ -368,35 +395,43 @@ func TestPruneGapSwitchEdges(t *testing.T) {
 			})
 		}
 
-		// Batch entry point, both programs sharing the scans: junk carries
-		// neither label, so the joint plan is the same extents.
-		wants := make([]*Result, len(progs))
-		for i, prog := range progs {
-			c, err := Compile(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wants[i], err = NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{}); err != nil {
-				t.Fatal(err)
-			}
-			sameAsNaive(t, prog, tr, nil, wants[i], tc.name+": in-memory reference")
-		}
-		checkRows(tc.name+", batch", 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes) {
-			members := batchMembers(t, progs, db.Names)
-			for m := range members {
-				members[m].AuxOutSlot, members[m].AuxOutBit = m, uint8(m)
-			}
-			rs := &RunStats{}
-			aux := make([]AuxPlanes, len(members))
-			res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members,
-				DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}, Aux: aux})
-			if err != nil {
-				t.Fatalf("%s: batch: %v", tc.name, err)
-			}
+		// Batch entry point, per program set, both programs sharing the
+		// scans: junk carries neither label, so the joint plan is the same
+		// extents.
+		for _, set := range []struct {
+			forward bool
+			progs   []*tmnf.Program
+		}{{false, progs}, {true, fwdProgs}} {
+			label := fmt.Sprintf("%s, batch, forward %v", tc.name, set.forward)
+			progs := set.progs
+			wants := make([]*Result, len(progs))
 			for i, prog := range progs {
-				sameResults(t, prog, tr.Len(), res[i], wants[i], tc.name+", batch")
+				c, err := Compile(prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wants[i], err = NewEngine(c, db.Names).RunContext(ctx, tr, RunOpts{}); err != nil {
+					t.Fatal(err)
+				}
+				sameAsNaive(t, prog, tr, nil, wants[i], label+": in-memory reference")
 			}
-			return ds, rs, aux
-		})
+			checkRows(label, set.forward, 2, planNodes, func(workers int, noPrune bool) (*DiskStats, *RunStats, []AuxPlanes) {
+				members := batchMembers(t, progs, db.Names)
+				for m := range members {
+					members[m].AuxOutSlot, members[m].AuxOutBit = m, uint8(m)
+				}
+				rs := &RunStats{}
+				aux := make([]AuxPlanes, len(members))
+				res, _, ds, err := RunDiskBatchParallel(ctx, db, workers, members,
+					DiskBatchOpts{DiskOpts: DiskOpts{NoPrune: noPrune, Run: rs}, Aux: aux})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for i, prog := range progs {
+					sameResults(t, prog, tr.Len(), res[i], wants[i], label)
+				}
+				return ds, rs, aux
+			})
+		}
 	}
 }

@@ -335,12 +335,13 @@ func sameSelection(t *testing.T, got, want *Result, label string) {
 // (storage.WindowNodes) and the 16-times-larger reads under them — from a
 // raw file, an LZ container and a stitched vstore snapshot, with and
 // without a prune plan, with an empty frontier and with chunks, at every
-// state width and as one backward scan (the first pass's label program has
+// state width, as one backward scan (the first pass's label program has
 // its selection decided by its bottom-up states, and the marks phase 1
-// makes are the aux plane it publishes), through a two-pass aux chain and
-// with marked output, and holds every answer, aux plane and
-// marked document to the node-at-a-time in-memory engine over the tree the
-// per-record scan reads back.
+// makes are the aux plane it publishes) and as one forward scan (a program
+// whose records decide its bottom-up states, but not its selection),
+// through a two-pass aux chain and with marked output, and holds every
+// answer, aux plane and marked document to the node-at-a-time in-memory
+// engine over the tree the per-record scan reads back.
 func TestWindowKernelEdges(t *testing.T) {
 	defer func(n, x int64) { pruneMinNodes, pruneMinExtent = n, x }(pruneMinNodes, pruneMinExtent)
 	pruneMinNodes, pruneMinExtent = 1, 8
@@ -361,6 +362,10 @@ func TestWindowKernelEdges(t *testing.T) {
 		tmnf.MustParse(`QUERY :- Label[hit];`),
 		tmnf.MustParse(`P :- Aux[0]; QUERY :- P.FirstChild;`), // reads pass 0's answer
 	}
+	// fwdProg selects the hit nodes right after a hit on the spine: a
+	// top-down fact over bottom-up states the records decide, so one
+	// forward scan, phase 2 alone.
+	fwdProg := tmnf.MustParse(`P :- Label[hit]; Q :- P.NextSibling; QUERY :- Q, Label[hit];`)
 	// Chunks on the edges: the first two blobs (a prune plan swallows
 	// them), and everything from the middle of the 2W run on — its own
 	// first gap is exactly one window, the leader's last one too.
@@ -407,6 +412,24 @@ func TestWindowKernelEdges(t *testing.T) {
 		if plan == nil || !slices.Equal(plan.Extents, exts) {
 			t.Fatalf("%s: plan %+v, want the blobs %v", src.name, plan, exts)
 		}
+		cf, err := Compile(fwdProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := NewEngine(cf, db.Names); e.OneScan() || !e.Forward() {
+			t.Fatalf("%s: a next-sibling condition: one scan %v, forward %v; want a forward scan", src.name, e.OneScan(), e.Forward())
+		}
+		if fp := PlanPrune([]*Engine{NewEngine(cf, db.Names)}, ix, db.N); fp == nil || !slices.Equal(fp.Extents, exts) {
+			t.Fatalf("%s: forward program's plan %+v, want the blobs %v", src.name, fp, exts)
+		}
+		wantF, err := NewEngine(cf, db.Names).RunContext(ctx, ref, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAsNaive(t, fwdProg, ref, nil, wantF, src.name+": forward reference")
+		if wantF.counts[0] == 0 {
+			t.Fatalf("%s: the forward program selects nothing", src.name)
+		}
 
 		for _, width := range []int{stateByte, stateNarrow, stateWide, 0} {
 			for _, plan := range []*PrunePlan{nil, plan} {
@@ -430,17 +453,21 @@ func TestWindowKernelEdges(t *testing.T) {
 					if plan != nil {
 						pruned = plan.Nodes
 					}
-					phases := []storage.ScanStats{ds.Phase1, ds.Phase2}
+					holes := func(label string, phases ...storage.ScanStats) {
+						t.Helper()
+						for _, ph := range phases {
+							if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
+								t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
+							}
+						}
+					}
 					if oneScan {
 						if ds.Phase2 != (storage.ScanStats{}) || ds.OneScan != 1 {
 							t.Fatalf("%s: phase 2 %+v, one-scan %d: want one backward scan", label, ds.Phase2, ds.OneScan)
 						}
-						phases = phases[:1]
-					}
-					for _, ph := range phases {
-						if ph.SkippedBytes != pruned*storage.NodeSize || ph.Bytes+ph.SkippedBytes != db.N*storage.NodeSize || ph.Nodes != db.N {
-							t.Fatalf("%s: phase profile %+v, want %d of %d nodes skipped", label, ph, pruned, db.N)
-						}
+						holes(label, ds.Phase1)
+					} else {
+						holes(label, ds.Phase1, ds.Phase2)
 					}
 					if want := (db.N - pruned) * int64(width); ds.StateBytes != want {
 						t.Fatalf("%s: %d state bytes, want the %d phase 1 wrote", label, ds.StateBytes, want)
@@ -454,6 +481,24 @@ func TestWindowKernelEdges(t *testing.T) {
 					sameSelection(t, res[0], want1, label+", pass 1")
 					if !samePlanes(aux, wantAux) {
 						t.Fatalf("%s: the passes published aux planes that differ from the reference", label)
+					}
+					if !oneScan {
+						continue
+					}
+					// One forward scan over the same holes and chunks.
+					aux = make([]AuxPlanes, 1)
+					b = newDiskBatch(chained(NewEngine(cf, db.Names), aux, false, 0, DiskOpts{}))
+					if res, _, ds, err = b.runDiskChunked(ctx, db, 4, tasks, stateByte, true, plan); err != nil {
+						t.Fatalf("%s, forward: %v", label, err)
+					}
+					b.publish(res)
+					sameSelection(t, res[0], wantF, label+", forward")
+					if ds.Phase1 != (storage.ScanStats{}) || ds.StateBytes != 0 || ds.OneScan != 1 {
+						t.Fatalf("%s, forward: phase 1 %+v, %d state bytes, one-scan %d: want one forward scan", label, ds.Phase1, ds.StateBytes, ds.OneScan)
+					}
+					holes(label+", forward", ds.Phase2)
+					if !samePlanes(aux, []AuxPlanes{{wantF.sel[0]}}) {
+						t.Fatalf("%s, forward: the published aux plane differs from the reference", label)
 					}
 				}
 			}
