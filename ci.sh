@@ -48,26 +48,40 @@ go build ./...
 
 # Scan-loop escape gate: the window kernels and per-node callbacks of
 # the evaluation drivers and the record loops under them (the window
-# passes in storage/window.go, their per-node adapters in db.go) must not
-# heap-allocate their encode/decode temporaries — one malloc per node,
-# through an io.Writer or io.Reader call (TestWarmRunAllocsDoNotGrowWithN
-# is the runtime half of this gate).
+# passes in storage/window.go, the walks stepping them in db.go, index.go
+# and emit.go) must not heap-allocate their encode/decode temporaries —
+# one malloc per node, through an io.Writer or io.Reader call
+# (TestWarmRunAllocsDoNotGrowWithN is the runtime half of this gate).
 escapes=$(go build -gcflags=-m ./internal/core ./internal/storage 2>&1 |
-    grep -E '^internal/(core/[a-z_]+|storage/(db|backio|window))\.go:.*moved to heap: (buf|ab)$' || true)
+    grep -E '^internal/(core/[a-z_]+|storage/(db|backio|window|index|emit))\.go:.*moved to heap: (buf|ab)$' || true)
 if [ -n "$escapes" ]; then
     echo "scan loops allocate per node again:" >&2
     echo "$escapes" >&2
     exit 1
 fi
 
-# Scan-loop ratchet: the one disk driver — scalar runs and batches alike —
-# steps storage's window passes with its own two kernels, so internal/core
-# calls none of the per-node storage scans. A sequential or special-case
-# copy of a loop would add to the count; fold it into the driver instead.
-loops=$(ls internal/core/*.go | grep -v '_test\.go$' |
-    xargs grep -hE 'storage\.(FoldBottomUp|ScanTopDown)' | grep -vc '^[[:space:]]*//' || true)
-if [ "$loops" -gt 0 ]; then
-    echo "internal/core calls storage.FoldBottomUp*/ScanTopDown* from $loops places, want 0" >&2
+# Scan-loop ratchet: every record walk of the library steps storage's
+# window passes itself — the one disk driver with its two kernels, the
+# index build, XML emission, ReadTree and vstore's patch walks — so no
+# non-test file of the root package or internal/ calls the per-node
+# generics FoldBottomUp/ScanTopDown (or their range forms). Only their
+# own definitions in storage/db.go name them; the benchmark harness is
+# their one caller. A new walk steps ForwardWindows/BackwardWindows.
+loops=$({ ls ./*.go; find internal -name '*.go'; } | grep -v '_test\.go$' |
+    xargs grep -nwE 'FoldBottomUp|ScanTopDown|foldRange|scanRange' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -vE '^internal/storage/db\.go:[0-9]+:(func (FoldBottomUp|ScanTopDown|foldRange|scanRange)\[|	return (foldRange|scanRange)\(ctx, db, 0, db\.N, (combine|visit)\)$)' || true)
+if [ -n "$loops" ]; then
+    echo "library code calls the per-node generics; step storage's window passes instead:" >&2
+    echo "$loops" >&2
+    exit 1
+fi
+# The walks' old private machinery is gone with them: the holed top-down
+# scan only vstore's parent walk used, vstore's chunked record reader with
+# its per-record index lookups, its single-record readers (DB.RecordAt
+# reads one record) and the parent walk's sentinel. Keep them gone.
+if grep -rnwE 'ScanTopDownSkipping|skipSubtrees|readRec|checkedRec|errFoundParent' --include='*.go' . >&2; then
+    echo "ScanTopDownSkipping, skipSubtrees, readRec/checkedRec or errFoundParent is back: walks step the window passes" >&2
     exit 1
 fi
 # Two kernels: phase 1's foldKernel and phase 2's scanKernel. A forward
@@ -315,7 +329,7 @@ fi
 # context.Background() at its entries; internal/ never mints a context,
 # and never passes a literal nil as the first of several arguments, the
 # context's place in every call that takes one. The one nil is storage's
-# contextless creation, BuildIndex(nil, db, 0) in create (NewCanceller's
+# contextless creation, BuildIndex(nil, db, 0) in create (pollCtx's
 # doc).
 libfiles=$({ ls ./*.go; find internal -name '*.go'; } | grep -v '_test\.go$' | sed 's|^\./||')
 minted=$(find internal -name '*.go' | grep -v '_test\.go$' |

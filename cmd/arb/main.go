@@ -361,6 +361,9 @@ func query(ctx context.Context, args []string) error {
 		}
 		return runBatch(ctx, sess, *progFile, workers, *noprune, *verbose, *timeout)
 	}
+	if *ids && *mark {
+		return fmt.Errorf("-ids and -mark are exclusive output modes; pick one")
+	}
 
 	var pq *arb.PreparedQuery
 	var prog *arb.Program

@@ -165,3 +165,26 @@ func TestCreateCompressStatsSmoke(t *testing.T) {
 		t.Fatalf("stats output missing compression line:\n%s", out)
 	}
 }
+
+// TestQueryIdsMarkExclusive checks that query rejects -ids with -mark, as
+// -batch does, instead of printing the marked document and dropping -ids.
+func TestQueryIdsMarkExclusive(t *testing.T) {
+	dir := t.TempDir()
+	xml := filepath.Join(dir, "doc.xml")
+	if err := os.WriteFile(xml, []byte("<doc><a>x</a><a/></doc>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "db")
+	captureStdout(t, func() error { return create([]string{base, xml}) })
+	var err error
+	out := captureStdout(t, func() error {
+		err = query(context.Background(), []string{base, "-xpath", "//a", "-ids", "-mark"})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "-ids and -mark") {
+		t.Fatalf("query -ids -mark returned %v, want an error naming both flags", err)
+	}
+	if out != "" {
+		t.Fatalf("query -ids -mark printed %q, want nothing", out)
+	}
+}

@@ -373,4 +373,16 @@ func TestResultWalkAndCount(t *testing.T) {
 			t.Errorf("Holds(%d) false for selected node", v)
 		}
 	}
+
+	// Ids outside [0, Len()) are never selected: past the last word of a
+	// 3-node result, and before node 0 of a result whose node 63 (bit 63
+	// of word 0) is selected.
+	if NewResult(p, 3).Holds(q, 64) {
+		t.Error("Holds(64) true on a 3-node result")
+	}
+	r64 := NewResult(p, 64)
+	r64.MarkMask(1, 63)
+	if !r64.Holds(q, 63) || r64.Holds(q, -1) {
+		t.Errorf("Holds(63), Holds(-1) = %v, %v on a result selecting node 63; want true, false", r64.Holds(q, 63), r64.Holds(q, -1))
+	}
 }

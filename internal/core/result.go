@@ -107,10 +107,11 @@ func (r *Result) queryIndex(q tmnf.Pred) int {
 	return -1
 }
 
-// Holds reports whether query predicate q selected node v.
+// Holds reports whether query predicate q selected node v. A node
+// outside [0, Len()) is never selected.
 func (r *Result) Holds(q tmnf.Pred, v tree.NodeID) bool {
 	qi := r.queryIndex(q)
-	if qi < 0 {
+	if qi < 0 || v < 0 || int64(v) >= r.n {
 		return false
 	}
 	return r.sel[qi][int64(v)/64]&(1<<(uint(v)%64)) != 0

@@ -74,16 +74,16 @@ func spineDB(t *testing.T, rng *rand.Rand, blobs []int64) (*DB, []Record, []Exte
 	return db, recs, exts
 }
 
-// scanEvent is one callback of a forward scan: a visit (skip == 0) or a
-// skipped extent of skip nodes rooted at v; parent is the parent's node
+// scanEvent is one visit of a forward scan; parent is the parent's node
 // index, -1 for none.
 type scanEvent struct {
-	v, parent, skip int64
-	rec             Record
-	k               int
+	v, parent int64
+	rec       Record
+	k         int
 }
 
-// refScan is the per-record reference of scanRegion over [lo, hi).
+// refScan is the per-record reference of a forward scan over [lo, hi):
+// the visits of a scan without holes, and the stats of one with them.
 func refScan(db *DB, recs []Record, lo, hi int64, skip []Extent) ([]scanEvent, ScanStats) {
 	var events []scanEvent
 	var st ScanStats
@@ -99,7 +99,6 @@ func refScan(db *DB, recs []Record, lo, hi int64, skip []Extent) ([]scanEvent, S
 	for v := lo; v < hi; {
 		if len(skip) > 0 && skip[0].Root == v {
 			st.PhysicalBytes += db.PhysSpan(gapStart, v)
-			events = append(events, scanEvent{v: v, parent: parent, skip: skip[0].Size, k: k})
 			st.Nodes += skip[0].Size
 			v = skip[0].End()
 			gapStart, skip = v, skip[1:]
@@ -162,47 +161,18 @@ func refFold(db *DB, recs []Record, lo, hi int64) ([]int64, int64, ScanStats) {
 	return order, stack[0], st
 }
 
-// foldExtent folds the subtree extent x bottom-up: FoldBottomUp's adapter
-// over BackwardWindows, run on the extent's range alone.
-func foldExtent[S any](ctx context.Context, db *DB, x Extent, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	f := backFold[S]{combine: combine}
-	var zero S
-	if err := f.run(ctx, db, x.Root, x.End()); err != nil {
-		return zero, f.stats, err
-	}
-	if len(f.stack) != 1 {
-		return zero, f.stats, fmt.Errorf("[%d,%d) folds to %d roots", x.Root, x.End(), len(f.stack))
-	}
-	return f.stack[0], f.stats, nil
-}
-
-// scanExtent scans the subtree extent x top-down: ScanTopDown's adapter
-// over ForwardWindows, run on the extent's range alone, its root visited
-// with parent nil and k 0.
-func scanExtent[S any](ctx context.Context, db *DB, x Extent, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
-	t := topDown[S]{visit: visit, end: x.End()}
-	if err := t.run(ctx, db, x.Root, x.End(), nil, nil); err != nil {
-		return t.stats, err
-	}
-	if t.parent != nil || len(t.pending) > 0 {
-		return t.stats, fmt.Errorf("[%d,%d) ends with %d subtrees missing", x.Root, x.End(), len(t.pending)+1)
-	}
-	return t.stats, nil
-}
-
-// checkScans runs the window passes of [lo, hi) with the given holes, and
-// the per-node scans adapted onto them, against the references, callback by
-// callback. whole selects the whole-database entry points, otherwise the
-// adapters run over the extent [lo, hi) alone (foldExtent, scanExtent); they
-// take holes only forward over the whole database (ScanTopDownSkipping).
+// checkScans runs the window passes of [lo, hi) with the given holes
+// against the references, and without holes the per-node scans adapted
+// onto them, callback by callback. whole selects the whole-database entry
+// points, otherwise the adapters run over the extent [lo, hi) alone
+// (foldRange, scanRange).
 func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent, whole bool) {
 	t.Helper()
 	ctx := context.Background()
-	x := Extent{Root: lo, Size: hi - lo}
 
 	wantEvents, wantSt := refScan(db, recs, lo, hi, skip)
 	checkWindowPasses(t, db, recs, lo, hi, skip, wantSt)
-	if !whole && len(skip) > 0 {
+	if len(skip) > 0 {
 		return
 	}
 	next := 0
@@ -217,18 +187,15 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 		next++
 		return nil
 	}
-	subtree := func(x Extent, parent *int64, k int) error {
-		return event(scanEvent{v: x.Root, skip: x.Size, k: k}, parent)
-	}
 	visit := func(v int64, rec Record, parent *int64, k int) (int64, error) {
 		return v, event(scanEvent{v: v, rec: rec, k: k}, parent)
 	}
 	var st ScanStats
 	var err error
 	if whole {
-		st, err = ScanTopDownSkipping(ctx, db, skip, subtree, visit)
+		st, err = ScanTopDown(ctx, db, visit)
 	} else {
-		st, err = scanExtent(ctx, db, x, visit)
+		st, err = scanRange(ctx, db, lo, hi, visit)
 	}
 	if err != nil {
 		t.Fatalf("forward scan: %v", err)
@@ -238,9 +205,6 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 	}
 	if st != wantSt {
 		t.Errorf("forward scan stats %+v, reference %+v", st, wantSt)
-	}
-	if len(skip) > 0 {
-		return
 	}
 
 	wantOrder, wantRoot, wantSt := refFold(db, recs, lo, hi)
@@ -256,7 +220,7 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 	if whole {
 		root, st, err = FoldBottomUp(ctx, db, combine)
 	} else {
-		root, st, err = foldExtent(ctx, db, x, combine)
+		root, st, err = foldRange(ctx, db, lo, hi, combine)
 	}
 	if err != nil {
 		t.Fatalf("backward fold: %v", err)

@@ -41,15 +41,14 @@ func TestScanCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("ScanTopDown: error %v, want context.Canceled", err)
 	}
-	x := Extent{Root: 0, Size: db.N}
-	_, _, err = foldExtent(ctx, db, x, func(first, second *struct{}, rec Record, v int64) struct{} {
+	_, _, err = foldRange(ctx, db, 0, db.N, func(first, second *struct{}, rec Record, v int64) struct{} {
 		visited++
 		return struct{}{}
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("fold of an extent: error %v, want context.Canceled", err)
 	}
-	_, err = scanExtent(ctx, db, x, func(v int64, rec Record, parent *struct{}, k int) (struct{}, error) {
+	_, err = scanRange(ctx, db, 0, db.N, func(v int64, rec Record, parent *struct{}, k int) (struct{}, error) {
 		visited++
 		return struct{}{}, nil
 	})

@@ -322,7 +322,7 @@ func TestCompressedRangeScans(t *testing.T) {
 	rawSigs := make(map[int64]int64, len(cuts))
 	for _, db := range []*DB{rawDB, compDB} {
 		for _, x := range cuts {
-			sig, _, err := foldExtent(context.Background(), db, x, func(first, second *int64, rec Record, v int64) int64 {
+			sig, _, err := foldRange(context.Background(), db, x.Root, x.End(), func(first, second *int64, rec Record, v int64) int64 {
 				s := int64(rec.Label) + v
 				if first != nil {
 					s += *first

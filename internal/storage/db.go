@@ -15,8 +15,9 @@ import (
 
 // ErrBadExtent reports that a claimed subtree extent does not match the
 // database's structure — the symptom of a stale or foreign chunk index
-// (say, a .arb file swapped underneath its .idx sidecar). Callers can
-// rebuild the index and retry.
+// (say, a .arb file swapped underneath its .idx sidecar). Only a run that
+// cuts a chunk frontier sees it, and that run rebuilds the index and
+// retries; nothing else detects a foreign sidecar (see DB.Index).
 var ErrBadExtent = errors.New("storage: extent does not match the database structure")
 
 // DB is an open .arb database. All read paths use offset-addressed I/O
@@ -251,92 +252,6 @@ func (s *ScanStats) Merge(o ScanStats) {
 	}
 }
 
-// cancelEvery is the node granularity of the context-cancellation checks
-// inside the scan loops: coarse enough that the check is invisible in the
-// per-node cost, fine enough that scans of huge databases abort promptly.
-const cancelEvery = 8192
-
-// Canceller polls ctx.Err() once per cancelEvery steps (plus once up
-// front, so an already-cancelled context never starts a loop): the window
-// passes' granularity, for the per-node loops outside them — the
-// versioned store's patch and compaction copies.
-type Canceller struct {
-	ctx  context.Context
-	left int
-}
-
-// NewCanceller returns a canceller for ctx. A nil ctx never cancels: it
-// is the explicit signal of the contextless creation paths (database
-// builds have no context in their API), not a shorthand for Background —
-// evaluation paths must always thread the caller's context. Two ci.sh
-// ratchets hold internal/ to that: no context.Background or
-// context.TODO, and no call with a literal nil first of several
-// arguments but create's BuildIndex(nil, db, 0).
-func NewCanceller(ctx context.Context) Canceller {
-	return Canceller{ctx: ctx}
-}
-
-// Step counts one loop iteration and returns ctx.Err() at every check
-// point (nil otherwise).
-func (c *Canceller) Step() error {
-	c.left--
-	if c.left > 0 {
-		return nil
-	}
-	c.left = cancelEvery
-	if c.ctx == nil {
-		return nil
-	}
-	return c.ctx.Err()
-}
-
-// backFold is the generic consumer of a backward pass: a stack of subtree
-// results driven by one record at a time, in reverse preorder, calling
-// combine per node.
-type backFold[S any] struct {
-	combine func(first, second *S, rec Record, v int64) S
-	stack   []S
-	stats   ScanStats
-}
-
-func (f *backFold[S]) node(rec Record, v int64) error {
-	var first, second *S
-	if rec.HasFirst {
-		if len(f.stack) == 0 {
-			return fmt.Errorf("%w: missing first subtree at node %d", ErrMalformed, v)
-		}
-		first = &f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-	}
-	if rec.HasSecond {
-		if len(f.stack) == 0 {
-			return fmt.Errorf("%w: missing second subtree at node %d", ErrMalformed, v)
-		}
-		second = &f.stack[len(f.stack)-1]
-		f.stack = f.stack[:len(f.stack)-1]
-	}
-	f.stack = append(f.stack, f.combine(first, second, rec, v))
-	f.stats.MaxStack = max(f.stats.MaxStack, len(f.stack))
-	f.stats.Nodes++
-	return nil
-}
-
-// run folds the node range [lo, hi) — the adapter from BackwardWindows to
-// FoldBottomUp.
-func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64) error {
-	return db.BackwardWindows(ctx, lo, hi, nil, &f.stats, nil,
-		func(first int64, recs []byte) error {
-			v := first + int64(len(recs)/NodeSize) - 1
-			for i := len(recs) - NodeSize; i >= 0; i -= NodeSize {
-				if err := f.node(DecodeRecord(binary.BigEndian.Uint16(recs[i:])), v); err != nil {
-					return err
-				}
-				v--
-			}
-			return nil
-		})
-}
-
 // FoldBottomUp traverses the database bottom-up in one backward linear
 // scan of the .arb file (Proposition 5.1), combining child results into
 // parent results. combine is called exactly once per node, in reverse
@@ -345,89 +260,45 @@ func (f *backFold[S]) run(ctx context.Context, db *DB, lo, hi int64) error {
 // returns the root's result. Cancelling ctx makes the scan return
 // ctx.Err() promptly (checked every few thousand nodes).
 func FoldBottomUp[S any](ctx context.Context, db *DB, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
-	var zero S
-	f := backFold[S]{combine: combine}
-	if err := f.run(ctx, db, 0, db.N); err != nil {
-		return zero, f.stats, err
-	}
-	if len(f.stack) != 1 {
-		return zero, f.stats, fmt.Errorf("%w: %d roots", ErrMalformed, len(f.stack))
-	}
-	return f.stack[0], f.stats, nil
+	return foldRange(ctx, db, 0, db.N, combine)
 }
 
-// topDown is the generic consumer of a forward pass: it tracks, per node
-// in preorder, which previously visited node is its parent and whether it
-// is a first or second child, calling visit per node. end is the exclusive
-// node bound of the scanned region (the structure check).
-type topDown[S any] struct {
-	visit     func(v int64, rec Record, parent *S, k int) (S, error)
-	end       int64
-	pending   []S // nodes awaiting their second subtree
-	parent    *S
-	parentVal S
-	k         int
-	stats     ScanStats
-}
-
-// afterSubtree restores parent/k once the subtree preceding position next
-// has been fully consumed.
-func (t *topDown[S]) afterSubtree(next int64) error {
-	if len(t.pending) > 0 {
-		t.parentVal = t.pending[len(t.pending)-1]
-		t.pending = t.pending[:len(t.pending)-1]
-		t.parent = &t.parentVal
-		t.k = 2
-		return nil
-	}
-	t.parent = nil
-	t.k = 0
-	if next != t.end {
-		return fmt.Errorf("%w: scan ended at node %d of %d", ErrMalformed, next-1, t.end)
-	}
-	return nil
-}
-
-func (t *topDown[S]) node(v int64, rec Record) error {
-	s, err := t.visit(v, rec, t.parent, t.k)
-	if err != nil {
-		return err
-	}
-	t.stats.Nodes++
-	if rec.HasSecond {
-		t.pending = append(t.pending, s)
-		if len(t.pending) > t.stats.MaxStack {
-			t.stats.MaxStack = len(t.pending)
-		}
-	}
-	if rec.HasFirst {
-		t.parentVal = s
-		t.parent = &t.parentVal
-		t.k = 1
-		return nil
-	}
-	return t.afterSubtree(v + 1)
-}
-
-// run scans the node range [lo, hi) with holes at the skip extents — the
-// adapter from ForwardWindows to the per-node ScanTopDown* entry points.
-func (t *topDown[S]) run(ctx context.Context, db *DB, lo, hi int64, skip []Extent, subtree func(x Extent, parent *S, k int) error) error {
-	return db.ForwardWindows(ctx, lo, hi, skip, &t.stats,
-		func(x Extent) error {
-			if err := subtree(x, t.parent, t.k); err != nil {
-				return err
-			}
-			t.stats.Nodes += x.Size
-			return t.afterSubtree(x.End())
-		},
-		func(first int64, recs []byte) error {
-			for i := 0; i < len(recs); i += NodeSize {
-				if err := t.node(first+int64(i/NodeSize), DecodeRecord(binary.BigEndian.Uint16(recs[i:]))); err != nil {
-					return err
+// foldRange is FoldBottomUp over the node range [lo, hi), which must hold
+// exactly one subtree.
+func foldRange[S any](ctx context.Context, db *DB, lo, hi int64, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
+	var st ScanStats
+	var stack []S // the results of the subtrees after the current node
+	err := db.BackwardWindows(ctx, lo, hi, nil, &st, nil, func(v0 int64, recs []byte) error {
+		v := v0 + int64(len(recs)/NodeSize) - 1
+		for i := len(recs) - NodeSize; i >= 0; i, v = i-NodeSize, v-1 {
+			rec := DecodeRecord(binary.BigEndian.Uint16(recs[i:]))
+			var first, second *S
+			if rec.HasFirst {
+				if len(stack) == 0 {
+					return fmt.Errorf("%w: missing first subtree at node %d", ErrMalformed, v)
 				}
+				first, stack = &stack[len(stack)-1], stack[:len(stack)-1]
 			}
-			return nil
-		})
+			if rec.HasSecond {
+				if len(stack) == 0 {
+					return fmt.Errorf("%w: missing second subtree at node %d", ErrMalformed, v)
+				}
+				second, stack = &stack[len(stack)-1], stack[:len(stack)-1]
+			}
+			stack = append(stack, combine(first, second, rec, v))
+			st.MaxStack = max(st.MaxStack, len(stack))
+			st.Nodes++
+		}
+		return nil
+	})
+	if err == nil && len(stack) != 1 {
+		err = fmt.Errorf("%w: %d roots", ErrMalformed, len(stack))
+	}
+	if err != nil {
+		var zero S
+		return zero, st, err
+	}
+	return stack[0], st, nil
 }
 
 // ScanTopDown traverses the database top-down in one forward linear scan
@@ -438,45 +309,91 @@ func (t *topDown[S]) run(ctx context.Context, db *DB, lo, hi int64, skip []Exten
 // one entry per ancestor whose second subtree is still pending.
 // Cancelling ctx makes the scan return ctx.Err() promptly.
 func ScanTopDown[S any](ctx context.Context, db *DB, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
-	return ScanTopDownSkipping(ctx, db, nil, nil, visit)
+	return scanRange(ctx, db, 0, db.N, visit)
 }
 
-// ScanTopDownSkipping is ScanTopDown with holes: the subtree extents in
-// skip (sorted by Root, disjoint) are not read; instead subtree is called
-// once per extent with the parent value and child position its root would
-// have received, and the scan continues past the extent as if visit had
-// consumed it. The parallel evaluator's leader uses it to assign top-down
-// entry states to the frontier chunks without reading their bytes.
-func ScanTopDownSkipping[S any](ctx context.Context, db *DB, skip []Extent, subtree func(x Extent, parent *S, k int) error, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
-	t := topDown[S]{visit: visit, end: db.N}
-	if err := t.run(ctx, db, 0, db.N, skip, subtree); err != nil {
-		return t.stats, err
+// scanRange is ScanTopDown over the node range [lo, hi), which must hold
+// exactly one subtree.
+func scanRange[S any](ctx context.Context, db *DB, lo, hi int64, visit func(v int64, rec Record, parent *S, k int) (S, error)) (ScanStats, error) {
+	var st ScanStats
+	var pending []S // the values of the nodes awaiting their second subtree
+	var parent *S
+	var parentVal S
+	k, done := 0, false
+	err := db.ForwardWindows(ctx, lo, hi, nil, &st, nil, func(first int64, recs []byte) error {
+		for i := 0; i < len(recs); i += NodeSize {
+			v := first + int64(i/NodeSize)
+			if done {
+				return fmt.Errorf("%w: scan ended at node %d of %d", ErrMalformed, v-1, hi)
+			}
+			rec := DecodeRecord(binary.BigEndian.Uint16(recs[i:]))
+			s, err := visit(v, rec, parent, k)
+			if err != nil {
+				return err
+			}
+			st.Nodes++
+			if rec.HasSecond {
+				pending = append(pending, s)
+				st.MaxStack = max(st.MaxStack, len(pending))
+			}
+			switch {
+			case rec.HasFirst:
+				parentVal, parent, k = s, &parentVal, 1
+			case len(pending) > 0:
+				parentVal, parent, k = pending[len(pending)-1], &parentVal, 2
+				pending = pending[:len(pending)-1]
+			default:
+				parent, k, done = nil, 0, true
+			}
+		}
+		return nil
+	})
+	if err == nil && (parent != nil || len(pending) > 0) {
+		err = fmt.Errorf("%w: %d announced subtrees missing at end of file", ErrMalformed, len(pending)+1)
 	}
-	if t.parent != nil || len(t.pending) > 0 {
-		return t.stats, fmt.Errorf("%w: %d announced subtrees missing at end of file", ErrMalformed, len(t.pending)+1)
-	}
-	return t.stats, nil
+	return st, err
 }
 
-// ReadTree materialises the whole database as an in-memory tree. Intended
+// ReadTree materialises the whole database as an in-memory tree, in one
+// forward pass: node v of the database is node v of the tree. Intended
 // for tests and small databases.
 func (db *DB) ReadTree(ctx context.Context) (*tree.Tree, error) {
 	t := tree.New(db.Names)
-	type frame struct {
-		parent tree.NodeID
-		k      int
-	}
-	_, err := ScanTopDown(ctx, db, func(v int64, rec Record, parent *frame, k int) (frame, error) {
-		id := t.AddNode(tree.Label(rec.Label))
-		if parent != nil {
-			if k == 1 {
-				t.SetFirst(parent.parent, id)
+	// The next record is the first child of first, when the last record
+	// announced one, and otherwise the second child of the innermost node
+	// awaiting its second subtree.
+	first := tree.None
+	var pending []tree.NodeID
+	done := false // the root's subtree is complete
+	var st ScanStats
+	err := db.ForwardWindows(ctx, 0, db.N, nil, &st, nil, func(v0 int64, recs []byte) error {
+		for i := 0; i < len(recs); i += NodeSize {
+			if done {
+				return fmt.Errorf("%w: record %d follows the root's subtree", ErrMalformed, v0+int64(i/NodeSize))
+			}
+			rec := DecodeRecord(binary.BigEndian.Uint16(recs[i:]))
+			id := t.AddNode(tree.Label(rec.Label))
+			if first != tree.None {
+				t.SetFirst(first, id)
+			} else if len(pending) > 0 {
+				t.SetSecond(pending[len(pending)-1], id)
+				pending = pending[:len(pending)-1]
+			}
+			first = tree.None
+			if rec.HasSecond {
+				pending = append(pending, id)
+			}
+			if rec.HasFirst {
+				first = id
 			} else {
-				t.SetSecond(parent.parent, id)
+				done = len(pending) == 0
 			}
 		}
-		return frame{parent: id}, nil
+		return nil
 	})
+	if err == nil && !done {
+		err = fmt.Errorf("%w: announced subtrees missing at end of file", ErrMalformed)
+	}
 	if err != nil {
 		return nil, err
 	}

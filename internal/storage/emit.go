@@ -3,6 +3,7 @@ package storage
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -19,8 +20,15 @@ import (
 // returns ctx.Err().
 func EmitXMLContext(ctx context.Context, db *DB, w io.Writer, selected func(v int64) bool) error {
 	e := NewXMLEmitter(w, db.Names)
-	_, err := ScanTopDown(ctx, db, func(v int64, rec Record, parent *struct{}, k int) (struct{}, error) {
-		return struct{}{}, e.Node(v, rec, selected != nil && selected(v))
+	var st ScanStats
+	err := db.ForwardWindows(ctx, 0, db.N, nil, &st, nil, func(first int64, recs []byte) error {
+		for i := 0; i < len(recs); i += NodeSize {
+			v := first + int64(i/NodeSize)
+			if err := e.Node(v, DecodeRecord(binary.BigEndian.Uint16(recs[i:])), selected != nil && selected(v)); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return err
@@ -33,7 +41,7 @@ func EmitXMLContext(ctx context.Context, db *DB, w io.Writer, selected func(v in
 // output during the second evaluation phase itself (Section 6.3), with
 // no additional pass over the data.
 func NewXMLEmitter(w io.Writer, names *tree.Names) *XMLEmitter {
-	return &XMLEmitter{w: bufio.NewWriterSize(w, defaultBufSize), names: names}
+	return &XMLEmitter{w: bufio.NewWriterSize(w, defaultBufSize), names: names, owed: 1}
 }
 
 type emitFrame struct {
@@ -47,7 +55,12 @@ type XMLEmitter struct {
 	names *tree.Names
 	stack []emitFrame
 	inSel bool // inside an <arb:sel> run of selected characters
-	err   error
+	// owed counts the announced subtrees not yet begun: the root's, then
+	// one per child flag, less one per node. Records form one binary
+	// tree in preorder iff it stays positive until the last node and ends
+	// at zero.
+	owed int64
+	err  error
 }
 
 func (e *XMLEmitter) str(s string) {
@@ -65,6 +78,16 @@ func (e *XMLEmitter) endSelRun() {
 
 // Node processes one preorder node. sel marks it as selected.
 func (e *XMLEmitter) Node(v int64, rec Record, sel bool) error {
+	if e.owed == 0 {
+		return fmt.Errorf("%w: record %d follows the root's subtree", ErrMalformed, v)
+	}
+	e.owed--
+	if rec.HasFirst {
+		e.owed++
+	}
+	if rec.HasSecond {
+		e.owed++
+	}
 	l := tree.Label(rec.Label)
 	if l.IsChar() {
 		if sel && !e.inSel {
@@ -119,8 +142,8 @@ func (e *XMLEmitter) Node(v int64, rec Record, sel bool) error {
 // the last node.
 func (e *XMLEmitter) Finish() error {
 	e.endSelRun()
-	if e.err == nil && len(e.stack) != 0 {
-		return fmt.Errorf("storage: emit finished with %d open frames", len(e.stack))
+	if e.err == nil && e.owed != 0 {
+		return fmt.Errorf("%w: %d announced subtrees missing at end of file", ErrMalformed, e.owed)
 	}
 	if e.err == nil {
 		e.err = e.w.Flush()

@@ -84,38 +84,58 @@ type idxNode struct {
 // document depth, as in Proposition 5.1) and returns the index of its up
 // to budget largest subtrees, each with its label signature. budget <= 0
 // selects DefaultIndexBudget. A nil ctx (the contextless creation paths)
-// never cancels.
+// never cancels. Records that do not form one binary tree fail with
+// ErrMalformed.
 func BuildIndex(ctx context.Context, db *DB, budget int) (*SubtreeIndex, error) {
 	if budget <= 0 {
 		budget = DefaultIndexBudget
 	}
 	h := make(entryHeap, 0, budget)
-	_, _, err := FoldBottomUp(ctx, db, func(first, second *idxNode, rec Record, v int64) idxNode {
-		n := idxNode{size: 1}
-		n.sig.Add(rec.Label)
-		var firstSize int64
-		if first != nil {
-			n.size += first.size
-			firstSize = first.size
-			n.sig.Or(first.sig)
+	var stack []idxNode // the folded subtrees after the current node, the first child's on top
+	var st ScanStats
+	err := db.BackwardWindows(ctx, 0, db.N, nil, &st, nil, func(first int64, recs []byte) error {
+		v := first + int64(len(recs)/NodeSize) - 1
+		for i := len(recs) - NodeSize; i >= 0; i, v = i-NodeSize, v-1 {
+			rec := DecodeRecord(binary.BigEndian.Uint16(recs[i:]))
+			top := len(stack)
+			n := idxNode{size: 1}
+			n.sig.Add(rec.Label)
+			var firstSize int64
+			if rec.HasFirst {
+				if top == 0 {
+					return fmt.Errorf("%w: missing first subtree at node %d", ErrMalformed, v)
+				}
+				top--
+				firstSize = stack[top].size
+				n.size += stack[top].size
+				n.sig.Or(stack[top].sig)
+			}
+			if rec.HasSecond {
+				if top == 0 {
+					return fmt.Errorf("%w: missing second subtree at node %d", ErrMalformed, v)
+				}
+				top--
+				n.size += stack[top].size
+				n.sig.Or(stack[top].sig)
+			}
+			stack = append(stack[:top], n)
+			// Almost no node can enter a full heap, so test against its
+			// minimum before touching it, and replace the minimum in place
+			// otherwise. (Among subtrees of the minimum size, which ones are
+			// kept is arbitrary.)
+			switch {
+			case len(h) < budget:
+				heap.Push(&h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
+			case n.size > h[0].Size:
+				h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig}
+				heap.Fix(&h, 0)
+			}
 		}
-		if second != nil {
-			n.size += second.size
-			n.sig.Or(second.sig)
-		}
-		// Almost no node can enter a full heap, so test against its minimum
-		// before touching it, and replace the minimum in place otherwise.
-		// (Among subtrees of the minimum size, which ones are kept is
-		// arbitrary.)
-		switch {
-		case len(h) < budget:
-			heap.Push(&h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
-		case n.size > h[0].Size:
-			h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig}
-			heap.Fix(&h, 0)
-		}
-		return n
+		return nil
 	})
+	if err == nil && len(stack) != 1 {
+		err = fmt.Errorf("%w: %d roots", ErrMalformed, len(stack))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -234,10 +254,8 @@ func WriteIndexFile(path string, ix *SubtreeIndex) error {
 		if _, err := w.WriteString(indexMagic); err != nil {
 			return err
 		}
-		var buf [8]byte
 		put := func(v uint64) error {
-			binary.BigEndian.PutUint64(buf[:], v)
-			_, err := w.Write(buf[:])
+			_, err := w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), v))
 			return err
 		}
 		if err := put(uint64(ix.N)); err != nil {
@@ -288,12 +306,14 @@ func ReadIndexFile(path string) (*SubtreeIndex, error) {
 		}
 		return nil, fmt.Errorf("storage: %s is not an index file", path)
 	}
-	var buf [8]byte
 	get := func() (int64, error) {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
+		b, err := r.Peek(8)
+		if err != nil {
 			return 0, err
 		}
-		return int64(binary.BigEndian.Uint64(buf[:])), nil
+		v := int64(binary.BigEndian.Uint64(b))
+		_, err = r.Discard(8)
+		return v, err
 	}
 	n, err := get()
 	if err != nil {
@@ -338,11 +358,12 @@ func ReadIndexFile(path string) (*SubtreeIndex, error) {
 // validate rejects structurally impossible indexes: unsorted or
 // out-of-bounds entries, and entries that partially overlap (subtree
 // extents must form a laminar family — nested or disjoint, never
-// crossing). It cannot prove the index matches the tree — a well-formed
-// but foreign sidecar surfaces as ErrBadExtent during evaluation instead,
-// and RebuildIndex recovers from that. (Label signatures are likewise
-// trusted: the sidecar is maintained by this package alongside the .arb
-// file, and editing a database out-of-band requires RebuildIndex.)
+// crossing). It cannot prove the index matches the tree, and neither can
+// anything else cheaply: a well-formed but foreign sidecar is caught only
+// where a chunk frontier cut from it misses the records' structure
+// (ErrBadExtent, after which that run rebuilds the index), and its label
+// signatures are trusted outright (see DB.Index). Editing a database
+// out-of-band requires RebuildIndex.
 func (ix *SubtreeIndex) validate() error {
 	prev := int64(-1)
 	var open []int64 // ends of enclosing extents, innermost last
@@ -366,11 +387,19 @@ func (ix *SubtreeIndex) validate() error {
 }
 
 // Index returns the database's subtree index, loading base.idx if a
-// matching sidecar exists and otherwise building the index with one
-// backward scan. The result is cached on the handle, so with a persisted
-// index every later parallel run still performs exactly two linear scans'
-// worth of I/O in aggregate. budget <= 0 selects DefaultIndexBudget.
-// Cancelling ctx aborts a rebuild scan; a nil ctx never cancels.
+// sidecar with the database's node count exists and otherwise building
+// the index with one backward scan. The result is cached on the handle, so
+// with a persisted index every later parallel run still performs exactly
+// two linear scans' worth of I/O in aggregate. budget <= 0 selects
+// DefaultIndexBudget. Cancelling ctx aborts a rebuild scan; a nil ctx
+// never cancels.
+//
+// A sidecar whose node count matches is trusted: nothing binds it to the
+// records. A run that cuts a chunk frontier rebuilds it when a chunk's
+// records do not form one subtree (ErrBadExtent); sequential and pruned
+// runs never rebuild it, and where the foreign extents' shapes match the
+// records, a pruned run answers from the foreign label signatures and is
+// silently wrong.
 func (db *DB) Index(ctx context.Context, budget int) (ix *SubtreeIndex, err error) {
 	db.idx.Do(func(cached **SubtreeIndex) {
 		if *cached != nil {

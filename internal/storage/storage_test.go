@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -382,30 +384,66 @@ func must(err error) {
 
 func TestMalformedArbRejected(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "bad")
-	// Root claims a first child but the file has one record.
-	raw := make([]byte, 2)
-	binary.BigEndian.PutUint16(raw, Record{Label: 300, HasFirst: true}.Encode())
-	if err := os.WriteFile(base+".arb", raw, 0o644); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	// Every record walk rejects records that are not one binary tree in
+	// preorder with ErrMalformed, and accepts a root whose second subtree
+	// is present.
+	callers := map[string]func(db *DB) error{
+		"ScanTopDown": func(db *DB) error {
+			_, err := ScanTopDown(ctx, db, func(v int64, rec Record, parent *int, k int) (int, error) { return 0, nil })
+			return err
+		},
+		"FoldBottomUp": func(db *DB) error {
+			_, _, err := FoldBottomUp(ctx, db, func(first, second *int, rec Record, v int64) int { return 0 })
+			return err
+		},
+		"EmitXMLContext": func(db *DB) error { return EmitXMLContext(ctx, db, io.Discard, nil) },
+		"BuildIndex": func(db *DB) error {
+			_, err := BuildIndex(ctx, db, 0)
+			return err
+		},
+		"ReadTree": func(db *DB) error {
+			_, err := db.ReadTree(ctx)
+			return err
+		},
 	}
-	db, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := ScanTopDown(context.Background(), db, func(v int64, rec Record, parent *int, k int) (int, error) {
-		return 0, nil
-	}); err == nil {
-		t.Fatal("forward scan accepted a truncated database")
-	}
-	if _, _, err := FoldBottomUp(context.Background(), db, func(first, second *int, rec Record, v int64) int {
-		return 0
-	}); err == nil {
-		t.Fatal("backward scan accepted a truncated database")
+	for i, shape := range []struct {
+		name string
+		recs []Record
+		ok   bool
+	}{
+		{"truncated", []Record{{Label: 300, HasFirst: true}}, false},
+		{"second subtree missing at end", []Record{{Label: 300, HasFirst: true}, {Label: 301, HasSecond: true}}, false},
+		{"lone root announcing a second subtree", []Record{{Label: 300, HasSecond: true}}, false},
+		{"records after the root's subtree", []Record{{Label: 300}, {Label: 301}}, false},
+		{"root with its second subtree", []Record{{Label: 300, HasSecond: true}, {Label: 301}}, true},
+	} {
+		raw := make([]byte, len(shape.recs)*NodeSize)
+		for i, r := range shape.recs {
+			binary.BigEndian.PutUint16(raw[i*NodeSize:], r.Encode())
+		}
+		base := filepath.Join(dir, fmt.Sprintf("shape%d", i))
+		if err := os.WriteFile(base+".arb", raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, walk := range callers {
+			err := walk(db)
+			if shape.ok && err != nil {
+				t.Errorf("%s: %s: %v", shape.name, name, err)
+			}
+			if !shape.ok && !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s: %s returned %v, want ErrMalformed", shape.name, name, err)
+			}
+		}
+		db.Close()
 	}
 
 	// Odd file size.
+	base := filepath.Join(dir, "bad")
 	if err := os.WriteFile(base+"2.arb", []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}

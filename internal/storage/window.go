@@ -12,6 +12,11 @@ import (
 // corrupt .arb file; over a chunk cut from the subtree index, a stale index.
 var ErrMalformed = errors.New("storage: malformed .arb")
 
+// cancelEvery is the node granularity of the context-cancellation checks
+// inside the scan loops: coarse enough that the check is invisible in the
+// per-node cost, fine enough that scans of huge databases abort promptly.
+const cancelEvery = 8192
+
 // WindowNodes is the most records one window callback receives: windows are
 // cut to the cancellation granularity, so a pass polls its context once per
 // window and consumers can size per-window buffers from it.
@@ -132,8 +137,13 @@ func (db *DB) checkWindows(lo, hi int64, skip []Extent) error {
 	return nil
 }
 
-// pollCtx is the scans' cancellation check. A nil ctx never cancels (see
-// NewCanceller).
+// pollCtx is the scans' cancellation check. A nil ctx never cancels: it
+// is the explicit signal of the contextless creation paths (database
+// builds have no context in their API), not a shorthand for Background —
+// evaluation paths must always thread the caller's context. Two ci.sh
+// ratchets hold internal/ to that: no context.Background or
+// context.TODO, and no call with a literal nil first of several
+// arguments but create's BuildIndex(nil, db, 0).
 func pollCtx(ctx context.Context) error {
 	if ctx == nil {
 		return nil

@@ -60,7 +60,7 @@ type PatchInfo struct {
 // only. Concurrent snapshots keep reading the old version.
 func (st *Store) ReplaceSubtree(ctx context.Context, node int64, t *tree.Tree) (*PatchInfo, error) {
 	return st.write(func(ver *version, next *uint64) (*PatchInfo, error) {
-		rec, err := ver.checkedRec(node)
+		rec, err := ver.db.RecordAt(node)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +87,7 @@ func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, err
 		if node == 0 {
 			return nil, fmt.Errorf("vstore: cannot delete the document root")
 		}
-		rec, err := ver.checkedRec(node)
+		rec, err := ver.db.RecordAt(node)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, err
 			if err != nil {
 				return nil, err
 			}
-			prec, err := ver.readRec(parent)
+			prec, err := ver.db.RecordAt(parent)
 			if err != nil {
 				return nil, err
 			}
@@ -126,7 +126,7 @@ func (st *Store) DeleteSubtree(ctx context.Context, node int64) (*PatchInfo, err
 // gains the first-child flag. Text nodes cannot take children.
 func (st *Store) InsertChild(ctx context.Context, node int64, t *tree.Tree) (*PatchInfo, error) {
 	return st.write(func(ver *version, next *uint64) (*PatchInfo, error) {
-		rec, err := ver.checkedRec(node)
+		rec, err := ver.db.RecordAt(node)
 		if err != nil {
 			return nil, err
 		}
@@ -413,132 +413,118 @@ func writeNamesFile(path string, names *tree.Names) error {
 	})
 }
 
-// checkedRec reads the record at node, validating the position.
-func (ver *version) checkedRec(node int64) (storage.Record, error) {
-	if node < 0 || node >= ver.n {
-		return storage.Record{}, fmt.Errorf("vstore: node %d out of range [0,%d)", node, ver.n)
-	}
-	return ver.readRec(node)
-}
+// errWalked ends a record walk of the version early, once it has found
+// what it walks for.
+var errWalked = errors.New("vstore: walk done")
 
-// readRec reads the single record at logical position v.
-func (ver *version) readRec(v int64) (storage.Record, error) {
-	var b [storage.NodeSize]byte
-	if _, err := ver.src.ReadAt(b[:], v*storage.NodeSize); err != nil {
-		return storage.Record{}, err
+// holes returns the maximal index extents inside the node range [lo, hi):
+// the subtrees a walk of that range counts as one each without reading
+// them.
+func (ver *version) holes(lo, hi int64) []storage.Extent {
+	var skip []storage.Extent
+	end := lo
+	for _, e := range ver.idx.Entries() {
+		if e.V >= hi {
+			break
+		}
+		if e.V >= end && e.V+e.Size <= hi {
+			skip = append(skip, storage.Extent{Root: e.V, Size: e.Size})
+			end = e.V + e.Size
+		}
 	}
-	return storage.DecodeRecord(binary.BigEndian.Uint16(b[:])), nil
+	return skip
 }
 
 // xmlEnd returns the exclusive end of the XML subtree of v — the node
 // plus its first (descendant) subtree, not the sibling chain: the range
-// every patch operation splices. Cost is O(subtree) at worst; indexed
-// subtrees inside it are jumped over without reading.
+// every patch operation splices. One forward walk from v+1 counts the
+// subtrees still owed, reading O(subtree) records at worst; indexed
+// subtrees inside it are holes, each one owed subtree, never read.
 func (ver *version) xmlEnd(ctx context.Context, v int64, rec storage.Record) (int64, error) {
 	if !rec.HasFirst {
 		return v + 1, nil
 	}
-	return ver.skipSubtrees(ctx, v+1, 1)
-}
-
-// skipSubtrees returns the position after `pending` complete binary
-// subtrees starting at start, reading records in chunks and jumping
-// over indexed extents.
-func (ver *version) skipSubtrees(ctx context.Context, start, pending int64) (int64, error) {
-	cancel := storage.NewCanceller(ctx)
-	const chunkNodes = 16384
-	var buf []byte
-	bufStart, bufEnd := int64(0), int64(0)
-	pos := start
-	for pending > 0 {
-		if err := cancel.Step(); err != nil {
-			return 0, err
-		}
-		if pos >= ver.n {
-			return 0, fmt.Errorf("vstore: malformed database: subtree at %d runs past the end", start)
-		}
-		if e, ok := ver.idx.Lookup(pos); ok && pos+e.Size <= ver.n {
-			pos += e.Size
-			pending--
-			continue
-		}
-		if pos < bufStart || pos >= bufEnd {
-			end := pos + chunkNodes
-			if end > ver.n {
-				end = ver.n
+	owed, end := 1, int64(0)
+	var st storage.ScanStats
+	err := ver.db.ForwardWindows(ctx, v+1, ver.n, ver.holes(v+1, ver.n), &st,
+		func(x storage.Extent) error {
+			if owed--; owed == 0 {
+				end = x.End()
+				return errWalked
 			}
-			need := int((end - pos) * storage.NodeSize)
-			if cap(buf) < need {
-				buf = make([]byte, need)
+			return nil
+		},
+		func(first int64, recs []byte) error {
+			for i := 0; i < len(recs); i += storage.NodeSize {
+				r := binary.BigEndian.Uint16(recs[i:])
+				owed--
+				if r&storage.FlagFirst != 0 {
+					owed++
+				}
+				if r&storage.FlagSecond != 0 {
+					owed++
+				}
+				if owed == 0 {
+					end = first + int64(i/storage.NodeSize) + 1
+					return errWalked
+				}
 			}
-			buf = buf[:need]
-			if _, err := ver.src.ReadAt(buf, pos*storage.NodeSize); err != nil {
-				return 0, err
-			}
-			bufStart, bufEnd = pos, end
-		}
-		rec := storage.DecodeRecord(binary.BigEndian.Uint16(buf[(pos-bufStart)*storage.NodeSize:]))
-		pending--
-		if rec.HasFirst {
-			pending++
-		}
-		if rec.HasSecond {
-			pending++
-		}
-		pos++
+			return nil
+		})
+	if errors.Is(err, errWalked) {
+		return end, nil
 	}
-	return pos, nil
+	if err == nil {
+		err = fmt.Errorf("vstore: malformed database: subtree at %d runs past the end", v+1)
+	}
+	return 0, err
 }
-
-// errFoundParent aborts the parent-locating scan once the target node
-// has been visited.
-var errFoundParent = errors.New("vstore: parent located")
 
 // parentOf locates the binary-tree parent of v and whether v is its
-// first or second child, with one forward scan that seeks past every
-// maximal indexed extent not containing v (an extent containing the
-// parent necessarily contains v too, so skipping the rest is safe).
-// The root has no parent: (-1, 0).
+// first or second child, with one backward walk from v: a first child's
+// parent is the node before it, and a second child's is its XML left
+// sibling, whose descendants the walk crosses. Folding reverse preorder,
+// each of those descendants finds its children among the complete
+// subtrees behind it; the first node that announces more children than
+// there are is the parent, which misses v's subtree itself. Indexed
+// subtrees that end by v are holes, each one complete subtree, never
+// read.
 func (ver *version) parentOf(ctx context.Context, v int64) (int64, int, error) {
-	if v == 0 {
-		return -1, 0, nil
-	}
-	var skip []storage.Extent
-	var end int64
-	for _, e := range ver.idx.Entries() {
-		if e.V > v {
-			break // the scan aborts at v; later extents are never reached
-		}
-		if e.V < end {
-			continue // nested inside an extent already skipped
-		}
-		if e.V <= v && v < e.V+e.Size {
-			continue // contains v: the scan must descend into it
-		}
-		skip = append(skip, storage.Extent{Root: e.V, Size: e.Size})
-		end = e.V + e.Size
-	}
-	type pframe struct{ id int64 }
 	parent, k := int64(-1), 0
-	_, err := storage.ScanTopDownSkipping(ctx, ver.db, skip,
-		func(x storage.Extent, p *pframe, kk int) error { return nil },
-		func(u int64, rec storage.Record, p *pframe, kk int) (pframe, error) {
-			if u == v {
-				if p != nil {
-					parent, k = p.id, kk
+	done := 0 // complete subtrees between the walk's position and v
+	var st storage.ScanStats
+	err := ver.db.BackwardWindows(ctx, 0, v, ver.holes(0, v), &st,
+		func(storage.Extent) error {
+			done++
+			return nil
+		},
+		func(first int64, recs []byte) error {
+			u := first + int64(len(recs)/storage.NodeSize) - 1
+			for i := len(recs) - storage.NodeSize; i >= 0; i, u = i-storage.NodeSize, u-1 {
+				r := binary.BigEndian.Uint16(recs[i:])
+				kids := 0
+				if r&storage.FlagFirst != 0 {
+					kids++
 				}
-				return pframe{id: u}, errFoundParent
+				if r&storage.FlagSecond != 0 {
+					kids++
+				}
+				if kids > done {
+					parent, k = u, 2
+					if r&storage.FlagFirst != 0 && done == 0 {
+						k = 1
+					}
+					return errWalked
+				}
+				done -= kids - 1
 			}
-			return pframe{id: u}, nil
+			return nil
 		})
+	if errors.Is(err, errWalked) {
+		return parent, k, nil
+	}
 	if err == nil {
-		return 0, 0, fmt.Errorf("vstore: node %d not reached by the parent scan", v)
+		err = fmt.Errorf("vstore: node %d has no parent", v)
 	}
-	if !errors.Is(err, errFoundParent) {
-		return 0, 0, err
-	}
-	if parent < 0 {
-		return 0, 0, fmt.Errorf("vstore: node %d has no parent", v)
-	}
-	return parent, k, nil
+	return 0, 0, err
 }

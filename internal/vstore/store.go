@@ -96,10 +96,9 @@ func (st *Store) newSegment(ctx context.Context, id uint64, src io.ReaderAt, siz
 			}
 			w = bw
 		}
-		cancel := storage.NewCanceller(ctx)
 		const chunk = int64(1 << 20)
 		for off := int64(0); off < size; off += chunk {
-			if err := cancel.Step(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 			end := min(off+chunk, size)

@@ -222,25 +222,45 @@ func checkVersion(t *testing.T, snap *Snapshot, recs []orec) {
 func randDoc(r *rand.Rand, names *tree.Names, n int) *tree.Tree {
 	t := tree.New(names)
 	budget := n - 1
-	var gen func(depth int, allowSecond bool) tree.NodeID
-	gen = func(depth int, allowSecond bool) tree.NodeID {
-		v := t.AddNode(tree.Label(names.MustIntern(fmt.Sprintf("t%d", r.Intn(8)))))
-		if budget > 0 && depth < 12 && r.Intn(3) > 0 {
-			budget--
-			if r.Intn(4) == 0 { // text child (char label, always a leaf)
-				t.SetFirst(v, t.AddNode(tree.Label('a'+r.Intn(26))))
-			} else {
-				t.SetFirst(v, gen(depth+1, true))
-			}
-		}
-		if allowSecond && budget > 0 && r.Intn(3) > 0 {
-			budget--
-			t.SetSecond(v, gen(depth, true))
-		}
-		return v
-	}
-	gen(0, false)
+	randSubtree(t, r, &budget, 0, false)
 	return t
+}
+
+// chainDoc is a document of at least n nodes: a root whose children are
+// randDoc-shaped subtrees, added until the document is large enough.
+func chainDoc(r *rand.Rand, names *tree.Names, n int) *tree.Tree {
+	t := tree.New(names)
+	budget := n // never spent before the document holds n nodes
+	root := t.AddNode(tree.Label(names.MustIntern(fmt.Sprintf("t%d", r.Intn(8)))))
+	for prev := tree.None; t.Len() < n; {
+		c := randSubtree(t, r, &budget, 1, false)
+		if prev == tree.None {
+			t.SetFirst(root, c)
+		} else {
+			t.SetSecond(prev, c)
+		}
+		prev = c
+	}
+	return t
+}
+
+// randSubtree appends a random subtree at depth to t in preorder, each
+// child spending one of *budget, and returns its root.
+func randSubtree(t *tree.Tree, r *rand.Rand, budget *int, depth int, allowSecond bool) tree.NodeID {
+	v := t.AddNode(tree.Label(t.Names().MustIntern(fmt.Sprintf("t%d", r.Intn(8)))))
+	if *budget > 0 && depth < 12 && r.Intn(3) > 0 {
+		*budget--
+		if r.Intn(4) == 0 { // text child (char label, always a leaf)
+			t.SetFirst(v, t.AddNode(tree.Label('a'+r.Intn(26))))
+		} else {
+			t.SetFirst(v, randSubtree(t, r, budget, depth+1, true))
+		}
+	}
+	if allowSecond && *budget > 0 && r.Intn(3) > 0 {
+		*budget--
+		t.SetSecond(v, randSubtree(t, r, budget, depth, true))
+	}
+	return v
 }
 
 func randFragment(r *rand.Rand, serial *int, maxNodes int) *tree.Tree {
@@ -378,6 +398,86 @@ func TestPatchDifferentialOracle(t *testing.T) {
 			}
 		})
 	}
+
+	// A document too large for the index to cover: the patch walks step
+	// records and jump nested extents both. Targets are nodes inside
+	// extents nested in others whose walks jump an extent, as first and as
+	// second children, and the last node.
+	t.Run("nested", func(t *testing.T) {
+		r := rand.New(rand.NewSource(5))
+		doc := chainDoc(r, tree.NewNames(), 20000)
+		st, _ := createStore(t, doc)
+		defer st.Close()
+		recs := oFromTree(doc)
+		serial := 0
+		for step := 0; step < 48; step++ {
+			del := step%2 == 1
+			snap := st.Snapshot()
+			firsts, seconds := nestedTargets(snap.v.idx.Entries(), recs, del)
+			snap.Release()
+			if len(firsts) == 0 || len(seconds) == 0 {
+				t.Fatalf("step %d: %d first and %d second children inside nested extents", step, len(firsts), len(seconds))
+			}
+			var v int64
+			switch step % 3 {
+			case 0:
+				v = firsts[r.Intn(len(firsts))]
+			case 1:
+				v = seconds[r.Intn(len(seconds))]
+			case 2:
+				v = int64(len(recs)) - 1
+			}
+			if !del {
+				frag := randFragment(r, &serial, 20)
+				if _, err := st.ReplaceSubtree(ctx, v, frag); err != nil {
+					t.Fatalf("step %d: replace %d: %v", step, v, err)
+				}
+				recs = oReplace(recs, v, oFromTree(frag))
+			} else {
+				if _, err := st.DeleteSubtree(ctx, v); err != nil {
+					t.Fatalf("step %d: delete %d: %v", step, v, err)
+				}
+				recs = oDelete(recs, v)
+			}
+			snap = st.Snapshot()
+			checkVersion(t, snap, recs)
+			snap.Release()
+		}
+	})
+}
+
+// nestedTargets returns the nodes inside index extents nested in another
+// extent whose patch walk jumps an indexed subtree, split into first and
+// second children. For a replace that is xmlEnd's walk: nodes whose first
+// child roots an extent. For a delete it is parentOf's: second children
+// without a second child of their own that directly follow an extent, and
+// first children without one.
+func nestedTargets(entries []storage.IndexEntry, recs []orec, del bool) (firsts, seconds []int64) {
+	n := int64(len(recs))
+	cover := make([]int, n+1) // cover[v]: the extents holding v below their root
+	roots, ends := make(map[int64]bool), make(map[int64]bool)
+	for _, e := range entries {
+		cover[e.V+1]++
+		cover[e.V+e.Size]--
+		roots[e.V], ends[e.V+e.Size] = true, true
+	}
+	for v := int64(1); v < n; v++ {
+		cover[v] += cover[v-1]
+		jumps := recs[v].hasFirst && roots[v+1]
+		if del {
+			// A first child's parent is the node before it: no walk.
+			jumps = !recs[v].hasSecond && (recs[v-1].hasFirst || ends[v])
+		}
+		if cover[v] < 2 || !jumps {
+			continue
+		}
+		if recs[v-1].hasFirst {
+			firsts = append(firsts, v)
+		} else {
+			seconds = append(seconds, v)
+		}
+	}
+	return firsts, seconds
 }
 
 // TestSnapshotIsolationAndGC pins a snapshot, patches past it, and

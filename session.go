@@ -256,7 +256,7 @@ type ExecOpts struct {
 	// one proportional to query selectivity; results are bit-identical either way, and
 	// Profile reports what was skipped (Disk.PhaseN.SkippedBytes,
 	// Engine.PrunedNodes). Executions that stream marked XML or read aux
-	// masks never prune regardless of this flag.
+	// planes never prune regardless of this flag.
 	NoPrune bool
 	// ResultCache opts this execution into the session's result cache
 	// (SetResultCache): a completed result is published under the query's

@@ -104,8 +104,12 @@ type PatchOp struct {
 // the one mutation entry point of a session, for callers that build the
 // operation in code and for those that receive it as data (the arb CLI's
 // patch subcommand, the server's POST /patch) alike. Queries already
-// executing keep reading the version they pinned.
+// executing keep reading the version they pinned. A nil ctx means
+// context.Background().
 func (s *Session) Patch(ctx context.Context, op PatchOp) (*PatchInfo, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	vs, err := s.versioned()
 	if err != nil {
 		return nil, err
@@ -142,8 +146,11 @@ func (s *Session) EmitXML(ctx context.Context, w io.Writer, selected func(v int6
 // commits it as a new version: one sequential copy of the live data,
 // after which superseded patch segments are collected as soon as their
 // last snapshot releases. Readers are never blocked — compaction is
-// just another commit.
+// just another commit. A nil ctx means context.Background().
 func (s *Session) Compact(ctx context.Context) (*PatchInfo, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	vs, err := s.versioned()
 	if err != nil {
 		return nil, err
