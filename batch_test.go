@@ -1,11 +1,13 @@
 package arb_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"arb"
@@ -387,4 +389,91 @@ func TestBatchTwoScans(t *testing.T) {
 	}
 	db.Close()
 	checkTwoScans(t, base)
+}
+
+// TestBatchKeepsProductAcrossExecs runs one PreparedBatch on a versioned
+// session again and again. The batch keeps its members' product automata
+// between Execs, so its second Exec computes no transition and answers as
+// the oracles do. A patch that adds a tag name makes the members
+// recompile: the next Exec steps new engines and a new product — cold
+// transitions again — and answers as a fresh session over the patched
+// document does, the new tag included.
+func TestBatchKeepsProductAcrossExecs(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "db")
+	db, err := arb.CreateDBFromTree(base, buildCatalog(t, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	sess, err := arb.OpenVersionedSession(nil, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	xq := func(src string) *arb.XPathQuery {
+		q, err := arb.ParseXPath(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	items := append(batchCorpus(t), xq(`//item/zz`), xq(`//item[zz]/name`))
+	batch, err := sess.PrepareBatch(items...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(label string) int {
+		t.Helper()
+		res, prof, err := batch.Exec(nil, arb.ExecOpts{Stats: true})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var doc bytes.Buffer
+		if err := sess.EmitXML(nil, &doc, nil); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := arb.ParseXML(&doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := arb.NewSession(tr)
+		defer fresh.Close()
+		fb, err := fresh.PrepareBatch(items...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fres, _, err := fb.Exec(nil, arb.ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, item := range items {
+			for qi, q := range batch.Queries(i) {
+				got := res[i].Selected(q)
+				sameSelected(t, label+": oracle", i, got, oracleSelected(tr, item)[qi])
+				sameSelected(t, label+": fresh session", i, got, fres[i].Selected(fb.Queries(i)[qi]))
+			}
+		}
+		return prof.Engine.BUTransitions + prof.Engine.TDTransitions
+	}
+
+	if n := exec("first Exec"); n == 0 {
+		t.Fatal("the first Exec computed no transition: the batch was warm before it ran")
+	}
+	if n := exec("second Exec"); n != 0 {
+		t.Fatalf("the second Exec computed %d transitions, want none: the batch keeps its product", n)
+	}
+	frag, err := arb.ParseXML(strings.NewReader(`<zz><name>new</name></zz>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 1 is the first item: a zz child, and a name under that.
+	if _, err := sess.Patch(nil, arb.PatchOp{Op: "insert-child", Node: 1, Tree: frag}); err != nil {
+		t.Fatal(err)
+	}
+	if n := exec("after a patch adding zz"); n == 0 {
+		t.Fatal("the Exec after a patch that adds a tag computed no transition: the members did not recompile")
+	}
+	if n := exec("second Exec after the patch"); n != 0 {
+		t.Fatalf("the second Exec after the patch computed %d transitions, want none", n)
+	}
 }

@@ -285,6 +285,22 @@ if [ "$(printf '%s\n' "$scratch" | grep -c .)" -ne 1 ] ||
     exit 1
 fi
 
+# A run's step caches outlive it: an engine, and a product a batch keeps,
+# hold their leader's StepCache between runs (core's warmCache), so a warm
+# run starts with dense tables. Every cache a run steps comes from the
+# warm-cache helper, takeCache in internal/core/stepcache.go, the one
+# non-test caller of newStepCache; a cache built per run elsewhere would
+# start every run cold again. Keep it one.
+stepcaches=$(find . -name '*.go' ! -name '*_test.go' | xargs grep -nE 'newStepCache\(' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|func )' || true)
+if [ "$(printf '%s\n' "$stepcaches" | grep -c .)" -ne 1 ] ||
+    [ "$(printf '%s\n' "$stepcaches" | grep -c '^\./internal/core/stepcache\.go:[0-9]*:	return newStepCache(s, names)$')" -ne 1 ] ||
+    ! awk '/^func takeCache\(/,/^}/' internal/core/stepcache.go | grep -q 'return newStepCache(s, names)$'; then
+    echo "non-test code builds step caches beyond the warm-cache helper's one newStepCache call (takeCache in internal/core/stepcache.go):" >&2
+    echo "$stepcaches" >&2
+    exit 1
+fi
+
 # The library spawns goroutines in one place: the worker pool of the one
 # disk driver (internal/core/pardisk.go), whose workers range over a task
 # channel the driver closes and which it waits for before returning. The

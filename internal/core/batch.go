@@ -52,4 +52,8 @@ func (p AuxPlanes) bits(v int64) (extra uint16) {
 type DiskBatchOpts struct {
 	DiskOpts
 	Aux []AuxPlanes
+	// Products, when set, keeps the lanes' product automata between the
+	// batch's runs (xpath.Batch holds one per batch); nil builds each
+	// run's products afresh.
+	Products *Products
 }

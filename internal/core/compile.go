@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"arb/internal/edb"
 	"arb/internal/horn"
@@ -118,6 +119,12 @@ func (c *Compiled) AtomName(a horn.Atom) string {
 	default:
 		return c.Unaries[i].String()
 	}
+}
+
+// ReadsAux reports whether the program reads aux input (a tmnf.UAux
+// unary): only such a pass needs the planes of its query's earlier passes.
+func (c *Compiled) ReadsAux() bool {
+	return slices.ContainsFunc(c.Unaries, func(un tmnf.Unary) bool { return un.Kind == tmnf.UAux })
 }
 
 // FactsFor computes the EDB facts (as atoms) holding on a node with the

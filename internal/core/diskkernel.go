@@ -386,17 +386,25 @@ func (k *scanKernel) scan(l *scanLane, first int64, recs, states []byte) (err er
 				bu, _ = cache.RecState(rec, false) // false only at a root
 			}
 		}
+		// A dense δB entry says whether its state selects, so most nodes
+		// load no query mask; the region's root and the steps the dense
+		// table does not hold (the map fallback keeps no bit) ask for it.
 		var td StateID
+		selects := true
 		if kk == 0 {
 			if td, err = k.enter(l, v, bu); err != nil {
 				return err
 			}
-		} else if td = cache.tdHit(parent, bu, kk) - 1; td < 0 {
+		} else if e := cache.tdHit(parent, bu, kk); e != 0 {
+			td, selects = e&^tdSelects-1, e < 0
+		} else {
 			td = cache.TDStep(parent, bu, kk)
 		}
-		mask := cache.QueryMask(td)
-		if mask != 0 {
-			l.marks.mark(mask, v)
+		var mask uint64
+		if selects {
+			if mask = cache.QueryMask(td); mask != 0 {
+				l.marks.mark(mask, v)
+			}
 		}
 		if k.visit != nil {
 			if err := k.visit(v, rec, mask); err != nil {

@@ -84,10 +84,13 @@ func (s Stats) Sub(o Stats) Stats {
 // Concurrency: the tables are an automaton value behind one guard.RWMutex,
 // reachable only through its accessors. Every evaluation driver — scalar
 // or batch, sequential or parallel — steps a private StepCache (dense
-// per-run tables, no locks when warm) in front of a SharedEngine view
-// (Share), which takes the lock on the cache's misses — so any number of
-// runs of one engine may overlap, and transitions computed by one run
-// serve all.
+// tables, no locks when warm) in front of a SharedEngine view (Share),
+// which takes the lock on the cache's misses — so any number of runs of
+// one engine may overlap, and transitions computed by one run serve all.
+// The engine keeps one such cache between runs (warm): a run's leader
+// takes it and hands it back, so a warm run's leader steps dense tables
+// from its first node and takes no engine lock; an overlapping run, or a
+// worker, starts with a cache of its own.
 type Engine struct {
 	c     *Compiled
 	names *tree.Names
@@ -99,6 +102,10 @@ type Engine struct {
 	// one-scan verdicts, computed on first use by a walk over an automaton
 	// of its own and read without locks.
 	analysis func() *analysis
+
+	// warm is the step cache a run's leader takes and hands back, so the
+	// next run of a lane of this engine alone starts with dense tables.
+	warm warmCache
 }
 
 // automaton is the pair of lazily built automata of one compiled program

@@ -43,7 +43,7 @@ func Lanes(names *tree.Names, progs ...*tmnf.Program) ([][]int, error) {
 		members[m] = BatchMember{E: NewEngine(c, names), AuxInSlot: -1, AuxOutSlot: -1}
 	}
 	var lanes [][]int
-	for _, l := range lanesFor(members, nil, nil) {
+	for _, l := range lanesFor(members, nil, nil, nil) {
 		lanes = append(lanes, l.members)
 	}
 	return lanes, nil

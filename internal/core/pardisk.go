@@ -108,6 +108,7 @@ func RunDiskBatchParallel(ctx context.Context, db *storage.DB, workers int, memb
 		return nil, Stats{}, nil, errors.New("core: marked output needs a batch of one member")
 	}
 	r := newDiskBatch(members, opts)
+	defer r.release()
 	res, agg, ds, err := r.exec(ctx, db, workers)
 	if err == nil {
 		r.publish(res) // after every attempt: only a run that succeeded publishes
@@ -122,14 +123,32 @@ type diskBatch struct {
 	engines []*Engine // the members'
 	lanes   []lane
 	opts    DiskBatchOpts
+	// leader is the leader's step cache per lane, serving every attempt:
+	// taken from the lane's automaton and handed back by release
+	// (warmCache).
+	leader []*StepCache
 }
 
 func newDiskBatch(members []BatchMember, opts DiskBatchOpts) *diskBatch {
-	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.Aux, opts.Run)}
+	r := &diskBatch{members: members, opts: opts, lanes: lanesFor(members, opts.Aux, opts.Run, opts.Products)}
 	for _, bm := range members {
 		r.engines = append(r.engines, bm.E)
 	}
+	r.leader = make([]*StepCache, len(r.lanes))
+	for li := range r.lanes {
+		l := &r.lanes[li]
+		r.leader[li] = takeCache(l.st, l.names, l.warm)
+	}
 	return r
+}
+
+// release hands the leader's caches back to their lanes' automata. A
+// cache only memoizes its automaton, so a failed run's is as sound as a
+// successful one's.
+func (r *diskBatch) release() {
+	for li, c := range r.leader {
+		r.lanes[li].warm.put(c)
+	}
 }
 
 // exec runs r over db: the state width and the prune plan are chosen per
@@ -184,11 +203,16 @@ func (r *diskBatch) publish(res []*Result) {
 }
 
 // width is the run's initial state width: the widest any member's engine
-// asks for.
+// or any lane's product — the tuples a kept one has interned — asks for.
 func (r *diskBatch) width() int {
 	w := stateByte
 	for _, e := range r.engines {
 		w = max(w, stateWidthFor(e.BUStateCount()))
+	}
+	for _, l := range r.lanes {
+		if v, ok := l.st.(*productView); ok {
+			w = max(w, stateWidthFor(v.buStates()))
+		}
 	}
 	return w
 }
@@ -358,12 +382,13 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 		a.files.stateF = stateF
 	}
 
-	// Per-worker step caches, one per lane, reused across both phases.
+	// Per-worker step caches, one per lane, reused across both phases;
+	// the leader's are the run's.
 	a.caches = make([][]*StepCache, workers)
 	for i := range a.caches {
 		a.caches[i] = r.newCaches()
 	}
-	a.leaderCaches = r.newCaches()
+	a.leaderCaches = r.leader
 
 	ds := &DiskStats{}
 	var rootState []StateID
@@ -585,11 +610,12 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	return st, nil
 }
 
-// newCaches returns a fresh step cache per lane.
+// newCaches returns a fresh step cache per lane, for one worker of one
+// attempt.
 func (r *diskBatch) newCaches() []*StepCache {
 	cs := make([]*StepCache, len(r.lanes))
 	for li, l := range r.lanes {
-		cs[li] = newStepCache(l.st, l.names)
+		cs[li] = takeCache(l.st, l.names, nil)
 	}
 	return cs
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"arb/internal/edb"
 	"arb/internal/guard"
@@ -17,7 +18,9 @@ import (
 // (footnote 15), extended across queries — and its state file holds one id
 // per node. Its query mask is the members' masks side by side, which is why
 // a lane holds at most maxLaneQueries query predicates. Product ids are
-// only valid within the run that built the product; a member's own states,
+// valid as long as the product lives: a run's own product dies with the
+// run, while a batch that keeps its products (Products) steps the same
+// tuples, tables and leader cache on every run. A member's own states,
 // computed on the product's misses, stay the engine-global ids they are in
 // a scalar run, so a batch computes exactly the transitions its members
 // would alone.
@@ -25,15 +28,21 @@ import (
 // maxLaneQueries bounds a lane's combined query mask, one uint64.
 const maxLaneQueries = 64
 
-// product is the product automaton of one lane, a stepper for the lane's
-// StepCaches: each miss steps every member through the member's own
-// StepCache and interns the resulting tuple. The lane's worker caches miss
-// concurrently, so the tables sit behind one lock, held across the
-// members' steps: a member cache's miss takes its engine's lock inside
-// the product's (guard's package doc lists the order).
+// product is the product automaton of one lane: each miss steps every
+// member through the member's own StepCache and interns the resulting
+// tuple. The lane's caches miss concurrently — the worker caches of one
+// run, and the runs that share a kept product — so the tables sit behind
+// one lock, held across the members' steps: a member cache's miss takes
+// its engine's lock inside the product's (guard's package doc lists the
+// order). A run steps the product through a productView of its own.
 type product struct {
-	offs []int // each member's first bit in the combined query mask
-	t    *guard.Mutex[productTables]
+	engines []*Engine // the lane's member engines, its key in Products
+	offs    []int     // each member's first bit in the combined query mask
+	t       *guard.Mutex[productTables]
+	warm    warmCache // the lane's leader cache between runs
+	// full is set once the tuples outgrow maxDenseEntries: Products then
+	// drops the product for a fresh one.
+	full atomic.Bool
 }
 
 // productTables is a product's mutable state: the members' step caches,
@@ -77,7 +86,7 @@ func (t *tuples) intern(tu []int32) int32 {
 
 func (t *tuples) rehash(size int) {
 	t.slots = make([]int32, size)
-	for id := int32(0); int(id) < len(t.flat)/t.n; id++ {
+	for id := int32(0); int(id) < t.len(); id++ {
 		i := hashTuple(t.flat[int(id)*t.n:int(id+1)*t.n]) & (size - 1)
 		for t.slots[i] != 0 {
 			i = (i + 1) & (size - 1)
@@ -85,6 +94,9 @@ func (t *tuples) rehash(size int) {
 		t.slots[i] = id + 1
 	}
 }
+
+// len is the number of tuples interned.
+func (t *tuples) len() int { return len(t.flat) / t.n }
 
 // hashTuple is FNV-1a over the ids.
 func hashTuple(tu []int32) int {
@@ -98,21 +110,84 @@ func hashTuple(tu []int32) int {
 // at returns member m's id in tuple id.
 func (t *tuples) at(id int32, m int) int32 { return t.flat[int(id)*t.n+m] }
 
-// newProduct builds the product of the members' automata.
-func newProduct(members []*SharedEngine, offs []int) *product {
-	n := len(members)
+// newProduct builds the product of the member engines' automata.
+func newProduct(engines []*Engine, offs []int) *product {
+	n := len(engines)
 	t := productTables{cur: make([]StateID, n), sigs: tuples{n: n}, bu: tuples{n: n}, td: tuples{n: n}}
-	for _, s := range members {
+	for range engines {
 		// The lane's caches resolve each record once, so the members' need
-		// no signature table: SigID goes to their engines directly.
-		t.caches = append(t.caches, &StepCache{s: s})
+		// no signature table: SigID goes to their engines directly. Each
+		// step binds them to the stepping run's views (productView.do).
+		t.caches = append(t.caches, &StepCache{})
 	}
-	return &product{offs: offs, t: guard.New(t)}
+	return &product{engines: engines, offs: offs, t: guard.New(t)}
+}
+
+// buStates is the number of bottom-up tuples interned so far (the disk
+// driver sizes a run's state width from it).
+func (p *product) buStates() (n int) {
+	p.t.Do(func(t *productTables) { n = t.bu.len() })
+	return n
+}
+
+// Products keeps a batch's lane products between its runs, keyed by each
+// lane's member engines, so a batch's second and later runs step warm
+// product tables instead of re-interning what the first run interned. A
+// product is dropped with its Products — xpath.Batch holds one, rebuilt
+// when its members recompile against a new name table — and replaced by
+// a fresh one once its tuples outgrow maxDenseEntries. The zero value
+// keeps none yet.
+type Products struct {
+	kept guard.Mutex[[]*product]
+}
+
+// product returns the product of engines ps keeps, or a fresh one it keeps
+// from now on; a nil ps keeps nothing, and every run gets a fresh product.
+func (ps *Products) product(engines []*Engine, offs []int) (p *product) {
+	if ps == nil {
+		return newProduct(engines, offs)
+	}
+	ps.kept.Do(func(kept *[]*product) {
+		i := slices.IndexFunc(*kept, func(k *product) bool { return slices.Equal(k.engines, engines) })
+		switch {
+		case i < 0:
+			p = newProduct(engines, offs)
+			*kept = append(*kept, p)
+		case (*kept)[i].full.Load():
+			p = newProduct(engines, offs)
+			(*kept)[i] = p
+		default:
+			p = (*kept)[i]
+		}
+	})
+	return p
+}
+
+// productView is one run's stepper over a product: its misses step the
+// members through the run's own SharedEngine views, so every transition
+// a member computes is credited to the run whose miss computed it, however
+// many runs share the product.
+type productView struct {
+	*product
+	shared []*SharedEngine
+}
+
+// do runs f on the product's tables, the member caches bound to v's run.
+func (v *productView) do(f func(t *productTables)) {
+	v.t.Do(func(t *productTables) {
+		for m, c := range t.caches {
+			c.s = v.shared[m]
+		}
+		f(t)
+		if len(t.sigs.flat)+len(t.bu.flat)+len(t.td.flat) > int(maxDenseEntries) {
+			v.full.Store(true)
+		}
+	})
 }
 
 // SigID is the product's signature class: the tuple of the members'.
-func (p *product) SigID(sig edb.NodeSig) (id int32) {
-	p.t.Do(func(t *productTables) {
+func (v *productView) SigID(sig edb.NodeSig) (id int32) {
+	v.do(func(t *productTables) {
 		for m, c := range t.caches {
 			t.cur[m] = c.s.SigID(sig)
 		}
@@ -122,8 +197,8 @@ func (p *product) SigID(sig edb.NodeSig) (id int32) {
 }
 
 // ReachableStates is the product's δA.
-func (p *product) ReachableStates(left, right StateID, sig int32) (id StateID) {
-	p.t.Do(func(t *productTables) {
+func (v *productView) ReachableStates(left, right StateID, sig int32) (id StateID) {
+	v.do(func(t *productTables) {
 		for m, c := range t.caches {
 			l, r := NoState, NoState
 			if left != NoState {
@@ -140,8 +215,8 @@ func (p *product) ReachableStates(left, right StateID, sig int32) (id StateID) {
 }
 
 // RootTrueSet is the product's top-down start state.
-func (p *product) RootTrueSet(bu StateID) (id StateID) {
-	p.t.Do(func(t *productTables) {
+func (v *productView) RootTrueSet(bu StateID) (id StateID) {
+	v.do(func(t *productTables) {
 		for m, c := range t.caches {
 			t.cur[m] = c.RootTrueSet(t.bu.at(bu, m))
 		}
@@ -151,8 +226,8 @@ func (p *product) RootTrueSet(bu StateID) (id StateID) {
 }
 
 // TruePreds is the product's δB_k.
-func (p *product) TruePreds(parent, bu StateID, k int) (id StateID) {
-	p.t.Do(func(t *productTables) {
+func (v *productView) TruePreds(parent, bu StateID, k int) (id StateID) {
+	v.do(func(t *productTables) {
 		for m, c := range t.caches {
 			t.cur[m] = c.TDStep(t.td.at(parent, m), t.bu.at(bu, m), k)
 		}
@@ -162,10 +237,10 @@ func (p *product) TruePreds(parent, bu StateID, k int) (id StateID) {
 }
 
 // QueryMask is the members' query masks side by side.
-func (p *product) QueryMask(td StateID) (mask uint64) {
-	p.t.Do(func(t *productTables) {
+func (v *productView) QueryMask(td StateID) (mask uint64) {
+	v.do(func(t *productTables) {
 		for m, c := range t.caches {
-			mask |= c.QueryMask(t.td.at(td, m)) << uint(p.offs[m])
+			mask |= c.QueryMask(t.td.at(td, m)) << uint(v.offs[m])
 		}
 	})
 	return mask
@@ -173,15 +248,15 @@ func (p *product) QueryMask(td StateID) (mask uint64) {
 
 // Verdict is the members' one-scan verdicts side by side: known only
 // where every member's is.
-func (p *product) Verdict(bu StateID, root bool) (mask uint64, ok bool) {
-	p.t.Do(func(t *productTables) {
+func (v *productView) Verdict(bu StateID, root bool) (mask uint64, ok bool) {
+	v.do(func(t *productTables) {
 		for m, c := range t.caches {
-			v, known := c.Verdict(t.bu.at(bu, m), root)
+			mv, known := c.Verdict(t.bu.at(bu, m), root)
 			if !known {
 				mask = 0
 				return
 			}
-			mask |= v << uint(p.offs[m])
+			mask |= mv << uint(v.offs[m])
 		}
 		ok = true
 	})
@@ -190,15 +265,18 @@ func (p *product) Verdict(bu StateID, root bool) (mask uint64, ok bool) {
 
 // state interns a tuple of member bottom-up states: the substitute state
 // of a pruned extent is the tuple of the members' own.
-func (p *product) state(members []StateID) (id StateID) {
-	p.t.Do(func(t *productTables) { id = t.bu.intern(members) })
+func (v *productView) state(members []StateID) (id StateID) {
+	v.do(func(t *productTables) { id = t.bu.intern(members) })
 	return id
 }
 
 // lane is the members of a disk run that step one automaton: st is the
-// member's SharedEngine for a lane of one, the members' product otherwise.
+// member's SharedEngine for a lane of one, the run's view of the members'
+// product otherwise, and warm is where that automaton keeps its leader
+// cache between runs.
 type lane struct {
 	st      stepper
+	warm    *warmCache
 	names   *tree.Names
 	members []int     // indices into the run's members
 	offs    []int     // each member's first bit in the lane's query mask
@@ -214,14 +292,15 @@ type lane struct {
 // lanesFor splits a run's members into lanes, greedily in member order: a
 // lane holds at most maxLaneQueries query predicates, and a member that
 // reads aux input steps alone with its planes — the product's signature
-// classes carry no aux bits.
-func lanesFor(members []BatchMember, aux []AuxPlanes, rs *RunStats) []lane {
+// classes carry no aux bits. A lane of several members steps the product
+// that kept holds for its engines, or a fresh one where kept is nil.
+func lanesFor(members []BatchMember, aux []AuxPlanes, rs *RunStats, kept *Products) []lane {
 	var lanes []lane
 	var cur []int
 	nq := 0
 	flush := func() {
 		if len(cur) > 0 {
-			lanes = append(lanes, newLane(members, cur, rs))
+			lanes = append(lanes, newLane(members, cur, rs, kept))
 			cur, nq = nil, 0
 		}
 	}
@@ -241,18 +320,21 @@ func lanesFor(members []BatchMember, aux []AuxPlanes, rs *RunStats) []lane {
 	return lanes
 }
 
-func newLane(members []BatchMember, idx []int, rs *RunStats) lane {
+func newLane(members []BatchMember, idx []int, rs *RunStats, kept *Products) lane {
 	l := lane{names: members[idx[0]].E.names, members: idx}
+	engines := make([]*Engine, len(idx))
 	shared := make([]*SharedEngine, len(idx))
 	for j, m := range idx {
-		shared[j] = members[m].E.ShareTo(rs)
+		engines[j] = members[m].E
+		shared[j] = engines[j].ShareTo(rs)
 		l.offs = append(l.offs, l.nq)
-		l.nq += len(members[m].E.c.Queries)
+		l.nq += len(engines[j].c.Queries)
 	}
 	if len(idx) == 1 {
-		l.st = shared[0]
+		l.st, l.warm = shared[0], &engines[0].warm
 	} else {
-		l.st = newProduct(shared, l.offs)
+		p := kept.product(engines, l.offs)
+		l.st, l.warm = &productView{product: p, shared: shared}, &p.warm
 	}
 	return l
 }
@@ -262,7 +344,7 @@ func (l *lane) sub(plan *PrunePlan) StateID {
 	if plan == nil {
 		return NoState
 	}
-	p, ok := l.st.(*product)
+	v, ok := l.st.(*productView)
 	if !ok {
 		return plan.Sub(l.members[0])
 	}
@@ -270,5 +352,5 @@ func (l *lane) sub(plan *PrunePlan) StateID {
 	for j, m := range l.members {
 		subs[j] = plan.Sub(m)
 	}
-	return p.state(subs)
+	return v.state(subs)
 }

@@ -169,7 +169,8 @@ func TestMapFallbackMatchesDenseTables(t *testing.T) {
 		}
 		maxDenseEntries = 0
 		fallback := runAll()
-		cache := batchMembers(t, progs[:1], db.Names)[0].E.Share().NewStepCache()
+		e := batchMembers(t, progs[:1], db.Names)[0].E
+		cache := newStepCache(e.Share(), e.names)
 		cache.TDStep(cache.RootTrueSet(cache.BUStep(NoState, NoState, cache.SigID(0, true, 0))), 0, 1)
 		maxDenseEntries = budget
 		if cache.bu != nil || cache.td != nil || len(cache.buMap) == 0 || len(cache.tdMap) == 0 {

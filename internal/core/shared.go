@@ -16,7 +16,7 @@ import (
 // one engine — workers of one run, or entirely separate overlapping runs
 // (a reentrant PreparedQuery, a PreparedBatch sharing a scalar
 // handle's automata) — synchronise with each other. The per-node loops
-// never call a view directly: they step a StepCache (NewStepCache), whose
+// never call a view directly: they step a StepCache (takeCache), whose
 // misses are the only calls that reach the lock.
 type SharedEngine struct {
 	e  *Engine

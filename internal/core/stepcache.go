@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"arb/internal/edb"
 	"arb/internal/storage"
@@ -19,8 +21,11 @@ import (
 // grow geometrically as lazy automata construction discovers states, and
 // misses fall through to the SharedEngine, so the cache is semantics-free
 // — it can never change which state a step yields — and the warm steady
-// state takes no locks at all. The same cache fronts a batch lane's
-// product automaton (product.go), whose ids are per-run tuple ids.
+// state takes no locks at all. A leader's cache outlives its run: the
+// engine keeps one between runs (warmCache), so the next run starts warm.
+// The same cache fronts a batch lane's product automaton (product.go),
+// whose ids are the product's tuple ids; a kept product keeps its own
+// leader cache the same way.
 type StepCache struct {
 	s stepper
 
@@ -39,7 +44,10 @@ type StepCache struct {
 	bu           []StateID
 	buMap        map[buKey]StateID
 
-	// δB: td[(parent*dimB + child)*2 + (k-1)] = state id + 1.
+	// δB: td[(parent*dimB + child)*2 + (k-1)] = state id + 1, with
+	// tdSelects set when the state's query mask is non-zero, so phase 2
+	// loads the mask only for nodes that select. Keys past the dense
+	// budget live in tdMap, which keeps no such bit.
 	dimP, dimB int32
 	td         []StateID
 	tdMap      map[tdKey]StateID
@@ -65,7 +73,8 @@ type recEntry struct {
 // maxDenseEntries bounds each dense transition table (4 MB of StateIDs):
 // automata in practice stay far below it, and pathological state or
 // signature counts degrade to hash lookups instead of huge allocations.
-// A variable only so the package tests can force the map fallback.
+// It bounds a kept product's tuples too (Products). A variable only so
+// the package tests can force the map fallback.
 var maxDenseEntries int64 = 1 << 20
 
 // stepper is what a StepCache's misses call: a SharedEngine, or the
@@ -83,9 +92,35 @@ type stepper interface {
 	Verdict(bu StateID, root bool) (uint64, bool)
 }
 
-// NewStepCache returns a fresh private cache in front of the shared
-// engine, for one run or one worker of a run.
-func (s *SharedEngine) NewStepCache() *StepCache { return newStepCache(s, s.e.names) }
+// tdSelects is the selects bit of a dense δB entry (StepCache.td).
+const tdSelects StateID = math.MinInt32
+
+// warmCache is where an engine, or a kept product, keeps one StepCache
+// between runs: a run's leader takes it and hands it back, so a warm run
+// starts with dense tables and takes no lock. A run that finds it taken —
+// another run of the same automaton is under way — starts cold, and the
+// last run to hand its cache back is the one kept.
+type warmCache struct{ c atomic.Pointer[StepCache] }
+
+// takeCache returns the cache w keeps, rebound to the run's stepper s, or
+// a fresh one sized from the name table when w keeps none or is nil (a
+// worker's caches live for one run). Every StepCache a run steps comes
+// from here.
+func takeCache(s stepper, names *tree.Names, w *warmCache) *StepCache {
+	if w != nil {
+		if c := w.c.Swap(nil); c != nil {
+			c.s = s
+			return c
+		}
+	}
+	return newStepCache(s, names)
+}
+
+// put keeps c for the next run, dropping the run's stepper.
+func (w *warmCache) put(c *StepCache) {
+	c.s = nil
+	w.c.Store(c)
+}
 
 // newStepCache sizes the signature table from the name table the
 // stepper's engines resolve labels against.
@@ -136,7 +171,8 @@ func (c *StepCache) SigID(rec uint16, root bool, extra uint16) int32 {
 // without a call in it is not, so a loop that steps millions of nodes
 // tries the hit first and calls the full method for the rest (the window
 // kernels do; QueryMask inlines as it is). sigHit and recHit are for
-// non-root records without aux bits only.
+// non-root records without aux bits only; tdHit's entry carries the
+// selects bit (tdSelects) above the id + 1.
 func (c *StepCache) sigHit(rec uint16) int32 {
 	// The child flags are the record's two top bits, so rotating them to
 	// the bottom gives label<<2 | flags: dense in the label.
@@ -265,8 +301,8 @@ func (c *StepCache) RecState(rec uint16, root bool) (StateID, bool) {
 
 // TDStep is the cached δB_k.
 func (c *StepCache) TDStep(parent, bu StateID, k int) StateID {
-	if id := c.tdHit(parent, bu, k); id != 0 {
-		return id - 1
+	if e := c.tdHit(parent, bu, k); e != 0 {
+		return e&^tdSelects - 1
 	}
 	if id, ok := c.tdMap[tdKey{parent, bu, uint8(k)}]; ok {
 		return id
@@ -301,7 +337,11 @@ func (c *StepCache) storeTD(parent, bu StateID, k int, id StateID) {
 		}
 		c.td, c.dimP, c.dimB = nt, newP, newB
 	}
-	c.td[(parent*c.dimB+bu)*2+StateID(k-1)] = id + 1
+	e := id + 1
+	if c.QueryMask(id) != 0 {
+		e |= tdSelects
+	}
+	c.td[(parent*c.dimB+bu)*2+StateID(k-1)] = e
 }
 
 // RootTrueSet is step 2 of Algorithm 4.6 (uncached: once per run).

@@ -131,3 +131,53 @@ func TestOneScanAuxPass(t *testing.T) {
 		}
 	}
 }
+
+// TestOneScanAuxInputOnlyWhereRead runs //VP[not(NP) and not(PP)] over a
+// Treebank database. Its two aux passes read no aux input: only the main
+// pass's program mentions Aux, so only the main pass gets the planes, and
+// the second aux pass keeps the one-scan verdict that aux input would turn
+// off. The execution is three passes, two of them one scan, with state
+// bytes for the main pass alone, and selects what the interpreter selects.
+func TestOneScanAuxInputOnlyWhereRead(t *testing.T) {
+	const src = "//VP[not(NP) and not(PP)]"
+	tr, err := workload.TreebankTree(workload.TreebankConfig{Seed: 5, Sentences: 130})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := storage.CreateFromTree(filepath.Join(t.TempDir(), "db"), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	p := prepare(t, src, db)
+	if p.Passes() != 3 || p.aux[0].Compiled().ReadsAux() || p.aux[1].Compiled().ReadsAux() || !p.main.Compiled().ReadsAux() {
+		t.Fatalf("%s: %d passes: want two aux passes that read no aux input and a main pass that does", src, p.Passes())
+	}
+	path, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []tree.NodeID
+	for _, v := range selected(NewInterp(tr).Eval(path)) {
+		want = append(want, tree.NodeID(v))
+	}
+	if len(want) == 0 {
+		t.Fatalf("%s selects nothing: the comparison proves little", src)
+	}
+	for _, workers := range []int{1, 4} {
+		res, es, err := p.ExecDisk(context.Background(), db, ExecOpts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, d := db.N, es.Disk
+		if es.Passes != 3 || d.OneScan != 2 || d.Phase1.Nodes != 3*n || d.Phase2.Nodes != n {
+			t.Fatalf("%d workers: %d passes, %d one-scan, phase 1 %d and phase 2 %d nodes of %d: want two one-scan passes, then two scans", workers, es.Passes, d.OneScan, d.Phase1.Nodes, d.Phase2.Nodes, n)
+		}
+		if d.StateBytes != n {
+			t.Fatalf("%d workers: %d state bytes, want the main pass's %d one-byte states", workers, d.StateBytes, n)
+		}
+		if got := res.Selected(p.Queries()[0]); !slices.Equal(got, want) {
+			t.Fatalf("%d workers: %d nodes selected, the interpreter %d", workers, len(got), len(want))
+		}
+	}
+}

@@ -20,6 +20,11 @@ import (
 // scalar handles.
 type Batch struct {
 	members []*Prepared
+	// products keeps the lanes' product automata between executions, so
+	// a batch's second and later executions step warm product tables. It
+	// lives as long as the Batch: a caller whose members recompile builds
+	// a new Batch, and the old products go with the old one.
+	products core.Products
 }
 
 // NewBatch groups prepared queries into a batch. The members keep their
@@ -57,8 +62,10 @@ func (b *Batch) auxSlots() (slots []int, n int) {
 
 // roundMembers builds the core batch members of round r. For each member
 // still holding a pass: pass r's engine, the member's aux input (the
-// planes of its earlier passes) from round 1 on and — on every pass but
-// its main — the instruction to publish plane r of its own slot.
+// planes of its earlier passes) when pass r's program reads them, and — on
+// every pass but its main — the instruction to publish plane r of its own
+// slot. A pass that reads no aux input keeps the run's pruning, forward
+// and one-scan verdicts, which aux input turns off.
 func (b *Batch) roundMembers(r int, slots []int) (bms []core.BatchMember, idx []int) {
 	for i, m := range b.members {
 		if r >= m.Passes() {
@@ -71,7 +78,7 @@ func (b *Batch) roundMembers(r int, slots []int) (bms []core.BatchMember, idx []
 		}
 		bm := core.BatchMember{E: e, AuxInSlot: -1, AuxOutSlot: -1}
 		if m.Passes() > 1 {
-			if r > 0 {
+			if e.Compiled().ReadsAux() {
 				bm.AuxInSlot = slots[i]
 			}
 			if !isMain {
@@ -112,7 +119,7 @@ func (b *Batch) ExecDisk(ctx context.Context, db *storage.DB, opts ExecOpts) ([]
 	err := statsDelta(&es, func(rs *core.RunStats) error {
 		for r := 0; r < rounds; r++ {
 			bms, idx := b.roundMembers(r, slots)
-			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, Aux: aux}
+			dopts := core.DiskBatchOpts{DiskOpts: core.DiskOpts{NoPrune: opts.NoPrune, Run: rs}, Aux: aux, Products: &b.products}
 			if r == rounds-1 {
 				// The main pass of a batch of one (larger batches were
 				// rejected above with MarkTo set).

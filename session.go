@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -453,7 +454,8 @@ func (q *PreparedQuery) Exec(ctx context.Context, opts ExecOpts) (*Result, *Prof
 			}
 			cacheKind = rescache.Miss.String()
 		}
-		rs, pr, err := q.s.exec(ctx, db, version, []*PreparedQuery{q}, []*xpath.Prepared{p}, opts, start, cacheKind)
+		ps := []*xpath.Prepared{p}
+		rs, pr, err := q.s.exec(ctx, db, version, []*PreparedQuery{q}, ps, xpath.NewBatch(ps), opts, start, cacheKind)
 		if err != nil {
 			return err
 		}
@@ -485,15 +487,15 @@ func (s *Session) cached(opts ExecOpts, db *storage.DB) bool {
 
 // exec is the one Exec body of PreparedQuery and PreparedBatch, run once
 // the snapshot (db at version) is pinned and the members are compiled (ps,
-// of the handles qs): it runs them as one xpath batch — a scalar query is
-// a batch of one — and publishes every member's completed result at the
+// of the handles qs): it runs them as the xpath batch xb over ps — a
+// scalar query is a batch of one — and publishes every member's completed result at the
 // pinned version when the execution takes part in the result cache, so a
 // batch warms the cache for all the queries it carried (lookups stay with
 // the scalar path: a batch always scans). The Profile times the execution from start and reports
 // cacheKind as its ResultCache.
-func (s *Session) exec(ctx context.Context, db *storage.DB, version uint64, qs []*PreparedQuery, ps []*xpath.Prepared, opts ExecOpts, start time.Time, cacheKind string) ([]*Result, *Profile, error) {
+func (s *Session) exec(ctx context.Context, db *storage.DB, version uint64, qs []*PreparedQuery, ps []*xpath.Prepared, xb *xpath.Batch, opts ExecOpts, start time.Time, cacheKind string) ([]*Result, *Profile, error) {
 	workers := resolveWorkers(opts.Workers)
-	res, es, err := xpath.NewBatch(ps).ExecDisk(ctx, db, xpath.ExecOpts{
+	res, es, err := xb.ExecDisk(ctx, db, xpath.ExecOpts{
 		Workers:   workers,
 		MarkTo:    opts.MarkTo,
 		MarkQuery: opts.MarkQuery,
@@ -616,10 +618,36 @@ func (q *PreparedQuery) Count(ctx context.Context) (int64, error) {
 //
 // Exec is reentrant exactly as PreparedQuery.Exec is: executions of one
 // PreparedBatch may overlap, and the members' automata persist across
-// executions exactly as a PreparedQuery's do.
+// executions exactly as a PreparedQuery's do. So does what the batch
+// builds on top of them: the product automata its members step together,
+// with their transition tables, are kept from one Exec to the next, and
+// freed with the batch — or when a patch that adds tag names makes the
+// members recompile.
 type PreparedBatch struct {
 	s       *Session
 	members []*PreparedQuery
+	bound   guard.Mutex[boundBatch]
+}
+
+// boundBatch is a batch's execution layer and the compiled members it was
+// built over.
+type boundBatch struct {
+	ps []*xpath.Prepared
+	b  *xpath.Batch
+}
+
+// batch returns the xpath.Batch over ps: the kept one while the members'
+// compiled handles are the ones it was built over, so its products stay
+// warm across Execs, and a new one, dropping the old products, once a
+// member has recompiled against a new name table.
+func (b *PreparedBatch) batch(ps []*xpath.Prepared) (xb *xpath.Batch) {
+	b.bound.Do(func(bb *boundBatch) {
+		if !slices.Equal(bb.ps, ps) {
+			bb.ps, bb.b = ps, xpath.NewBatch(ps)
+		}
+		xb = bb.b
+	})
+	return xb
 }
 
 // Len returns the number of member queries.
@@ -679,7 +707,7 @@ func (b *PreparedBatch) Exec(ctx context.Context, opts ExecOpts) ([]*Result, *Pr
 				return err
 			}
 		}
-		res, prof, err = b.s.exec(ctx, db, version, b.members, members, opts, time.Now(), "")
+		res, prof, err = b.s.exec(ctx, db, version, b.members, members, b.batch(members), opts, time.Now(), "")
 		return err
 	})
 	if err != nil {
