@@ -215,10 +215,12 @@ type TreeBuilder = tree.Builder
 // NewTreeBuilder returns a builder with a fresh label-name table.
 func NewTreeBuilder() *TreeBuilder { return tree.NewBuilder(nil) }
 
-// CreateDB builds a .arb database (base.arb, base.lab) from an XML
-// document using the paper's two-pass scheme: a SAX pass writes a
-// temporary event file, a backward pass turns it into the binary-tree
-// encoding with memory proportional to the document depth.
+// CreateDB builds a .arb database (base.arb, base.lab, base.idx) from an
+// XML document in one forward pass: as the parser's events arrive, each
+// node's record of the binary-tree encoding is written in preorder, with
+// memory proportional to the document depth. A document that is not well
+// formed fails before base.arb is committed, so a database already at
+// base stays as it was.
 func CreateDB(base string, xml io.Reader) (*DB, *CreateStats, error) {
 	return xmlparse.CreateDB(base, xml, storage.CreateOpts{})
 }

@@ -393,11 +393,11 @@ func TestBatchTwoScans(t *testing.T) {
 
 // TestBatchKeepsProductAcrossExecs runs one PreparedBatch on a versioned
 // session again and again. The batch keeps its members' product automata
-// between Execs, so its second Exec computes no transition and answers as
-// the oracles do. A patch that adds a tag name makes the members
-// recompile: the next Exec steps new engines and a new product — cold
-// transitions again — and answers as a fresh session over the patched
-// document does, the new tag included.
+// between Execs, so its second Exec computes no transition, interns no
+// product state and answers as the oracles do. A patch that adds a tag
+// name makes the members recompile: the next Exec steps new engines and a
+// new product — cold transitions again — and answers as a fresh session
+// over the patched document does, the new tag included.
 func TestBatchKeepsProductAcrossExecs(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "db")
 	db, err := arb.CreateDBFromTree(base, buildCatalog(t, 40))
@@ -422,7 +422,7 @@ func TestBatchKeepsProductAcrossExecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := func(label string) int {
+	exec := func(label string) (transitions, productStates int) {
 		t.Helper()
 		res, prof, err := batch.Exec(nil, arb.ExecOpts{Stats: true})
 		if err != nil {
@@ -453,14 +453,14 @@ func TestBatchKeepsProductAcrossExecs(t *testing.T) {
 				sameSelected(t, label+": fresh session", i, got, fres[i].Selected(fb.Queries(i)[qi]))
 			}
 		}
-		return prof.Engine.BUTransitions + prof.Engine.TDTransitions
+		return prof.Engine.BUTransitions + prof.Engine.TDTransitions, prof.Engine.ProductStates
 	}
 
-	if n := exec("first Exec"); n == 0 {
-		t.Fatal("the first Exec computed no transition: the batch was warm before it ran")
+	if n, p := exec("first Exec"); n == 0 || p == 0 {
+		t.Fatalf("the first Exec computed %d transitions and interned %d product states: the batch was warm before it ran", n, p)
 	}
-	if n := exec("second Exec"); n != 0 {
-		t.Fatalf("the second Exec computed %d transitions, want none: the batch keeps its product", n)
+	if n, p := exec("second Exec"); n != 0 || p != 0 {
+		t.Fatalf("the second Exec computed %d transitions and interned %d product states, want none: the batch keeps its product", n, p)
 	}
 	frag, err := arb.ParseXML(strings.NewReader(`<zz><name>new</name></zz>`))
 	if err != nil {
@@ -470,10 +470,10 @@ func TestBatchKeepsProductAcrossExecs(t *testing.T) {
 	if _, err := sess.Patch(nil, arb.PatchOp{Op: "insert-child", Node: 1, Tree: frag}); err != nil {
 		t.Fatal(err)
 	}
-	if n := exec("after a patch adding zz"); n == 0 {
-		t.Fatal("the Exec after a patch that adds a tag computed no transition: the members did not recompile")
+	if n, p := exec("after a patch adding zz"); n == 0 || p == 0 {
+		t.Fatalf("the Exec after a patch that adds a tag computed %d transitions and interned %d product states: the members did not recompile", n, p)
 	}
-	if n := exec("second Exec after the patch"); n != 0 {
-		t.Fatalf("the second Exec after the patch computed %d transitions, want none", n)
+	if n, p := exec("second Exec after the patch"); n != 0 || p != 0 {
+		t.Fatalf("the second Exec after the patch computed %d transitions and interned %d product states, want none", n, p)
 	}
 }

@@ -1,8 +1,10 @@
 // Benchmarks regenerating the paper's evaluation artifacts:
 //
 //   - BenchmarkFig5Create — Figure 5, database creation, one sub-bench
-//     per dataset. b.N iterations create the database from scratch;
-//     bytes/op reports throughput over the .arb size.
+//     per dataset. b.N iterations create the database from scratch: one
+//     forward pass writing the .arb as the document's events arrive,
+//     then the .lab and the .idx; bytes/op reports throughput over the
+//     .arb size.
 //   - BenchmarkFig6* — Figure 6, one sub-bench per query size and
 //     thread. Each iteration prepares one random query of that size and
 //     evaluates it over the on-disk database with two linear scans.
@@ -132,6 +134,7 @@ func BenchmarkFig5Create(b *testing.B) {
 				db.Close()
 				os.Remove(base + ".arb")
 				os.Remove(base + ".lab")
+				os.Remove(base + ".idx")
 			}
 			b.SetBytes(bytes)
 		})
@@ -139,9 +142,10 @@ func BenchmarkFig5Create(b *testing.B) {
 }
 
 // TestFigure5Create checks Figure 5's size columns for each dataset at a
-// tiny scale: the .arb file holds NodeSize bytes a node, the temporary
-// event file held two events a node and is gone once creation finishes,
-// and the two parsed datasets report the node count the database has.
+// tiny scale: the .arb file holds NodeSize bytes a node, the two parsed
+// datasets report the node count the database has, and creation leaves
+// the database's .arb, .lab and .idx and no other file: it makes no
+// temporary event file.
 func TestFigure5Create(t *testing.T) {
 	const scale = 0.002
 	dir := t.TempDir()
@@ -174,8 +178,8 @@ func TestFigure5Create(t *testing.T) {
 				if got := stats.ElemNodes + stats.CharNodes; got != n {
 					t.Fatalf("stats count %d nodes, the database has %d", got, n)
 				}
-				if stats.ArbBytes != storage.NodeSize*n || stats.EvtBytes != 2*stats.ArbBytes {
-					t.Fatalf("sizes arb=%d evt=%d for %d nodes", stats.ArbBytes, stats.EvtBytes, n)
+				if stats.ArbBytes != storage.NodeSize*n {
+					t.Fatalf(".arb size %d in stats for %d nodes", stats.ArbBytes, n)
 				}
 			}
 			fi, err := os.Stat(base + ".arb")
@@ -185,8 +189,19 @@ func TestFigure5Create(t *testing.T) {
 			if fi.Size() != storage.NodeSize*n {
 				t.Fatalf(".arb is %d bytes for %d nodes", fi.Size(), n)
 			}
-			if evt, _ := filepath.Glob(filepath.Join(dir, "*.evt")); len(evt) != 0 {
-				t.Fatalf("event file left behind: %v", evt)
+			left, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range left {
+				if ext := filepath.Ext(f.Name()); ext != ".arb" && ext != ".lab" && ext != ".idx" {
+					t.Errorf("creation left %s behind", f.Name())
+				}
+			}
+			for _, ext := range []string{".lab", ".idx"} {
+				if _, err := os.Stat(base + ext); err != nil {
+					t.Error(err)
+				}
 			}
 		})
 	}

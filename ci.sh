@@ -49,11 +49,12 @@ go build ./...
 # Scan-loop escape gate: the window kernels and per-node callbacks of
 # the evaluation drivers and the record loops under them (the window
 # passes in storage/window.go, the walks stepping them in db.go, index.go
-# and emit.go) must not heap-allocate their encode/decode temporaries —
+# and emit.go), and creation's per-event record writes (storage/create.go
+# and binary.go), must not heap-allocate their encode/decode temporaries —
 # one malloc per node, through an io.Writer or io.Reader call
 # (TestWarmRunAllocsDoNotGrowWithN is the runtime half of this gate).
 escapes=$(go build -gcflags=-m ./internal/core ./internal/storage 2>&1 |
-    grep -E '^internal/(core/[a-z_]+|storage/(db|backio|window|index|emit))\.go:.*moved to heap: (buf|ab)$' || true)
+    grep -E '^internal/(core/[a-z_]+|storage/(db|backio|window|index|emit|create|binary))\.go:.*moved to heap: (buf|ab)$' || true)
 if [ -n "$escapes" ]; then
     echo "scan loops allocate per node again:" >&2
     echo "$escapes" >&2
@@ -247,7 +248,7 @@ fi
 # renames a file: a committed file through storage.WriteFile (a temporary
 # beside its path, synced, renamed over it, its directory synced; removed
 # on any error), a scratch file as an anonymous handle whose Close removes
-# it (DB.CreateScratch, Create's event file). The tmpcleanup analyzer, the
+# it (DB.CreateScratch). The tmpcleanup analyzer, the
 # named aux sidecars (ScratchDir, OpenMasks, RemoveScratch, OpenMaskFile)
 # with their RAM name table, KeepEvt and the exported SyncDir are gone.
 # Keep them gone.
@@ -262,6 +263,26 @@ if [ -n "$creators" ]; then
 fi
 if grep -rnwE 'TmpCleanup|ScratchDir|OpenMasks|RemoveScratch|OpenMaskFile|KeepEvt|SyncDir|memScratch' --include='*.go' . >&2; then
     echo "tmpcleanup, a named aux sidecar, KeepEvt or the exported SyncDir is back: files are born temps in storage/file.go" >&2
+    exit 1
+fi
+
+# Creation is one forward pass: storage.EventWriter writes each node's
+# record into base.arb's commit temporary as its begin event arrives, and
+# sets a flag decided later in its buffer or by one 2-byte WriteAt. The
+# temporary event file, the backward pass that read it, BackwardWriter
+# and CreateStats' event-file size are gone, and the one non-test caller
+# of createTemp is DB.CreateScratch: a run's state file is the library's
+# only scratch file. Keep it so.
+if grep -rnwE 'buildArbBackwards|BackwardWriter|NewBackwardWriter|evtEnd|EvtBytes' --include='*.go' . >&2; then
+    echo "the event file, the backward creation pass or BackwardWriter is back: creation writes the .arb forward" >&2
+    exit 1
+fi
+temps=$(find . -name '*.go' ! -name '*_test.go' | xargs grep -nE 'createTemp\(' |
+    grep -vE '^[^:]+:[0-9]+:([[:space:]]*//|func createTemp\()' || true)
+if [ "$(printf '%s\n' "$temps" | grep -c .)" -ne 1 ] ||
+    [ "$(awk '/^func \(db \*DB\) CreateScratch\(/,/^}/' internal/storage/scratch.go | grep -c 'createTemp(')" -ne 1 ]; then
+    echo "non-test code creates scratch files beyond DB.CreateScratch's one createTemp call:" >&2
+    echo "$temps" >&2
     exit 1
 fi
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"arb"
 	"arb/internal/storage"
 	"arb/internal/tree"
 )
@@ -422,6 +423,84 @@ func TestCLIUsageFlags(t *testing.T) {
 		slices.Sort(defined)
 		if flags, defined = slices.Compact(flags), slices.Compact(defined); !slices.Equal(flags, defined) {
 			t.Errorf("arb %s: usage names flags %v, -h prints %v", sub, flags, defined)
+		}
+	}
+}
+
+// TestCLIFailedCreateKeepsDatabase creates a database, then fails to
+// create a two-rooted document over it: the failed create must leave the
+// database's files byte-identical and answering.
+func TestCLIFailedCreateKeepsDatabase(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "db")
+	good, two := filepath.Join(dir, "good.xml"), filepath.Join(dir, "two.xml")
+	if err := os.WriteFile(good, []byte(libraryXML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(two, []byte("<a/><b/>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runCLI(t, bin, "create", base, good)
+	exts := []string{".arb", ".lab", ".idx"}
+	before := map[string][]byte{}
+	for _, ext := range exts {
+		b, err := os.ReadFile(base + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[ext] = b
+	}
+	if out, err := exec.Command(bin, "create", base, two).CombinedOutput(); err == nil {
+		t.Fatalf("create of a two-rooted document succeeded: %s", out)
+	}
+	for _, ext := range exts {
+		if b, err := os.ReadFile(base + ext); err != nil || string(b) != string(before[ext]) {
+			t.Errorf("the failed create changed %s (%v)", ext, err)
+		}
+	}
+	if out := runCLI(t, bin, "query", base, "-xpath", "//book/title"); !strings.Contains(out, "2 nodes selected") {
+		t.Fatalf("query after the failed create: %s", out)
+	}
+}
+
+// TestMissingLabRefused removes a created database's .lab: opening it
+// must fail, naming the file, where it used to read every tag as an
+// unnamed label and answer queries with nothing.
+func TestMissingLabRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	base := filepath.Join(dir, "db")
+	xmlPath := filepath.Join(dir, "doc.xml")
+	if err := os.WriteFile(xmlPath, []byte(libraryXML), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runCLI(t, bin, "create", base, xmlPath)
+	if err := os.Remove(base + ".lab"); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := storage.Open(base); err == nil {
+		db.Close()
+		t.Error("storage.Open opened a database without its .lab")
+	} else if !strings.Contains(err.Error(), "db.lab") {
+		t.Errorf("storage.Open's error %q does not name db.lab", err)
+	}
+	if s, err := arb.OpenSession(base); err == nil {
+		s.Close()
+		t.Error("OpenSession opened a database without its .lab")
+	}
+	for _, args := range [][]string{{"query", base, "-xpath", "//book/title"}, {"cat", base}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("arb %s succeeded without the .lab: %s", args[0], out)
+		} else if !strings.Contains(string(out), "db.lab") {
+			t.Errorf("arb %s's error %q does not name db.lab", args[0], out)
 		}
 	}
 }

@@ -177,8 +177,7 @@ func create(args []string) error {
 	}
 	fmt.Printf("created %s.arb: %d element nodes, %d character nodes, %d tags, %.2fs\n",
 		base, stats.ElemNodes, stats.CharNodes, stats.Tags, stats.Duration.Seconds())
-	fmt.Printf(".arb %d bytes, .lab %d bytes, temporary .evt %d bytes\n",
-		stats.ArbBytes, stats.LabBytes, stats.EvtBytes)
+	fmt.Printf(".arb %d bytes, .lab %d bytes\n", stats.ArbBytes, stats.LabBytes)
 	if *compress {
 		info, err := arb.CompressDB(base, *blockSize)
 		if err != nil {
@@ -501,9 +500,9 @@ func runBatch(ctx context.Context, sess *arb.Session, path string, workers int, 
 		phase1 := fmt.Sprintf("phase 1: %v", prof.Engine.Phase1Time)
 		phase2 := fmt.Sprintf("phase 2: %v", prof.Engine.Phase2Time)
 		phase1, phase2 = omitPhases(prof, phase1, phase2)
-		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s)%s; %s, %s; %d workers, temp %d bytes; %.0f bytes scanned per query\n",
+		fmt.Fprintf(os.Stderr, "%d queries, %d shared round(s)%s; %s, %s; %d workers, temp %d bytes, %d product states; %.0f bytes scanned per query\n",
 			len(items), prof.Passes, someOneScan(prof), phase1, phase2,
-			prof.Workers, prof.Disk.StateBytes,
+			prof.Workers, prof.Disk.StateBytes, prof.Engine.ProductStates,
 			float64(prof.Disk.Phase1.Bytes+prof.Disk.Phase2.Bytes)/float64(len(items)))
 	}
 	return nil

@@ -71,7 +71,8 @@ func capture(t *testing.T, f **os.File, fn func() error) string {
 // are decided by the records, so phase 1 is omitted and no state file
 // written; a filter with an upward and a downward condition keeps both
 // scans and its temp bytes; and a not(..) whose aux pass alone takes one
-// scan runs both phases and says how many of its passes took one.
+// scan runs both phases and says how many of its passes took one. A batch
+// also says how many states its members' product interned.
 func TestQueryVerboseOneScan(t *testing.T) {
 	dir := t.TempDir()
 	xml := filepath.Join(dir, "doc.xml")
@@ -101,7 +102,7 @@ func TestQueryVerboseOneScan(t *testing.T) {
 		want, notWant string
 	}{
 		{[]string{"-q", "QUERY :- Label[a];"}, "; phase 2: omitted (one scan); 1 passes, 1 workers, temp 0 bytes", "phase 2 (top-down)"},
-		{[]string{"-batch", "-f", work}, "phase 2: omitted (one scan); 1 workers, temp 0 bytes", "phase 2: 0"},
+		{[]string{"-batch", "-f", work}, "phase 2: omitted (one scan); 1 workers, temp 0 bytes, 4 product states", "phase 2: 0"},
 		{[]string{"-xpath", "/doc/a"}, "phase 1: omitted (forward scan); phase 2 (top-down)", "phase 1 (bottom-up)"},
 		{[]string{"-batch", "-f", forward}, "; phase 1: omitted (forward scan), phase 2: ", "phase 2: omitted"},
 		{[]string{"-q", filter}, "phase 2 (top-down)", "omitted"},

@@ -39,8 +39,9 @@ func main() {
 	defer os.RemoveAll(dir)
 	base := filepath.Join(dir, "library")
 
-	// 1. Create the database: two passes over the XML, then two files
-	// (library.arb, library.lab) in the storage model of Section 5.
+	// 1. Create the database: one pass over the XML writes the records
+	// of Section 5's storage model (library.arb), then the tag names
+	// (library.lab) and the subtree index (library.idx).
 	db, stats, err := arb.CreateDB(base, strings.NewReader(doc))
 	if err != nil {
 		log.Fatal(err)

@@ -46,6 +46,10 @@ type Stats struct {
 	// engine's visible measure of how much of the document a query
 	// actually needed, on every strategy including in-memory runs.
 	PrunedNodes int64
+	// ProductStates counts the product tuples, bottom-up and top-down, a
+	// batch run's lanes interned (product.go): none for a run whose
+	// batch kept warm products, none for a scalar run.
+	ProductStates int
 }
 
 // Add accumulates o into s (summing every column).
@@ -58,6 +62,7 @@ func (s *Stats) Add(o Stats) {
 	s.TDStates += o.TDStates
 	s.Nodes += o.Nodes
 	s.PrunedNodes += o.PrunedNodes
+	s.ProductStates += o.ProductStates
 }
 
 // Sub returns the column-wise difference s - o; with o a snapshot taken
@@ -72,6 +77,7 @@ func (s Stats) Sub(o Stats) Stats {
 		TDStates:      s.TDStates - o.TDStates,
 		Nodes:         s.Nodes - o.Nodes,
 		PrunedNodes:   s.PrunedNodes - o.PrunedNodes,
+		ProductStates: s.ProductStates - o.ProductStates,
 	}
 }
 

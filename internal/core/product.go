@@ -166,23 +166,31 @@ func (ps *Products) product(engines []*Engine, offs []int) (p *product) {
 // productView is one run's stepper over a product: its misses step the
 // members through the run's own SharedEngine views, so every transition
 // a member computes is credited to the run whose miss computed it, however
-// many runs share the product.
+// many runs share the product, and so is every tuple it interns (rs).
 type productView struct {
 	*product
 	shared []*SharedEngine
+	rs     *RunStats
 }
 
-// do runs f on the product's tables, the member caches bound to v's run.
+// do runs f on the product's tables, the member caches bound to v's run,
+// and credits the run with the states f interned.
 func (v *productView) do(f func(t *productTables)) {
+	var interned int
 	v.t.Do(func(t *productTables) {
 		for m, c := range t.caches {
 			c.s = v.shared[m]
 		}
+		n := t.bu.len() + t.td.len()
 		f(t)
+		interned = t.bu.len() + t.td.len() - n
 		if len(t.sigs.flat)+len(t.bu.flat)+len(t.td.flat) > int(maxDenseEntries) {
 			v.full.Store(true)
 		}
 	})
+	if interned > 0 {
+		v.rs.Add(Stats{ProductStates: interned})
+	}
 }
 
 // SigID is the product's signature class: the tuple of the members'.
@@ -334,7 +342,7 @@ func newLane(members []BatchMember, idx []int, rs *RunStats, kept *Products) lan
 		l.st, l.warm = shared[0], &engines[0].warm
 	} else {
 		p := kept.product(engines, l.offs)
-		l.st, l.warm = &productView{product: p, shared: shared}, &p.warm
+		l.st, l.warm = &productView{product: p, shared: shared, rs: rs}, &p.warm
 	}
 	return l
 }

@@ -707,6 +707,9 @@ func TestRunDiskFaultsBetweenPhases(t *testing.T) {
 		if err := os.WriteFile(base+".arb", b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(base+".lab", nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		bad, err := storage.Open(base)
 		if err != nil {
 			t.Fatal(err)

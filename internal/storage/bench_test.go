@@ -67,7 +67,8 @@ func BenchmarkFoldBottomUp(b *testing.B) {
 	}
 }
 
-// BenchmarkCreate measures the two-pass database creation scheme.
+// BenchmarkCreate measures database creation: one forward pass from
+// document events to records, then the .lab and the .idx.
 func BenchmarkCreate(b *testing.B) {
 	dir := b.TempDir()
 	feed := func(ew *EventWriter) error {

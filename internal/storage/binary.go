@@ -1,8 +1,7 @@
 package storage
 
 import (
-	"bufio"
-	"encoding/binary"
+	"fmt"
 	"os"
 
 	"arb/internal/tree"
@@ -20,32 +19,44 @@ type RecordSink func(label tree.Label, hasFirst, hasSecond bool) error
 // children are the binary tree's own left/right children.
 //
 // feed must emit the nodes of one binary tree in preorder (node, first
-// subtree, second subtree). create's index fold over the fresh records
-// (BuildIndex) rejects any other shape, and a rejected feed leaves no file
-// behind.
+// subtree, second subtree). The sink checks that shape as the records
+// arrive, by the rule XMLEmitter applies: it counts the subtrees announced
+// but not begun — one, the root's, at the start; each record takes one and
+// announces one per child flag — which must stay positive until the last
+// record and be zero after it. So a feed of any other shape fails before
+// base.arb is committed, and a database already at base stays as it was.
 func CreateBinary(base string, names *tree.Names, feed func(emit RecordSink) error) (*DB, error) {
 	db, _, err := create(base, names, func(arbF *os.File) error {
-		w := bufio.NewWriterSize(arbF, defaultBufSize)
-		var buf [NodeSize]byte
-		var werr error
+		w := newArbWriter(arbF)
+		owed := int64(1)
 		emit := func(label tree.Label, hasFirst, hasSecond bool) error {
-			if werr == nil {
-				werr = checkLabel(uint16(label))
+			if w.err == nil {
+				w.err = checkLabel(uint16(label))
 			}
-			if werr == nil {
-				r := Record{Label: uint16(label), HasFirst: hasFirst, HasSecond: hasSecond}
-				binary.BigEndian.PutUint16(buf[:], r.Encode())
-				_, werr = w.Write(buf[:])
+			if w.err == nil && owed == 0 {
+				w.err = fmt.Errorf("%w: record %d follows the root's subtree", ErrMalformed, w.n)
 			}
-			return werr
+			if w.err != nil {
+				return w.err
+			}
+			owed--
+			if hasFirst {
+				owed++
+			}
+			if hasSecond {
+				owed++
+			}
+			w.add(Record{Label: uint16(label), HasFirst: hasFirst, HasSecond: hasSecond}.Encode())
+			return w.err
 		}
-		if err := feed(emit); err != nil {
-			return err
+		err := feed(emit)
+		if cerr := w.close(); err == nil {
+			err = cerr
 		}
-		if werr != nil {
-			return werr
+		if err == nil && owed != 0 {
+			err = fmt.Errorf("%w: %d announced subtrees missing at the end of the feed", ErrMalformed, owed)
 		}
-		return w.Flush()
+		return err
 	})
 	return db, err
 }

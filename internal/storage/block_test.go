@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -63,9 +62,7 @@ func spineDB(t *testing.T, rng *rand.Rand, blobs []int64) (*DB, []Record, []Exte
 		binary.BigEndian.PutUint16(raw[i*NodeSize:], r.Encode())
 	}
 	base := filepath.Join(t.TempDir(), "spine")
-	if err := os.WriteFile(base+".arb", raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBareArb(t, base, raw)
 	db, err := Open(base)
 	if err != nil {
 		t.Fatal(err)

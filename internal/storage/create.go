@@ -1,18 +1,17 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"arb/internal/tree"
 )
 
-// CreateStats reports the statistics of a database creation run — exactly
-// the columns of Figure 5 of the paper.
+// CreateStats reports the statistics of a database creation run — the
+// columns of Figure 5 of the paper but the temporary event file's size:
+// creation writes no event file.
 type CreateStats struct {
 	ElemNodes int64         // (1) element nodes inserted
 	CharNodes int64         // (2) character nodes inserted
@@ -20,161 +19,230 @@ type CreateStats struct {
 	Duration  time.Duration // (4) overall creation time
 	ArbBytes  int64         // (5) .arb file size
 	LabBytes  int64         // (6) .lab file size
-	EvtBytes  int64         // (7) temporary .evt file size
 }
 
-// EventWriter is the sink of the first (SAX parsing) creation pass: it
-// interns tag names, counts nodes, and writes begin/end events to the
-// temporary event file (two 2-byte events per node).
-type EventWriter struct {
-	w     *bufio.Writer
-	names *tree.Names
-	depth int
-	stats CreateStats
-	err   error
-	buf   [2]byte
+// arbWriter writes .arb records in preorder through one buffer of
+// defaultBufSize bytes. A record's child flags may be set after it was
+// written (set): in the buffer while the record is still there, by one
+// 2-byte WriteAt once it has been flushed.
+type arbWriter struct {
+	f   *os.File
+	buf []byte // the records from node off/NodeSize on; cap defaultBufSize
+	off int64  // file offset of buf[0]
+	n   int64  // records written
+	// err is the first error, a write's or one its user found in the
+	// feed; once it is set, nothing more is written.
+	err error
 }
 
-func (e *EventWriter) emit(v uint16) {
-	if e.err != nil {
+func newArbWriter(f *os.File) *arbWriter {
+	return &arbWriter{f: f, buf: scanBufPool.Get().([]byte)[:0]}
+}
+
+// add writes the next record. It flushes before it writes, never after,
+// so the record written last is always in the buffer.
+func (w *arbWriter) add(rec uint16) {
+	if len(w.buf) == cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.BigEndian.AppendUint16(w.buf, rec)
+	w.n++
+}
+
+// set rewrites record v, written earlier, as rec.
+func (w *arbWriter) set(v int64, rec uint16) {
+	if i := v*NodeSize - w.off; i >= 0 {
+		binary.BigEndian.PutUint16(w.buf[i:], rec)
 		return
 	}
-	binary.BigEndian.PutUint16(e.buf[:], v)
-	if _, err := e.w.Write(e.buf[:]); err != nil {
-		e.err = err
+	var buf [NodeSize]byte
+	binary.BigEndian.PutUint16(buf[:], rec)
+	if w.err == nil {
+		_, w.err = w.f.WriteAt(buf[:], v*NodeSize)
 	}
+}
+
+func (w *arbWriter) flush() {
+	if w.err == nil {
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.off += int64(len(w.buf))
+	w.buf = w.buf[:0]
+}
+
+// close flushes the records and returns the buffer to the pool.
+func (w *arbWriter) close() error {
+	w.flush()
+	scanBufPool.Put(w.buf[:cap(w.buf)])
+	w.buf = nil
+	return w.err
+}
+
+// EventWriter is the sink of database creation: it interns tag names,
+// counts nodes, and writes each node's record to the .arb file as its
+// begin event arrives, in preorder — document order — with the
+// discipline of tree.Builder. A record's flags are decided later: its
+// has-first flag by its first child's record, which follows it directly,
+// its has-second flag by its next sibling's, which may follow it a
+// subtree later. So the writer keeps a frame per open element, holding
+// its last child's record — with the open element itself, written last,
+// at most depth + 1 undecided records, the memory bound of Proposition
+// 5.1.
+type EventWriter struct {
+	w     *arbWriter
+	names *tree.Names
+	stack []openElem
+	stats CreateStats
+}
+
+// openElem is the frame of an open element: its last child's record, and
+// what that record holds so far (last < 0 before the first child).
+type openElem struct {
+	last    int64
+	lastRec uint16
+}
+
+// node writes a record labelled l as the next child of the innermost open
+// element, setting the has-first flag of that element's record or the
+// has-second flag of its previous child's.
+func (e *EventWriter) node(l uint16) {
+	if len(e.stack) > 0 {
+		top := &e.stack[len(e.stack)-1]
+		if top.last < 0 {
+			// The open element's record is the one written last: set
+			// its flag in the buffer, and in its value its parent's
+			// frame keeps.
+			e.w.buf[len(e.w.buf)-NodeSize] |= FlagFirst >> 8
+			if len(e.stack) > 1 {
+				e.stack[len(e.stack)-2].lastRec |= FlagFirst
+			}
+		} else {
+			top.lastRec |= FlagSecond
+			e.w.set(top.last, top.lastRec)
+		}
+		top.last, top.lastRec = e.w.n, l
+	}
+	e.w.add(l)
 }
 
 // Begin opens an element with the given tag.
 func (e *EventWriter) Begin(name string) error {
-	if e.err != nil {
-		return e.err
+	if e.w.err != nil {
+		return e.w.err
+	}
+	if len(e.stack) == 0 && e.w.n > 0 {
+		e.w.err = tree.ErrContentAfterRoot
+		return e.w.err
 	}
 	l, err := e.names.Intern(name)
 	if err != nil {
-		e.err = err
+		e.w.err = err
 		return err
 	}
 	e.stats.ElemNodes++
-	e.depth++
-	e.emit(uint16(l))
-	return e.err
+	e.node(uint16(l))
+	e.stack = append(e.stack, openElem{last: -1})
+	return e.w.err
 }
 
-// Text adds the bytes of s as character nodes (a begin and an end event
-// each: characters are leaves).
+// Text adds the bytes of s as character nodes, leaves of the innermost
+// open element.
 func (e *EventWriter) Text(s []byte) error {
-	if e.err != nil {
-		return e.err
+	if e.w.err != nil {
+		return e.w.err
 	}
-	if e.depth == 0 && len(s) > 0 {
-		e.err = fmt.Errorf("storage: text outside document root")
-		return e.err
+	if len(e.stack) == 0 && len(s) > 0 {
+		e.w.err = fmt.Errorf("storage: text outside document root")
+		return e.w.err
 	}
 	for _, c := range s {
-		e.stats.CharNodes++
-		e.emit(uint16(c))
-		e.emit(evtEnd)
+		e.node(uint16(c))
 	}
-	return e.err
+	e.stats.CharNodes += int64(len(s))
+	return e.w.err
 }
 
 // End closes the innermost open element.
 func (e *EventWriter) End() error {
-	if e.err != nil {
-		return e.err
+	if e.w.err != nil {
+		return e.w.err
 	}
-	if e.depth == 0 {
-		e.err = fmt.Errorf("storage: unbalanced end event")
-		return e.err
+	if len(e.stack) == 0 {
+		e.w.err = fmt.Errorf("storage: unbalanced end event")
+		return e.w.err
 	}
-	e.depth--
-	e.emit(evtEnd)
-	return e.err
+	e.stack = e.stack[:len(e.stack)-1]
+	return nil
 }
 
 // CreateOpts configures database creation. It has no options.
 type CreateOpts struct{}
 
-// Create builds a database under the given base path (producing base.arb
-// and base.lab) from the document events that feed emits. It implements
-// the paper's two-pass scheme: feed is the SAX parsing pass writing a
-// temporary event file, an anonymous scratch file next to the database;
-// the second pass reads it backwards while writing base.arb backwards,
-// which converts the unranked document into its binary-tree encoding using
-// a stack proportional to the *document* depth (not to the potentially
-// enormous sibling counts). A failed creation removes every file it
-// wrote, the event file included. Creating over a patched database
-// replaces it whole: its versioned store goes too.
-func Create(base string, feed func(*EventWriter) error, _ CreateOpts) (db *DB, stats *CreateStats, err error) {
+// Create builds a database under the given base path (producing base.arb,
+// base.lab and base.idx) from the document events that feed emits, in one
+// forward pass: the EventWriter feed is handed writes each node's record
+// into the .arb file's commit temporary as the node begins, with memory
+// proportional to the document depth (not to the potentially enormous
+// sibling counts), and creation makes no other file. A feed that fails or
+// emits anything but one well-formed document fails before base.arb is
+// committed, so a database already at base stays as it was. Creating over
+// a patched database replaces it whole: its versioned store goes too.
+func Create(base string, feed func(*EventWriter) error, _ CreateOpts) (*DB, *CreateStats, error) {
 	start := time.Now()
-
-	// Pass 1: stream events to disk.
-	evtF, err := createTemp(base, ".evt")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		if cerr := evtF.Close(); cerr != nil && err == nil {
-			db.Close()
-			db, stats, err = nil, nil, cerr
-		}
-	}()
-	ew := &EventWriter{w: bufio.NewWriterSize(evtF, defaultBufSize), names: tree.NewNames()}
-	if err := feed(ew); err != nil {
-		return nil, nil, err
-	}
-	if ew.err != nil {
-		return nil, nil, ew.err
-	}
-	if ew.depth != 0 {
-		return nil, nil, fmt.Errorf("storage: %d unclosed elements", ew.depth)
-	}
-	n := ew.stats.ElemNodes + ew.stats.CharNodes
-	if n == 0 {
-		return nil, nil, fmt.Errorf("storage: empty document")
-	}
-	if err := ew.w.Flush(); err != nil {
-		return nil, nil, err
-	}
-
-	// Pass 2: read events backwards, write .arb backwards.
+	ew := &EventWriter{names: tree.NewNames()}
 	db, labBytes, err := create(base, ew.names, func(arbF *os.File) error {
-		return buildArbBackwards(evtF, n, arbF)
+		ew.w = newArbWriter(arbF)
+		err := feed(ew)
+		if cerr := ew.w.close(); err == nil {
+			err = cerr
+		}
+		switch {
+		case err != nil:
+			return err
+		case len(ew.stack) != 0:
+			return fmt.Errorf("storage: %d unclosed elements", len(ew.stack))
+		case ew.w.n == 0:
+			return fmt.Errorf("storage: empty document")
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	st := ew.stats
-	st.ArbBytes = n * NodeSize
-	st.EvtBytes = 2 * n * 2
+	st.ArbBytes = ew.w.n * NodeSize
 	st.LabBytes = labBytes
 	st.Tags = ew.names.Len()
 	st.Duration = time.Since(start)
 	return db, &st, nil
 }
 
-// create is the tail every creation path shares: write fills base.arb,
-// then create writes names to base.lab, opens the database and persists
-// its subtree chunk index as base.idx (one backward pass over the fresh,
-// cached .arb), so parallel evaluation never needs an extra scan. Each
-// file is committed through WriteFile, so it is durable before the next
-// one is written. It returns the .lab size. A failure at any step removes
-// the files create committed, so a failed creation leaves nothing behind.
-// A versioned store over base goes first (removeVersioned): it describes
-// the records being replaced.
+// create is the tail every creation path shares: write fills base.arb's
+// commit temporary, failing on a feed that is not one binary tree in
+// preorder; then create writes names to base.lab, opens the database and
+// persists its subtree chunk index as base.idx (one backward pass over the
+// fresh, cached .arb), so parallel evaluation never needs an extra scan.
+// Each file is committed through WriteFile, so it is durable before the
+// next one is written. It returns the .lab size. A failure before
+// base.arb's commit leaves base as it was; one after it removes base's
+// .arb, .lab and .idx, so no file outlives the records it describes. A
+// versioned store over base goes (removeVersioned) once write succeeded,
+// before base.arb's commit: it describes the records being replaced.
 func create(base string, names *tree.Names, write func(arbF *os.File) error) (db *DB, labBytes int64, err error) {
-	arbPath, labPath := base+".arb", base+".lab"
-	if err := removeVersioned(base); err != nil {
-		return nil, 0, err
-	}
-	if err := WriteFile(arbPath, write); err != nil {
+	arbPath, labPath, idxPath := base+".arb", base+".lab", base+".idx"
+	if err := WriteFile(arbPath, func(f *os.File) error {
+		if err := write(f); err != nil {
+			return err
+		}
+		return removeVersioned(base)
+	}); err != nil {
 		return nil, 0, err
 	}
 	defer func() {
 		if err != nil {
 			os.Remove(arbPath)
 			os.Remove(labPath)
+			os.Remove(idxPath)
 		}
 	}()
 	if err = WriteFile(labPath, func(f *os.File) (err error) {
@@ -190,7 +258,7 @@ func create(base string, names *tree.Names, write func(arbF *os.File) error) (db
 	// earlier database at base may match the node count but not the labels.
 	ix, err := BuildIndex(nil, db, 0)
 	if err == nil {
-		err = WriteIndexFile(base+".idx", ix)
+		err = WriteIndexFile(idxPath, ix)
 	}
 	if err != nil {
 		db.Close()
@@ -198,58 +266,6 @@ func create(base string, names *tree.Names, write func(arbF *os.File) error) (db
 	}
 	db.setIndex(ix)
 	return db, labBytes, nil
-}
-
-// buildArbBackwards is the second creation pass. Reading the event stream
-// backwards, a node's begin events appear in exactly reverse preorder, so
-// records can be written strictly back-to-front. A stack frame per open
-// (in reverse: not-yet-begun) element tracks whether any child has been
-// seen; when a node's begin event arrives, its own frame tells whether it
-// has a first child, and the parent frame — which has already seen any
-// *later* sibling — tells whether it has a second child.
-func buildArbBackwards(evtF io.ReaderAt, n int64, arbF *os.File) error {
-	evtSize := 4 * n
-	br, err := NewBackwardReader(evtF, evtSize, 2)
-	if err != nil {
-		return err
-	}
-	defer br.Release()
-	if err := arbF.Truncate(n * NodeSize); err != nil {
-		return err
-	}
-	bw := NewBackwardWriter(arbF, n*NodeSize)
-
-	type frame struct{ sawChild bool }
-	var stack []frame
-	var rec [2]byte
-	for {
-		b, err := br.Next()
-		if err != nil {
-			break // io.EOF: all events consumed
-		}
-		v := binary.BigEndian.Uint16(b)
-		if v&evtEnd != 0 {
-			stack = append(stack, frame{})
-			continue
-		}
-		// Begin event for a node with label v.
-		if len(stack) == 0 {
-			return fmt.Errorf("storage: unbalanced begin event")
-		}
-		own := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		r := Record{Label: v, HasFirst: own.sawChild}
-		if len(stack) > 0 {
-			r.HasSecond = stack[len(stack)-1].sawChild
-			stack[len(stack)-1].sawChild = true
-		}
-		binary.BigEndian.PutUint16(rec[:], r.Encode())
-		bw.Prepend(rec[:])
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("storage: %d unmatched end events", len(stack))
-	}
-	return bw.Close()
 }
 
 // FullBinary is a CreateBinary feed of a full binary tree of the given

@@ -52,7 +52,8 @@ type DB struct {
 	idx guard.Mutex[*SubtreeIndex]
 }
 
-// Open opens base.arb and base.lab. A block-compressed container
+// Open opens base.arb and base.lab; a missing base.lab is an error naming
+// it, not a database of unnamed labels. A block-compressed container
 // (format v3, created by CompressInPlace or `arb create -compress`) is
 // detected by its magic and served transparently: every scan primitive
 // sees the same logical record space as a raw file.
@@ -106,15 +107,16 @@ func openFrom(base string, r io.ReaderAt, size int64, closer io.Closer) (*DB, er
 		}
 		logical, n = r, size/NodeSize
 	}
-	names := tree.NewNames()
+	// A database without its name table would read every tag as an
+	// unnamed label: no Label[..] test would match, and nothing would
+	// tell.
 	labF, err := os.Open(base + ".lab")
-	if err == nil {
-		names, err = tree.ReadNames(labF)
-		labF.Close()
-		if err != nil {
-			return nil, err
-		}
-	} else if !os.IsNotExist(err) {
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	names, err := tree.ReadNames(labF)
+	labF.Close()
+	if err != nil {
 		return nil, err
 	}
 	return &DB{Base: base, N: n, Names: names, arb: logical, closer: closer, comp: comp}, nil

@@ -16,8 +16,7 @@ import (
 //     leaves at most a stray temporary, which RemoveTemps sweeps.
 //   - A scratch file (createTemp) is anonymous: a uniquely named
 //     temporary beside a database, passed around by handle and removed by
-//     its Close — a run's state file (DB.CreateScratch) and Create's
-//     event file.
+//     its Close — a run's state file (DB.CreateScratch), the only one.
 
 // tmpSuffix marks a commit temporary: WriteFile creates <path>.tmp*, where
 // os.CreateTemp puts decimal digits for the star.

@@ -216,9 +216,10 @@ func TestRemoveTempsSparesOtherFiles(t *testing.T) {
 
 // TestSyncDirCreateDropsManifestFirst: Create over the base of a patched
 // database removes the versioned store's manifest, and syncs the
-// directory, before the first file of the new database is written, so no
-// crash leaves the old manifest beside new records. It then removes the
-// store's name table and segments, and nothing of another database.
+// directory, before the first file of the new database is committed, so
+// no crash leaves the old manifest beside new records. It then removes the
+// store's name table and segments, and nothing of another database. A
+// create whose feed fails removes none of them.
 func TestSyncDirCreateDropsManifestFirst(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "db")
@@ -228,6 +229,14 @@ func TestSyncDirCreateDropsManifestFirst(t *testing.T) {
 	for _, name := range append(append([]string{}, planted...), kept...) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if _, err := CreateBinary(base, tree.NewNames(), func(RecordSink) error { return nil }); err == nil {
+		t.Fatal("an empty feed created a database")
+	}
+	for _, name := range planted {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("a failed create removed the versioned store's %s", name)
 		}
 	}
 	oldArb, err := os.ReadFile(base + ".arb")

@@ -13,11 +13,11 @@
 //	           label index i >= 256 is the (i-255)th entry. Indices 0..255
 //	           are reserved for text characters.
 //
-// Databases are created in two passes: a SAX-style parsing pass writes a
-// temporary event file (an anonymous scratch file next to base, two
-// 2-byte events per node) and counts nodes; a second pass reads the event file backwards and writes the .arb
-// file backwards, turning the unranked document into its binary encoding
-// with only a stack proportional to the document depth.
+// Databases are created in one forward pass: as a SAX-style parser's
+// events arrive, each node's record is written in preorder, which is
+// document order, and a flag that only a later event decides is set in
+// place; the stack this takes is proportional to the document depth
+// (Create).
 package storage
 
 import "fmt"
@@ -61,11 +61,6 @@ func DecodeRecord(v uint16) Record {
 		HasSecond: v&FlagSecond != 0,
 	}
 }
-
-// Event-file encoding: a begin event carries the node's label (which fits
-// in 14 bits, so the top bit is clear); the end event is a single reserved
-// value with the top bit set.
-const evtEnd = 0x8000
 
 func checkLabel(l uint16) error {
 	if l > labelMask {

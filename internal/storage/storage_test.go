@@ -94,8 +94,8 @@ func TestFigure1TreeSerialisation(t *testing.T) {
 }
 
 func TestCreateRoundTrip(t *testing.T) {
-	// Document events -> event file -> backward pass -> .arb -> ReadTree must
-	// equal the tree built directly from the same events.
+	// Document events -> .arb, written forward as the events arrive ->
+	// ReadTree must equal the tree built directly from the same events.
 	feed := func(h tree.EventHandler) error {
 		if err := h.Begin("a"); err != nil {
 			return err
@@ -137,8 +137,8 @@ func TestCreateRoundTrip(t *testing.T) {
 	if got.String() != want.String() {
 		t.Fatalf("round trip:\n got %s\nwant %s", got, want)
 	}
-	// The event file was an anonymous temporary: only the database's own
-	// files are left.
+	// Creation makes no scratch file: only the database's own files are
+	// there.
 	left, err := os.ReadDir(filepath.Dir(base))
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,6 @@ func TestCreateOverExistingRebuildsIndex(t *testing.T) {
 }
 
 func TestCreateErrors(t *testing.T) {
-	dir := t.TempDir()
 	cases := map[string]func(*EventWriter) error{
 		"empty":      func(ew *EventWriter) error { return nil },
 		"unbalanced": func(ew *EventWriter) error { return ew.Begin("a") },
@@ -196,12 +195,98 @@ func TestCreateErrors(t *testing.T) {
 			}
 			return ew.End()
 		},
+		"two-roots": func(ew *EventWriter) error {
+			for _, tag := range []string{"a", "b"} {
+				if err := ew.Begin(tag); err != nil {
+					return err
+				}
+				if err := ew.End(); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	}
 	for name, feed := range cases {
-		if _, _, err := Create(filepath.Join(dir, name), feed, CreateOpts{}); err == nil {
-			t.Errorf("%s: Create succeeded, want error", name)
+		assertCreateFails(t, name, func(base string) error {
+			db, _, err := Create(base, feed, CreateOpts{})
+			if err == nil {
+				db.Close()
+			}
+			return err
+		})
+	}
+	// A second root fails at its Begin, as it does in tree.Builder.
+	_, _, err := Create(filepath.Join(t.TempDir(), "db"), cases["two-roots"], CreateOpts{})
+	if !errors.Is(err, tree.ErrContentAfterRoot) {
+		t.Errorf("two roots: Create returned %v, want tree.ErrContentAfterRoot", err)
+	}
+}
+
+// assertCreateFails runs a creation that must fail twice: into an empty
+// directory, which it must leave empty, and over an existing database,
+// whose .arb, .lab and .idx it must leave byte-identical and answering.
+func assertCreateFails(t *testing.T, label string, create func(base string) error) {
+	t.Helper()
+	dir := t.TempDir()
+	if create(filepath.Join(dir, "db")) == nil {
+		t.Errorf("%s: creation succeeded, want error", label)
+	}
+	assertEmptyDir(t, dir, label)
+
+	base := filepath.Join(t.TempDir(), "db")
+	tr := randomDoc(rand.New(rand.NewSource(1)), 200)
+	db, err := CreateFromTree(base, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	exts := []string{".arb", ".lab", ".idx"}
+	var before [][]byte
+	for _, ext := range exts {
+		b, err := os.ReadFile(base + ext)
+		if err != nil {
+			t.Fatal(err)
 		}
-		assertEmptyDir(t, dir, name)
+		before = append(before, b)
+	}
+	if create(base) == nil {
+		t.Errorf("%s: creation over a database succeeded, want error", label)
+		return
+	}
+	left, err := os.ReadDir(filepath.Dir(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != len(exts) {
+		t.Errorf("%s: a failed creation over a database left %d files, want %d", label, len(left), len(exts))
+	}
+	for i, ext := range exts {
+		b, err := os.ReadFile(base + ext)
+		if err != nil || !bytes.Equal(b, before[i]) {
+			t.Errorf("%s: a failed creation changed the database's %s (%v)", label, ext, err)
+		}
+	}
+	db, err = Open(base)
+	if err != nil {
+		t.Fatalf("%s: the database a failed creation left does not open: %v", label, err)
+	}
+	defer db.Close()
+	got, err := db.ReadTree(context.Background())
+	if err != nil || got.String() != tr.String() {
+		t.Errorf("%s: the database a failed creation left does not answer as before (%v)", label, err)
+	}
+}
+
+// writeBareArb writes raw as base.arb, beside an empty base.lab: a
+// database of unnamed labels.
+func writeBareArb(t *testing.T, base string, raw []byte) {
+	t.Helper()
+	if err := os.WriteFile(base+".arb", raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base+".lab", nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -246,34 +331,6 @@ func TestBackwardReaderAllSizes(t *testing.T) {
 			t.Fatalf("n=%d: read past the beginning", n)
 		}
 		f.Close()
-	}
-}
-
-func TestBackwardWriterMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 3, 1000, 65536, 70001} {
-		data := make([]byte, n)
-		rng.Read(data)
-		path := filepath.Join(t.TempDir(), "w")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bw := NewBackwardWriter(f, int64(n))
-		for i := n - 1; i >= 0; i-- {
-			bw.Prepend(data[i : i+1])
-		}
-		if err := bw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("n=%d: backward-written file differs", n)
-		}
 	}
 }
 
@@ -423,9 +480,7 @@ func TestMalformedArbRejected(t *testing.T) {
 			binary.BigEndian.PutUint16(raw[i*NodeSize:], r.Encode())
 		}
 		base := filepath.Join(dir, fmt.Sprintf("shape%d", i))
-		if err := os.WriteFile(base+".arb", raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeBareArb(t, base, raw)
 		db, err := Open(base)
 		if err != nil {
 			t.Fatal(err)
@@ -444,9 +499,7 @@ func TestMalformedArbRejected(t *testing.T) {
 
 	// Odd file size.
 	base := filepath.Join(dir, "bad")
-	if err := os.WriteFile(base+"2.arb", []byte{1, 2, 3}, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBareArb(t, base+"2", []byte{1, 2, 3})
 	if _, err := Open(base + "2"); err == nil {
 		t.Fatal("Open accepted an odd-sized .arb")
 	}
@@ -470,10 +523,13 @@ func TestCreateBinaryValidation(t *testing.T) {
 		},
 	}
 	for name, feed := range bad {
-		if _, err := CreateBinary(filepath.Join(dir, name), tree.NewNames(), feed); err == nil {
-			t.Errorf("%s: CreateBinary succeeded, want error", name)
-		}
-		assertEmptyDir(t, dir, name)
+		assertCreateFails(t, name, func(base string) error {
+			db, err := CreateBinary(base, tree.NewNames(), feed)
+			if err == nil {
+				db.Close()
+			}
+			return err
+		})
 	}
 
 	// The full binary feed writes the same .arb and .lab bytes as
@@ -596,10 +652,151 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Logf("ReadTree: %v", err)
 			return false
 		}
-		return got.String() == tr.String()
+		if got.String() != tr.String() {
+			return false
+		}
+		// The same document fed as events writes the same records.
+		ev, _, err := Create(base+"ev", func(ew *EventWriter) error { return feedTree(ew, tr, 0) }, CreateOpts{})
+		if err != nil {
+			t.Logf("Create: %v", err)
+			return false
+		}
+		ev.Close()
+		return sameFiles(t, base+"ev", base, ".arb", ".lab")
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// feedTree feeds the document whose binary encoding is rooted at v — v,
+// then its second subtree, the following siblings — as events to h.
+func feedTree(h tree.EventHandler, t *tree.Tree, v tree.NodeID) error {
+	for ; v != tree.None; v = t.Second(v) {
+		l := t.Label(v)
+		if l.IsChar() {
+			if err := h.Text([]byte{l.Char()}); err != nil {
+				return err
+			}
+			continue
+		}
+		name, _ := t.Names().TagName(l)
+		if err := h.Begin(name); err != nil {
+			return err
+		}
+		if err := feedTree(h, t, t.First(v)); err != nil {
+			return err
+		}
+		if err := h.End(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameFiles reports whether databases a and b have byte-identical files
+// of the given extensions, logging the first that differs.
+func sameFiles(t *testing.T, a, b string, exts ...string) bool {
+	t.Helper()
+	for _, ext := range exts {
+		x, err := os.ReadFile(a + ext)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		y, err := os.ReadFile(b + ext)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if !bytes.Equal(x, y) {
+			t.Logf("%s: %s and %s differ", ext, a, b)
+			return false
+		}
+	}
+	return true
+}
+
+// TestCreateLargerThanBuffers feeds documents whose records span several
+// write buffers, so the forward writer sets flags both in its buffer and
+// through WriteAt on records already flushed, and checks every byte
+// against CreateFromTree of the same document built in memory.
+func TestCreateLargerThanBuffers(t *testing.T) {
+	bufRecs := defaultBufSize / NodeSize
+	docs := map[string]func(h tree.EventHandler) error{
+		// A root with 310 000 children of mixed subtree sizes: mostly
+		// leaves and small elements, and every 100 000th child a subtree
+		// bigger than a buffer, whose next sibling's has-second flag
+		// lands on a flushed record.
+		"wide": func(h tree.EventHandler) error {
+			must(h.Begin("root"))
+			for i := 0; i < 310_000; i++ {
+				switch {
+				case i%100_000 == 1:
+					must(h.Begin("big"))
+					for j := 0; j < bufRecs+1000; j++ {
+						must(h.Begin("leaf"))
+						must(h.End())
+					}
+					must(h.End())
+				case i%7 == 0:
+					must(h.Text([]byte("xy")))
+				case i%3 == 0:
+					must(h.Begin("small"))
+					must(h.Text([]byte("z")))
+					must(h.Begin("leaf"))
+					must(h.End())
+					must(h.End())
+				default:
+					must(h.Begin("leaf"))
+					must(h.End())
+				}
+			}
+			return h.End()
+		},
+		// A chain 100 000 deep whose every link but the root is followed
+		// by two characters: unwinding sets each link's has-second flag
+		// long after the link was flushed.
+		"deep": func(h tree.EventHandler) error {
+			const depth = 100_000
+			for i := 0; i < depth; i++ {
+				must(h.Begin("link"))
+			}
+			for i := 0; i < depth; i++ {
+				must(h.End())
+				if i < depth-1 {
+					must(h.Text([]byte("ab")))
+				}
+			}
+			return nil
+		},
+	}
+	for name, doc := range docs {
+		b := tree.NewBuilder(nil)
+		if err := doc(b); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := b.Tree()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() <= 2*bufRecs {
+			t.Fatalf("%s: %d nodes fit in two write buffers", name, tr.Len())
+		}
+		dir := t.TempDir()
+		want, err := CreateFromTree(filepath.Join(dir, "tree"), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Close()
+		got, _, err := Create(filepath.Join(dir, "events"), func(ew *EventWriter) error { return doc(ew) }, CreateOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got.Close()
+		if !sameFiles(t, filepath.Join(dir, "events"), filepath.Join(dir, "tree"), ".arb", ".lab", ".idx") {
+			t.Errorf("%s: Create wrote other files than CreateFromTree", name)
+		}
 	}
 }

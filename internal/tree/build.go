@@ -28,6 +28,10 @@ type Builder struct {
 	err   error
 }
 
+// ErrContentAfterRoot rejects a Begin once the document root has closed:
+// a document has one root.
+var ErrContentAfterRoot = errors.New("tree: content after document root")
+
 type builderFrame struct {
 	node      NodeID
 	lastChild NodeID
@@ -71,7 +75,7 @@ func (b *Builder) Begin(name string) error {
 		return b.err
 	}
 	if b.done {
-		return b.fail(errors.New("tree: content after document root"))
+		return b.fail(ErrContentAfterRoot)
 	}
 	l, err := b.t.names.Intern(name)
 	if err != nil {

@@ -134,8 +134,8 @@ func SwissprotTree(cfg SwissprotConfig) (*tree.Tree, error) {
 	return b.Tree()
 }
 
-// CreateSwissprotDB builds a Swissprot-like .arb database with the
-// paper's two-pass creation scheme.
+// CreateSwissprotDB builds a Swissprot-like .arb database, its feed's
+// events written as records as they arrive (storage.Create).
 func CreateSwissprotDB(base string, cfg SwissprotConfig) (*storage.DB, *storage.CreateStats, error) {
 	return storage.Create(base, func(ew *storage.EventWriter) error {
 		return SwissprotFeed(cfg, ew)

@@ -128,8 +128,8 @@ func TreebankTree(cfg TreebankConfig) (*tree.Tree, error) {
 	return b.Tree()
 }
 
-// CreateTreebankDB builds a Treebank-like .arb database with the paper's
-// two-pass creation scheme.
+// CreateTreebankDB builds a Treebank-like .arb database, its feed's
+// events written as records as they arrive (storage.Create).
 func CreateTreebankDB(base string, cfg TreebankConfig) (*storage.DB, *storage.CreateStats, error) {
 	return storage.Create(base, func(ew *storage.EventWriter) error {
 		return TreebankFeed(cfg, ew)

@@ -289,9 +289,9 @@ func TestCreateTreebankDBStats(t *testing.T) {
 	if db.N != n {
 		t.Fatalf("db has %d nodes, stats say %d", db.N, n)
 	}
-	// Figure 5 invariants: .arb = 2 bytes/node, .evt = 2x .arb.
-	if stats.ArbBytes != 2*n || stats.EvtBytes != 4*n {
-		t.Fatalf("sizes: arb=%d evt=%d for %d nodes", stats.ArbBytes, stats.EvtBytes, n)
+	// Figure 5 invariant: .arb = 2 bytes/node.
+	if stats.ArbBytes != 2*n {
+		t.Fatalf(".arb size %d for %d nodes", stats.ArbBytes, n)
 	}
 	// The .lab file records only tags that actually occur; at 100
 	// sentences a few of the 246 POS fillers may not have been drawn.

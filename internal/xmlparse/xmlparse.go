@@ -3,9 +3,10 @@
 // expanded to one node per character downstream (paper Section 2.1).
 //
 // The parser is a thin streaming layer over encoding/xml's tokenizer — the
-// SAX parsing pass of the paper's database-creation scheme. It never
-// materialises the document; memory use is bounded by the document depth
-// (inside encoding/xml's nesting check) plus a token buffer.
+// SAX parsing of database creation, whose events storage.EventWriter turns
+// into .arb records as they arrive. It never materialises the document;
+// memory use is bounded by the document depth (inside encoding/xml's
+// nesting check) plus a token buffer.
 package xmlparse
 
 import (
@@ -91,10 +92,9 @@ func ParseTree(r io.Reader) (*tree.Tree, error) {
 	return b.Tree()
 }
 
-// CreateDB builds a .arb database under base from the XML document in r,
-// using the paper's two-pass creation scheme (Section 5): this function is
-// the SAX pass writing the event file; storage.Create performs the
-// backward pass producing the .arb file.
+// CreateDB builds a .arb database under base from the XML document in r
+// in one forward pass: the parser's events go to storage.Create's
+// EventWriter, which writes each node's record as the node begins.
 func CreateDB(base string, r io.Reader, copts storage.CreateOpts) (*storage.DB, *storage.CreateStats, error) {
 	return storage.Create(base, func(ew *storage.EventWriter) error {
 		return Parse(r, ew)

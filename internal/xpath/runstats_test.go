@@ -90,8 +90,9 @@ func TestExecStatsDeterministicUnderOverlap(t *testing.T) {
 // to the contract TestExecStatsDeterministicUnderOverlap holds scalar runs
 // to: each run's node count is fixed, and the per-run transition counts
 // sum to the member engines' totals, however the runs shared the kept
-// products and the engines' warm caches. A later execution computes no
-// transition, and every execution answers as each member does alone.
+// products and the engines' warm caches. The overlapping executions intern
+// product states; a later execution computes no transition and interns no
+// product state, and every execution answers as each member does alone.
 func TestBatchKeptProductsUnderOverlap(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<root>")
@@ -191,9 +192,15 @@ func TestBatchKeptProductsUnderOverlap(t *testing.T) {
 		sum.BUStates != cum.BUStates || sum.TDStates != cum.TDStates {
 		t.Errorf("per-run transition counts do not partition the cumulative totals:\nsum of runs: %+v\ncumulative:  %+v", sum, cum)
 	}
+	if sum.ProductStates == 0 {
+		t.Error("the overlapping executions interned no product state: no lane stepped a product")
+	}
 	res, es := exec()
 	if es.Engine.BUTransitions != 0 || es.Engine.TDTransitions != 0 {
 		t.Errorf("a warm execution computed %d and %d transitions, want none", es.Engine.BUTransitions, es.Engine.TDTransitions)
+	}
+	if es.Engine.ProductStates != 0 {
+		t.Errorf("a warm execution interned %d product states, want none: the batch keeps its products", es.Engine.ProductStates)
 	}
 	same(res, "warm run")
 }
