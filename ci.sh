@@ -179,16 +179,40 @@ if ls BENCH_*.json >&2 2>/dev/null; then
 fi
 
 # One codec, one .idx format, one subtree-index fold: the record stream
-# is LZ-compressed or raw, the .idx sidecar is v2 for both (compression
+# is LZ-compressed or raw, the .idx sidecar is v3 for both (compression
 # moves no node), and vstore's fragments are indexed by storage.BuildIndex.
-# The DEFLATE codec, the v3 sidecar with its container descriptor and
-# vstore's private index heap are gone. Keep them gone.
+# The DEFLATE codec, the sidecar an earlier format wrote with a container
+# descriptor and vstore's private index heap are gone. Keep them gone.
 if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep 'compress/flate' >&2; then
     echo "non-test code imports compress/flate: LZ is the one codec" >&2
     exit 1
 fi
 if grep -rnE '\b(CodecFlate|ParseCodec|indexMagicV3|ReadIndexFileInfo|containerDesc|entryMinHeap)\b' --include='*.go' . >&2; then
     echo "flate, the v3 sidecar or vstore's private index fold is back" >&2
+    exit 1
+fi
+
+# The subtree index holds each entry's whole record, and the window passes
+# serve the gaps it holds whole from it, so an .idx entry carries its
+# root's label: the sidecar is v3, and the v2 magic is read only to reject
+# a stale file. Nothing writes it. Keep it so.
+v2idx=$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -nE 'ARBIDX2|indexMagicV2' |
+    grep -vE '^[^:]+:[0-9]+:([[:space:]]*//|[[:space:]]*indexMagicV2[[:space:]]*= "ARBIDX2\\n"$|[[:space:]]*case indexMagicV2:$)' || true)
+if [ -n "$v2idx" ]; then
+    echo "the v2 .idx magic is used beyond its rejection in ReadIndexFile: sidecars are written as v3" >&2
+    echo "$v2idx" >&2
+    exit 1
+fi
+# Records the index holds come from the index: the disk driver takes its
+# chunk roots' and the document root's records from the index the chunks
+# were cut from (DB.RootRecord), and the window passes serve index-only
+# gaps. On a compressed database every DB.RecordAt decodes a block prefix,
+# so no non-test file of internal/core calls it. Keep it so.
+recordat=$(find internal/core -name '*.go' ! -name '*_test.go' | xargs grep -nE '\.RecordAt\(' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$recordat" ]; then
+    echo "internal/core reads single records with DB.RecordAt: take them from the index (DB.RootRecord)" >&2
+    echo "$recordat" >&2
     exit 1
 fi
 

@@ -504,3 +504,48 @@ func TestMissingLabRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestPruneForeignIndexRebuilt copies one database's .arb over another's
+// of the same node count, leaving the other's .idx beside it: the index
+// describes a document with its one y element elsewhere, and a pruned run
+// trusting its label signatures would skip the y the records hold. The
+// sidecar's roots do not match the records, so it is rebuilt and
+// rewritten: //y answers 1 node with and without -noprune, and the
+// sidecar is the one the records' own database has.
+func TestPruneForeignIndexRebuilt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	a := "<a>" + strings.Repeat("x", 1000) + "</a>"
+	docs := map[string]string{
+		"C": "<r>" + a + "<y/>" + strings.Repeat(a, 39) + "</r>",
+		"D": "<r>" + strings.Repeat(a, 40) + "<y/></r>",
+	}
+	for name, doc := range docs {
+		xmlPath := filepath.Join(dir, name+".xml")
+		if err := os.WriteFile(xmlPath, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runCLI(t, bin, "create", filepath.Join(dir, name), xmlPath)
+	}
+	c, d := filepath.Join(dir, "C"), filepath.Join(dir, "D")
+	arbD, err := os.ReadFile(d + ".arb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c+".arb", arbD, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-xpath", "//y"}, {"-xpath", "//y", "-noprune"}, {"-xpath", "//y", "-j", "2"}} {
+		if out := runCLI(t, bin, append([]string{"query", c}, args...)...); !strings.Contains(out, "1 nodes selected") {
+			t.Errorf("query %v over the copied records: %s", args, out)
+		}
+	}
+	idxC, errC := os.ReadFile(c + ".idx")
+	idxD, errD := os.ReadFile(d + ".idx")
+	if errC != nil || errD != nil || string(idxC) != string(idxD) {
+		t.Errorf("the foreign sidecar was not rebuilt from the records (%v, %v)", errC, errD)
+	}
+}

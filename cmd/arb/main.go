@@ -46,7 +46,9 @@
 // irrelevant to the query, so selective queries read far less than two
 // full scans — bit-identical results either way. -noprune forces the
 // full scans (useful for benchmarking and for debugging a suspect
-// sidecar); -v reports how many bytes pruning skipped. Marked output
+// sidecar); -v reports how many bytes pruning skipped, and how many of
+// the bytes it read came from the index instead (the records between
+// skipped subtrees, which the index holds whole). Marked output
 // (-mark) reads everything regardless, since every node is re-emitted.
 //
 // Batch mode (-f file -batch) reads one query per line — TMNF by
@@ -426,8 +428,8 @@ func query(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "%s; %s; %d passes%s, %d workers, temp %d bytes\n",
 			phase1, phase2, prof.Passes, someOneScan(prof), prof.Workers, prof.Disk.StateBytes)
 		if skipped := prof.SkippedBytes(); skipped > 0 || prof.Engine.PrunedNodes > 0 {
-			fmt.Fprintf(os.Stderr, "pruning: skipped %d data bytes (%d nodes proven irrelevant); -noprune disables\n",
-				skipped, prof.Engine.PrunedNodes)
+			fmt.Fprintf(os.Stderr, "pruning: skipped %d data bytes (%d nodes proven irrelevant), %d bytes served from the index; -noprune disables\n",
+				skipped, prof.Engine.PrunedNodes, prof.IndexBytes())
 		}
 	}
 	switch {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -187,5 +188,52 @@ func TestQueryIdsMarkExclusive(t *testing.T) {
 	}
 	if out != "" {
 		t.Fatalf("query -ids -mark printed %q, want nothing", out)
+	}
+}
+
+// TestQueryVerbosePruning checks what query -v says about a pruned run:
+// over a FILE-shaped document whose rare tag sits in few FILEs, the line
+// on pruning reports the bytes skipped and, beside them, the bytes the
+// index served instead of a read — the FILE records between skipped
+// subtrees; -noprune prints no such line.
+func TestQueryVerbosePruning(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	sb.WriteString("<root>")
+	for f := range 48 {
+		sb.WriteString("<FILE>")
+		for l := range 1500 { // a FILE outweighs the smallest extent worth skipping
+			sb.WriteString("<line>ab</line>")
+			if f%16 == 5 && l == 750 {
+				sb.WriteString("<rare/>")
+			}
+		}
+		sb.WriteString("</FILE>")
+	}
+	sb.WriteString("</root>")
+	xml := filepath.Join(dir, "doc.xml")
+	if err := os.WriteFile(xml, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "db")
+	captureStdout(t, func() error { return create([]string{base, "-compress", xml}) })
+	served := regexp.MustCompile(`pruning: skipped [1-9][0-9]* data bytes \([1-9][0-9]* nodes proven irrelevant\), ([0-9]+) bytes served from the index`)
+	for _, noprune := range []bool{false, true} {
+		args := []string{base, "-v", "-j", "1", "-xpath", "//rare"}
+		if noprune {
+			args = append(args, "-noprune")
+		}
+		var stderr string
+		out := captureStdout(t, func() error {
+			stderr = capture(t, &os.Stderr, func() error { return query(context.Background(), args) })
+			return nil
+		})
+		if !strings.Contains(out, "3 nodes selected") {
+			t.Fatalf("query %q printed %q, want 3 nodes", args, out)
+		}
+		m := served.FindStringSubmatch(stderr)
+		if noprune != (m == nil) || m != nil && m[1] == "0" {
+			t.Fatalf("query %q printed\n%s\nwant a pruning line with bytes served from the index: %v", args, stderr, !noprune)
+		}
 	}
 }

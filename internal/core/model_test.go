@@ -30,6 +30,7 @@ import (
 	"arb/internal/storage"
 	"arb/internal/testutil"
 	"arb/internal/tree"
+	"arb/internal/vstore"
 	"arb/internal/workload"
 	"arb/internal/xpath"
 )
@@ -464,6 +465,7 @@ type checker struct {
 	pqs      []*arb.PreparedQuery // the items', prepared once and kept warm
 	want     [][][]arb.NodeID     // per item, per query predicate
 	lz       bool
+	replaced bool // a replace patch has been committed
 	serial   int
 	admitted map[*arb.Program]verdicts // core's verdicts at this version
 }
@@ -503,7 +505,9 @@ func (k *checker) same(label string, qs []arb.Pred, res *arb.Result, want [][]ar
 // records decide every member's bottom-up states (and the run may take one
 // scan), and otherwise writes scanned nodes × state width × the lanes that
 // need phase 2; runs that may not prune do not; and each member's every
-// pass credits every node.
+// pass credits every node. Of the bytes a phase hands its kernels, those
+// the index serves (IndexBytes) cost no physical read, and a run with no
+// holes — one worker, nothing pruned — has none.
 func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, members ...item) {
 	k.t.Helper()
 	passes, memberPasses := 0, 0
@@ -564,8 +568,18 @@ func (k *checker) profile(label string, prof *arb.Profile, opts arb.ExecOpts, me
 		}
 	}
 	for _, ph := range []storage.ScanStats{d.Phase1, d.Phase2} {
-		if !k.lz && ph.PhysicalBytes != ph.Bytes || k.lz && ph.Bytes > 0 && ph.PhysicalBytes == 0 {
-			k.t.Fatalf("%s: %d physical bytes for %d logical", label, ph.PhysicalBytes, ph.Bytes)
+		read := ph.Bytes - ph.IndexBytes
+		if ph.IndexBytes < 0 || read < 0 || !k.lz && ph.PhysicalBytes != read || k.lz && read > 0 && ph.PhysicalBytes == 0 {
+			k.t.Fatalf("%s: %d physical bytes for %d logical, %d of them served by the index", label, ph.PhysicalBytes, ph.Bytes, ph.IndexBytes)
+		}
+		if ph.IndexBytes > 0 {
+			if opts.NoPrune && opts.Workers == 1 {
+				k.t.Fatalf("%s: a scan with no holes served %d bytes from the index", label, ph.IndexBytes)
+			}
+			k.cov["index-"+formKinds[k.c.form]]++
+			if k.replaced {
+				k.cov["index-after-replace"]++
+			}
 		}
 	}
 	if info, ok := k.sess.Compression(); ok && opts.NoPrune && opts.Workers <= 1 {
@@ -899,6 +913,7 @@ func (k *checker) patch() {
 		k.t.Fatalf("%s: %v", k.label("%s at %d", op.Op, op.Node), err)
 	}
 	k.model = k.model.patch(op.Op, int(op.Node), frag)
+	k.replaced = k.replaced || op.Op == "replace"
 	k.admitted = nil
 	k.oracle = k.model.tree(k.t)
 	if info.Nodes != int64(k.oracle.Len()) || k.sess.Len() != int64(k.oracle.Len()) {
@@ -918,6 +933,38 @@ func (k *checker) sameDocument() {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		k.t.Fatalf("%s: the session emits %d bytes, the oracle document %d", k.label("document"), got.Len(), want.Len())
+	}
+}
+
+// sameIndex holds the index a versioned database reopens with — its
+// manifest's, fixed up patch by patch — to the oracle document: the window
+// passes serve records from it, so every entry's root record (label and
+// child flags) must be the document's.
+func (k *checker) sameIndex(base string) {
+	ctx := context.Background()
+	st, err := vstore.Open(ctx, base)
+	if err != nil {
+		k.t.Fatal(err)
+	}
+	defer st.Close()
+	snap := st.Snapshot()
+	defer snap.Release()
+	ix, err := snap.DB().Index(ctx, 0)
+	if err != nil {
+		k.t.Fatal(err)
+	}
+	names := snap.Names()
+	for _, e := range ix.Entries() {
+		v := arb.NodeID(e.V)
+		m, r := k.model[v], e.Record()
+		name := ""
+		if l := tree.Label(r.Label); !l.IsChar() {
+			name = names.Name(l)
+		}
+		if name != m.name || m.name == "" && r.Label != uint16(m.char) || r.HasFirst != k.oracle.HasFirst(v) || r.HasSecond != k.oracle.HasSecond(v) {
+			k.t.Fatalf("%s: the index entry at node %d holds %+v (%q), the document %q/%q with children %v, %v",
+				k.label("reopened index"), v, r, name, m.name, m.char, k.oracle.HasFirst(v), k.oracle.HasSecond(v))
+		}
 	}
 }
 
@@ -1025,6 +1072,7 @@ func runModel(t *testing.T, c *modelCase, cov coverage) {
 		if err := k.sess.Close(); err != nil {
 			t.Fatal(err)
 		}
+		k.sameIndex(filepath.Join(k.dir, "db"))
 		sess, err := arb.OpenSession(filepath.Join(k.dir, "db"))
 		if err != nil {
 			t.Fatal(err)
@@ -1096,8 +1144,12 @@ func TestModel(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	for _, w := range []string{"pruned", "one-scan", "forward", "parallel", "forced-two-scans", "batch", "shared-handle", "mixed-lanes",
-		"over-64-predicates", "cache-hit", "cache-subsumed", "marked", "patched", "small"} {
+	reached := []string{"pruned", "one-scan", "forward", "parallel", "forced-two-scans", "batch", "shared-handle", "mixed-lanes",
+		"over-64-predicates", "cache-hit", "cache-subsumed", "marked", "patched", "small", "index-after-replace"}
+	for _, form := range formKinds {
+		reached = append(reached, "index-"+form)
+	}
+	for _, w := range reached {
 		if cov[w] == 0 {
 			t.Errorf("no case reached %q (coverage %v)", w, cov)
 		}

@@ -172,7 +172,7 @@ func (r *diskBatch) exec(ctx context.Context, db *storage.DB, workers int) (res 
 		plan := r.plan(ctx, db, idx)
 		width, oneScan := r.width(), !oneScanOff
 		for {
-			res, agg, ds, err = r.runDiskChunked(ctx, db, workers, tasks, width, oneScan, plan)
+			res, agg, ds, err = r.runDiskChunked(ctx, db, workers, idx, tasks, width, oneScan, plan)
 			switch {
 			case errors.Is(err, errStateWidth) && width != stateWide:
 				width = stateWide
@@ -321,7 +321,12 @@ func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered b
 // glue scan covers [0, N) and the run is the paper's sequential two-scan
 // algorithm. When a prune plan is given, tasks swallowed by a pruned extent
 // never run, workers seek past pruned extents inside their own chunks, and
-// the leader's glue scan skips the remaining pruned holes. Leader and
+// the leader's glue scan skips the remaining pruned holes. idx is the
+// index tasks were cut from (nil for an empty frontier); the plan's own
+// index stands in for it otherwise, and every pass serves the gaps between
+// its holes that the index holds whole from it (storage.ForwardWindows) —
+// the glue record between two pruned extents, a spine node between two
+// chunks. Leader and
 // workers run the same two window kernels (diskkernel.go) over storage's
 // window passes, each stepping every lane; width is the attempt's
 // state-file width, and a state id that outgrows it ends the attempt with
@@ -335,13 +340,13 @@ func runOverFrontier(ctx context.Context, db *storage.DB, workers int, ordered b
 // from their records (recordRoots), and phase 2's kernels taking every
 // node's state from its record; a root with a second child ends it with
 // errTwoScans. A pass that mixes such lanes with others runs both phases.
-func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers int, tasks []storage.Extent, width int, oneScan bool, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
+func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers int, idx *storage.SubtreeIndex, tasks []storage.Extent, width int, oneScan bool, plan *PrunePlan) ([]*Result, Stats, *DiskStats, error) {
 	var agg Stats
 	var planExts []storage.Extent
 	if plan != nil {
-		planExts = plan.Extents
+		planExts, idx = plan.Extents, plan.ix
 	}
-	a := &attempt{diskBatch: r, db: db}
+	a := &attempt{diskBatch: r, db: db, ix: idx}
 	tasks, a.inner, a.outer = splitPrune(tasks, planExts)
 	a.tasks = tasks
 	a.leaderSkip, a.taskOf = mergeSkipLists(tasks, a.outer)
@@ -436,6 +441,7 @@ func (r *diskBatch) runDiskChunked(ctx context.Context, db *storage.DB, workers 
 type attempt struct {
 	*diskBatch
 	db           *storage.DB
+	ix           *storage.SubtreeIndex // the index tasks and holes were cut from, or nil
 	files        *diskFiles
 	tasks        []storage.Extent   // the chunks workers fold and scan
 	inner        [][]storage.Extent // per task, the pruned extents inside it
@@ -459,7 +465,7 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 	err := runPool(ctx, len(a.caches), len(a.tasks), func(worker, i int) error {
 		x := a.tasks[i]
 		k := a.files.newFold(a.caches[worker], x, true)
-		err := a.db.BackwardWindows(ctx, x.Root, x.End(), a.inner[i], &k.st, func(sub storage.Extent) error {
+		err := a.db.BackwardWindows(ctx, x.Root, x.End(), a.inner[i], a.ix, &k.st, func(sub storage.Extent) error {
 			k.hole(sub, a.subs, true)
 			return nil
 		}, k.foldWindow)
@@ -484,7 +490,7 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 	// and each leader-level pruned extent as the substitute states.
 	fold := a.files.newFold(a.leaderCaches, storage.Extent{Size: a.db.N}, false)
 	mi := len(a.leaderSkip) - 1
-	err = a.db.BackwardWindows(ctx, 0, a.db.N, a.leaderSkip, &fold.st, func(x storage.Extent) error {
+	err = a.db.BackwardWindows(ctx, 0, a.db.N, a.leaderSkip, a.ix, &fold.st, func(x storage.Extent) error {
 		if ti := a.taskOf[mi]; ti < 0 {
 			fold.hole(x, a.subs, true)
 		} else {
@@ -507,11 +513,14 @@ func (a *attempt) phase1(ctx context.Context) (*DiskStats, []StateID, error) {
 
 // recordRoots stands in for phase 1's root states in a forward attempt:
 // each chunk root's states and the document root's, one per lane, from
-// their records — one record read apiece. A root with a second child,
-// which the forward verdict leaves out, ends the attempt with errTwoScans.
+// their records — served by the attempt's index for every root it holds
+// (the document root always; a chunk root unless Cut emitted a subtree
+// outside the budget), one record read apiece otherwise
+// (storage.DB.RootRecord). A root with a second child, which the forward
+// verdict leaves out, ends the attempt with errTwoScans.
 func (a *attempt) recordRoots() ([]StateID, error) {
 	states := func(v int64) ([]StateID, error) {
-		r, err := a.db.RecordAt(v)
+		r, err := a.db.RootRecord(a.ix, v)
 		if err != nil {
 			return nil, err
 		}
@@ -558,7 +567,7 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	}
 	tdRoots := make([][]StateID, len(a.tasks))
 	mi := 0
-	err = db.ForwardWindows(ctx, 0, db.N, a.leaderSkip, &scan.st, func(x storage.Extent) (err error) {
+	err = db.ForwardWindows(ctx, 0, db.N, a.leaderSkip, a.ix, &scan.st, func(x storage.Extent) (err error) {
 		ti := a.taskOf[mi]
 		mi++
 		if ti >= 0 {
@@ -583,7 +592,7 @@ func (a *attempt) phase2(ctx context.Context, rootState []StateID) (st storage.S
 	err = runPool(ctx, len(a.caches), len(a.tasks), func(worker, i int) error {
 		x := a.tasks[i]
 		k := files.newScan(a.caches[worker], x, a.rootStates[i], tdRoots[i], true)
-		err := db.ForwardWindows(ctx, x.Root, x.End(), a.inner[i], &k.st, func(sub storage.Extent) error {
+		err := db.ForwardWindows(ctx, x.Root, x.End(), a.inner[i], a.ix, &k.st, func(sub storage.Extent) error {
 			return k.hole(sub, true)
 		}, k.scanWindow)
 		if err == nil {

@@ -3,7 +3,7 @@
 // engine's analysis (analysis.go) proves which labels are irrelevant to the
 // program and which bottom-up state s* every subtree of them folds to, and
 // the drivers then seek past whole subtree extents whose label signature
-// (carried by the v2 .idx sidecar, or by the index of a tree's record
+// (carried by the .idx sidecar, or by the index of a tree's record
 // image) is disjoint from the live set, substituting s* in phase 1 and
 // skipping the extent in phase 2.
 //
@@ -32,9 +32,10 @@ var (
 // is valid for any run of those engines over that document without aux
 // input.
 type PrunePlan struct {
-	Extents []storage.Extent // sorted by Root, disjoint, none rooted at 0
-	Nodes   int64            // total nodes covered by Extents
-	subs    []StateID        // per engine, in PlanPrune order
+	Extents []storage.Extent      // sorted by Root, disjoint, none rooted at 0
+	Nodes   int64                 // total nodes covered by Extents
+	subs    []StateID             // per engine, in PlanPrune order
+	ix      *storage.SubtreeIndex // the index the extents were cut from
 }
 
 // Sub returns the substitute bottom-up state for engine m of the plan.
@@ -60,7 +61,7 @@ func PlanPrune(engines []*Engine, ix *storage.SubtreeIndex, n int64) *PrunePlan 
 		live.Or(a.live)
 		subs[m] = a.sub
 	}
-	plan := &PrunePlan{subs: subs}
+	plan := &PrunePlan{subs: subs, ix: ix}
 	lastEnd := int64(0)
 	for _, ent := range ix.Entries() {
 		if ent.V < lastEnd || ent.V == 0 || ent.Size < pruneMinExtent {

@@ -444,7 +444,7 @@ func TestWindowKernelEdges(t *testing.T) {
 					label := fmt.Sprintf("%s, width %d, pruned %v, %d chunks", src.name, width, plan != nil, len(tasks))
 					aux := make([]AuxPlanes, 1)
 					b := newDiskBatch(chained(NewEngine(cs[0], db.Names), aux, false, 0, DiskOpts{}))
-					res, _, ds, err := b.runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), oneScan, plan)
+					res, _, ds, err := b.runDiskChunked(ctx, db, 4, nil, tasks, max(width, stateByte), oneScan, plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -475,7 +475,7 @@ func TestWindowKernelEdges(t *testing.T) {
 					}
 					// The aux-reading pass never prunes.
 					b = newDiskBatch(chained(NewEngine(cs[1], db.Names), aux, true, 1, DiskOpts{}))
-					if res, _, _, err = b.runDiskChunked(ctx, db, 4, tasks, max(width, stateByte), true, nil); err != nil {
+					if res, _, _, err = b.runDiskChunked(ctx, db, 4, nil, tasks, max(width, stateByte), true, nil); err != nil {
 						t.Fatalf("%s, pass 1: %v", label, err)
 					}
 					b.publish(res)
@@ -489,7 +489,7 @@ func TestWindowKernelEdges(t *testing.T) {
 					// One forward scan over the same holes and chunks.
 					aux = make([]AuxPlanes, 1)
 					b = newDiskBatch(chained(NewEngine(cf, db.Names), aux, false, 0, DiskOpts{}))
-					if res, _, ds, err = b.runDiskChunked(ctx, db, 4, tasks, stateByte, true, plan); err != nil {
+					if res, _, ds, err = b.runDiskChunked(ctx, db, 4, nil, tasks, stateByte, true, plan); err != nil {
 						t.Fatalf("%s, forward: %v", label, err)
 					}
 					b.publish(res)

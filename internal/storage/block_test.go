@@ -237,11 +237,29 @@ func checkScans(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent
 // windows and holes arrive in order and cover the range exactly, a window
 // never spans a hole, is never empty and never longer than WindowNodes,
 // its bytes are the records of the nodes it names, and the byte columns
-// match the reference's.
+// match the reference's — each pass once reading every gap and once with
+// the database's index, serving the gaps whose every node roots an entry
+// from it.
 func checkWindowPasses(t *testing.T, db *DB, recs []Record, lo, hi int64, skip []Extent, want ScanStats) {
 	t.Helper()
 	ctx := context.Background()
-	for _, forward := range []bool{true, false} {
+	ix, err := db.Index(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := servedStats(db, ix, lo, hi, skip)
+	served.Bytes, served.PhysicalBytes = want.Bytes, want.PhysicalBytes-served.PhysicalBytes
+	for _, pass := range []struct {
+		forward bool
+		ix      *SubtreeIndex
+		want    ScanStats
+	}{
+		{true, nil, ScanStats{Bytes: want.Bytes, PhysicalBytes: want.PhysicalBytes}},
+		{false, nil, ScanStats{Bytes: want.Bytes, PhysicalBytes: want.PhysicalBytes}},
+		{true, ix, served},
+		{false, ix, served},
+	} {
+		forward := pass.forward
 		at, si := lo, 0 // the node the pass stands at, the next hole
 		if !forward {
 			at, si = hi, len(skip)-1
@@ -288,20 +306,43 @@ func checkWindowPasses(t *testing.T, db *DB, recs []Record, lo, hi int64, skip [
 		var st ScanStats
 		var err error
 		if forward {
-			err = db.ForwardWindows(ctx, lo, hi, skip, &st, hole, window)
+			err = db.ForwardWindows(ctx, lo, hi, skip, pass.ix, &st, hole, window)
 		} else {
-			err = db.BackwardWindows(ctx, lo, hi, skip, &st, hole, window)
+			err = db.BackwardWindows(ctx, lo, hi, skip, pass.ix, &st, hole, window)
 		}
 		if err != nil {
-			t.Fatalf("window pass, forward=%v: %v", forward, err)
+			t.Fatalf("window pass, forward=%v, index %v: %v", forward, pass.ix != nil, err)
 		}
 		if forward && (at != hi || si != len(skip)) || !forward && (at != lo || si != -1) {
-			t.Errorf("window pass, forward=%v: ended at node %d with hole %d next", forward, at, si)
+			t.Errorf("window pass, forward=%v, index %v: ended at node %d with hole %d next", forward, pass.ix != nil, at, si)
 		}
-		if st != (ScanStats{Bytes: want.Bytes, PhysicalBytes: want.PhysicalBytes}) {
-			t.Errorf("window pass, forward=%v: stats %+v, reference %+v", forward, st, want)
+		if st != pass.want {
+			t.Errorf("window pass, forward=%v, index %v: stats %+v, reference %+v", forward, pass.ix != nil, st, pass.want)
 		}
 	}
+}
+
+// servedStats is the reference of what an index serves a pass over
+// [lo, hi) with holes skip: the bytes (IndexBytes) and the physical span
+// (PhysicalBytes) of every gap whose every node roots an entry of ix.
+func servedStats(db *DB, ix *SubtreeIndex, lo, hi int64, skip []Extent) ScanStats {
+	var st ScanStats
+	gap := func(a, b int64) {
+		for v := a; v < b; v++ {
+			if _, ok := ix.Lookup(v); !ok {
+				return
+			}
+		}
+		st.IndexBytes += (b - a) * NodeSize
+		st.PhysicalBytes += db.PhysSpan(a, b)
+	}
+	at := lo
+	for _, x := range skip {
+		gap(at, x.Root)
+		at = x.End()
+	}
+	gap(at, hi)
+	return st
 }
 
 func TestBlockScansMatchPerRecordReference(t *testing.T) {

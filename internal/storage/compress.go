@@ -83,9 +83,12 @@ const (
 	// decompressed-block cache. Sequential scans hit the same block for
 	// every record in it; concurrent scans at different positions map to
 	// different slots and never contend. A slot holds a decoded prefix of
-	// its block, so a pruned scan that touches one record of a block
-	// decodes up to that record, not the block; two blocks 32 apart
-	// still evict each other.
+	// its block, so a read that touches one record of a block decodes up
+	// to that record, not the block; two blocks 32 apart still evict each
+	// other. A pruned scan's one-record glue between skipped extents
+	// costs no decode and no slot: the subtree index serves every gap it
+	// holds whole (ForwardWindows), so the slots hold the blocks of the
+	// extents the scan reads.
 	blockCacheSlots = 32
 
 	// maxDecodeRatio bounds the logical bytes one stored byte of an LZ

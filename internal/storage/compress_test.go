@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -345,9 +346,9 @@ func TestCompressedRangeScans(t *testing.T) {
 }
 
 // TestCompressInPlaceKeepsSidecar checks that compression leaves the
-// .idx sidecar byte-identical — compression moves no node, so the v2
-// index still describes the database — and that the compressed
-// database loads it.
+// .idx sidecar byte-identical — compression moves no node, so the index
+// still describes the database — and that the compressed database loads
+// it.
 func TestCompressInPlaceKeepsSidecar(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	tr := sizedTree(t, rng, 1500, 5000)
@@ -372,11 +373,12 @@ func TestCompressInPlaceKeepsSidecar(t *testing.T) {
 	assertIndexLoaded(t, base)
 }
 
-// TestIndexV3SidecarRebuiltAsV2 checks that a leftover v3 sidecar — the
-// v2 body behind a container descriptor, once written for compressed
-// databases — is rejected like a v1 file: DB.Index rebuilds the index,
-// rewrites the sidecar as v2, and a later open loads that file.
-func TestIndexV3SidecarRebuiltAsV2(t *testing.T) {
+// TestIndexStaleSidecarsRebuilt checks that retired sidecars are rejected
+// and replaced: a v2 file (entries without their roots' labels) and the
+// layout an earlier format wrote under the current magic (a container
+// descriptor before the v2 body). DB.Index rebuilds the index, rewrites
+// the sidecar in the current format, and a later open loads that file.
+func TestIndexStaleSidecarsRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	tr := sizedTree(t, rng, 1500, 5000)
 	base := filepath.Join(t.TempDir(), "db")
@@ -386,39 +388,48 @@ func TestIndexV3SidecarRebuiltAsV2(t *testing.T) {
 	}
 	db.Close()
 	info := compressCopy(t, base, 0)
-	v2, err := os.ReadFile(base + ".idx")
+	cur, err := os.ReadFile(base + ".idx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The v3 layout: its magic, then codec, block size, physical and
-	// logical bytes as uint64 words, then the v2 body.
-	v3 := []byte("ARBIDX3\n")
+	// The v2 body: the current one with every root word's label bits
+	// cleared.
+	body := slices.Clone(cur[len(indexMagic):])
+	for off := int64(16); off < int64(len(body)); off += indexEntryBytes {
+		binary.BigEndian.PutUint64(body[off:], binary.BigEndian.Uint64(body[off:])&(1<<rootShift-1))
+	}
+	v2 := append([]byte(indexMagicV2), body...)
+	// The descriptor layout: codec, block size, physical and logical bytes
+	// as uint64 words, then the v2 body.
+	desc := []byte(indexMagic)
 	for _, w := range []int64{CodecLZ, int64(info.BlockSize), info.PhysBytes, info.LogicalBytes} {
-		v3 = binary.BigEndian.AppendUint64(v3, uint64(w))
+		desc = binary.BigEndian.AppendUint64(desc, uint64(w))
 	}
-	v3 = append(v3, v2[len(indexMagic):]...)
-	if err := os.WriteFile(base+".idx", v3, 0o666); err != nil {
-		t.Fatal(err)
+	desc = append(desc, body...)
+	for name, stale := range map[string][]byte{"v2": v2, "descriptor": desc} {
+		if err := os.WriteFile(base+".idx", stale, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIndexFile(base + ".idx"); err == nil {
+			t.Fatalf("ReadIndexFile accepted a %s sidecar", name)
+		}
+		cdb, err := Open(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cdb.Index(context.Background(), 0); err != nil {
+			t.Fatalf("Index did not rebuild over the %s sidecar: %v", name, err)
+		}
+		cdb.Close()
+		got, err := os.ReadFile(base + ".idx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, cur) {
+			t.Fatalf("the sidecar rebuilt over the %s one (%d bytes) is not the current file (%d bytes)", name, len(got), len(cur))
+		}
+		assertIndexLoaded(t, base)
 	}
-	if _, err := ReadIndexFile(base + ".idx"); err == nil {
-		t.Fatal("ReadIndexFile accepted a v3 sidecar")
-	}
-	cdb, err := Open(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cdb.Index(context.Background(), 0); err != nil {
-		t.Fatalf("Index did not rebuild over the v3 sidecar: %v", err)
-	}
-	cdb.Close()
-	got, err := os.ReadFile(base + ".idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, v2) {
-		t.Fatalf("rebuilt sidecar (%d bytes) is not the v2 file (%d bytes)", len(got), len(v2))
-	}
-	assertIndexLoaded(t, base)
 }
 
 // TestContainerRejectsCodec2 checks that a container whose header names
@@ -469,7 +480,9 @@ func (c *readCounter) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // assertIndexLoaded opens the database at base and fails unless
-// DB.Index loads the .idx sidecar: rebuilding it would read records.
+// DB.Index loads the .idx sidecar: checking it reads the entries' roots,
+// fewer bytes than the records hold, and leaves the file in place, where
+// a rebuild reads every record and commits a new file.
 func assertIndexLoaded(t *testing.T, base string) {
 	t.Helper()
 	f, err := os.Open(base + ".arb")
@@ -478,6 +491,10 @@ func assertIndexLoaded(t *testing.T, base string) {
 	}
 	defer f.Close()
 	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(base + ".idx")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,8 +508,13 @@ func assertIndexLoaded(t *testing.T, base string) {
 	if _, err := db.Index(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if read := rc.n.Load() - opened; read != 0 {
-		t.Fatalf("Index read %d bytes of %s.arb: the sidecar was rebuilt, not loaded", read, base)
+	after, err := os.Stat(base + ".idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if read := rc.n.Load() - opened; read >= st.Size() || !os.SameFile(before, after) {
+		t.Fatalf("Index read %d of the %d bytes of %s.arb and replaced the sidecar %v: it was rebuilt, not loaded",
+			read, st.Size(), base, !os.SameFile(before, after))
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 
 // ErrBadExtent reports that a claimed subtree extent does not match the
 // database's structure — the symptom of a stale or foreign chunk index
-// (say, a .arb file swapped underneath its .idx sidecar). Only a run that
+// (say, a .arb file swapped underneath its .idx sidecar whose entries'
+// roots still match the records, which DB.Index checks). Only a run that
 // cuts a chunk frontier sees it, and that run rebuilds the index and
-// retries; nothing else detects a foreign sidecar (see DB.Index).
+// retries.
 var ErrBadExtent = errors.New("storage: extent does not match the database structure")
 
 // DB is an open .arb database. All read paths use offset-addressed I/O
@@ -219,12 +220,18 @@ func (db *DB) Close() error {
 type ScanStats struct {
 	Nodes    int64
 	MaxStack int
-	// Bytes counts the .arb record bytes this scan actually read. Skipped
+	// Bytes counts the .arb record bytes this scan handed its consumer,
+	// whether read or served from the subtree index (IndexBytes). Skipped
 	// extents (the leader's view of chunks scanned by workers) contribute
 	// to Nodes but not Bytes, so merging a parallel run's scanners yields
 	// exactly the database size per aggregate linear scan — the counter
 	// behind the "two linear scans, even batched and parallel" claim.
 	Bytes int64
+	// IndexBytes counts the part of Bytes served from the subtree index
+	// instead of read: the records of gaps between skipped extents whose
+	// every node roots an index entry (see ForwardWindows) — typically the
+	// one glue record between two pruned extents.
+	IndexBytes int64
 	// SkippedBytes counts the .arb record bytes the scan seeked past
 	// because selectivity-aware pruning proved the extents irrelevant to
 	// the query. Pruning turns the fixed two-full-scan cost into one
@@ -232,9 +239,9 @@ type ScanStats struct {
 	// Bytes + SkippedBytes == database size per aggregate linear scan.
 	SkippedBytes int64
 	// PhysicalBytes counts the bytes actually read from the physical
-	// medium for the regions this scan covered. On a raw database it
-	// equals Bytes; on a block-compressed one it is the stored size of
-	// every block the scanned regions touched — the number that makes
+	// medium for the regions this scan read. On a raw database it equals
+	// Bytes − IndexBytes; on a block-compressed one it is the stored size
+	// of every block the read regions touched — the number that makes
 	// compression's I/O saving visible next to the logical counters.
 	// (Block granularity means two scans sharing a boundary block each
 	// count its stored bytes; a clean full scan counts every block
@@ -247,6 +254,7 @@ type ScanStats struct {
 func (s *ScanStats) Merge(o ScanStats) {
 	s.Nodes += o.Nodes
 	s.Bytes += o.Bytes
+	s.IndexBytes += o.IndexBytes
 	s.SkippedBytes += o.SkippedBytes
 	s.PhysicalBytes += o.PhysicalBytes
 	if o.MaxStack > s.MaxStack {
@@ -270,7 +278,7 @@ func FoldBottomUp[S any](ctx context.Context, db *DB, combine func(first, second
 func foldRange[S any](ctx context.Context, db *DB, lo, hi int64, combine func(first, second *S, rec Record, v int64) S) (S, ScanStats, error) {
 	var st ScanStats
 	var stack []S // the results of the subtrees after the current node
-	err := db.BackwardWindows(ctx, lo, hi, nil, &st, nil, func(v0 int64, recs []byte) error {
+	err := db.BackwardWindows(ctx, lo, hi, nil, nil, &st, nil, func(v0 int64, recs []byte) error {
 		v := v0 + int64(len(recs)/NodeSize) - 1
 		for i := len(recs) - NodeSize; i >= 0; i, v = i-NodeSize, v-1 {
 			rec := DecodeRecord(binary.BigEndian.Uint16(recs[i:]))
@@ -322,7 +330,7 @@ func scanRange[S any](ctx context.Context, db *DB, lo, hi int64, visit func(v in
 	var parent *S
 	var parentVal S
 	k, done := 0, false
-	err := db.ForwardWindows(ctx, lo, hi, nil, &st, nil, func(first int64, recs []byte) error {
+	err := db.ForwardWindows(ctx, lo, hi, nil, nil, &st, nil, func(first int64, recs []byte) error {
 		for i := 0; i < len(recs); i += NodeSize {
 			v := first + int64(i/NodeSize)
 			if done {
@@ -368,7 +376,7 @@ func (db *DB) ReadTree(ctx context.Context) (*tree.Tree, error) {
 	var pending []tree.NodeID
 	done := false // the root's subtree is complete
 	var st ScanStats
-	err := db.ForwardWindows(ctx, 0, db.N, nil, &st, nil, func(v0 int64, recs []byte) error {
+	err := db.ForwardWindows(ctx, 0, db.N, nil, nil, &st, nil, func(v0 int64, recs []byte) error {
 		for i := 0; i < len(recs); i += NodeSize {
 			if done {
 				return fmt.Errorf("%w: record %d follows the root's subtree", ErrMalformed, v0+int64(i/NodeSize))

@@ -21,7 +21,7 @@ import (
 func EmitXMLContext(ctx context.Context, db *DB, w io.Writer, selected func(v int64) bool) error {
 	e := NewXMLEmitter(w, db.Names)
 	var st ScanStats
-	err := db.ForwardWindows(ctx, 0, db.N, nil, &st, nil, func(first int64, recs []byte) error {
+	err := db.ForwardWindows(ctx, 0, db.N, nil, nil, &st, nil, func(first int64, recs []byte) error {
 		for i := 0; i < len(recs); i += NodeSize {
 			v := first + int64(i/NodeSize)
 			if err := e.Node(v, DecodeRecord(binary.BigEndian.Uint16(recs[i:])), selected != nil && selected(v)); err != nil {

@@ -26,15 +26,24 @@ func (x Extent) End() int64 { return x.Root + x.Size }
 // IndexEntry records the extent of one subtree plus the split point
 // between its children: the first child (if any) spans
 // [V+1, V+1+FirstSize) and the second child the rest of [V, V+Size).
-// Labels summarises the set of labels occurring anywhere in the subtree
-// (v2 sidecars; see LabelSig) — the evidence the selectivity-aware scan
-// pruning uses to prove a whole extent irrelevant to a query without
-// reading it. Size doubles as the node count of the extent.
+// Label is the root's label, so an entry holds the root's whole record
+// (Record): the child flags follow from Size and FirstSize. Labels
+// summarises the set of labels occurring anywhere in the subtree (see
+// LabelSig) — the evidence the selectivity-aware scan pruning uses to
+// prove a whole extent irrelevant to a query without reading it. Size
+// doubles as the node count of the extent.
 type IndexEntry struct {
-	V         int64 // preorder index of the subtree root
-	Size      int64 // number of nodes in the subtree
-	FirstSize int64 // size of the first-child subtree (0 if absent)
+	V         int64  // preorder index of the subtree root
+	Size      int64  // number of nodes in the subtree
+	FirstSize int64  // size of the first-child subtree (0 if absent)
+	Label     uint16 // the root's label
 	Labels    LabelSig
+}
+
+// Record returns the record of the entry's root: its label, and the child
+// flags its extent implies.
+func (e IndexEntry) Record() Record {
+	return Record{Label: e.Label, HasFirst: e.FirstSize > 0, HasSecond: e.Size-1-e.FirstSize > 0}
 }
 
 // SubtreeIndex holds the extents of the heaviest subtrees of a database —
@@ -47,7 +56,11 @@ type IndexEntry struct {
 // The index is bounded (DefaultIndexBudget entries) regardless of
 // database size, is built in one backward linear scan with memory
 // proportional to the document depth, and can be persisted as a base.idx
-// sidecar so later runs pay no extra scan at all.
+// sidecar (v3: indexMagic) so later runs pay no extra scan at all. Each
+// entry holds its root's whole record (IndexEntry.Record), so the window
+// passes serve the gaps between skipped extents that the index holds
+// whole from it instead of reading them — on a compressed database, with
+// no block decode.
 type SubtreeIndex struct {
 	N       int64 // node count of the database the index describes
 	entries []IndexEntry
@@ -93,7 +106,7 @@ func BuildIndex(ctx context.Context, db *DB, budget int) (*SubtreeIndex, error) 
 	h := make(entryHeap, 0, budget)
 	var stack []idxNode // the folded subtrees after the current node, the first child's on top
 	var st ScanStats
-	err := db.BackwardWindows(ctx, 0, db.N, nil, &st, nil, func(first int64, recs []byte) error {
+	err := db.BackwardWindows(ctx, 0, db.N, nil, nil, &st, nil, func(first int64, recs []byte) error {
 		v := first + int64(len(recs)/NodeSize) - 1
 		for i := len(recs) - NodeSize; i >= 0; i, v = i-NodeSize, v-1 {
 			rec := DecodeRecord(binary.BigEndian.Uint16(recs[i:]))
@@ -125,9 +138,9 @@ func BuildIndex(ctx context.Context, db *DB, budget int) (*SubtreeIndex, error) 
 			// kept is arbitrary.)
 			switch {
 			case len(h) < budget:
-				heap.Push(&h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig})
+				heap.Push(&h, IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Label: rec.Label, Labels: n.sig})
 			case n.size > h[0].Size:
-				h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Labels: n.sig}
+				h[0] = IndexEntry{V: v, Size: n.size, FirstSize: firstSize, Label: rec.Label, Labels: n.sig}
 				heap.Fix(&h, 0)
 			}
 		}
@@ -180,6 +193,42 @@ func (ix *SubtreeIndex) Lookup(v int64) (IndexEntry, bool) {
 	return ix.entries[i], true
 }
 
+// RootRecord returns the record of node v — a subtree root a pass stands
+// in for, such as a chunk root a forward run needs before any pass reaches
+// it — from ix when one of its entries roots at v (a nil ix holds none),
+// and reads it otherwise.
+func (db *DB) RootRecord(ix *SubtreeIndex, v int64) (Record, error) {
+	if ix != nil {
+		if e, ok := ix.Lookup(v); ok {
+			return e.Record(), nil
+		}
+	}
+	return db.RecordAt(v)
+}
+
+// span reports whether every node of [lo, hi) roots an entry of ix (a nil
+// ix has none), and where lo's entry sits: the nodes' records are then
+// those of the entries from there on. Entries are sorted by distinct V, so
+// the first and last node's entries being hi-lo-1 apart proves every node
+// in between one.
+func (ix *SubtreeIndex) span(lo, hi int64) (int, bool) {
+	if ix == nil || lo >= hi {
+		return 0, false
+	}
+	i, ok := ix.byV[lo]
+	j := i + int(hi-lo) - 1
+	return i, ok && j < len(ix.entries) && ix.entries[j].V == hi-1
+}
+
+// records writes the records of the entries from position i on into p, one
+// per NodeSize bytes, and returns the position after the last.
+func (ix *SubtreeIndex) records(p []byte, i int) int {
+	for k := 0; k < len(p); k, i = k+NodeSize, i+1 {
+		binary.BigEndian.PutUint16(p[k:], ix.entries[i].Record().Encode())
+	}
+	return i
+}
+
 // Cut partitions the tree into a frontier of disjoint subtree extents,
 // each a contiguous .arb byte range suitable for one worker: indexed
 // subtrees are split until they are no larger than target, and subtrees
@@ -226,20 +275,37 @@ func (ix *SubtreeIndex) Cut(target, minTask int64) []Extent {
 	return tasks
 }
 
-// indexMagic identifies a v2 .idx sidecar file, the one format for raw
+// indexMagic identifies a v3 .idx sidecar file, the one format for raw
 // and block-compressed databases alike (compression moves no node).
-// indexMagicV1 is the retired label-less format, rejected on read so
-// DB.Index transparently rebuilds (and replaces) stale sidecars; so is
+// indexMagicV2 (entries without their roots' labels) and indexMagicV1
+// (without label signatures either) are retired formats, rejected on read
+// so DB.Index transparently rebuilds (and replaces) stale sidecars; so is
 // anything else, such as a sidecar carrying a container descriptor.
 //
-// After the magic come uint64 N, uint64 entry count, and per entry
-// uint64 V, Size, FirstSize and the label signature's words, all
-// big-endian: indexEntryBytes bytes an entry.
+// After the magic come uint64 N, uint64 entry count, and per entry the
+// root word (RootWord: the root's label in the top 16 bits, V below),
+// uint64 Size, FirstSize and the label signature's words, all big-endian:
+// indexEntryBytes bytes an entry, as many as in v2.
 const (
-	indexMagic      = "ARBIDX2\n"
+	indexMagic      = "ARBIDX3\n"
+	indexMagicV2    = "ARBIDX2\n"
 	indexMagicV1    = "ARBIDX1\n"
 	indexEntryBytes = int64(8 * (3 + len(LabelSig{})))
 )
+
+// rootShift places an entry's root label above its V in the entry's root
+// word: node positions stay below 1<<48 (validate refuses an index of a
+// larger database), so the top 16 bits are spare.
+const rootShift = 48
+
+// RootWord packs the entry's root — its label and its V — into the one
+// 64-bit word the .idx sidecar and the vstore manifest store it in.
+func (e IndexEntry) RootWord() uint64 { return uint64(e.Label)<<rootShift | uint64(e.V) }
+
+// SetRootWord sets the entry's V and label from a root word (RootWord).
+func (e *IndexEntry) SetRootWord(w uint64) {
+	e.V, e.Label = int64(w&(1<<rootShift-1)), uint16(w>>rootShift)
+}
 
 // Entries exposes the index's entries, sorted by preorder root. The
 // returned slice is the index's own storage — callers must not modify it.
@@ -265,7 +331,7 @@ func WriteIndexFile(path string, ix *SubtreeIndex) error {
 			return err
 		}
 		for _, e := range ix.entries {
-			if err := put(uint64(e.V)); err != nil {
+			if err := put(e.RootWord()); err != nil {
 				return err
 			}
 			if err := put(uint64(e.Size)); err != nil {
@@ -284,8 +350,8 @@ func WriteIndexFile(path string, ix *SubtreeIndex) error {
 	})
 }
 
-// ReadIndexFile loads a persisted v2 index. Stale v1 sidecars (and
-// anything else that is not a well-formed v2 index) are rejected with an
+// ReadIndexFile loads a persisted v3 index. Stale v1 and v2 sidecars (and
+// anything else that is not a well-formed v3 index) are rejected with an
 // error; DB.Index treats that as "no sidecar" and rebuilds from the
 // data.
 func ReadIndexFile(path string) (*SubtreeIndex, error) {
@@ -301,8 +367,11 @@ func ReadIndexFile(path string) (*SubtreeIndex, error) {
 	r := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(indexMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != indexMagic {
-		if string(magic) == indexMagicV1 {
+		switch string(magic) {
+		case indexMagicV1:
 			return nil, fmt.Errorf("storage: %s is a stale v1 index (no label signatures); rebuild required", path)
+		case indexMagicV2:
+			return nil, fmt.Errorf("storage: %s is a stale v2 index (no root labels); rebuild required", path)
 		}
 		return nil, fmt.Errorf("storage: %s is not an index file", path)
 	}
@@ -331,9 +400,11 @@ func ReadIndexFile(path string) (*SubtreeIndex, error) {
 	}
 	entries := make([]IndexEntry, count)
 	for i := range entries {
-		if entries[i].V, err = get(); err != nil {
+		root, err := get()
+		if err != nil {
 			return nil, err
 		}
+		entries[i].SetRootWord(uint64(root))
 		if entries[i].Size, err = get(); err != nil {
 			return nil, err
 		}
@@ -356,15 +427,19 @@ func ReadIndexFile(path string) (*SubtreeIndex, error) {
 }
 
 // validate rejects structurally impossible indexes: unsorted or
-// out-of-bounds entries, and entries that partially overlap (subtree
-// extents must form a laminar family — nested or disjoint, never
-// crossing). It cannot prove the index matches the tree, and neither can
-// anything else cheaply: a well-formed but foreign sidecar is caught only
-// where a chunk frontier cut from it misses the records' structure
-// (ErrBadExtent, after which that run rebuilds the index), and its label
-// signatures are trusted outright (see DB.Index). Editing a database
+// out-of-bounds entries, root labels outside the record's 14 bits, and
+// entries that partially overlap (subtree extents must form a laminar
+// family — nested or disjoint, never crossing). It cannot prove the index
+// matches the tree: DB.Index checks a loaded sidecar's roots against the
+// records (matches), and the rest — extents whose roots match but whose
+// sizes do not, and the label signatures — is trusted; a chunk frontier
+// cut from a wrong extent misses the records' structure (ErrBadExtent,
+// after which that run rebuilds the index). Editing a database
 // out-of-band requires RebuildIndex.
 func (ix *SubtreeIndex) validate() error {
+	if ix.N < 0 || ix.N >= 1<<rootShift {
+		return fmt.Errorf("index of %d nodes", ix.N)
+	}
 	prev := int64(-1)
 	var open []int64 // ends of enclosing extents, innermost last
 	for _, e := range ix.entries {
@@ -374,6 +449,9 @@ func (ix *SubtreeIndex) validate() error {
 		prev = e.V
 		if e.V < 0 || e.Size < 1 || e.FirstSize < 0 || e.FirstSize > e.Size-1 || e.V+e.Size > ix.N {
 			return fmt.Errorf("entry {%d,%d,%d} out of bounds for %d nodes", e.V, e.Size, e.FirstSize, ix.N)
+		}
+		if e.Label > labelMask {
+			return fmt.Errorf("entry at node %d has label %d", e.V, e.Label)
 		}
 		for len(open) > 0 && open[len(open)-1] <= e.V {
 			open = open[:len(open)-1]
@@ -387,19 +465,18 @@ func (ix *SubtreeIndex) validate() error {
 }
 
 // Index returns the database's subtree index, loading base.idx if a
-// sidecar with the database's node count exists and otherwise building
-// the index with one backward scan. The result is cached on the handle, so
-// with a persisted index every later parallel run still performs exactly
-// two linear scans' worth of I/O in aggregate. budget <= 0 selects
-// DefaultIndexBudget. Cancelling ctx aborts a rebuild scan; a nil ctx
-// never cancels.
+// sidecar with the database's node count whose every entry matches the
+// record at its root exists, and otherwise building the index with one
+// backward scan. The result is cached on the handle, so with a persisted
+// index every later parallel run still performs exactly two linear scans'
+// worth of I/O in aggregate. budget <= 0 selects DefaultIndexBudget.
+// Cancelling ctx aborts a rebuild scan; a nil ctx never cancels.
 //
-// A sidecar whose node count matches is trusted: nothing binds it to the
-// records. A run that cuts a chunk frontier rebuilds it when a chunk's
-// records do not form one subtree (ErrBadExtent); sequential and pruned
-// runs never rebuild it, and where the foreign extents' shapes match the
-// records, a pruned run answers from the foreign label signatures and is
-// silently wrong.
+// The window passes serve records from the index, so a sidecar is checked
+// against the records before it is used, once per handle: every entry's
+// label and child flags against the record at its root (matches). A
+// sidecar of another file — say, a .arb copied over this one — fails
+// that check and is rebuilt and rewritten like a stale one.
 func (db *DB) Index(ctx context.Context, budget int) (ix *SubtreeIndex, err error) {
 	db.idx.Do(func(cached **SubtreeIndex) {
 		if *cached != nil {
@@ -408,8 +485,11 @@ func (db *DB) Index(ctx context.Context, budget int) (ix *SubtreeIndex, err erro
 		}
 		if !db.virtual {
 			if ix, err = ReadIndexFile(db.Base + ".idx"); err == nil && ix.N == db.N {
-				*cached = ix
-				return
+				var ok bool
+				if ok, err = db.matches(ctx, ix); ok {
+					*cached = ix
+					return
+				}
 			}
 		}
 		if ix, err = BuildIndex(ctx, db, budget); err != nil {
@@ -419,13 +499,72 @@ func (db *DB) Index(ctx context.Context, budget int) (ix *SubtreeIndex, err erro
 		*cached = ix
 		if !db.virtual {
 			// Best-effort refresh of the sidecar (it was missing, stale — e.g.
-			// a retired v1 file — or foreign): later opens then load the
+			// a retired v2 file — or foreign): later opens then load the
 			// index instead of paying the rebuild scan again. Read-only
 			// directories simply keep serving from the in-handle cache.
 			_ = WriteIndexFile(db.Base+".idx", ix)
 		}
 	})
 	return ix, err
+}
+
+// matches reports whether every entry of ix agrees with the record at its
+// root: its label, and the child flags its extent implies.
+func (db *DB) matches(ctx context.Context, ix *SubtreeIndex) (bool, error) {
+	ok := true
+	err := db.rootRecords(ctx, ix.entries, func(e *IndexEntry, rec Record) bool {
+		ok = rec == e.Record()
+		return ok
+	})
+	return ok && err == nil, err
+}
+
+// LabelIndex sets every entry's label from the record at its root: an
+// index read from a format that stored no labels (a v1 or v2 vstore
+// manifest) becomes one the window passes can serve records from. ix must
+// not be in use yet. A root whose child flags disagree with its entry's
+// extent fails with ErrBadExtent.
+func (db *DB) LabelIndex(ctx context.Context, ix *SubtreeIndex) error {
+	var bad error
+	err := db.rootRecords(ctx, ix.entries, func(e *IndexEntry, rec Record) bool {
+		if e.Label = rec.Label; rec != e.Record() {
+			bad = fmt.Errorf("%w: the index entry at node %d", ErrBadExtent, e.V)
+		}
+		return bad == nil
+	})
+	if err != nil {
+		return err
+	}
+	return bad
+}
+
+// rootRecords hands the record at each entry's root to visit, in preorder,
+// until visit returns false. Roots less than WindowNodes apart share one
+// read, so the walk costs at most one read per entry, and on a
+// block-compressed database decodes each block it touches once.
+func (db *DB) rootRecords(ctx context.Context, entries []IndexEntry, visit func(e *IndexEntry, rec Record) bool) error {
+	buf := scanBufPool.Get().([]byte)
+	defer scanBufPool.Put(buf)
+	for i := 0; i < len(entries); {
+		if err := pollCtx(ctx); err != nil {
+			return err
+		}
+		lo, j := entries[i].V, i+1
+		for j < len(entries) && entries[j].V < lo+WindowNodes {
+			j++
+		}
+		block := buf[:(entries[j-1].V+1-lo)*NodeSize]
+		if n, err := db.arb.ReadAt(block, lo*NodeSize); n < len(block) {
+			return fmt.Errorf("storage: reading index roots: %w", err)
+		}
+		for ; i < j; i++ {
+			e := &entries[i]
+			if !visit(e, DecodeRecord(binary.BigEndian.Uint16(block[(e.V-lo)*NodeSize:]))) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // setIndex installs ix as the database's cached subtree index.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,8 +17,9 @@ import (
 	"arb/internal/tree"
 )
 
-// TestPruneIndexV2RoundTrip checks that label signatures survive the v2
-// sidecar round trip and agree with a direct per-subtree recomputation.
+// TestPruneIndexV2RoundTrip checks that label signatures and root labels
+// survive the sidecar round trip and agree with a direct per-subtree
+// recomputation.
 func TestPruneIndexV2RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr := testutil.RandomTree(rng, 400)
@@ -51,6 +54,9 @@ func TestPruneIndexV2RoundTrip(t *testing.T) {
 		if e.Labels != sigs[v] {
 			t.Fatalf("node %d label signature %v, want %v", v, e.Labels, sigs[v])
 		}
+		if want := (Record{Label: uint16(tr.Label(tree.NodeID(v))), HasFirst: tr.HasFirst(tree.NodeID(v)), HasSecond: tr.HasSecond(tree.NodeID(v))}); e.Record() != want {
+			t.Fatalf("node %d entry record %+v, want %+v", v, e.Record(), want)
+		}
 	}
 
 	path := filepath.Join(t.TempDir(), "x.idx")
@@ -73,7 +79,7 @@ func TestPruneIndexV2RoundTrip(t *testing.T) {
 
 // TestPruneStaleV1IndexRebuilt checks the v1-sidecar upgrade path: a
 // stale v1 file is rejected by ReadIndexFile, transparently rebuilt by
-// DB.Index, and the sidecar is replaced with a v2 file.
+// DB.Index, and the sidecar is replaced with a current (v3) file.
 func TestPruneStaleV1IndexRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tr := testutil.RandomTree(rng, 300)
@@ -118,10 +124,10 @@ func TestPruneStaleV1IndexRebuilt(t *testing.T) {
 	if ix.N != db.N || ix.Len() == 0 {
 		t.Fatalf("rebuilt index is wrong: %d entries for %d nodes", ix.Len(), ix.N)
 	}
-	// The sidecar must now be a readable v2 file.
+	// The sidecar must now be a readable current file.
 	back, err := ReadIndexFile(base + ".idx")
 	if err != nil {
-		t.Fatalf("sidecar was not refreshed to v2: %v", err)
+		t.Fatalf("sidecar was not refreshed to v3: %v", err)
 	}
 	if back.N != db.N {
 		t.Fatalf("refreshed sidecar describes %d nodes, want %d", back.N, db.N)
@@ -176,19 +182,19 @@ func TestPruneTreeIndexMatchesDiskIndex(t *testing.T) {
 	}
 }
 
-// FuzzReadIndexFile fuzzes the v2 sidecar parser: arbitrary bytes must
-// never panic, stale v1 files must be rejected, and anything accepted
+// FuzzReadIndexFile fuzzes the sidecar parser: arbitrary bytes must never
+// panic, stale v1 and v2 files must be rejected, and anything accepted
 // must satisfy the structural invariants (sorted, in-bounds, laminar)
 // and survive a write/read round trip.
 func FuzzReadIndexFile(f *testing.F) {
-	// Seed: a small valid v2 file.
+	// Seed: a small valid file.
 	valid := func() []byte {
 		var e1, e2 LabelSig
 		e1.Add(300)
 		e2.Add(65)
 		ix := newIndex(10, []IndexEntry{
-			{V: 0, Size: 10, FirstSize: 4, Labels: e1},
-			{V: 1, Size: 4, FirstSize: 0, Labels: e2},
+			{V: 0, Size: 10, FirstSize: 4, Label: 300, Labels: e1},
+			{V: 1, Size: 4, FirstSize: 0, Label: 65, Labels: e2},
 		})
 		dir := f.TempDir()
 		p := filepath.Join(dir, "seed.idx")
@@ -202,11 +208,13 @@ func FuzzReadIndexFile(f *testing.F) {
 		return b
 	}()
 	f.Add(valid)
-	// Seed: truncated v2 (mid-bitmap).
+	// Seed: truncated (mid-bitmap).
 	f.Add(valid[:len(valid)-17])
 	// Seed: a v1 file (must be rejected).
 	v1 := append([]byte(indexMagicV1), valid[len(indexMagic):]...)
 	f.Add(v1)
+	// Seed: a v2 file (must be rejected).
+	f.Add(append([]byte(indexMagicV2), valid[len(indexMagic):]...))
 	// Seed: overlapping (non-laminar) extents.
 	overlap := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint64(overlap[len(indexMagic)+16+8:], 2) // entry 0: V=0 Size=10; entry 1: V=2..
@@ -225,8 +233,8 @@ func FuzzReadIndexFile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(data, []byte(indexMagicV1)) {
-			t.Fatal("accepted a v1 sidecar")
+		if bytes.HasPrefix(data, []byte(indexMagicV1)) || bytes.HasPrefix(data, []byte(indexMagicV2)) {
+			t.Fatal("accepted a stale v1 or v2 sidecar")
 		}
 		// Accepted: the invariants the planner relies on must hold.
 		if err := ix.validate(); err != nil {
@@ -272,5 +280,163 @@ func TestReadIndexFileCountBoundsAlloc(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("reading a %d-byte sidecar allocated %d bytes", len(data), alloc)
+	}
+}
+
+// offsetRecorder records the offset of every read a container's block
+// source makes of its physical file.
+type offsetRecorder struct {
+	r    io.ReaderAt
+	offs []int64
+}
+
+func (o *offsetRecorder) ReadAt(p []byte, off int64) (int, error) {
+	o.offs = append(o.offs, off)
+	return o.r.ReadAt(p, off)
+}
+
+// createFiles creates a FILE-shaped database at base: a root whose files
+// FILE children each hold lines line elements of two characters, the
+// files whose index is 5 modulo 16 with one rare element among them. A
+// rare-tag query's plan skips every other FILE's contents, which leaves
+// the FILE node itself between two skipped extents: the glue record.
+func createFiles(t *testing.T, base string, files, lines int) {
+	t.Helper()
+	db, _, err := Create(base, func(w *EventWriter) error {
+		steps := []func() error{func() error { return w.Begin("root") }}
+		for f := range files {
+			steps = append(steps, func() error { return w.Begin("FILE") })
+			for l := range lines {
+				steps = append(steps,
+					func() error { return w.Begin("line") },
+					func() error { return w.Text([]byte("ab")) },
+					w.End)
+				if f%16 == 5 && l == lines/2 {
+					steps = append(steps, func() error { return w.Begin("rare") }, w.End)
+				}
+			}
+			steps = append(steps, w.End)
+		}
+		steps = append(steps, w.End)
+		for _, step := range steps {
+			if err := step(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, CreateOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+}
+
+// TestPruneBlockSourceServesGlueFromIndex scans an LZ container of 4 KB
+// blocks holding a FILE-shaped document both ways, with the skip list a
+// query for its rare tag prunes (the maximal index extents whose label
+// signatures lack the tag, as core's planner cuts them) and the index it
+// was cut from. The glue records between skipped extents come from the
+// index: each pass reports them as IndexBytes, counts them in Bytes but
+// not PhysicalBytes, and the block source reads the stored bytes of no
+// block but those of the gaps read — the live extents.
+func TestPruneBlockSourceServesGlueFromIndex(t *testing.T) {
+	ctx := context.Background()
+	base := filepath.Join(t.TempDir(), "files")
+	createFiles(t, base, 48, 1000)
+	compressCopy(t, base, 4096)
+	f, err := os.Open(base + ".arb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &offsetRecorder{r: f}
+	db, err := OpenReaderAt(base, rec, fi.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ix, err := db.Index(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rare, ok := db.Names.Lookup("rare")
+	if !ok {
+		t.Fatal("no rare tag")
+	}
+	var live LabelSig
+	live.Add(uint16(rare))
+	var skip []Extent
+	var skipped int64
+	for _, e := range ix.Entries() {
+		if e.V == 0 || e.Size < 64 || e.Labels.Intersects(live) || len(skip) > 0 && e.V < skip[len(skip)-1].End() {
+			continue
+		}
+		skip = append(skip, Extent{Root: e.V, Size: e.Size})
+		skipped += e.Size
+	}
+
+	// The blocks a pass may read: those of the gaps the index does not
+	// hold whole. Those of the gaps it does must lie elsewhere too, or
+	// reading the glue would go unseen.
+	block := func(v int64) int64 { return v * NodeSize / int64(db.comp.blockSize) }
+	readBlocks, glue := map[int64]bool{}, map[int64]bool{}
+	at := int64(0)
+	for i := 0; i <= len(skip); i++ {
+		end := db.N
+		if i < len(skip) {
+			end = skip[i].Root
+		}
+		if _, whole := ix.span(at, end); whole {
+			for v := at; v < end; v++ {
+				glue[block(v)] = true
+			}
+		} else {
+			for v := at; v < end; v++ {
+				readBlocks[block(v)] = true
+			}
+		}
+		if i < len(skip) {
+			at = skip[i].End()
+		}
+	}
+	outside := 0
+	for b := range glue {
+		if !readBlocks[b] {
+			outside++
+		}
+	}
+	if len(skip) < 30 || outside < 20 {
+		t.Fatalf("%d skipped extents, %d glue blocks outside the live ones: the document does not prune as laid out", len(skip), outside)
+	}
+
+	for _, forward := range []bool{true, false} {
+		rec.offs = rec.offs[:0]
+		for i := range db.comp.slots {
+			db.comp.slots[i].Do(func(s *blockSlot) { s.idx = -1 })
+		}
+		var st ScanStats
+		hole := func(Extent) error { return nil }
+		window := func(int64, []byte) error { return nil }
+		if forward {
+			err = db.ForwardWindows(ctx, 0, db.N, skip, ix, &st, hole, window)
+		} else {
+			err = db.BackwardWindows(ctx, 0, db.N, skip, ix, &st, hole, window)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.IndexBytes < int64(outside)*NodeSize || st.Bytes+skipped*NodeSize != db.N*NodeSize || st.PhysicalBytes == 0 {
+			t.Fatalf("forward %v: %+v over %d nodes, %d skipped: want the glue served from the index", forward, st, db.N, skipped)
+		}
+		for _, off := range rec.offs {
+			b := int64(sort.Search(len(db.comp.offs), func(i int) bool { return db.comp.offs[i] > off })) - 1
+			if !readBlocks[b] {
+				t.Fatalf("forward %v: the block source read block %d, which holds no record a gap reads", forward, b)
+			}
+		}
 	}
 }

@@ -30,13 +30,17 @@ const WindowNodes = cancelEvery
 // a slice of the pass's one pooled read buffer, valid during the call; a
 // backward pass hands out windows in descending order, and its consumer
 // walks each from its end. hole is called for every skipped extent at its
-// position in the pass. The loops own the reads, the skip-list validation,
-// the cancellation poll (once per window) and the Bytes and PhysicalBytes
-// columns of st; stacks, node counts and what a hole stands for (and
-// whether its bytes count as SkippedBytes) belong to the consumer.
-// Callback errors pass through unwrapped.
-func (db *DB) ForwardWindows(ctx context.Context, lo, hi int64, skip []Extent, st *ScanStats, hole func(Extent) error, window func(first int64, recs []byte) error) error {
-	if err := db.checkWindows(lo, hi, skip); err != nil {
+// position in the pass. ix, when not nil, is the index skip was cut from:
+// a gap between holes whose every node roots one of its entries is served
+// from the entries (IndexEntry.Record), not read — the one glue record
+// between two skipped extents then costs no block decode. The loops own
+// the reads, the skip-list validation, the cancellation poll (once per
+// window) and the Bytes, IndexBytes and PhysicalBytes columns of st;
+// stacks, node counts and what a hole stands for (and whether its bytes
+// count as SkippedBytes) belong to the consumer. Callback errors pass
+// through unwrapped.
+func (db *DB) ForwardWindows(ctx context.Context, lo, hi int64, skip []Extent, ix *SubtreeIndex, st *ScanStats, hole func(Extent) error, window func(first int64, recs []byte) error) error {
+	if err := db.checkWindows(lo, hi, skip, ix); err != nil {
 		return err
 	}
 	buf := scanBufPool.Get().([]byte)
@@ -47,10 +51,16 @@ func (db *DB) ForwardWindows(ctx context.Context, lo, hi int64, skip []Extent, s
 		if i < len(skip) {
 			gapEnd = skip[i].Root
 		}
-		st.PhysicalBytes += db.PhysSpan(v, gapEnd)
+		at, served := ix.span(v, gapEnd)
+		if !served {
+			st.PhysicalBytes += db.PhysSpan(v, gapEnd)
+		}
 		for v < gapEnd {
 			block := buf[:min(int64(len(buf)), (gapEnd-v)*NodeSize)]
-			if n, err := db.arb.ReadAt(block, v*NodeSize); n < len(block) {
+			if served {
+				at = ix.records(block, at)
+				st.IndexBytes += int64(len(block))
+			} else if n, err := db.arb.ReadAt(block, v*NodeSize); n < len(block) {
 				return fmt.Errorf("storage: forward scan: %w", err)
 			}
 			st.Bytes += int64(len(block))
@@ -79,8 +89,8 @@ func (db *DB) ForwardWindows(ctx context.Context, lo, hi int64, skip []Extent, s
 // BackwardWindows is the reverse-preorder pass; see ForwardWindows. Reads
 // are laid from the end of each gap, so the medium still sees large
 // (reverse-)sequential requests.
-func (db *DB) BackwardWindows(ctx context.Context, lo, hi int64, skip []Extent, st *ScanStats, hole func(Extent) error, window func(first int64, recs []byte) error) error {
-	if err := db.checkWindows(lo, hi, skip); err != nil {
+func (db *DB) BackwardWindows(ctx context.Context, lo, hi int64, skip []Extent, ix *SubtreeIndex, st *ScanStats, hole func(Extent) error, window func(first int64, recs []byte) error) error {
+	if err := db.checkWindows(lo, hi, skip, ix); err != nil {
 		return err
 	}
 	buf := scanBufPool.Get().([]byte)
@@ -91,11 +101,17 @@ func (db *DB) BackwardWindows(ctx context.Context, lo, hi int64, skip []Extent, 
 		if i >= 0 {
 			gapLo = skip[i].End()
 		}
-		st.PhysicalBytes += db.PhysSpan(gapLo, end)
+		at, served := ix.span(gapLo, end)
+		if !served {
+			st.PhysicalBytes += db.PhysSpan(gapLo, end)
+		}
 		for end > gapLo {
 			block := buf[:min(int64(len(buf)), (end-gapLo)*NodeSize)]
 			end -= int64(len(block) / NodeSize)
-			if n, err := db.arb.ReadAt(block, end*NodeSize); n < len(block) {
+			if served {
+				ix.records(block, at+int(end-gapLo))
+				st.IndexBytes += int64(len(block))
+			} else if n, err := db.arb.ReadAt(block, end*NodeSize); n < len(block) {
 				return fmt.Errorf("storage: backward scan: %w", err)
 			}
 			st.Bytes += int64(len(block))
@@ -120,12 +136,16 @@ func (db *DB) BackwardWindows(ctx context.Context, lo, hi int64, skip []Extent, 
 	return nil
 }
 
-// checkWindows validates a pass's range against the database and its skip
-// list against the range. A range outside the database can only come from
-// a chunk index that describes some other file.
-func (db *DB) checkWindows(lo, hi int64, skip []Extent) error {
+// checkWindows validates a pass's range against the database, its skip
+// list against the range and its index against the database. A range
+// outside the database, or an index of another node count, can only come
+// from a chunk index that describes some other file.
+func (db *DB) checkWindows(lo, hi int64, skip []Extent, ix *SubtreeIndex) error {
 	if lo < 0 || lo > hi || hi > db.N {
 		return fmt.Errorf("%w: [%d,%d) out of range", ErrBadExtent, lo, hi)
+	}
+	if ix != nil && ix.N != db.N {
+		return fmt.Errorf("%w: an index of %d nodes over %d", ErrBadExtent, ix.N, db.N)
 	}
 	at := lo
 	for _, x := range skip {

@@ -151,10 +151,11 @@ func TestCompressedStorePatchOracle(t *testing.T) {
 	}
 }
 
-// TestManifestV1Accepted downgrades a committed v2 manifest to the v1
-// wire format by hand (old magic, no codec/block-size fields) and
-// reopens the store: v1 manifests keep loading, with the write policy
-// falling back to raw.
+// TestManifestV1Accepted downgrades a committed manifest to the v2 wire
+// format (old magic, index entries without their roots' labels) and to
+// the v1 one (no codec/block-size fields either) by hand, and reopens the
+// store: older manifests keep loading, with their entries' labels taken
+// from the records and, for v1, the write policy falling back to raw.
 func TestManifestV1Accepted(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(9))
@@ -171,8 +172,18 @@ func TestManifestV1Accepted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the manifest as v1: swap the magic and drop the two
-	// policy fields that follow version, n and names.
+	// The v2 manifest: the current one with its entries' labels cleared
+	// and the old magic.
+	m, _, err := readManifest(base + ".arbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.entries {
+		m.entries[i].Label = 0
+	}
+	if err := writeManifest(base+".arbm", m); err != nil {
+		t.Fatal(err)
+	}
 	b, err := os.ReadFile(base + ".arbm")
 	if err != nil {
 		t.Fatal(err)
@@ -180,26 +191,39 @@ func TestManifestV1Accepted(t *testing.T) {
 	if string(b[:8]) != manifestMagic {
 		t.Fatalf("manifest magic %q, want %q", b[:8], manifestMagic)
 	}
+	v2 := append([]byte(manifestMagicV2), b[8:]...)
+	// The v1 manifest: the v2 one without the two policy fields that
+	// follow version, n and names.
 	v1 := append([]byte(manifestMagicV1), b[8:8+24]...)
 	v1 = append(v1, b[8+40:]...)
-	if err := os.WriteFile(base+".arbm", v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	st2, err := Open(ctx, base)
-	if err != nil {
-		t.Fatalf("v1 manifest rejected: %v", err)
+	var st2 *Store
+	for _, old := range []struct {
+		name  string
+		bytes []byte
+	}{{"v2", v2}, {"v1", v1}} {
+		if err := os.WriteFile(base+".arbm", old.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st2, err = Open(ctx, base); err != nil {
+			t.Fatalf("%s manifest rejected: %v", old.name, err)
+		}
+		if st2.Version() != ver {
+			t.Fatalf("%s reopen at version %d, want %d", old.name, st2.Version(), ver)
+		}
+		snap := st2.Snapshot()
+		checkVersion(t, snap, recs)
+		snap.Release()
+		if old.name == "v2" {
+			if err := st2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	defer st2.Close()
-	if st2.Version() != ver {
-		t.Fatalf("v1 reopen at version %d, want %d", st2.Version(), ver)
-	}
 	if st2.codec != storage.CodecRaw || st2.blockSize != 0 {
 		t.Fatalf("v1 manifest produced policy codec=%d blockSize=%d, want raw", st2.codec, st2.blockSize)
 	}
-	snap := st2.Snapshot()
-	checkVersion(t, snap, recs)
-	snap.Release()
 	// The next commit rewrites the manifest in the current format.
 	if _, err := st2.ReplaceSubtree(ctx, 1, randFragment(r, &serial, 10)); err != nil {
 		t.Fatal(err)

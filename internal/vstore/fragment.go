@@ -20,8 +20,9 @@ const (
 )
 
 // fragment is one encoded XML subtree, ready to become a patch segment:
-// the preorder records, the label signature of the whole fragment, index
-// entries for its heaviest inner subtrees (V relative to the fragment
+// the preorder records, its root's entry (the root's label and the label
+// signature of the whole fragment), index entries for its heaviest inner
+// subtrees (V relative to the fragment
 // start; the fragment root itself is excluded — its extent depends on
 // where the fragment lands, so the splice constructs it), and the
 // label-name table the new version must use (grown copy-on-write when
@@ -29,7 +30,7 @@ const (
 type fragment struct {
 	recs     []byte
 	nodes    int64
-	sig      storage.LabelSig
+	root     storage.IndexEntry
 	entries  []storage.IndexEntry
 	names    *tree.Names
 	grewName bool
@@ -129,7 +130,7 @@ func encodeFragment(ctx context.Context, t *tree.Tree, rootHasSecond bool, names
 		return nil, fmt.Errorf("vstore: indexing the replacement tree: %w", err)
 	}
 	all := ix.Entries() // sorted by V: the root entry comes first
-	f.sig = all[0].Labels
+	f.root = all[0]
 	for _, e := range all[1:] {
 		if e.Size >= fragEntryMinSize {
 			f.entries = append(f.entries, e)

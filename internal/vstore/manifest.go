@@ -44,12 +44,16 @@ import (
 
 // Manifest magics. v2 adds the store's segment write policy (codec and
 // block size for newly written patch/compaction segments) right after
-// the name count; v1 manifests load as policy raw. Per-segment
+// the name count; v1 manifests load as policy raw. v3 stores each index
+// entry's root label in the top bits of its V word (IndexEntry.RootWord),
+// so an entry holds its root's whole record; a v1 or v2 manifest's
+// entries take their labels from the records once at open. Per-segment
 // compression is never declared here — each segment file carries its
 // own container magic and is sniffed at open.
 const (
 	manifestMagicV1 = "ARBVST1\n"
-	manifestMagic   = "ARBVST2\n"
+	manifestMagicV2 = "ARBVST2\n"
+	manifestMagic   = "ARBVST3\n"
 )
 
 // Validation caps: a manifest is a footnote next to the database, so
@@ -103,6 +107,7 @@ type manifest struct {
 	segs      []manifestSeg
 	runs      []manifestRun
 	entries   []storage.IndexEntry
+	labeled   bool // entries carry their roots' labels (v3)
 	history   []HistoryEntry
 }
 
@@ -241,7 +246,7 @@ func writeManifest(path string, m *manifest) error {
 			return err
 		}
 		for _, e := range m.entries {
-			if err := put(uint64(e.V)); err != nil {
+			if err := put(e.RootWord()); err != nil {
 				return err
 			}
 			if err := put(uint64(e.Size)); err != nil {
@@ -288,7 +293,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 	r := bufio.NewReaderSize(f, 1<<16)
 	magic := make([]byte, len(manifestMagic))
 	if _, err := io.ReadFull(r, magic); err != nil ||
-		(string(magic) != manifestMagic && string(magic) != manifestMagicV1) {
+		(string(magic) != manifestMagic && string(magic) != manifestMagicV2 && string(magic) != manifestMagicV1) {
 		return nil, nil, fmt.Errorf("vstore: %s is not a manifest file", path)
 	}
 	v1 := string(magic) == manifestMagicV1
@@ -336,7 +341,7 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 		left -= n
 		return string(b), nil
 	}
-	m := &manifest{}
+	m := &manifest{labeled: string(magic) == manifestMagic}
 	if m.version, err = get(); err != nil {
 		return nil, nil, err
 	}
@@ -412,8 +417,14 @@ func readManifest(path string) (*manifest, *storage.SubtreeIndex, error) {
 	}
 	m.entries = make([]storage.IndexEntry, nent)
 	for i := range m.entries {
-		if m.entries[i].V, err = getInt(); err != nil {
+		root, err := get()
+		if err != nil {
 			return nil, nil, err
+		}
+		if m.labeled {
+			m.entries[i].SetRootWord(root)
+		} else {
+			m.entries[i].V = int64(root) // validate rejects one out of bounds
 		}
 		if m.entries[i].Size, err = getInt(); err != nil {
 			return nil, nil, err

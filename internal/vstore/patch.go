@@ -179,12 +179,12 @@ func (st *Store) commit(ctx context.Context, ver *version, next *uint64, spec sp
 	*next++
 
 	var fragNodes int64
-	var fragSig storage.LabelSig
+	var fragRoot storage.IndexEntry
 	var fragEntries []storage.IndexEntry
 	var segBytes []byte
 	if spec.frag != nil {
 		fragNodes = spec.frag.nodes
-		fragSig = spec.frag.sig
+		fragRoot = spec.frag.root
 		fragEntries = spec.frag.entries
 		segBytes = spec.frag.recs
 	}
@@ -214,7 +214,7 @@ func (st *Store) commit(ctx context.Context, ver *version, next *uint64, spec sp
 	}
 
 	runs := spliceRuns(ver.runs, ver.n, spec, seg, fragNodes)
-	entries := fixupEntries(ver.idx.Entries(), spec, fragNodes, fragSig, fragEntries)
+	entries := fixupEntries(ver.idx.Entries(), spec, fragNodes, fragRoot, fragEntries)
 	ix, err := storage.NewIndex(newN, entries)
 	if err != nil {
 		// A fixup produced an invalid index — a bug, not a user error;
@@ -309,14 +309,19 @@ func overlayRun(runs []run, pos int64, nr run) []run {
 }
 
 // fixupEntries derives the new version's index entries from the old
-// ones. The laminar-family invariant makes the classification complete:
-// an extent containing the anchor either is rooted at it (per-kind
-// rules) or is a proper ancestor containing the whole patched range
-// (sizes adjust exactly; signatures grow conservatively). Extents
-// before the patch keep; extents after shift; extents inside are
-// superseded by the fragment's own entries. Everything stays laminar by
+// ones; fragRoot is the fragment root's entry (its label and the
+// fragment's signature). The laminar-family invariant makes the
+// classification complete: an extent containing the anchor either is
+// rooted at it (per-kind rules) or is a proper ancestor containing the
+// whole patched range (sizes adjust exactly; signatures grow
+// conservatively). Extents before the patch keep; extents after shift;
+// extents inside are superseded by the fragment's own entries. Every
+// entry's root record stays exact — sizes set the child flags, and a
+// replaced anchor takes the fragment root's label — because the window
+// passes serve records from the entries. Everything stays laminar by
 // construction, and the result is trimmed to the store's index budget.
-func fixupEntries(old []storage.IndexEntry, spec spliceSpec, fragNodes int64, fragSig storage.LabelSig, fragEntries []storage.IndexEntry) []storage.IndexEntry {
+func fixupEntries(old []storage.IndexEntry, spec spliceSpec, fragNodes int64, fragRoot storage.IndexEntry, fragEntries []storage.IndexEntry) []storage.IndexEntry {
+	fragSig := fragRoot.Labels
 	delta := fragNodes - (spec.end - spec.start)
 	out := make([]storage.IndexEntry, 0, len(old)+len(fragEntries))
 	for _, e := range old {
@@ -327,10 +332,12 @@ func fixupEntries(old []storage.IndexEntry, spec spliceSpec, fragNodes int64, fr
 				case opReplace:
 					// New subtree at the anchor: fragment plus the old
 					// second subtree. The fragment is the node and its
-					// first subtree, so FirstSize is exact; old labels
-					// over-approximate the kept second subtree.
+					// first subtree, so FirstSize and the label are
+					// exact; old labels over-approximate the kept second
+					// subtree.
 					e.Size += delta
 					e.FirstSize = fragNodes - 1
+					e.Label = fragRoot.Label
 					e.Labels.Or(fragSig)
 					out = append(out, e)
 				case opInsert:
@@ -446,7 +453,7 @@ func (ver *version) xmlEnd(ctx context.Context, v int64, rec storage.Record) (in
 	}
 	owed, end := 1, int64(0)
 	var st storage.ScanStats
-	err := ver.db.ForwardWindows(ctx, v+1, ver.n, ver.holes(v+1, ver.n), &st,
+	err := ver.db.ForwardWindows(ctx, v+1, ver.n, ver.holes(v+1, ver.n), ver.idx, &st,
 		func(x storage.Extent) error {
 			if owed--; owed == 0 {
 				end = x.End()
@@ -493,7 +500,7 @@ func (ver *version) parentOf(ctx context.Context, v int64) (int64, int, error) {
 	parent, k := int64(-1), 0
 	done := 0 // complete subtrees between the walk's position and v
 	var st storage.ScanStats
-	err := ver.db.BackwardWindows(ctx, 0, v, ver.holes(0, v), &st,
+	err := ver.db.BackwardWindows(ctx, 0, v, ver.holes(0, v), ver.idx, &st,
 		func(storage.Extent) error {
 			done++
 			return nil

@@ -210,7 +210,7 @@ func Open(ctx context.Context, base string) (*Store, error) {
 	s := storeState{vers: make(map[*version]int), segs: make(map[*segment]int)}
 	var next uint64
 	if versioned {
-		next, err = st.openManifest(&s, base+".arbm")
+		next, err = st.openManifest(ctx, &s, base+".arbm")
 	} else {
 		next, err = st.bootstrap(ctx, &s)
 	}
@@ -299,8 +299,11 @@ func (st *Store) bootstrap(ctx context.Context, s *storeState) (uint64, error) {
 // openManifest loads the current version from a validated manifest into
 // s, opening every referenced segment and verifying it holds the promised
 // bytes — a manifest referencing a missing or truncated segment is
-// rejected whole — and returns the id the next segment takes.
-func (st *Store) openManifest(s *storeState, path string) (uint64, error) {
+// rejected whole — and returns the id the next segment takes. The index
+// of a manifest older than v3 takes its roots' labels from the version's
+// records (DB.LabelIndex); the next commit writes them. Cancelling ctx
+// aborts that walk.
+func (st *Store) openManifest(ctx context.Context, s *storeState, path string) (uint64, error) {
 	m, ix, err := readManifest(path)
 	if err != nil {
 		return 0, err
@@ -342,6 +345,11 @@ func (st *Store) openManifest(s *storeState, path string) (uint64, error) {
 	}
 	st.codec, st.blockSize = m.codec, m.blockSize
 	s.install(st.base, &version{id: m.version, n: m.n, runs: runs, idx: ix, names: names, nNames: m.names})
+	if !m.labeled {
+		if err := s.cur.db.LabelIndex(ctx, ix); err != nil {
+			return 0, fmt.Errorf("vstore: manifest %s: %w", path, err)
+		}
+	}
 	s.history = m.history
 	ok = true
 	return maxID, nil

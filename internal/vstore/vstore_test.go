@@ -207,6 +207,9 @@ func checkVersion(t *testing.T, snap *Snapshot, recs []orec) {
 			t.Fatalf("version %d: entry at %d has Size=%d FirstSize=%d, actual %d/%d",
 				snap.Version(), e.V, e.Size, e.FirstSize, size[e.V], firstSize[e.V])
 		}
+		if l, _ := recs[e.V].label(snap.Names()); e.Label != l {
+			t.Fatalf("version %d: entry at %d has label %d, the node %d", snap.Version(), e.V, e.Label, l)
+		}
 		for i := range sigs[e.V] {
 			if sigs[e.V][i]&^e.Labels[i] != 0 {
 				t.Fatalf("version %d: entry at %d label signature is not a superset of the subtree's",

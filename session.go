@@ -311,6 +311,16 @@ func (p *Profile) SkippedBytes() int64 {
 	return p.Disk.Phase1.SkippedBytes + p.Disk.Phase2.SkippedBytes
 }
 
+// IndexBytes returns the .arb bytes this execution's scans took from the
+// subtree index instead of reading them: the records of gaps between
+// skipped extents (pruned ones, or chunks the leader leaves to workers)
+// whose every node roots an index entry — typically the one glue record
+// between two pruned extents. They count in Disk.PhaseN.Bytes and
+// Disk.PhaseN.IndexBytes, never in Disk.PhaseN.PhysicalBytes.
+func (p *Profile) IndexBytes() int64 {
+	return p.Disk.Phase1.IndexBytes + p.Disk.Phase2.IndexBytes
+}
+
 // PreparedQuery is a query compiled against one Session, ready for
 // repeated execution. The pair of deterministic tree automata per pass is
 // computed lazily and persists across Exec calls (the paper's footnote
